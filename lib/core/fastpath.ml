@@ -120,6 +120,10 @@ exception Fall_back
    ref-walk, §3.2).  Constant constructor — raising it allocates nothing. *)
 exception Seq_retry
 
+(* A symlink alias copies its real dentry's state when it is made or
+   retargeted, but a negative real promoted in place (a create over a
+   cached negative, §5.2) does not update its aliases: verdicts read the
+   real dentry's state, never the alias's copy. *)
 let real_of d = match d.d_alias with Some real -> real | None -> d
 
 let pcc_valid t pcc d =
@@ -404,7 +408,7 @@ let rec chase t dlht pcc sc ~follow_last ~at_ns_root d limit =
   else begin
     record_dentry t sc d;
     let is_symlink =
-      match d.d_state with
+      match (real_of d).d_state with
       | Positive inode -> File_kind.equal (Vfs.Inode.kind inode) File_kind.Symlink
       | Partial { p_kind; _ } -> File_kind.equal p_kind File_kind.Symlink
       | Negative _ -> false
@@ -526,9 +530,10 @@ let probe t ctx ~(start : path_ref) ~(flags : Walk.flags) path =
       validate t pcc literal shallow_real);
   Phases.timed Phases.Finalize (fun () ->
       let at_root = at_ns_root ctx in
-      match literal.d_state with
+      let real = real_of literal in
+      match real.d_state with
       | Negative errno ->
-        if not (Dcache.negative_current literal) then raise Fall_back;
+        if not (Dcache.negative_current real) then raise Fall_back;
         Counter.bump t.c_neg;
         Trace.stamp Trace.ev_fast_neg 0;
         Error errno
@@ -639,6 +644,11 @@ let rec next_component_span path pos =
     else (i lsl 13) lor j
   end
 
+let may_search ctx d =
+  match d.d_state with
+  | Positive inode -> Walk.check_exec ctx inode
+  | Partial _ | Negative _ -> false
+
 (* Deepest-first scan over the recorded boundary snapshots, run at the
    probe's final-miss site (lockless or read-locked).  The first cached
    ancestor found decides:
@@ -647,8 +657,11 @@ let rec next_component_span path pos =
      without the write lock or a walk, exactly as a from-root walk would
      fail at that component (fast-fail is only trusted after the same
      seqcount validation as any other lockless verdict);
-   - a DIR_COMPLETE positive directory whose next suffix component is not
-     in the dcache: definitive ENOENT (§5.1), same no-lock fast-fail;
+   - a DIR_COMPLETE positive directory that this cred may search, whose
+     next suffix component is not in the dcache: definitive ENOENT (§5.1),
+     same no-lock fast-fail.  The PCC entry only proves the directory is
+     reachable; a walk checks search permission on the directory itself
+     before looking a name up in it, and without it answers EACCES;
    - any other PCC-valid positive directory: the resume candidate — its
      slot is left in [sc.resume_slot] for [fallback] to re-validate under
      the write lock, and the probe falls back.
@@ -661,30 +674,30 @@ let rec next_component_span path pos =
 (* Top-level recursion (not an inner [let rec] — a closure over seven
    captured variables costs ~10 minor words per miss without flambda; the
    fast-fail verdict must stay at zero). *)
-let rec prefix_scan t dlht pcc sc path ~vsnap k =
+let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
   if k >= 0 then begin
     let sn = sc.snaps in
     Signature.finalize_snap_into t.key sn k sc.pbuf;
     record_chain sc dlht (Signature.buf_bucket sc.pbuf);
     match Dlht.find_buf dlht ~key:t.key sc.pbuf with
-    | None -> prefix_scan t dlht pcc sc path ~vsnap (k - 1)
+    | None -> prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
     | Some literal ->
       let real = real_of literal in
       record_dentry t sc literal;
       if not (real == literal) then record_dentry t sc real;
       if not (pcc_probe t pcc literal && ((real == literal) || pcc_probe t pcc real))
-      then prefix_scan t dlht pcc sc path ~vsnap (k - 1)
+      then prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
       else begin
-        match literal.d_state with
-        | Negative _ when lease_blocks_negative t literal ->
+        match real.d_state with
+        | Negative _ when lease_blocks_negative t real ->
           (* The deciding directory's lease is dead: this cached absence
              cannot fast-fail the path.  A shallower (leased) ancestor may
              still resume or decide it. *)
-          prefix_scan t dlht pcc sc path ~vsnap (k - 1)
-        | Negative _ when not (Dcache.negative_current literal) ->
+          prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
+        | Negative _ when not (Dcache.negative_current real) ->
           (* A per-mount negative flush outdated this verdict (int compare,
              allocation-free); skip it like any other unusable candidate. *)
-          prefix_scan t dlht pcc sc path ~vsnap (k - 1)
+          prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
         | Negative errno ->
           commit_check t sc vsnap;
           Counter.bump t.c_prefix_negfail;
@@ -699,7 +712,11 @@ let rec prefix_scan t dlht pcc sc path ~vsnap k =
                lease live (§3.7); a dead lease only forfeits the fast-fail
                — the directory still serves as a resume candidate, since
                the resumed walk revalidates at the server. *)
-            (if Dcache.is_complete t.dcache real && not (lease_blocks_dir t real) then begin
+            (if
+               Dcache.is_complete t.dcache real
+               && (not (lease_blocks_dir t real))
+               && may_search ctx real
+             then begin
                (* Completeness and child-presence are guarded by the
                   directory's own-id stripe, not its parent's. *)
                record_dir t sc real;
@@ -731,14 +748,14 @@ let rec prefix_scan t dlht pcc sc path ~vsnap k =
              end);
             sc.resume_slot <- k
           end
-          else prefix_scan t dlht pcc sc path ~vsnap (k - 1)
+          else prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
       end
   end
 
-let prefix_miss t dlht pcc sc path ~vsnap =
+let prefix_miss t ctx dlht pcc sc path ~vsnap =
   if (config t).Config.prefix_resume then
     (* Slot [n-1] is the full path — the probe that just missed. *)
-    prefix_scan t dlht pcc sc path ~vsnap (Signature.snaps_count sc.snaps - 2);
+    prefix_scan t ctx dlht pcc sc path ~vsnap (Signature.snaps_count sc.snaps - 2);
   raise Fall_back
 
 (* Scan-and-hash driver for the in-place probe.  On a ".." (Linux
@@ -803,7 +820,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       (* Genuine miss: scan the boundary snapshots for the longest cached
          ancestor — fast-fail from the prefix or mark the resume point —
          then fall back (§3.5).  Never returns. *)
-      prefix_miss t dlht pcc sc path ~vsnap
+      prefix_miss t ctx dlht pcc sc path ~vsnap
   in
   Phases.record_span Phases.Table_lookup t2;
   let t3 = Phases.stamp () in
@@ -827,10 +844,10 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   let t4 = Phases.stamp () in
   let at_root = at_ns_root ctx in
   let result =
-    match literal.d_state with
+    match shallow_real.d_state with
     | Negative errno ->
-      if lease_blocks_negative t literal then raise Fall_back;
-      if not (Dcache.negative_current literal) then raise Fall_back;
+      if lease_blocks_negative t shallow_real then raise Fall_back;
+      if not (Dcache.negative_current shallow_real) then raise Fall_back;
       commit_check t sc vsnap;
       Counter.bump t.c_neg;
       Trace.stamp Trace.ev_fast_neg 0;

@@ -74,26 +74,10 @@ let with_dir_stripe proc dir f =
   else begin
     match Dcache.stripes d with
     | Some tab ->
-      Rwlock.read_lock lock;
-      let si = Locktab.index tab dir.d_id in
-      Locktab.lock tab si;
-      (* Same unwind discipline as the sharded mutation sections: a leaked
-         stripe leaves its seqcount odd and wedges every later probe. *)
-      (try crash_point ()
-       with e ->
-         Locktab.unlock tab si;
-         Rwlock.read_unlock lock;
-         raise e);
-      let r =
-        try f ()
-        with e ->
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          raise e
-      in
-      Locktab.unlock tab si;
-      Rwlock.read_unlock lock;
-      r
+      Dcache.with_read d (fun () ->
+          Locktab.with_lock tab (Locktab.index tab dir.d_id) (fun () ->
+              crash_point ();
+              f ()))
     | None -> Dcache.with_write d f
   end
 

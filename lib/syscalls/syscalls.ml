@@ -11,7 +11,6 @@ module Cred = Dcache_cred.Cred
 module Fastpath = Dcache_core.Fastpath
 module Fs = Dcache_fs.Fs_intf
 module Counter = Dcache_util.Stats.Counter
-module Rwlock = Dcache_util.Rwlock
 module Locktab = Dcache_util.Locktab
 module Dlist = Dcache_util.Dlist
 module Fault = Dcache_util.Fault
@@ -84,9 +83,18 @@ let resolve_with ?start ?flags proc path ~within =
   let ctx = Proc.walk_ctx proc in
   Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path ~within
 
-(** Resolution for mutating operations: caller must hold the write lock.
-    Collects and publishes the prefix chain so that the optimized kernel's
-    subsequent lookups of these directories take the fastpath. *)
+(* What a namespace mutation works on, whichever lock scope resolved it:
+   the containing directory, the final name, and the dcache's child for
+   that name ([None] when none is cached, or — global scope only — when
+   the fs reports absence without caching negatives).  [striped] is true
+   when the body runs under the parent's stripe rather than the global
+   write lock. *)
+type target = { dir : path_ref; name : string; child : dentry option; striped : bool }
+
+(** Global-scope resolution for mutating operations: caller must hold the
+    write lock.  Collects and publishes the prefix chain so that the
+    optimized kernel's subsequent lookups of these directories take the
+    fastpath. *)
 let resolve_parent_locked ?start proc path =
   note_lookup proc path;
   let ctx = Proc.walk_ctx proc in
@@ -96,7 +104,7 @@ let resolve_parent_locked ?start proc path =
   if collect then
     Fastpath.populate (Kernel.fastpath proc.Proc.kernel) ctx ~visited:p.Walk.p_visited
       ~absolute:p.Walk.p_absolute ~start:ctx.Walk.cwd;
-  Ok p
+  Ok { dir = p.Walk.parent; name = p.Walk.last; child = p.Walk.child; striped = false }
 
 let resolve_locked ?flags proc path =
   note_lookup proc path;
@@ -106,42 +114,51 @@ let resolve_locked ?flags proc path =
 
 let with_write proc f = Dcache.with_write (dcache proc) f
 
-let parent_dir_inode (p : Walk.parent_result) = positive_inode p.Walk.parent.dentry
-
-let check_write_dir proc (p : Walk.parent_result) =
-  if p.Walk.parent.mnt.mnt_readonly then Error Errno.EROFS
+(* Write and search permission on the containing directory; returns its
+   inode for the backend call. *)
+let writable_dir proc (dir : path_ref) =
+  if dir.mnt.mnt_readonly then Error Errno.EROFS
   else begin
-    let* dir_inode = parent_dir_inode p in
-    permission proc dir_inode (Access.union Access.may_write Access.may_exec)
+    let* inode = positive_inode dir.dentry in
+    let* () = permission proc inode (Access.union Access.may_write Access.may_exec) in
+    Ok inode
   end
 
-(* Instantiate a freshly created child in the dcache.  Creating a
-   non-directory over a cached negative dentry evicts any deep negative
-   children; a new directory is empty, so deep negatives below it stay
-   valid (§5.2). *)
-let instantiate proc (p : Walk.parent_result) (attr : Attr.t) =
+let check_not_mountpoint proc t child =
+  if Mount.is_mountpoint proc.Proc.ns t.dir.mnt child then Error Errno.EBUSY else Ok ()
+
+(* Backend entry mutations change the parent directory's own attributes
+   (size at minimum; each backend accounts differently), so the cached
+   snapshot must be re-read or a later eviction-and-refetch would observe
+   a different answer than the warm cache.  The mutation itself already
+   succeeded, so a failed re-read is ignored rather than surfaced. *)
+let refresh_dir_attr dir_inode =
+  ignore (Inode.refresh dir_inode : (unit, Errno.t) result)
+
+(* Instantiate a freshly created child in the dcache.  A cached negative
+   is promoted in place: the name keeps its signature and DLHT entry, so
+   the fastpath serves the new positive result immediately.  Creating a
+   non-directory over it evicts any deep negative children; a new
+   directory is empty, so deep negatives below it stay valid (§5.2). *)
+let instantiate proc t (attr : Attr.t) =
   let d = dcache proc in
-  let parent = p.Walk.parent.dentry in
+  let parent = t.dir.dentry in
   let inode = Dcache.iget parent.d_sb attr in
   Dcache.bump_dir_gen parent;
-  match p.Walk.child with
-  | Some child when dentry_is_negative child ->
-    if not (File_kind.equal attr.Attr.kind File_kind.Directory) then
-      Dcache.prune_children d child;
-    Dcache.neg_forget d child;
-    child.d_state <- Positive inode;
-    child.d_target_sig <- None;
-    child
+  match t.child with
   | Some child ->
+    if dentry_is_negative child then begin
+      if not (File_kind.equal attr.Attr.kind File_kind.Directory) then
+        Dcache.prune_children d child;
+      Dcache.neg_forget d child
+    end;
     child.d_state <- Positive inode;
     child.d_target_sig <- None;
     child
   | None -> (
-    match Dcache.add_child d parent p.Walk.last (Positive inode) with
+    match Dcache.add_child d parent t.name (Positive inode) with
     | Ok child -> child
     | Error _ -> assert false)
-
-let map_fs_result result = Result.map_error (fun e -> e) result
 
 (* --- metadata --- *)
 
@@ -232,35 +249,43 @@ let finish_open proc flags (ref_ : path_ref) =
   in
   Ok fd.Proc.fd_num
 
-(* --- the sharded mutation path ---
+(* --- namespace mutations: one body per syscall, two lock scopes ---
 
-   With [dcache_stripes > 0] (and the fastpath on, Linux dot-dot mode) the
-   three churn-critical mutations — regular-file create, unlink and rename —
-   run under the dcache lock's {e read} side plus the parent directory's
-   stripe(s) instead of the exclusive write lock, so writer domains mutating
-   different directories proceed concurrently.  Anything off the happy path
-   (uncached parents or children, [Partial] dentries, directories, extra
-   hard links, mountpoints, deep-negative subtrees, cross-sb renames) falls
-   back to the classic write-locked implementation: [Legacy] means "take
-   the big lock", never "fail".
+   Each mutation — create-open, mkdir, unlink, rmdir, rename and callback
+   invalidation — has exactly one body.  Given a [target], the body makes
+   every check (EEXIST, EISDIR, ENOTDIR, EBUSY, write permission), calls
+   the backend, refreshes the parent's attributes and commits to the
+   dcache.  One of two lock scopes runs it, picked from cached state only:
 
-   Lock order inside a sharded section: rwlock read side, then the parent
-   directory stripe(s) — two at once only through [Locktab.lock2]'s index
-   ordering — then leaf locks (the DLHT stripe inside [Dlht] splices,
-   [lru_mu], [icache_mu]).  Eviction cannot run here (the clock walk
-   crosses stripes), so capacity enforcement is deferred to
+   - The {e stripe scope} ([stripe_scope]): the parent resolves with no
+     lock held, then the dcache lock's {e read} side plus the parent's
+     stripe — and the child's own stripe for rmdir and invalidation, the
+     second parent's for rename — are held around the body.  Writer
+     domains mutating different directories proceed concurrently.
+   - The {e global scope} ([with_write] + [resolve_parent_locked]): the
+     only scope without a stripe table (baseline, lexical "..",
+     [dcache_stripes = 0]), and the scope for every cached shape a stripe
+     cannot cover.  Each syscall's [*_covers] predicate names those shapes
+     (uncached names, [Partial] dentries, directories, extra hard links,
+     mountpoints, deep children, cross-sb renames).  Taking it means
+     "take the big lock", never "fail".
+
+   Lock order inside the stripe scope: rwlock read side, then the
+   stripe(s) — two at once only through [Locktab.lock2]'s index ordering —
+   then leaf locks (the DLHT stripe inside [Dlht] splices, [lru_mu],
+   [icache_mu]).  Eviction cannot run here (the clock walk crosses
+   stripes), so capacity enforcement is deferred to
    [Dcache.reclaim_overflow] after every lock is dropped. *)
 
-type 'a attempt = Done of 'a r | Legacy
-
-(* Crash-fault coverage for the stripe-locked sections: a [Fault.crash_point]
-   sits between each stripe's seqcount bump (inside [Locktab.lock]) and the
-   dcache splice.  A firing site raises {!Fault.Crash} out of the section;
-   the handlers below release the stripe(s) and the read lock on the way out
-   — a leaked stripe would leave its seqcount odd, wedging every later
-   lockless probe that records it and deadlocking [Kernel.scrub]'s
-   [with_write].  Sites default to [Off]; [install_crash_sites] registers
-   them on a caller-owned injector. *)
+(* Crash-fault coverage for the stripe scope: a [Fault.crash_point] sits
+   between the stripes' seqcount bump (inside [Locktab.lock2]) and the
+   body.  A firing site raises {!Fault.Crash} out of the section, and
+   [Locktab.with_lock2] and [Dcache.with_read] release the stripe(s) and
+   the read lock on the way out: a leaked stripe would leave its seqcount
+   odd, wedging every later lockless probe that records it and
+   deadlocking [Kernel.scrub]'s [with_write].
+   Sites default to [Off]; [install_crash_sites] registers them on a
+   caller-owned injector. *)
 type crash_sites = {
   cs_create : Fault.site;
   cs_unlink : Fault.site;
@@ -294,7 +319,7 @@ let[@inline] crash_point pick = match !crash_sites with None -> () | Some cs -> 
 
 (* Split [path] into (dirname, basename) when the final component is a
    plain name.  [None] dirname means the walk start itself (cwd / dirfd).
-   Trailing slashes, ".", ".." and empty basenames are Legacy cases. *)
+   Trailing slashes, ".", ".." and empty basenames go to the global scope. *)
 let split_basename path =
   let n = String.length path in
   if n = 0 || path.[n - 1] = '/' then None
@@ -325,539 +350,136 @@ let resolve_dir ?start proc dirname =
     | Ok ref_ -> Some ref_
     | Error _ -> None)
 
-(* Parent validity under its stripe: still cached (roots are never hashed)
-   and still a positive directory.  A [Partial] parent would need a
-   promoting mutation guarded by the {e grandparent}'s stripe — Legacy. *)
-let dir_valid (pref : path_ref) =
+(* Parent validity under its stripe: still cached (roots are never hashed),
+   still a positive directory, and searchable by the caller.  A [Partial]
+   parent would need a promoting mutation guarded by the {e grandparent}'s
+   stripe.  Without search permission the global scope's walk answers
+   EACCES before it looks at the name; the body's own checks would answer
+   EEXIST, EISDIR, ENOTDIR or a cached negative's errno first. *)
+let dir_valid proc (pref : path_ref) =
   let d = pref.dentry in
   (d.d_hashed || d.d_parent = None)
   &&
   match d.d_state with
-  | Positive inode -> Inode.is_dir inode
+  | Positive inode -> Inode.is_dir inode && Result.is_ok (permission proc inode Access.may_exec)
   | Partial _ | Negative _ -> false
 
-let dir_inode_exn (pref : path_ref) =
-  match pref.dentry.d_state with Positive i -> i | _ -> assert false
+(* A stripe-scope commit counts the lookups the global scope's walk would
+   have counted, then enforces capacity now that no lock is held. *)
+let after_stripe proc paths r =
+  if Option.is_some r then begin
+    List.iter (note_lookup proc) paths;
+    Dcache.reclaim_overflow (dcache proc)
+  end;
+  r
 
-let writable_dir proc (pref : path_ref) =
-  if pref.mnt.mnt_readonly then Error Errno.EROFS
-  else
-    permission proc (dir_inode_exn pref) (Access.union Access.may_write Access.may_exec)
-
-(* Backend entry mutations change the parent directory's own attributes
-   (size at minimum; each backend accounts differently), so the cached
-   snapshot must be re-read or a later eviction-and-refetch would observe
-   a different answer than the warm cache.  The mutation itself already
-   succeeded, so a failed re-read is ignored rather than surfaced. *)
-let refresh_dir_attr dir_inode =
-  ignore (Inode.refresh dir_inode : (unit, Errno.t) result)
-
-let sharded_create ?start ~mode proc path flags : int attempt =
+(* The stripe scope for a single-name mutation: [Some r] when [covers]
+   accepted the cached shape and [body] ran under the stripe(s), [None]
+   to hand the call to the global scope.  With [~peek], the child's
+   own-id stripe — which guards the child's children — is held too.  That
+   id is only learnable under the parent stripe, and parent-then-child
+   acquisition would invert [Locktab.lock2]'s index order, so the child is
+   peeked under the parent stripe alone, both stripes are then taken in
+   order, and the peek is re-validated before anything trusts it. *)
+let stripe_scope ?start ?(peek = false) proc ~site path ~covers body =
   let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
+  match (Dcache.stripes d, split_basename path) with
+  | Some tab, Some (dirname, name) -> (
+    match resolve_dir ?start proc dirname with
+    | None -> None
+    | Some dir ->
+      let si = Locktab.index tab dir.dentry.d_id in
+      let section () =
+        let held =
+          if not peek then Some (si, None)
+          else
+            Locktab.with_lock tab si (fun () ->
+                if dir_valid proc dir then Dcache.lookup d dir.dentry name else None)
+            |> Option.map (fun c -> (Locktab.index tab c.d_id, Some c))
         in
-        (* The injected crash fires between the stripe seqcount bump (in
-           [Locktab.lock] above) and the splice: release the section's locks
-           before letting it propagate, exactly as a kernel oops handler
-           unwinds held spinlocks. *)
-        (try crash_point (fun cs -> cs.cs_create)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          let parent = pref.dentry in
-          let existing = Dcache.lookup d parent name in
-          match existing with
-          | Some child when dentry_is_positive child ->
-            if flag_mem Proc.O_EXCL flags then finish (Done (Error Errno.EEXIST))
-            else finish Legacy (* plain open of an existing file *)
-          | Some child when not (dentry_is_negative child) -> finish Legacy
-          | Some child when not (Dlist.is_empty child.d_children) ->
-            (* deep negatives below the name: pruning crosses stripes *)
-            finish Legacy
-          | None when not (Dcache.is_complete d parent) ->
-            (* an uncached name may still exist on the fs: only a complete
-               directory's absence verdict is authoritative (§5.1) *)
-            finish Legacy
-          | existing -> (
-            match writable_dir proc pref with
-            | Error e -> finish (Done (Error e))
-            | Ok () -> (
-              let dir_inode = dir_inode_exn pref in
-              match
-                parent.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) name
-                  File_kind.Regular mode ~uid:(Cred.uid proc.Proc.cred)
-                  ~gid:(Cred.gid proc.Proc.cred)
-              with
-              | Error e -> finish (Done (Error e))
-              | Ok attr ->
-                refresh_dir_attr dir_inode;
-                count proc "files_created";
-                count proc "sharded_create";
-                (* Either verdict — a cached negative or a complete parent's
-                   authoritative absence — let this create skip the backend
-                   existence probe entirely (§5). *)
-                count proc "create_neg_shortcut";
-                (* The absence verdict that authorized this create came from
-                   directory completeness (§5.1) — count it like the walk's
-                   complete-dir miss would have been. *)
-                if existing = None then count proc "complete_dir_negative";
-                let inode = Dcache.iget parent.d_sb attr in
-                Dcache.bump_dir_gen parent;
-                let child =
-                  match existing with
-                  | Some child ->
-                    (* negative promotion in place: the name keeps its
-                       signature and DLHT entry, so the fastpath serves the
-                       new positive result immediately (§5.2) *)
-                    Dcache.neg_forget d child;
-                    child.d_state <- Positive inode;
-                    child.d_target_sig <- None;
-                    child
-                  | None -> (
-                    match Dcache.add_child d parent name (Positive inode) with
-                    | Ok child -> child
-                    | Error _ -> assert false)
-                in
-                finish (Done (finish_open proc flags { pref with dentry = child }))))
-        end))
-
-let sharded_unlink ?start proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_unlink)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          match Dcache.lookup d pref.dentry name with
-          | None -> finish Legacy (* uncached: the fill needs the slowpath *)
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> finish (Done (Error e))
-            | Partial _ -> finish Legacy
-            | Positive child_inode ->
-              if dentry_is_dir child then finish (Done (Error Errno.EISDIR))
-              else if
-                (not (Dlist.is_empty child.d_children))
-                || Mount.is_mountpoint proc.Proc.ns pref.mnt child
-                || (Inode.attr child_inode).Attr.nlink <> 1
-                (* extra hard links: the shared inode's nlink is mutated
-                   from other parents' stripes — Legacy serializes *)
-              then finish Legacy
+        match held with
+        | None -> None
+        | Some (sj, peeked) ->
+          Locktab.with_lock2 tab si sj (fun () ->
+              crash_point site;
+              if not (dir_valid proc dir) then None
               else begin
-                match writable_dir proc pref with
-                | Error e -> finish (Done (Error e))
-                | Ok () -> (
-                  match
-                    pref.dentry.d_sb.sb_fs.Fs.unlink
-                      (Inode.ino (dir_inode_exn pref)) name
-                  with
-                  | Error e -> finish (Done (Error e))
-                  | Ok () ->
-                    refresh_dir_attr (dir_inode_exn pref);
-                    count proc "sharded_unlink";
-                    Dcache.bump_dir_gen pref.dentry;
-                    Inode.bump_nlink child_inode (-1);
-                    if (Inode.attr child_inode).Attr.nlink <= 0 then
-                      Dcache.iforget child.d_sb (Inode.ino child_inode);
-                    Dcache.note_unlinked d child;
-                    finish (Done (Ok ())))
-              end)
-        end))
-
-let sharded_rename proc old_path new_path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match (split_basename old_path, split_basename new_path) with
-    | Some (old_dir, old_name), Some (new_dir, new_name) -> (
-      match (resolve_dir proc old_dir, resolve_dir proc new_dir) with
-      | Some po, Some pn when po.dentry.d_sb == pn.dentry.d_sb ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab po.dentry.d_id in
-        let sj = Locktab.index tab pn.dentry.d_id in
-        (* both parents' stripes, in index order — the cross-rename
-           deadlock case (A→B in one domain, B→A in another) serializes
-           on whichever stripe sorts first *)
-        Locktab.lock2 tab si sj;
-        let finish r =
-          Locktab.unlock2 tab si sj;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc old_path;
-            note_lookup proc new_path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_rename)
-         with e ->
-           Locktab.unlock2 tab si sj;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid po && dir_valid pn) then finish Legacy
-        else begin
-          match Dcache.lookup d po.dentry old_name with
-          | None -> finish Legacy
-          | Some src -> (
-            match src.d_state with
-            | Negative _ -> finish (Done (Error Errno.ENOENT))
-            | Partial _ -> finish Legacy
-            | Positive src_inode ->
-              if
-                Inode.is_dir src_inode
-                || (not (Dlist.is_empty src.d_children))
-                || Mount.is_mountpoint proc.Proc.ns po.mnt src
-              then finish Legacy
-              else begin
-                match (writable_dir proc po, writable_dir proc pn) with
-                | Error e, _ | _, Error e -> finish (Done (Error e))
-                | Ok (), Ok () -> (
-                  let target = Dcache.lookup d pn.dentry new_name in
-                  match target with
-                  | Some tgt when tgt == src ->
-                    finish (Done (Ok ())) (* rename onto itself: no-op *)
-                  | Some tgt
-                    when dentry_is_positive tgt
-                         || (not (dentry_is_negative tgt))
-                         || not (Dlist.is_empty tgt.d_children) ->
-                    (* displaced positive/partial targets carry nlink and
-                       inode-cache bookkeeping — Legacy *)
-                    finish Legacy
-                  | _ -> (
-                    let rename_lock = Dcache.rename_lock d in
-                    Dcache_util.Seqcount.write_begin rename_lock;
-                    ignore (Dcache.invalidate_structure d src);
-                    let result =
-                      src.d_sb.sb_fs.Fs.rename
-                        (Inode.ino (dir_inode_exn po)) old_name
-                        (Inode.ino (dir_inode_exn pn)) new_name
-                    in
-                    match result with
-                    | Error e ->
-                      Dcache_util.Seqcount.write_end rename_lock;
-                      finish (Done (Error e))
-                    | Ok () ->
-                      refresh_dir_attr (dir_inode_exn po);
-                      if not (po.dentry == pn.dentry) then
-                        refresh_dir_attr (dir_inode_exn pn);
-                      count proc "sharded_rename";
-                      Dcache.bump_dir_gen po.dentry;
-                      Dcache.bump_dir_gen pn.dentry;
-                      (match target with
-                      | Some tgt -> Dcache.unhash d tgt
-                      | None -> ());
-                      Dcache.d_move d src ~new_parent:pn.dentry ~new_name;
-                      (* Keep the old name cached as a negative (§5.2). *)
-                      if (kconfig proc).Config.aggressive_negative then
-                        ignore
-                          (Dcache.add_child d po.dentry old_name
-                             (Negative Errno.ENOENT));
-                      Dcache_util.Seqcount.write_end rename_lock;
-                      finish (Done (Ok ()))))
-              end)
-        end
-      | _ -> Legacy)
-    | _ -> Legacy)
-
-(* Callback invalidation through the parent stripe (§3.7): a netfs lease
-   break evicts one cached name, and funnelling every break through the
-   global write lock would reserialize exactly the workload the stripes
-   exist for.  The target's direct children are guarded by its {e own-id}
-   stripe, so the section needs parent + target stripes.  The target's id
-   is only learnable under the parent stripe, and parent-then-child
-   acquisition would invert [Locktab.lock2]'s index ordering — so the
-   target is peeked under the parent stripe alone, both stripes are then
-   taken in order, and the peek is re-validated before anything trusts it.
-   Subtrees deeper than one level (grandchildren live under {e their}
-   parents' stripes), mountpoints, and every other off-happy-path shape
-   fall back to the write-locked implementation. *)
-let sharded_invalidate proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let peek =
-          if dir_valid pref then Dcache.lookup d pref.dentry name else None
-        in
-        Locktab.unlock tab si;
-        (match peek with
-        | None ->
-          Rwlock.read_unlock lock;
-          Legacy
-        | Some child0 ->
-          let sj = Locktab.index tab child0.d_id in
-          Locktab.lock2 tab si sj;
-          let finish r =
-            Locktab.unlock2 tab si sj;
-            Rwlock.read_unlock lock;
-            (match r with
-            | Done _ ->
-              note_lookup proc path;
-              Dcache.reclaim_overflow d
-            | Legacy -> ());
-            r
-          in
-          (try crash_point (fun cs -> cs.cs_invalidate)
-           with e ->
-             Locktab.unlock2 tab si sj;
-             Rwlock.read_unlock lock;
-             raise e);
-          if not (dir_valid pref) then finish Legacy
-          else begin
-            match Dcache.lookup d pref.dentry name with
-            | Some child when child == child0 -> (
-              match child.d_state with
-              | Negative e -> finish (Done (Error e))
-              | Partial _ -> finish Legacy
-              | Positive _ ->
-                let deep = ref false in
-                Dcache.iter_children child (fun gc ->
-                    if not (Dlist.is_empty gc.d_children) then deep := true);
-                if !deep || Mount.is_mountpoint proc.Proc.ns pref.mnt child then
-                  finish Legacy
-                else begin
-                  ignore (Dcache.invalidate_structure d child);
-                  Dcache.unhash ~reclaim:true d child;
-                  count proc "sharded_cb_invalidate";
-                  finish (Done (Ok ()))
-                end)
-            | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
-          end)))
-
-(* mkdir through the parent stripe, modeled on [sharded_create]: every
-   verdict the section relies on — the child's cached state, the parent's
-   completeness — is recorded against the parent's own-id stripe by
-   concurrent lockless probes, so holding that one stripe suffices.  A new
-   directory is empty, so a promoted negative keeps its deep-negative
-   children valid (§5.2), same as [instantiate]. *)
-let sharded_mkdir ?start ~mode proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_mkdir)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          let parent = pref.dentry in
-          let existing = Dcache.lookup d parent name in
-          match existing with
-          | Some child when dentry_is_positive child ->
-            finish (Done (Error Errno.EEXIST))
-          | Some child when not (dentry_is_negative child) -> finish Legacy
-          | None when not (Dcache.is_complete d parent) ->
-            (* only a complete directory's absence verdict is authoritative
-               (§5.1): an uncached name may still exist on the fs *)
-            finish Legacy
-          | existing -> (
-            match writable_dir proc pref with
-            | Error e -> finish (Done (Error e))
-            | Ok () -> (
-              let dir_inode = dir_inode_exn pref in
-              match
-                parent.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) name
-                  File_kind.Directory mode ~uid:(Cred.uid proc.Proc.cred)
-                  ~gid:(Cred.gid proc.Proc.cred)
-              with
-              | Error e -> finish (Done (Error e))
-              | Ok attr ->
-                count proc "sharded_mkdir";
-                count proc "create_neg_shortcut";
-                if existing = None then count proc "complete_dir_negative";
-                Inode.bump_nlink dir_inode 1;
-                refresh_dir_attr dir_inode;
-                let inode = Dcache.iget parent.d_sb attr in
-                Dcache.bump_dir_gen parent;
-                let child =
-                  match existing with
-                  | Some child ->
-                    Dcache.neg_forget d child;
-                    child.d_state <- Positive inode;
-                    child.d_target_sig <- None;
-                    child
-                  | None -> (
-                    match Dcache.add_child d parent name (Positive inode) with
-                    | Ok child -> child
-                    | Error _ -> assert false)
+                let child = Dcache.lookup d dir.dentry name in
+                let t = { dir; name; child; striped = true } in
+                let unmoved =
+                  match (peeked, child) with
+                  | None, _ -> true
+                  | Some c0, Some c -> c == c0
+                  | Some _, None -> false
                 in
-                (* A brand-new directory's (empty) listing is fully cached
-                   (§5.1). *)
-                Dcache.set_complete d child;
-                finish (Done (Ok ()))))
-        end))
+                if unmoved && covers t then Some (body t) else None
+              end)
+      in
+      after_stripe proc [ path ] (Dcache.with_read d section))
+  | _ -> None
 
-(* rmdir through parent + target stripes, with [sharded_invalidate]'s
-   peek-then-lock2 shape: the target's direct children (cached names inside
-   the removed directory) are guarded by its own-id stripe, and the id is
-   only learnable under the parent stripe, so the target is peeked, both
-   stripes are taken in index order, and the peek is re-validated.
-   Grandchildren with children of their own, mountpoints and partial
-   dentries fall back to the write-locked implementation. *)
-let sharded_rmdir proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let peek =
-          if dir_valid pref then Dcache.lookup d pref.dentry name else None
-        in
-        Locktab.unlock tab si;
-        (match peek with
-        | None ->
-          Rwlock.read_unlock lock;
-          Legacy (* uncached: the fill needs the slowpath *)
-        | Some child0 ->
-          let sj = Locktab.index tab child0.d_id in
-          Locktab.lock2 tab si sj;
-          let finish r =
-            Locktab.unlock2 tab si sj;
-            Rwlock.read_unlock lock;
-            (match r with
-            | Done _ ->
-              note_lookup proc path;
-              Dcache.reclaim_overflow d
-            | Legacy -> ());
-            r
-          in
-          (try crash_point (fun cs -> cs.cs_rmdir)
-           with e ->
-             Locktab.unlock2 tab si sj;
-             Rwlock.read_unlock lock;
-             raise e);
-          if not (dir_valid pref) then finish Legacy
-          else begin
-            match Dcache.lookup d pref.dentry name with
-            | Some child when child == child0 -> (
-              match child.d_state with
-              | Negative e -> finish (Done (Error e))
-              | Partial _ -> finish Legacy
-              | Positive child_inode ->
-                if not (Inode.is_dir child_inode) then
-                  finish (Done (Error Errno.ENOTDIR))
-                else if Mount.is_mountpoint proc.Proc.ns pref.mnt child then
-                  finish Legacy (* the sequential path reports EBUSY *)
-                else begin
-                  let deep = ref false in
-                  Dcache.iter_children child (fun gc ->
-                      if not (Dlist.is_empty gc.d_children) then deep := true);
-                  if !deep then finish Legacy
-                  else begin
-                    match writable_dir proc pref with
-                    | Error e -> finish (Done (Error e))
-                    | Ok () -> (
-                      match
-                        pref.dentry.d_sb.sb_fs.Fs.rmdir
-                          (Inode.ino (dir_inode_exn pref)) name
-                      with
-                      | Error e -> finish (Done (Error e))
-                      | Ok () ->
-                        count proc "sharded_rmdir";
-                        Dcache.bump_dir_gen pref.dentry;
-                        Inode.bump_nlink (dir_inode_exn pref) (-1);
-                        refresh_dir_attr (dir_inode_exn pref);
-                        Dcache.iforget child.d_sb (Inode.ino child_inode);
-                        Dcache.invalidate_structure d child |> ignore;
-                        Dcache.note_unlinked d child;
-                        finish (Done (Ok ())))
-                  end
-                end)
-            | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
-          end)))
+(* One syscall, one body: the stripe scope when it covers the cached
+   shape, the global scope otherwise. *)
+let mutate ?start ?peek proc ~site path ~covers body =
+  match stripe_scope ?start ?peek proc ~site path ~covers body with
+  | Some r -> r
+  | None -> with_write proc (fun () -> Result.bind (resolve_parent_locked ?start proc path) body)
+
+let count_striped proc t name = if t.striped then count proc name
+
+let has_grandchildren d =
+  let deep = ref false in
+  Dcache.iter_children d (fun c -> if not (Dlist.is_empty c.d_children) then deep := true);
+  !deep
+
+(* Make [t.name] on the backend and instantiate it: the create half of
+   open(O_CREAT) and mkdir.  Under the stripe scope the absence verdict
+   came from the cache — a negative dentry or a complete parent (§5.1) —
+   so the backend existence probe was skipped; a complete parent's verdict
+   is counted like the walk's complete-dir miss. *)
+let create_child proc t kind mode =
+  let* dir_inode = writable_dir proc t.dir in
+  let* attr =
+    t.dir.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) t.name kind mode
+      ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred)
+  in
+  if File_kind.equal kind File_kind.Directory then Inode.bump_nlink dir_inode 1;
+  refresh_dir_attr dir_inode;
+  if t.striped then begin
+    count proc "create_neg_shortcut";
+    if Option.is_none t.child then count proc "complete_dir_negative"
+  end;
+  Ok (instantiate proc t attr)
+
+(* The stripe covers a create when the cached answer is final: an existing
+   name under O_EXCL, a negative leaf (deep negatives below it would need
+   pruning across stripes), or a name absent from a complete directory
+   (only a complete directory's absence verdict is authoritative, §5.1). *)
+let create_covers proc flags t =
+  match t.child with
+  | Some child when dentry_is_positive child -> flag_mem Proc.O_EXCL flags
+  | Some child -> Dlist.is_empty child.d_children
+  | None -> Dcache.is_complete (dcache proc) t.dir.dentry
+
+let open_create proc ~mode ~follow flags t =
+  match t.child with
+  | Some child when dentry_is_positive child -> (
+    if flag_mem Proc.O_EXCL flags then Error Errno.EEXIST
+    else begin
+      match dentry_kind child with
+      | Some File_kind.Symlink when follow ->
+        (* Re-resolve the full path following the trailing link. *)
+        Ok `Follow_symlink
+      | _ ->
+        let* fd = finish_open proc flags (Mount.traverse_mounts { t.dir with dentry = child }) in
+        Ok (`Opened fd)
+    end)
+  | _ ->
+    let* child = create_child proc t File_kind.Regular mode in
+    count proc "files_created";
+    count_striped proc t "sharded_create";
+    let* fd = finish_open proc flags { t.dir with dentry = child } in
+    Ok (`Opened fd)
 
 let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
   let follow = not (flag_mem Proc.O_NOFOLLOW flags) in
@@ -866,44 +488,13 @@ let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
       ~flags:(lookup_flags ~follow ~must_dir:(flag_mem Proc.O_DIRECTORY flags) ())
       ~within:(finish_open proc flags)
   else begin
-    match sharded_create ?start ~mode proc path flags with
-    | Done r -> r
-    | Legacy ->
-    let result =
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> (
-            if flag_mem Proc.O_EXCL flags then Error Errno.EEXIST
-            else begin
-              match dentry_kind child with
-              | Some File_kind.Symlink when follow ->
-                (* Re-resolve the full path following the trailing link. *)
-                Ok `Follow_symlink
-              | _ ->
-                let target = Mount.traverse_mounts { p.Walk.parent with dentry = child } in
-                Result.map (fun fd -> `Opened fd) (finish_open proc flags target)
-            end)
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-                   File_kind.Regular mode ~uid:(Cred.uid proc.Proc.cred)
-                   ~gid:(Cred.gid proc.Proc.cred))
-            in
-            refresh_dir_attr dir_inode;
-            count proc "files_created";
-            let child = instantiate proc p attr in
-            Result.map
-              (fun fd -> `Opened fd)
-              (finish_open proc flags { p.Walk.parent with dentry = child }))
-    in
-    match result with
+    match
+      mutate ?start proc ~site:(fun cs -> cs.cs_create) path ~covers:(create_covers proc flags)
+        (open_create proc ~mode ~follow flags)
+    with
     | Ok (`Opened fd) -> Ok fd
     | Ok `Follow_symlink -> do_open ~mode ?start proc path (List.filter (( <> ) Proc.O_CREAT) flags)
-    | Error _ as e -> e
+    | Error e -> Error e
   end
 
 let openf ?mode proc path flags =
@@ -1174,77 +765,93 @@ let truncate proc path size =
 
 (* --- namespace mutations --- *)
 
-let mkdir ?(mode = Mode.default_dir) proc path =
-  sys proc "sys_mkdir";
-  match sharded_mkdir ~mode proc path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
+(* A cached name answers mkdir under the stripe either way: EEXIST, or a
+   negative promoted in place (a new directory is empty, so deep negatives
+   below it stay valid, §5.2).  An uncached one only in a complete
+   directory (§5.1). *)
+let mkdir_covers proc t =
+  Option.is_some t.child || Dcache.is_complete (dcache proc) t.dir.dentry
+
+let do_mkdir ?start ~mode proc path =
+  mutate ?start proc ~site:(fun cs -> cs.cs_mkdir) path ~covers:(mkdir_covers proc) (fun t ->
+      match t.child with
       | Some child when dentry_is_positive child -> Error Errno.EEXIST
       | _ ->
-        let* () = check_write_dir proc p in
-        let* dir_inode = parent_dir_inode p in
-        let* attr =
-          map_fs_result
-            (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-               File_kind.Directory mode ~uid:(Cred.uid proc.Proc.cred)
-               ~gid:(Cred.gid proc.Proc.cred))
-        in
-        Inode.bump_nlink dir_inode 1;
-        refresh_dir_attr dir_inode;
-        let child = instantiate proc p attr in
+        let* child = create_child proc t File_kind.Directory mode in
+        count_striped proc t "sharded_mkdir";
         (* A brand-new directory's (empty) listing is fully cached (§5.1). *)
         Dcache.set_complete (dcache proc) child;
         Ok ())
 
-let check_not_mountpoint proc (p : Walk.parent_result) child =
-  if Mount.is_mountpoint proc.Proc.ns p.Walk.parent.mnt child then Error Errno.EBUSY
-  else Ok ()
+let mkdir ?(mode = Mode.default_dir) proc path =
+  sys proc "sys_mkdir";
+  do_mkdir ~mode proc path
+
+(* An uncached name needs the slowpath's fill.  A file with extra hard
+   links shares its inode's nlink with other parents' stripes, so only
+   nlink = 1 stays striped. *)
+let unlink_covers proc t =
+  match t.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive inode ->
+      Inode.is_dir inode
+      || (Dlist.is_empty child.d_children
+         && (not (Mount.is_mountpoint proc.Proc.ns t.dir.mnt child))
+         && (Inode.attr inode).Attr.nlink = 1))
+
+let do_unlink ?start proc path =
+  mutate ?start proc ~site:(fun cs -> cs.cs_unlink) path ~covers:(unlink_covers proc) (fun t ->
+      match t.child with
+      | None -> Error Errno.ENOENT
+      | Some child -> (
+        match child.d_state with
+        | Negative e -> Error e
+        | Partial _ | Positive _ ->
+          if dentry_is_dir child then Error Errno.EISDIR
+          else begin
+            let* () = check_not_mountpoint proc t child in
+            let* dir_inode = writable_dir proc t.dir in
+            let* child_inode = positive_inode child in
+            let* () = t.dir.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode) t.name in
+            refresh_dir_attr dir_inode;
+            count_striped proc t "sharded_unlink";
+            Dcache.bump_dir_gen t.dir.dentry;
+            Inode.bump_nlink child_inode (-1);
+            if (Inode.attr child_inode).Attr.nlink <= 0 then
+              Dcache.iforget child.d_sb (Inode.ino child_inode);
+            Dcache.note_unlinked (dcache proc) child;
+            Ok ()
+          end))
 
 let unlink proc path =
   Systime.timed Systime.Unlink (fun () ->
       sys proc "sys_unlink";
-      match sharded_unlink proc path with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked proc path in
-          match p.Walk.child with
-          | None -> Error Errno.ENOENT
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> Error e
-            | Partial _ | Positive _ ->
-              if dentry_is_dir child then Error Errno.EISDIR
-              else begin
-                let* () = check_not_mountpoint proc p child in
-                let* () = check_write_dir proc p in
-                let* dir_inode = parent_dir_inode p in
-                let* child_inode = positive_inode child in
-                let* () =
-                  map_fs_result
-                    (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
-                       p.Walk.last)
-                in
-                refresh_dir_attr dir_inode;
-                Dcache.bump_dir_gen p.Walk.parent.dentry;
-                Inode.bump_nlink child_inode (-1);
-                if (Inode.attr child_inode).Attr.nlink <= 0 then
-                  Dcache.iforget child.d_sb (Inode.ino child_inode);
-                Dcache.note_unlinked (dcache proc) child;
-                Ok ()
-              end)))
+      do_unlink proc path)
+
+(* rmdir holds the target's own-id stripe too ([~peek]): it guards the
+   cached names inside the removed directory.  Grandchildren live under
+   their own parents' stripes, so a deeper subtree takes the global
+   scope, as does a mountpoint. *)
+let rmdir_covers proc t =
+  match t.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive inode ->
+      (not (Inode.is_dir inode))
+      || not (Mount.is_mountpoint proc.Proc.ns t.dir.mnt child || has_grandchildren child))
 
 let rmdir proc path =
   sys proc "sys_rmdir";
-  match sharded_rmdir proc path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
+  mutate proc ~site:(fun cs -> cs.cs_rmdir) ~peek:true path ~covers:(rmdir_covers proc)
+    (fun t ->
+      match t.child with
       | None -> Error Errno.ENOENT
       | Some child -> (
         match child.d_state with
@@ -1252,20 +859,17 @@ let rmdir proc path =
         | Partial _ | Positive _ ->
           if not (dentry_is_dir child) then Error Errno.ENOTDIR
           else begin
-            let* () = check_not_mountpoint proc p child in
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* () =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.rmdir (Inode.ino dir_inode) p.Walk.last)
-            in
-            Dcache.bump_dir_gen p.Walk.parent.dentry;
+            let* () = check_not_mountpoint proc t child in
+            let* dir_inode = writable_dir proc t.dir in
+            let* () = t.dir.dentry.d_sb.sb_fs.Fs.rmdir (Inode.ino dir_inode) t.name in
+            count_striped proc t "sharded_rmdir";
+            Dcache.bump_dir_gen t.dir.dentry;
             Inode.bump_nlink dir_inode (-1);
             refresh_dir_attr dir_inode;
             (match dentry_inode child with
             | Some child_inode -> Dcache.iforget child.d_sb (Inode.ino child_inode)
             | None -> ());
-            Dcache.invalidate_structure (dcache proc) child |> ignore;
+            ignore (Dcache.invalidate_structure (dcache proc) child);
             Dcache.note_unlinked (dcache proc) child;
             Ok ()
           end))
@@ -1274,105 +878,139 @@ let rec is_ancestor ~(of_ : dentry) candidate =
   candidate == of_
   || (match of_.d_parent with Some parent -> is_ancestor ~of_:parent candidate | None -> false)
 
+let rename_body proc src dst =
+  let d = dcache proc in
+  match src.child with
+  | None -> Error Errno.ENOENT
+  | Some s when dentry_is_negative s -> Error Errno.ENOENT
+  | Some s ->
+    if not (src.dir.dentry.d_sb == dst.dir.dentry.d_sb) then Error Errno.EXDEV
+    else begin
+      let* () = check_not_mountpoint proc src s in
+      let* old_dir = writable_dir proc src.dir in
+      let* new_dir = writable_dir proc dst.dir in
+      let* src_inode = positive_inode s in
+      let src_is_dir = Inode.is_dir src_inode in
+      let displaced = dst.child in
+      let onto_itself =
+        match displaced with
+        | Some tgt ->
+          tgt == s
+          || (dentry_is_positive tgt && tgt.d_sb == s.d_sb
+             && match dentry_inode tgt with
+                | Some tgt_inode -> Inode.ino tgt_inode = Inode.ino src_inode
+                | None -> false)
+        | None -> false
+      in
+      if src_is_dir && is_ancestor ~of_:dst.dir.dentry s then Error Errno.EINVAL
+      else if onto_itself then Ok () (* POSIX no-op *)
+      else begin
+        let* () =
+          match displaced with
+          | Some tgt when dentry_is_positive tgt -> check_not_mountpoint proc dst tgt
+          | _ -> Ok ()
+        in
+        let rename_lock = Dcache.rename_lock d in
+        Dcache_util.Seqcount.write_begin rename_lock;
+        (* Invalidate direct-lookup state under both the old and new paths
+           before mutating (§3.2). *)
+        ignore (Dcache.invalidate_structure d s);
+        (match displaced with
+        | Some tgt when dentry_is_positive tgt -> ignore (Dcache.invalidate_structure d tgt)
+        | _ -> ());
+        match
+          s.d_sb.sb_fs.Fs.rename (Inode.ino old_dir) src.name (Inode.ino new_dir) dst.name
+        with
+        | Error e ->
+          Dcache_util.Seqcount.write_end rename_lock;
+          Error e
+        | Ok () ->
+          Dcache.bump_dir_gen src.dir.dentry;
+          Dcache.bump_dir_gen dst.dir.dentry;
+          (match displaced with
+          | Some tgt ->
+            (match dentry_inode tgt with
+            | Some tgt_inode ->
+              Inode.bump_nlink tgt_inode (-1);
+              if (Inode.attr tgt_inode).Attr.nlink <= 0 then
+                Dcache.iforget tgt.d_sb (Inode.ino tgt_inode)
+            | None -> ());
+            Dcache.unhash d tgt
+          | None -> ());
+          Dcache.d_move d s ~new_parent:dst.dir.dentry ~new_name:dst.name;
+          let cross = not (src.dir.dentry == dst.dir.dentry) in
+          if src_is_dir && cross then begin
+            Inode.bump_nlink old_dir (-1);
+            Inode.bump_nlink new_dir 1
+          end;
+          refresh_dir_attr old_dir;
+          if cross then refresh_dir_attr new_dir;
+          count_striped proc src "sharded_rename";
+          (* Keep the old name cached as a negative dentry (§5.2). *)
+          if (kconfig proc).Config.aggressive_negative then
+            ignore (Dcache.add_child d src.dir.dentry src.name (Negative Errno.ENOENT));
+          Dcache_util.Seqcount.write_end rename_lock;
+          Ok ()
+      end
+    end
+
+(* The stripes cover a rename of a cached non-directory leaf — not a
+   mountpoint — onto an absent name or a negative leaf: a displaced
+   positive target carries nlink and inode-cache bookkeeping. *)
+let rename_covers proc src dst =
+  match src.child with
+  | None -> false
+  | Some s -> (
+    match s.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive inode -> (
+      (not (Inode.is_dir inode))
+      && Dlist.is_empty s.d_children
+      && (not (Mount.is_mountpoint proc.Proc.ns src.dir.mnt s))
+      &&
+      match dst.child with
+      | None -> true
+      | Some tgt -> tgt == s || (dentry_is_negative tgt && Dlist.is_empty tgt.d_children)))
+
+(* Rename's stripe scope holds both parents' stripes in index order: the
+   cross-rename deadlock case (A→B in one domain, B→A in another)
+   serializes on whichever stripe sorts first. *)
+let rename_striped proc old_path new_path =
+  let d = dcache proc in
+  match (Dcache.stripes d, split_basename old_path, split_basename new_path) with
+  | Some tab, Some (old_dir, old_name), Some (new_dir, new_name) -> (
+    match (resolve_dir proc old_dir, resolve_dir proc new_dir) with
+    | Some po, Some pn when po.dentry.d_sb == pn.dentry.d_sb ->
+      let si = Locktab.index tab po.dentry.d_id and sj = Locktab.index tab pn.dentry.d_id in
+      Dcache.with_read d (fun () ->
+          Locktab.with_lock2 tab si sj (fun () ->
+              crash_point (fun cs -> cs.cs_rename);
+              if not (dir_valid proc po && dir_valid proc pn) then None
+              else begin
+                match Dcache.lookup d po.dentry old_name with
+                | None -> None
+                | child ->
+                  let src = { dir = po; name = old_name; child; striped = true } in
+                  let dst =
+                    { dir = pn; name = new_name; child = Dcache.lookup d pn.dentry new_name;
+                      striped = true }
+                  in
+                  if rename_covers proc src dst then Some (rename_body proc src dst) else None
+              end))
+      |> after_stripe proc [ old_path; new_path ]
+    | _ -> None)
+  | _ -> None
+
 let rename proc old_path new_path =
   sys proc "sys_rename";
-  match sharded_rename proc old_path new_path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let d = dcache proc in
-      let* po = resolve_parent_locked proc old_path in
-      let* pn = resolve_parent_locked proc new_path in
-      match po.Walk.child with
-      | None -> Error Errno.ENOENT
-      | Some src when dentry_is_negative src -> Error Errno.ENOENT
-      | Some src ->
-        if not (po.Walk.parent.dentry.d_sb == pn.Walk.parent.dentry.d_sb) then
-          Error Errno.EXDEV
-        else begin
-          let* () = check_not_mountpoint proc po src in
-          let* () = check_write_dir proc po in
-          let* () = check_write_dir proc pn in
-          let* src_inode = positive_inode src in
-          let src_is_dir = Inode.is_dir src_inode in
-          if src_is_dir && is_ancestor ~of_:pn.Walk.parent.dentry src then Error Errno.EINVAL
-          else begin
-            let target = pn.Walk.child in
-            let target_same =
-              match target with
-              | Some tgt when dentry_is_positive tgt -> (
-                match dentry_inode tgt with
-                | Some tgt_inode -> Inode.ino tgt_inode = Inode.ino src_inode
-                                    && tgt.d_sb == src.d_sb
-                | None -> false)
-              | _ -> false
-            in
-            let same_dentry =
-              match target with Some tgt -> tgt == src | None -> false
-            in
-            if same_dentry then Ok () (* rename onto itself: POSIX no-op *)
-            else if target_same then Ok ()
-            else if src == po.Walk.parent.dentry then Error Errno.EINVAL
-            else begin
-              let* () =
-                match target with
-                | Some tgt when dentry_is_positive tgt ->
-                  check_not_mountpoint proc pn tgt
-                | _ -> Ok ()
-              in
-              let rename_lock = Dcache.rename_lock d in
-              Dcache_util.Seqcount.write_begin rename_lock;
-              (* Invalidate direct-lookup state under both the old and new
-                 paths before mutating (§3.2). *)
-              Dcache.invalidate_structure d src |> ignore;
-              (match target with
-              | Some tgt when dentry_is_positive tgt ->
-                Dcache.invalidate_structure d tgt |> ignore
-              | _ -> ());
-              let* old_dir = parent_dir_inode po in
-              let* new_dir = parent_dir_inode pn in
-              let result =
-                map_fs_result
-                  (src.d_sb.sb_fs.Fs.rename (Inode.ino old_dir) po.Walk.last
-                     (Inode.ino new_dir) pn.Walk.last)
-              in
-              match result with
-              | Error _ as e ->
-                Dcache_util.Seqcount.write_end rename_lock;
-                e
-              | Ok () ->
-                Dcache.bump_dir_gen po.Walk.parent.dentry;
-                Dcache.bump_dir_gen pn.Walk.parent.dentry;
-                (match target with
-                | Some tgt when dentry_is_positive tgt ->
-                  (match dentry_inode tgt with
-                  | Some tgt_inode ->
-                    Inode.bump_nlink tgt_inode (-1);
-                    if (Inode.attr tgt_inode).Attr.nlink <= 0 then
-                      Dcache.iforget tgt.d_sb (Inode.ino tgt_inode)
-                  | None -> ());
-                  Dcache.unhash d tgt
-                | Some tgt -> Dcache.unhash d tgt
-                | None -> ());
-                let old_name = po.Walk.last in
-                Dcache.d_move d src ~new_parent:pn.Walk.parent.dentry ~new_name:pn.Walk.last;
-                if src_is_dir && not (po.Walk.parent.dentry == pn.Walk.parent.dentry) then begin
-                  Inode.bump_nlink old_dir (-1);
-                  Inode.bump_nlink new_dir 1
-                end;
-                refresh_dir_attr old_dir;
-                if not (po.Walk.parent.dentry == pn.Walk.parent.dentry) then
-                  refresh_dir_attr new_dir;
-                (* Keep the old name cached as a negative dentry (§5.2). *)
-                if (kconfig proc).Config.aggressive_negative then
-                  ignore
-                    (Dcache.add_child d po.Walk.parent.dentry old_name
-                       (Negative Errno.ENOENT));
-                Dcache_util.Seqcount.write_end rename_lock;
-                Ok ()
-            end
-          end
-        end)
+  match rename_striped proc old_path new_path with
+  | Some r -> r
+  | None ->
+    with_write proc (fun () ->
+        let* src = resolve_parent_locked proc old_path in
+        let* dst = resolve_parent_locked proc new_path in
+        rename_body proc src dst)
 
 let link proc old_path new_path =
   sys proc "sys_link";
@@ -1381,43 +1019,41 @@ let link proc old_path new_path =
       let* old_inode = positive_inode old_ref.dentry in
       if Inode.is_dir old_inode then Error Errno.EPERM
       else begin
-        let* p = resolve_parent_locked proc new_path in
-        if not (p.Walk.parent.dentry.d_sb == old_ref.dentry.d_sb) then Error Errno.EXDEV
+        let* t = resolve_parent_locked proc new_path in
+        if not (t.dir.dentry.d_sb == old_ref.dentry.d_sb) then Error Errno.EXDEV
         else begin
-          match p.Walk.child with
+          match t.child with
           | Some child when dentry_is_positive child -> Error Errno.EEXIST
           | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
+            let* dir_inode = writable_dir proc t.dir in
             let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.link (Inode.ino dir_inode) p.Walk.last
-                   (Inode.ino old_inode))
+              t.dir.dentry.d_sb.sb_fs.Fs.link (Inode.ino dir_inode) t.name (Inode.ino old_inode)
             in
             refresh_dir_attr dir_inode;
             Inode.bump_nlink old_inode 1;
-            ignore (instantiate proc p { attr with Attr.nlink = (Inode.attr old_inode).Attr.nlink });
+            ignore (instantiate proc t { attr with Attr.nlink = (Inode.attr old_inode).Attr.nlink });
             Ok ()
         end
       end)
 
-let symlink proc ~target path =
-  sys proc "sys_symlink";
+let do_symlink ?start proc ~target path =
   with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
+      let* t = resolve_parent_locked ?start proc path in
+      match t.child with
       | Some child when dentry_is_positive child -> Error Errno.EEXIST
       | _ ->
-        let* () = check_write_dir proc p in
-        let* dir_inode = parent_dir_inode p in
+        let* dir_inode = writable_dir proc t.dir in
         let* attr =
-          map_fs_result
-            (p.Walk.parent.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino dir_inode) p.Walk.last
-               ~target ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred))
+          t.dir.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino dir_inode) t.name ~target
+            ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred)
         in
         refresh_dir_attr dir_inode;
-        ignore (instantiate proc p attr);
+        ignore (instantiate proc t attr);
         Ok ())
+
+let symlink proc ~target path =
+  sys proc "sys_symlink";
+  do_symlink proc ~target path
 
 let mkstemp ?prng ?(prefix = "tmp") proc dir =
   sys proc "sys_mkstemp";
@@ -1584,87 +1220,17 @@ let with_dirfd proc dirfd k =
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else k fd.Proc.fd_ref
 
-let mkdirat ?mode proc dirfd path =
+let mkdirat ?(mode = Mode.default_dir) proc dirfd path =
   sys proc "sys_mkdirat";
-  with_dirfd proc dirfd (fun start ->
-      match
-        sharded_mkdir ~start ~mode:(Option.value mode ~default:Mode.default_dir) proc path
-      with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> Error Errno.EEXIST
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-                   File_kind.Directory
-                   (Option.value mode ~default:Mode.default_dir)
-                   ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred))
-            in
-            Inode.bump_nlink dir_inode 1;
-            refresh_dir_attr dir_inode;
-            let child = instantiate proc p attr in
-            Dcache.set_complete (dcache proc) child;
-            Ok ()))
+  with_dirfd proc dirfd (fun start -> do_mkdir ~start ~mode proc path)
 
 let unlinkat proc dirfd path =
   sys proc "sys_unlinkat";
-  with_dirfd proc dirfd (fun start ->
-      match sharded_unlink ~start proc path with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | None -> Error Errno.ENOENT
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> Error e
-            | Partial _ | Positive _ ->
-              if dentry_is_dir child then Error Errno.EISDIR
-              else begin
-                let* () = check_not_mountpoint proc p child in
-                let* () = check_write_dir proc p in
-                let* dir_inode = parent_dir_inode p in
-                let* child_inode = positive_inode child in
-                let* () =
-                  map_fs_result
-                    (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
-                       p.Walk.last)
-                in
-                refresh_dir_attr dir_inode;
-                Dcache.bump_dir_gen p.Walk.parent.dentry;
-                Inode.bump_nlink child_inode (-1);
-                if (Inode.attr child_inode).Attr.nlink <= 0 then
-                  Dcache.iforget child.d_sb (Inode.ino child_inode);
-                Dcache.note_unlinked (dcache proc) child;
-                Ok ()
-              end)))
+  with_dirfd proc dirfd (fun start -> do_unlink ~start proc path)
 
 let symlinkat proc ~target dirfd path =
   sys proc "sys_symlinkat";
-  with_dirfd proc dirfd (fun start ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> Error Errno.EEXIST
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino dir_inode)
-                   p.Walk.last ~target ~uid:(Cred.uid proc.Proc.cred)
-                   ~gid:(Cred.gid proc.Proc.cred))
-            in
-            refresh_dir_attr dir_inode;
-            ignore (instantiate proc p attr);
-            Ok ()))
+  with_dirfd proc dirfd (fun start -> do_symlink ~start proc ~target path)
 
 let readlinkat proc dirfd path =
   sys proc "sys_readlinkat";
@@ -1716,16 +1282,44 @@ let invalidate_negatives proc path =
   Dcache.invalidate_negatives (dcache proc) ref_.dentry.d_sb;
   Ok ()
 
+(* Shallow callback invalidation (§3.7) holds the parent and target
+   stripes ([~peek]): the target's direct children live under its own-id
+   stripe.  Grandchildren live under their own parents' stripes, so a
+   deeper subtree takes the global scope, as does a mountpoint. *)
+let invalidate_covers proc t =
+  match t.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive _ ->
+      not (has_grandchildren child || Mount.is_mountpoint proc.Proc.ns t.dir.mnt child))
+
+let evict proc ~striped dentry =
+  ignore (Dcache.invalidate_structure (dcache proc) dentry);
+  Dcache.unhash ~reclaim:true (dcache proc) dentry;
+  if striped then count proc "sharded_cb_invalidate";
+  Ok ()
+
 let invalidate_path proc path =
   sys proc "sys_invalidate_path";
-  match sharded_invalidate proc path with
-  | Done r -> r
-  | Legacy ->
+  match
+    stripe_scope ~peek:true proc ~site:(fun cs -> cs.cs_invalidate) path
+      ~covers:(invalidate_covers proc) (fun t ->
+        match t.child with
+        | Some { d_state = Negative e; _ } -> Error e
+        | Some child -> evict proc ~striped:true child
+        | None -> Error Errno.ENOENT)
+  with
+  | Some r -> r
+  | None ->
+    (* The global scope resolves the whole path: eviction also accepts
+       "/", "." and mounted roots, which a parent walk rejects or does not
+       cross into. *)
     with_write proc (fun () ->
         let* ref_ = resolve_locked ~flags:(lookup_flags ~follow:false ()) proc path in
-        Dcache.invalidate_structure (dcache proc) ref_.dentry |> ignore;
-        Dcache.unhash ~reclaim:true (dcache proc) ref_.dentry;
-        Ok ())
+        evict proc ~striped:false ref_.dentry)
 
 (* --- convenience wrappers --- *)
 

@@ -67,7 +67,17 @@ val readdir_fill : Proc.t -> int -> int
 
 val truncate : Proc.t -> string -> int -> unit r
 
-(** {1 Namespace mutations} *)
+(** {1 Namespace mutations}
+
+    Create-open, mkdir, unlink, rmdir, rename and {!invalidate_path} each
+    have one body, run under one of two lock scopes picked from cached
+    state: the parent directory's stripe(s) under the dcache lock's read
+    side when [dcache_stripes > 0] and the cached shape fits them (counted
+    as [sharded_create], [sharded_mkdir], [sharded_unlink],
+    [sharded_rmdir], [sharded_rename], [sharded_cb_invalidate]), the
+    global write lock otherwise.  Both scopes give the same results; the
+    [*at] variants resolve relative to the directory fd and share the
+    same bodies. *)
 
 val mkdir : ?mode:Dcache_types.Mode.t -> Proc.t -> string -> unit r
 val rmdir : Proc.t -> string -> unit r
@@ -133,15 +143,15 @@ val invalidate_negatives : Proc.t -> string -> unit r
     cached negative dentry on it lazily reads as a miss at its next use.
     One integer store — no lock and no cache walk. *)
 
-(** {1 Crash-fault coverage (stripe-locked sections)} *)
+(** {1 Crash-fault coverage (stripe-scope sections)} *)
 
 val install_crash_sites : Dcache_util.Fault.t -> unit
-(** Register crash points inside the sharded mutation sections —
+(** Register crash points inside the stripe-scope mutation sections —
     ["syscalls.sharded_create"], ["syscalls.sharded_unlink"],
     ["syscalls.sharded_rename"], ["syscalls.sharded_invalidate"],
     ["syscalls.sharded_mkdir"], ["syscalls.sharded_rmdir"] — on the
-    given injector.  Each fires between the stripe seqcount bump and the
-    dcache splice and raises {!Dcache_util.Fault.Crash} out of the
+    given injector.  Each fires between the stripes' seqcount bump and
+    the mutation body and raises {!Dcache_util.Fault.Crash} out of the
     syscall; the section releases its stripe(s) and the read lock on the
     way out, so a subsequent {!Kernel.scrub} fully repairs the cache.
     Sites are module-global (the sections are hot paths and carry no

@@ -72,15 +72,17 @@ let unlock2 t i j =
     unlock t j
   end
 
-let with_lock t i f =
-  lock t i;
+let with_lock2 t i j f =
+  lock2 t i j;
   match f () with
   | result ->
-    unlock t i;
+    unlock2 t i j;
     result
   | exception e ->
-    unlock t i;
+    unlock2 t i j;
     raise e
+
+let with_lock t i f = with_lock2 t i i f
 
 let acquisitions t i = Atomic.get t.acquired.(i)
 let contentions t i = Atomic.get t.contended.(i)

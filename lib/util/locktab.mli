@@ -33,6 +33,12 @@ val lock2 : t -> int -> int -> unit
 (** Acquire two stripes in index order; [i = j] collapses to one. *)
 
 val unlock2 : t -> int -> int -> unit
+
+val with_lock2 : t -> int -> int -> (unit -> 'a) -> 'a
+(** [lock2] around [f], released on every exit, exceptions included: a
+    leaked stripe would leave its seqcount odd and wedge every lockless
+    probe that records it. *)
+
 val with_lock : t -> int -> (unit -> 'a) -> 'a
 
 val acquisitions : t -> int -> int

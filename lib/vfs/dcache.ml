@@ -113,8 +113,8 @@ let with_read t f = Rwlock.with_read t.lock f
 let with_write t f =
   Rwlock.write_lock t.lock;
   (* Residual-global accounting: with stripes on, every mutation that still
-     funnels through the exclusive lock (Legacy bailouts, eviction, DLHT
-     grow, subtree invalidation too wide to stripe) shows up here, surfaced
+     funnels through the exclusive lock (global-scope syscalls, eviction,
+     DLHT grow, subtree invalidation too wide to stripe) shows up here, surfaced
      in /proc/dcache/stripes so the sharding follow-ons can be tracked. *)
   Counter.incr t.counters "global_write_acquired";
   Seqcount.write_begin t.write_seq;
@@ -673,8 +673,13 @@ let rec drop_children t d =
       drop_children t child;
       detach ~reclaim:false t child)
 
+(* Dropping [d]'s children drops the listing its DIR_COMPLETE claim rests
+   on, so the claim goes too: a removed directory still pinned as a cwd
+   must send lookups inside it to the file system, not answer ENOENT from
+   an empty child list (§5.1). *)
 let unhash ?(reclaim = false) t d =
   drop_children t d;
+  d.d_complete <- false;
   if d.d_hashed then detach ~reclaim t d
 
 let make_negative t d errno =

@@ -30,6 +30,8 @@ type op =
   | Getcwd
   | Access of string
   | Truncate of string * int
+  | Mkdirat of string * string  (** directory to open, path relative to its fd *)
+  | Unlinkat of string * string
   | AsUser of op
 
 let rec pp_op = function
@@ -49,6 +51,8 @@ let rec pp_op = function
   | Getcwd -> "getcwd"
   | Access p -> "access " ^ p
   | Truncate (p, n) -> Printf.sprintf "truncate %s %d" p n
+  | Mkdirat (d, p) -> Printf.sprintf "mkdirat %s %s" d p
+  | Unlinkat (d, p) -> Printf.sprintf "unlinkat %s %s" d p
   | AsUser op -> "as-user " ^ pp_op op
 
 let path_gen =
@@ -59,6 +63,21 @@ let path_gen =
     let* dotdot = frequency [ (9, return false); (1, return true) ] in
     let comps = if dotdot && depth > 1 then List.mapi (fun i c -> if i = 1 then ".." else c) comps else comps in
     return ((if absolute then "/" else "") ^ String.concat "/" comps))
+
+(* The *at ops name a shallow directory and a short relative path, so the
+   directory fd usually opens and the call usually lands in a directory
+   the trace has populated. *)
+let at_dir_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ "."; "/" ]);
+        (4, map2 (fun abs n -> (if abs then "/" else "") ^ n) bool (oneofl (Array.to_list names)));
+      ])
+
+let at_rel_gen =
+  QCheck.Gen.(
+    map (String.concat "/") (list_size (int_range 1 2) (oneofl (Array.to_list names))))
 
 let op_gen =
   QCheck.Gen.(
@@ -80,6 +99,8 @@ let op_gen =
         (1, return Getcwd);
         (2, map (fun p -> Access p) path_gen);
         (1, map2 (fun p n -> Truncate (p, n)) path_gen (oneofl [ 0; 3; 100 ]));
+        (2, map2 (fun d p -> Mkdirat (d, p)) at_dir_gen at_rel_gen);
+        (2, map2 (fun d p -> Unlinkat (d, p)) at_dir_gen at_rel_gen);
       ]
     in
     frequency ((2, map (fun op -> AsUser op) (frequency base)) :: base))
@@ -98,6 +119,25 @@ let obs_of_attr (a : Attr.t) =
 let obs name = function
   | Ok v -> name ^ ":ok:" ^ v
   | Error e -> name ^ ":" ^ Errno.to_string e
+
+(* The path an [*at] call names: [p] itself when absolute, else [p] under
+   [dir]. *)
+let at_path dir p = if Dcache_vfs.Path.is_absolute p then p else dir ^ "/" ^ p
+
+(* Open [dir] as a directory fd, run [f] on it, close it. *)
+let with_dirfd p dir f =
+  match S.openf p dir [ Proc.O_RDONLY; Proc.O_DIRECTORY ] with
+  | Error e -> Error e
+  | Ok fd ->
+    let r = f fd in
+    ignore (S.close p fd);
+    r
+
+(* An [*at] call's result plus what its path names afterwards, so a call
+   resolved against the wrong directory shows at once. *)
+let at_obs name p dir path call =
+  obs name (Result.map (fun () -> "") (with_dirfd p dir call))
+  ^ "; then " ^ obs "lstat" (Result.map obs_of_attr (S.lstat p (at_path dir path)))
 
 let run_op root_p user_p op =
   let rec go p = function
@@ -127,6 +167,8 @@ let run_op root_p user_p op =
     | Getcwd -> obs "getcwd" (S.getcwd p)
     | Access path -> obs "access" (Result.map (fun () -> "") (S.access p path Access.may_read))
     | Truncate (path, n) -> obs "truncate" (Result.map (fun () -> "") (S.truncate p path n))
+    | Mkdirat (dir, path) -> at_obs "mkdirat" p dir path (fun fd -> S.mkdirat p fd path)
+    | Unlinkat (dir, path) -> at_obs "unlinkat" p dir path (fun fd -> S.unlinkat p fd path)
   in
   go root_p op
 
@@ -176,6 +218,9 @@ let idempotence_test =
             | Stat _ | Lstat _ | Read _ | Readdir _ -> None
             | Mkdir p | Create (p, _) | Unlink p | Rmdir p | Rename (_, p)
             | Symlink (_, p) | Link (_, p) | Chmod (p, _) | Truncate (p, _) ->
+              Some [ Stat p; Lstat p; Read p; Readdir p ]
+            | Mkdirat (d, p) | Unlinkat (d, p) ->
+              let p = at_path d p in
               Some [ Stat p; Lstat p; Read p; Readdir p ]
             | Chdir _ | Getcwd | Access _ | AsUser _ -> None)
           ops
@@ -349,6 +394,44 @@ let revocation_test =
           | Error e ->
             Alcotest.failf "expected EACCES, got %s" (Errno.to_string e)))
         [ Config.baseline; Config.optimized ])
+
+(* Traces whose answers a cache can get wrong:
+   - a caller without search permission on a directory gets EACCES there,
+     before any answer the cached names inside it could give: a complete
+     directory's fast-fail ENOENT, or a stripe-scope mutation's EEXIST,
+     EISDIR, ENOTDIR or cached-negative ENOENT;
+   - a removed directory still pinned as the cwd sends lookups inside it
+     to the file system, not to the completeness of its dropped listing,
+     and caches nothing under itself;
+   - a path through a symlink whose target was created over a cached
+     negative answers from the target, not from the alias's stale copy. *)
+let scripted_traces_test =
+  Alcotest.test_case "scripted traces: revoked search, removed cwd, alias" `Quick (fun () ->
+      List.iter
+        (fun ops ->
+          let opt, kernel = run_trace_counting Config.optimized ops in
+          List.iteri
+            (fun i (a, b) ->
+              if a <> b then
+                Alcotest.failf "op %d (%s):\n  baseline: %s\n  optimized: %s" i
+                  (pp_op (List.nth ops i)) a b)
+            (List.combine (run_trace Config.baseline ops) opt);
+          Alcotest.(check (list string))
+            "dcache invariants" []
+            (Dcache_vfs.Dcache.self_check (Kernel.dcache kernel)))
+        [
+          [ Mkdir "/a"; AsUser (Lstat "/a"); Chmod ("/a", 0o644); AsUser (Stat "/a/a") ];
+          [
+            Mkdir "/d"; Mkdir "/d/e"; Create ("/d/f", "x"); Stat "/d/x"; Chmod ("/d", 0o644);
+            AsUser (Mkdir "/d/e"); AsUser (Mkdirat ("/", "d/e")); AsUser (Unlink "/d/e");
+            AsUser (Unlink "/d/x"); AsUser (Rmdir "/d/f"); AsUser (Rename ("/d/x", "/y"));
+          ];
+          [ Mkdir "a"; Chdir "a"; Rmdir "/a"; Stat "c"; Mkdirat (".", "c/d"); Readdir "." ];
+          [
+            Mkdir "/b"; Symlink ("b", "/c"); Readdir "/c/c"; Stat "/c/c/x"; Mkdir "/c/c";
+            Lstat "/c/c"; Stat "/c/c/x"; Create ("/c/c/x", "y"); Read "/c/c/x";
+          ];
+        ])
 
 (* Deep-negative promotion (§5.2): once a DIR_COMPLETE fast-fail verdict is
    promoted to a real negative dentry, repeated probes of the same absent
@@ -753,6 +836,7 @@ let rec op_paths = function
   | Create (p, _) | Chmod (p, _) | Truncate (p, _) -> [ p ]
   | Rename (a, b) | Link (a, b) -> [ a; b ]
   | Symlink (_, p) -> [ p ]
+  | Mkdirat (d, p) | Unlinkat (d, p) -> [ d; at_path d p ]
   | Getcwd -> []
 
 let readdir_equiv_property =
@@ -805,6 +889,7 @@ let suite =
     prefix_resume_churn_test 9001;
     revocation_test;
     negfail_promotion_test;
+    scripted_traces_test;
     profiling_transparency_test 1;
     profiling_transparency_test 1337;
     profiling_transparency_test 9001;

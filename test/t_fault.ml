@@ -459,8 +459,8 @@ let test_disabled_hooks_keep_fastpath_allocation_free () =
 
 (* --- crash points inside the stripe-locked mutation sections ---
 
-   The sharded mutation paths (PR 6) bump the parent stripe's seqcount,
-   splice, then bump again; a crash raised between the bump and the splice
+   The stripe scope bumps the held stripes' seqcounts, runs the mutation
+   body, then bumps again; a crash raised between the bump and the splice
    is the worst interleaving — the property is that the section releases
    its stripe(s) and the read lock on the way out, so the very next
    operation neither deadlocks nor observes a wedged odd seqcount, and
@@ -474,6 +474,8 @@ let crash_site_names =
     "syscalls.sharded_unlink";
     "syscalls.sharded_rename";
     "syscalls.sharded_invalidate";
+    "syscalls.sharded_mkdir";
+    "syscalls.sharded_rmdir";
   |]
 
 let run_stripe_crash_schedule s =
@@ -489,6 +491,7 @@ let run_stripe_crash_schedule s =
       done;
       ignore (S.stat p "/w/x/f0");
       let crashes = ref 0 in
+      let fired = Array.make (Array.length crash_site_names) 0 in
       for round = 1 to 24 do
         (* Pick the op and arm its own section's crash point, so every
            round actually reaches an armed site. *)
@@ -504,9 +507,24 @@ let run_stripe_crash_schedule s =
               (S.rename p
                  (Printf.sprintf "/w/x/f%d" (Prng.int prng 6))
                  (Printf.sprintf "/w/y/r%d" round))
-          | _ -> ignore (S.invalidate_path p "/w/x")
+          | 3 -> ignore (S.invalidate_path p "/w/x")
+          | 4 ->
+            (* The stat caches a negative for the name, so the mkdir is
+               striped whatever /w/y's completeness. *)
+            let dir = Printf.sprintf "/w/y/d%d" round in
+            ignore (S.stat p dir);
+            ignore (S.mkdir p dir)
+          | _ ->
+            (* rmdir peeks the cached target under the parent stripe, then
+               takes both stripes through [lock2]: the crash fires there. *)
+            let dir = Printf.sprintf "/w/y/g%d" round in
+            ignore (S.mkdir p dir);
+            ignore (S.rmdir p dir)
         in
-        (try op () with Fault.Crash _ -> incr crashes);
+        (try op ()
+         with Fault.Crash _ ->
+           incr crashes;
+           fired.(oi) <- fired.(oi) + 1);
         Fault.disarm site;
         (* The oops left no lock held and nothing scrub can't repair. *)
         ignore (Kernel.scrub kernel);
@@ -523,10 +541,18 @@ let run_stripe_crash_schedule s =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: crash points actually fired (%d)" s !crashes)
         true
-        (!crashes >= 12))
+        (!crashes >= 12);
+      fired)
 
 let test_stripe_crash_points_scrub_repairs () =
-  List.iter run_stripe_crash_schedule [ 1; 1337; 9001 ]
+  let fired = List.map run_stripe_crash_schedule [ 1; 1337; 9001 ] in
+  Array.iteri
+    (fun i name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s fired under some seed" name)
+        true
+        (List.exists (fun f -> f.(i) > 0) fired))
+    crash_site_names
 
 let suite =
   [

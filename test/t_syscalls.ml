@@ -138,6 +138,11 @@ let suite =
         (* absolute path ignores dirfd *)
         let abs = get "fstatat abs" (S.fstatat p dirfd "/base/sub/leaf" ()) in
         Alcotest.(check int) "same ino" a.Attr.ino abs.Attr.ino;
+        (* O_CREAT resolves against dirfd too, under either lock scope *)
+        get "close created"
+          (S.close p (get "openat creat" (S.openat p dirfd "made" [ Proc.O_CREAT; Proc.O_WRONLY ])));
+        ignore (get "created under dirfd" (S.stat p "/base/made"));
+        expect_err Errno.ENOENT "not under cwd" (S.stat p "/made");
         get "close dir" (S.close p dirfd))
   @ tc_both "unlink/rmdir errno matrix" (fun config ->
         let _, p = ram_kernel ~config () in
