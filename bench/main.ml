@@ -1601,8 +1601,8 @@ let churn () =
     (* Readers run for the whole churn window — the mixed-load point of the
        sharded design: their warm hits never take a lock, so in sharded
        mode they cost the writers nothing, where in global mode every
-       mutation invalidates the lockless probe and the resulting read-lock
-       fallbacks contend with the write lock.  ns/op and words/op are
+       mutation invalidates the lockless probe, and a probe that keeps
+       racing re-probes under the write lock.  ns/op and words/op are
        measured over each reader's first [reader_iters] probes. *)
     let readers =
       List.init 2 (fun r ->

@@ -85,8 +85,9 @@ let counters t = Dcache.counters t.dcache
    A dentry's hash state is the multilinear state after feeding its full
    canonical path *in the mount tree of the namespace it was reached in*:
    a mounted root inherits the state of its mountpoint.  States are computed
-   lazily and cached on the dentry; plain single-field writes make this safe
-   to run under the read lock (racing recomputations produce equal values). *)
+   lazily, under the write lock, and cached on the dentry; lockless probes
+   only consume cached states (plain single-field writes: racing readers
+   see the old value or the new one). *)
 
 let rec ensure_hstate t (r : path_ref) =
   let d = r.dentry in
@@ -116,8 +117,8 @@ let rec ensure_hstate t (r : path_ref) =
 exception Fall_back
 
 (* The optimistic (lockless) probe observed a dcache write sequence change:
-   everything it read is suspect, retry under the read lock (RCU-walk →
-   ref-walk, §3.2).  Constant constructor — raising it allocates nothing. *)
+   everything it read is suspect, probe again (RCU-walk → ref-walk, §3.2).
+   Constant constructor — raising it allocates nothing. *)
 exception Seq_retry
 
 (* A symlink alias copies its real dentry's state when it is made or
@@ -227,23 +228,24 @@ let pcc_of t ctx =
 
 (* --- lockless-probe discipline ---
 
-   A probe with [vsnap >= 0] runs without the read lock, validated against
+   A probe with [vsnap >= 0] runs without any lock, validated against
    the dcache write sequence it snapshotted.  Such a probe must be purely
    optimistic: it may read anything (racy single-field reads of immediates
    and pointers cannot tear in OCaml) but must not create subsystem state —
    creation is a mutation, and mutations belong under the lock.  So the
-   lockless variants of the accessors below refuse to create (retrying
-   under the lock instead, where the creating versions run), and cached
+   lockless variants of the accessors below refuse to create, and cached
    hash states are consumed but never computed ([hstate_of]): a state
    derived from a concurrently-mutated ancestor chain could be garbage, and
-   caching garbage would outlive the retry. *)
+   caching garbage would outlive the retry.  State not built yet is a miss
+   ([Fall_back]), not a race: the handler's snapshot and stripe validation
+   tells the two apart, and the write-locked fallback builds it. *)
 
 let dlht_for t ctx vsnap =
   if vsnap < 0 then dlht_of t ctx
   else begin
     match Dlht.of_namespace_exn ctx.Walk.ns with
     | dlht -> dlht
-    | exception Not_found -> raise Seq_retry
+    | exception Not_found -> raise Fall_back
   end
 
 let pcc_for t ctx vsnap =
@@ -251,13 +253,13 @@ let pcc_for t ctx vsnap =
   else begin
     match Pcc.of_cred_exn ctx.Walk.cred ctx.Walk.ns with
     | pcc -> pcc
-    | exception Not_found -> raise Seq_retry
+    | exception Not_found -> raise Fall_back
   end
 
 let hstate_of t vsnap (r : path_ref) =
   if vsnap < 0 then ensure_hstate t r
   else begin
-    match r.dentry.d_hstate with Some state -> state | None -> raise Seq_retry
+    match r.dentry.d_hstate with Some state -> state | None -> raise Fall_back
   end
 
 (* --- per-domain probe scratch --- *)
@@ -309,7 +311,7 @@ type scratch = {
 }
 
 (* Per-domain because fig8-style benchmarks probe concurrently from several
-   domains under the read lock. *)
+   domains. *)
 let stripe_cap = 4096
 
 let scratch_key =
@@ -335,8 +337,8 @@ let scratch_key =
 
 (* --- stripe recording (sharded mode) ---
 
-   Unsharded, every helper below is a dead [None] branch — the legacy
-   lockless probe is unchanged to the instruction.  Sharded, the probe
+   Unsharded, every helper below is a dead [None] branch and the write
+   sequence alone validates the probe.  Sharded, the probe
    records each stripe seqcount before performing the reads that stripe
    guards; [commit_check] then proves the whole read set raced no sharded
    writer, exactly as the dcache-wide write sequence proves it raced no
@@ -448,18 +450,6 @@ let at_ns_root ctx =
   ctx.Walk.root.mnt.mnt_mountpoint = None
   && ctx.Walk.root.dentry == ctx.Walk.root.mnt.mnt_root
 
-(* One fastpath sub-lookup used by Linux dot-dot semantics (§4.2): resolve
-   the prefix walked so far to a (checked) directory. *)
-let probe_prefix t dlht pcc state =
-  let signature = Signature.finalize t.key state in
-  match Dlht.find dlht ~key:t.key signature with
-  | None -> raise Fall_back
-  | Some literal ->
-    let real = real_of literal in
-    validate t pcc literal real;
-    if not (dentry_is_dir real) then raise Fall_back;
-    (match real.d_mnt with Some mnt -> { mnt; dentry = real } | None -> raise Fall_back)
-
 let rec fast_dotdot ctx (cur : path_ref) =
   if cur.dentry == ctx.Walk.root.dentry && cur.mnt == ctx.Walk.root.mnt then cur
   else begin
@@ -471,103 +461,13 @@ let rec fast_dotdot ctx (cur : path_ref) =
       | None -> cur)
   end
 
-(* --- list-based probe (lexical dot-dot mode) ---
-
-   Plan 9 lexical semantics rewrite the component list before hashing, so
-   this mode keeps the [Path.split]-based walk; only the (default) Linux
-   mode gets the in-place scanner below. *)
-
-let probe t ctx ~(start : path_ref) ~(flags : Walk.flags) path =
-  let cfg = config t in
-  let dlht = dlht_of t ctx in
-  let pcc = pcc_of t ctx in
-  let absolute = Path.is_absolute path in
-  let trailing_slash = Path.has_trailing_slash path in
-  let components =
-    Phases.timed Phases.Scan_hash (fun () ->
-        match Path.split path with
-        | Ok comps ->
-          if cfg.Config.dotdot = Config.Dotdot_lexical then Path.lexical_normalize comps
-          else comps
-        | Error e -> raise (Errno.Error e))
-  in
-  let base =
-    Phases.timed Phases.Init (fun () ->
-        let base = if absolute then ctx.Walk.root else start in
-        ensure_hstate t base)
-  in
-  (* Hash the canonical path, handling dot-dot per the configured
-     semantics; lexical mode has already removed them. *)
-  let state =
-    Phases.timed Phases.Scan_hash (fun () ->
-        List.fold_left
-          (fun state comp ->
-            match comp with
-            | Path.Cur -> state
-            | Path.Name name ->
-              Signature.feed_string t.key (Signature.feed_char t.key state '/') name
-            | Path.Up ->
-              (* Linux semantics: an extra fastpath lookup of the prefix to
-                 preserve permission checks, then resume from the parent's
-                 state (§4.2). *)
-              Counter.bump t.c_dotdot;
-              let prefix = probe_prefix t dlht pcc state in
-              let up = fast_dotdot ctx prefix in
-              ensure_hstate t up)
-          base components)
-  in
-  let signature = Signature.finalize t.key state in
-  let literal =
-    Phases.timed Phases.Table_lookup (fun () ->
-        match Dlht.find dlht ~key:t.key signature with
-        | Some d -> d
-        | None ->
-          Trace.bump_cause Trace.cause_cold;
-          raise Fall_back)
-  in
-  Phases.timed Phases.Permission (fun () ->
-      let shallow_real = real_of literal in
-      validate t pcc literal shallow_real);
-  Phases.timed Phases.Finalize (fun () ->
-      let at_root = at_ns_root ctx in
-      let real = real_of literal in
-      match real.d_state with
-      | Negative errno ->
-        if not (Dcache.negative_current real) then raise Fall_back;
-        Counter.bump t.c_neg;
-        Trace.stamp Trace.ev_fast_neg 0;
-        Error errno
-      | Positive _ | Partial _ -> (
-        let sc = Domain.DLS.get scratch_key in
-        let final =
-          chase t dlht pcc sc ~follow_last:flags.Walk.follow_last ~at_ns_root:at_root
-            literal 8
-        in
-        match final.d_state with
-        | Negative errno ->
-          if not (Dcache.negative_current final) then raise Fall_back;
-          Counter.bump t.c_neg;
-          Trace.stamp Trace.ev_fast_neg 0;
-          Error errno
-        | Partial _ -> raise Fall_back
-        | Positive _ ->
-          if (flags.Walk.must_dir || trailing_slash) && not (dentry_is_dir final) then
-            Error Errno.ENOTDIR
-          else begin
-            match final.d_mnt with
-            | None -> raise Fall_back
-            | Some mnt ->
-              final.d_last_used <- Dcache.new_tick t.dcache;
-              Ok { mnt; dentry = final }
-          end))
-
 (* --- in-place probe (allocation-free warm path) ---
 
-   The default (Linux dot-dot) mode scans the raw path string component by
-   component, feeding bytes straight into a preallocated per-domain hash
-   state — no [Path.split] list, no intermediate state records, no closures.
-   A warm DLHT hit on a plain path performs zero minor-heap allocation
-   (asserted by test and measured by the [alloc] benchmark). *)
+   The probe scans the raw path string component by component, feeding
+   bytes straight into a preallocated per-domain hash state — no
+   [Path.split] list, no intermediate state records, no closures.  A warm
+   DLHT hit on a plain path performs zero minor-heap allocation (asserted
+   by test and measured by the [alloc] benchmark). *)
 
 (* Raw-string mirror of [Path.split]'s validation, so the scanner never
    discovers a limit violation halfway through a probe: 0 ok, 1 empty path
@@ -590,9 +490,10 @@ let validate_raw path =
   let len = String.length path in
   if len = 0 then 1 else if len > Path.max_path then 2 else validate_components path len 0
 
-(* Dot-dot sub-probe against the running in-place state.  Allocates a
-   [path_ref] for the prefix hop: paths with ".." are not part of the
-   zero-allocation guarantee (they were never constant-time either). *)
+(* Dot-dot sub-probe against the running in-place state (Linux semantics,
+   and a leading ".." under lexical semantics).  Allocates a [path_ref] for
+   the prefix hop: such paths are not part of the zero-allocation guarantee
+   (they were never constant-time either). *)
 let probe_prefix_buf t dlht pcc sc =
   Signature.finalize_into t.key sc.ms sc.sbuf;
   record_chain sc dlht (Signature.buf_bucket sc.sbuf);
@@ -644,13 +545,25 @@ let rec next_component_span path pos =
     else (i lsl 13) lor j
   end
 
+(* Whether a [".."] component follows [pos].  Under lexical semantics it
+   may cancel the component a DIR_COMPLETE verdict would judge. *)
+let rec dotdot_after path pos =
+  let len = String.length path in
+  let i = skip_slashes path len pos in
+  if i >= len then false
+  else begin
+    let j = component_end path len i in
+    (j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.')
+    || dotdot_after path j
+  end
+
 let may_search ctx d =
   match d.d_state with
   | Positive inode -> Walk.check_exec ctx inode
   | Partial _ | Negative _ -> false
 
 (* Deepest-first scan over the recorded boundary snapshots, run at the
-   probe's final-miss site (lockless or read-locked).  The first cached
+   probe's final-miss site (lockless or write-locked).  The first cached
    ancestor found decides:
 
    - a cached negative: the whole path fails with its errno — return it
@@ -661,7 +574,9 @@ let may_search ctx d =
      next suffix component is not in the dcache: definitive ENOENT (§5.1),
      same no-lock fast-fail.  The PCC entry only proves the directory is
      reachable; a walk checks search permission on the directory itself
-     before looking a name up in it, and without it answers EACCES;
+     before looking a name up in it, and without it answers EACCES.  Under
+     lexical semantics a later ".." may cancel that next component, so a
+     slot whose suffix holds one never fast-fails this way;
    - any other PCC-valid positive directory: the resume candidate — its
      slot is left in [sc.resume_slot] for [fallback] to re-validate under
      the write lock, and the probe falls back.
@@ -716,6 +631,9 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                Dcache.is_complete t.dcache real
                && (not (lease_blocks_dir t real))
                && may_search ctx real
+               && not
+                    ((config t).Config.dotdot = Config.Dotdot_lexical
+                    && dotdot_after path (Signature.snaps_cursor sn k))
              then begin
                (* Completeness and child-presence are guarded by the
                   directory's own-id stripe, not its parent's. *)
@@ -758,44 +676,51 @@ let prefix_miss t ctx dlht pcc sc path ~vsnap =
     prefix_scan t ctx dlht pcc sc path ~vsnap (Signature.snaps_count sc.snaps - 2);
   raise Fall_back
 
-(* Scan-and-hash driver for the in-place probe.  On a ".." (Linux
-   semantics): sub-probe the prefix walked so far, step up, resume hashing
-   from the parent's cached state (§4.2).  Top-level recursion, not a loop
-   over refs, for the usual no-flambda reason.  Every fed component leaves
-   a boundary snapshot in [sc.snaps] for the miss handler — including
-   across ".." hops: post-resume states are still canonical-prefix states
-   and their cursors still delimit the remaining suffix, so resuming from
-   any recorded slot replays exactly what a from-scratch walk would do. *)
-let rec scan_and_hash t ctx dlht pcc sc path pos vsnap =
+(* Scan-and-hash driver for the in-place probe (§4.2).  On a ".." under
+   Linux semantics: sub-probe the prefix walked so far, step up, resume
+   hashing from the parent's cached state.  Under lexical semantics a ".."
+   cancels the last fed component instead — its boundary snapshot is
+   dropped and hashing rewinds to the one below, or to [floor] (the state
+   hashing started from) when none is left; a leading ".." with nothing to
+   cancel hops like Linux, as [Path.lexical_normalize] keeps it.  Top-level
+   recursion, not a loop over refs, for the usual no-flambda reason.
+   Every fed component leaves a boundary snapshot in [sc.snaps] for the
+   miss handler — including across ".." hops: post-resume states are still
+   canonical-prefix states and their cursors still delimit the remaining
+   suffix, so resuming from any recorded slot replays exactly what a
+   from-scratch walk would do. *)
+let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
   let rc =
     Signature.hash_path_into_rec t.key sc.ms sc.snaps ~max_name:Path.max_name path ~pos
   in
   if rc = Signature.scan_done then ()
   else if rc = Signature.scan_toolong then raise Fall_back (* pre-validated; defensive *)
+  else if
+    (config t).Config.dotdot = Config.Dotdot_lexical && Signature.snaps_count sc.snaps > 0
+  then begin
+    if not (Signature.snaps_pop sc.snaps sc.ms) then Signature.mstate_resume sc.ms floor;
+    scan_and_hash t ctx dlht pcc sc path rc vsnap floor
+  end
   else begin
     Counter.bump t.c_dotdot;
     let prefix = probe_prefix_buf t dlht pcc sc in
-    let up = fast_dotdot ctx prefix in
-    Signature.mstate_resume sc.ms (hstate_of t vsnap up);
-    scan_and_hash t ctx dlht pcc sc path rc vsnap
+    let up = hstate_of t vsnap (fast_dotdot ctx prefix) in
+    Signature.mstate_resume sc.ms up;
+    scan_and_hash t ctx dlht pcc sc path rc vsnap up
   end
 
 (* [vsnap >= 0]: optimistic mode — no lock held, [vsnap] is the write-
    sequence snapshot to validate against at every commit point (just before
    an error, a success, or [within] — which has caller side effects and
    must run at most once on state that provably raced no writer).
-   [vsnap < 0]: the read lock is held, no validation needed. *)
+   [vsnap < 0]: the write lock is held, no validation needed. *)
 let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~vsnap =
-  let dlht = dlht_for t ctx vsnap in
-  let pcc = pcc_for t ctx vsnap in
-  let absolute = Path.is_absolute path in
-  let trailing_slash = Path.has_trailing_slash path in
-  let t0 = Phases.stamp () in
-  let base = if absolute then ctx.Walk.root else start in
   (* Prefix-resume bookkeeping: the invalidation counter must be read
      before any cached state (hash states, table entries) is consumed, so
      that an unchanged counter at resume time proves the snapshots raced no
-     shootdown (§3.2, §3.5).  Plain int/pointer stores — no allocation. *)
+     shootdown (§3.2, §3.5).  Reset before the first [Fall_back] can fire,
+     so the handler never validates a previous probe's stripes.  Plain
+     int/pointer stores — no allocation. *)
   sc.snap_path <- path;
   sc.snap_inval <- Dcache.invalidation_counter t.dcache;
   sc.resume_slot <- -1;
@@ -803,10 +728,16 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   sc.promote_dir <- None;
   sc.hh_id <- -1;
   Signature.snaps_reset sc.snaps;
-  Signature.mstate_resume sc.ms (hstate_of t vsnap base);
+  let dlht = dlht_for t ctx vsnap in
+  let pcc = pcc_for t ctx vsnap in
+  let absolute = Path.is_absolute path in
+  let trailing_slash = Path.has_trailing_slash path in
+  let t0 = Phases.stamp () in
+  let base = hstate_of t vsnap (if absolute then ctx.Walk.root else start) in
+  Signature.mstate_resume sc.ms base;
   Phases.record_span Phases.Init t0;
   let t1 = Phases.stamp () in
-  scan_and_hash t ctx dlht pcc sc path 0 vsnap;
+  scan_and_hash t ctx dlht pcc sc path 0 vsnap base;
   Signature.finalize_into t.key sc.ms sc.sbuf;
   Phases.record_span Phases.Scan_hash t1;
   let t2 = Phases.stamp () in
@@ -1170,11 +1101,11 @@ let fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive path ~within =
   | Ok r -> within r.mnt r.dentry
   | Error e -> Error e
 
-let fallback t ctx ~flags ~absolute ~start ?sc path ~within =
+let fallback t ctx ~flags ~absolute ~start ~sc path ~within =
   Counter.bump t.c_fallback;
   Trace.stamp Trace.ev_fallback 0;
   Dcache.with_write t.dcache (fun () ->
-      let plan = match sc with Some sc -> resume_plan t ctx sc path | None -> None in
+      let plan = resume_plan t ctx sc path in
       fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:false path ~within)
 
 (* One deferred miss of a batched submission, under the write lock the
@@ -1231,34 +1162,28 @@ let fallback_grouped t ctx ~flags ~absolute ~start ~sc path ~within =
     end)
   | plan -> fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
 
-(* Second tier of the retry discipline: the optimistic probe failed its
-   seqcount validation, so probe again under the read lock, where writers
-   are excluded and no validation is needed.  Top-level (not a local
-   closure in [lookup_into_raw]): the warm path must not allocate an
-   environment for a function it calls only on retry. *)
-let probe_locked t ctx ~start ~flags sc path ~within =
-  Counter.bump t.c_locked_probe;
-  let lock = Dcache.lock t.dcache in
-  Rwlock.read_lock lock;
+(* One op resolved under the write lock its caller holds: the raced
+   sequential lookup whose optimistic attempts ran out, and each deferred op
+   of a batched submission (§3.9).  The write lock excludes every writer,
+   exclusive or sharded, so the probe needs no validation, and a raced
+   reader still ends in a re-probe rather than a walk.  [ctx.cwd] is the
+   walk origin for relative paths. *)
+let resolve_locked t ctx ~flags sc path ~within =
+  let start = ctx.Walk.cwd in
   match probe_into t ctx ~start ~flags sc path ~within ~vsnap:(-1) with
-  | result ->
-    Rwlock.read_unlock lock;
+  | r ->
     Counter.bump t.c_hit;
     Trace.stamp Trace.ev_fast_hit 0;
-    result
-  | exception Fall_back ->
-    Rwlock.read_unlock lock;
-    fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path) ~start
-      ~sc path ~within
+    r
   | exception Neg_fail ->
-    (* Prefix fast-fail (§3.5): answered from a cached ancestor, no walk,
-       no write lock (promotion, if any, takes it after the unlock). *)
-    Rwlock.read_unlock lock;
-    promote_negfail t ctx sc path;
+    promote_negfail_at t ctx sc path ~locked:true;
     Errno.to_error sc.neg_errno
-  | exception e ->
-    Rwlock.read_unlock lock;
-    raise e
+  | exception (Fall_back | Seq_retry) ->
+    (* [Seq_retry] here is stripe-recording overflow on an absurdly deep
+       path (no stripe section can be live under the write lock): walk. *)
+    Counter.bump t.c_fallback;
+    Trace.stamp Trace.ev_fallback 0;
+    fallback_grouped t ctx ~flags ~absolute:(Path.is_absolute path) ~start ~sc path ~within
 
 (* Attribute a lockless retry: if the namespace's DLHT is mid-resize, the
    write section we raced was (at least plausibly) the migration.  §3.8:
@@ -1273,21 +1198,33 @@ let note_lockless_retry t ctx sc =
   | Some dlht when Dlht.resizing dlht -> Trace.bump_cause Trace.cause_resize_retry
   | Some _ | None -> Trace.bump_cause Trace.cause_seqcount_retry
 
-(* --- sharded-mode retry discipline ---
+(* --- the retry discipline (§3.2, mirroring RCU-walk → ref-walk) ---
 
-   Sharded writers hold the {e read} side of the dcache lock, so tier 2's
-   read-locked re-probe would exclude nothing: a probe that raced a stripe
-   write under the read lock would race it again.  Instead the optimistic
-   probe itself is retried a bounded number of times — a raced stripe
-   section is a few dozen instructions, so the race is gone almost
-   immediately — and only then does the lookup escalate to the
-   write-locked slowpath, which excludes sharded sections wholesale. *)
-let max_sharded_attempts = 8
+   One optimistic loop.  The probe runs with no lock, validated at its
+   commit point against the dcache write sequence and, sharded, the
+   stripes it recorded.  A raced probe — [Seq_retry], or a [Fall_back]
+   whose reads fail that validation — is retried a bounded number of
+   times: a raced write section is a few dozen instructions, so the race is
+   gone almost immediately.  Only then does the lookup re-probe once under
+   the write lock ({!resolve_locked}), counted as "fastpath_locked_probe";
+   the read lock would not do, since sharded writers hold its read side.
+   The write lock is the last resort, not the wait: its section bumps the
+   write sequence and so fails every concurrent lockless probe.  A believed
+   miss goes straight to the write-locked fallback walk. *)
+let max_attempts = 8
 
-let rec probe_sharded t ctx ~start ~flags sc path ~within ~attempt =
+let rec probe_optimistic t ctx ~start ~flags sc path ~within ~attempt =
   let seq = Dcache.write_seq t.dcache in
   let snap = Seqcount.read_begin seq in
-  if snap land 1 <> 0 then retry_sharded t ctx ~start ~flags sc path ~within ~attempt
+  if snap land 1 <> 0 then begin
+    (* An odd sequence means an exclusive writer holds the write lock: wait
+       it out on the read side, whose backoff yields to a descheduled
+       holder, rather than spend every attempt spinning on it. *)
+    let lock = Dcache.lock t.dcache in
+    Rwlock.read_lock lock;
+    Rwlock.read_unlock lock;
+    retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
+  end
   else begin
     match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
     | result ->
@@ -1295,48 +1232,43 @@ let rec probe_sharded t ctx ~start ~flags sc path ~within ~attempt =
       Trace.stamp Trace.ev_fast_hit 0;
       result
     | exception Neg_fail ->
+      (* Prefix fast-fail (§3.5): the verdict passed its validation inside
+         the probe, so it is as good as a hit — no lock, no walk. *)
       promote_negfail t ctx sc path;
       Errno.to_error sc.neg_errno
     | exception Seq_retry ->
       note_lockless_retry t ctx sc;
-      retry_sharded t ctx ~start ~flags sc path ~within ~attempt
+      retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
     | exception Fall_back ->
       if Seqcount.read_validate seq snap && stripes_ok sc then
         fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path)
           ~start ~sc path ~within
       else begin
         note_lockless_retry t ctx sc;
-        retry_sharded t ctx ~start ~flags sc path ~within ~attempt
+        retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
       end
   end
 
-and retry_sharded t ctx ~start ~flags sc path ~within ~attempt =
-  if attempt + 1 >= max_sharded_attempts then begin
-    (* Retries exhausted (writer storm on these stripes): resolve
-       authoritatively under the write lock.  The scratch resume state is
-       re-validated there before use, so passing it is safe even after a
-       raced probe. *)
+and retry_optimistic t ctx ~start ~flags sc path ~within ~attempt =
+  if attempt + 1 >= max_attempts then begin
     Counter.bump t.c_locked_probe;
-    fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path)
-      ~start ~sc path ~within
+    let ctx = { ctx with Walk.cwd = start } in
+    Dcache.with_write t.dcache (fun () -> resolve_locked t ctx ~flags sc path ~within)
   end
   else begin
     Domain.cpu_relax ();
-    probe_sharded t ctx ~start ~flags sc path ~within ~attempt:(attempt + 1)
+    probe_optimistic t ctx ~start ~flags sc path ~within ~attempt:(attempt + 1)
   end
 
 (* [within] runs on the resolved (mount, dentry) while the lookup is still
-   protected (lockless-validated or read-locked on a fastpath hit, write
-   side on fallback), so callers can pin dentries or check permissions
-   without a race against eviction.  This is the allocation-free entry
-   point: on the default configuration a warm DLHT hit builds no
-   [path_ref], no closure and no option — the only allocation is whatever
-   [within] itself does. *)
+   protected (validated on a fastpath hit, write side on fallback), so
+   callers can pin dentries or check permissions without a race against
+   eviction.  This is the allocation-free entry point: a warm DLHT hit
+   builds no [path_ref], no closure and no option — the only allocation is
+   whatever [within] itself does. *)
 let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
-  let cfg = config t in
   let start = match start with Some s -> s | None -> ctx.Walk.cwd in
-  let absolute = Path.is_absolute path in
-  if not cfg.Config.fastpath then begin
+  if not (config t).Config.fastpath then begin
     (* Baseline kernel: component-at-a-time only.  *at()-style lookups
        resolve relative to [start]; the slowpath reads the origin from the
        context's cwd. *)
@@ -1357,77 +1289,13 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
           | Ok r -> within r.mnt r.dentry
           | Error e -> Error e)
   end
-  else if cfg.Config.dotdot = Config.Dotdot_lexical then begin
-    (* Lexical mode keeps the list-based probe (it must normalize the
-       component list before hashing); allocation discipline only targets
-       the default mode. *)
-    let attempt =
-      Dcache.with_read t.dcache (fun () ->
-          match probe t ctx ~start ~flags path with
-          | Ok r ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            Some (within r.mnt r.dentry)
-          | Error e ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            Some (Error e)
-          | exception Fall_back -> None
-          | exception Errno.Error e -> Some (Error e))
-    in
-    match attempt with
-    | Some outcome -> outcome
-    | None -> fallback t { ctx with Walk.cwd = start } ~flags ~absolute ~start path ~within
-  end
   else begin
     match validate_raw path with
     | 1 -> Errno.to_error Errno.ENOENT
     | 2 -> Errno.to_error Errno.ENAMETOOLONG
-    | _ -> (
-      (* Three-tier retry discipline (§3.2, mirroring RCU-walk → ref-walk):
-         1. optimistic probe, no lock, validated against the dcache write
-            sequence at its commit point;
-         2. on validation failure (or a writer already in its section),
-            the same probe under the read lock;
-         3. on a genuine miss, the slowpath fallback under the write lock.
-         A lockless [Fall_back] is only believed — i.e. only triggers the
-         expensive slowpath — if the probe's reads were valid; otherwise it
-         is retried locked first.
-
-         Sharded mode swaps tier 2 for bounded optimistic retries: the
-         read lock no longer excludes (sharded) writers, so re-probing
-         under it proves nothing — see [probe_sharded]. *)
-      let sc = Domain.DLS.get scratch_key in
-      match t.dtab with
-      | Some _ -> probe_sharded t ctx ~start ~flags sc path ~within ~attempt:0
-      | None -> (
-        let seq = Dcache.write_seq t.dcache in
-        let snap = Seqcount.read_begin seq in
-        if snap land 1 <> 0 then probe_locked t ctx ~start ~flags sc path ~within
-        else begin
-          match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
-          | result ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            result
-          | exception Seq_retry ->
-            note_lockless_retry t ctx sc;
-            probe_locked t ctx ~start ~flags sc path ~within
-          | exception Neg_fail ->
-            (* Prefix fast-fail (§3.5): the verdict passed its seqcount
-               validation inside the probe, so it is as good as a hit —
-               answered without a lock or a walk. *)
-            promote_negfail t ctx sc path;
-            Errno.to_error sc.neg_errno
-          | exception Fall_back ->
-            if Seqcount.read_validate seq snap then
-              fallback t { ctx with Walk.cwd = start } ~flags ~absolute ~start ~sc path
-                ~within
-            else begin
-              note_lockless_retry t ctx sc;
-              probe_locked t ctx ~start ~flags sc path ~within
-            end
-        end))
+    | _ ->
+      probe_optimistic t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within
+        ~attempt:0
   end
 
 (* Latency attribution (Trace timing mode): every public lookup is timed
@@ -1436,9 +1304,8 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
    after the fact: an EIO is its own class (I/O failure, never cached); any
    other error is a negative; a success on a fastpath-less configuration is
    the slowpath; a success that bumped the fallback counter went
-   probe-miss-then-slowpath; the rest are fastpath hits (including hits
-   served through the lexical probe).  Disarmed, the wrapper is one
-   load-and-branch — the warm path stays allocation-free. *)
+   probe-miss-then-slowpath; the rest are fastpath hits.  Disarmed, the
+   wrapper is one load-and-branch — the warm path stays allocation-free. *)
 let lookup_into t ctx ?start ?flags path ~within =
   if not !Trace.timing then lookup_into_raw t ctx ?start ?flags path ~within
   else begin
@@ -1479,7 +1346,7 @@ let lookup t ctx ?start ?flags path =
    also be accepted by the same ops issued back to back.  A mid-batch
    seqcount bump splits the batch ("fastpath_batch_split"): the op
    re-snapshots and the run continues under the new window, bounded by
-   [max_sharded_attempts] consecutive splits per op before the op is
+   [max_attempts] consecutive splits per op before the op is
    deferred to phase 2 (writer storm: resolve authoritatively).  Misses
    never walk in phase 1; they collect into [deferred].
 
@@ -1496,7 +1363,7 @@ let rec batch_run t ctx sc path flags prepare within complete deferred n i ndef 
     let snap = Seqcount.read_begin seq in
     if snap land 1 <> 0 then begin
       (* A writer is mid-section right now; brief by construction. *)
-      if spins + 1 >= max_sharded_attempts then begin
+      if spins + 1 >= max_attempts then begin
         deferred.(ndef) <- i;
         batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
           windows 0
@@ -1572,7 +1439,7 @@ and batch_split t ctx sc path flags prepare within complete deferred n i ndef wi
   note_lockless_retry t ctx sc;
   Counter.incr (counters t) "fastpath_batch_split";
   Trace.stamp Trace.ev_batch_split i;
-  if spins + 1 >= max_sharded_attempts then begin
+  if spins + 1 >= max_attempts then begin
     deferred.(ndef) <- i;
     batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
       windows 0
@@ -1607,46 +1474,20 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
       for k = 0 to ndef - 1 do
         let i = deferred.(k) in
         prepare i;
-        let p = path i in
-        let fl = flags i in
-        let r =
-          match probe_into t ctx ~start:ctx.Walk.cwd ~flags:fl sc p ~within ~vsnap:(-1) with
-          | r ->
-            (* An earlier miss in the group already populated this path. *)
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            r
-          | exception Neg_fail ->
-            promote_negfail_at t ctx sc p ~locked:true;
-            Errno.to_error sc.neg_errno
-          | exception Fall_back ->
-            Counter.bump t.c_fallback;
-            Trace.stamp Trace.ev_fallback 0;
-            fallback_grouped t ctx ~flags:fl ~absolute:(Path.is_absolute p)
-              ~start:ctx.Walk.cwd ~sc p ~within
-          | exception Seq_retry ->
-            (* Stripe-recording overflow on an absurdly deep path (no
-               concurrent stripe section can be live under the write
-               lock): resolve by walking, as the sequential tiers
-               ultimately would. *)
-            Counter.bump t.c_fallback;
-            Trace.stamp Trace.ev_fallback 0;
-            fallback_grouped t ctx ~flags:fl ~absolute:(Path.is_absolute p)
-              ~start:ctx.Walk.cwd ~sc p ~within
-        in
-        complete i r
+        (* A hit here means an earlier miss in the group already populated
+           this path. *)
+        complete i (resolve_locked t ctx ~flags:(flags i) sc (path i) ~within)
       done)
 
 (* The public batched entry (§3.9).  [path]/[flags]/[prepare]/[complete]
    are indexed accessors the caller allocates once per ring — not per
    submit — and [deferred] is caller-owned scratch of length >= [n]; ops
    resolve relative to the context's cwd, like the sequential default.
-   Baseline and lexical configurations degrade to per-op sequential
-   lookups so the API is uniformly available.  Reports span/window
-   amortization to {!Profiler.note_batch}. *)
+   The baseline (fastpath off) degrades to per-op sequential lookups so
+   the API is uniformly available.  Reports span/window amortization to
+   {!Profiler.note_batch}. *)
 let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
-  let cfg = config t in
-  if (not cfg.Config.fastpath) || cfg.Config.dotdot = Config.Dotdot_lexical then begin
+  if not (config t).Config.fastpath then begin
     for i = 0 to n - 1 do
       prepare i;
       complete i (lookup_into_raw t ctx ~flags:(flags i) (path i) ~within)

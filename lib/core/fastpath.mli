@@ -11,7 +11,8 @@
 
     Dot-dot components follow the configured semantics (§4.2): Linux mode
     issues an extra fastpath sub-lookup per [..] to preserve permission
-    semantics; Plan 9 lexical mode pre-processes them away. *)
+    semantics; Plan 9 lexical mode cancels the preceding component while
+    hashing, in place. *)
 
 open Dcache_vfs.Types
 module Walk = Dcache_vfs.Walk
@@ -36,10 +37,12 @@ val lookup : t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> string -> 
     [start] overrides the walk origin for relative paths (the *at() family);
     default is the context's cwd.  The warm probe is {e lockless}: it runs
     without the dcache lock, validated against the dcache-wide write
-    sequence, and retries under the read lock when a concurrent write
-    section invalidated it (RCU-walk → ref-walk, §3.2); only the fallback
-    takes the write lock.  With the fastpath disabled in the configuration,
-    this is the baseline kernel's two-phase (Rcu then Ref) slowpath. *)
+    sequence and the stripes it read, and is retried a bounded number of
+    times when a concurrent write section invalidated it; a probe that
+    keeps racing re-probes once under the write lock (RCU-walk → ref-walk,
+    §3.2).  A miss takes the write-locked slowpath fallback.  With the
+    fastpath disabled in the configuration, this is the baseline kernel's
+    two-phase (Rcu then Ref) slowpath. *)
 
 val lookup_with :
   t ->
@@ -64,9 +67,9 @@ val lookup_into :
   ('a, Dcache_types.Errno.t) result
 (** The allocation-free lookup: like {!lookup_with} but hands the resolved
     location to [within] as separate arguments instead of building a
-    [path_ref].  On the default configuration (fastpath on, Linux dot-dot
-    semantics) a warm DLHT hit over a plain path — no ".." components —
-    performs {e zero} minor-heap allocation and {e zero} rwlock
+    [path_ref].  With the fastpath on, a warm DLHT hit over a plain path —
+    no ".." components, or only ones a lexical ".." cancels — performs
+    {e zero} minor-heap allocation and {e zero} rwlock
     acquisitions beyond what [within] itself does: the path is hashed in
     place from the raw string into per-domain scratch state, the bucket
     chain is walked intrusively, the probe is validated by one seqcount
@@ -103,9 +106,9 @@ val probe_batch :
     path, resolved under a single write-lock acquisition, with runs of
     single-component siblings resolved by one probe-or-fill each
     ({!Walk.resume_sibling}) and all publication through the stripe-free
-    exclusive DLHT insert.  Ops resolve relative to the context's cwd.
-    On baseline/lexical configurations degrades to per-op sequential
-    lookups. *)
+    exclusive DLHT insert — the same write-locked body a raced sequential
+    lookup ends in.  Ops resolve relative to the context's cwd.  With the
+    fastpath off, degrades to per-op sequential lookups. *)
 
 val populate :
   ?exclusive:bool ->

@@ -252,7 +252,7 @@ let feed_bytes_into key ms s ~pos ~len =
 
 (* In-place scanner over a raw path string: feeds ['/' ^ name] for every
    real component, skipping empty ones (leading, doubled and trailing
-   slashes) and ["."] — exactly the canonicalization the list-based probe
+   slashes) and ["."] — exactly the canonicalization the slowpath walk
    applies to [Path.split] output, without materializing the list.
 
    Returns [scan_done] when the path is exhausted, [scan_toolong] when a
@@ -360,6 +360,25 @@ let rec hash_path_into_rec key ms sn ~max_name s ~pos =
       record_snap sn ms j;
       hash_path_into_rec key ms sn ~max_name s ~pos:j
     end
+  end
+
+(* Lexical [".."] (Plan 9 semantics, §4.2) cancels the last fed component
+   in place: forget its boundary and rewind [ms] to the boundary below.
+   [false] when none is left — the caller then rewinds to the state it
+   started feeding from.  Int stores only; the store never overflows for a
+   validated path, so the last slot is the last fed component. *)
+let snaps_pop sn ms =
+  sn.snap_n <- sn.snap_n - 1;
+  let i = sn.snap_n - 1 in
+  if i < 0 then false
+  else begin
+    let base = i * snap_words and st = sn.snap_states in
+    ms.mpos <- st.(base);
+    ms.m0 <- st.(base + 1);
+    ms.m1 <- st.(base + 2);
+    ms.m2 <- st.(base + 3);
+    ms.m3 <- st.(base + 4);
+    true
   end
 
 type buf = { mutable ba : int; mutable bb : int; mutable bc : int; mutable bd : int }

@@ -141,6 +141,12 @@ val hash_path_into_rec : key -> mstate -> snaps -> max_name:int -> string -> pos
 (** Exactly {!hash_path_into}, additionally recording a boundary snapshot
     into [snaps] after every fed component.  Allocation-free. *)
 
+val snaps_pop : snaps -> mstate -> bool
+(** Plan 9 lexical [".."]: drop the deepest recorded boundary (there must
+    be one) and rewind the [mstate] to the boundary below it.  Returns
+    [false], leaving the [mstate] untouched, when no boundary is left.
+    Allocation-free. *)
+
 type buf
 (** Mutable finalized digest (the in-place counterpart of [t]). *)
 

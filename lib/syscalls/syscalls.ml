@@ -263,12 +263,12 @@ let finish_open proc flags (ref_ : path_ref) =
      second parent's for rename — are held around the body.  Writer
      domains mutating different directories proceed concurrently.
    - The {e global scope} ([with_write] + [resolve_parent_locked]): the
-     only scope without a stripe table (baseline, lexical "..",
-     [dcache_stripes = 0]), and the scope for every cached shape a stripe
-     cannot cover.  Each syscall's [*_covers] predicate names those shapes
-     (uncached names, [Partial] dentries, directories, extra hard links,
-     mountpoints, deep children, cross-sb renames).  Taking it means
-     "take the big lock", never "fail".
+     only scope without a stripe table (baseline, [dcache_stripes = 0]),
+     and the scope for every cached shape a stripe cannot cover.  Each
+     syscall's [*_covers] predicate names those shapes (uncached names,
+     [Partial] dentries, directories, extra hard links, mountpoints, deep
+     children, cross-sb renames).  Taking it means "take the big lock",
+     never "fail".
 
    Lock order inside the stripe scope: rwlock read side, then the
    stripe(s) — two at once only through [Locktab.lock2]'s index ordering —

@@ -66,11 +66,7 @@ let next_sb_id = Atomic.make 1
 let next_seq = Atomic.make 1
 
 let create config =
-  let sharded =
-    config.Config.fastpath
-    && config.Config.dcache_stripes > 0
-    && config.Config.dotdot = Config.Dotdot_linux
-  in
+  let sharded = config.Config.fastpath && config.Config.dcache_stripes > 0 in
   {
     config;
     buckets = Array.init config.Config.dcache_buckets (fun _ -> Atomic.make []);
@@ -83,9 +79,9 @@ let create config =
     write_seq = Seqcount.create ();
     invalidation = Atomic.make 0;
     stripes =
-      (* Lexical dot-dot keeps the list-based probe, which runs under the
-         read lock with no stripe validation — sharding would let writers
-         race it, so only the (default) Linux mode gets stripes. *)
+      (* Only the fastpath's probe validates the stripes it read; the
+         baseline's read-locked walk does not, so sharded writers (which
+         hold the read side too) could race it. *)
       (if sharded then Some (Locktab.create config.Config.dcache_stripes) else None);
     neg_lists =
       Array.init

@@ -67,10 +67,31 @@ let test_warm_hit_zero_alloc () =
   let reads, writes = Rwlock.acquisition_counts () in
   Alcotest.(check int) "all probes were fastpath hits" (iters + 2) (hits_before () - h0);
   Alcotest.(check (float 0.0)) "zero minor-heap words over 10k warm hits" 0.0 words;
-  (* The lockless tier: a warm hit must not fall back to the read-locked
-     probe, let alone the write-locked slowpath. *)
+  (* A warm hit must not re-probe under the lock, let alone walk. *)
   Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k warm hits" (0, 0)
     (reads, writes)
+
+(* Plan 9 lexical ".." cancels a component in place (§4.2): a warm hit
+   through one costs no more than a plain hit. *)
+let test_warm_lexical_dotdot_zero_alloc () =
+  let config = { Config.optimized with Config.dotdot = Config.Dotdot_lexical } in
+  let kernel, p = ram_kernel ~config () in
+  get "tree" (S.mkdir_p p "/a/b/c");
+  get "file" (S.write_file p "/a/b/c/target" "payload");
+  let fp = Kernel.fastpath kernel in
+  let ctx = Proc.walk_ctx p in
+  let path = "/a/b/x/../c/y/z/../../target" in
+  probe_ok fp ctx path;
+  let h0 = counter kernel "fastpath_hit" in
+  let iters = 10_000 in
+  Rwlock.reset_acquisition_counts ();
+  let words = measure_minor_words iters (fun () -> probe_ok fp ctx path) in
+  let locks = Rwlock.acquisition_counts () in
+  Alcotest.(check int) "all probes were fastpath hits" (iters + 2)
+    (counter kernel "fastpath_hit" - h0);
+  Alcotest.(check (float 0.0)) "zero minor-heap words over 10k lexical hits" 0.0 words;
+  Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k lexical hits" (0, 0)
+    locks
 
 let test_warm_lease_hit_zero_alloc () =
   (* The lease gate sits on the lockless commit path (§3.7): a warm hit on
@@ -846,6 +867,8 @@ let suite =
       test_negative_list_eviction_bounded;
     Alcotest.test_case "warm all-hit batch submit allocates zero minor words" `Quick
       test_warm_batch_zero_alloc;
+    Alcotest.test_case "warm lexical dot-dot hit allocates zero minor words" `Quick
+      test_warm_lexical_dotdot_zero_alloc;
     Alcotest.test_case "warm live-lease hit allocates zero minor words" `Quick
       test_warm_lease_hit_zero_alloc;
     Alcotest.test_case "warm negative hit allocates zero minor words" `Quick

@@ -391,7 +391,32 @@ let test_dotdot_linux_vs_lexical () =
   Alcotest.(check string) "linux semantics: target's parent" "elsewhere-dir"
     (run Config.optimized);
   Alcotest.(check string) "lexical semantics: literal parent" "t-dir"
-    (run { Config.optimized with Config.dotdot = Config.Dotdot_lexical })
+    (run { Config.optimized with Config.dotdot = Config.Dotdot_lexical });
+  (* A complete directory must not fast-fail a name that a later ".."
+     cancels: lexically /t/ghost/../file is /t/file, while Linux semantics
+     must find ghost first. *)
+  let through_ghost config =
+    let _, p = ram_kernel ~config () in
+    get "t" (S.mkdir_p p "/t");
+    get "f" (S.write_file p "/t/file" "T");
+    ignore (get "readdir" (S.readdir_path p "/t"));
+    S.stat p "/t/ghost/../file"
+  in
+  expect_err Errno.ENOENT "linux: ghost must exist" (through_ghost Config.optimized);
+  ignore
+    (get "lexical: ghost is cancelled"
+       (through_ghost { Config.optimized with Config.dotdot = Config.Dotdot_lexical }))
+
+(* Lazily built state (the namespace DLHT, the credential's PCC, a start
+   directory's hash state) that does not exist yet is a miss, not a race:
+   the first lookup on a fresh kernel goes straight to the fallback. *)
+let test_missing_state_is_a_miss () =
+  let kernel, p = opt_kernel () in
+  Kernel.reset_stats kernel;
+  ignore (get "stat /" (S.stat p "/"));
+  Alcotest.(check int) "no lockless retry" 0 (counter kernel "fastpath_lockless_retry");
+  Alcotest.(check int) "no locked probe" 0 (counter kernel "fastpath_locked_probe");
+  Alcotest.(check int) "one fallback" 1 (counter kernel "fastpath_fallback")
 
 let test_pcc_unit () =
   let pcc = Pcc.create ~entries:64 () in
@@ -473,6 +498,7 @@ let suite =
     Alcotest.test_case "eviction coherence" `Quick test_eviction_coherence;
     Alcotest.test_case "simulate PCC miss mode" `Quick test_simulate_pcc_miss_mode;
     Alcotest.test_case "dotdot: linux vs lexical" `Quick test_dotdot_linux_vs_lexical;
+    Alcotest.test_case "missing lazy state is a miss" `Quick test_missing_state_is_a_miss;
     Alcotest.test_case "pcc unit" `Quick test_pcc_unit;
     Alcotest.test_case "dynamic PCC grows" `Quick test_dynamic_pcc_grows;
   ]

@@ -184,7 +184,8 @@ let equivalence_test extra_label config_b =
     ~name:(Printf.sprintf "baseline == %s on random syscall traces" extra_label)
     ~count:150 ops_arbitrary
     (fun ops ->
-      let base = run_trace Config.baseline ops in
+      (* The baseline shares the dot-dot semantics under test. *)
+      let base = run_trace { Config.baseline with Config.dotdot = config_b.Config.dotdot } ops in
       let opt = run_trace config_b ops in
       if base <> opt then begin
         let rec first_diff i = function
@@ -871,13 +872,16 @@ let suite =
   [
     QCheck_alcotest.to_alcotest (equivalence_test "optimized" Config.optimized);
     QCheck_alcotest.to_alcotest
-      (equivalence_test "optimized(lexical-dotdot disabled ablations)"
+      (equivalence_test "optimized(completeness, deep negatives, aliases off)"
          {
            Config.optimized with
            Config.dir_completeness = false;
            deep_negative = false;
            symlink_aliases = false;
          });
+    QCheck_alcotest.to_alcotest
+      (equivalence_test "optimized(lexical dot-dot)"
+         { Config.optimized with Config.dotdot = Config.Dotdot_lexical });
     QCheck_alcotest.to_alcotest
       (equivalence_test "fastpath-only" { Config.baseline with Config.fastpath = true });
     QCheck_alcotest.to_alcotest
