@@ -2210,7 +2210,7 @@ let batch_bench () =
     "Batch - vectored submission/completion (§3.9).  One seqcount window,\n\
      one span mint and one counter set amortized across a run of fastpath\n\
      probes; misses deferred, sorted, resolved under a single write-lock\n\
-     acquisition with grouped sibling walks and stripe-free DLHT inserts.";
+     acquisition by the same miss body a sequential lookup takes.";
   let sizes = [ 1; 8; 32; 128 ] in
   let files = 128 in
   let env = W.Env.ram Config.optimized in
@@ -2325,12 +2325,18 @@ let batch_bench () =
   row "%-12s %12s %14s %12s\n" "" "stripes/op" "components/op" "rwlocks/op";
   row "%-12s %12.3f %14.3f %12.3f\n" "sequential" seq_stripes seq_comps seq_locks;
   row "%-12s %12.3f %14.3f %12.3f\n" "batched" bat_stripes bat_comps bat_locks;
-  if bat_stripes >= seq_stripes then
+  (* Both resolve each miss with the same write-locked body, so stripes and
+     components per op are equal by construction; what the batch saves is
+     write-lock acquisitions — one per group instead of one per miss. *)
+  if bat_stripes <> seq_stripes then
     row "  WARNING: batched misses took %.3f stripes/op (sequential %.3f)\n"
       bat_stripes seq_stripes;
-  if bat_comps >= seq_comps then
+  if bat_comps <> seq_comps then
     row "  WARNING: batched misses walked %.3f components/op (sequential %.3f)\n"
       bat_comps seq_comps;
+  if bat_locks >= seq_locks then
+    row "  WARNING: batched misses took %.3f rwlocks/op (sequential %.3f)\n"
+      bat_locks seq_locks;
 
   subheader "open-loop Poisson arrivals - per-op sojourn p50/p99 (virtual ns)";
   let mbox =

@@ -28,22 +28,23 @@ module Locktab = Dcache_util.Locktab
    with [migrate_quantum] >= 1 a resize always completes before the next
    one can start — [old] is None again by then, which [maybe_grow] requires.
 
-   Lockless readers: exclusive mutation (resize migration, scrub, legacy
-   write sections) runs under the dcache write lock, which brackets the
-   dcache-wide write sequence; sharded mutation splices under per-stripe
-   locks whose seqcounts the reader records before walking the chain.  An
-   optimistic probe that overlaps either kind of write section fails its
-   validation and retries, so probes never need the old/new split to be
-   atomic — they only need racy chain walks to be crash-free (single-field
-   reads of immediate ints and pointers) and finite, which the scan fuel
-   guarantees even across transiently inconsistent splices.
+   Lockless readers: exclusive mutation (every insert, resize migration,
+   scrub, global-scope removals) runs under the dcache write lock, which
+   brackets the dcache-wide write sequence; sharded removals splice under
+   per-stripe locks whose seqcounts the reader records before walking the
+   chain.  An optimistic probe that overlaps either kind of write section
+   fails its validation and retries, so probes never need the old/new
+   split to be atomic — they only need racy chain walks to be crash-free
+   (single-field reads of immediate ints and pointers) and finite, which
+   the scan fuel guarantees even across transiently inconsistent splices.
 
    --- stripe locks ---
 
-   With [stripes] attached, every splice ([insert]/[remove]) runs under
-   the stripe for the signature's 22-bit bucket index masked to the stripe
-   count.  The stripe count never exceeds the initial bucket count and
-   tables only grow, so the stripe mask is a submask of every table mask:
+   With [stripes] attached, every [remove] splice runs under the stripe
+   for the signature's 22-bit bucket index masked to the stripe count
+   ([insert] always runs under the write lock and takes none).  The
+   stripe count never exceeds the initial bucket count and tables only
+   grow, so the stripe mask is a submask of every table mask:
    one signature maps to the same stripe in both tables, a whole bucket
    lives inside one stripe, and a bucket's migration re-splice stays
    within its own stripe.  Inline migration/growth is deferred in sharded
@@ -171,7 +172,8 @@ let migrate_some t n =
   | None -> ()
   | Some old ->
     let total = Array.length old.buckets in
-    let stop = Stdlib.min total (t.migrate_idx + n) in
+    (* [n] may be [max_int] ([settle]): compare before adding. *)
+    let stop = if n >= total - t.migrate_idx then total else t.migrate_idx + n in
     let i = ref t.migrate_idx in
     while !i < stop do
       drain_bucket t old !i;
@@ -183,7 +185,7 @@ let migrate_some t n =
       Trace.stamp Trace.ev_dlht_resize_end (Array.length t.tbl.buckets)
     end
 
-(* Resize settling on the stripe table: a sharded splice already holds the
+(* Resize settling on the stripe table: a sharded removal already holds the
    stripe covering [signature]'s bucket in {e both} tables (the stripe mask
    is a submask of every table mask), so it drains the signature's old
    bucket in passing — migration proceeds under stripe locks instead of
@@ -302,61 +304,29 @@ let remove_from t d =
          it unlocked exactly as the legacy path would. *)
       remove_splice t d)
 
-let remove d =
+(* Take [d] out of whichever DLHT holds it, splicing with [unsplice]. *)
+let leave d unsplice =
   match d.d_dlht_ns with
   | None -> ()
   | Some ns ->
-    (match ns.ns_ext with Some (Dlht_ext t) -> remove_from t d | Some _ | None -> ());
+    (match ns.ns_ext with Some (Dlht_ext t) -> unsplice t d | Some _ | None -> ());
     d.d_dlht_ns <- None;
     Trace.stamp Trace.ev_dlht_remove d.d_id
 
+let remove d = leave d remove_from
+
+(* Every caller holds the dcache write lock, which excludes every sharded
+   section (they all hold the read side), and lockless probes validate
+   against the global write sequence the write section bumps — so no
+   stripe is taken, even to splice out a previous membership.  Sharded,
+   migration/growth waits for [housekeep], as for a sharded [remove]. *)
 let insert t ns d signature =
-  remove d;
-  (match t.stripes with
-  | None ->
-    migrate_some t migrate_quantum;
-    splice t.tbl d signature;
-    Atomic.incr t.count;
-    d.d_dlht_ns <- Some ns;
-    maybe_grow t
-  | Some tab ->
-    (* [t.tbl] is stable here even though we only hold a stripe: it is
-       only swapped by [maybe_grow], which runs under the dcache write
-       lock, and every sharded section holds the read side. *)
-    let i = Locktab.index tab (Signature.bucket signature) in
-    Locktab.with_lock tab i (fun () ->
-        settle_in_stripe t signature;
-        splice t.tbl d signature;
-        Atomic.incr t.count;
-        d.d_dlht_ns <- Some ns));
-  Trace.stamp Trace.ev_dlht_insert d.d_id
-
-(* Exclusive-section variants (§3.9).  The caller holds the dcache write
-   lock, which excludes every sharded section (they all hold the read
-   side), and lockless probes validate against the global write sequence
-   — which the exclusive section bumps — so the per-bucket stripe locks
-   add nothing here.  The batched slowpath populates a whole group of
-   misses through these, taking zero DLHT stripe acquisitions where the
-   sequential fallback pays one [Locktab.with_lock] per splice. *)
-let remove_exclusive d =
-  match d.d_dlht_ns with
-  | None -> ()
-  | Some ns ->
-    (match ns.ns_ext with Some (Dlht_ext t) -> remove_splice t d | Some _ | None -> ());
-    d.d_dlht_ns <- None;
-    Trace.stamp Trace.ev_dlht_remove d.d_id
-
-let insert_exclusive t ns d signature =
-  remove_exclusive d;
-  (match t.stripes with
-  | None -> migrate_some t migrate_quantum
-  | Some _ -> ());
+  leave d remove_splice;
+  (match t.stripes with None -> migrate_some t migrate_quantum | Some _ -> ());
   splice t.tbl d signature;
   Atomic.incr t.count;
   d.d_dlht_ns <- Some ns;
-  (match t.stripes with
-  | None -> maybe_grow t
-  | Some _ -> () (* migration/growth deferred to [housekeep] *));
+  (match t.stripes with None -> maybe_grow t | Some _ -> ());
   Trace.stamp Trace.ev_dlht_insert d.d_id
 
 (* Sharded-mode replacement for the migration/growth work that [insert] and

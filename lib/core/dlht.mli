@@ -19,10 +19,10 @@
     [grow_load] the bucket array doubles, and subsequent mutations migrate a
     few pre-resize buckets each by re-splicing their intrusive chains — no
     stop-the-world rehash.  Probes check the current table, then the
-    pre-resize one while it drains.  Exclusive mutation (migration, scrub)
-    runs under the dcache write lock; with [stripes] attached, plain
-    insert/remove splices instead run under a per-stripe lock so multiple
-    writer domains can publish concurrently.  Lockless fastpath probes are
+    pre-resize one while it drains.  Every insert, migration and scrub
+    runs under the dcache write lock; with [stripes] attached, a
+    {!remove} splice instead runs under a per-stripe lock, so sharded
+    shootdowns from several writer domains proceed concurrently.  Lockless fastpath probes are
     validated against the dcache write sequence — plus the probed stripe's
     seqcount when sharded — by the caller. *)
 
@@ -46,9 +46,8 @@ val of_namespace : ?stripes:int -> buckets:int -> grow_load:int -> namespace -> 
 val locktab : t -> Locktab.t option
 (** The table's stripe locks, when sharded.  Readers index it with
     [Locktab.index tab (Signature.bucket s)] (or [Signature.buf_bucket])
-    and record [Locktab.seq] snapshots before walking the chain; sharded
-    writers must take the stripe around {!insert}/{!remove} — which they
-    do internally — and nothing else. *)
+    and record [Locktab.seq] snapshots before walking the chain; {!remove}
+    takes the stripe internally, and nothing else takes it. *)
 
 val of_namespace_opt : namespace -> t option
 (** The namespace's table if one has been created; never creates. *)
@@ -61,25 +60,18 @@ val of_namespace_exn : namespace -> t
 val insert : t -> namespace -> dentry -> Signature.t -> unit
 (** Publish [dentry] under [signature]; removes any previous membership
     (other signature or other namespace) first and records the membership
-    on the dentry.  Unsharded, advances any in-flight incremental resize
-    and may start one; sharded, splices under the signature's stripe and
-    defers migration/growth to {!housekeep}. *)
-
-val insert_exclusive : t -> namespace -> dentry -> Signature.t -> unit
-(** {!insert} from an exclusive (dcache write-locked) section, skipping
-    the per-bucket stripe lock: the write lock excludes every sharded
-    section, and lockless probes validate against the global write
-    sequence the exclusive section bumps, so the stripe adds nothing.
-    The batched slowpath (§3.9) publishes a whole group of misses
-    through this — zero stripe acquisitions where sequential fallbacks
-    pay one per splice.  Sharded-mode migration/growth is deferred to
-    {!housekeep}, exactly as with sharded {!insert}. *)
+    on the dentry.  {b The caller must hold the dcache write lock}: it
+    excludes every sharded section, and lockless probes validate against
+    the global write sequence the write section bumps, so the insert takes
+    no stripe lock.  Unsharded, it advances any in-flight incremental
+    resize and may start one; sharded, that work is deferred to
+    {!housekeep}. *)
 
 val housekeep : t -> unit
 (** Advance any in-flight incremental resize by one quantum and start one
     if the load factor calls for it.  The sharded-mode home for the
-    migration/growth work {!insert}/{!remove} no longer do inline (a
-    sharded section must stay within its own stripe).  Call under the
+    migration/growth work {!insert}/{!remove} do not do inline when
+    sharded (a sharded section must stay within its own stripe).  Call under the
     dcache write lock. *)
 
 val find : t -> key:Signature.key -> Signature.t -> dentry option
@@ -111,8 +103,8 @@ val sigless_scans : t -> int
 
 val stripe_migrations : t -> int
 (** Old-table buckets drained by sharded sections under their own stripe
-    (resize settling off the global write lock): each sharded splice drains
-    its signature's pre-resize bucket in passing, which the stripe-submask
+    (resize settling off the global write lock): each sharded {!remove}
+    drains its signature's pre-resize bucket in passing, which the stripe-submask
     invariant keeps inside the already-held stripe. *)
 
 val settle : t -> unit

@@ -858,7 +858,7 @@ let target_signature t (r : path_ref) d inode =
         Some (Signature.finalize t.key state)
       end)
 
-let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
+let populate t ctx ~visited ~absolute ~start =
   match visited with
   | [] -> ()
   | _ :: _ ->
@@ -923,14 +923,8 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
           when File_kind.equal (Vfs.Inode.kind inode) File_kind.Symlink ->
           d.d_target_sig <- target_signature t r d inode
         | _ -> ());
-        if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then begin
-          (* §3.9: a batched (grouped) populate runs under the exclusive
-             write lock and skips the per-splice stripe lock — the lock
-             already excludes every sharded section, and lockless probes
-             validate the global write sequence it bumps. *)
-          if exclusive then Dlht.insert_exclusive dlht ns d signature
-          else Dlht.insert dlht ns d signature
-        end;
+        if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then
+          Dlht.insert dlht ns d signature;
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d
         end)
       visited;
@@ -948,7 +942,7 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
    verdict was an unlocked snapshot; everything it relied on is
    re-established under the write lock before anything is published (a
    complete directory with no cached child of the name definitively has no
-   such child, §5.1).  Never called with a lock held. *)
+   such child, §5.1).  Caller holds the write lock. *)
 let promote_negfail_in t ctx dir name =
   if
     dir.d_hashed && dentry_is_dir dir
@@ -977,10 +971,9 @@ let promote_negfail_in t ctx dir name =
       | _ -> ())
   end
 
-(* [locked]: the caller (a batched phase-2 section, §3.9) already holds
-   the write lock; otherwise it is taken here, per the historical
-   contract above. *)
-let promote_negfail_at t ctx sc path ~locked =
+(* Takes the write lock unless this domain already holds it (the locked
+   re-probe of {!resolve_locked}). *)
+let promote_negfail t ctx sc path =
   match sc.promote_dir with
   | None -> ()
   | Some dir ->
@@ -989,11 +982,9 @@ let promote_negfail_at t ctx sc path ~locked =
     if sc.snap_path == path && pos >= 0 && len > 0 && pos + len <= String.length path
     then begin
       let name = String.sub path pos len in
-      if locked then promote_negfail_in t ctx dir name
+      if Rwlock.write_held (Dcache.lock t.dcache) then promote_negfail_in t ctx dir name
       else Dcache.with_write t.dcache (fun () -> promote_negfail_in t ctx dir name)
     end
-
-let promote_negfail t ctx sc path = promote_negfail_at t ctx sc path ~locked:false
 
 (* --- the public lookup --- *)
 
@@ -1052,138 +1043,46 @@ let resume_plan t ctx sc path =
       end)
   end
 
-(* Slowpath fallback: resolve with collection under the write lock and
-   repopulate the DLHT/PCC.  When the probe left a validated resume
-   candidate, only the uncached suffix is walked — from the longest cached
-   ancestor — so a deep miss costs O(suffix), not O(depth) (§3.5).  §3.2:
-   results may only repopulate if no shootdown ran concurrently; under the
-   coarse write lock the counter check never fires, but it documents (and
-   preserves) the protocol. *)
-(* The write-locked body, shared by the sequential [fallback] below and
-   the batched phase-2 group loop (§3.9).  [exclusive] threads to
-   {!populate}: a batched caller publishes through the stripe-free DLHT
-   insert, since its write lock covers the whole group. *)
-let fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive path ~within =
+(* The one write-locked miss body (§3.2, §3.5): every fastpath miss ends
+   here — a sequential believed miss, the locked re-probe of a raced
+   lookup, and each deferred op of a batch (§3.9).  Resolve with
+   collection and repopulate the DLHT/PCC.  When the probe left a
+   validated resume candidate, only the uncached suffix is resolved, from
+   the longest cached ancestor — by the sibling step when it is one name
+   ({!Walk.resolve_resumed}) — so a deep miss costs O(suffix), not
+   O(depth).  §3.2: results may only repopulate if no shootdown ran
+   concurrently; under the write lock the counter check never fires, but
+   it documents (and preserves) the protocol.  Caller holds the write
+   lock; [ctx.cwd] is the walk origin for relative paths. *)
+let fallback t ctx ~flags sc path ~within =
+  Counter.bump t.c_fallback;
+  Trace.stamp Trace.ev_fallback 0;
+  let flags = { flags with Walk.collect = true } in
   let invalidation_before = Dcache.invalidation_counter t.dcache in
-  let result, pop_start, pop_absolute =
-    match plan with
+  let result, pop_start =
+    match resume_plan t ctx sc path with
     | Some (ancestor, depth, suffix) ->
       Counter.bump t.c_prefix_resume;
       Trace.stamp Trace.ev_prefix_resume depth;
       Trace.record_resume_depth depth;
       (* The resumed walk still collects, so the suffix prefixes are
          published and the next miss lands one component deeper. *)
-      let r =
-        Walk.resolve_resumed t.dcache ctx
-          ~flags:{ flags with Walk.collect = true }
-          ~start_at:ancestor suffix
-      in
-      (r, ancestor, false)
-    | None ->
-      let r =
-        Walk.resolve_in_mode Walk.Ref t.dcache ctx
-          ~flags:{ flags with Walk.collect = true }
-          path
-      in
-      (r, start, absolute)
+      (Walk.resolve_resumed t.dcache ctx ~flags ~start_at:ancestor suffix, ancestor)
+    | None -> (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path, ctx.Walk.cwd)
   in
-  (* §3.2 extended to I/O failures: a walk that died on a transient
-     EIO says nothing trustworthy about the tree — the visited prefix
-     may describe state the device no longer backs — so publish
-     nothing and let a later, healthy walk repopulate. *)
+  (* §3.2 extended to I/O failures: a walk that died on a transient EIO
+     says nothing trustworthy about the tree — the visited prefix may
+     describe state the device no longer backs — so publish nothing and
+     let a later, healthy walk repopulate. *)
   (match result.Walk.outcome with
   | Error Errno.EIO -> Counter.incr (Dcache.counters t.dcache) "fastpath_eio_no_populate"
   | Ok _ | Error _ ->
     if Dcache.invalidation_counter t.dcache = invalidation_before then
-      populate ~exclusive t ctx ~visited:result.Walk.visited ~absolute:pop_absolute
+      populate t ctx ~visited:result.Walk.visited ~absolute:result.Walk.absolute
         ~start:pop_start);
   match result.Walk.outcome with
   | Ok r -> within r.mnt r.dentry
   | Error e -> Error e
-
-let fallback t ctx ~flags ~absolute ~start ~sc path ~within =
-  Counter.bump t.c_fallback;
-  Trace.stamp Trace.ev_fallback 0;
-  Dcache.with_write t.dcache (fun () ->
-      let plan = resume_plan t ctx sc path in
-      fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:false path ~within)
-
-(* One deferred miss of a batched submission, under the write lock the
-   whole group shares (§3.9).  Beyond [fallback_walk] it adds the grouped
-   shortcut: when the resume candidate's uncached suffix is a single
-   plain component — the dominant shape once the group's first miss has
-   walked and populated the shared prefix — the full resumed walk
-   collapses to {!Walk.resume_sibling}: one permission check and one
-   probe-or-fill, no [walk_internal], no per-component accounting.  The
-   single-component test requires the span to end exactly at the suffix
-   end, so shapes like "leaf/." (which constrain the leaf's kind) still
-   take the full walk. *)
-let fallback_grouped t ctx ~flags ~absolute ~start ~sc path ~within =
-  let plan = resume_plan t ctx sc path in
-  match plan with
-  | Some (ancestor, depth, suffix)
-    when (not flags.Walk.must_dir) && not (Path.has_trailing_slash path) -> (
-    let span = next_component_span suffix 0 in
-    if span < 0 || span land 0x1fff <> String.length suffix then
-      fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
-    else begin
-      let pos = span lsr 13 in
-      let name = String.sub suffix pos ((span land 0x1fff) - pos) in
-      let invalidation_before = Dcache.invalidation_counter t.dcache in
-      match
-        Walk.resume_sibling t.dcache ctx ~start_at:ancestor
-          ~follow:flags.Walk.follow_last name
-      with
-      | `Bail ->
-        (* Trailing symlink to follow: splicing is the walk's business. *)
-        fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
-      | `Err e ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
-        Error e
-      | `Neg (child, errno) ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
-        if Dcache.invalidation_counter t.dcache = invalidation_before then
-          populate ~exclusive:true t ctx
-            ~visited:[ { ancestor with dentry = child } ]
-            ~absolute:false ~start:ancestor;
-        Error errno
-      | `Child cref ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
-        if Dcache.invalidation_counter t.dcache = invalidation_before then
-          populate ~exclusive:true t ctx ~visited:[ cref ] ~absolute:false
-            ~start:ancestor;
-        within cref.mnt cref.dentry
-    end)
-  | plan -> fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
-
-(* One op resolved under the write lock its caller holds: the raced
-   sequential lookup whose optimistic attempts ran out, and each deferred op
-   of a batched submission (§3.9).  The write lock excludes every writer,
-   exclusive or sharded, so the probe needs no validation, and a raced
-   reader still ends in a re-probe rather than a walk.  [ctx.cwd] is the
-   walk origin for relative paths. *)
-let resolve_locked t ctx ~flags sc path ~within =
-  let start = ctx.Walk.cwd in
-  match probe_into t ctx ~start ~flags sc path ~within ~vsnap:(-1) with
-  | r ->
-    Counter.bump t.c_hit;
-    Trace.stamp Trace.ev_fast_hit 0;
-    r
-  | exception Neg_fail ->
-    promote_negfail_at t ctx sc path ~locked:true;
-    Errno.to_error sc.neg_errno
-  | exception (Fall_back | Seq_retry) ->
-    (* [Seq_retry] here is stripe-recording overflow on an absurdly deep
-       path (no stripe section can be live under the write lock): walk. *)
-    Counter.bump t.c_fallback;
-    Trace.stamp Trace.ev_fallback 0;
-    fallback_grouped t ctx ~flags ~absolute:(Path.is_absolute path) ~start ~sc path ~within
 
 (* Attribute a lockless retry: if the namespace's DLHT is mid-resize, the
    write section we raced was (at least plausibly) the migration.  §3.8:
@@ -1198,66 +1097,105 @@ let note_lockless_retry t ctx sc =
   | Some dlht when Dlht.resizing dlht -> Trace.bump_cause Trace.cause_resize_retry
   | Some _ | None -> Trace.bump_cause Trace.cause_seqcount_retry
 
-(* --- the retry discipline (§3.2, mirroring RCU-walk → ref-walk) ---
+(* --- the per-op attempt (§3.2, §3.9) ---
 
-   One optimistic loop.  The probe runs with no lock, validated at its
-   commit point against the dcache write sequence and, sharded, the
-   stripes it recorded.  A raced probe — [Seq_retry], or a [Fall_back]
-   whose reads fail that validation — is retried a bounded number of
-   times: a raced write section is a few dozen instructions, so the race is
-   gone almost immediately.  Only then does the lookup re-probe once under
-   the write lock ({!resolve_locked}), counted as "fastpath_locked_probe";
-   the read lock would not do, since sharded writers hold its read side.
-   The write lock is the last resort, not the wait: its section bumps the
-   write sequence and so fails every concurrent lockless probe.  A believed
-   miss goes straight to the write-locked fallback walk. *)
-let max_attempts = 8
-
-let rec probe_optimistic t ctx ~start ~flags sc path ~within ~attempt =
-  let seq = Dcache.write_seq t.dcache in
-  let snap = Seqcount.read_begin seq in
-  if snap land 1 <> 0 then begin
-    (* An odd sequence means an exclusive writer holds the write lock: wait
-       it out on the read side, whose backoff yields to a descheduled
-       holder, rather than spend every attempt spinning on it. *)
-    let lock = Dcache.lock t.dcache in
-    Rwlock.read_lock lock;
-    Rwlock.read_unlock lock;
-    retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
-  end
-  else begin
-    match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
+   One probe of one op under a given window, shared by the sequential
+   loop and the batch.  [vsnap >= 0]: no lock held, [vsnap] is the even
+   write-sequence snapshot the probe validates against; [vsnap < 0]: the
+   write lock is held.  A verdict — hit, cached negative, prefix fast-fail,
+   a path-validation error — is returned; the rest is raised, as constant
+   exceptions so the warm path allocates nothing: [Fall_back] is a miss
+   whose reads passed validation (a believed miss: resolve it under the
+   write lock), [Seq_retry] a probe that raced a writer (already noted;
+   the caller retries). *)
+let attempt t ctx ~start ~flags sc path ~within ~vsnap =
+  match validate_raw path with
+  | 1 -> Errno.to_error Errno.ENOENT
+  | 2 -> Errno.to_error Errno.ENAMETOOLONG
+  | _ -> (
+    match probe_into t ctx ~start ~flags sc path ~within ~vsnap with
     | result ->
       Counter.bump t.c_hit;
       Trace.stamp Trace.ev_fast_hit 0;
       result
     | exception Neg_fail ->
       (* Prefix fast-fail (§3.5): the verdict passed its validation inside
-         the probe, so it is as good as a hit — no lock, no walk. *)
+         the probe, so it is as good as a hit — no walk. *)
       promote_negfail t ctx sc path;
       Errno.to_error sc.neg_errno
     | exception Seq_retry ->
+      (* Under the write lock no stripe section can be live: this is
+         stripe-recording overflow on an absurdly deep path — walk it. *)
+      if vsnap < 0 then raise_notrace Fall_back;
       note_lockless_retry t ctx sc;
-      retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
+      raise_notrace Seq_retry
     | exception Fall_back ->
-      if Seqcount.read_validate seq snap && stripes_ok sc then
-        fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path)
-          ~start ~sc path ~within
+      if
+        vsnap < 0
+        || (Seqcount.read_validate (Dcache.write_seq t.dcache) vsnap && stripes_ok sc)
+      then raise_notrace Fall_back
       else begin
         note_lockless_retry t ctx sc;
-        retry_optimistic t ctx ~start ~flags sc path ~within ~attempt
-      end
+        raise_notrace Seq_retry
+      end)
+
+(* One op resolved under the write lock its caller holds: the raced
+   sequential lookup whose optimistic attempts ran out, and each deferred op
+   of a batched submission (§3.9) — re-probe, then the miss body.  The
+   write lock excludes every writer, exclusive or sharded, so the probe
+   needs no validation, and a raced reader still ends in a re-probe rather
+   than a walk.  [ctx.cwd] is the walk origin for relative paths. *)
+let resolve_locked t ctx ~flags sc path ~within =
+  match attempt t ctx ~start:ctx.Walk.cwd ~flags sc path ~within ~vsnap:(-1) with
+  | result -> result
+  | exception Fall_back -> fallback t ctx ~flags sc path ~within
+
+(* An odd write sequence means an exclusive writer holds the write lock:
+   wait it out on the read side, whose backoff yields to a descheduled
+   holder, rather than spend every attempt spinning on it. *)
+let wait_writer t =
+  let lock = Dcache.lock t.dcache in
+  Rwlock.read_lock lock;
+  Rwlock.read_unlock lock
+
+(* --- the retry discipline (§3.2, mirroring RCU-walk → ref-walk) ---
+
+   The sequential loop.  The probe runs with no lock, validated at its
+   commit point against the dcache write sequence and, sharded, the
+   stripes it recorded.  A raced probe is retried a bounded number of
+   times: a raced write section is a few dozen instructions, so the race is
+   gone almost immediately.  Only then does the lookup re-probe once under
+   the write lock ({!resolve_locked}), counted as "fastpath_locked_probe";
+   the read lock would not do, since sharded writers hold its read side.
+   The write lock is the last resort, not the wait: its section bumps the
+   write sequence and so fails every concurrent lockless probe.  A believed
+   miss goes straight to the write-locked miss body. *)
+let max_attempts = 8
+
+let rec probe_optimistic t ctx ~start ~flags sc path ~within ~tries =
+  let snap = Seqcount.read_begin (Dcache.write_seq t.dcache) in
+  if snap land 1 <> 0 then begin
+    wait_writer t;
+    retry_optimistic t ctx ~start ~flags sc path ~within ~tries
+  end
+  else begin
+    match attempt t ctx ~start ~flags sc path ~within ~vsnap:snap with
+    | result -> result
+    | exception Seq_retry -> retry_optimistic t ctx ~start ~flags sc path ~within ~tries
+    | exception Fall_back ->
+      let ctx = { ctx with Walk.cwd = start } in
+      Dcache.with_write t.dcache (fun () -> fallback t ctx ~flags sc path ~within)
   end
 
-and retry_optimistic t ctx ~start ~flags sc path ~within ~attempt =
-  if attempt + 1 >= max_attempts then begin
+and retry_optimistic t ctx ~start ~flags sc path ~within ~tries =
+  if tries + 1 >= max_attempts then begin
     Counter.bump t.c_locked_probe;
     let ctx = { ctx with Walk.cwd = start } in
     Dcache.with_write t.dcache (fun () -> resolve_locked t ctx ~flags sc path ~within)
   end
   else begin
     Domain.cpu_relax ();
-    probe_optimistic t ctx ~start ~flags sc path ~within ~attempt:(attempt + 1)
+    probe_optimistic t ctx ~start ~flags sc path ~within ~tries:(tries + 1)
   end
 
 (* [within] runs on the resolved (mount, dentry) while the lookup is still
@@ -1289,14 +1227,8 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
           | Ok r -> within r.mnt r.dentry
           | Error e -> Error e)
   end
-  else begin
-    match validate_raw path with
-    | 1 -> Errno.to_error Errno.ENOENT
-    | 2 -> Errno.to_error Errno.ENAMETOOLONG
-    | _ ->
-      probe_optimistic t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within
-        ~attempt:0
-  end
+  else
+    probe_optimistic t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within ~tries:0
 
 (* Latency attribution (Trace timing mode): every public lookup is timed
    with the monotonic ns clock and recorded into the histogram of its
@@ -1335,126 +1267,12 @@ let lookup t ctx ?start ?flags path =
   | Ok r -> { Walk.outcome = Ok r; visited = []; absolute }
   | Error e -> { Walk.outcome = Error e; visited = []; absolute }
 
-(* --- vectored probes (§3.9) ---
-
-   Phase 1 runs every queued op through the lockless probe under ONE
-   shared validation window: a single [Seqcount.read_begin] snapshot
-   serves the whole run, and each op's commit check validates that shared
-   snapshot plus its own recorded stripes.  This is strictly stronger
-   than the sequential per-op window — the shared snapshot is older than
-   any per-op one would be — so every interleaving accepted here would
-   also be accepted by the same ops issued back to back.  A mid-batch
-   seqcount bump splits the batch ("fastpath_batch_split"): the op
-   re-snapshots and the run continues under the new window, bounded by
-   [max_attempts] consecutive splits per op before the op is
-   deferred to phase 2 (writer storm: resolve authoritatively).  Misses
-   never walk in phase 1; they collect into [deferred].
-
-   The loop state (windows opened, deferred count, split spins) threads
-   through top-level recursions and returns packed as
-   [(windows lsl 20) lor ndef] — not a tuple, not refs: phase 1 is part
-   of the zero-allocation warm path, asserted per batch by [t_alloc]. *)
-
-let rec batch_run t ctx sc path flags prepare within complete deferred n i ndef windows
-    spins =
-  if i >= n then (windows lsl 20) lor ndef
-  else begin
-    let seq = Dcache.write_seq t.dcache in
-    let snap = Seqcount.read_begin seq in
-    if snap land 1 <> 0 then begin
-      (* A writer is mid-section right now; brief by construction. *)
-      if spins + 1 >= max_attempts then begin
-        deferred.(ndef) <- i;
-        batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
-          windows 0
-      end
-      else begin
-        Domain.cpu_relax ();
-        batch_run t ctx sc path flags prepare within complete deferred n i ndef windows
-          (spins + 1)
-      end
-    end
-    else
-      batch_window t ctx sc path flags prepare within complete deferred n i ndef
-        (windows + 1) spins seq snap
-  end
-
-and batch_window t ctx sc path flags prepare within complete deferred n i ndef windows
-    spins seq snap =
-  if i >= n then (windows lsl 20) lor ndef
-  else begin
-    prepare i;
-    let p = path i in
-    let vr = validate_raw p in
-    if vr = 1 then begin
-      complete i (Errno.to_error Errno.ENOENT);
-      batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-        windows 0 seq snap
-    end
-    else if vr = 2 then begin
-      complete i (Errno.to_error Errno.ENAMETOOLONG);
-      batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-        windows 0 seq snap
-    end
-    else begin
-      match probe_into t ctx ~start:ctx.Walk.cwd ~flags:(flags i) sc p ~within ~vsnap:snap with
-      | r ->
-        Counter.bump t.c_hit;
-        Trace.stamp Trace.ev_fast_hit 0;
-        complete i r;
-        batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-          windows 0 seq snap
-      | exception Neg_fail ->
-        (* A promotable verdict takes the write lock to publish the deep
-           negative, which bumps the sequence this window snapshotted:
-           reopen the window (not counted as a split — self-inflicted). *)
-        let reopen = match sc.promote_dir with Some _ -> true | None -> false in
-        promote_negfail t ctx sc p;
-        complete i (Errno.to_error sc.neg_errno);
-        if reopen then
-          batch_run t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-            windows 0
-        else
-          batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-            windows 0 seq snap
-      | exception Seq_retry ->
-        batch_split t ctx sc path flags prepare within complete deferred n i ndef windows
-          spins
-      | exception Fall_back ->
-        if Seqcount.read_validate seq snap && stripes_ok sc then begin
-          (* A believed miss: defer, keep the window — the probe mutated
-             nothing, and later ops validate against the same snapshot. *)
-          deferred.(ndef) <- i;
-          batch_window t ctx sc path flags prepare within complete deferred n (i + 1)
-            (ndef + 1) windows 0 seq snap
-        end
-        else
-          batch_split t ctx sc path flags prepare within complete deferred n i ndef
-            windows spins
-    end
-  end
-
-and batch_split t ctx sc path flags prepare within complete deferred n i ndef windows
-    spins =
-  note_lockless_retry t ctx sc;
-  Counter.incr (counters t) "fastpath_batch_split";
-  Trace.stamp Trace.ev_batch_split i;
-  if spins + 1 >= max_attempts then begin
-    deferred.(ndef) <- i;
-    batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
-      windows 0
-  end
-  else begin
-    Domain.cpu_relax ();
-    batch_run t ctx sc path flags prepare within complete deferred n i ndef windows
-      (spins + 1)
-  end
+(* --- vectored probes (§3.9) --- *)
 
 (* Phase 2: the deferred misses, sorted by path so ops sharing ancestors
    run adjacently — the group's first miss walks (and populates) the
-   shared prefix, the rest resume from it, most via the single-step
-   {!fallback_grouped} shortcut — under ONE write-lock acquisition and
-   with stripe-free (exclusive) DLHT populates for the whole group.
+   shared prefix, the rest resume from it, most by the sibling step —
+   under ONE write-lock acquisition for the whole group.
    Misses allocate anyway (walks build lists); no packing games here. *)
 let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
   (* Insertion sort of the index slice: batches are small, and adjacency
@@ -1479,13 +1297,30 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
         complete i (resolve_locked t ctx ~flags:(flags i) sc (path i) ~within)
       done)
 
-(* The public batched entry (§3.9).  [path]/[flags]/[prepare]/[complete]
-   are indexed accessors the caller allocates once per ring — not per
-   submit — and [deferred] is caller-owned scratch of length >= [n]; ops
-   resolve relative to the context's cwd, like the sequential default.
-   The baseline (fastpath off) degrades to per-op sequential lookups so
-   the API is uniformly available.  Reports span/window amortization to
-   {!Profiler.note_batch}. *)
+(* The public batched entry.  [path]/[flags]/[prepare]/[complete] are
+   indexed accessors the caller allocates once per ring — not per submit —
+   and [deferred] is caller-owned scratch of length >= [n]; ops resolve
+   relative to the context's cwd, like the sequential default.  The
+   baseline (fastpath off) degrades to per-op sequential lookups so the
+   API is uniformly available.  Reports span/window amortization to
+   {!Profiler.note_batch}.
+
+   Phase 1 runs every queued op through {!attempt} under ONE shared
+   validation window: a single [Seqcount.read_begin] snapshot serves the
+   whole run, and each op's commit check validates that shared snapshot
+   plus its own recorded stripes.  This is strictly stronger than the
+   sequential per-op window — the shared snapshot is older than any per-op
+   one would be — so every interleaving accepted here would also be
+   accepted by the same ops issued back to back.  What is the batch's own:
+   a raced op splits the batch ("fastpath_batch_split") and reopens the
+   window, an odd snapshot waits the writer out as the sequential loop
+   does, and after [max_attempts] consecutive races the op is deferred to
+   phase 2 (writer storm: resolve authoritatively); a believed miss is
+   deferred at once and keeps the window.  A completed op whose window no
+   longer validates — its own promotion (§5.2) took the write lock —
+   reopens it without counting a split.  Phase 1 is part of the
+   zero-allocation warm path (asserted per batch by [t_alloc]): its refs
+   are never captured, so they compile to mutable locals. *)
 let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
   if not (config t).Config.fastpath then begin
     for i = 0 to n - 1 do
@@ -1496,9 +1331,63 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
   end
   else begin
     let sc = Domain.DLS.get scratch_key in
-    let packed = batch_run t ctx sc path flags prepare within complete deferred n 0 0 0 0 in
-    let windows = packed lsr 20 in
-    let ndef = packed land 0xfffff in
-    if ndef > 0 then batch_slowpath t ctx sc path flags prepare within complete deferred ndef;
-    Profiler.note_batch ~ops:n ~windows
+    let seq = Dcache.write_seq t.dcache in
+    let i = ref 0 and ndef = ref 0 and windows = ref 0 and spins = ref 0 in
+    let snap = ref (-1) in
+    while !i < n do
+      let raced =
+        if !snap < 0 then begin
+          let s = Seqcount.read_begin seq in
+          if s land 1 <> 0 then begin
+            wait_writer t;
+            true
+          end
+          else begin
+            snap := s;
+            incr windows;
+            false
+          end
+        end
+        else begin
+          let op = !i in
+          prepare op;
+          match
+            attempt t ctx ~start:ctx.Walk.cwd ~flags:(flags op) sc (path op) ~within
+              ~vsnap:!snap
+          with
+          | result ->
+            complete op result;
+            if not (Seqcount.read_validate seq !snap) then snap := -1;
+            spins := 0;
+            incr i;
+            false
+          | exception Fall_back ->
+            deferred.(!ndef) <- op;
+            incr ndef;
+            spins := 0;
+            incr i;
+            false
+          | exception Seq_retry ->
+            Counter.incr (counters t) "fastpath_batch_split";
+            Trace.stamp Trace.ev_batch_split op;
+            snap := -1;
+            true
+        end
+      in
+      if raced then begin
+        if !spins + 1 >= max_attempts then begin
+          deferred.(!ndef) <- !i;
+          incr ndef;
+          spins := 0;
+          incr i
+        end
+        else begin
+          Domain.cpu_relax ();
+          incr spins
+        end
+      end
+    done;
+    if !ndef > 0 then
+      batch_slowpath t ctx sc path flags prepare within complete deferred !ndef;
+    Profiler.note_batch ~ops:n ~windows:!windows
   end

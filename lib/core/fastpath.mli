@@ -40,8 +40,11 @@ val lookup : t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> string -> 
     sequence and the stripes it read, and is retried a bounded number of
     times when a concurrent write section invalidated it; a probe that
     keeps racing re-probes once under the write lock (RCU-walk → ref-walk,
-    §3.2).  A miss takes the write-locked slowpath fallback.  With the
-    fastpath disabled in the configuration, this is the baseline kernel's
+    §3.2).  Every miss ends in one write-locked body: it re-validates the
+    probe's resume candidate, resolves only the uncached suffix from it —
+    one probe-or-fill when the suffix is a single name — or walks the
+    whole path, then repopulates the DLHT and PCC.  With the fastpath
+    disabled in the configuration, this is the baseline kernel's
     two-phase (Rcu then Ref) slowpath. *)
 
 val lookup_with :
@@ -97,21 +100,19 @@ val probe_batch :
     warm all-hit batch performs zero minor-heap allocation end to end.
     [deferred] is caller-owned scratch of length >= [n].
 
-    Phase 1 probes every op locklessly under one shared seqcount window
-    (re-snapshotting on a mid-batch bump — a "batch split"); each op's
-    commit check validates the shared snapshot plus its own recorded
-    stripes, which is strictly stronger than the sequential per-op
-    window, so batched results always match the same ops issued
-    sequentially at the same point.  Misses defer to phase 2: sorted by
-    path, resolved under a single write-lock acquisition, with runs of
-    single-component siblings resolved by one probe-or-fill each
-    ({!Walk.resume_sibling}) and all publication through the stripe-free
-    exclusive DLHT insert — the same write-locked body a raced sequential
-    lookup ends in.  Ops resolve relative to the context's cwd.  With the
-    fastpath off, degrades to per-op sequential lookups. *)
+    Each op runs the same per-op attempt as a sequential lookup, under
+    one shared seqcount window (reopened after a mid-batch bump — a
+    "batch split"); each op's commit check validates the shared snapshot
+    plus its own recorded stripes, which is strictly stronger than the
+    sequential per-op window, so batched results always match the same
+    ops issued sequentially at the same point.  Misses defer to phase 2:
+    sorted by path and resolved under a single write-lock acquisition by
+    the same write-locked body a sequential miss takes, so a run of
+    single-name siblings costs one probe-or-fill each.  Ops resolve
+    relative to the context's cwd.  With the fastpath off, degrades to
+    per-op sequential lookups. *)
 
 val populate :
-  ?exclusive:bool ->
   t ->
   Walk.ctx ->
   visited:path_ref list ->
@@ -119,11 +120,11 @@ val populate :
   start:path_ref ->
   unit
 (** Publish a collected slowpath chain into the DLHT and PCC.  Must be
-    called with the write side held; respects the global invalidation
-    counter protocol (§3.2) and the directory-reference gating rule for
-    relative walks.  [exclusive] (default false) publishes through
-    {!Dlht.insert_exclusive} — valid only under the write lock, used by
-    batched group populates (§3.9) to skip per-splice stripe locks. *)
+    called with the write lock held ({!Dlht.insert}'s contract); respects
+    the global invalidation counter protocol (§3.2) and the
+    directory-reference gating rule for relative walks.  Callers: the
+    fastpath's write-locked miss body and the global-scope namespace
+    mutations. *)
 
 val ensure_hstate : t -> path_ref -> Dcache_sig.Signature.state
 (** Resumable hash state of a location's canonical path, computing and

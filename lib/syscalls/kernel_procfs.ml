@@ -155,8 +155,8 @@ let render_hot () = Profiler.hot_to_string ()
 (* [dcache/batch] is the vectored front-end's scoreboard (§3.9): ring
    traffic, how many validation windows the submissions actually paid for
    (windows/submit ≈ 1 is the amortization working), splits and phase-2
-   deferrals, and the grouped-slowpath / sharded-mutation counters that
-   distinguish the batched paths from their sequential equivalents. *)
+   deferrals, the sibling-step count (one-name resumed misses, batched or
+   sequential) and the sharded mkdir/rmdir counters. *)
 let render_batch kernel () =
   let submits, ops, windows = Profiler.batch_stats () in
   let c name =

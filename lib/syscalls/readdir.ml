@@ -63,10 +63,12 @@ let[@inline] crash_point () =
 
 (* Run [f] under whatever guards this directory's children, completeness
    bit and generation: the directory's own-id stripe (plus the rwlock read
-   side) when sharded, the write lock otherwise.  Already write-locked
-   callers — the batch slowpath phase runs its hooks under one
-   [Dcache.with_write] — get [f] inline: the write lock excludes every
-   stripe section wholesale. *)
+   side) when sharded, the write lock otherwise.  A caller whose own
+   domain already holds the write lock — the batch slowpath phase runs its
+   hooks under one [Dcache.with_write] — gets [f] inline: the write lock
+   excludes every stripe section wholesale.  Another domain's write
+   section does not count ([Rwlock.write_held] answers for the caller):
+   this domain then waits for it like any other. *)
 let with_dir_stripe proc dir f =
   let d = dcache proc in
   let lock = Dcache.lock d in

@@ -7,10 +7,19 @@ type t = {
   state : int Atomic.t;
   writer_pending : bool Atomic.t;
   writers : Mutex.t;
+  (* Id of the domain holding the write side, -1 when none.  Only the
+     holder writes its own id (after acquiring, cleared before releasing),
+     so a domain reads its own id here exactly while it holds the lock. *)
+  mutable owner : int;
 }
 
 let create () =
-  { state = Atomic.make 0; writer_pending = Atomic.make false; writers = Mutex.create () }
+  {
+    state = Atomic.make 0;
+    writer_pending = Atomic.make false;
+    writers = Mutex.create ();
+    owner = -1;
+  }
 
 (* Acquisition accounting, used by test/t_alloc.ml and the churn benchmark
    to prove the lockless warm fastpath takes zero rwlock acquisitions.
@@ -63,10 +72,12 @@ let read_lock t =
 
 let read_unlock t = ignore (Atomic.fetch_and_add t.state (-1))
 
-(* True while any writer holds the lock.  Callers use it from inside their
-   own critical section ("am I in the exclusive side right now?"), where
-   the answer is stable; sampled from outside it is only a snapshot. *)
-let write_held t = Atomic.get t.state = -1
+let self_id () = (Domain.self () :> int)
+
+(* "Am I in the exclusive side right now?" — true only for the holder, so
+   the answer is stable wherever it is asked: another domain's write
+   section never makes it true here. *)
+let write_held t = t.owner = self_id ()
 
 let write_lock t =
   let a = Domain.DLS.get acq_key in
@@ -79,9 +90,11 @@ let write_lock t =
       drain (spins + 1)
     end
   in
-  drain 0
+  drain 0;
+  t.owner <- self_id ()
 
 let write_unlock t =
+  t.owner <- -1;
   Atomic.set t.state 0;
   Atomic.set t.writer_pending false;
   Mutex.unlock t.writers

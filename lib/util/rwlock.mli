@@ -16,8 +16,9 @@ val with_read : t -> (unit -> 'a) -> 'a
 val with_write : t -> (unit -> 'a) -> 'a
 
 val write_held : t -> bool
-(** True while a writer holds the lock.  Stable when asked from inside
-    one's own critical section; elsewhere just a snapshot. *)
+(** True while the {e calling domain} holds the write side.  Another
+    domain's write section never makes it true, so callers may ask with
+    no lock held and run their body inline only when they are the holder. *)
 
 val acquisition_counts : unit -> int * int
 (** [(reads, writes)] acquired by the {e calling domain} since its last

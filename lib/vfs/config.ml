@@ -51,22 +51,6 @@ type t = {
       (** stripes in the sharded mutation path's lock table (power of two);
           0 funnels every mutation through the single global write lock
           (the pre-sharding behaviour, kept as the scaling baseline) *)
-  (* §3.7: netfs lease coherence.  Canonical defaults for the knobs
-     [Netfs.server] takes directly (lib/fs cannot depend on lib/vfs);
-     benchmarks and tests thread these through so an ablation run can vary
-     them in one place.  All virtual nanoseconds. *)
-  lease_ttl_ns : int;
-      (** how long a server-granted per-inode lease stays live on the
-          client; a warm hit is served locklessly only under a live lease *)
-  lease_grace_ns : int;
-      (** post-crash grace period during which the restarted server delays
-          mutations; must be >= lease_ttl_ns + lease_skew_ns so every
-          pre-crash lease (which the server no longer remembers) expires
-          before the first post-crash mutation can land *)
-  lease_skew_ns : int;
-      (** modeled client/server clock-skew margin: the server keeps a grant
-          on its books for ttl + skew, so a client whose clock lags by up
-          to [skew] still never serves past the server's horizon *)
 }
 
 let baseline =
@@ -89,9 +73,6 @@ let baseline =
     max_dentries = 1 lsl 20;
     hash_seed = 0x5eed;
     dcache_stripes = 0;
-    lease_ttl_ns = 50_000_000;
-    lease_grace_ns = 52_000_000;
-    lease_skew_ns = 2_000_000;
   }
 
 let optimized =

@@ -46,10 +46,6 @@ type result_ = {
   absolute : bool;  (** the walk started at the process root *)
 }
 
-val resolve : Dcache.t -> ctx -> ?flags:flags -> string -> result_
-(** Two-phase resolution: Rcu attempt under the read lock, Ref retry under
-    the write lock.  Do not call with either lock held. *)
-
 val resolve_in_mode : mode -> Dcache.t -> ctx -> ?flags:flags -> string -> result_
 (** Caller already holds the matching lock side.  In [Rcu] mode, a needed
     mutation aborts the walk with outcome [Error EAGAIN]-like retry: the
@@ -64,27 +60,18 @@ val resolve_resumed :
     (cached, PCC-covered, positive directory, mount-traversed).  The
     result's [visited] covers only the suffix components walked, and
     [absolute] is [false] regardless of the suffix text, so population
-    applies the directory-reference rule against [start_at]. *)
+    applies the directory-reference rule against [start_at].
 
-val resume_sibling :
-  Dcache.t ->
-  ctx ->
-  start_at:path_ref ->
-  follow:bool ->
-  string ->
-  [ `Child of path_ref  (** positive hit/fill, mount-traversed *)
-  | `Neg of dentry * Dcache_types.Errno.t
-    (** negative child (cached or freshly filled), for DLHT publication *)
-  | `Err of Dcache_types.Errno.t  (** definitive failure, nothing to publish *)
-  | `Bail  (** off the happy path (trailing symlink to follow): use
-               {!resolve_resumed} *) ]
-(** Grouped resumed walk (§3.9): resolve a {e single} plain final
-    component under [start_at] with one permission check and one dcache
-    probe-or-fill, skipping [walk_internal] entirely — the batched
-    slowpath uses it for runs of misses sharing an already-walked parent.
-    [follow] is the caller's [follow_last]; a symlink result bails rather
-    than splicing.  Same locking contract as {!resolve_resumed}.  Bumps
-    "walk_resumed_sibling" instead of "walk_slowpath"/"walk_components". *)
+    Its one caller is the fastpath's write-locked miss body, for every
+    resumed miss, sequential or batched (§3.9).  A suffix that is one
+    plain name (no trailing slash, no [must_dir]) takes the {e sibling
+    step}: one permission check on [start_at] and one dcache
+    probe-or-fill, no component walk.  The step counts what the
+    one-component walk it replaces counts — "walk_resumed",
+    "walk_slowpath", and "walk_components" once past the permission
+    check — plus "walk_resumed_sibling", and returns the same outcome and
+    [visited].  A trailing symlink to follow, and every longer suffix,
+    take the walk. *)
 
 exception Need_refwalk
 (** Raised (only) from [resolve_in_mode Rcu] when the walk cannot proceed

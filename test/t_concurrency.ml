@@ -363,6 +363,43 @@ let test_churn_across_resize seed () =
       | Error e -> Alcotest.failf "%s lost: %s" f (Dcache_types.Errno.to_string e))
     stable
 
+(* Another domain's write section must not look like this domain's own:
+   [Readdir.with_dir_stripe] runs its body inline only when the calling
+   domain holds the write lock.  The writer holds [Dcache.with_write] for
+   100 ms; a warm [readdir_fill] issued meanwhile (its lockless tier sees
+   the odd write sequence and takes the locked one) must block until the
+   writer releases, not list the directory inside that section. *)
+let test_listing_waits_for_foreign_writer () =
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  get "dir" (S.mkdir_p p "/ls");
+  for i = 0 to 7 do
+    get "file" (S.write_file p (Printf.sprintf "/ls/f%d" i) "x")
+  done;
+  let fd = get "open" (S.openf p "/ls" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+  let entries = S.readdir_fill p fd in
+  Alcotest.(check bool) "listing promoted" true
+    (Dcache.is_complete (Kernel.dcache kernel) (Proc.find_fd_exn p fd).Proc.fd_ref.dentry);
+  let in_section = Atomic.make false in
+  let released = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Dcache.with_write (Kernel.dcache kernel) (fun () ->
+            Atomic.set in_section true;
+            let until = Dcache_util.Clock.monotonic_ns () + 100_000_000 in
+            while Dcache_util.Clock.monotonic_ns () < until do
+              Domain.cpu_relax ()
+            done;
+            Atomic.set released true))
+  in
+  while not (Atomic.get in_section) do
+    Domain.cpu_relax ()
+  done;
+  let listed = S.readdir_fill p fd in
+  let after_release = Atomic.get released in
+  Domain.join writer;
+  Alcotest.(check int) "same listing" entries listed;
+  Alcotest.(check bool) "listing finished after the writer released" true after_release
+
 let suite =
   [
     Alcotest.test_case "parallel stats [baseline]" `Slow
@@ -381,6 +418,8 @@ let suite =
     Alcotest.test_case "8-writer churn, lockless readers [seed 9001]" `Slow
       (test_nwriter_churn ~writers:8 9001);
     Alcotest.test_case "cross-rename lock ordering" `Slow test_cross_rename_no_deadlock;
+    Alcotest.test_case "listing waits for another domain's write section" `Slow
+      test_listing_waits_for_foreign_writer;
     Alcotest.test_case "churn across resize [seed 1]" `Slow (test_churn_across_resize 1);
     Alcotest.test_case "churn across resize [seed 1337]" `Slow
       (test_churn_across_resize 1337);
