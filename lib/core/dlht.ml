@@ -47,9 +47,10 @@ module Locktab = Dcache_util.Locktab
    grow, so the stripe mask is a submask of every table mask:
    one signature maps to the same stripe in both tables, a whole bucket
    lives inside one stripe, and a bucket's migration re-splice stays
-   within its own stripe.  Inline migration/growth is deferred in sharded
-   mode — a sharded section must not touch buckets outside its stripe —
-   and runs via [housekeep] from the exclusive write sections instead. *)
+   within its own stripe.  A sharded [remove] therefore never advances the
+   migration cursor — a stripe section must not touch buckets outside its
+   stripe — and only drains its own signature's old bucket; the cursor and
+   growth advance on [insert], which is always write-locked. *)
 
 type table = { buckets : dentry option array; mask : int }
 
@@ -191,7 +192,7 @@ let migrate_some t n =
    bucket in passing — migration proceeds under stripe locks instead of
    waiting for an exclusive section.  The cursor sweep in [migrate_some]
    later finds these buckets empty; the [old <- None] completion and the
-   table swap themselves remain exclusive ([housekeep]), and that residue
+   table swap themselves remain exclusive ([insert]), and that residue
    is what /proc/dcache/stripes' global-acquisition counter tracks. *)
 let settle_in_stripe t signature =
   match t.old with
@@ -318,24 +319,16 @@ let remove d = leave d remove_from
 (* Every caller holds the dcache write lock, which excludes every sharded
    section (they all hold the read side), and lockless probes validate
    against the global write sequence the write section bumps — so no
-   stripe is taken, even to splice out a previous membership.  Sharded,
-   migration/growth waits for [housekeep], as for a sharded [remove]. *)
+   stripe is taken, even to splice out a previous membership, and the
+   migration/growth step may touch any bucket. *)
 let insert t ns d signature =
   leave d remove_splice;
-  (match t.stripes with None -> migrate_some t migrate_quantum | Some _ -> ());
+  migrate_some t migrate_quantum;
   splice t.tbl d signature;
   Atomic.incr t.count;
   d.d_dlht_ns <- Some ns;
-  (match t.stripes with None -> maybe_grow t | Some _ -> ());
+  maybe_grow t;
   Trace.stamp Trace.ev_dlht_insert d.d_id
-
-(* Sharded-mode replacement for the migration/growth work that [insert] and
-   [remove] no longer do inline (a sharded section must not touch buckets
-   outside its own stripe).  Called from exclusive write sections — the
-   fastpath's slowpath populate — which excludes every sharded section. *)
-let housekeep t =
-  migrate_some t migrate_quantum;
-  maybe_grow t
 
 (* Both probes return the chain cell that already holds the match ([Some d as
    cell]) instead of rebuilding it, so a hit allocates nothing.  The chain

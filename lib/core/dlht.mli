@@ -63,16 +63,8 @@ val insert : t -> namespace -> dentry -> Signature.t -> unit
     on the dentry.  {b The caller must hold the dcache write lock}: it
     excludes every sharded section, and lockless probes validate against
     the global write sequence the write section bumps, so the insert takes
-    no stripe lock.  Unsharded, it advances any in-flight incremental
-    resize and may start one; sharded, that work is deferred to
-    {!housekeep}. *)
-
-val housekeep : t -> unit
-(** Advance any in-flight incremental resize by one quantum and start one
-    if the load factor calls for it.  The sharded-mode home for the
-    migration/growth work {!insert}/{!remove} do not do inline when
-    sharded (a sharded section must stay within its own stripe).  Call under the
-    dcache write lock. *)
+    no stripe lock.  It advances any in-flight incremental resize by one
+    quantum and may start one. *)
 
 val find : t -> key:Signature.key -> Signature.t -> dentry option
 (** Probe; compares signatures per the key's configured width.  A hit

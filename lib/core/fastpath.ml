@@ -928,11 +928,7 @@ let populate t ctx ~visited ~absolute ~start =
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d
         end)
       visited;
-    Counter.add (counters t) "fastpath_populated" (List.length visited);
-    (* Sharded mode defers DLHT migration/growth out of the per-splice path
-       (a stripe section must stay within its stripe); this write-locked
-       populate is where the table catches up. *)
-    if Dcache.sharded t.dcache then Dlht.housekeep dlht
+    Counter.add (counters t) "fastpath_populated" (List.length visited)
 
 (* Publish the deep negative dentry a DIR_COMPLETE fast-fail verdict
    promised (§5.2): the fast-fail answered ENOENT from the completeness of
@@ -1047,12 +1043,11 @@ let resume_plan t ctx sc path =
    here — a sequential believed miss, the locked re-probe of a raced
    lookup, and each deferred op of a batch (§3.9).  Resolve with
    collection and repopulate the DLHT/PCC.  When the probe left a
-   validated resume candidate, only the uncached suffix is resolved, from
-   the longest cached ancestor — by the sibling step when it is one name
-   ({!Walk.resolve_resumed}) — so a deep miss costs O(suffix), not
-   O(depth).  §3.2: results may only repopulate if no shootdown ran
-   concurrently; under the write lock the counter check never fires, but
-   it documents (and preserves) the protocol.  Caller holds the write
+   validated resume candidate, only the uncached suffix is walked, from
+   the longest cached ancestor ({!Walk.resolve_resumed}), so a deep miss
+   costs O(suffix), not O(depth).  §3.2: results may only repopulate if
+   no shootdown ran concurrently; under the write lock the counter check
+   never fires, but it documents (and preserves) the protocol.  Caller holds the write
    lock; [ctx.cwd] is the walk origin for relative paths. *)
 let fallback t ctx ~flags sc path ~within =
   Counter.bump t.c_fallback;
@@ -1271,8 +1266,8 @@ let lookup t ctx ?start ?flags path =
 
 (* Phase 2: the deferred misses, sorted by path so ops sharing ancestors
    run adjacently — the group's first miss walks (and populates) the
-   shared prefix, the rest resume from it, most by the sibling step —
-   under ONE write-lock acquisition for the whole group.
+   shared prefix, the rest resume from it, most with a one-component
+   walk — under ONE write-lock acquisition for the whole group.
    Misses allocate anyway (walks build lists); no packing games here. *)
 let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
   (* Insertion sort of the index slice: batches are small, and adjacency

@@ -108,7 +108,7 @@ val probe_batch :
     ops issued sequentially at the same point.  Misses defer to phase 2:
     sorted by path and resolved under a single write-lock acquisition by
     the same write-locked body a sequential miss takes, so a run of
-    single-name siblings costs one probe-or-fill each.  Ops resolve
+    single-name siblings walks one component each.  Ops resolve
     relative to the context's cwd.  With the fastpath off, degrades to
     per-op sequential lookups. *)
 

@@ -77,7 +77,7 @@ let render_stripes kernel () =
        the mutation load still funnels through the big lock.
        [dlht_stripe_migrations] counts pre-resize buckets the sharded
        sections drained under their own stripe instead of waiting for a
-       write-locked housekeeping pass. *)
+       write-locked insert to advance the migration cursor. *)
     let globals =
       Dcache_util.Stats.Counter.get (Kernel.counters kernel)
         "global_write_acquired"
@@ -155,8 +155,7 @@ let render_hot () = Profiler.hot_to_string ()
 (* [dcache/batch] is the vectored front-end's scoreboard (§3.9): ring
    traffic, how many validation windows the submissions actually paid for
    (windows/submit ≈ 1 is the amortization working), splits and phase-2
-   deferrals, the sibling-step count (one-name resumed misses, batched or
-   sequential) and the sharded mkdir/rmdir counters. *)
+   deferrals and the sharded mkdir/rmdir counters. *)
 let render_batch kernel () =
   let submits, ops, windows = Profiler.batch_stats () in
   let c name =
@@ -171,7 +170,6 @@ let render_batch kernel () =
         (float_of_int windows /. float_of_int (max 1 submits));
       Printf.sprintf "batch_splits %d" (c "fastpath_batch_split");
       Printf.sprintf "batch_deferred %d" (c "fastpath_batch_deferred");
-      Printf.sprintf "walk_resumed_sibling %d" (c "walk_resumed_sibling");
       Printf.sprintf "sharded_mkdir %d" (c "sharded_mkdir");
       Printf.sprintf "sharded_rmdir %d" (c "sharded_rmdir");
       "";

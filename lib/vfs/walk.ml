@@ -397,70 +397,21 @@ let resolve_in_mode mode t ctx ?(flags = default_flags) path =
     | `ParentOf _ -> assert false
   with Walk_error e -> { outcome = Error e; visited = []; absolute = Path.is_absolute path }
 
-(* The sibling step (§3.5, §3.9): a resumed miss whose suffix is one
-   plain name needs one permission check on [start_at] and one dcache
-   probe-or-fill, not a [walk_internal] of its own.  Once a miss has walked
-   and published a directory, later misses under it resume there with a
-   one-name suffix, so this is the common resumed shape.  It counts exactly
-   what the one-component walk it replaces would ("walk_slowpath",
-   "walk_components" once past the permission check), plus
-   "walk_resumed_sibling", and yields the same outcome and visited chain.
-   [None]: a trailing symlink to follow — splicing is the walk's job, and
-   nothing has been counted yet. *)
-let resume_sibling t ctx ~start_at ~follow name =
-  let counters = Dcache.counters t in
-  let answer ~stepped outcome visited =
-    Counter.incr counters "walk_slowpath";
-    Trace.stamp Trace.ev_slowpath 0;
-    if stepped then Counter.incr counters "walk_components";
-    Counter.incr counters "walk_resumed_sibling";
-    Some { outcome; visited; absolute = false }
-  in
-  match may_lookup ctx (dir_inode_of Ref start_at.dentry) with
-  | exception Walk_error e -> answer ~stepped:false (Error e) []
-  | () -> (
-    match step Ref t start_at name with
-    | exception Walk_error e -> answer ~stepped:true (Error e) []
-    | None -> answer ~stepped:true (Error Errno.ENOENT) []
-    | Some child -> (
-      match child.d_state with
-      | Negative errno ->
-        answer ~stepped:true (Error errno) [ { start_at with dentry = child } ]
-      | Partial _ | Positive _ -> (
-        match inode_of Ref child with
-        | exception Walk_error e -> answer ~stepped:true (Error e) []
-        | None -> answer ~stepped:true (Error Errno.ENOENT) []
-        | Some inode when follow && File_kind.equal (Inode.kind inode) File_kind.Symlink ->
-          None
-        | Some _ ->
-          let r = Mount.traverse_mounts { mnt = start_at.mnt; dentry = child } in
-          answer ~stepped:true (Ok r) [ r ])))
-
 (* Prefix-resumed entry (§3.5): resolve [suffix] starting at [start_at] —
    the deepest DLHT-cached, PCC-validated ancestor of a missed path —
    instead of the root or cwd.  Ref mode only: the caller holds the write
    lock and has re-validated the ancestor under it (DLHT membership, PCC
    coverage, positive directory, invalidation counter) before trusting the
-   shortcut.  A one-name suffix takes the sibling step above; anything
-   else (or a symlink the step declined) walks.  The visited chain covers
-   only the suffix components, and [absolute] is false, so the caller's
-   population applies the directory-reference rule against [start_at]. *)
+   shortcut.  The visited chain covers only the suffix components, and
+   [absolute] is false, so the caller's population applies the
+   directory-reference rule against [start_at]. *)
 let resolve_resumed t ctx ?(flags = default_flags) ~start_at suffix =
   Counter.incr (Dcache.counters t) "walk_resumed";
-  let sibling =
-    match Path.split suffix with
-    | Ok [ Path.Name name ] when not (flags.must_dir || Path.has_trailing_slash suffix) ->
-      resume_sibling t ctx ~start_at ~follow:flags.follow_last name
-    | Ok _ | Error _ -> None
-  in
-  match sibling with
-  | Some r -> r
-  | None -> (
-    try
-      match walk_internal Ref t ctx ~flags ~stop_at_parent:false ~start_at suffix with
-      | `Resolved r -> r
-      | `ParentOf _ -> assert false
-    with Walk_error e -> { outcome = Error e; visited = []; absolute = false })
+  try
+    match walk_internal Ref t ctx ~flags ~stop_at_parent:false ~start_at suffix with
+    | `Resolved r -> r
+    | `ParentOf _ -> assert false
+  with Walk_error e -> { outcome = Error e; visited = []; absolute = false }
 
 let resolve_parent mode t ctx ?(collect = false) path =
   let flags = { default_flags with collect } in

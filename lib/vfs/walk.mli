@@ -63,15 +63,9 @@ val resolve_resumed :
     applies the directory-reference rule against [start_at].
 
     Its one caller is the fastpath's write-locked miss body, for every
-    resumed miss, sequential or batched (§3.9).  A suffix that is one
-    plain name (no trailing slash, no [must_dir]) takes the {e sibling
-    step}: one permission check on [start_at] and one dcache
-    probe-or-fill, no component walk.  The step counts what the
-    one-component walk it replaces counts — "walk_resumed",
-    "walk_slowpath", and "walk_components" once past the permission
-    check — plus "walk_resumed_sibling", and returns the same outcome and
-    [visited].  A trailing symlink to follow, and every longer suffix,
-    take the walk. *)
+    resumed miss, sequential or batched (§3.9).  It counts
+    "walk_resumed" on top of the walk's own "walk_slowpath" and
+    "walk_components", so a one-name suffix costs one component. *)
 
 exception Need_refwalk
 (** Raised (only) from [resolve_in_mode Rcu] when the walk cannot proceed

@@ -463,10 +463,9 @@ let test_dynamic_pcc_grows () =
   Alcotest.(check bool) "mostly fastpath" true (counter kernel "fastpath_fallback" < 100)
 
 (* A sequential miss under a warm directory resumes there with a one-name
-   suffix: the shared write-locked miss body takes the sibling step (one
-   probe-or-fill, counted as the one-component walk it replaces) and
+   suffix: the shared write-locked miss body walks that one component and
    publishes through the write-locked DLHT insert, which takes no stripe. *)
-let test_sequential_miss_takes_sibling_step () =
+let test_sequential_miss_resumes_one_component () =
   let kernel, p = opt_kernel () in
   get "tree" (S.mkdir_p p "/w/sub");
   get "file" (S.write_file p "/w/sub/x" "x");
@@ -480,13 +479,11 @@ let test_sequential_miss_takes_sibling_step () =
       | None -> Alcotest.fail "optimized DLHT is not striped")
     | None -> Alcotest.fail "no DLHT"
   in
-  let sib0 = counter kernel "walk_resumed_sibling" in
   let res0 = counter kernel "walk_resumed" in
   let comps0 = counter kernel "walk_components" in
   let acq0 = dlht_acquired () in
   ignore (get "miss" (S.stat p "/w/sub/x"));
-  Alcotest.(check int) "one sibling step" (sib0 + 1) (counter kernel "walk_resumed_sibling");
-  Alcotest.(check int) "counted as a resumed walk" (res0 + 1) (counter kernel "walk_resumed");
+  Alcotest.(check int) "one resumed walk" (res0 + 1) (counter kernel "walk_resumed");
   Alcotest.(check int) "one component" (comps0 + 1) (counter kernel "walk_components");
   Alcotest.(check int) "no DLHT stripe taken" acq0 (dlht_acquired ());
   let hits0 = counter kernel "fastpath_hit" in
@@ -530,8 +527,8 @@ let suite =
     Alcotest.test_case "simulate PCC miss mode" `Quick test_simulate_pcc_miss_mode;
     Alcotest.test_case "dotdot: linux vs lexical" `Quick test_dotdot_linux_vs_lexical;
     Alcotest.test_case "missing lazy state is a miss" `Quick test_missing_state_is_a_miss;
-    Alcotest.test_case "sequential miss takes the sibling step" `Quick
-      test_sequential_miss_takes_sibling_step;
+    Alcotest.test_case "sequential miss resumes with one component" `Quick
+      test_sequential_miss_resumes_one_component;
     Alcotest.test_case "pcc unit" `Quick test_pcc_unit;
     Alcotest.test_case "dynamic PCC grows" `Quick test_dynamic_pcc_grows;
   ]

@@ -366,9 +366,9 @@ let test_transient_eio_pollutes_nothing () =
   Alcotest.(check (list string)) "dcache invariants hold" []
     (Dcache.self_check (Kernel.dcache kernel))
 
-(* The sibling step — a resumed miss with a one-name suffix — is a walk
-   like any other for the EIO rule: the failed fill publishes nothing. *)
-let test_sibling_step_eio_publishes_nothing () =
+(* A resumed miss with a one-name suffix follows the EIO rule like any
+   other walk: the failed fill publishes nothing. *)
+let test_resumed_miss_eio_publishes_nothing () =
   let kernel, p, inj, cache = faulty_disk_kernel () in
   get "tree" (S.mkdir_p p "/a/b");
   ignore (get "file" (S.write_file p "/a/b/f" "data"));
@@ -376,15 +376,17 @@ let test_sibling_step_eio_publishes_nothing () =
   Pagecache.drop_caches cache;
   ignore (get "warm the directory" (S.stat p "/a/b"));
   Pagecache.drop_caches cache;
-  let sib0 = counter kernel "walk_resumed_sibling" in
+  let res0 = counter kernel "walk_resumed" in
+  let comps0 = counter kernel "walk_components" in
   let eio0 = counter kernel "fastpath_eio_no_populate" in
   let pop0 = dlht_population kernel in
   let read_fail = Fault.site inj "blockdev.read_eio" in
   Fault.arm read_fail Fault.Always;
-  expect_err Errno.EIO "the sibling fill reports the I/O failure" (S.stat p "/a/b/f");
+  expect_err Errno.EIO "the resumed fill reports the I/O failure" (S.stat p "/a/b/f");
   Fault.disarm read_fail;
-  Alcotest.(check int) "answered by the sibling step" (sib0 + 1)
-    (counter kernel "walk_resumed_sibling");
+  Alcotest.(check int) "resumed at the warm directory" (res0 + 1)
+    (counter kernel "walk_resumed");
+  Alcotest.(check int) "one component walked" (comps0 + 1) (counter kernel "walk_components");
   Alcotest.(check int) "DLHT not repopulated" pop0 (dlht_population kernel);
   Alcotest.(check int) "populate was explicitly skipped" (eio0 + 1)
     (counter kernel "fastpath_eio_no_populate");
@@ -599,8 +601,8 @@ let suite =
       test_netfs_drc_executes_once;
     Alcotest.test_case "transient EIO caches nothing" `Quick
       test_transient_eio_pollutes_nothing;
-    Alcotest.test_case "sibling-step EIO publishes nothing" `Quick
-      test_sibling_step_eio_publishes_nothing;
+    Alcotest.test_case "resumed one-name miss EIO publishes nothing" `Quick
+      test_resumed_miss_eio_publishes_nothing;
     Alcotest.test_case "DLHT scrub quarantines corrupt entries" `Quick
       test_dlht_scrub_quarantines;
     Alcotest.test_case "dcache scrub quarantines corrupt dentries" `Quick
