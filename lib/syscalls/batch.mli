@@ -53,8 +53,9 @@ val push_readdir : t -> string -> int
     submission — batched listings ride one validation window and one
     scratch arena.  Read them back with {!dir_len} / {!dir_name} /
     {!dir_ino} / {!dir_kind}; they stay valid until the next submit or
-    the next scratch-filling call ([Syscalls.readdir_fill]) on the same
-    process.  Warm DIR_COMPLETE listings are served by the lockless
+    the next scratch-filling call ([Syscalls.readdir_fill],
+    [Syscalls.getdents], [Syscalls.readdir_path]) on the same process.
+    Warm DIR_COMPLETE listings are served by the lockless
     seqcount-validated walk and allocate nothing; cold ones fill and
     promote under the directory's own-id stripe. *)
 

@@ -14,8 +14,11 @@ type t = {
      fs twice aliases the same dentries *)
   mutable sb_keys : (Dcache_fs.Fs_intf.t * superblock) list;
   (* Solaris-DNLC-style side cache of complete listings, keyed by dentry id
-     and guarded by the directory's mutation generation (comparison mode). *)
-  dnlc : (int, int * Dcache_fs.Fs_intf.dirent array) Hashtbl.t;
+     and guarded by the directory's mutation generation (comparison mode).
+     Listings of different directories hold different stripes, so the table
+     takes its own mutex. *)
+  dnlc : (int, int * Dcache_fs.Fs_intf.dirent list) Hashtbl.t;
+  dnlc_lock : Mutex.t;
 }
 
 let make_superblock t fs =
@@ -39,7 +42,8 @@ let create ?(config = Vfs.Config.baseline) ?(lsms = []) ~root_fs () =
   List.iter (Lsm.register registry) lsms;
   let init_ns = Mount.new_namespace () in
   let t =
-    { dcache; fastpath; registry; init_ns; sb_keys = []; dnlc = Hashtbl.create 64 }
+    { dcache; fastpath; registry; init_ns; sb_keys = []; dnlc = Hashtbl.create 64;
+      dnlc_lock = Mutex.create () }
   in
   (match make_superblock t root_fs with
   | Ok sb -> ignore (Mount.mount_rootfs init_ns sb)
@@ -55,10 +59,17 @@ let root t = Mount.root t.init_ns
 let counters t = Dcache.counters t.dcache
 let register_lsm t hooks = Lsm.register t.registry hooks
 
-let dnlc t = t.dnlc
+let dnlc_find t id gen =
+  Mutex.protect t.dnlc_lock (fun () ->
+      match Hashtbl.find_opt t.dnlc id with
+      | Some (g, listing) when g = gen -> Some listing
+      | _ -> None)
+
+let dnlc_store t id gen listing =
+  Mutex.protect t.dnlc_lock (fun () -> Hashtbl.replace t.dnlc id (gen, listing))
 
 let drop_caches t =
-  Hashtbl.reset t.dnlc;
+  Mutex.protect t.dnlc_lock (fun () -> Hashtbl.reset t.dnlc);
   Dcache.with_write t.dcache (fun () -> Dcache.purge t.dcache)
 
 type scrub_report = {

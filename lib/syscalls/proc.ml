@@ -13,15 +13,6 @@ type open_flag =
   | O_NOFOLLOW
   | O_DIRECTORY
 
-type dir_stream = {
-  mutable entries : Dcache_fs.Fs_intf.dirent array option;
-  mutable index : int;
-  mutable eligible : bool;
-  mutable from_cache : bool;
-  mutable snapshot_gen : int;
-      (** the directory's mutation generation when [entries] was captured *)
-}
-
 (* Preallocated per-process dirent result buffer (§5.1): the cache-fed
    readdir stores each entry as three parallel-array writes (name pointer,
    ino, kind), so a warm DIR_COMPLETE listing allocates nothing after the
@@ -42,7 +33,8 @@ type fd = {
   fd_writable : bool;
   fd_append : bool;
   mutable fd_pos : int;
-  mutable fd_dir : dir_stream option;
+  mutable fd_dir : Dcache_fs.Fs_intf.dirent array option;
+      (* a directory stream's listing snapshot; [fd_pos] is its cursor *)
 }
 
 type t = {

@@ -14,18 +14,6 @@ type open_flag =
   | O_NOFOLLOW
   | O_DIRECTORY
 
-(** Directory-stream state for getdents: a snapshot of the listing, the
-    cursor, and whether the sequence is still eligible to mark the directory
-    complete (no intervening lseek, §5.1). *)
-type dir_stream = {
-  mutable entries : Dcache_fs.Fs_intf.dirent array option;
-  mutable index : int;
-  mutable eligible : bool;
-  mutable from_cache : bool;
-  mutable snapshot_gen : int;
-      (** the directory's mutation generation when [entries] was captured *)
-}
-
 (** Preallocated per-process dirent result buffer (§5.1): the cache-fed
     readdir stores each entry as three parallel-array writes (name, ino,
     kind), so a warm DIR_COMPLETE listing allocates nothing after the
@@ -46,7 +34,10 @@ type fd = {
   fd_writable : bool;
   fd_append : bool;
   mutable fd_pos : int;
-  mutable fd_dir : dir_stream option;
+  mutable fd_dir : Dcache_fs.Fs_intf.dirent array option;
+      (** A directory stream's listing snapshot for getdents: a copy of the
+          dirent scratch taken on the stream's first call, read from
+          [fd_pos].  A rewind to 0 drops it, so the next call re-lists. *)
 }
 
 type t = {

@@ -19,11 +19,16 @@
     [Partial] children and setting DIR_COMPLETE — so the next call is
     warm.  Promotion under the parent stripe rather than the global write
     lock is the point: concurrent listings of different directories
-    proceed in parallel with each other and with sharded creates.
+    proceed in parallel with each other and with sharded creates.  The
+    Solaris-DNLC comparison mode is one branch of the same section: it
+    picks the listing source (a side table of whole listings, or the
+    backend) and promotes nothing.
 
-    This lives outside [Syscalls] because both the sequential front-end
-    ([Syscalls.readdir_fill]) and the vectored ring ([Batch.push_readdir])
-    share it, and [Batch] is linked before [Syscalls]. *)
+    {!fill} is the only code that lists a directory.  [Syscalls.readdir_fill]
+    and the vectored ring ([Batch.push_readdir]) read the scratch in
+    place; [Syscalls.getdents] copies it into its stream on a stream's
+    first call, and [Syscalls.readdir_path] into a list.  It lives outside
+    [Syscalls] because [Batch] is linked before [Syscalls]. *)
 
 open Dcache_types
 open Dcache_vfs.Types
@@ -152,24 +157,14 @@ let rec scratch_tries d tab dir ds ~base tries =
     | n -> n (* end slot, or -2: retrying an overflow cannot help *)
   end
 
-(* Locked fills: growth allowed, so these serve listings of any size. *)
+(* Locked fills: growth allowed, so these serve listings of any size.
+   Under the lock nothing splices the child list, so the walk cannot
+   overflow the grown scratch. *)
 
 let scratch_fill_children proc dir ~base =
   let ds = proc.Proc.dirents in
   Proc.scratch_grow ds (base + Dlist.length dir.d_children);
-  let n = ref base in
-  Dcache.iter_children dir (fun child ->
-      match child.d_state with
-      | Negative _ -> ()
-      | Partial { p_ino; p_kind } ->
-        Proc.scratch_set ds !n child.d_name p_ino p_kind;
-        incr n
-      | Positive inode ->
-        let attr = Inode.attr inode in
-        Proc.scratch_set ds !n child.d_name attr.Dcache_types.Attr.ino
-          attr.Dcache_types.Attr.kind;
-        incr n);
-  !n
+  scratch_walk ds (Proc.scratch_cap ds) (Dlist.peek_front dir.d_children) base
 
 let scratch_fill_listing proc (listing : Fs.dirent list) ~base =
   let ds = proc.Proc.dirents in
@@ -185,11 +180,14 @@ let scratch_fill_listing proc (listing : Fs.dirent list) ~base =
    cached negative contradicts the listing (the conflict resolves through
    the coherence machinery, not here).  Returns whether the directory was
    marked complete.  Caller holds the directory's own-id stripe or the
-   write lock and has revalidated the directory under it. *)
-let promote_listing_locked proc dir (entries : Fs.dirent array) =
+   write lock and has revalidated the directory under it.  [Fs.readdir]
+   returns the whole listing in one call, so the listing and the
+   promotion share one lock section and no mutation can fall between
+   them. *)
+let promote_listing_locked proc dir (listing : Fs.dirent list) =
   let d = dcache proc in
   let safe = ref true in
-  Array.iter
+  List.iter
     (fun (entry : Fs.dirent) ->
       match Dcache.lookup d dir entry.Fs.name with
       | Some child -> if dentry_is_negative child then safe := false
@@ -197,7 +195,7 @@ let promote_listing_locked proc dir (entries : Fs.dirent array) =
         ignore
           (Dcache.add_child d dir entry.Fs.name
              (Partial { p_ino = entry.Fs.ino; p_kind = entry.Fs.kind })))
-    entries;
+    listing;
   if !safe then begin
     Dcache.set_complete d dir;
     count proc "readdir_promoted"
@@ -207,6 +205,27 @@ let promote_listing_locked proc dir (entries : Fs.dirent array) =
 (* A directory is fit to serve/promote if it is still hashed (roots have
    no parent and are never hashed). *)
 let dir_live dir = dir.d_parent = None || dir.d_hashed
+
+(* Where an incomplete directory's listing comes from: the backend, or —
+   in the Solaris-DNLC comparison mode — first the kernel's side table of
+   whole listings, keyed by dentry id and valid while the directory's
+   generation is unchanged.  Caller holds the directory's stripe (or the
+   write lock), so the generation stored with a fresh listing is the one
+   it was read under. *)
+let listing_source proc inode dir =
+  let kernel = proc.Proc.kernel in
+  let dnlc = (kconfig proc).Config.dnlc_style_completeness in
+  match if dnlc then Kernel.dnlc_find kernel dir.d_id dir.d_dir_gen else None with
+  | Some listing ->
+    count proc "readdir_from_dnlc";
+    Ok listing
+  | None ->
+    count proc "readdir_from_fs";
+    let r = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
+    (match r with
+    | Ok listing when dnlc -> Kernel.dnlc_store kernel dir.d_id dir.d_dir_gen listing
+    | _ -> ());
+    r
 
 let fill_locked proc inode dir ~base =
   let d = dcache proc in
@@ -219,13 +238,12 @@ let fill_locked proc inode dir ~base =
           Ok (scratch_fill_children proc dir ~base)
         end
         else begin
-          count proc "readdir_from_fs";
-          match (Inode.fs inode).Fs.readdir (Inode.ino inode) with
+          match listing_source proc inode dir with
           | Error e -> Error e
           | Ok listing ->
             let complete =
               (kconfig proc).Config.dir_completeness
-              && promote_listing_locked proc dir (Array.of_list listing)
+              && promote_listing_locked proc dir listing
             in
             count proc "readdir_scratch_fill";
             if complete then Ok (scratch_fill_children proc dir ~base)

@@ -560,155 +560,12 @@ let pwrite proc fdnum ~off data =
   let* fd = Proc.find_fd proc fdnum in
   do_write fd ~off data
 
-(* --- directory streams (§5.1) --- *)
-
-let dirent_of_child d =
-  match d.d_state with
-  | Negative _ -> None
-  | Partial { p_ino; p_kind } -> Some { Fs.name = d.d_name; ino = p_ino; kind = p_kind }
-  | Positive inode ->
-    let attr = Inode.attr inode in
-    Some { Fs.name = d.d_name; ino = attr.Attr.ino; kind = attr.Attr.kind }
-
-let dummy_dirent = { Fs.name = ""; ino = 0; kind = File_kind.Regular }
-
-(* Single-traversal snapshot of a complete directory's cached listing:
-   size the array from the child-list length and fill it in one pass.
-   (This path used to build a list, reverse it and convert to an array —
-   three traversals per listing.)  Caller holds the directory's stripe or
-   the write lock. *)
-let listing_of_children dir =
-  let buf = Array.make (Dlist.length dir.d_children) dummy_dirent in
-  let n = ref 0 in
-  Dcache.iter_children dir (fun child ->
-      match dirent_of_child child with
-      | Some entry ->
-        buf.(!n) <- entry;
-        incr n
-      | None -> ());
-  if !n = Array.length buf then buf else Array.sub buf 0 !n
-
-let dir_stream_of (fd : Proc.fd) =
-  match fd.Proc.fd_dir with
-  | Some s -> s
-  | None ->
-    let s =
-      { Proc.entries = None; index = 0; eligible = true; from_cache = false;
-        snapshot_gen = 0 }
-    in
-    fd.Proc.fd_dir <- Some s;
-    s
-
-(* Deferred completeness promotion for a drained [getdents] stream: the
-   eligibility checks at the call site ran unlocked, so the generation is
-   revalidated under the directory's own-id stripe before the listing is
-   cached (§5.1).  Never the global write lock on sharded configurations. *)
-let promote_listing proc dir entries snapshot_gen =
-  Readdir.with_dir_stripe proc dir (fun () ->
-      if Readdir.dir_live dir && dir.d_dir_gen = snapshot_gen then
-        ignore (Readdir.promote_listing_locked proc dir entries));
-  Dcache.reclaim_overflow (dcache proc)
-
-(* Solaris-style DNLC mode: a separate listing cache that serves repeated
-   readdirs but feeds nothing back into the dcache.  A baseline model —
-   kept under the write lock as before. *)
-let getdents_dnlc proc (fd : Proc.fd) want =
-  with_write proc (fun () ->
-      let dir = fd.Proc.fd_ref.dentry in
-      let stream = dir_stream_of fd in
-      let dnlc = Kernel.dnlc proc.Proc.kernel in
-      let* entries =
-        match stream.Proc.entries with
-        | Some entries -> Ok entries
-        | None ->
-          stream.Proc.snapshot_gen <- dir.d_dir_gen;
-          let* entries =
-            match Hashtbl.find_opt dnlc dir.d_id with
-            | Some (gen, entries) when gen = dir.d_dir_gen ->
-              count proc "readdir_from_dnlc";
-              stream.Proc.from_cache <- true;
-              Ok entries
-            | _ ->
-              count proc "readdir_from_fs";
-              stream.Proc.from_cache <- false;
-              let inode = fd.Proc.fd_inode in
-              let* listing = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
-              Ok (Array.of_list listing)
-          in
-          stream.Proc.entries <- Some entries;
-          Ok entries
-      in
-      let n = Array.length entries in
-      let take = max 0 (min want (n - stream.Proc.index)) in
-      let chunk = Array.to_list (Array.sub entries stream.Proc.index take) in
-      stream.Proc.index <- stream.Proc.index + take;
-      (if
-         stream.Proc.index >= n && stream.Proc.eligible
-         && (not stream.Proc.from_cache)
-         && dir.d_dir_gen = stream.Proc.snapshot_gen
-       then Hashtbl.replace dnlc dir.d_id (stream.Proc.snapshot_gen, entries));
-      Ok chunk)
-
-let getdents proc fdnum want =
-  sys proc "sys_getdents";
-  let* fd = Proc.find_fd proc fdnum in
-  if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
-  else if (kconfig proc).Config.dnlc_style_completeness then
-    getdents_dnlc proc fd want
-  else begin
-    let d = dcache proc in
-    let dir = fd.Proc.fd_ref.dentry in
-    let stream = dir_stream_of fd in
-    let* entries =
-      match stream.Proc.entries with
-      | Some entries -> Ok entries
-      | None ->
-        (* Capture the generation with the snapshot: completion later is
-           only valid if no mutation happened since this point. *)
-        stream.Proc.snapshot_gen <- dir.d_dir_gen;
-        let cached =
-          (* A complete directory's cached children are the listing;
-             snapshot them under its own-id stripe, not the global write
-             lock, so concurrent listings of different directories don't
-             serialize (§5.1). *)
-          Readdir.with_dir_stripe proc dir (fun () ->
-              if Dcache.is_complete d dir then Some (listing_of_children dir)
-              else None)
-        in
-        let* entries =
-          match cached with
-          | Some entries ->
-            count proc "readdir_from_cache";
-            stream.Proc.from_cache <- true;
-            Ok entries
-          | None ->
-            count proc "readdir_from_fs";
-            stream.Proc.from_cache <- false;
-            let inode = fd.Proc.fd_inode in
-            let* listing = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
-            Ok (Array.of_list listing)
-        in
-        stream.Proc.entries <- Some entries;
-        Ok entries
-    in
-    let n = Array.length entries in
-    let take = max 0 (min want (n - stream.Proc.index)) in
-    let chunk = Array.to_list (Array.sub entries stream.Proc.index take) in
-    stream.Proc.index <- stream.Proc.index + take;
-    (* Sequence completed without a seek, from the fs, and the directory
-       did not change under us: cache the children and mark complete. *)
-    (if
-       stream.Proc.index >= n && stream.Proc.eligible
-       && (not stream.Proc.from_cache)
-       && (kconfig proc).Config.dir_completeness
-       && dir.d_dir_gen = stream.Proc.snapshot_gen
-     then promote_listing proc dir entries stream.Proc.snapshot_gen);
-    Ok chunk
-  end
-
-(* --- scratch readdir (§5.1): whole listings, zero words warm --- *)
+(* --- directory listings (§5.1): every one fills the dirent scratch --- *)
 
 exception Readdir_errno = Readdir.Readdir_errno
+
+let scratch_dirent (ds : Proc.dirent_scratch) i =
+  { Fs.name = ds.Proc.ds_names.(i); ino = ds.Proc.ds_inos.(i); kind = ds.Proc.ds_kinds.(i) }
 
 (** Fill the per-process dirent scratch with the full listing of the open
     directory [fdnum]; returns the entry count.  Entries are readable
@@ -727,24 +584,37 @@ let readdir_fill proc fdnum =
   if not (Inode.is_dir fd.Proc.fd_inode) then raise (Readdir_errno Errno.ENOTDIR);
   Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry ~base:0
 
+(* A stream lists once, on its first call (or first after a rewind), and
+   serves every chunk from its own copy of the scratch, at [fd_pos]. *)
+let getdents proc fdnum want =
+  sys proc "sys_getdents";
+  let* fd = Proc.find_fd proc fdnum in
+  if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
+  else begin
+    let* entries =
+      match fd.Proc.fd_dir with
+      | Some entries -> Ok entries
+      | None -> (
+        match Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry ~base:0 with
+        | exception Readdir_errno e -> Error e
+        | n ->
+          let entries = Array.init n (scratch_dirent proc.Proc.dirents) in
+          fd.Proc.fd_dir <- Some entries;
+          Ok entries)
+    in
+    let n = Array.length entries in
+    let pos = min fd.Proc.fd_pos n in
+    let take = max 0 (min want (n - pos)) in
+    fd.Proc.fd_pos <- pos + take;
+    Ok (Array.to_list (Array.sub entries pos take))
+  end
+
 let lseek proc fdnum off =
   sys proc "sys_lseek";
   let* fd = Proc.find_fd proc fdnum in
   if off < 0 then Error Errno.EINVAL
   else begin
-    (match fd.Proc.fd_dir with
-    | Some stream ->
-      if off = 0 then begin
-        stream.Proc.entries <- None;
-        stream.Proc.index <- 0;
-        stream.Proc.eligible <- true;
-        stream.Proc.from_cache <- false
-      end
-      else begin
-        stream.Proc.index <- off;
-        stream.Proc.eligible <- false
-      end
-    | None -> ());
+    if off = 0 then fd.Proc.fd_dir <- None;
     fd.Proc.fd_pos <- off;
     Ok off
   end
@@ -1337,13 +1207,11 @@ let write_file proc path data =
 
 let readdir_path proc path =
   let* fd = openf proc path [ Proc.O_RDONLY; Proc.O_DIRECTORY ] in
-  let rec drain acc =
-    match getdents proc fd 128 with
-    | Ok [] -> Ok (List.rev acc)
-    | Ok chunk -> drain (List.rev_append chunk acc)
-    | Error _ as e -> e
+  let result =
+    match readdir_fill proc fd with
+    | n -> Ok (List.init n (scratch_dirent proc.Proc.dirents))
+    | exception Readdir_errno e -> Error e
   in
-  let result = drain [] in
   let* () = close proc fd in
   result
 

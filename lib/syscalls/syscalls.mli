@@ -37,16 +37,16 @@ val pread : Proc.t -> int -> off:int -> len:int -> string r
 val pwrite : Proc.t -> int -> off:int -> string -> int r
 
 val lseek : Proc.t -> int -> int -> int r
-(** Absolute positioning only ([SEEK_SET]).  On a directory fd, seeking to 0
-    rewinds the stream; any other offset repositions it and disqualifies the
-    in-flight sequence from marking the directory complete (§5.1). *)
+(** Absolute positioning only ([SEEK_SET]).  On a directory fd, seeking to
+    [k > 0] serves the stream's snapshot from entry [k]; seeking to 0 drops
+    the snapshot, so the next {!getdents} lists the directory afresh. *)
 
 val getdents : Proc.t -> int -> int -> Dcache_fs.Fs_intf.dirent list r
-(** Up to [count] entries; [\[\]] means end of directory.  Served from the
-    directory cache when the directory is complete (§5.1); a drained
-    backend listing is promoted into the cache (children populated,
-    DIR_COMPLETE set) under the directory's own-id stripe rather than the
-    global write lock on sharded configurations. *)
+(** Up to [count] entries; [\[\]] means end of directory.  A
+    scratch-filling call: a stream's first call (and its first after a
+    rewind) lists the directory once through {!readdir_fill}'s path and
+    copies the scratch into the stream's snapshot; later chunks come from
+    that copy, so mutations in between do not show until a rewind (§5.1). *)
 
 exception Readdir_errno of Dcache_types.Errno.t
 (** Error escape for {!readdir_fill} (a [result] would box two words on
@@ -63,7 +63,10 @@ val readdir_fill : Proc.t -> int -> int
     seqcount and [d_dir_gen], and performs zero minor-heap allocation
     after the scratch's first growth.  A cold call fills under the
     directory's stripe and promotes the backend listing so the next call
-    is warm.  @raise Readdir_errno on failure. *)
+    is warm (in the Solaris-DNLC comparison mode it serves the kernel's
+    side table instead and promotes nothing).  Every listing — {!getdents},
+    {!readdir_path}, [Batch.push_readdir] — goes through this fill.
+    @raise Readdir_errno on failure. *)
 
 val truncate : Proc.t -> string -> int -> unit r
 
@@ -164,6 +167,7 @@ val clear_crash_sites : unit -> unit
 val read_file : Proc.t -> string -> string r
 val write_file : Proc.t -> string -> string -> unit r
 val readdir_path : Proc.t -> string -> Dcache_fs.Fs_intf.dirent list r
-(** open + getdents-until-empty + close. *)
+(** open + {!readdir_fill} + close, with the scratch copied into a list.
+    A scratch-filling call. *)
 
 val mkdir_p : Proc.t -> string -> unit r

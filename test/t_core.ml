@@ -171,7 +171,8 @@ let test_completeness_serves_readdir_from_cache () =
   Alcotest.(check int) "fs readdir not repeated" fs_readdirs (fs_calls "readdir");
   let names l = List.map (fun e -> e.Dcache_fs.Fs_intf.name) l |> List.sort compare in
   Alcotest.(check (list string)) "same listing" (names l1) (names l2);
-  Alcotest.(check bool) "served from cache" true (counter kernel "readdir_from_cache" > 0)
+  Alcotest.(check bool) "served from cache" true
+    (counter kernel "readdir_scratch_warm" + counter kernel "readdir_from_cache" > 0)
 
 let test_completeness_coherent_with_mutations () =
   let kernel, p = opt_kernel () in
@@ -225,29 +226,47 @@ let test_readdir_then_stat_promotes_partials () =
     get "f" (S.write_file p (Printf.sprintf "/dir/g%d" i) "x")
   done;
   Kernel.drop_caches _kernel;
+  let promoted = counter _kernel "readdir_promoted" in
   ignore (get "list" (S.readdir_path p "/dir"));
+  Alcotest.(check int) "one cold listing, one promotion" 1
+    (counter _kernel "readdir_promoted" - promoted);
   let lookups = fs_calls "lookup" in
   for i = 1 to 10 do
     ignore (get "stat" (S.stat p (Printf.sprintf "/dir/g%d" i)))
   done;
   Alcotest.(check int) "no per-name directory scans" lookups (fs_calls "lookup")
 
-let test_lseek_disqualifies_completion () =
+let dirent_names l = List.map (fun e -> e.Dcache_fs.Fs_intf.name) l
+
+let test_lseek_serves_snapshot () =
+  (* [lseek k] repositions within the stream's snapshot; [lseek 0] drops it,
+     so the next getdents lists afresh and sees what changed meanwhile. *)
   let kernel, p = opt_kernel () in
   get "dir" (S.mkdir_p p "/dir");
   for i = 1 to 8 do
     get "f" (S.write_file p (Printf.sprintf "/dir/f%d" i) "x")
   done;
   Kernel.drop_caches kernel;
+  let promoted = counter kernel "readdir_promoted" in
   let fd = get "open" (S.openf p "/dir" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
-  ignore (get "chunk" (S.getdents p fd 2));
-  ignore (get "seek" (S.lseek p fd 1));
-  let rec drain () = if get "drain" (S.getdents p fd 4) <> [] then drain () in
-  drain ();
-  get "close" (S.close p fd);
-  Kernel.reset_stats kernel;
-  ignore (get "readdir" (S.readdir_path p "/dir"));
-  Alcotest.(check int) "not served from cache" 0 (counter kernel "readdir_from_cache")
+  let snapshot = dirent_names (get "all" (S.getdents p fd 100)) in
+  Alcotest.(check int) "whole listing" 8 (List.length snapshot);
+  Alcotest.(check (list string)) "drained" [] (dirent_names (get "end" (S.getdents p fd 4)));
+  Alcotest.(check int) "drained cold stream promotes once" 1
+    (counter kernel "readdir_promoted" - promoted);
+  get "create" (S.write_file p "/dir/late" "x");
+  ignore (get "seek 3" (S.lseek p fd 3));
+  Alcotest.(check (list string)) "from entry 3 of the snapshot"
+    (List.filteri (fun i _ -> i >= 3 && i < 5) snapshot)
+    (dirent_names (get "chunk" (S.getdents p fd 2)));
+  ignore (get "seek past the end" (S.lseek p fd 100));
+  Alcotest.(check (list string)) "nothing past the end" []
+    (dirent_names (get "past end" (S.getdents p fd 4)));
+  ignore (get "rewind" (S.lseek p fd 0));
+  let fresh = dirent_names (get "relist" (S.getdents p fd 100)) in
+  Alcotest.(check (list string)) "rewind re-lists" (List.sort compare ("late" :: snapshot))
+    (List.sort compare fresh);
+  get "close" (S.close p fd)
 
 let test_symlink_alias_fastpath () =
   let kernel, p = setup () in
@@ -515,7 +534,8 @@ let suite =
     Alcotest.test_case "mkdir marks complete" `Quick test_mkdir_marks_complete;
     Alcotest.test_case "readdir then stat promotes partials" `Quick
       test_readdir_then_stat_promotes_partials;
-    Alcotest.test_case "lseek disqualifies completion" `Quick test_lseek_disqualifies_completion;
+    Alcotest.test_case "lseek serves the snapshot, rewind re-lists" `Quick
+      test_lseek_serves_snapshot;
     Alcotest.test_case "symlink alias fastpath" `Quick test_symlink_alias_fastpath;
     Alcotest.test_case "symlink replacement retargets" `Quick test_symlink_replacement_retargets;
     Alcotest.test_case "trailing symlink fastpath" `Quick test_trailing_symlink_fastpath;
@@ -714,9 +734,11 @@ let test_dlht_membership_unit () =
 let dlht_suite =
   [ Alcotest.test_case "DLHT membership across namespaces" `Quick test_dlht_membership_unit ]
 
-let test_mutation_between_chunks_blocks_completion () =
-  (* A mutation between getdents chunks invalidates the snapshot: the
-     directory must not be marked complete from stale data. *)
+let test_mutation_between_chunks_keeps_snapshot () =
+  (* The stream lists once, on its first call: an unlink between chunks
+     leaves the open stream's snapshot as it was, while the cache (promoted
+     by that one listing) tracks the unlink — a fresh listing equals the
+     backend's, and a miss under the complete directory costs no lookup. *)
   let fs, fs_calls = counting_fs (Dcache_fs.Ramfs.create ()) in
   let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
   let p = Proc.spawn kernel in
@@ -726,19 +748,29 @@ let test_mutation_between_chunks_blocks_completion () =
   done;
   Kernel.drop_caches kernel;
   let fd = get "open" (S.openf p "/d" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
-  ignore (get "chunk" (S.getdents p fd 2));
+  let first = get "chunk" (S.getdents p fd 2) in
   get "mutate mid-sequence" (S.unlink p "/d/m5");
-  let rec drain () = if get "drain" (S.getdents p fd 4) <> [] then drain () in
-  drain ();
+  let rec drain acc =
+    match get "drain" (S.getdents p fd 4) with [] -> acc | c -> drain (acc @ c)
+  in
+  let streamed = List.sort compare (dirent_names (drain first)) in
   get "close" (S.close p fd);
-  (* Not complete: a later miss must still consult the file system. *)
+  Alcotest.(check (list string)) "snapshot unchanged"
+    (List.init 8 (fun i -> Printf.sprintf "m%d" (i + 1)))
+    streamed;
+  let dir_ino = (get "stat d" (S.stat p "/d")).Dcache_types.Attr.ino in
+  let backend =
+    match fs.Dcache_fs.Fs_intf.readdir dir_ino with
+    | Ok l -> List.sort compare (dirent_names l)
+    | Error e -> Alcotest.failf "backend readdir: %s" (Errno.to_string e)
+  in
+  Alcotest.(check (list string)) "fresh listing is the backend's" backend
+    (List.sort compare (dirent_names (get "readdir" (S.readdir_path p "/d"))));
   let lookups = fs_calls "lookup" in
   expect_err Errno.ENOENT "fresh miss" (S.stat p "/d/neverexisted");
-  Alcotest.(check bool) "fs consulted (directory not marked complete)" true
-    (fs_calls "lookup" > lookups);
-  (* And the unlinked name stays gone. *)
-  expect_err Errno.ENOENT "unlinked" (S.stat p "/d/m5")
+  expect_err Errno.ENOENT "unlinked" (S.stat p "/d/m5");
+  Alcotest.(check int) "absent names cost no lookup" lookups (fs_calls "lookup")
 
 let chunked_mutation_suite =
-  [ Alcotest.test_case "mutation between getdents chunks" `Quick
-      test_mutation_between_chunks_blocks_completion ]
+  [ Alcotest.test_case "mutation between getdents chunks keeps the snapshot" `Quick
+      test_mutation_between_chunks_keeps_snapshot ]
