@@ -9,6 +9,10 @@ module Stats = Dcache_util.Stats
 
 let quick = ref true
 
+(* Set by an experiment whose exact-count check failed; main.exe exits
+   with it after every named experiment has run. *)
+let exit_code = ref 0
+
 (* Repeat a measurement and keep the median: the container we run in is
    noisy, and medians recover the shape the paper reports. *)
 let repeats () = if !quick then 5 else 9

@@ -2418,6 +2418,67 @@ let batch_bench () =
 (* Listing: cache-fed readdir — promotion + dirent scratch (§5.1)      *)
 (* ------------------------------------------------------------------ *)
 
+(* The churn column: a 400-entry complete directory
+   listed warm after 0, 1x, 4x and 16x its entry count in churn — renames
+   to fresh names, unlink-and-recreate, and stats of absent names.  Every
+   op leaves the entry count unchanged, so a listing that costs what it
+   lists stays flat: the child list the fill walks holds the entries and
+   nothing else.  Rows are cumulative on one directory. *)
+let listing_churn () =
+  subheader "warm listing under churn (400-entry complete directory)";
+  let entries = 400 in
+  let env = W.Env.ram Config.optimized in
+  let p = env.W.Env.proc in
+  ok "mkdir" (S.mkdir p "/churn");
+  let names = Array.init entries (Printf.sprintf "/churn/e%06d") in
+  Array.iter (fun path -> ok "seed" (S.write_file p path "x")) names;
+  let fresh = ref entries in
+  let next_name () =
+    incr fresh;
+    Printf.sprintf "/churn/e%06d" !fresh
+  in
+  let churn ops =
+    for i = 0 to ops - 1 do
+      let slot = i mod entries in
+      match i mod 3 with
+      | 0 ->
+        let dst = next_name () in
+        ok "rename" (S.rename p names.(slot) dst);
+        names.(slot) <- dst
+      | 1 ->
+        ok "unlink" (S.unlink p names.(slot));
+        names.(slot) <- next_name ();
+        ok "create" (S.write_file p names.(slot) "x")
+      | _ -> (
+        match S.stat p (next_name ()) with
+        | Error Dcache_types.Errno.ENOENT -> ()
+        | Ok _ | Error _ -> failwith "listing churn: expected ENOENT")
+    done
+  in
+  let fd = ok "open" (S.openf p "/churn" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+  let dir = (ok "fd" (Proc.find_fd p fd)).Proc.fd_ref.Dcache_vfs.Types.dentry in
+  row "%-8s %9s %9s %11s %10s\n" "churn" "entries" "nodes" "warm ns" "words/op";
+  let done_ops = ref 0 in
+  List.map
+    (fun factor ->
+      churn ((factor * entries) - !done_ops);
+      done_ops := factor * entries;
+      let listed = S.readdir_fill p fd in
+      let warm0 = counter env "readdir_scratch_warm" in
+      let ns =
+        env_latency_ns env ~iters:(if !quick then 500 else 2000) (fun () ->
+            ignore (S.readdir_fill p fd))
+      in
+      let words =
+        Stats.minor_words_per_op ~iters:2000 (fun () -> ignore (S.readdir_fill p fd))
+      in
+      if counter env "readdir_scratch_warm" = warm0 then
+        row "  WARNING: churned fill missed the warm path\n";
+      let nodes = Dcache_util.Dlist.length dir.Dcache_vfs.Types.d_children in
+      row "%-8s %9d %9d %11.1f %10.2f\n" (Printf.sprintf "%dx" factor) listed nodes ns words;
+      (factor, listed, nodes, ns, words))
+    [ 0; 1; 4; 16 ]
+
 (* A DIR_COMPLETE directory answers getdents from its cached children,
    and a warm fill through the per-process dirent scratch revalidates two
    seqcounts and copies names without allocating.  On the simulated disk
@@ -2491,6 +2552,7 @@ let listing_bench () =
     min_speedup max_words;
   if min_speedup < 5.0 then row "  WARNING: warm listing below the 5x bound\n";
   if max_words > 0.0 then row "  WARNING: warm fill allocated\n";
+  let churn = listing_churn () in
   let figures =
     [
       ( "runs",
@@ -2507,9 +2569,30 @@ let listing_bench () =
         ^ "\n  ]" );
       ("min_speedup", Printf.sprintf "%.2f" min_speedup);
       ("max_warm_words_per_op", Printf.sprintf "%.3f" max_words);
+      ( "churn",
+        "[\n"
+        ^ String.concat ",\n"
+            (List.map
+               (fun (factor, entries, nodes, ns, words) ->
+                 Printf.sprintf
+                   "    {\"churn_x\": %d, \"entries\": %d, \"visited_nodes\": %d, \
+                    \"warm_fill_ns\": %.1f, \"warm_words_per_op\": %.3f}"
+                   factor entries nodes ns words)
+               churn)
+        ^ "\n  ]" );
     ]
   in
-  Bench_report.write ~experiment:"listing" figures
+  Bench_report.write ~experiment:"listing" figures;
+  (* The churn column's exact counts gate the run: churn may not make a
+     warm listing of the same entries walk more nodes or allocate. *)
+  match (churn, List.rev churn) with
+  | (_, _, nodes0, _, words0) :: _, (_, _, nodes16, _, words16) :: _ ->
+    if nodes16 <> nodes0 || words16 <> words0 then begin
+      row "  FAIL: after churn the listing walks %d nodes (%.3f words/op), fresh %d (%.3f)\n"
+        nodes16 words16 nodes0 words0;
+      exit_code := 1
+    end
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Createstorm: probe-free creates + bounded negative lists (§5.2/§6.3)*)
@@ -2693,4 +2776,5 @@ let () =
   in
   Printf.printf "dcache reproduction benchmarks - %s scale\n"
     (if !quick then "quick (use --full for paper-scale parameters)" else "full");
-  List.iter (fun (_, f) -> f ()) to_run
+  List.iter (fun (_, f) -> f ()) to_run;
+  exit !exit_code

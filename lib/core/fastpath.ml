@@ -40,7 +40,6 @@ type t = {
   c_prefix_resume : Counter.cell;
   c_prefix_negfail : Counter.cell;
   c_prefix_stale : Counter.cell;
-  c_negfail_promoted : Counter.cell;
   c_lease_fallback : Counter.cell;
 }
 
@@ -67,7 +66,6 @@ let create dcache =
       c_prefix_resume = Counter.cell counters "fastpath_prefix_resume";
       c_prefix_negfail = Counter.cell counters "fastpath_prefix_negfail";
       c_prefix_stale = Counter.cell counters "fastpath_prefix_stale";
-      c_negfail_promoted = Counter.cell counters "fastpath_negfail_promoted";
       c_lease_fallback = Counter.cell counters "fastpath_lease_fallback";
     }
   in
@@ -296,12 +294,6 @@ type scratch = {
   mutable stripe_n : int;
   stripe_seqs : Seqcount.t array;
   stripe_snaps : int array;
-  (* Deep-negative promotion (§5.2): the DIR_COMPLETE fast-fail verdict's
-     deciding directory and the absent next component's span, stashed so
-     the miss handler can publish a negative dentry for it afterwards. *)
-  mutable promote_dir : dentry option;
-  mutable promote_pos : int;
-  mutable promote_len : int;
   (* §3.8 retry attribution: the deciding directory of the most recent
      probe's verdict (set armed-only when the literal is found), so
      [note_lockless_retry] can charge the seqcount retry to the directory
@@ -328,9 +320,6 @@ let scratch_key =
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
         stripe_snaps = Array.make stripe_cap 0;
-        promote_dir = None;
-        promote_pos = 0;
-        promote_len = 0;
         hh_id = -1;
         hh_name = "";
       })
@@ -649,17 +638,6 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                    if !Profiler.armed then
                      Profiler.hh_record real.d_id real.d_name Profiler.m_neg;
                    sc.neg_errno <- Errno.ENOENT;
-                   (* §5.2 promotion: remember the deciding directory and
-                      the absent component so the miss handler can publish
-                      a deep negative dentry for it (the one allocation —
-                      the [Some] — happens only on a promotable verdict;
-                      once promoted, later probes are warm negative hits
-                      and never reach this point). *)
-                   if (config t).Config.deep_negative then begin
-                     sc.promote_dir <- Some real;
-                     sc.promote_pos <- pos;
-                     sc.promote_len <- len
-                   end;
                    raise_notrace Neg_fail
                  end
                end
@@ -725,7 +703,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   sc.snap_inval <- Dcache.invalidation_counter t.dcache;
   sc.resume_slot <- -1;
   sc.stripe_n <- 0;
-  sc.promote_dir <- None;
   sc.hh_id <- -1;
   Signature.snaps_reset sc.snaps;
   let dlht = dlht_for t ctx vsnap in
@@ -930,58 +907,6 @@ let populate t ctx ~visited ~absolute ~start =
       visited;
     Counter.add (counters t) "fastpath_populated" (List.length visited)
 
-(* Publish the deep negative dentry a DIR_COMPLETE fast-fail verdict
-   promised (§5.2): the fast-fail answered ENOENT from the completeness of
-   a cached directory, so the absent child's name can be cached as a
-   negative dentry — and signed into the DLHT — turning every later lookup
-   of that path into a warm negative hit instead of a prefix scan.  The
-   verdict was an unlocked snapshot; everything it relied on is
-   re-established under the write lock before anything is published (a
-   complete directory with no cached child of the name definitively has no
-   such child, §5.1).  Caller holds the write lock. *)
-let promote_negfail_in t ctx dir name =
-  if
-    dir.d_hashed && dentry_is_dir dir
-    && Dcache.is_complete t.dcache dir
-    && Dcache.lookup t.dcache dir name = None
-  then begin
-    match Dcache.add_child t.dcache dir name (Negative Errno.ENOENT) with
-    | Error _ -> ()
-    | Ok child -> (
-      Counter.bump t.c_negfail_promoted;
-      (* Sign and publish for direct lookup when the parent's own
-         canonical state is available; otherwise the plain negative
-         dentry still serves walks and later fast-fails. *)
-      match (dir.d_hstate, dir.d_mnt) with
-      | Some state, Some mnt ->
-        let st =
-          Signature.feed_string t.key (Signature.feed_char t.key state '/') name
-        in
-        let s = Signature.finalize t.key st in
-        child.d_hstate <- Some st;
-        child.d_sig <- Some s;
-        child.d_mnt <- Some mnt;
-        (match Dlht.of_namespace_opt ctx.Walk.ns with
-        | Some dlht -> Dlht.insert dlht ctx.Walk.ns child s
-        | None -> ())
-      | _ -> ())
-  end
-
-(* Takes the write lock unless this domain already holds it (the locked
-   re-probe of {!resolve_locked}). *)
-let promote_negfail t ctx sc path =
-  match sc.promote_dir with
-  | None -> ()
-  | Some dir ->
-    sc.promote_dir <- None;
-    let pos = sc.promote_pos and len = sc.promote_len in
-    if sc.snap_path == path && pos >= 0 && len > 0 && pos + len <= String.length path
-    then begin
-      let name = String.sub path pos len in
-      if Rwlock.write_held (Dcache.lock t.dcache) then promote_negfail_in t ctx dir name
-      else Dcache.with_write t.dcache (fun () -> promote_negfail_in t ctx dir name)
-    end
-
 (* --- the public lookup --- *)
 
 (* Re-derive and re-validate the probe's resume candidate under the write
@@ -1115,8 +1040,7 @@ let attempt t ctx ~start ~flags sc path ~within ~vsnap =
       result
     | exception Neg_fail ->
       (* Prefix fast-fail (§3.5): the verdict passed its validation inside
-         the probe, so it is as good as a hit — no walk. *)
-      promote_negfail t ctx sc path;
+         the probe, so it is as good as a hit — no walk, no lock. *)
       Errno.to_error sc.neg_errno
     | exception Seq_retry ->
       (* Under the write lock no stripe section can be live: this is
@@ -1312,8 +1236,8 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
    does, and after [max_attempts] consecutive races the op is deferred to
    phase 2 (writer storm: resolve authoritatively); a believed miss is
    deferred at once and keeps the window.  A completed op whose window no
-   longer validates — its own promotion (§5.2) took the write lock —
-   reopens it without counting a split.  Phase 1 is part of the
+   longer validates — a writer ran meanwhile — reopens it without
+   counting a split.  Phase 1 is part of the
    zero-allocation warm path (asserted per batch by [t_alloc]): its refs
    are never captured, so they compile to mutable locals. *)
 let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =

@@ -89,8 +89,10 @@ let with_dir_stripe proc dir f =
   end
 
 (* One intrusive pass over [dir]'s cached children into [ds] starting at
-   slot [i]; returns the end slot.  Negative children are skipped — they
-   are cached absence, not entries.  Everything here is field reads and
+   slot [i]; returns the end slot.  A complete directory has no negative
+   children ({!Dcache.set_complete} drops them), so the walk visits
+   entries only; the skip below serves a torn racy walk, which the caller's
+   validation rejects anyway.  Everything here is field reads and
    [Array.unsafe_set] stores: the walk allocates nothing.  A torn list
    (concurrent splice) can only cut the walk short or revisit nodes; the
    [cap] check bounds it either way, and the caller's seqcount validation
@@ -178,9 +180,11 @@ let scratch_fill_listing proc (listing : Fs.dirent list) ~base =
 (* Promote a backend listing into the dcache (§5.1): cache unlisted names
    as [Partial] children, and mark the directory DIR_COMPLETE unless a
    cached negative contradicts the listing (the conflict resolves through
-   the coherence machinery, not here).  Returns whether the directory was
-   marked complete.  Caller holds the directory's own-id stripe or the
-   write lock and has revalidated the directory under it.  [Fs.readdir]
+   the coherence machinery, not here).  Marking it complete drops its
+   other negatives: the listing now answers every absence.  Returns
+   whether the directory was marked complete.  Caller holds the
+   directory's own-id stripe or the write lock and has revalidated the
+   directory under it.  [Fs.readdir]
    returns the whole listing in one call, so the listing and the
    promotion share one lock section and no mutation can fall between
    them. *)
@@ -227,28 +231,43 @@ let listing_source proc inode dir =
     | _ -> ());
     r
 
+(* A negative child with cached children of its own heads a deep-negative
+   chain (§5.2).  The deeper negatives sit on their own parents' stripe
+   lists, so only the write lock may drop the chain when the listing
+   completes [dir]: the stripe section raises this and the fill reruns
+   under the write lock. *)
+exception Deep_negatives
+
+let heads_deep_negatives dir =
+  Dlist.exists
+    (fun c -> dentry_is_negative c && not (Dlist.is_empty c.d_children))
+    dir.d_children
+
 let fill_locked proc inode dir ~base =
   let d = dcache proc in
+  let completes = (kconfig proc).Config.dir_completeness in
+  let section () =
+    if not (dir_live dir) then Error Errno.ENOENT
+    else if Dcache.is_complete d dir then begin
+      count proc "readdir_scratch_fill";
+      count proc "readdir_from_cache";
+      Ok (scratch_fill_children proc dir ~base)
+    end
+    else begin
+      if completes && heads_deep_negatives dir && not (Rwlock.write_held (Dcache.lock d))
+      then raise Deep_negatives;
+      match listing_source proc inode dir with
+      | Error e -> Error e
+      | Ok listing ->
+        let complete = completes && promote_listing_locked proc dir listing in
+        count proc "readdir_scratch_fill";
+        if complete then Ok (scratch_fill_children proc dir ~base)
+        else Ok (scratch_fill_listing proc listing ~base)
+    end
+  in
   let r =
-    with_dir_stripe proc dir (fun () ->
-        if not (dir_live dir) then Error Errno.ENOENT
-        else if Dcache.is_complete d dir then begin
-          count proc "readdir_scratch_fill";
-          count proc "readdir_from_cache";
-          Ok (scratch_fill_children proc dir ~base)
-        end
-        else begin
-          match listing_source proc inode dir with
-          | Error e -> Error e
-          | Ok listing ->
-            let complete =
-              (kconfig proc).Config.dir_completeness
-              && promote_listing_locked proc dir listing
-            in
-            count proc "readdir_scratch_fill";
-            if complete then Ok (scratch_fill_children proc dir ~base)
-            else Ok (scratch_fill_listing proc listing ~base)
-        end)
+    try with_dir_stripe proc dir section
+    with Deep_negatives -> Dcache.with_write d section
   in
   Dcache.reclaim_overflow d;
   r

@@ -139,7 +139,8 @@ let refresh_dir_attr dir_inode =
    is promoted in place: the name keeps its signature and DLHT entry, so
    the fastpath serves the new positive result immediately.  Creating a
    non-directory over it evicts any deep negative children; a new
-   directory is empty, so deep negatives below it stay valid (§5.2). *)
+   directory is empty, so deep negatives below it stay valid (§5.2) until
+   {!Dcache.set_complete} drops them. *)
 let instantiate proc t (attr : Attr.t) =
   let d = dcache proc in
   let parent = t.dir.dentry in
@@ -635,12 +636,16 @@ let truncate proc path size =
 
 (* --- namespace mutations --- *)
 
-(* A cached name answers mkdir under the stripe either way: EEXIST, or a
-   negative promoted in place (a new directory is empty, so deep negatives
-   below it stay valid, §5.2).  An uncached one only in a complete
-   directory (§5.1). *)
+(* A cached name answers mkdir under the stripe: EEXIST, or a negative
+   leaf promoted in place.  Deep negatives below a negative would be
+   dropped when the new, empty directory is marked complete, across
+   stripes, so they take the global scope.  An uncached name is covered
+   only in a complete directory (§5.1). *)
 let mkdir_covers proc t =
-  Option.is_some t.child || Dcache.is_complete (dcache proc) t.dir.dentry
+  match t.child with
+  | Some child when dentry_is_negative child -> Dlist.is_empty child.d_children
+  | Some _ -> true
+  | None -> Dcache.is_complete (dcache proc) t.dir.dentry
 
 let do_mkdir ?start ~mode proc path =
   mutate ?start proc ~site:(fun cs -> cs.cs_mkdir) path ~covers:(mkdir_covers proc) (fun t ->
@@ -816,8 +821,13 @@ let rename_body proc src dst =
           refresh_dir_attr old_dir;
           if cross then refresh_dir_attr new_dir;
           count_striped proc src "sharded_rename";
-          (* Keep the old name cached as a negative dentry (§5.2). *)
-          if (kconfig proc).Config.aggressive_negative then
+          (* Keep the old name cached as a negative dentry (§5.2), unless
+             the old directory is complete: its listing answers the
+             absence (§5.1). *)
+          if
+            (kconfig proc).Config.aggressive_negative
+            && not (Dcache.is_complete d src.dir.dentry)
+          then
             ignore (Dcache.add_child d src.dir.dentry src.name (Negative Errno.ENOENT));
           Dcache_util.Seqcount.write_end rename_lock;
           Ok ()

@@ -35,14 +35,22 @@ type t = {
           separate} side table, as Solaris's DNLC does — repeated readdirs
           are served, but lookups, stat-after-readdir and negative elision
           see no benefit.  Mutually exclusive with [dir_completeness]. *)
-  aggressive_negative : bool;  (** negatives on rename/unlink + pseudo-fs (§5.2) *)
-  deep_negative : bool;  (** deep ENOENT/ENOTDIR dentries (§5.2) *)
+  aggressive_negative : bool;
+      (** negatives on rename/unlink + pseudo-fs (§5.2).  Applies only
+          under incomplete directories: a DIR_COMPLETE directory is its own
+          negative cache and holds no negative children (§5.1) *)
+  deep_negative : bool;
+      (** deep ENOENT/ENOTDIR dentries (§5.2).  Applies only below a
+          negative or a non-directory, i.e. never directly under a
+          DIR_COMPLETE directory, which answers its absent names itself *)
   neg_list_cap : int;
       (** per-stripe negative-dentry LRU list capacity (§6.3 decay/shrink
           study): a create/stat storm of unique absent names evicts the
           oldest negative on its own stripe once the stripe's list exceeds
           this bound, so negatives can neither grow the cache without limit
-          nor serialize eviction on a global lock; 0 disables the bound *)
+          nor serialize eviction on a global lock; 0 disables the bound.
+          Only incomplete directories hold negatives, so only their
+          absent names fill the lists *)
   (* substrate sizing *)
   dcache_buckets : int;  (** primary hash table buckets (Linux default 262144) *)
   max_dentries : int;  (** dcache capacity before LRU eviction *)

@@ -664,6 +664,8 @@ let invalidate_structure t dentry =
 
 (* --- unhash / negative conversion / rename --- *)
 
+let is_complete t d = t.config.Config.dir_completeness && d.d_complete
+
 let rec drop_children t d =
   iter_children d (fun child ->
       drop_children t child;
@@ -690,11 +692,15 @@ let make_negative t d errno =
   neg_note_created t d;
   Counter.incr t.counters "negative_created"
 
+(* A complete directory is its own negative cache (§5.1): under one the
+   name is dropped, not kept as a negative, and the listing answers its
+   absence.  Negatives are cached only under incomplete directories. *)
 let note_unlinked t d =
   match d.d_parent with
   | None -> ()
   | Some parent ->
-    if Atomic.get d.d_refcount = 0 && Dlist.is_empty d.d_children then
+    if is_complete t parent then unhash t d
+    else if Atomic.get d.d_refcount = 0 && Dlist.is_empty d.d_children then
       make_negative t d Errno.ENOENT
     else begin
       let name = d.d_name in
@@ -725,8 +731,9 @@ let d_move t d ~new_parent ~new_name =
 
    Structural invariants of the cache, used as a property-test oracle:
    every cached dentry is on the reclaim list, hashed, reachable from its
-   parent's child list, findable through the primary hash table, and its
-   fast-dentry state is internally consistent. *)
+   parent's child list, findable through the primary hash table, not a
+   negative under a DIR_COMPLETE parent (§5.1), and its fast-dentry state
+   is internally consistent. *)
 
 let self_check t =
   let problems = ref [] in
@@ -751,6 +758,11 @@ let self_check t =
         | Some found when found == d -> ()
         | Some _ -> problem "hash table finds a different dentry for %d (%s)" d.d_id d.d_name
         | None -> problem "dentry %d (%s) not findable in the hash table" d.d_id d.d_name));
+      (match d.d_parent with
+      | Some parent when parent.d_complete && dentry_is_negative d ->
+        problem "negative dentry %d (%s) under DIR_COMPLETE parent %d" d.d_id d.d_name
+          parent.d_id
+      | _ -> ());
       if d.d_complete && not (dentry_is_dir d) then
         problem "non-directory dentry %d marked DIR_COMPLETE" d.d_id;
       if d.d_dlht_ns <> None && d.d_sig = None then
@@ -842,9 +854,9 @@ let prune_children t d = drop_children t d
 
 let set_complete t d =
   if t.config.Config.dir_completeness && dentry_is_dir d then begin
+    iter_children d (fun child -> if dentry_is_negative child then unhash t child);
     d.d_complete <- true;
     Counter.incr t.counters "completeness_set"
   end
 
 let clear_complete d = d.d_complete <- false
-let is_complete t d = t.config.Config.dir_completeness && d.d_complete

@@ -117,7 +117,9 @@ val make_negative : t -> dentry -> Dcache_types.Errno.t -> unit
 val note_unlinked : t -> dentry -> unit
 (** Baseline-Linux behaviour after unlink: unused dentries become negative,
     in-use dentries are unhashed.  With aggressive negative caching the name
-    always ends up as a cached negative (§5.2). *)
+    always ends up as a cached negative (§5.2).  Under a DIR_COMPLETE parent
+    the name is always dropped instead: the complete listing answers its
+    absence (§5.1). *)
 
 val d_move : t -> dentry -> new_parent:dentry -> new_name:string -> unit
 (** Re-key a dentry after rename; the displaced target (if cached) is
@@ -125,7 +127,12 @@ val d_move : t -> dentry -> new_parent:dentry -> new_name:string -> unit
 
 val set_complete : t -> dentry -> unit
 (** Mark a directory's cached children as the complete listing (§5.1);
-    no-op unless directory completeness is enabled. *)
+    no-op unless directory completeness is enabled.  Drops the directory's
+    negative children first: a complete directory is its own negative
+    cache.  Caller holds the directory's own-id stripe or the write lock;
+    dropping a negative that has cached children of its own (a deep-negative
+    chain, whose deeper links sit on other stripes' lists) needs the write
+    lock. *)
 
 val clear_complete : dentry -> unit
 val is_complete : t -> dentry -> bool
@@ -208,7 +215,8 @@ val bucket_occupancy : t -> int array
 
 val self_check : t -> string list
 (** Verify the cache's structural invariants (reclaim-list/hash-table/child
-    -list agreement, bottom-up caching, fast-dentry consistency); returns
+    -list agreement, bottom-up caching, fast-dentry consistency, no negative
+    child under a DIR_COMPLETE directory); returns
     human-readable violations, [[]] when healthy.  O(cache size); a test
     oracle, not a production call. *)
 

@@ -158,18 +158,13 @@ let step mode t (cur : path_ref) name =
   | None ->
     if Dcache.is_complete t cur.dentry then begin
       (* A complete directory answers misses definitively without consulting
-         the file system (§5.1).  In Rcu mode skip caching the negative; the
-         answer is still correct. *)
+         the file system (§5.1), and is its own negative cache: nothing is
+         cached for the absent name. *)
       Counter.incr (Dcache.counters t) "complete_dir_negative";
       Trace.stamp Trace.ev_complete_neg 0;
       if !Profiler.armed then
         Profiler.hh_record cur.dentry.d_id cur.dentry.d_name Profiler.m_neg;
-      if mode = Rcu then None
-      else begin
-        match Dcache.add_child t cur.dentry name (Negative Errno.ENOENT) with
-        | Ok child -> Some child
-        | Error _ -> None
-      end
+      None
     end
     else begin
       if mode = Rcu then raise Need_refwalk;

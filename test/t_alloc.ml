@@ -131,6 +131,9 @@ let test_warm_lease_hit_zero_alloc () =
 let test_warm_negative_hit_zero_alloc () =
   let kernel, p = ram_kernel ~config:Config.optimized () in
   get "tree" (S.mkdir_p p "/a/b");
+  (* Completeness lost: only an incomplete /a/b caches the absence as a
+     negative dentry; a complete one answers it by prefix fast-fail. *)
+  Kernel.drop_caches kernel;
   ignore (S.stat p "/a/b/nothing");
   (* cache the negative *)
   let fp = Kernel.fastpath kernel in
@@ -336,9 +339,9 @@ let test_prefix_resume_scratch_reuse () =
     true (per_op < 3000.0)
 
 let test_prefix_negfail_zero_alloc () =
-  (* With deep negatives off, a DIR_COMPLETE fast-fail populates no
-     negative dentry, so a repeatedly probed absent name takes the verdict
-     path on *every* lookup — it must obey the same zero-allocation
+  (* A DIR_COMPLETE fast-fail populates no negative dentry (a complete
+     directory is its own negative cache), so a repeatedly probed absent
+     name takes the verdict path on *every* lookup — it must obey the same zero-allocation
      discipline as a warm hit (top-level scan recursion, constant verdict
      exception, in-place substring child probe). *)
   let config = { Config.optimized with Config.deep_negative = false } in
@@ -363,36 +366,79 @@ let test_prefix_negfail_zero_alloc () =
   Alcotest.(check (pair int int)) "zero rwlock acquisitions over prefix fast-fails" (0, 0)
     locks
 
-let test_negfail_promotion_zero_alloc () =
-  (* With deep negatives on (the optimized default), the first
-     DIR_COMPLETE fast-fail *promotes*: the absent name is published as a
-     signed negative dentry, so every later probe is a warm negative hit —
-     still zero words, zero locks, but no prefix scan at all. *)
+let test_deep_negative_zero_alloc () =
+  (* Under an incomplete directory the first miss of a deep absent path
+     caches the absent name and a deep negative below it (§5.2), so every
+     later probe is a warm negative hit — zero words, zero locks, and no
+     prefix scan at all. *)
   let kernel, p = ram_kernel ~config:Config.optimized () in
   get "tree" (S.mkdir_p p "/a/b/c");
   get "file" (S.write_file p "/a/b/c/target" "payload");
-  ignore (get "readdir" (S.readdir_path p "/a/b/c"));
+  (* Completeness lost: /a/b/c is re-walked, not DIR_COMPLETE. *)
+  Kernel.drop_caches kernel;
   let fp = Kernel.fastpath kernel in
   let ctx = Proc.walk_ctx p in
-  probe_enoent fp ctx "/a/b/c/ghost";
-  Alcotest.(check bool) "first fast-fail promoted a negative dentry" true
-    (counter kernel "fastpath_negfail_promoted" >= 1);
-  probe_enoent fp ctx "/a/b/c/ghost";
+  probe_enoent fp ctx "/a/b/c/ghost/deep";
+  Alcotest.(check bool) "first miss built a deep negative" true
+    (counter kernel "deep_negative_created" >= 1);
+  probe_enoent fp ctx "/a/b/c/ghost/deep";
   let neg0 = counter kernel "fastpath_negative_hit" in
   let negfail0 = counter kernel "fastpath_prefix_negfail" in
   let iters = 10_000 in
   Rwlock.reset_acquisition_counts ();
   let words =
-    measure_minor_words iters (fun () -> probe_enoent fp ctx "/a/b/c/ghost")
+    measure_minor_words iters (fun () -> probe_enoent fp ctx "/a/b/c/ghost/deep")
   in
   let locks = Rwlock.acquisition_counts () in
   Alcotest.(check int) "every probe was a warm negative hit" (iters + 2)
     (counter kernel "fastpath_negative_hit" - neg0);
-  Alcotest.(check int) "no further prefix fast-fails" 0
+  Alcotest.(check int) "no prefix fast-fails" 0
     (counter kernel "fastpath_prefix_negfail" - negfail0);
-  Alcotest.(check (float 0.0)) "zero minor-heap words over promoted negatives" 0.0 words;
-  Alcotest.(check (pair int int)) "zero rwlock acquisitions over promoted negatives"
+  Alcotest.(check (float 0.0)) "zero minor-heap words over deep negative hits" 0.0 words;
+  Alcotest.(check (pair int int)) "zero rwlock acquisitions over deep negative hits"
     (0, 0) locks
+
+(* A complete directory is its own negative cache (§5.1): after an unlink
+   or a rename in one, the old name is dropped, not kept as a negative.  A
+   stat of it is the prefix fast-fail — no fs lookup, no negative created,
+   no lock — and a probe of it allocates nothing. *)
+let check_old_name_fast_fails mutate =
+  let fs, fs_calls = counting_fs (Dcache_fs.Ramfs.create ()) in
+  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+  let p = Proc.spawn kernel in
+  get "tree" (S.mkdir_p p "/a/b/c");
+  get "file" (S.write_file p "/a/b/c/old" "payload");
+  ignore (get "readdir" (S.readdir_path p "/a/b/c"));
+  ignore (get "warm" (S.stat p "/a/b/c/old"));
+  mutate p;
+  Alcotest.(check (list string)) "no negative under the complete parent" []
+    (Dcache.self_check (Kernel.dcache kernel));
+  let lookups0 = fs_calls "lookup" in
+  let neg0 = counter kernel "negative_created" in
+  let negfail0 = counter kernel "fastpath_prefix_negfail" in
+  Rwlock.reset_acquisition_counts ();
+  expect_err Errno.ENOENT "old name" (S.stat p "/a/b/c/old");
+  Alcotest.(check (pair int int)) "stat took no rwlock" (0, 0) (Rwlock.acquisition_counts ());
+  Alcotest.(check int) "stat was a prefix fast-fail" 1
+    (counter kernel "fastpath_prefix_negfail" - negfail0);
+  let fp = Kernel.fastpath kernel in
+  let ctx = Proc.walk_ctx p in
+  let iters = 10_000 in
+  Rwlock.reset_acquisition_counts ();
+  let words = measure_minor_words iters (fun () -> probe_enoent fp ctx "/a/b/c/old") in
+  Alcotest.(check (pair int int)) "zero rwlock acquisitions over fast-fails" (0, 0)
+    (Rwlock.acquisition_counts ());
+  Alcotest.(check (float 0.0)) "zero minor-heap words over fast-fails" 0.0 words;
+  Alcotest.(check int) "every probe was a prefix fast-fail" (iters + 3)
+    (counter kernel "fastpath_prefix_negfail" - negfail0);
+  Alcotest.(check int) "no fs lookup" 0 (fs_calls "lookup" - lookups0);
+  Alcotest.(check int) "no negative created" 0 (counter kernel "negative_created" - neg0)
+
+let test_unlink_in_complete_dir () =
+  check_old_name_fast_fails (fun p -> get "unlink" (S.unlink p "/a/b/c/old"))
+
+let test_rename_in_complete_dir () =
+  check_old_name_fast_fails (fun p -> get "rename" (S.rename p "/a/b/c/old" "/a/b/c/new"))
 
 (* --- in-place hasher vs. the pure split-based hasher --- *)
 
@@ -540,6 +586,9 @@ let test_dlht_churn () =
   for i = 1 to 50 do
     get "create" (S.write_file p (name i) "x")
   done;
+  (* Completeness lost: /dir is re-walked, not DIR_COMPLETE, so unlinked
+     and renamed-away names stay cached as negatives. *)
+  Kernel.drop_caches kernel;
   for i = 1 to 50 do
     ignore (get "warm" (S.stat p (name i)))
   done;
@@ -805,6 +854,8 @@ let test_negative_list_eviction_bounded () =
   let d = Kernel.dcache kernel in
   get "dirs" (S.mkdir_p p "/neg/a");
   get "dirs" (S.mkdir_p p "/neg/b");
+  (* Completeness lost: only incomplete directories cache negatives. *)
+  Kernel.drop_caches kernel;
   let storm = 40 * cap in
   for i = 0 to storm - 1 do
     let parent = if i land 1 = 0 then "a" else "b" in
@@ -824,13 +875,18 @@ let test_negative_list_eviction_bounded () =
   (match Dcache.self_check d with
   | [] -> ()
   | problems -> Alcotest.failf "invariants violated:\n%s" (String.concat "\n" problems));
-  (* Eviction preserves DIR_COMPLETE (detach without reclaim): a completed
-     directory hit by the storm still serves absent names by verdict. *)
+  (* Completing a directory drops its negatives: its listing answers
+     absent names by verdict, and a second storm caches none. *)
   ignore (get "complete" (S.readdir_path p "/neg/a"));
+  let created0 = counter kernel "negative_created" in
   for i = 0 to 4 * cap do
     expect_err Errno.ENOENT "post-complete absent"
       (S.stat p (Printf.sprintf "/neg/a/more%d" i))
   done;
+  Alcotest.(check int) "the complete directory cached no negative" created0
+    (counter kernel "negative_created");
+  Alcotest.(check (list string)) "no negative under the complete directory" []
+    (Dcache.self_check d);
   Alcotest.(check bool) "lists still bounded after the second storm" true
     (Array.for_all (fun n -> n <= cap) (Dcache.neg_occupancy d));
   (* Per-mount generation invalidation: one store devalues every cached
@@ -851,6 +907,7 @@ let test_negative_list_eviction_bounded () =
     ram_kernel ~config:{ Config.optimized with Config.neg_list_cap = 0 } ()
   in
   get "dir" (S.mkdir_p p0 "/z");
+  Kernel.drop_caches kernel0;
   for i = 0 to 99 do
     expect_err Errno.ENOENT "absent" (S.stat p0 (Printf.sprintf "/z/no%d" i))
   done;
@@ -887,8 +944,12 @@ let suite =
       test_prefix_resume_scratch_reuse;
     Alcotest.test_case "prefix negative fast-fail allocates zero minor words" `Quick
       test_prefix_negfail_zero_alloc;
-    Alcotest.test_case "promoted deep negative stays zero-alloc warm" `Quick
-      test_negfail_promotion_zero_alloc;
+    Alcotest.test_case "deep negative stays zero-alloc warm" `Quick
+      test_deep_negative_zero_alloc;
+    Alcotest.test_case "unlink in a complete dir: old name fast-fails, zero-alloc" `Quick
+      test_unlink_in_complete_dir;
+    Alcotest.test_case "rename in a complete dir: old name fast-fails, zero-alloc" `Quick
+      test_rename_in_complete_dir;
     Alcotest.test_case "in-place hasher matches split+feed_string" `Quick
       test_inplace_hasher_equivalence;
     Alcotest.test_case "in-place hasher resumes from cached state" `Quick

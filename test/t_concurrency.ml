@@ -117,10 +117,12 @@ let measure_minor_words iters f =
    with every writer mid-mutation.  Writers share both directories (so
    their stripes genuinely contend) but own disjoint name sets, and each
    name walks a create -> cross-directory rename -> unlink cycle whose
-   every step stays sharded after the warm-up lap: create lands on the
-   cached negative the previous unlink (aggressive_negative) left behind,
-   so no step needs the global write lock — which is exactly what keeps
-   the readers' 0-locks assertion honest. *)
+   every step stays sharded after the warm-up lap: both directories are
+   complete, so the unlinked name is dropped and the next create is
+   answered by the directory's completeness, so no step needs the global
+   write lock — which is exactly what keeps the readers' 0-locks assertion
+   honest.  Quiesced, the cache holds no negative under either complete
+   directory. *)
 let test_nwriter_churn ~writers seed () =
   let kernel, p = ram_kernel ~config:Config.optimized () in
   get "tree" (S.mkdir_p p "/churn/d0");
@@ -237,7 +239,9 @@ let test_nwriter_churn ~writers seed () =
           check "d0" (ph = 1) (name w k 1);
           check "d1" (ph = 2) (name w k 2))
         phase)
-    phases
+    phases;
+  Alcotest.(check (list string)) "dcache self-check clean" []
+    (Dcache.self_check (Kernel.dcache kernel))
 
 let test_cross_rename_no_deadlock () =
   (* Two writers rename between the same directory pair in opposite
@@ -361,7 +365,9 @@ let test_churn_across_resize seed () =
       | Ok "S" -> ()
       | Ok c -> Alcotest.failf "%s corrupted: %S" f c
       | Error e -> Alcotest.failf "%s lost: %s" f (Dcache_types.Errno.to_string e))
-    stable
+    stable;
+  Alcotest.(check (list string)) "dcache self-check clean" []
+    (Dcache.self_check (Kernel.dcache kernel))
 
 (* Another domain's write section must not look like this domain's own:
    [Readdir.with_dir_stripe] runs its body inline only when the calling

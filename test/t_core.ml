@@ -8,6 +8,7 @@ module Lsm = Dcache_cred.Lsm
 module Fastpath = Dcache_core.Fastpath
 module Pcc = Dcache_core.Pcc
 module Dlht = Dcache_core.Dlht
+module Dcache = Dcache_vfs.Dcache
 
 let opt_kernel ?(config = Config.optimized) ?lsms () = ram_kernel ~config ?lsms ()
 
@@ -94,6 +95,9 @@ let test_rename_shoots_down_fastpath () =
 
 let test_unlink_leaves_negative_on_fastpath () =
   let kernel, p = setup () in
+  (* Completeness lost: the re-walked /a/b/c is not DIR_COMPLETE, so the
+     unlinked name stays cached as a negative (§5.2). *)
+  Kernel.drop_caches kernel;
   ignore (get "warm" (S.stat p "/a/b/c/target"));
   get "unlink" (S.unlink p "/a/b/c/target");
   Kernel.reset_stats kernel;
@@ -115,6 +119,9 @@ let test_deep_negative_dentries () =
   let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
   let p = Proc.spawn kernel in
   get "base" (S.mkdir_p p "/x");
+  (* Completeness lost: /x is re-walked, not DIR_COMPLETE, so the miss
+     caches "missing" and chains negatives below it. *)
+  Kernel.drop_caches kernel;
   expect_err Errno.ENOENT "deep miss" (S.stat p "/x/missing/deep/path");
   let lookups = fs_calls "lookup" in
   (* Repeats of the full deep path must not consult the fs again. *)
@@ -132,8 +139,9 @@ let test_deep_enotdir_dentries () =
   Alcotest.(check int) "fastpath ENOTDIR" 1 (counter kernel "fastpath_negative_hit")
 
 let test_mkdir_over_deep_negative_keeps_children () =
-  (* Creating a DIRECTORY over a negative dentry: the deep negative children
-     are still valid (the new directory is empty) — §5.2. *)
+  (* Creating a DIRECTORY where a name was absent: lookups below it are
+     still answered without the fs — the new directory is empty and
+     complete (§5.1). *)
   let fs, fs_calls = counting_fs (Dcache_fs.Ramfs.create ()) in
   let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
   let p = Proc.spawn kernel in
@@ -147,6 +155,43 @@ let test_mkdir_over_deep_negative_keeps_children () =
   get "create child" (S.write_file p "/x/newdir/child" "now");
   ignore (get "exists" (S.stat p "/x/newdir/child"));
   ignore kernel
+
+(* A complete directory is its own negative cache (§5.1): completing one
+   drops the negatives cached under it while it was incomplete, deep
+   chains included — by mkdir over a negative that heads a chain (the
+   global scope: the chain spans stripes) and by a listing (its stripe
+   section reruns under the write lock). *)
+let test_completion_drops_negatives () =
+  let fs, fs_calls = counting_fs (Dcache_fs.Ramfs.create ()) in
+  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+  let p = Proc.spawn kernel in
+  let d = Kernel.dcache kernel in
+  get "base" (S.mkdir_p p "/x");
+  get "file" (S.write_file p "/x/real" "r");
+  Kernel.drop_caches kernel;
+  let absent = [ "/x/ghost"; "/x/missing/deep/path"; "/x/newdir/child" ] in
+  List.iter (fun path -> expect_err Errno.ENOENT path (S.stat p path)) absent;
+  Alcotest.(check bool) "incomplete /x cached deep negatives" true
+    (counter kernel "deep_negative_created" >= 2);
+  let sharded0 = counter kernel "sharded_mkdir" in
+  get "mkdir over a chain head" (S.mkdir p "/x/newdir");
+  Alcotest.(check int) "chain head took the global scope" sharded0
+    (counter kernel "sharded_mkdir");
+  Alcotest.(check (list string)) "new directory holds no negative" [] (Dcache.self_check d);
+  let names =
+    get "readdir" (S.readdir_path p "/x")
+    |> List.map (fun e -> e.Dcache_fs.Fs_intf.name)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "listing" [ "newdir"; "real" ] names;
+  Alcotest.(check (list string)) "completed /x holds no negative" [] (Dcache.self_check d);
+  Alcotest.(check int) "no negative resident" 0
+    (Array.fold_left ( + ) 0 (Dcache.neg_occupancy d));
+  let lookups = fs_calls "lookup" in
+  let created = counter kernel "negative_created" in
+  List.iter (fun path -> expect_err Errno.ENOENT path (S.stat p path)) absent;
+  Alcotest.(check int) "absences answered without the fs" lookups (fs_calls "lookup");
+  Alcotest.(check int) "and without a negative" created (counter kernel "negative_created")
 
 let test_file_creation_over_negative_drops_children () =
   let kernel, p = opt_kernel () in
@@ -521,6 +566,8 @@ let suite =
     Alcotest.test_case "unlink leaves fast negative" `Quick test_unlink_leaves_negative_on_fastpath;
     Alcotest.test_case "rename leaves negative old name" `Quick test_rename_leaves_negative_for_old_name;
     Alcotest.test_case "deep negative dentries" `Quick test_deep_negative_dentries;
+    Alcotest.test_case "completion drops negatives, deep chains included" `Quick
+      test_completion_drops_negatives;
     Alcotest.test_case "deep ENOTDIR dentries" `Quick test_deep_enotdir_dentries;
     Alcotest.test_case "mkdir over negative keeps deep children" `Quick
       test_mkdir_over_deep_negative_keeps_children;

@@ -434,33 +434,47 @@ let scripted_traces_test =
           ];
         ])
 
-(* Deep-negative promotion (§5.2): once a DIR_COMPLETE fast-fail verdict is
-   promoted to a real negative dentry, repeated probes of the same absent
-   name are plain fastpath negative hits — and the application-visible
-   behaviour stays exactly the baseline's ENOENT, including after the name
-   is finally created. *)
-let negfail_promotion_test =
-  Alcotest.test_case "complete-dir fast-fail promotes to a negative dentry" `Quick
+(* Absent-name probes (§5.1, §5.2).  With completeness off the absent name
+   is cached as a negative dentry, so repeated probes are plain fastpath
+   negative hits.  With it on, a complete directory is its own negative
+   cache: the same probes are prefix fast-fails and no negative is ever
+   created.  Either way the application-visible behaviour stays exactly
+   the baseline's ENOENT, including after the name is finally created. *)
+let absent_name_test =
+  Alcotest.test_case "absent-name probes: negative hits when incomplete, fast-fails when complete" `Quick
     (fun () ->
       let ops =
-        [ Mkdir "/pd"; Create ("/pd/real", "x"); Readdir "/pd" ]
+        (* The root is listed first, so with completeness on no directory
+           in the trace is ever incomplete. *)
+        [ Readdir "/"; Mkdir "/pd"; Create ("/pd/real", "x"); Readdir "/pd" ]
         @ List.concat_map
             (fun _ -> [ Stat "/pd/ghost"; Read "/pd/ghost"; Access "/pd/ghost" ])
             (List.init 6 (fun i -> i))
         @ [ Create ("/pd/ghost", "now"); Stat "/pd/ghost"; Read "/pd/ghost" ]
       in
       let base, _ = run_trace_counting Config.baseline ops in
-      let opt, kernel = run_trace_counting Config.optimized ops in
-      List.iteri
-        (fun i (a, b) ->
-          if a <> b then
-            Alcotest.failf "op %d (%s):\n  baseline: %s\n  optimized: %s" i
-              (pp_op (List.nth ops i)) a b)
-        (List.combine base opt);
-      Alcotest.(check bool) "fast-fail verdict was promoted" true
-        (counter kernel "fastpath_negfail_promoted" > 0);
-      Alcotest.(check bool) "later probes were warm negative hits" true
-        (counter kernel "fastpath_negative_hit" > 0))
+      let check_equiv opt =
+        List.iteri
+          (fun i (a, b) ->
+            if a <> b then
+              Alcotest.failf "op %d (%s):\n  baseline: %s\n  optimized: %s" i
+                (pp_op (List.nth ops i)) a b)
+          (List.combine base opt)
+      in
+      let incomplete, kernel =
+        run_trace_counting { Config.optimized with Config.dir_completeness = false } ops
+      in
+      check_equiv incomplete;
+      Alcotest.(check bool) "incomplete: later probes were warm negative hits" true
+        (counter kernel "fastpath_negative_hit" > 0);
+      let complete, kernel = run_trace_counting Config.optimized ops in
+      check_equiv complete;
+      Alcotest.(check bool) "complete: probes were prefix fast-fails" true
+        (counter kernel "fastpath_prefix_negfail" > 0);
+      Alcotest.(check int) "complete: no negative created" 0
+        (counter kernel "negative_created");
+      Alcotest.(check (list string)) "dcache invariants" []
+        (Dcache_vfs.Dcache.self_check (Kernel.dcache kernel)))
 
 (* --- profiling transparency (§3.8) ---
 
@@ -905,7 +919,7 @@ let suite =
     prefix_resume_churn_test 1337;
     prefix_resume_churn_test 9001;
     revocation_test;
-    negfail_promotion_test;
+    absent_name_test;
     scripted_traces_test;
     profiling_transparency_test 1;
     profiling_transparency_test 1337;

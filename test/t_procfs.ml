@@ -520,6 +520,8 @@ let test_neglists_surface () =
   get "mkdir /proc" (S.mkdir_p p "/proc");
   get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
   get "dir" (S.mkdir_p p "/nl");
+  (* Completeness lost: only an incomplete /nl caches its absent names. *)
+  Kernel.drop_caches kernel;
   for i = 0 to 29 do
     expect_err Errno.ENOENT "absent" (S.stat p (Printf.sprintf "/nl/ghost%d" i))
   done;
@@ -569,6 +571,7 @@ let test_neglists_surface () =
   get "mkdir /proc" (S.mkdir_p p0 "/proc");
   get "mount proc" (S.mount_fs p0 (Kernel_procfs.make kernel0) "/proc");
   get "dir" (S.mkdir_p p0 "/nl");
+  Kernel.drop_caches kernel0;
   expect_err Errno.ENOENT "absent" (S.stat p0 "/nl/gone");
   let kv0 = kv_lines (read p0 "/proc/dcache/neglists") in
   Alcotest.(check int) "unsharded: one list" 1
