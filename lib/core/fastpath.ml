@@ -20,9 +20,6 @@ type t = {
   dcache : Dcache.t;
   key : Signature.key;
   mutable simulate_pcc_miss : bool;
-  (* Preallocated [Some max] for [Pcc.of_cred]: passing [~max_entries:n] to
-     an optional parameter would box a fresh [Some] on every probe. *)
-  pcc_max : int option;
   (* The dcache's sharded-mutation stripe table, resolved once: lockless
      probes record the stripes their dentry reads depend on (None when
      unsharded — recording is then a dead branch). *)
@@ -41,6 +38,7 @@ type t = {
   c_prefix_negfail : Counter.cell;
   c_prefix_stale : Counter.cell;
   c_lease_fallback : Counter.cell;
+  c_pcc_refill : Counter.cell;
 }
 
 let create dcache =
@@ -54,7 +52,6 @@ let create dcache =
       dcache;
       key;
       simulate_pcc_miss = false;
-      pcc_max = Some config.Config.pcc_max_entries;
       dtab = Dcache.stripes dcache;
       c_hit = Counter.cell counters "fastpath_hit";
       c_fallback = Counter.cell counters "fastpath_fallback";
@@ -67,6 +64,7 @@ let create dcache =
       c_prefix_negfail = Counter.cell counters "fastpath_prefix_negfail";
       c_prefix_stale = Counter.cell counters "fastpath_prefix_stale";
       c_lease_fallback = Counter.cell counters "fastpath_lease_fallback";
+      c_pcc_refill = Counter.cell counters "fastpath_pcc_refill";
     }
   in
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
@@ -128,11 +126,15 @@ let real_of d = match d.d_alias with Some real -> real | None -> d
 let pcc_valid t pcc d =
   (not t.simulate_pcc_miss) && Pcc.check pcc d
 
-(* Validate a DLHT hit against the PCC: the literal dentry covers the
-   literal prefix's permissions, the real dentry the translated one. *)
-let validate t pcc literal real =
-  if not (pcc_valid t pcc literal) then raise Fall_back;
-  if (not (real == literal)) && not (pcc_valid t pcc real) then raise Fall_back
+(* PCC validation for prefix candidates: [Pcc.probe] is the read-only
+   variant — no hit/miss accounting, no stale-entry drop — safe on the
+   lockless tier and statistics-neutral for a scan that expects misses. *)
+let pcc_probe t pcc d = (not t.simulate_pcc_miss) && Pcc.probe pcc d
+
+let may_search ctx d =
+  match d.d_state with
+  | Positive inode -> Walk.check_exec ctx inode
+  | Partial _ | Negative _ -> false
 
 (* --- the lease gate (§3.7) ---
 
@@ -221,8 +223,7 @@ let dlht_of t ctx =
 
 let pcc_of t ctx =
   let cfg = config t in
-  Pcc.of_cred ?max_entries:t.pcc_max ctx.Walk.cred ctx.Walk.ns
-    ~entries:cfg.Config.pcc_entries
+  Pcc.of_cred ctx.Walk.cred ctx.Walk.ns ~entries:cfg.Config.pcc_entries
 
 (* --- lockless-probe discipline ---
 
@@ -386,6 +387,73 @@ let[@inline] commit_check t sc vsnap =
     && not (Seqcount.read_validate (Dcache.write_seq t.dcache) vsnap && stripes_ok sc)
   then raise Seq_retry
 
+(* --- lockless PCC refill (§3.1, §3.4) ---
+
+   A DLHT hit whose dentry has no valid PCC entry — evicted, or never
+   inserted for this credential — need not walk from the root: the DLHT
+   already found the dentry, and its cached parent chain holds what a walk
+   would check.  Climb [d_parent] from the dentry.  Every ancestor must be
+   a positive, non-alias directory of the dentry's own mount that this
+   credential may search, up to the first one the PCC vouches for.  That
+   is the walk's own verdict: the vouched ancestor was reached with
+   checks, and each directory below it is searchable.  So the dentry is
+   recorded as checked, with no lock and no walk.
+
+   Two rules keep the entry honest.  The insert follows [commit_check], so
+   the climb's reads count only once the probe's window proves no writer
+   raced them.  And the entry carries the dentry's version read {e before}
+   the climb, not at insert time: a chmod bumps its descendants' versions
+   before the new mode lands (§3.2), so a chmod that starts after the
+   commit leaves the entry stale instead of vouching for a path it is
+   about to close.
+
+   Anything else falls back as before: an fs or mount root, an alias (its
+   state mirrors another dentry's), a Partial or negative ancestor, an
+   ancestor reached through another mount (a bind alias's prefix
+   differs), a leased file system (its attributes answer to the server;
+   the DLHT holds no dentry of a revalidating one), and spent fuel.  Top-level recursion, for the zero-allocation warm
+   path. *)
+let refill_fuel = 64
+
+let rec climb t ctx pcc sc mnt a fuel =
+  record_dentry t sc a;
+  if
+    fuel = 0
+    || (match a.d_alias with Some _ -> true | None -> false)
+    || (match a.d_mnt with Some m -> not (m == mnt) | None -> true)
+    || not (dentry_is_dir a && may_search ctx a)
+  then raise Fall_back;
+  if not (pcc_probe t pcc a) then begin
+    if a == mnt.mnt_root then raise Fall_back;
+    match a.d_parent with
+    | Some parent -> climb t ctx pcc sc mnt parent (fuel - 1)
+    | None -> raise Fall_back
+  end
+
+let refill t ctx pcc sc ~vsnap d =
+  if
+    t.simulate_pcc_miss
+    || match d.d_sb.sb_fs.Dcache_fs.Fs_intf.lease_check with Some _ -> true | None -> false
+  then raise Fall_back;
+  let seq = d.d_seq in
+  match (d.d_mnt, d.d_parent) with
+  | Some mnt, Some parent when not (d == mnt.mnt_root) ->
+    climb t ctx pcc sc mnt parent refill_fuel;
+    commit_check t sc vsnap;
+    Pcc.insert pcc d ~seq;
+    Counter.bump t.c_pcc_refill
+  | _ -> raise Fall_back
+
+(* Validate a DLHT hit against the PCC, refilling a missing entry: the
+   literal dentry covers the literal prefix's permissions, the real dentry
+   the translated one. *)
+let admit t ctx pcc sc ~vsnap d =
+  if not (pcc_valid t pcc d) then refill t ctx pcc sc ~vsnap d
+
+let validate t ctx pcc sc ~vsnap literal real =
+  admit t ctx pcc sc ~vsnap literal;
+  if not (real == literal) then admit t ctx pcc sc ~vsnap real
+
 (* A trailing symlink is followed by one DLHT probe per hop on its cached
    target-path signature (§4.2): replacing any intermediate link refreshes
    that link's own dentry, so the chain can never serve a stale endpoint.
@@ -394,7 +462,7 @@ let[@inline] commit_check t sc vsnap =
 
    Top-level (not a closure inside the probe): the warm path calls this once
    per lookup and must not allocate an environment for it. *)
-let rec chase t dlht pcc sc ~follow_last ~at_ns_root d limit =
+let rec chase t ctx dlht pcc sc ~vsnap ~follow_last ~at_ns_root d limit =
   if limit = 0 then raise Fall_back
   else begin
     record_dentry t sc d;
@@ -408,8 +476,8 @@ let rec chase t dlht pcc sc ~follow_last ~at_ns_root d limit =
       match d.d_alias with
       | Some real when not (real == d) ->
         record_dentry t sc real;
-        if not (pcc_valid t pcc real) then raise Fall_back;
-        chase t dlht pcc sc ~follow_last ~at_ns_root real (limit - 1)
+        admit t ctx pcc sc ~vsnap real;
+        chase t ctx dlht pcc sc ~vsnap ~follow_last ~at_ns_root real (limit - 1)
       | Some _ | None -> (
         if not at_ns_root then raise Fall_back;
         match d.d_target_sig with
@@ -422,14 +490,14 @@ let rec chase t dlht pcc sc ~follow_last ~at_ns_root d limit =
             let real = real_of next in
             record_dentry t sc next;
             if not (real == next) then record_dentry t sc real;
-            validate t pcc next real;
-            chase t dlht pcc sc ~follow_last ~at_ns_root next (limit - 1)))
+            validate t ctx pcc sc ~vsnap next real;
+            chase t ctx dlht pcc sc ~vsnap ~follow_last ~at_ns_root next (limit - 1)))
     end
     else begin
       match d.d_alias with
       | Some real ->
         record_dentry t sc real;
-        if not (pcc_valid t pcc real) then raise Fall_back;
+        admit t ctx pcc sc ~vsnap real;
         real
       | None -> d
     end
@@ -483,7 +551,7 @@ let validate_raw path =
    and a leading ".." under lexical semantics).  Allocates a [path_ref] for
    the prefix hop: such paths are not part of the zero-allocation guarantee
    (they were never constant-time either). *)
-let probe_prefix_buf t dlht pcc sc =
+let probe_prefix_buf t ctx dlht pcc sc ~vsnap =
   Signature.finalize_into t.key sc.ms sc.sbuf;
   record_chain sc dlht (Signature.buf_bucket sc.sbuf);
   match Dlht.find_buf dlht ~key:t.key sc.sbuf with
@@ -492,7 +560,7 @@ let probe_prefix_buf t dlht pcc sc =
     let real = real_of literal in
     record_dentry t sc literal;
     if not (real == literal) then record_dentry t sc real;
-    validate t pcc literal real;
+    validate t ctx pcc sc ~vsnap literal real;
     if not (dentry_is_dir real) then raise Fall_back;
     (match real.d_mnt with Some mnt -> { mnt; dentry = real } | None -> raise Fall_back)
 
@@ -511,11 +579,6 @@ let probe_prefix_buf t dlht pcc sc =
    a fast-fail) and must stay at zero words per op like any other warm
    verdict. *)
 exception Neg_fail
-
-(* PCC validation for prefix candidates: [Pcc.probe] is the read-only
-   variant — no hit/miss accounting, no stale-entry drop — safe on the
-   lockless tier and statistics-neutral for a scan that expects misses. *)
-let pcc_probe t pcc d = (not t.simulate_pcc_miss) && Pcc.probe pcc d
 
 (* First real component of [path] at or after [pos], skipping slashes and
    ["."], as a packed [(start lsl 13) lor end] span ([max_path] = 4096 fits
@@ -545,11 +608,6 @@ let rec dotdot_after path pos =
     (j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.')
     || dotdot_after path j
   end
-
-let may_search ctx d =
-  match d.d_state with
-  | Positive inode -> Walk.check_exec ctx inode
-  | Partial _ | Negative _ -> false
 
 (* Deepest-first scan over the recorded boundary snapshots, run at the
    probe's final-miss site (lockless or write-locked).  The first cached
@@ -681,7 +739,7 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
   end
   else begin
     Counter.bump t.c_dotdot;
-    let prefix = probe_prefix_buf t dlht pcc sc in
+    let prefix = probe_prefix_buf t ctx dlht pcc sc ~vsnap in
     let up = hstate_of t vsnap (fast_dotdot ctx prefix) in
     Signature.mstate_resume sc.ms up;
     scan_and_hash t ctx dlht pcc sc path rc vsnap up
@@ -747,7 +805,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       sc.hh_id <- literal.d_id;
       sc.hh_name <- literal.d_name
   end;
-  validate t pcc literal shallow_real;
+  validate t ctx pcc sc ~vsnap literal shallow_real;
   Phases.record_span Phases.Permission t3;
   let t4 = Phases.stamp () in
   let at_root = at_ns_root ctx in
@@ -763,8 +821,8 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       Errno.to_error errno
     | Positive _ | Partial _ -> (
       let final =
-        chase t dlht pcc sc ~follow_last:flags.Walk.follow_last ~at_ns_root:at_root
-          literal 8
+        chase t ctx dlht pcc sc ~vsnap ~follow_last:flags.Walk.follow_last
+          ~at_ns_root:at_root literal 8
       in
       match final.d_state with
       | Negative errno ->
@@ -890,7 +948,8 @@ let populate t ctx ~visited ~absolute ~start =
            entry too, or the probe could never finish on them. *)
         let publish_target target =
           if target.d_mnt = None then target.d_mnt <- Some r.mnt;
-          if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc target
+          if allow_pcc && not t.simulate_pcc_miss then
+            Pcc.insert pcc target ~seq:target.d_seq
         in
         (match d.d_alias with Some real -> publish_target real | None -> ());
         (* Symlink dentries carry the signature of their target path so the
@@ -902,7 +961,7 @@ let populate t ctx ~visited ~absolute ~start =
         | _ -> ());
         if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then
           Dlht.insert dlht ns d signature;
-        if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d
+        if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d ~seq:d.d_seq
         end)
       visited;
     Counter.add (counters t) "fastpath_populated" (List.length visited)

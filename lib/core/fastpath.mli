@@ -4,10 +4,13 @@
     the hash from the starting directory's stored state for relative paths —
     probes the per-namespace {!Dlht} with it, and validates the result
     against the per-credential {!Pcc}.  A hit resolves any path in a
-    constant number of hash-table operations; any miss (no DLHT entry, no
-    valid PCC entry, unresolvable trailing symlink, ...) falls back to the
-    ordinary component-at-a-time slowpath, whose successful prefix checks
-    repopulate the DLHT and PCC for next time.
+    constant number of hash-table operations.  A DLHT hit without a valid
+    PCC entry refills it, with no lock and no walk, by climbing the
+    dentry's cached parents to one the PCC vouches for, checking search
+    permission on each ("fastpath_pcc_refill").  Any other miss (no DLHT
+    entry, a climb that cannot finish, an unresolvable trailing symlink,
+    ...) falls back to the ordinary component-at-a-time slowpath, whose
+    successful prefix checks repopulate the DLHT and PCC for next time.
 
     Dot-dot components follow the configured semantics (§4.2): Linux mode
     issues an extra fastpath sub-lookup per [..] to preserve permission
@@ -29,8 +32,8 @@ val dcache : t -> Dcache_vfs.Dcache.t
 val key : t -> Dcache_sig.Signature.key
 
 val set_simulate_pcc_miss : t -> bool -> unit
-(** Force every probe to miss in the PCC (and skip PCC repopulation): the
-    paper's "fastpath miss + slowpath" worst case (Fig. 6). *)
+(** Force every probe to miss in the PCC (and skip PCC repopulation and
+    refill): the paper's "fastpath miss + slowpath" worst case (Fig. 6). *)
 
 val lookup : t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> string -> Walk.result_
 (** Resolve a path: fastpath probe, then slowpath-with-population fallback.

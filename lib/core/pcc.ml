@@ -21,11 +21,13 @@ type table = {
 
 type t = {
   mutable table : table;
-  max_entries : int;  (* dynamic-growth ceiling; = capacity when static *)
+  max_entries : int;  (* growth ceiling *)
   mutable hit_count : int;
   mutable miss_count : int;
-  mutable displaced : int;  (* replacement-victim evictions since last grow *)
+  mutable displaced : int;  (* replacement-victim evictions in this window *)
+  mutable window_start : int;  (* hits + misses when the window opened *)
   mutable grow_count : int;
+  grow_lock : Mutex.t;  (* serializes growth: locked inserts and refills *)
 }
 
 let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
@@ -34,15 +36,14 @@ let make_table entries =
   let sets = entries / ways in
   { slots = Array.make entries 0; sets; victims = Array.make sets 0 }
 
-let create ?max_entries ~entries () =
-  let entries = next_pow2 (max 16 entries) 16 in
-  let max_entries =
-    match max_entries with
-    | Some m -> next_pow2 (max entries m) entries
-    | None -> entries
-  in
-  { table = make_table entries; max_entries; hit_count = 0; miss_count = 0;
-    displaced = 0; grow_count = 0 }
+(* The paper's 64 KB table, and where a growing table starts. *)
+let initial_entries = 4096
+
+let create ~entries () =
+  let max_entries = next_pow2 (max 16 entries) 16 in
+  { table = make_table (min max_entries initial_entries); max_entries; hit_count = 0;
+    miss_count = 0; displaced = 0; window_start = 0; grow_count = 0;
+    grow_lock = Mutex.create () }
 
 let capacity t = Array.length t.table.slots
 let grows t = t.grow_count
@@ -105,54 +106,85 @@ let probe t d =
   let id = d.d_id land ((1 lsl id_bits) - 1) in
   probe_scan table id (d.d_seq land seq_mask) (set_of table d.d_id * ways) 0
 
-(* Dynamic resizing (the paper leaves the policy as future work, §6.3): when
-   capacity replacement is evicting entries faster than a quarter of the
-   cache per window, double the table — the working set has outgrown it.
-   Growth rehashes under the caller's write lock. *)
-let maybe_grow t =
-  let cap = Array.length t.table.slots in
-  if cap < t.max_entries && t.displaced > cap / 4 then begin
-    let old = t.table in
-    let bigger = make_table (cap * 2) in
-    Array.iter
-      (fun e ->
-        if e <> 0 then begin
-          let base = set_of bigger (packed_id e) * ways in
-          let rec place i =
-            if i < ways then begin
-              if bigger.slots.(base + i) = 0 then bigger.slots.(base + i) <- e
-              else place (i + 1)
-            end
-          in
-          place 0
-        end)
-      old.slots;
-    t.table <- bigger;
-    t.displaced <- 0;
-    t.grow_count <- t.grow_count + 1
+(* Place [entry] in its set: an empty slot or the id's own, else the set's
+   rotating victim.  [true] when a live entry was displaced.  Top-level
+   recursion: the lockless refill must not allocate a closure. *)
+let rec place table set base id entry i =
+  if i >= ways then begin
+    let victim = table.victims.(set) land (ways - 1) in
+    table.victims.(set) <- table.victims.(set) + 1;
+    table.slots.(base + victim) <- entry;
+    true
+  end
+  else begin
+    let e = table.slots.(base + i) in
+    if e = 0 || packed_id e = id then begin
+      table.slots.(base + i) <- entry;
+      false
+    end
+    else place table set base id entry (i + 1)
   end
 
-let insert t d =
+(* Growth (the paper leaves resizing as future work, §6.3): when capacity
+   replacement evicts live entries faster than one per [churn_rate]
+   checks, double the table, up to the ceiling — the working set has
+   outgrown it.  The rate is counted over windows of one table's worth of
+   checks (hits + misses).  A working set that fits still leaves a few
+   sets over-full, and their evictions trickle on for as long as it runs:
+   a count without a window would grow the table at whatever moment it
+   crossed its line.  A working set that overflows the table evicts at
+   several times the rate and grows it within a window or two.  Inserts
+   with no checks between them (cold walks) stay in one window.
+
+   Locked inserts and lockless refills both displace, and both may find
+   growth due: [grow_lock] serializes the growths, and an inserter that
+   finds it held skips (the holder is growing).  The new table is
+   published by one pointer store; an entry written to the old one
+   meanwhile is lost, a miss and never a false hit.  Each new set draws
+   from one old set, so rehashing never displaces. *)
+let churn_rate = 32
+
+let grow_due t =
+  let cap = Array.length t.table.slots in
+  cap < t.max_entries && t.displaced > cap / churn_rate
+
+let maybe_grow t =
+  if grow_due t && Mutex.try_lock t.grow_lock then begin
+    if grow_due t then begin
+      let old = t.table in
+      let bigger = make_table (Array.length old.slots * 2) in
+      Array.iter
+        (fun e ->
+          if e <> 0 then begin
+            let set = set_of bigger (packed_id e) in
+            ignore (place bigger set (set * ways) (packed_id e) e 0)
+          end)
+        old.slots;
+      t.table <- bigger;
+      t.displaced <- 0;
+      t.window_start <- t.hit_count + t.miss_count;
+      t.grow_count <- t.grow_count + 1
+    end;
+    Mutex.unlock t.grow_lock
+  end
+
+(* A lockless insert (the fastpath's refill) runs beside locked inserts,
+   stale drops and growth swaps: it may lose its entry, but one word store
+   of a packed (id, seq) pair can never make a false hit. *)
+let insert t d ~seq =
   Trace.stamp Trace.ev_pcc_insert d.d_id;
   let table = t.table in
   let id = d.d_id land ((1 lsl id_bits) - 1) in
   let set = set_of table d.d_id in
-  let base = set * ways in
-  let entry = pack id d.d_seq in
-  let rec place i =
-    if i >= ways then begin
-      let victim = table.victims.(set) land (ways - 1) in
-      table.victims.(set) <- table.victims.(set) + 1;
-      table.slots.(base + victim) <- entry;
-      t.displaced <- t.displaced + 1;
-      maybe_grow t
-    end
-    else begin
-      let e = table.slots.(base + i) in
-      if e = 0 || packed_id e = id then table.slots.(base + i) <- entry else place (i + 1)
-    end
-  in
-  place 0
+  if place table set (set * ways) id (pack id seq) 0 then begin
+    let checks = t.hit_count + t.miss_count in
+    if checks - t.window_start >= Array.length table.slots then begin
+      t.window_start <- checks;
+      t.displaced <- 0
+    end;
+    t.displaced <- t.displaced + 1;
+    maybe_grow t
+  end
 
 let invalidate_all t = Array.fill t.table.slots 0 (Array.length t.table.slots) 0
 let hits t = t.hit_count
@@ -181,7 +213,7 @@ let rec slot_table = function
    lookup that loses the race merely misses. *)
 let of_cred_exn cred ns = Hashtbl.find (slot_table (Cred.slots cred)) ns.ns_id
 
-let of_cred ?max_entries cred ns ~entries =
+let of_cred cred ns ~entries =
   let table =
     match slot_table (Cred.slots cred) with
     | tbl -> tbl
@@ -193,6 +225,6 @@ let of_cred ?max_entries cred ns ~entries =
   match Hashtbl.find table ns.ns_id with
   | pcc -> pcc
   | exception Not_found ->
-    let pcc = create ?max_entries ~entries () in
+    let pcc = create ~entries () in
     Hashtbl.add table ns.ns_id pcc;
     pcc

@@ -20,13 +20,13 @@ open Dcache_vfs.Types
 
 type t
 
-val create : ?max_entries:int -> entries:int -> unit -> t
-(** [entries] is rounded up to a power of two, minimum 16.  The paper's
-    64 KB PCC corresponds to 4096 entries.  When [max_entries] exceeds
-    [entries], the cache grows dynamically: the paper leaves the resize
-    policy as future work (§6.3); ours doubles the table whenever capacity
-    replacement has evicted more than a quarter of the cache since the
-    last growth. *)
+val create : entries:int -> unit -> t
+(** [entries] is the ceiling, rounded up to a power of two, minimum 16.
+    The table starts at [min entries 4096] — the paper's 64 KB PCC — and
+    doubles up to the ceiling whenever capacity replacement evicts more
+    than one live entry per 32 checks, counted over windows of one table's
+    worth of checks (the paper leaves resizing as future work, §6.3).  A
+    ceiling at or below 4096 is the paper's static table. *)
 
 val capacity : t -> int
 val grows : t -> int
@@ -42,12 +42,18 @@ val probe : t -> dentry -> bool
     is safe on the lockless tier and does not skew statistics when a miss
     scan probes many absent ancestors.  Allocation-free. *)
 
-val insert : t -> dentry -> unit
-(** Record a passed prefix check at the dentry's current version. *)
+val insert : t -> dentry -> seq:int -> unit
+(** Record a passed prefix check at version [seq]: the dentry's version
+    read {e before} any of the check's reads, so that a change to its
+    ancestors that bumps the version after them leaves the entry stale.
+    Needs no lock (the fastpath's lockless refill calls it): racing
+    another writer it may lose its entry, never make a false hit.
+    Allocation-free unless it makes a growth due, which a PCC-local mutex
+    serializes against every other growth. *)
 
 val invalidate_all : t -> unit
 
-val of_cred : ?max_entries:int -> Dcache_cred.Cred.t -> namespace -> entries:int -> t
+val of_cred : Dcache_cred.Cred.t -> namespace -> entries:int -> t
 (** The PCC shared by all processes holding this credential {e in this
     mount namespace} (§4.1, §4.3); created on first use and stored in the
     credential's security slot. *)

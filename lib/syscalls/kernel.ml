@@ -10,6 +10,10 @@ type t = {
   fastpath : Fastpath.t;
   registry : Lsm.registry;
   init_ns : namespace;
+  (* The default credential of processes spawned without one: shared by
+     all of them, so they share one PCC (§4.1), and owned by the kernel, so
+     that PCC dies with it. *)
+  root_cred : Dcache_cred.Cred.t;
   (* fs instance -> superblock (by physical identity), so mounting the same
      fs twice aliases the same dentries *)
   mutable sb_keys : (Dcache_fs.Fs_intf.t * superblock) list;
@@ -42,8 +46,8 @@ let create ?(config = Vfs.Config.baseline) ?(lsms = []) ~root_fs () =
   List.iter (Lsm.register registry) lsms;
   let init_ns = Mount.new_namespace () in
   let t =
-    { dcache; fastpath; registry; init_ns; sb_keys = []; dnlc = Hashtbl.create 64;
-      dnlc_lock = Mutex.create () }
+    { dcache; fastpath; registry; init_ns; root_cred = Dcache_cred.Cred.root ();
+      sb_keys = []; dnlc = Hashtbl.create 64; dnlc_lock = Mutex.create () }
   in
   (match make_superblock t root_fs with
   | Ok sb -> ignore (Mount.mount_rootfs init_ns sb)
@@ -55,6 +59,7 @@ let dcache t = t.dcache
 let fastpath t = t.fastpath
 let registry t = t.registry
 let init_ns t = t.init_ns
+let root_cred t = t.root_cred
 let root t = Mount.root t.init_ns
 let counters t = Dcache.counters t.dcache
 let register_lsm t hooks = Lsm.register t.registry hooks

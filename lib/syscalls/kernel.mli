@@ -19,6 +19,12 @@ val dcache : t -> Dcache_vfs.Dcache.t
 val fastpath : t -> Dcache_core.Fastpath.t
 val registry : t -> Dcache_cred.Lsm.registry
 val init_ns : t -> namespace
+
+val root_cred : t -> Dcache_cred.Cred.t
+(** The kernel's own root credential, the default of {!Proc.spawn}: every
+    process spawned without a credential shares it, and so one PCC per
+    namespace, which is freed with the kernel. *)
+
 val root : t -> path_ref
 val counters : t -> Dcache_util.Stats.Counter.t
 

@@ -31,6 +31,18 @@ let render_dlht kernel =
         "";
       ]
 
+(* PCC gauges of the init namespace's root credential ({!Kernel.root_cred},
+   the processes' default): the table's current capacity and its growth
+   steps.  Zero before that credential's first lookup — a read never
+   creates the table.  t_procfs knows the [pcc_] prefix too. *)
+let render_pcc kernel =
+  let capacity, grows =
+    match Dcache_core.Pcc.of_cred_exn (Kernel.root_cred kernel) (Kernel.init_ns kernel) with
+    | pcc -> (Dcache_core.Pcc.capacity pcc, Dcache_core.Pcc.grows pcc)
+    | exception Not_found -> (0, 0)
+  in
+  Printf.sprintf "pcc_capacity %d\npcc_grows %d\n" capacity grows
+
 (* The gauges go first: the counter tail may be truncated by a byte or two
    when the reading syscalls themselves grow a counter between the size
    (getattr) and content (read) generations of the pseudo-file. *)
@@ -38,7 +50,7 @@ let render_stats kernel () =
   Kernel.stats_snapshot kernel
   |> List.map (fun (name, value) -> Printf.sprintf "%s %d" name value)
   |> String.concat "\n"
-  |> fun body -> render_dlht kernel ^ body ^ "\n"
+  |> fun body -> render_dlht kernel ^ render_pcc kernel ^ body ^ "\n"
 
 let render_summary kernel () =
   let dcache = Kernel.dcache kernel in
@@ -117,7 +129,6 @@ let render_config kernel () =
     [
       Printf.sprintf "fastpath %b" c.Config.fastpath;
       Printf.sprintf "pcc_entries %d" c.Config.pcc_entries;
-      Printf.sprintf "pcc_max_entries %d" c.Config.pcc_max_entries;
       Printf.sprintf "dlht_buckets %d" c.Config.dlht_buckets;
       Printf.sprintf "sig_bits %d" c.Config.sig_bits;
       Printf.sprintf "symlink_aliases %b" c.Config.symlink_aliases;

@@ -92,13 +92,8 @@ let[@inline] scratch_set ds i name ino kind =
   Array.unsafe_set ds.ds_inos i ino;
   Array.unsafe_set ds.ds_kinds i kind
 
-(* One default root credential per kernel would need a kernel slot; a global
-   per-process-spawn credential would defeat PCC sharing.  Share one default
-   credential across all processes of the program instead. *)
-let default_cred = lazy (Cred.root ())
-
 let spawn ?cred kernel =
-  let cred = match cred with Some c -> c | None -> Lazy.force default_cred in
+  let cred = match cred with Some c -> c | None -> Kernel.root_cred kernel in
   let root = Kernel.root kernel in
   Dcache.dget root.dentry;
   Dcache.dget root.dentry;

@@ -70,7 +70,7 @@ val scratch_set : dirent_scratch -> int -> string -> int -> Dcache_types.File_ki
 
 val spawn : ?cred:Dcache_cred.Cred.t -> Kernel.t -> t
 (** A fresh process at the kernel's root with the given credentials
-    (default: a root credential shared per kernel). *)
+    (default: {!Kernel.root_cred}, shared by the kernel's processes). *)
 
 val fork : t -> t
 (** Clone cwd/root/namespace/credentials (sharing the credential object and

@@ -11,10 +11,11 @@ type dotdot_semantics =
 type t = {
   (* §3: hit latency *)
   fastpath : bool;  (** direct lookup via DLHT + PCC *)
-  pcc_entries : int;  (** prefix-check-cache capacity (paper: 64 KB ~ 4096) *)
-  pcc_max_entries : int;
-      (** dynamic-PCC growth ceiling; equal to [pcc_entries] disables growth
-          (the paper's prototype is static; resizing is its future work) *)
+  pcc_entries : int;
+      (** prefix-check-cache capacity ceiling.  Each table starts at
+          [min pcc_entries 4096], the paper's static 64 KB, and doubles up
+          to this bound when replacement churns (§6.3 leaves resizing as
+          future work); at or below 4096 the table is static *)
   dlht_buckets : int;  (** direct lookup hash table buckets (paper: 2^16) *)
   dlht_grow_load : int;
       (** entries per bucket before the DLHT doubles (incremental, a few
@@ -65,7 +66,6 @@ let baseline =
   {
     fastpath = false;
     pcc_entries = 4096;
-    pcc_max_entries = 4096;
     dlht_buckets = 1 lsl 16;
     dlht_grow_load = 2;
     sig_bits = 240;
@@ -87,6 +87,7 @@ let optimized =
   {
     baseline with
     fastpath = true;
+    pcc_entries = 65536;
     prefix_resume = true;
     symlink_aliases = true;
     dir_completeness = true;

@@ -71,6 +71,67 @@ let test_warm_hit_zero_alloc () =
   Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k warm hits" (0, 0)
     (reads, writes)
 
+(* A warm DLHT hit whose PCC entry is gone refills it by climbing to the
+   vouched-for parent: no walk, no lock, no minor-heap word.  Each round
+   bumps the target's version, which kills its entry as an ancestor's chmod
+   would (the probe drops the stale entry), and leaves its parent's alone. *)
+let test_refill_zero_alloc () =
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  get "tree" (S.mkdir_p p "/a/b/c");
+  get "file" (S.write_file p "/a/b/c/target" "payload");
+  let fp = Kernel.fastpath kernel in
+  let ctx = Proc.walk_ctx p in
+  probe_ok fp ctx "/a/b/c/target";
+  let target =
+    match (Fastpath.lookup fp ctx "/a/b/c/target").Dcache_vfs.Walk.outcome with
+    | Ok r -> r.Dcache_vfs.Types.dentry
+    | Error e -> Alcotest.failf "lookup: %s" (Errno.to_string e)
+  in
+  let h0 = counter kernel "fastpath_hit" in
+  let r0 = counter kernel "fastpath_pcc_refill" in
+  let f0 = counter kernel "fastpath_fallback" in
+  let iters = 10_000 in
+  Rwlock.reset_acquisition_counts ();
+  let words =
+    measure_minor_words iters (fun () ->
+        Dcache.bump_seq target;
+        probe_ok fp ctx "/a/b/c/target")
+  in
+  let locks = Rwlock.acquisition_counts () in
+  Alcotest.(check int) "every probe refilled" (iters + 2)
+    (counter kernel "fastpath_pcc_refill" - r0);
+  Alcotest.(check int) "every probe was a fastpath hit" (iters + 2)
+    (counter kernel "fastpath_hit" - h0);
+  Alcotest.(check int) "no fallback" 0 (counter kernel "fastpath_fallback" - f0);
+  Alcotest.(check (float 0.0)) "zero minor-heap words over 10k refills" 0.0 words;
+  Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k refills" (0, 0) locks
+
+(* A process spawned without a credential gets its kernel's root credential,
+   so the PCC it fills dies with the kernel: a credential shared across
+   kernels would keep every dead kernel's table alive (32 KB or more each). *)
+let test_dropped_kernels_free_their_pcc () =
+  let kernel_round () =
+    let kernel, p = ram_kernel ~config:Config.optimized () in
+    get "tree" (S.mkdir_p p "/a/b");
+    ignore (get "stat" (S.stat p "/a/b"));
+    ignore (Sys.opaque_identity kernel)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 5 do
+    kernel_round ()
+  done;
+  let before = live_words () in
+  for _ = 1 to 50 do
+    kernel_round ()
+  done;
+  let grown = live_words () - before in
+  (* One leaked table is 5,120 words; fifty would be a quarter million. *)
+  if grown > 5_000 then
+    Alcotest.failf "major heap grew by %d words over 50 dropped kernels" grown
+
 (* Plan 9 lexical ".." cancels a component in place (§4.2): a warm hit
    through one costs no more than a plain hit. *)
 let test_warm_lexical_dotdot_zero_alloc () =
@@ -967,4 +1028,8 @@ let suite =
       test_dlht_incremental_resize;
     Alcotest.test_case "DLHT sigless removal degrades loudly and heals" `Quick
       test_dlht_sigless_scan_recovery;
+    Alcotest.test_case "warm PCC refill allocates zero minor words, takes no lock" `Quick
+      test_refill_zero_alloc;
+    Alcotest.test_case "dropped kernels free their default credential's PCC" `Quick
+      test_dropped_kernels_free_their_pcc;
   ]

@@ -329,12 +329,15 @@ let run_trace_counting config ops =
 let counter kernel key =
   try List.assoc key (Kernel.stats_snapshot kernel) with Not_found -> 0
 
-let prefix_resume_churn_test seed =
-  Alcotest.test_case (Printf.sprintf "prefix-resume deep churn [seed %d]" seed) `Quick
+(* The deep churn on [config] against the baseline: every observation
+   agrees, the dcache stays consistent, and the [exercised] counter moved
+   (else the test is vacuous). *)
+let deep_churn_test ~name ~config ~exercised seed =
+  Alcotest.test_case (Printf.sprintf "%s [seed %d]" name seed) `Quick
     (fun () ->
       let ops = deep_churn_ops seed in
       let base, _ = run_trace_counting Config.baseline ops in
-      let opt, kernel = run_trace_counting Config.optimized ops in
+      let opt, kernel = run_trace_counting config ops in
       let rec first_diff i ops_left = function
         | [], [] -> ()
         | a :: rest_a, b :: rest_b ->
@@ -347,8 +350,22 @@ let prefix_resume_churn_test seed =
         | _ -> Alcotest.fail "trace length mismatch"
       in
       first_diff 0 ops (base, opt);
-      Alcotest.(check bool) "prefix resumes exercised" true
-        (counter kernel "fastpath_prefix_resume" > 0))
+      Alcotest.(check (list string)) "dcache invariants" []
+        (Dcache_vfs.Dcache.self_check (Kernel.dcache kernel));
+      Alcotest.(check bool) (exercised ^ " exercised") true (counter kernel exercised > 0))
+
+let prefix_resume_churn_test =
+  deep_churn_test ~name:"prefix-resume deep churn" ~config:Config.optimized
+    ~exercised:"fastpath_prefix_resume"
+
+(* A 16-entry PCC evicts constantly, so most DLHT hits refill their entry
+   by climbing the cached parents — under renames, chmods (full revocation
+   included, observed by the unprivileged user) and unlinks. *)
+let tiny_pcc = { Config.optimized with Config.pcc_entries = 16 }
+
+let refill_churn_test =
+  deep_churn_test ~name:"16-entry PCC refill churn" ~config:tiny_pcc
+    ~exercised:"fastpath_pcc_refill"
 
 (* Focused revocation scenario: the user warms a deep prefix (populating
    their PCC down the chain), root revokes search permission on an interior
@@ -938,4 +955,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       (invariants_test "dcache invariants [tiny cache]"
          { Config.optimized with Config.max_dentries = 12 });
+    refill_churn_test 1;
+    refill_churn_test 1337;
+    refill_churn_test 9001;
+    QCheck_alcotest.to_alcotest (equivalence_test "optimized(16-entry PCC)" tiny_pcc);
+    QCheck_alcotest.to_alcotest (invariants_test "dcache invariants [16-entry PCC]" tiny_pcc);
   ]

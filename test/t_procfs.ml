@@ -106,8 +106,9 @@ let test_proc_observability_surface () =
       ignore (get "netfs stat" (S.stat p "/net/g"));
 
       (* /proc/dcache/stats: parses, live, and every counter figure is
-         bounded by a later Kernel snapshot.  [dlht_] lines are load gauges,
-         not counters: cross-check those against Dlht.occupancy instead. *)
+         bounded by a later Kernel snapshot.  [dlht_] and [pcc_] lines are
+         gauges, not counters: the DLHT's are cross-checked against
+         Dlht.occupancy here, the PCC's in [test_pcc_surface]. *)
       let stats = kv_lines (read p "/proc/dcache/stats") in
       let dlht =
         Option.get (Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns kernel))
@@ -115,11 +116,13 @@ let test_proc_observability_surface () =
       let occ = Dcache_core.Dlht.occupancy dlht in
       Alcotest.(check bool) "stats report fastpath hits" true
         (assoc_or_fail "stats" "fastpath_hit" stats > 0);
-      let is_dlht k = String.length k >= 5 && String.sub k 0 5 = "dlht_" in
+      let is_gauge k =
+        String.starts_with ~prefix:"dlht_" k || String.starts_with ~prefix:"pcc_" k
+      in
       let snapshot = Kernel.stats_snapshot kernel in
       List.iter
         (fun (k, v) ->
-          if not (is_dlht k) then begin
+          if not (is_gauge k) then begin
             let now = match List.assoc_opt k snapshot with Some n -> n | None -> 0 in
             if v < 0 || v > now then
               Alcotest.failf "counter %s: procfs read %d, later snapshot %d" k v now
@@ -387,6 +390,52 @@ let test_prefix_resume_surface () =
         (contains_substring js "\"name\":\"prefix_resume\"");
       Alcotest.(check bool) "dump names prefix_negfail" true
         (contains_substring js "\"name\":\"prefix_negfail\""))
+
+(* The PCC's figures: the refill counter and the root credential's table
+   gauges read back exactly.  The /proc reads themselves are DLHT misses
+   or PCC hits, never refills, and touch too few entries to grow it. *)
+let test_pcc_surface () =
+  let kernel, p = ram_kernel ~config:{ Config.optimized with Config.pcc_entries = 8192 } () in
+  let files = 5000 in
+  let path i = Printf.sprintf "/pub/d%02d/f%04d" (i mod 20) i in
+  for d = 0 to 19 do
+    get "dir" (S.mkdir_p p (Printf.sprintf "/pub/d%02d" d))
+  done;
+  for i = 0 to files - 1 do
+    get "file" (S.write_file p (path i) "x")
+  done;
+  (* Cold walks publish more than the initial 4096 entries: it grows. *)
+  Kernel.drop_caches kernel;
+  for i = 0 to files - 1 do
+    ignore (get "cold stat" (S.stat p (path i)))
+  done;
+  (* A same-mode chmod bumps every version below /pub: the next stat
+     climbs from the file to /pub and refills.  /pub's own entry must be
+     in the table for the climb to stop there, and which entries share a
+     set with it depends on the program-wide dentry ids: a stat puts it
+     back if 5,000 inserts evicted it. *)
+  ignore (get "stat /pub" (S.stat p "/pub"));
+  get "chmod" (S.chmod p "/pub" 0o755);
+  Kernel.reset_stats kernel;
+  ignore (get "refill" (S.stat p (path 0)));
+  get "mkdir /proc" (S.mkdir_p p "/proc");
+  get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+  let stats = kv_lines (read p "/proc/dcache/stats") in
+  let pcc =
+    Dcache_core.Pcc.of_cred_exn (Kernel.root_cred kernel) (Kernel.init_ns kernel)
+  in
+  Alcotest.(check int) "one refill" 1 (counter kernel "fastpath_pcc_refill");
+  Alcotest.(check int) "refill counter read back" 1
+    (assoc_or_fail "stats" "fastpath_pcc_refill" stats);
+  Alcotest.(check bool) "the table grew" true (Dcache_core.Pcc.grows pcc > 0);
+  Alcotest.(check int) "pcc_capacity read back" (Dcache_core.Pcc.capacity pcc)
+    (assoc_or_fail "stats" "pcc_capacity" stats);
+  Alcotest.(check int) "pcc_grows read back" (Dcache_core.Pcc.grows pcc)
+    (assoc_or_fail "stats" "pcc_grows" stats);
+  Alcotest.(check bool) "config names the one knob" true
+    (contains_substring (read p "/proc/dcache/config") "pcc_entries 8192");
+  Alcotest.(check bool) "no second PCC knob" false
+    (contains_substring (read p "/proc/dcache/config") "pcc_max")
 
 let test_chrome_dump_is_valid_json () =
   Trace.reset ();
@@ -794,4 +843,5 @@ let suite =
       test_hot_surface;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;
+    Alcotest.test_case "PCC refill counter and gauges via /proc" `Quick test_pcc_surface;
   ]
