@@ -1282,9 +1282,13 @@ let trace () =
 let scale_bench () =
   header
     "Scale - warm fastpath hit vs cached-tree size.  The DLHT starts at\n\
-     256 buckets and doubles incrementally as the tree grows; flat ns/op\n\
-     across sizes shows the auto-resize keeps chains short where a\n\
-     fixed-size table would degrade with load factor.";
+     256 buckets and doubles, in one write-locked rehash, each time it\n\
+     passes two entries per bucket; flat ns/op across sizes shows the\n\
+     growth keeps chains short where a fixed-size table would degrade with\n\
+     load factor.  rehash_ms is the longest op that triggered a doubling\n\
+     (the pause a one-shot rehash costs).  The run exits 1 unless every\n\
+     size ends with a clean self-check, occupancy = population and at most\n\
+     two entries per bucket.";
   let exps = if !quick then [ 14; 16 ] else [ 14; 16; 18; 20 ] in
   let samples = 256 in
   let run_size exp =
@@ -1300,21 +1304,37 @@ let scale_bench () =
     in
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
+    (* The longest op that doubled the table: every setup op is timed, and
+       an op counts as a rehash when the resize count moved under it. *)
+    let resizes () =
+      match Dcache_core.Dlht.of_namespace_opt p.Proc.ns with
+      | Some t -> Dcache_core.Dlht.resizes t
+      | None -> 0
+    in
+    let rehash_ns = ref 0 in
+    let timed f =
+      let r0 = resizes () in
+      let t0 = Dcache_util.Clock.monotonic_ns () in
+      let v = f () in
+      let dt = Dcache_util.Clock.monotonic_ns () - t0 in
+      if resizes () <> r0 && dt > !rehash_ns then rehash_ns := dt;
+      v
+    in
     (* Fixed-width components: the probed path is the same byte length at
        every size, so ns/op differences are table effects, not hashing
        cost. *)
     let path i = Printf.sprintf "/scale/d%04x/f%05x" (i lsr 8) i in
-    ok "root" (S.mkdir_p p "/scale");
+    ok "root" (timed (fun () -> S.mkdir_p p "/scale"));
     for d = 0 to (n - 1) lsr 8 do
-      ok "dir" (S.mkdir_p p (Printf.sprintf "/scale/d%04x" d))
+      ok "dir" (timed (fun () -> S.mkdir_p p (Printf.sprintf "/scale/d%04x" d)))
     done;
     for i = 0 to n - 1 do
-      ok "file" (S.write_file p (path i) "x")
+      ok "file" (timed (fun () -> S.write_file p (path i) "x"))
     done;
     (* Creation walks don't publish to the DLHT; a stat of every file does,
        so the table really holds [n] entries, not just the probed sample. *)
     for i = 0 to n - 1 do
-      ignore (ok "warm" (S.stat p (path i)))
+      ignore (ok "warm" (timed (fun () -> S.stat p (path i))))
     done;
     let fp = Kernel.fastpath env.W.Env.kernel in
     let ctx = Proc.walk_ctx p in
@@ -1338,45 +1358,64 @@ let scale_bench () =
     in
     let occ = Dcache_core.Dlht.occupancy dlht in
     let module D = Dcache_core.Dlht in
+    let population = D.population dlht in
+    (* Exact invariants of the one-table DLHT, gated at every size. *)
+    let problems =
+      D.self_check dlht
+      @ (if occ.D.occ_entries <> population then
+           [ Printf.sprintf "occupancy counts %d entries, population %d" occ.D.occ_entries
+               population ]
+         else [])
+      @
+      if population > D.grow_load * occ.D.occ_buckets then
+        [ Printf.sprintf "population %d over %d x %d buckets" population D.grow_load
+            occ.D.occ_buckets ]
+      else []
+    in
+    List.iter
+      (fun msg ->
+        row "  FAIL at %d dentries: %s\n" n msg;
+        exit_code := 1)
+      problems;
     let mean_chain =
       float_of_int occ.D.occ_entries /. float_of_int (max 1 occ.D.occ_used)
     in
     (n, ns, words, occ.D.occ_buckets, occ.D.occ_longest, mean_chain, D.resizes dlht,
-     D.population dlht)
+     population, float_of_int !rehash_ns /. 1e6)
   in
   let results = List.map run_size exps in
-  row "%-10s %10s %10s %9s %7s %7s %8s %11s\n" "dentries" "ns/op" "words/op" "buckets"
-    "maxchn" "meanchn" "resizes" "population";
+  row "%-10s %10s %10s %9s %7s %7s %8s %11s %10s\n" "dentries" "ns/op" "words/op" "buckets"
+    "maxchn" "meanchn" "resizes" "population" "rehash_ms";
   List.iter
-    (fun (n, ns, words, buckets, longest, mean, resizes, population) ->
-      row "%-10d %10.1f %10.2f %9d %7d %7.2f %8d %11d\n" n ns words buckets longest mean
-        resizes population)
+    (fun (n, ns, words, buckets, longest, mean, resizes, population, rehash_ms) ->
+      row "%-10d %10.1f %10.2f %9d %7d %7.2f %8d %11d %10.2f\n" n ns words buckets longest
+        mean resizes population rehash_ms)
     results;
   (match (results, List.rev results) with
-  | (n0, ns0, _, _, _, _, _, _) :: _, (n1, ns1, _, _, _, _, _, _) :: _ when n0 <> n1 ->
+  | (n0, ns0, _, _, _, _, _, _, _) :: _, (n1, ns1, _, _, _, _, _, _, _) :: _ when n0 <> n1 ->
     row "ns/op at %d is %.2fx ns/op at %d (acceptance bound: 1.5x)\n" n1 (ns1 /. ns0) n0
   | _ -> ());
   (* Machine-readable evidence for CI / the paper repo. *)
   let entries =
     List.map
-      (fun (n, ns, words, buckets, longest, mean, resizes, population) ->
+      (fun (n, ns, words, buckets, longest, mean, resizes, population, rehash_ms) ->
         Printf.sprintf
           "    {\"dentries\": %d, \"ns_per_op\": %.2f, \"words_per_op\": %.3f, \
            \"buckets\": %d, \"longest_chain\": %d, \"mean_chain\": %.3f, \
-           \"resizes\": %d, \"population\": %d}"
-          n ns words buckets longest mean resizes population)
+           \"resizes\": %d, \"population\": %d, \"longest_rehash_ms\": %.2f}"
+          n ns words buckets longest mean resizes population rehash_ms)
       results
   in
   let ratio =
     match (results, List.rev results) with
-    | (_, ns0, _, _, _, _, _, _) :: _, (_, ns1, _, _, _, _, _, _) :: _ when ns0 > 0.0 ->
+    | (_, ns0, _, _, _, _, _, _, _) :: _, (_, ns1, _, _, _, _, _, _, _) :: _ when ns0 > 0.0 ->
       ns1 /. ns0
     | _ -> 1.0
   in
   Bench_report.write ~experiment:"scale"
     [
       ("initial_buckets", "256");
-      ("grow_load", string_of_int Config.optimized.Config.dlht_grow_load);
+      ("grow_load", string_of_int Dcache_core.Dlht.grow_load);
       ("samples_per_size", string_of_int samples);
       ("sizes", "[\n" ^ String.concat ",\n" entries ^ "\n  ]");
       ("ns_ratio_largest_over_smallest", Printf.sprintf "%.3f" ratio);
@@ -2140,7 +2179,7 @@ let profile () =
   Utrace.armed := true;
   Uprof.arm ();
   let raw_stamp = latency_ns ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7) in
-  let raw_record = latency_ns ~iters (fun () -> Uprof.hh_record 5 "d" Uprof.m_hit) in
+  let raw_record = latency_ns ~iters (fun () -> Uprof.hh_record 1 5 "d" Uprof.m_hit) in
   let raw_mint = latency_ns ~iters (fun () -> ignore (Uprof.span_enter ())) in
   Utrace.armed := false;
   Uprof.disarm ();
@@ -2247,11 +2286,11 @@ let batch_bench () =
         let words =
           Stats.minor_words_per_op ~iters:submits submit /. float_of_int size
         in
-        let s0, _, w0 = Dcache_util.Profiler.batch_stats () in
+        let s0 = counter env "batch_submit" and w0 = counter env "batch_windows" in
         for _ = 1 to 100 do
           submit ()
         done;
-        let s1, _, w1 = Dcache_util.Profiler.batch_stats () in
+        let s1 = counter env "batch_submit" and w1 = counter env "batch_windows" in
         let windows_per_submit =
           float_of_int (w1 - w0) /. float_of_int (max 1 (s1 - s0))
         in

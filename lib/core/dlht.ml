@@ -15,26 +15,21 @@ module Locktab = Dcache_util.Locktab
    before the signature changes — Dcache.detach/shootdown ordering), so the
    owning bucket is always recomputable.
 
-   --- incremental resize ---
+   --- resize ---
 
-   The table doubles when [count / buckets] crosses [grow_load], without a
-   stop-the-world rehash: the current bucket array is demoted to [old], a
-   fresh, twice-as-large array becomes [tbl], and every subsequent mutation
-   migrates [migrate_quantum] old buckets by re-splicing their chains into
-   [tbl] (the signature is stable while chained, so the new slot is just a
-   re-mask).  Inserts always go to [tbl]; probes check [tbl] first, then
-   [old].  Between two doublings at load factor L, at least L * buckets
-   inserts must happen while only [buckets] old buckets need migration, so
-   with [migrate_quantum] >= 1 a resize always completes before the next
-   one can start — [old] is None again by then, which [maybe_grow] requires.
+   The table doubles when [count] exceeds [grow_load * buckets]: the insert
+   that crosses the line builds the doubled bucket array, re-splices every
+   chain into it in one pass (the signature is stable while chained, so the
+   new slot is just a re-mask) and publishes it.  The whole rehash runs
+   inside the insert's write section.
 
-   Lockless readers: exclusive mutation (every insert, resize migration,
+   Lockless readers: exclusive mutation (every insert and so every rehash,
    scrub, global-scope removals) runs under the dcache write lock, which
    brackets the dcache-wide write sequence; sharded removals splice under
    per-stripe locks whose seqcounts the reader records before walking the
    chain.  An optimistic probe that overlaps either kind of write section
-   fails its validation and retries, so probes never need the old/new
-   split to be atomic — they only need racy chain walks to be crash-free
+   fails its validation and retries, so a probe that walks a chain while
+   the rehash re-splices it only needs the walk to be crash-free
    (single-field reads of immediate ints and pointers) and finite, which
    the scan fuel guarantees even across transiently inconsistent splices.
 
@@ -43,28 +38,18 @@ module Locktab = Dcache_util.Locktab
    With [stripes] attached, every [remove] splice runs under the stripe
    for the signature's 22-bit bucket index masked to the stripe count
    ([insert] always runs under the write lock and takes none).  The
-   stripe count never exceeds the initial bucket count and tables only
-   grow, so the stripe mask is a submask of every table mask:
-   one signature maps to the same stripe in both tables, a whole bucket
-   lives inside one stripe, and a bucket's migration re-splice stays
-   within its own stripe.  A sharded [remove] therefore never advances the
-   migration cursor — a stripe section must not touch buckets outside its
-   stripe — and only drains its own signature's old bucket; the cursor and
-   growth advance on [insert], which is always write-locked. *)
+   stripe count never exceeds the initial bucket count and the table only
+   grows, so the stripe mask is a submask of every table mask: a whole
+   bucket lives inside one stripe, and a sharded removal's splice never
+   touches a bucket outside the stripe it holds. *)
 
 type table = { buckets : dentry option array; mask : int }
 
 type t = {
-  mutable tbl : table;  (** current table; inserts and first probes land here *)
-  mutable old : table option;  (** pre-resize table still being drained *)
-  mutable migrate_idx : int;  (** next [old] bucket to migrate *)
-  grow_load : int;  (** entries per bucket before doubling; 0 = fixed size *)
+  mutable tbl : table;
   mutable resize_count : int;
   sigless_scans : int Atomic.t;
       (** times [remove] had to fall back to a whole-table identity scan *)
-  stripe_migrations : int Atomic.t;
-      (** old-table buckets drained by sharded sections under their own
-          stripe (resize settling off the global write lock) *)
   ns : namespace;
   count : int Atomic.t;
   stripes : Locktab.t option;  (** sharded-mutation stripe locks; None = legacy *)
@@ -72,17 +57,15 @@ type t = {
 
 type ns_ext += Dlht_ext of t
 
+(* Entries per bucket before the table doubles. *)
+let grow_load = 2
+
 (* A racy (lockless) chain walk can observe transiently inconsistent links
    while a writer splices; the fuel bound turns a would-be infinite walk
    into a miss, which the caller's seqcount validation then converts into a
-   locked retry.  Far above any legitimate chain length (load factor is
-   bounded by [grow_load] once resize is on, and even the fixed-size table
-   needs 2^12 entries per bucket to get near it). *)
+   locked retry.  Far above any legitimate chain length: [grow_load] bounds
+   the average chain, and only the 2^22-bucket ceiling lets it rise. *)
 let scan_fuel = 4096
-
-(* Old buckets migrated per mutation; >= 1 guarantees completion between
-   doublings (see above), 4 keeps the drain an order of magnitude ahead. *)
-let migrate_quantum = 4
 
 let max_buckets = 1 lsl 22
 
@@ -94,7 +77,7 @@ let of_namespace_opt ns =
 let of_namespace_exn ns =
   match ns.ns_ext with Some (Dlht_ext t) -> t | Some _ | None -> raise Not_found
 
-let of_namespace ?(stripes = 0) ~buckets ~grow_load ns =
+let of_namespace ?(stripes = 0) ~buckets ns =
   match ns.ns_ext with
   | Some (Dlht_ext t) -> t
   | Some _ | None ->
@@ -103,12 +86,8 @@ let of_namespace ?(stripes = 0) ~buckets ~grow_load ns =
     let t =
       {
         tbl = make_table buckets;
-        old = None;
-        migrate_idx = 0;
-        grow_load;
         resize_count = 0;
         sigless_scans = Atomic.make 0;
-        stripe_migrations = Atomic.make 0;
         ns;
         count = Atomic.make 0;
         stripes =
@@ -125,10 +104,8 @@ let locktab t = t.stripes
 
 let bucket_in tbl signature = Signature.bucket signature land tbl.mask
 
-let resizing t = t.old <> None
 let resizes t = t.resize_count
 let sigless_scans t = Atomic.get t.sigless_scans
-let stripe_migrations t = Atomic.get t.stripe_migrations
 
 (* Splice [d] in as the head of [tbl]'s bucket for [signature]. *)
 let splice tbl d signature =
@@ -140,17 +117,15 @@ let splice tbl d signature =
   (match head with Some h -> h.d_dlht_prev <- cell | None -> ());
   tbl.buckets.(idx) <- cell
 
-(* Re-splice one old bucket's chain into the current table and empty it.
-   The chain's entries all share the bucket index, so in sharded mode the
-   whole drain stays inside the bucket's stripe. *)
-let drain_bucket t old i =
+(* Re-splice the chain in bucket [i] of [src] into [dst]. *)
+let drain_bucket t src dst i =
   let rec drain cell =
     match cell with
     | None -> ()
     | Some d ->
       let next = d.d_dlht_next in
       (match d.d_sig with
-      | Some signature -> splice t.tbl d signature
+      | Some signature -> splice dst d signature
       | None ->
         (* Chained with no signature: cannot be re-placed, and a probe
            could never have matched it anyway.  Quarantine, as scrub
@@ -163,70 +138,25 @@ let drain_bucket t old i =
         Trace.stamp Trace.ev_quarantine d.d_id);
       drain next
   in
-  drain old.buckets.(i);
-  old.buckets.(i) <- None
+  drain src.buckets.(i)
 
-(* Migrate up to [n] old buckets into the current table.  Caller holds the
-   dcache write lock (like every mutator here). *)
-let migrate_some t n =
-  match t.old with
-  | None -> ()
-  | Some old ->
-    let total = Array.length old.buckets in
-    (* [n] may be [max_int] ([settle]): compare before adding. *)
-    let stop = if n >= total - t.migrate_idx then total else t.migrate_idx + n in
-    let i = ref t.migrate_idx in
-    while !i < stop do
-      drain_bucket t old !i;
-      incr i
-    done;
-    t.migrate_idx <- stop;
-    if stop = total then begin
-      t.old <- None;
-      Trace.stamp Trace.ev_dlht_resize_end (Array.length t.tbl.buckets)
-    end
-
-(* Resize settling on the stripe table: a sharded removal already holds the
-   stripe covering [signature]'s bucket in {e both} tables (the stripe mask
-   is a submask of every table mask), so it drains the signature's old
-   bucket in passing — migration proceeds under stripe locks instead of
-   waiting for an exclusive section.  The cursor sweep in [migrate_some]
-   later finds these buckets empty; the [old <- None] completion and the
-   table swap themselves remain exclusive ([insert]), and that residue
-   is what /proc/dcache/stripes' global-acquisition counter tracks. *)
-let settle_in_stripe t signature =
-  match t.old with
-  | None -> ()
-  | Some old -> (
-    let i = bucket_in old signature in
-    match old.buckets.(i) with
-    | None -> ()
-    | Some _ ->
-      drain_bucket t old i;
-      Atomic.incr t.stripe_migrations)
-
-let settle t = migrate_some t max_int
-
+(* Caller holds the dcache write lock (every insert does). *)
 let maybe_grow t =
-  match t.old with
-  | Some _ -> ()
-  | None ->
-    let buckets = Array.length t.tbl.buckets in
-    if
-      t.grow_load > 0 && buckets < max_buckets
-      && Atomic.get t.count > buckets * t.grow_load
-    then begin
-      t.old <- Some t.tbl;
-      t.migrate_idx <- 0;
-      t.resize_count <- t.resize_count + 1;
-      t.tbl <- make_table (buckets * 2);
-      Trace.stamp Trace.ev_dlht_resize_begin (buckets * 2)
-    end
+  let tbl = t.tbl in
+  let buckets = Array.length tbl.buckets in
+  if buckets < max_buckets && Atomic.get t.count > buckets * grow_load then begin
+    let fresh = make_table (buckets * 2) in
+    for i = 0 to buckets - 1 do
+      drain_bucket t tbl fresh i
+    done;
+    t.tbl <- fresh;
+    t.resize_count <- t.resize_count + 1;
+    Trace.stamp Trace.ev_dlht_resize (buckets * 2)
+  end
 
-(* Clear [d] from the head slot it owns, consulting both tables and
-   verifying head identity before writing (never blindly overwrite a slot a
-   stale signature merely points at).  Returns false when neither table's
-   candidate slot is headed by [d]. *)
+(* Clear [d] from the head slot it owns, verifying head identity before
+   writing (never blindly overwrite a slot a stale signature merely points
+   at).  Returns false when the candidate slot is not headed by [d]. *)
 let clear_head t d next =
   match d.d_sig with
   | None -> false
@@ -237,16 +167,7 @@ let clear_head t d next =
     | Some h when h == d ->
       tbl.buckets.(idx) <- next;
       true
-    | _ -> (
-      match t.old with
-      | None -> false
-      | Some old -> (
-        let oidx = bucket_in old signature in
-        match old.buckets.(oidx) with
-        | Some h when h == d ->
-          old.buckets.(oidx) <- next;
-          true
-        | _ -> false)))
+    | _ -> false)
 
 (* Defensive only — the detach ordering makes this unreachable.  Find the
    slot by identity so [count] stays exact even if the invariant is ever
@@ -255,22 +176,18 @@ let clear_head t d next =
 let scan_out_head t d next =
   Atomic.incr t.sigless_scans;
   Trace.stamp Trace.ev_dlht_sigless_scan d.d_id;
-  let clear_in tbl =
-    let n = Array.length tbl.buckets in
-    let i = ref 0 in
-    let found = ref false in
-    while (not !found) && !i < n do
-      (match tbl.buckets.(!i) with
-      | Some h when h == d ->
-        tbl.buckets.(!i) <- next;
-        found := true
-      | _ -> ());
-      incr i
-    done;
-    !found
-  in
-  if not (clear_in t.tbl) then
-    match t.old with Some old -> ignore (clear_in old) | None -> ()
+  let buckets = t.tbl.buckets in
+  let n = Array.length buckets in
+  let i = ref 0 in
+  let found = ref false in
+  while (not !found) && !i < n do
+    (match buckets.(!i) with
+    | Some h when h == d ->
+      buckets.(!i) <- next;
+      found := true
+    | _ -> ());
+    incr i
+  done
 
 let remove_splice t d =
   let next = d.d_dlht_next in
@@ -287,23 +204,17 @@ let remove_splice t d =
   Atomic.decr t.count
 
 let remove_from t d =
-  match t.stripes with
-  | None ->
-    migrate_some t migrate_quantum;
+  match (t.stripes, d.d_sig) with
+  | Some tab, Some signature ->
+    let i = Locktab.index tab (Signature.bucket signature) in
+    Locktab.with_lock tab i (fun () -> remove_splice t d)
+  | None, _ -> remove_splice t d
+  | Some _, None ->
+    (* Chained with no signature only happens when the detach ordering is
+       broken, which only exclusive (write-locked) callers can do — the
+       whole-table identity scan is not stripe-safe anyway, so run it
+       unlocked exactly as the legacy path would. *)
     remove_splice t d
-  | Some tab -> (
-    match d.d_sig with
-    | Some signature ->
-      let i = Locktab.index tab (Signature.bucket signature) in
-      Locktab.with_lock tab i (fun () ->
-          settle_in_stripe t signature;
-          remove_splice t d)
-    | None ->
-      (* Chained with no signature only happens when the detach ordering is
-         broken, which only exclusive (write-locked) callers can do — the
-         whole-table identity scan below is not stripe-safe anyway, so run
-         it unlocked exactly as the legacy path would. *)
-      remove_splice t d)
 
 (* Take [d] out of whichever DLHT holds it, splicing with [unsplice]. *)
 let leave d unsplice =
@@ -320,10 +231,9 @@ let remove d = leave d remove_from
    section (they all hold the read side), and lockless probes validate
    against the global write sequence the write section bumps — so no
    stripe is taken, even to splice out a previous membership, and the
-   migration/growth step may touch any bucket. *)
+   rehash may touch any bucket. *)
 let insert t ns d signature =
   leave d remove_splice;
-  migrate_some t migrate_quantum;
   splice t.tbl d signature;
   Atomic.incr t.count;
   d.d_dlht_ns <- Some ns;
@@ -334,9 +244,8 @@ let insert t ns d signature =
    cell]) instead of rebuilding it, so a hit allocates nothing.  The chain
    scanners are top-level (not local closures over [key]/[signature]): a
    capturing local function would allocate its closure on every probe.
-   During a resize the probe checks the current table first, then the
-   pre-resize one; a miss in both on a lockless probe is re-checked by the
-   caller's seqcount validation before it is believed. *)
+   A miss on a lockless probe is re-checked by the caller's seqcount
+   validation before it is believed. *)
 
 let rec scan_chain key signature cell fuel =
   if fuel = 0 then None
@@ -351,13 +260,7 @@ let rec scan_chain key signature cell fuel =
 
 let find t ~key signature =
   let tbl = t.tbl in
-  match scan_chain key signature tbl.buckets.(bucket_in tbl signature) scan_fuel with
-  | Some _ as hit -> hit
-  | None -> (
-    match t.old with
-    | None -> None
-    | Some old ->
-      scan_chain key signature old.buckets.(bucket_in old signature) scan_fuel)
+  scan_chain key signature tbl.buckets.(bucket_in tbl signature) scan_fuel
 
 let rec scan_chain_buf key b cell fuel =
   if fuel = 0 then None
@@ -372,13 +275,7 @@ let rec scan_chain_buf key b cell fuel =
 
 let find_buf t ~key b =
   let tbl = t.tbl in
-  match scan_chain_buf key b tbl.buckets.(Signature.buf_bucket b land tbl.mask) scan_fuel with
-  | Some _ as hit -> hit
-  | None -> (
-    match t.old with
-    | None -> None
-    | Some old ->
-      scan_chain_buf key b old.buckets.(Signature.buf_bucket b land old.mask) scan_fuel)
+  scan_chain_buf key b tbl.buckets.(Signature.buf_bucket b land tbl.mask) scan_fuel
 
 let population t = Atomic.get t.count
 
@@ -387,7 +284,6 @@ type occupancy = {
   occ_buckets : int;
   occ_used : int;
   occ_longest : int;
-  occ_old_pending : int;
 }
 
 let rec chain_length acc = function
@@ -396,70 +292,52 @@ let rec chain_length acc = function
 
 let occupancy t =
   let entries = ref 0 and used = ref 0 and longest = ref 0 in
-  let sweep tbl =
-    Array.iter
-      (fun head ->
-        let len = chain_length 0 head in
-        if len > 0 then begin
-          incr used;
-          entries := !entries + len;
-          if len > !longest then longest := len
-        end)
-      tbl.buckets
-  in
-  sweep t.tbl;
-  let in_new = !entries in
-  (match t.old with Some old -> sweep old | None -> ());
+  Array.iter
+    (fun head ->
+      let len = chain_length 0 head in
+      if len > 0 then begin
+        incr used;
+        entries := !entries + len;
+        if len > !longest then longest := len
+      end)
+    t.tbl.buckets;
   {
     occ_entries = !entries;
     occ_buckets = Array.length t.tbl.buckets;
     occ_used = !used;
     occ_longest = !longest;
-    occ_old_pending = !entries - in_new;
   }
 
 let self_check t =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let entries = ref 0 in
-  let check_table label tbl =
-    Array.iteri
-      (fun idx head ->
-        (match head with
-        | Some h when h.d_dlht_prev <> None ->
-          note "%s bucket %d: head %s has a predecessor" label idx h.d_name
-        | _ -> ());
-        let rec walk prev = function
-          | None -> ()
-          | Some d ->
-            incr entries;
-            (match (prev, d.d_dlht_prev) with
-            | None, _ -> ()
-            | Some p, Some q when q == p -> ()
-            | Some _, _ -> note "%s bucket %d: %s has a broken prev link" label idx d.d_name);
-            (match d.d_dlht_ns with
-            | Some ns when ns == t.ns -> ()
-            | _ -> note "%s bucket %d: %s is chained but not marked as a member" label idx d.d_name);
-            (match d.d_sig with
-            | Some s when bucket_in tbl s = idx -> ()
-            | Some _ -> note "%s bucket %d: %s is chained in the wrong bucket" label idx d.d_name
-            | None -> note "%s bucket %d: %s is chained with no signature" label idx d.d_name);
-            walk (Some d) d.d_dlht_next
-        in
-        walk None head)
-      tbl.buckets
-  in
-  check_table "tbl" t.tbl;
-  (match t.old with
-  | None -> ()
-  | Some old ->
-    check_table "old" old;
-    (* Buckets the migration cursor has passed must be empty. *)
-    for i = 0 to Stdlib.min t.migrate_idx (Array.length old.buckets) - 1 do
-      match old.buckets.(i) with
-      | Some d -> note "old bucket %d: %s left behind the migration cursor" i d.d_name
-      | None -> ()
-    done);
+  let tbl = t.tbl in
+  Array.iteri
+    (fun idx head ->
+      (match head with
+      | Some h when h.d_dlht_prev <> None ->
+        note "bucket %d: head %s has a predecessor" idx h.d_name
+      | _ -> ());
+      let rec walk prev = function
+        | None -> ()
+        | Some d ->
+          incr entries;
+          (match (prev, d.d_dlht_prev) with
+          | None, _ -> ()
+          | Some p, Some q when q == p -> ()
+          | Some _, _ -> note "bucket %d: %s has a broken prev link" idx d.d_name);
+          (match d.d_dlht_ns with
+          | Some ns when ns == t.ns -> ()
+          | _ -> note "bucket %d: %s is chained but not marked as a member" idx d.d_name);
+          (match d.d_sig with
+          | Some s when bucket_in tbl s = idx -> ()
+          | Some _ -> note "bucket %d: %s is chained in the wrong bucket" idx d.d_name
+          | None -> note "bucket %d: %s is chained with no signature" idx d.d_name);
+          walk (Some d) d.d_dlht_next
+      in
+      walk None head)
+    tbl.buckets;
   if !entries <> Atomic.get t.count then
     note "population: counted %d chained entries but count = %d" !entries
       (Atomic.get t.count);
@@ -480,22 +358,23 @@ type scrub_report = {
   scrub_problems : string list;
 }
 
-(* Splice [d] out of bucket [idx] of [tbl] by identity: the quarantined
-   entry's signature and prev link are exactly what we cannot trust, so
-   re-walk the chain from the head instead of using [remove_from]. *)
-let unchain t tbl idx d =
+(* Splice [d] out of bucket [idx] by identity: the quarantined entry's
+   signature and prev link are exactly what we cannot trust, so re-walk the
+   chain from the head instead of using [remove_from]. *)
+let unchain t idx d =
+  let buckets = t.tbl.buckets in
   let rec fix prev cell =
     match cell with
     | None -> ()
     | Some x when x == d -> (
       let next = d.d_dlht_next in
       (match prev with
-      | None -> tbl.buckets.(idx) <- next
+      | None -> buckets.(idx) <- next
       | Some p -> p.d_dlht_next <- next);
       match next with Some n -> n.d_dlht_prev <- prev | None -> ())
     | Some x -> fix (Some x) x.d_dlht_next
   in
-  fix None tbl.buckets.(idx);
+  fix None buckets.(idx);
   d.d_dlht_next <- None;
   d.d_dlht_prev <- None;
   d.d_dlht_ns <- None;
@@ -506,38 +385,35 @@ let scrub t =
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let scanned = ref 0 in
   let bad = ref [] in
-  let scan_table tbl =
-    Array.iteri
-      (fun idx head ->
-        let rec walk prev = function
-          | None -> ()
-          | Some d ->
-            incr scanned;
-            let prev_ok =
-              match (prev, d.d_dlht_prev) with
-              | None, None -> true
-              | Some p, Some q -> q == p
-              | None, Some _ | Some _, None -> false
-            in
-            let member_ok = match d.d_dlht_ns with Some ns -> ns == t.ns | None -> false in
-            let sig_ok = match d.d_sig with Some s -> bucket_in tbl s = idx | None -> false in
-            if not (prev_ok && member_ok && sig_ok) then begin
-              note "bucket %d: quarantined %s (%s)" idx d.d_name
-                (if not sig_ok then "signature/bucket mismatch"
-                 else if not member_ok then "membership mark"
-                 else "broken prev link");
-              bad := (tbl, idx, d) :: !bad
-            end;
-            walk (Some d) d.d_dlht_next
-        in
-        walk None head)
-      tbl.buckets
-  in
-  scan_table t.tbl;
-  (match t.old with Some old -> scan_table old | None -> ());
+  let tbl = t.tbl in
+  Array.iteri
+    (fun idx head ->
+      let rec walk prev = function
+        | None -> ()
+        | Some d ->
+          incr scanned;
+          let prev_ok =
+            match (prev, d.d_dlht_prev) with
+            | None, None -> true
+            | Some p, Some q -> q == p
+            | None, Some _ | Some _, None -> false
+          in
+          let member_ok = match d.d_dlht_ns with Some ns -> ns == t.ns | None -> false in
+          let sig_ok = match d.d_sig with Some s -> bucket_in tbl s = idx | None -> false in
+          if not (prev_ok && member_ok && sig_ok) then begin
+            note "bucket %d: quarantined %s (%s)" idx d.d_name
+              (if not sig_ok then "signature/bucket mismatch"
+               else if not member_ok then "membership mark"
+               else "broken prev link");
+            bad := (idx, d) :: !bad
+          end;
+          walk (Some d) d.d_dlht_next
+      in
+      walk None head)
+    tbl.buckets;
   List.iter
-    (fun (tbl, idx, d) ->
-      unchain t tbl idx d;
+    (fun (idx, d) ->
+      unchain t idx d;
       Trace.bump_cause Trace.cause_quarantined;
       Trace.stamp Trace.ev_quarantine d.d_id)
     !bad;

@@ -15,16 +15,15 @@
     ([d_dlht_next]/[d_dlht_prev]), so insert and remove are O(1) pointer
     splices and probes allocate nothing.
 
-    The table resizes {e incrementally}: when the load factor crosses
-    [grow_load] the bucket array doubles, and subsequent mutations migrate a
-    few pre-resize buckets each by re-splicing their intrusive chains — no
-    stop-the-world rehash.  Probes check the current table, then the
-    pre-resize one while it drains.  Every insert, migration and scrub
-    runs under the dcache write lock; with [stripes] attached, a
-    {!remove} splice instead runs under a per-stripe lock, so sharded
-    shootdowns from several writer domains proceed concurrently.  Lockless fastpath probes are
-    validated against the dcache write sequence — plus the probed stripe's
-    seqcount when sharded — by the caller. *)
+    The table holds one bucket array.  When it holds more than two entries
+    per bucket, the insert that crossed the line doubles it in one pass:
+    every intrusive chain is re-spliced into the new array, which is then
+    published.  Every insert (so every rehash) and scrub runs under the
+    dcache write lock; with [stripes] attached, a {!remove} splice instead
+    runs under a per-stripe lock, so sharded shootdowns from several writer
+    domains proceed concurrently.  Lockless fastpath probes are validated
+    against the dcache write sequence — plus the probed stripe's seqcount
+    when sharded — by the caller, so a probe that races a rehash retries. *)
 
 open Dcache_vfs.Types
 module Signature = Dcache_sig.Signature
@@ -32,14 +31,12 @@ module Locktab = Dcache_util.Locktab
 
 type t
 
-val of_namespace : ?stripes:int -> buckets:int -> grow_load:int -> namespace -> t
-(** The namespace's table, created on first use (stored in [ns_ext]).
-    [grow_load] is the entries-per-bucket threshold past which the table
-    doubles; 0 keeps it fixed-size.  [stripes] (default 0 = none) attaches
-    a sharded-mutation lock table, clamped to [buckets] so the stripe mask
-    stays a submask of every table mask: a signature maps to the same
-    stripe in the current and pre-resize tables, and one bucket never
-    spans stripes.
+val of_namespace : ?stripes:int -> buckets:int -> namespace -> t
+(** The namespace's table, created on first use (stored in [ns_ext]) with
+    [buckets] initial buckets.  [stripes] (default 0 = none) attaches a
+    sharded-mutation lock table, clamped to [buckets] so the stripe mask
+    stays a submask of every table mask: one bucket never spans stripes,
+    before or after a doubling.
     @raise Invalid_argument if [buckets] is not a positive power of two
     (the bucket index is computed by masking the signature's low bits). *)
 
@@ -63,8 +60,8 @@ val insert : t -> namespace -> dentry -> Signature.t -> unit
     on the dentry.  {b The caller must hold the dcache write lock}: it
     excludes every sharded section, and lockless probes validate against
     the global write sequence the write section bumps, so the insert takes
-    no stripe lock.  It advances any in-flight incremental resize by one
-    quantum and may start one. *)
+    no stripe lock.  It doubles the table when the population passes two
+    entries per bucket. *)
 
 val find : t -> key:Signature.key -> Signature.t -> dentry option
 (** Probe; compares signatures per the key's configured width.  A hit
@@ -84,31 +81,23 @@ val remove : dentry -> unit
 val population : t -> int
 (** Exact number of entries currently in the table. *)
 
-val resizing : t -> bool
-(** An incremental resize is in flight (pre-resize buckets still drain). *)
-
 val resizes : t -> int
 (** Doublings since creation. *)
+
+val grow_load : int
+(** Entries per bucket before the table doubles: an insert that takes the
+    population past [grow_load * buckets] rehashes into twice the buckets
+    (up to 2^22), so a table that has stopped growing holds at most this
+    many entries per bucket. *)
 
 val sigless_scans : t -> int
 (** Times {!remove} fell back to the defensive whole-table scan. *)
 
-val stripe_migrations : t -> int
-(** Old-table buckets drained by sharded sections under their own stripe
-    (resize settling off the global write lock): each sharded {!remove}
-    drains its signature's pre-resize bucket in passing, which the stripe-submask
-    invariant keeps inside the already-held stripe. *)
-
-val settle : t -> unit
-(** Complete any in-flight migration now.  Call under the dcache write
-    lock; tests and benchmarks use it for deterministic occupancy. *)
-
 type occupancy = {
   occ_entries : int;  (** chained entries (= {!population} when healthy) *)
-  occ_buckets : int;  (** current (post-resize) bucket count *)
-  occ_used : int;  (** buckets with at least one entry, both tables *)
-  occ_longest : int;  (** longest chain, both tables *)
-  occ_old_pending : int;  (** entries still awaiting migration *)
+  occ_buckets : int;  (** bucket count *)
+  occ_used : int;  (** buckets with at least one entry *)
+  occ_longest : int;  (** longest chain *)
 }
 
 val occupancy : t -> occupancy
@@ -116,8 +105,8 @@ val occupancy : t -> occupancy
 
 val self_check : t -> string list
 (** Structural invariant check over the intrusive chains (prev/next
-    consistency, membership marks, bucket placement, exact count, migration
-    cursor); empty when healthy.  For tests. *)
+    consistency, membership marks, bucket placement, exact count); empty
+    when healthy.  For tests and the [scale] bench's gate. *)
 
 type scrub_report = {
   scrub_scanned : int;  (** chained entries examined *)

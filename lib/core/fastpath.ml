@@ -163,8 +163,8 @@ let[@inline] dentry_leased live d =
 let[@inline] note_dir metric d =
   if !Profiler.armed then
     match d.d_parent with
-    | Some p -> Profiler.hh_record p.d_id p.d_name metric
-    | None -> Profiler.hh_record d.d_id d.d_name metric
+    | Some p -> Profiler.hh_record p.d_sb.sb_id p.d_id p.d_name metric
+    | None -> Profiler.hh_record d.d_sb.sb_id d.d_id d.d_name metric
 
 (* A positive verdict for [final]: its own lease and (when it has a cached
    parent) the containing directory's lease must both be live — the parent
@@ -209,7 +209,8 @@ let lease_blocks_dir t dir =
     let blocked = not (dentry_leased live dir) in
     if blocked then begin
       Counter.bump t.c_lease_fallback;
-      if !Profiler.armed then Profiler.hh_record dir.d_id dir.d_name Profiler.m_lease
+      if !Profiler.armed then
+        Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_lease
     end;
     blocked
 
@@ -218,8 +219,7 @@ let dlht_of t ctx =
   (* The DLHT gets stripes exactly when the dcache did: both tables are
      mutated by the same sharded sections. *)
   let stripes = match t.dtab with Some _ -> cfg.Config.dcache_stripes | None -> 0 in
-  Dlht.of_namespace ~stripes ~buckets:cfg.Config.dlht_buckets
-    ~grow_load:cfg.Config.dlht_grow_load ctx.Walk.ns
+  Dlht.of_namespace ~stripes ~buckets:cfg.Config.dlht_buckets ctx.Walk.ns
 
 let pcc_of t ctx =
   let cfg = config t in
@@ -299,6 +299,7 @@ type scratch = {
      probe's verdict (set armed-only when the literal is found), so
      [note_lockless_retry] can charge the seqcount retry to the directory
      whose chain the raced writer touched.  -1: no candidate. *)
+  mutable hh_sb : int;
   mutable hh_id : int;
   mutable hh_name : string;
 }
@@ -321,6 +322,7 @@ let scratch_key =
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
         stripe_snaps = Array.make stripe_cap 0;
+        hh_sb = 0;
         hh_id = -1;
         hh_name = "";
       })
@@ -694,7 +696,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                    Counter.bump t.c_prefix_negfail;
                    Trace.stamp Trace.ev_prefix_negfail (k + 1);
                    if !Profiler.armed then
-                     Profiler.hh_record real.d_id real.d_name Profiler.m_neg;
+                     Profiler.hh_record real.d_sb.sb_id real.d_id real.d_name Profiler.m_neg;
                    sc.neg_errno <- Errno.ENOENT;
                    raise_notrace Neg_fail
                  end
@@ -799,9 +801,11 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   if !Profiler.armed then begin
     match literal.d_parent with
     | Some p ->
+      sc.hh_sb <- p.d_sb.sb_id;
       sc.hh_id <- p.d_id;
       sc.hh_name <- p.d_name
     | None ->
+      sc.hh_sb <- literal.d_sb.sb_id;
       sc.hh_id <- literal.d_id;
       sc.hh_name <- literal.d_name
   end;
@@ -1063,18 +1067,14 @@ let fallback t ctx ~flags sc path ~within =
   | Ok r -> within r.mnt r.dentry
   | Error e -> Error e
 
-(* Attribute a lockless retry: if the namespace's DLHT is mid-resize, the
-   write section we raced was (at least plausibly) the migration.  §3.8:
-   also charge the retry to the raced probe's deciding directory when the
-   probe got far enough to stash one. *)
-let note_lockless_retry t ctx sc =
+(* Count a lockless retry.  §3.8: also charge it to the raced probe's
+   deciding directory when the probe got far enough to stash one. *)
+let note_lockless_retry t sc =
   Counter.bump t.c_lockless_retry;
   Trace.stamp Trace.ev_lockless_retry 0;
+  Trace.bump_cause Trace.cause_seqcount_retry;
   if !Profiler.armed && sc.hh_id >= 0 then
-    Profiler.hh_record sc.hh_id sc.hh_name Profiler.m_retry;
-  match Dlht.of_namespace_opt ctx.Walk.ns with
-  | Some dlht when Dlht.resizing dlht -> Trace.bump_cause Trace.cause_resize_retry
-  | Some _ | None -> Trace.bump_cause Trace.cause_seqcount_retry
+    Profiler.hh_record sc.hh_sb sc.hh_id sc.hh_name Profiler.m_retry
 
 (* --- the per-op attempt (§3.2, §3.9) ---
 
@@ -1105,7 +1105,7 @@ let attempt t ctx ~start ~flags sc path ~within ~vsnap =
       (* Under the write lock no stripe section can be live: this is
          stripe-recording overflow on an absurdly deep path — walk it. *)
       if vsnap < 0 then raise_notrace Fall_back;
-      note_lockless_retry t ctx sc;
+      note_lockless_retry t sc;
       raise_notrace Seq_retry
     | exception Fall_back ->
       if
@@ -1113,7 +1113,7 @@ let attempt t ctx ~start ~flags sc path ~within ~vsnap =
         || (Seqcount.read_validate (Dcache.write_seq t.dcache) vsnap && stripes_ok sc)
       then raise_notrace Fall_back
       else begin
-        note_lockless_retry t ctx sc;
+        note_lockless_retry t sc;
         raise_notrace Seq_retry
       end)
 
@@ -1280,8 +1280,8 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
    and [deferred] is caller-owned scratch of length >= [n]; ops resolve
    relative to the context's cwd, like the sequential default.  The
    baseline (fastpath off) degrades to per-op sequential lookups so the
-   API is uniformly available.  Reports span/window amortization to
-   {!Profiler.note_batch}.
+   API is uniformly available.  Returns the number of validation windows
+   opened, the caller's measure of the amortization.
 
    Phase 1 runs every queued op through {!attempt} under ONE shared
    validation window: a single [Seqcount.read_begin] snapshot serves the
@@ -1305,7 +1305,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
       prepare i;
       complete i (lookup_into_raw t ctx ~flags:(flags i) (path i) ~within)
     done;
-    Profiler.note_batch ~ops:n ~windows:n
+    n
   end
   else begin
     let sc = Domain.DLS.get scratch_key in
@@ -1367,5 +1367,5 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
     done;
     if !ndef > 0 then
       batch_slowpath t ctx sc path flags prepare within complete deferred !ndef;
-    Profiler.note_batch ~ops:n ~windows:!windows
+    !windows
   end

@@ -95,7 +95,7 @@ val probe_batch :
   within:(mount -> dentry -> ('a, Dcache_types.Errno.t) result) ->
   complete:(int -> ('a, Dcache_types.Errno.t) result -> unit) ->
   deferred:int array ->
-  unit
+  int
 (** Vectored probe (§3.9): resolve ops [0..n-1] with amortized
     validation.  The accessors ([path i], [flags i]) and the sinks
     ([prepare i] before op [i] touches shared scratch, [complete i r]
@@ -113,7 +113,8 @@ val probe_batch :
     the same write-locked body a sequential miss takes, so a run of
     single-name siblings walks one component each.  Ops resolve
     relative to the context's cwd.  With the fastpath off, degrades to
-    per-op sequential lookups. *)
+    per-op sequential lookups.  Returns the number of validation windows
+    opened ([n] with the fastpath off): 1 when no writer interfered. *)
 
 val populate :
   t ->

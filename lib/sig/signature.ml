@@ -29,7 +29,7 @@ let initial_capacity = 512
 let bucket_bits = 16
 
 (* The bucket index is wider than the 16 bits excluded from signature
-   comparison: an incrementally-resized DLHT can reach 2^22 buckets, and a
+   comparison: a growing DLHT can reach 2^22 buckets, and a
    16-bit index would stop spreading past 2^16 (chains grow with the table
    while half the buckets stay empty).  Bits 16..21 serve both as index and
    compared-signature bits, which is harmless — bucket placement is derived

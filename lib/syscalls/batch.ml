@@ -56,6 +56,7 @@ type state = {
      option per call, and submit must stay word-free *)
   c_submit : Counter.cell;
   c_ops : Counter.cell;
+  c_windows : Counter.cell;
   c_lookup : Counter.cell;
 }
 
@@ -159,6 +160,7 @@ let create ?(cap = 128) proc =
       ctx = Proc.walk_ctx proc;
       c_submit = Counter.cell cs "batch_submit";
       c_ops = Counter.cell cs "batch_ops";
+      c_windows = Counter.cell cs "batch_windows";
       c_lookup = Counter.cell cs "path_lookup";
     }
   in
@@ -233,10 +235,11 @@ let submit t =
        append arena per submission. *)
     s.dir_cursor <- 0;
     if not (ctx_fresh s) then s.ctx <- Proc.walk_ctx s.proc;
-    Fastpath.probe_batch
-      (Kernel.fastpath s.proc.Proc.kernel)
-      s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within
-      ~complete:t.complete ~deferred:s.deferred
+    Counter.bump_by s.c_windows
+      (Fastpath.probe_batch
+         (Kernel.fastpath s.proc.Proc.kernel)
+         s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within
+         ~complete:t.complete ~deferred:s.deferred)
   end
 
 let submitted t i =

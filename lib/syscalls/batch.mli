@@ -16,7 +16,8 @@
     for the same path at the same point, {!push_lstat} mirrors [lstat]
     (no trailing-symlink follow), and {!push_access} mirrors [access]
     against the LSM stack.  Differences are confined to accounting: batch
-    submissions count under ["batch_submit"]/["batch_ops"] rather than the
+    submissions count under ["batch_submit"]/["batch_ops"] (and the
+    validation windows they opened under ["batch_windows"]) rather than the
     per-syscall counters, skip the per-path byte/component tallies, and
     run outside {!Systime} wall-clock classing (the open-loop runner
     charges batch service time to the virtual clock itself). *)

@@ -33,7 +33,7 @@ let make_superblock t fs =
   match find t.sb_keys with
   | Some sb -> Ok sb
   | None -> (
-    match Dcache.make_superblock fs with
+    match Dcache.make_superblock t.dcache fs with
     | Ok sb ->
       t.sb_keys <- (fs, sb) :: t.sb_keys;
       Ok sb

@@ -24,8 +24,6 @@ let render_dlht kernel =
         Printf.sprintf "dlht_buckets %d" occ.Dlht.occ_buckets;
         Printf.sprintf "dlht_used_buckets %d" occ.Dlht.occ_used;
         Printf.sprintf "dlht_longest_chain %d" occ.Dlht.occ_longest;
-        Printf.sprintf "dlht_old_pending %d" occ.Dlht.occ_old_pending;
-        Printf.sprintf "dlht_resizing %d" (if Dlht.resizing t then 1 else 0);
         Printf.sprintf "dlht_resizes %d" (Dlht.resizes t);
         Printf.sprintf "dlht_sigless_scans %d" (Dlht.sigless_scans t);
         "";
@@ -86,22 +84,13 @@ let render_stripes kernel () =
     (* Residual global-write figures ride the sharded report: every
        [with_write] is a full-stop for the stripes, so the ratio of
        [global_write_acquired] to stripe acquisitions says how much of
-       the mutation load still funnels through the big lock.
-       [dlht_stripe_migrations] counts pre-resize buckets the sharded
-       sections drained under their own stripe instead of waiting for a
-       write-locked insert to advance the migration cursor. *)
+       the mutation load still funnels through the big lock. *)
     let globals =
       Dcache_util.Stats.Counter.get (Kernel.counters kernel)
         "global_write_acquired"
     in
-    let migrations =
-      match Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns kernel) with
-      | None -> 0
-      | Some t -> Dcache_core.Dlht.stripe_migrations t
-    in
     Dcache_util.Locktab.to_string tab
     ^ Printf.sprintf "global_write_acquired %d\n" globals
-    ^ Printf.sprintf "dlht_stripe_migrations %d\n" migrations
 
 (* [dcache/neglists] is the negative-dentry book (§6.3): the per-stripe
    bound, eviction and invalidation tallies, and one occupancy line per
@@ -163,19 +152,19 @@ let render_trace () = Trace.ring_to_string ()
    heavy hitters with their exact-count error bounds. *)
 let render_hot () = Profiler.hot_to_string ()
 
-(* [dcache/batch] is the vectored front-end's scoreboard (§3.9): ring
-   traffic, how many validation windows the submissions actually paid for
+(* [dcache/batch] is the vectored front-end's scoreboard (§3.9), read
+   from this kernel's counters: ring traffic, how many validation windows the submissions actually paid for
    (windows/submit ≈ 1 is the amortization working), splits and phase-2
    deferrals and the sharded mkdir/rmdir counters. *)
 let render_batch kernel () =
-  let submits, ops, windows = Profiler.batch_stats () in
   let c name =
     Dcache_util.Stats.Counter.get (Kernel.counters kernel) name
   in
+  let submits = c "batch_submit" and windows = c "batch_windows" in
   String.concat "\n"
     [
       Printf.sprintf "batch_submits %d" submits;
-      Printf.sprintf "batch_ops %d" ops;
+      Printf.sprintf "batch_ops %d" (c "batch_ops");
       Printf.sprintf "batch_windows %d" windows;
       Printf.sprintf "batch_windows_per_submit %.2f"
         (float_of_int windows /. float_of_int (max 1 submits));

@@ -1,6 +1,6 @@
 (* Request-scoped causal profiling (§3.8).
 
-   Three pillars, all preallocated and disarmed-by-default, matching the
+   Two pillars, both preallocated and disarmed-by-default, matching the
    Trace ring's overhead discipline: disarmed every hook is a single
    load-and-branch; armed, recording is plain int/pointer stores into
    preallocated arrays — zero minor-heap words, so the whole profiler can
@@ -16,8 +16,9 @@
       connected trace.  Span 0 means "no span".
 
    2. Per-directory cache efficacy.  A space-saving top-K heavy-hitters
-      sketch (Metwally et al.) over directory ids: fixed K slots held in
-      parallel int/string arrays, intrusive (the label is the directory
+      sketch (Metwally et al.) over directories, each named by its
+      superblock id and its dentry id (dentry ids are unique only within
+      one dcache): fixed K slots held in parallel int/string arrays, intrusive (the label is the directory
       dentry's own name string — storing the pointer allocates nothing),
       no allocation at record time.  Each slot attributes hits, misses,
       negative hits, seqcount retries, lease fallbacks and invalidations
@@ -26,13 +27,6 @@
       minimum it inherited), and any key not in the sketch has true count
       <= the minimum resident total.  With fewer than K distinct keys no
       eviction happens and every count is exact.
-
-   3. Sliding-window percentiles.  Two banks of log2 histograms per
-      latency class; {!rotate} flips the banks and resets the new current
-      one, so [window_cur] always covers the epoch in progress and
-      [window_prev] the last completed one.  Rotation is driven by the
-      observer ({!tick} against a virtual or real clock), keeping the
-      record path free of clock reads.
 
    Global state, like the Trace ring it extends; [reset] between
    experiments. *)
@@ -104,27 +98,6 @@ let with_span id f =
   s.sp_cur <- id;
   Fun.protect ~finally:(fun () -> s.sp_cur <- saved) f
 
-(* --- batch span accounting (§3.9) --- *)
-
-(* A vectored submission mints ONE span and shares it across every probe
-   in the batch; these three cells record the amortization the sharing
-   buys.  [batch_windows] counts validation windows opened inside
-   submissions (1 per batch when no writer interferes; each mid-batch
-   seqcount bump adds one), so windows/submit ~ 1 is the "shared
-   validation" claim made measurable.  Always-on atomics: bumped once per
-   submit, never on the per-op path, never allocating. *)
-let batch_submits = Atomic.make 0
-let batch_ops = Atomic.make 0
-let batch_windows = Atomic.make 0
-
-let note_batch ~ops ~windows =
-  Atomic.incr batch_submits;
-  ignore (Atomic.fetch_and_add batch_ops ops);
-  ignore (Atomic.fetch_and_add batch_windows windows)
-
-let batch_stats () =
-  (Atomic.get batch_submits, Atomic.get batch_ops, Atomic.get batch_windows)
-
 (* --- per-directory heavy hitters (space-saving top-K) --- *)
 
 let hh_k = 32
@@ -139,11 +112,13 @@ let n_metrics = 6
 
 let metric_names = [| "hit"; "miss"; "neg"; "retry"; "lease"; "inval" |]
 
-(* Parallel slot arrays; [hh_key] = directory dentry id, -1 = empty.
+(* Parallel slot arrays; [hh_owner] = the directory's superblock id,
+   [hh_key] = its dentry id, -1 = empty.
    [hh_label] keeps a pointer to the directory's name string for rendering
    (storing an existing string is one pointer store).  Plain stores: the
    sketch is diagnostic, and concurrent recorders may race a slot exactly
    as ring stamps may tear — consumers tolerate it. *)
+let hh_owner = Array.make hh_k 0
 let hh_key = Array.make hh_k (-1)
 let hh_label = Array.make hh_k ""
 let hh_total = Array.make hh_k 0
@@ -154,10 +129,13 @@ let hh_recorded = ref 0
 
 (* Top-level recursions, not closures — the record path runs on the
    zero-allocation warm hit. *)
-let rec hh_find_from key i =
+let[@inline] hh_is owner key i =
+  Array.unsafe_get hh_key i = key && Array.unsafe_get hh_owner i = owner
+
+let rec hh_find_from owner key i =
   if i >= hh_k then -1
-  else if Array.unsafe_get hh_key i = key then i
-  else hh_find_from key (i + 1)
+  else if hh_is owner key i then i
+  else hh_find_from owner key (i + 1)
 
 let rec hh_free_from i =
   if i >= hh_k then -1
@@ -183,19 +161,19 @@ let[@inline] hh_zero_metrics i =
    wrong hint just falls back to the scan. *)
 let hh_memo = ref 0
 
-(* Record one event of [metric] against directory [key]/[label].  Armed:
+(* Record one event of [metric] against directory [owner]/[key]/[label].  Armed:
    one memo compare (falling back to a linear scan of K ints) plus a
    handful of int stores (space-saving eviction replaces the minimum
    slot, inheriting its total as the new key's error bound).  Disarmed:
    a load and a branch.  Never allocates. *)
-let hh_record key label metric =
+let hh_record owner key label metric =
   if !armed then begin
     hh_recorded := !hh_recorded + 1;
     let i =
       let m = !hh_memo in
-      if Array.unsafe_get hh_key m = key then m
+      if hh_is owner key m then m
       else begin
-        let i = hh_find_from key 0 in
+        let i = hh_find_from owner key 0 in
         if i >= 0 then hh_memo := i;
         i
       end
@@ -208,6 +186,7 @@ let hh_record key label metric =
     else begin
       let j = hh_free_from 0 in
       if j >= 0 then begin
+        hh_owner.(j) <- owner;
         hh_key.(j) <- key;
         hh_label.(j) <- label;
         hh_total.(j) <- 1;
@@ -220,6 +199,7 @@ let hh_record key label metric =
         hh_evictions := !hh_evictions + 1;
         hh_err.(j) <- hh_total.(j);
         hh_total.(j) <- hh_total.(j) + 1;
+        hh_owner.(j) <- owner;
         hh_key.(j) <- key;
         hh_label.(j) <- label;
         hh_zero_metrics j;
@@ -229,6 +209,7 @@ let hh_record key label metric =
   end
 
 type hot_slot = {
+  h_owner : int;
   h_key : int;
   h_label : string;
   h_total : int;
@@ -244,6 +225,7 @@ let hot () =
     if hh_key.(i) >= 0 then
       acc :=
         {
+          h_owner = hh_owner.(i);
           h_key = hh_key.(i);
           h_label = hh_label.(i);
           h_total = hh_total.(i);
@@ -252,7 +234,9 @@ let hot () =
         }
         :: !acc
   done;
-  List.sort (fun a b -> compare (b.h_total, a.h_key) (a.h_total, b.h_key)) !acc
+  List.sort
+    (fun a b -> compare (b.h_total, a.h_owner, a.h_key) (a.h_total, b.h_owner, b.h_key))
+    !acc
 
 let hot_to_string () =
   let buf = Buffer.create 1024 in
@@ -262,7 +246,8 @@ let hot_to_string () =
   Printf.bprintf buf "evictions %d\n" !hh_evictions;
   List.iter
     (fun s ->
-      Printf.bprintf buf "dir %d %s total %d err %d" s.h_key s.h_label s.h_total s.h_err;
+      Printf.bprintf buf "dir %d:%d %s total %d err %d" s.h_owner s.h_key s.h_label s.h_total
+        s.h_err;
       Array.iteri
         (fun m v -> Printf.bprintf buf " %s %d" metric_names.(m) v)
         s.h_metrics;
@@ -270,55 +255,13 @@ let hot_to_string () =
     (hot ());
   Buffer.contents buf
 
-(* --- sliding-window histograms --- *)
-
-(* Generic class slots; {!Trace} maps its latency classes onto them and
-   owns the labels.  Two banks: [cur] collects the epoch in progress,
-   [prev] holds the last completed epoch.  [rotate] flips and resets. *)
-let n_windows = 8
-
-let win_banks =
-  [| Array.init n_windows (fun _ -> Stats.Lhist.create ());
-     Array.init n_windows (fun _ -> Stats.Lhist.create ()) |]
-
-let win_bank = ref 0
-let win_epoch = ref 0
-
-let[@inline] record_window cls v =
-  if !armed && cls >= 0 && cls < n_windows then
-    Stats.Lhist.record win_banks.(!win_bank).(cls) v
-
-let window_cur cls = win_banks.(!win_bank).(cls)
-let window_prev cls = win_banks.(1 - !win_bank).(cls)
-let window_epoch () = !win_epoch
-
-let rotate () =
-  win_bank := 1 - !win_bank;
-  Array.iter Stats.Lhist.reset win_banks.(!win_bank);
-  win_epoch := !win_epoch + 1
-
-(* Epoch-rotate against an external clock (virtual or monotonic ns): the
-   caller ticks with "now" and the window length; rotation happens when
-   the current epoch's end has passed.  Keeping the clock out of the
-   profiler keeps the record path clock-free and the rotation source
-   explicit (the coherence bench ticks on the shared virtual clock). *)
-let win_next = ref 0
-
-let tick ~epoch_ns now =
-  if epoch_ns > 0 && now >= !win_next then begin
-    if !win_next > 0 then rotate ();
-    win_next := now + epoch_ns
-  end
-
 (* --- arming / reset --- *)
 
 let arm () = armed := true
 let disarm () = armed := false
 
 let reset () =
-  Atomic.set batch_submits 0;
-  Atomic.set batch_ops 0;
-  Atomic.set batch_windows 0;
+  Array.fill hh_owner 0 hh_k 0;
   Array.fill hh_key 0 hh_k (-1);
   Array.fill hh_label 0 hh_k "";
   Array.fill hh_total 0 hh_k 0;
@@ -327,9 +270,5 @@ let reset () =
   hh_evictions := 0;
   hh_recorded := 0;
   hh_memo := 0;
-  Array.iter (fun bank -> Array.iter Stats.Lhist.reset bank) win_banks;
-  win_bank := 0;
-  win_epoch := 0;
-  win_next := 0;
   (Domain.DLS.get span_key).sp_cur <- 0;
   List.iter (fun s -> s.sp_cur <- 0) (Atomic.get span_scratches)

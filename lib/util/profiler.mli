@@ -1,6 +1,6 @@
 (** Request-scoped causal profiling (§3.8).
 
-    Three preallocated, disarmed-by-default facilities sharing the Trace
+    Two preallocated, disarmed-by-default facilities sharing the Trace
     ring's overhead discipline (disarmed: one load-and-branch; armed:
     int/pointer stores only, zero minor-heap words):
 
@@ -9,22 +9,20 @@
       delivery so cross-client causality renders as one connected trace;
     - a {b space-saving top-K sketch} attributing cache efficacy (hits,
       misses, negatives, retries, lease fallbacks, invalidations) to
-      individual directories with exact-count error bounds;
-    - {b sliding-window histograms}: two epoch-rotated banks of log2
-      histograms for per-class latency trends.
+      individual directories with exact-count error bounds.
 
     Global state, like {!Trace}; call {!reset} between experiments. *)
 
 val armed : bool ref
-(** Master switch for span minting, sketch recording and window
-    recording.  Prefer {!arm}/{!disarm}; exposed for armed-path tests. *)
+(** Master switch for span minting and sketch recording.  Prefer
+    {!arm}/{!disarm}; exposed for armed-path tests. *)
 
 val arm : unit -> unit
 val disarm : unit -> unit
 
 val reset : unit -> unit
-(** Clear the sketch, both window banks and the calling domain's current
-    span.  Does not change {!armed}. *)
+(** Clear the sketch and the calling domain's current span.  Does not
+    change {!armed}. *)
 
 (** {1 Request-scoped spans} *)
 
@@ -44,20 +42,6 @@ val with_span : int -> (unit -> 'a) -> 'a
     server side of a wire message carrying the client's span.  Allocates
     (closure); RPC-path only, never on the warm hit. *)
 
-(** {1 Batch span accounting (§3.9)} *)
-
-val note_batch : ops:int -> windows:int -> unit
-(** Record one vectored submission: [ops] queued ops shared one span and
-    opened [windows] validation windows (1 + mid-batch splits).  Always
-    on — one submit-granularity bump, never per op, zero-allocation. *)
-
-val batch_stats : unit -> int * int * int
-(** [(submits, ops, windows)] since the last {!reset}: total batch
-    submissions, total ops carried by them, and total validation windows
-    opened.  [windows /. submits] near 1.0 means validation was shared
-    across whole batches; [ops /. submits] is the span amortization
-    factor. *)
-
 (** {1 Per-directory cache efficacy (space-saving top-K)} *)
 
 val hh_k : int
@@ -75,15 +59,18 @@ val n_metrics : int
 
 val metric_names : string array
 
-val hh_record : int -> string -> int -> unit
-(** [hh_record key label metric] attributes one event of [metric] to
-    directory [key] (label kept by pointer for rendering).  Space-saving
+val hh_record : int -> int -> string -> int -> unit
+(** [hh_record owner key label metric] attributes one event of [metric]
+    to the directory with superblock id [owner] and dentry id [key] (label
+    kept by pointer for rendering); dentry ids repeat across dcaches, so
+    both name a slot.  Space-saving
     update: monitored keys increment; unmonitored keys evict the minimum
     slot and inherit its total as their error bound.  Zero-allocation;
     no-op when disarmed. *)
 
 type hot_slot = {
-  h_key : int;
+  h_owner : int;  (** the directory's superblock id *)
+  h_key : int;  (** its dentry id *)
   h_label : string;
   h_total : int;  (** estimated count; >= true count *)
   h_err : int;  (** overcount bound: true count >= h_total - h_err *)
@@ -98,32 +85,5 @@ val hot : unit -> hot_slot list
 val hot_to_string : unit -> string
 (** Render for [/proc/dcache/hot]: header lines
     [armed]/[k]/[recorded]/[evictions], then one
-    [dir <key> <label> total <t> err <e> hit <n> … inval <n>] line per
+    [dir <owner>:<key> <label> total <t> err <e> hit <n> … inval <n>] line per
     slot in {!hot} order. *)
-
-(** {1 Sliding-window histograms} *)
-
-val n_windows : int
-(** Number of class slots per bank; {!Trace} maps its latency classes
-    onto them. *)
-
-val record_window : int -> int -> unit
-(** [record_window cls v] records [v] into class [cls] of the current
-    bank.  Zero-allocation; no-op when disarmed or [cls] out of range. *)
-
-val window_cur : int -> Stats.Lhist.t
-(** Histogram collecting the epoch in progress. *)
-
-val window_prev : int -> Stats.Lhist.t
-(** Histogram of the last completed epoch. *)
-
-val window_epoch : unit -> int
-(** Number of completed rotations. *)
-
-val rotate : unit -> unit
-(** Flip banks: current becomes previous, the new current is reset. *)
-
-val tick : epoch_ns:int -> int -> unit
-(** [tick ~epoch_ns now] rotates when [now] (virtual or monotonic ns —
-    the caller owns the clock) has passed the current epoch's end.  The
-    first tick only anchors the epoch origin. *)

@@ -44,25 +44,24 @@ let ev_rpc_retry = 14
 let ev_rpc_giveup = 15
 let ev_rpc_drc_hit = 16
 let ev_fault_fire = 17
-let ev_dlht_resize_begin = 18
-let ev_dlht_resize_end = 19
-let ev_lockless_retry = 20
-let ev_dlht_sigless_scan = 21
-let ev_prefix_resume = 22
-let ev_prefix_negfail = 23
-let ev_stripe_contended = 24
-let ev_lease_grant = 25
-let ev_lease_expire = 26
-let ev_lease_break = 27
-let ev_lease_fence = 28
-let ev_rpc_partition = 29
-let ev_netfs_crash = 30
-let ev_syscall = 31
-let ev_rpc_send = 32
-let ev_span_link = 33
-let ev_batch_submit = 34
-let ev_batch_split = 35
-let n_events = 36
+let ev_dlht_resize = 18
+let ev_lockless_retry = 19
+let ev_dlht_sigless_scan = 20
+let ev_prefix_resume = 21
+let ev_prefix_negfail = 22
+let ev_stripe_contended = 23
+let ev_lease_grant = 24
+let ev_lease_expire = 25
+let ev_lease_break = 26
+let ev_lease_fence = 27
+let ev_rpc_partition = 28
+let ev_netfs_crash = 29
+let ev_syscall = 30
+let ev_rpc_send = 31
+let ev_span_link = 32
+let ev_batch_submit = 33
+let ev_batch_split = 34
+let n_events = 35
 
 let event_names =
   [|
@@ -84,8 +83,7 @@ let event_names =
     "rpc_giveup";
     "rpc_drc_hit";
     "fault_fire";
-    "dlht_resize_begin";
-    "dlht_resize_end";
+    "dlht_resize";
     "fastpath_lockless_retry";
     "dlht_sigless_scan";
     "prefix_resume";
@@ -176,8 +174,7 @@ let cause_inval_chmod = 2
 let cause_seqcount_retry = 3
 let cause_dir_incomplete = 4
 let cause_quarantined = 5
-let cause_resize_retry = 6
-let n_causes = 7
+let n_causes = 6
 
 let cause_names =
   [|
@@ -187,7 +184,6 @@ let cause_names =
     "seqcount_retry";
     "dir_incomplete";
     "quarantined";
-    "seqcount_retry_resize";
   |]
 
 (* Atomic: cause bumps come from miss/invalidation paths that run
@@ -221,13 +217,7 @@ let class_name c = class_names.(c)
 let lat = Array.init n_classes (fun _ -> Stats.Lhist.create ())
 let latency c = lat.(c)
 
-(* Also feeds the profiler's sliding window for the class: the cumulative
-   histogram answers "since reset", the window answers "lately" (§3.8).
-   Both stores are preallocated; the window store is a no-op unless the
-   profiler is armed. *)
-let[@inline] record_latency c ns =
-  Stats.Lhist.record lat.(c) ns;
-  Profiler.record_window c ns
+let[@inline] record_latency c ns = Stats.Lhist.record lat.(c) ns
 
 (* Resume-depth histogram (§3.5): how many already-cached components each
    prefix-resumed miss skipped.  Not a latency class — depths, not ns — but
@@ -253,17 +243,6 @@ let histograms_to_string () =
     (Printf.sprintf "class resume_depth %s\n" (Stats.Lhist.to_string resume_depth));
   Buffer.add_string buf
     (Printf.sprintf "class lease_age %s\n" (Stats.Lhist.to_string lease_age));
-  (* Sliding windows (§3.8): the epoch in progress and the last completed
-     one, per class — same line grammar with a [window cur|prev] prefix. *)
-  Buffer.add_string buf (Printf.sprintf "window_epoch %d\n" (Profiler.window_epoch ()));
-  for c = 0 to n_classes - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "window cur %s %s\n" class_names.(c)
-         (Stats.Lhist.to_string (Profiler.window_cur c)));
-    Buffer.add_string buf
-      (Printf.sprintf "window prev %s %s\n" class_names.(c)
-         (Stats.Lhist.to_string (Profiler.window_prev c)))
-  done;
   Buffer.contents buf
 
 (* --- arming / reset --- *)

@@ -100,11 +100,8 @@ val ev_rpc_giveup : int
 val ev_rpc_drc_hit : int
 val ev_fault_fire : int
 
-val ev_dlht_resize_begin : int
-(** DLHT incremental resize started; arg = new bucket count. *)
-
-val ev_dlht_resize_end : int
-(** Last old bucket migrated; arg = bucket count of the (now only) table. *)
+val ev_dlht_resize : int
+(** The DLHT doubled in one write-locked rehash; arg = new bucket count. *)
 
 val ev_lockless_retry : int
 (** An optimistic (lockless) fastpath probe failed seqcount validation and
@@ -210,11 +207,6 @@ val cause_dir_incomplete : int
 val cause_quarantined : int
 (** Entry removed by a scrub pass (DLHT or dcache). *)
 
-val cause_resize_retry : int
-(** A lockless fastpath probe retried under the read lock while a DLHT
-    incremental resize was in flight — the writer that invalidated the
-    optimistic read section was (at least in part) the table migration. *)
-
 val n_causes : int
 val bump_cause : int -> unit
 val cause_count : int -> int
@@ -234,15 +226,12 @@ val class_name : int -> string
 
 val latency : int -> Stats.Lhist.t
 val record_latency : int -> int -> unit
-(** [record_latency cls ns]: allocation-free histogram store.  Also feeds
-    the class's {!Profiler} sliding window (no-op unless the profiler is
-    armed). *)
+(** [record_latency cls ns]: allocation-free histogram store. *)
 
 val histograms_to_string : unit -> string
 (** One [class name n … p50 … p90 … p99 … max … mean …] line per latency
-    class, plus the [resume_depth] histogram in the same format, plus the
-    profiler's sliding windows ([window_epoch N] then
-    [window cur|prev name …] lines). *)
+    class, plus the [resume_depth] and [lease_age] histograms in the same
+    format. *)
 
 (** {2 Resume-depth histogram (§3.5)} *)
 

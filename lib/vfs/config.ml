@@ -16,11 +16,10 @@ type t = {
           [min pcc_entries 4096], the paper's static 64 KB, and doubles up
           to this bound when replacement churns (§6.3 leaves resizing as
           future work); at or below 4096 the table is static *)
-  dlht_buckets : int;  (** direct lookup hash table buckets (paper: 2^16) *)
-  dlht_grow_load : int;
-      (** entries per bucket before the DLHT doubles (incremental, a few
-          buckets migrated per mutation); 0 keeps the paper's fixed-size
-          prototype table *)
+  dlht_buckets : int;
+      (** direct lookup hash table buckets at creation (paper: 2^16); the
+          table doubles in one write-locked rehash past two entries per
+          bucket *)
   sig_bits : int;  (** signature bits compared (paper: 240) *)
   prefix_resume : bool;
       (** on a DLHT miss, resume the slowpath from the longest cached,
@@ -67,7 +66,6 @@ let baseline =
     fastpath = false;
     pcc_entries = 4096;
     dlht_buckets = 1 lsl 16;
-    dlht_grow_load = 2;
     sig_bits = 240;
     prefix_resume = false;
     symlink_aliases = false;

@@ -19,6 +19,10 @@ type t = {
           never lose each other's splice, and lockless readers scan a
           consistent snapshot of the chain. *)
   count : int Atomic.t;
+  next_id : int Atomic.t;
+      (** dentry id generator: ids are per dcache, so a tree's ids (and the
+          PCC set conflicts they decide) do not depend on what other
+          kernels in the program allocated *)
   clock : dentry Dlist.t;  (** reclaim list; front = recently inserted *)
   lru_mu : Mutex.t;
       (** serializes reclaim-list splices reachable from sharded mutation
@@ -33,8 +37,8 @@ type t = {
       (** dcache-wide write sequence for the lockless fastpath (§3.2):
           every exclusive write section ([with_write]) bumps it, so an
           optimistic reader that snapshots it even and revalidates it
-          unchanged has provably raced no exclusive mutation — DLHT resize
-          migration included.  Sharded mutations do NOT bump it: they bump
+          unchanged has provably raced no exclusive mutation — DLHT rehash
+          included.  Sharded mutations do NOT bump it: they bump
           the stripe seqcounts the reader records per probed dentry
           instead (the per-entry half of the validation protocol). *)
   invalidation : int Atomic.t;
@@ -57,11 +61,11 @@ type t = {
   counters : Counter.t;
 }
 
-(* Global generators.  Dentry ids model kernel virtual addresses (unique,
-   never reused while cached); the seq generator guarantees that a dentry
-   slot "reallocated" for a new path starts with a version number no stale
-   PCC entry can match (§3.1). *)
-let next_dentry_id = Atomic.make 1
+(* Global generators.  The seq generator guarantees that a dentry slot
+   "reallocated" for a new path starts with a version number no stale PCC
+   entry can match (§3.1).  Dentry ids, which model kernel virtual
+   addresses (unique within a dcache, never reused while cached), come
+   from the dcache's own [next_id]. *)
 let next_sb_id = Atomic.make 1
 let next_seq = Atomic.make 1
 
@@ -71,6 +75,7 @@ let create config =
     config;
     buckets = Array.init config.Config.dcache_buckets (fun _ -> Atomic.make []);
     count = Atomic.make 0;
+    next_id = Atomic.make 1;
     clock = Dlist.create ();
     lru_mu = Mutex.create ();
     tick = Atomic.make 0;
@@ -183,7 +188,7 @@ let iforget sb ino =
   Hashtbl.remove sb.sb_icache ino;
   Mutex.unlock icache_mu
 
-let make_superblock fs =
+let make_superblock t fs =
   match fs.Fs_intf.getattr fs.Fs_intf.root_ino with
   | Error _ as e -> Result.map (fun _ -> assert false) e
   | Ok attr ->
@@ -199,7 +204,7 @@ let make_superblock fs =
     let inode = iget sb attr in
     let root =
       {
-        d_id = Atomic.fetch_and_add next_dentry_id 1;
+        d_id = Atomic.fetch_and_add t.next_id 1;
         d_name = "";
         d_parent = None;
         d_state = Positive inode;
@@ -522,7 +527,7 @@ let reclaim_overflow t =
 let alloc_child t parent name state =
   let d =
     {
-      d_id = Atomic.fetch_and_add next_dentry_id 1;
+      d_id = Atomic.fetch_and_add t.next_id 1;
       d_name = name;
       d_parent = Some parent;
       d_state = state;
@@ -581,7 +586,8 @@ let fill t parent name =
   (* §3.8: misses are attributed here, directory-precise and config-
      agnostic (every kernel flavor funnels cold lookups through fill),
      rather than in the fastpath fallback, which would double count. *)
-  if !Profiler.armed then Profiler.hh_record parent.d_id parent.d_name Profiler.m_miss;
+  if !Profiler.armed then
+    Profiler.hh_record parent.d_sb.sb_id parent.d_id parent.d_name Profiler.m_miss;
   let sb = parent.d_sb in
   match dentry_inode parent with
   | None -> Error Errno.ENOENT
@@ -629,7 +635,8 @@ let invalidate_permissions t dir =
             Trace.bump_cause Trace.cause_inval_chmod));
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_chmod !visited;
-    if !Profiler.armed then Profiler.hh_record dir.d_id dir.d_name Profiler.m_inval;
+    if !Profiler.armed then
+      Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_inval;
     Counter.add t.counters "invalidate_permission_dentries" !visited;
     !visited
   end
@@ -656,8 +663,9 @@ let invalidate_structure t dentry =
        dentry charges itself. *)
     (if !Profiler.armed then
        match dentry.d_parent with
-       | Some p -> Profiler.hh_record p.d_id p.d_name Profiler.m_inval
-       | None -> Profiler.hh_record dentry.d_id dentry.d_name Profiler.m_inval);
+       | Some p -> Profiler.hh_record p.d_sb.sb_id p.d_id p.d_name Profiler.m_inval
+       | None ->
+         Profiler.hh_record dentry.d_sb.sb_id dentry.d_id dentry.d_name Profiler.m_inval);
     Counter.add t.counters "invalidate_structure_dentries" !visited;
     !visited
   end

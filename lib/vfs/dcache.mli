@@ -45,7 +45,7 @@ val sharded : t -> bool
 
 val write_seq : t -> Dcache_util.Seqcount.t
 (** Dcache-wide write sequence: bumped around every {!with_write} section
-    (all mutation — dcache structure, DLHT splices, incremental resize —
+    (all mutation — dcache structure, DLHT splices and rehashes —
     runs under the write lock).  The lockless fastpath snapshots it before
     an optimistic probe and revalidates before committing, retrying under
     the read lock on mismatch (RCU-walk → ref-walk, §3.2). *)
@@ -61,8 +61,9 @@ val dentry_count : t -> int
 
 (** {1 Superblocks and roots} *)
 
-val make_superblock : Dcache_fs.Fs_intf.t -> (superblock, Dcache_types.Errno.t) result
-(** Wrap a low-level fs; reads its root inode and creates the root dentry. *)
+val make_superblock : t -> Dcache_fs.Fs_intf.t -> (superblock, Dcache_types.Errno.t) result
+(** Wrap a low-level fs; reads its root inode and creates the root dentry,
+    numbered from this dcache's dentry ids. *)
 
 val sb_root : superblock -> dentry
 

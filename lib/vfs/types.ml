@@ -26,7 +26,7 @@ type ns_ext = ..
     per-namespace direct lookup hash table here. *)
 
 type dentry = {
-  d_id : int;  (** unique; the analog of the dentry's kernel virtual address *)
+  d_id : int;  (** unique within its dcache; the analog of the dentry's kernel virtual address *)
   mutable d_name : string;
   mutable d_parent : dentry option;  (** [None] only for superblock roots *)
   mutable d_state : dentry_state;

@@ -163,7 +163,8 @@ let step mode t (cur : path_ref) name =
       Counter.incr (Dcache.counters t) "complete_dir_negative";
       Trace.stamp Trace.ev_complete_neg 0;
       if !Profiler.armed then
-        Profiler.hh_record cur.dentry.d_id cur.dentry.d_name Profiler.m_neg;
+        Profiler.hh_record cur.dentry.d_sb.sb_id cur.dentry.d_id cur.dentry.d_name
+          Profiler.m_neg;
       None
     end
     else begin

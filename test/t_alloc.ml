@@ -279,7 +279,7 @@ let test_profiler_hooks_zero_alloc () =
       let iters = 10_000 in
       let hooks () =
         ignore (Profiler.span_enter ());
-        Profiler.hh_record 7 "dir" Profiler.m_hit
+        Profiler.hh_record 1 7 "dir" Profiler.m_hit
       in
       let words = measure_minor_words iters hooks in
       Alcotest.(check (float 0.0)) "disarmed hooks allocate zero words" 0.0 words;
@@ -629,8 +629,7 @@ let test_inplace_hasher_toolong () =
 
 let dlht_of kernel (p : Proc.t) =
   let cfg = Kernel.config kernel in
-  Dlht.of_namespace ~buckets:cfg.Config.dlht_buckets ~grow_load:cfg.Config.dlht_grow_load
-    p.Proc.ns
+  Dlht.of_namespace ~buckets:cfg.Config.dlht_buckets p.Proc.ns
 
 let check_healthy what dlht =
   Alcotest.(check (list string)) (what ^ ": self_check clean") [] (Dlht.self_check dlht);
@@ -721,58 +720,66 @@ let test_dlht_bucket_validation () =
   let _kernel, p = ram_kernel ~config:Config.baseline () in
   Alcotest.check_raises "non-power-of-two rejected"
     (Invalid_argument "Dlht.of_namespace: bucket count must be a positive power of two")
-    (fun () -> ignore (Dlht.of_namespace ~buckets:1000 ~grow_load:0 p.Proc.ns));
+    (fun () -> ignore (Dlht.of_namespace ~buckets:1000 p.Proc.ns));
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Dlht.of_namespace: bucket count must be a positive power of two")
-    (fun () -> ignore (Dlht.of_namespace ~buckets:0 ~grow_load:0 p.Proc.ns));
-  let dlht = Dlht.of_namespace ~buckets:64 ~grow_load:0 p.Proc.ns in
+    (fun () -> ignore (Dlht.of_namespace ~buckets:0 p.Proc.ns));
+  let dlht = Dlht.of_namespace ~buckets:64 p.Proc.ns in
   Alcotest.(check int) "fresh table is empty" 0 (Dlht.population dlht);
   let occ = Dlht.occupancy dlht in
   Alcotest.(check int) "64 buckets" 64 occ.Dlht.occ_buckets
 
-(* --- incremental auto-resize --- *)
+(* --- resize --- *)
 
-let test_dlht_incremental_resize () =
-  (* Start tiny so the doublings are forced by an ordinary workload, then
-     check the table grew without ever losing an entry: every warm re-stat
-     must still be a fastpath hit, across and after the migrations. *)
+let test_dlht_resize_keeps_entries () =
+  (* Start tiny so the doublings are forced by an ordinary workload.  Right
+     after each doubling, every entry published so far must still answer
+     from the fastpath: the rehash loses nothing. *)
   let config = { Config.optimized with Config.dlht_buckets = 16 } in
   let kernel, p = ram_kernel ~config () in
   get "dir" (S.mkdir_p p "/dir");
   let n = 300 in
+  let name i = Printf.sprintf "/dir/f%d" i in
   for i = 1 to n do
-    get "create" (S.write_file p (Printf.sprintf "/dir/f%d" i) "x")
+    get "create" (S.write_file p (name i) "x")
   done;
-  for i = 1 to n do
-    ignore (get "warm" (S.stat p (Printf.sprintf "/dir/f%d" i)))
-  done;
+  ignore (get "first" (S.stat p (name 1)));
   let dlht = dlht_of kernel p in
-  Alcotest.(check bool) "table grew" true (Dlht.resizes dlht > 0);
+  let doublings = ref 0 in
+  for i = 2 to n do
+    let before = Dlht.resizes dlht in
+    ignore (get "warm" (S.stat p (name i)));
+    if Dlht.resizes dlht > before then begin
+      incr doublings;
+      check_healthy (Printf.sprintf "after doubling at f%d" i) dlht;
+      let h0 = counter kernel "fastpath_hit" in
+      for j = 1 to i do
+        ignore (get "re-stat" (S.stat p (name j)))
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "every re-stat hits right after the doubling at f%d" i)
+        i
+        (counter kernel "fastpath_hit" - h0)
+    end
+  done;
+  Alcotest.(check bool) "the table doubled more than once" true (!doublings > 1);
+  Alcotest.(check int) "every doubling was seen" (Dlht.resizes dlht) !doublings;
   let occ = Dlht.occupancy dlht in
   Alcotest.(check bool) "bucket array doubled away from 16" true (occ.Dlht.occ_buckets > 16);
-  (* grow_load bounds the load factor, so the longest chain stays short even
-     though we crossed several doublings. *)
+  Alcotest.(check bool) "population within the load factor" true
+    (Dlht.population dlht <= Dlht.grow_load * occ.Dlht.occ_buckets);
+  (* The load factor bounds only the mean chain; the hash must also spread
+     the entries, so the longest chain stays short across the doublings. *)
   Alcotest.(check bool) "chains stay bounded" true (occ.Dlht.occ_longest <= 16);
-  check_healthy "mid-resize" dlht;
+  check_healthy "after the last doubling" dlht;
+  (* Entries published after the last doubling answer from the fastpath
+     too. *)
   let h0 = counter kernel "fastpath_hit" in
   for i = 1 to n do
-    ignore (get "re-stat" (S.stat p (Printf.sprintf "/dir/f%d" i)))
+    ignore (get "final re-stat" (S.stat p (name i)))
   done;
-  Alcotest.(check int) "every re-stat hit the fastpath across migrations" n
-    (counter kernel "fastpath_hit" - h0);
-  (* Drain any in-flight migration and make sure nothing was stranded in
-     the pre-resize table. *)
-  Dcache.with_write (Kernel.dcache kernel) (fun () -> Dlht.settle dlht);
-  Alcotest.(check bool) "settled" false (Dlht.resizing dlht);
-  let occ = Dlht.occupancy dlht in
-  Alcotest.(check int) "no entries pending migration" 0 occ.Dlht.occ_old_pending;
-  check_healthy "after settle" dlht;
-  let h1 = counter kernel "fastpath_hit" in
-  for i = 1 to n do
-    ignore (get "settled re-stat" (S.stat p (Printf.sprintf "/dir/f%d" i)))
-  done;
-  Alcotest.(check int) "every re-stat hits after settle" n
-    (counter kernel "fastpath_hit" - h1)
+  Alcotest.(check int) "every re-stat hits after the last doubling" n
+    (counter kernel "fastpath_hit" - h0)
 
 let test_dlht_sigless_scan_recovery () =
   (* Break the remove invariant on purpose — a chained dentry whose
@@ -1024,8 +1031,8 @@ let suite =
     Alcotest.test_case "DLHT mount-alias re-signature churn" `Quick
       test_dlht_mount_alias_churn;
     Alcotest.test_case "DLHT bucket-count validation" `Quick test_dlht_bucket_validation;
-    Alcotest.test_case "DLHT incremental resize under workload" `Quick
-      test_dlht_incremental_resize;
+    Alcotest.test_case "DLHT resize keeps every entry" `Quick
+      test_dlht_resize_keeps_entries;
     Alcotest.test_case "DLHT sigless removal degrades loudly and heals" `Quick
       test_dlht_sigless_scan_recovery;
     Alcotest.test_case "warm PCC refill allocates zero minor words, takes no lock" `Quick

@@ -290,7 +290,7 @@ let test_cross_rename_no_deadlock () =
 let test_churn_across_resize seed () =
   (* Lockless readers race a seeded create/rename/unlink storm sized to push
      the DLHT through at least one doubling, so probes keep landing while
-     buckets migrate between the tables.  Stable names must always resolve
+     the table is rehashed under them.  Stable names must always resolve
      with the right content; churned names may come and go but must never
      crash or return wrong data; afterwards the table must be structurally
      exact. *)
@@ -353,12 +353,10 @@ let test_churn_across_resize seed () =
     | None -> Alcotest.fail "no DLHT attached"
   in
   Alcotest.(check bool) "the churn crossed a resize boundary" true (Dlht.resizes dlht > 0);
-  Dcache.with_write (Kernel.dcache kernel) (fun () -> Dlht.settle dlht);
   Alcotest.(check (list string)) "table self-check clean" [] (Dlht.self_check dlht);
   let occ = Dlht.occupancy dlht in
   Alcotest.(check int) "occupancy agrees with population" (Dlht.population dlht)
     occ.Dlht.occ_entries;
-  Alcotest.(check int) "migration fully drained" 0 occ.Dlht.occ_old_pending;
   Array.iter
     (fun f ->
       match S.read_file p f with

@@ -862,9 +862,7 @@ let test_dlht_membership_unit () =
      table no longer holds it. *)
   let find_in ns =
     let dlht =
-      Dcache_core.Dlht.of_namespace
-        ~buckets:(Kernel.config kernel).Config.dlht_buckets
-        ~grow_load:(Kernel.config kernel).Config.dlht_grow_load ns
+      Dcache_core.Dlht.of_namespace ~buckets:(Kernel.config kernel).Config.dlht_buckets ns
     in
     let key = Dcache_core.Fastpath.key (Kernel.fastpath kernel) in
     (* recover the signature by re-resolving through the child; simpler:
@@ -917,6 +915,43 @@ let test_mutation_between_chunks_keeps_snapshot () =
   expect_err Errno.ENOENT "unlinked" (S.stat p "/d/m5");
   Alcotest.(check int) "absent names cost no lookup" lookups (fs_calls "lookup")
 
+(* --- per-kernel dentry ids --- *)
+
+let test_dentry_ids_per_kernel () =
+  (* Dentry ids are numbered per dcache: the same tree built in two fresh
+     kernels of one program gets the same ids, so the PCC's set conflicts,
+     and the refills they cause, are the same in both. *)
+  let files = 2000 in
+  let path i = Printf.sprintf "/ids/d%02d/f%04d" (i mod 30) i in
+  let run () =
+    let kernel, p = opt_kernel () in
+    for d = 0 to 29 do
+      get "dir" (S.mkdir_p p (Printf.sprintf "/ids/d%02d" d))
+    done;
+    for i = 0 to files - 1 do
+      get "f" (S.write_file p (path i) "x")
+    done;
+    Kernel.reset_stats kernel;
+    for _ = 1 to 3 do
+      for i = 0 to files - 1 do
+        ignore (get "stat" (S.stat p (path i)))
+      done
+    done;
+    let refills = counter kernel "fastpath_pcc_refill" in
+    let fp = Kernel.fastpath kernel and ctx = Proc.walk_ctx p in
+    let id_of i =
+      get "lookup"
+        (Fastpath.lookup_into fp ctx (path i) ~within:(fun _ d ->
+             Ok d.Dcache_vfs.Types.d_id))
+    in
+    (List.init files id_of, refills)
+  in
+  let ids_a, refills_a = run () in
+  let ids_b, refills_b = run () in
+  Alcotest.(check (list int)) "same tree, same ids" ids_a ids_b;
+  Alcotest.(check bool) "the PCC refilled" true (refills_a > 0);
+  Alcotest.(check int) "same refills" refills_a refills_b
+
 let chunked_mutation_suite =
   [ Alcotest.test_case "mutation between getdents chunks keeps the snapshot" `Quick
       test_mutation_between_chunks_keeps_snapshot ]
@@ -930,4 +965,6 @@ let refill_suite =
     Alcotest.test_case "PCC refill respects a simulated miss" `Quick
       test_refill_respects_simulated_miss;
     Alcotest.test_case "PCC refill stays in its mount" `Quick test_refill_stays_in_its_mount;
+    Alcotest.test_case "dentry ids and PCC refills are per kernel" `Quick
+      test_dentry_ids_per_kernel;
   ]

@@ -520,13 +520,6 @@ let test_stripes_surface () =
   Alcotest.(check int) "global_write_acquired agrees with the counter"
     (Kit.counter kernel "global_write_acquired")
     globals;
-  let migrations = assoc_or_fail "stripes" "dlht_stripe_migrations" kv in
-  (match Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns kernel) with
-  | None -> Alcotest.fail "optimized config lost its DLHT"
-  | Some t ->
-    Alcotest.(check int) "dlht_stripe_migrations agrees with the table"
-      (Dcache_core.Dlht.stripe_migrations t)
-      migrations);
   (match Dcache_vfs.Dcache.stripes (Kernel.dcache kernel) with
   | None -> Alcotest.fail "sharded config lost its lock table"
   | Some tab ->
@@ -736,6 +729,61 @@ let test_hot_surface () =
       in
       Alcotest.(check bool) "slots sorted by total descending" true (descending totals))
 
+(* Dentry ids are numbered per dcache, so the same tree built in two
+   kernels gives its directories equal ids.  The sketch is program-wide
+   and must still keep them apart: each kernel's directory gets its own
+   slot with its own count, told apart by superblock. *)
+let test_hot_two_kernels () =
+  let module Profiler = Dcache_util.Profiler in
+  Trace.reset ();
+  Profiler.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Profiler.disarm ();
+      Profiler.reset ();
+      Trace.reset ())
+    (fun () ->
+      let setup () =
+        let kernel, p = ram_kernel ~config:Config.optimized () in
+        get "mkdir /proc" (S.mkdir_p p "/proc");
+        get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+        get "mkdir" (S.mkdir_p p "/twindir");
+        get "seed" (S.write_file p "/twindir/f" "x");
+        ignore (get "warm" (S.stat p "/twindir/f"));
+        p
+      in
+      let pa = setup () in
+      let pb = setup () in
+      Profiler.arm ();
+      for _ = 1 to 3 do
+        ignore (get "hit a" (S.stat pa "/twindir/f"))
+      done;
+      for _ = 1 to 5 do
+        ignore (get "hit b" (S.stat pb "/twindir/f"))
+      done;
+      Profiler.disarm ();
+      let slots =
+        List.filter (fun s -> s.Profiler.h_label = "twindir") (Profiler.hot ())
+      in
+      (match slots with
+      | [ x; y ] ->
+        Alcotest.(check int) "the two directories share a dentry id" x.Profiler.h_key
+          y.Profiler.h_key;
+        Alcotest.(check bool) "and differ by superblock" true
+          (x.Profiler.h_owner <> y.Profiler.h_owner)
+      | _ -> Alcotest.failf "expected two twindir slots, got %d" (List.length slots));
+      Alcotest.(check (list int)) "each kernel's hits counted apart" [ 5; 3 ]
+        (List.map (fun s -> s.Profiler.h_metrics.(Profiler.m_hit)) slots);
+      let rendered =
+        List.filter
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | "dir" :: _ :: "twindir" :: _ -> true
+            | _ -> false)
+          (lines (read pa "/proc/dcache/hot"))
+      in
+      Alcotest.(check int) "/proc/dcache/hot lists both" 2 (List.length rendered))
+
 let test_procfs_without_attachments () =
   (* The optional subsystems default off; the files still exist and say so
      (and old Kernel_procfs.make callers keep working). *)
@@ -782,47 +830,72 @@ let test_procfs_zero_traffic_netfs () =
   Alcotest.(check int) "no clients" 0 (assoc_or_fail "leases" "clients" leases)
 
 let test_batch_surface () =
-  (* /proc/dcache/batch renders the §3.9 amortization figures: submit and
-     window totals from the profiler's always-on atomics plus the
+  (* /proc/dcache/batch renders the §3.9 amortization figures from the
+     kernel's own counters: submit, op and window totals plus the
      miss-deferral and sharded mkdir/rmdir counters.  Drive a known
      mixture and require exact agreement. *)
-  let module Profiler = Dcache_util.Profiler in
   let module Batch = Dcache_syscalls.Batch in
-  Profiler.reset ();
-  Fun.protect ~finally:Profiler.reset (fun () ->
-      let kernel, p = ram_kernel ~config:Config.optimized () in
-      get "mkdir /proc" (S.mkdir_p p "/proc");
-      get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
-      (* A cached negative for the name keeps mkdir on the sharded path
-         (the stripe promotes it in place; a cold name falls back to the
-         legacy global-lock path). *)
-      expect_err Errno.ENOENT "seed negative" (S.stat p "/bdir");
-      get "mkdir" (S.mkdir p "/bdir");
-      expect_err Errno.ENOENT "seed negative" (S.stat p "/bgone");
-      get "rmdir victim" (S.mkdir p "/bgone");
-      get "rmdir" (S.rmdir p "/bgone");
-      for i = 0 to 7 do
-        get "seed" (S.write_file p (Printf.sprintf "/bdir/f%d" i) "x")
-      done;
-      let ring = Batch.create ~cap:8 p in
-      for i = 0 to 7 do
-        ignore (Batch.push_stat ring (Printf.sprintf "/bdir/f%d" i))
-      done;
-      (* First submit: all 8 probes miss the DLHT and are deferred to the
-         grouped slowpath; the next two run warm under one window each. *)
-      Batch.submit ring;
-      Batch.submit ring;
-      Batch.submit ring;
-      let body = kv_lines (read p "/proc/dcache/batch") in
-      let field = assoc_or_fail "batch" in
-      Alcotest.(check int) "submits" 3 (field "batch_submits" body);
-      Alcotest.(check int) "ops" 24 (field "batch_ops" body);
-      Alcotest.(check int) "deferred: the cold submit's 8 misses" 8
-        (field "batch_deferred" body);
-      Alcotest.(check bool) "windows cover at least one per submit" true
-        (field "batch_windows" body >= 3);
-      Alcotest.(check int) "sharded mkdir count" 2 (field "sharded_mkdir" body);
-      Alcotest.(check int) "sharded rmdir count" 1 (field "sharded_rmdir" body))
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  get "mkdir /proc" (S.mkdir_p p "/proc");
+  get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+  (* A cached negative for the name keeps mkdir on the sharded path
+     (the stripe promotes it in place; a cold name falls back to the
+     legacy global-lock path). *)
+  expect_err Errno.ENOENT "seed negative" (S.stat p "/bdir");
+  get "mkdir" (S.mkdir p "/bdir");
+  expect_err Errno.ENOENT "seed negative" (S.stat p "/bgone");
+  get "rmdir victim" (S.mkdir p "/bgone");
+  get "rmdir" (S.rmdir p "/bgone");
+  for i = 0 to 7 do
+    get "seed" (S.write_file p (Printf.sprintf "/bdir/f%d" i) "x")
+  done;
+  let ring = Batch.create ~cap:8 p in
+  for i = 0 to 7 do
+    ignore (Batch.push_stat ring (Printf.sprintf "/bdir/f%d" i))
+  done;
+  (* First submit: all 8 probes miss the DLHT and are deferred to the
+     grouped slowpath; the next two run warm under one window each. *)
+  Batch.submit ring;
+  Batch.submit ring;
+  Batch.submit ring;
+  let body = kv_lines (read p "/proc/dcache/batch") in
+  let field = assoc_or_fail "batch" in
+  Alcotest.(check int) "submits" 3 (field "batch_submits" body);
+  Alcotest.(check int) "ops" 24 (field "batch_ops" body);
+  Alcotest.(check int) "deferred: the cold submit's 8 misses" 8
+    (field "batch_deferred" body);
+  Alcotest.(check bool) "windows cover at least one per submit" true
+    (field "batch_windows" body >= 3);
+  Alcotest.(check int) "sharded mkdir count" 2 (field "sharded_mkdir" body);
+  Alcotest.(check int) "sharded rmdir count" 1 (field "sharded_rmdir" body)
+
+let test_batch_surface_per_kernel () =
+  (* Two kernels in one program: submits on kernel A must show in A's
+     /proc/dcache/batch and nowhere in B's. *)
+  let module Batch = Dcache_syscalls.Batch in
+  let mount_proc (kernel, p) =
+    get "mkdir /proc" (S.mkdir_p p "/proc");
+    get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+    p
+  in
+  let pa = mount_proc (ram_kernel ~config:Config.optimized ()) in
+  let pb = mount_proc (ram_kernel ~config:Config.optimized ()) in
+  get "seed" (S.write_file pa "/f" "x");
+  let ring = Batch.create ~cap:4 pa in
+  for _ = 1 to 4 do
+    ignore (Batch.push_stat ring "/f")
+  done;
+  Batch.submit ring;
+  Batch.submit ring;
+  let field who p name =
+    assoc_or_fail ("batch " ^ who) name (kv_lines (read p "/proc/dcache/batch"))
+  in
+  Alcotest.(check int) "A counts its submits" 2 (field "A" pa "batch_submits");
+  Alcotest.(check int) "A counts its ops" 8 (field "A" pa "batch_ops");
+  Alcotest.(check bool) "A counts its windows" true (field "A" pa "batch_windows" >= 2);
+  List.iter
+    (fun name -> Alcotest.(check int) ("B shows no " ^ name) 0 (field "B" pb name))
+    [ "batch_submits"; "batch_ops"; "batch_windows" ]
 
 let suite =
   [
@@ -841,7 +914,11 @@ let suite =
       test_neglists_surface;
     Alcotest.test_case "per-directory sketch via /proc/dcache/hot is exact" `Quick
       test_hot_surface;
+    Alcotest.test_case "/proc/dcache/hot keeps two kernels' equal ids apart" `Quick
+      test_hot_two_kernels;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;
+    Alcotest.test_case "/proc/dcache/batch counts only its own kernel" `Quick
+      test_batch_surface_per_kernel;
     Alcotest.test_case "PCC refill counter and gauges via /proc" `Quick test_pcc_surface;
   ]

@@ -182,7 +182,7 @@ let test_sketch_error_bounds () =
       for round = 1 to 40 do
         for key = 0 to nkeys - 1 do
           if key < 8 || round mod (1 + (key / 8)) = 0 then begin
-            Profiler.hh_record key labels.(key) Profiler.m_hit;
+            Profiler.hh_record 1 key labels.(key) Profiler.m_hit;
             truth.(key) <- truth.(key) + 1
           end
         done
@@ -229,7 +229,7 @@ let test_sketch_error_bounds () =
       Profiler.arm ();
       for key = 0 to Profiler.hh_k - 1 do
         for _ = 1 to key + 1 do
-          Profiler.hh_record key "x" Profiler.m_miss
+          Profiler.hh_record 1 key "x" Profiler.m_miss
         done
       done;
       List.iter
@@ -237,62 +237,6 @@ let test_sketch_error_bounds () =
           Alcotest.(check int) "exact while under K" 0 s.Profiler.h_err;
           Alcotest.(check int) "exact count" (s.Profiler.h_key + 1) s.Profiler.h_total)
         (Profiler.hot ()))
-
-(* --- sliding windows: rotation, banks, and the epoch tick --- *)
-
-let test_window_rotation () =
-  Trace.reset ();
-  Profiler.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disarm ();
-      Profiler.disarm ();
-      Trace.reset ();
-      Profiler.reset ())
-    (fun () ->
-      Profiler.arm ();
-      Trace.timing := true;
-      (* record_latency feeds both the cumulative histogram and the current
-         window. *)
-      for i = 1 to 10 do
-        Trace.record_latency Trace.cls_fast (100 * i)
-      done;
-      Alcotest.(check int) "cumulative sees 10" 10 (Lhist.count (Trace.latency Trace.cls_fast));
-      Alcotest.(check int) "current window sees 10" 10
-        (Lhist.count (Profiler.window_cur Trace.cls_fast));
-      Alcotest.(check int) "previous window empty" 0
-        (Lhist.count (Profiler.window_prev Trace.cls_fast));
-      Profiler.rotate ();
-      Alcotest.(check int) "epoch advanced" 1 (Profiler.window_epoch ());
-      Alcotest.(check int) "rotation emptied the current window" 0
-        (Lhist.count (Profiler.window_cur Trace.cls_fast));
-      Alcotest.(check int) "last epoch preserved in prev" 10
-        (Lhist.count (Profiler.window_prev Trace.cls_fast));
-      Alcotest.(check int) "cumulative untouched by rotation" 10
-        (Lhist.count (Trace.latency Trace.cls_fast));
-      Trace.record_latency Trace.cls_fast 500;
-      Alcotest.(check int) "new epoch collects afresh" 1
-        (Lhist.count (Profiler.window_cur Trace.cls_fast));
-      (* The virtual-clock tick: first call anchors, rotation only once the
-         epoch length has elapsed. *)
-      Profiler.tick ~epoch_ns:1000 0;
-      Alcotest.(check int) "anchor tick does not rotate" 1 (Profiler.window_epoch ());
-      Profiler.tick ~epoch_ns:1000 500;
-      Alcotest.(check int) "mid-epoch tick does not rotate" 1 (Profiler.window_epoch ());
-      Profiler.tick ~epoch_ns:1000 1200;
-      Alcotest.(check int) "epoch end rotates" 2 (Profiler.window_epoch ());
-      Alcotest.(check int) "the 500ns sample aged into prev" 1
-        (Lhist.count (Profiler.window_prev Trace.cls_fast));
-      (* Disarmed, window recording is a no-op. *)
-      Profiler.disarm ();
-      Trace.record_latency Trace.cls_fast 900;
-      Alcotest.(check int) "disarmed window records nothing" 0
-        (Lhist.count (Profiler.window_cur Trace.cls_fast));
-      Alcotest.(check int) "cumulative still records" 12
-        (Lhist.count (Trace.latency Trace.cls_fast));
-      (* The windows render on the histograms surface. *)
-      Alcotest.(check bool) "window lines render" true
-        (contains_substring (Trace.histograms_to_string ()) "window prev fastpath_hit"))
 
 (* --- span plumbing unit checks --- *)
 
@@ -326,7 +270,5 @@ let suite =
       test_cross_client_flow;
     Alcotest.test_case "space-saving sketch honors its error bounds" `Quick
       test_sketch_error_bounds;
-    Alcotest.test_case "sliding windows rotate; cumulative histograms unaffected" `Quick
-      test_window_rotation;
     Alcotest.test_case "span minting, carry and restore" `Quick test_span_plumbing;
   ]
