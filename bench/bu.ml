@@ -48,7 +48,7 @@ let env_latency_ns (env : W.Env.t) ?(iters = 2000) f =
       Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub v1 v0)) /. float_of_int iters)
 
 let counter (env : W.Env.t) key =
-  try List.assoc key (Kernel.stats_snapshot env.W.Env.kernel) with Not_found -> 0
+  List.assoc key (Kernel.stats_snapshot env.W.Env.kernel)
 
 let ok what = function
   | Ok v -> v

@@ -159,7 +159,7 @@ let run_app_tables ~cold env_base env_opt =
     apps_base apps_opt
 
 let path_stats (result : W.Runner.result) =
-  let get k = try List.assoc k result.W.Runner.counters with Not_found -> 0 in
+  let get k = List.assoc k result.W.Runner.counters in
   let lookups = max 1 result.W.Runner.path_lookups in
   ( float_of_int (get "path_bytes") /. float_of_int lookups,
     float_of_int (get "path_comps") /. float_of_int lookups )
@@ -1011,6 +1011,14 @@ let alloc () =
   let env_base = make_env Config.baseline in
   let env_opt = make_env Config.optimized in
   let line label words ns = row "%-44s %9.2f words/op %9.1f ns/op\n" label words ns in
+  (* The probe and in-place hasher rows gate CI: they must print 0.00. *)
+  let zero_line label words ns =
+    line label words ns;
+    if Printf.sprintf "%.2f" words <> "0.00" then begin
+      row "  FAIL: %s allocates\n" label;
+      exit_code := 1
+    end
+  in
   let syscall_line label (env : W.Env.t) path =
     let p = env.W.Env.proc in
     let f () = ignore (S.stat p path) in
@@ -1037,7 +1045,7 @@ let alloc () =
         ignore (Dcache_core.Fastpath.lookup_into fp ctx path ~within:alloc_within)
       in
       f ();
-      line label (Stats.minor_words_per_op ~iters f) (latency_ns f))
+      zero_line label (Stats.minor_words_per_op ~iters f) (latency_ns f))
     [
       ("probe 1comp", "FFF");
       ("probe 8comp", "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF");
@@ -1072,7 +1080,7 @@ let alloc () =
   in
   inplace ();
   listed ();
-  line "in-place hash_path_into (8 comps)" (Stats.minor_words_per_op ~iters inplace)
+  zero_line "in-place hash_path_into (8 comps)" (Stats.minor_words_per_op ~iters inplace)
     (latency_ns inplace);
   line "Path.split + feed_string (8 comps)" (Stats.minor_words_per_op ~iters listed)
     (latency_ns listed)
@@ -1268,7 +1276,7 @@ let trace () =
   done;
   Utrace.disarm ();
   print_string (Utrace.histograms_to_string ());
-  print_string (Utrace.causes_to_string ());
+  print_string (Dcache_syscalls.Kernel_procfs.causes_to_string env.W.Env.kernel);
   row "ring: recorded %d, dropped %d (capacity %d)\n" (Utrace.recorded ())
     (Utrace.dropped ()) (Utrace.capacity ());
   row "dump_chrome: %d bytes of trace_event JSON\n"
@@ -1779,7 +1787,7 @@ let coherence () =
   let module Vclock = Dcache_util.Vclock in
   let module Attr = Dcache_types.Attr in
   let kcounter kernel key =
-    try List.assoc key (Kernel.stats_snapshot kernel) with Not_found -> 0
+    List.assoc key (Kernel.stats_snapshot kernel)
   in
   let cores = Domain.recommended_domain_count () in
   let n_clients = 4 in

@@ -49,6 +49,7 @@ let observe () =
   let hit = "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF" in
   ignore (S.stat proc hit);
   Trace.reset ();
+  Kernel.reset_stats env.Env.kernel;
   Trace.arm ();
   for _ = 1 to 5000 do
     ignore (S.stat proc hit)
@@ -65,7 +66,7 @@ let observe () =
      cause-attributed miss counters (tracing armed for this window only):";
   print_string (Trace.histograms_to_string ());
   print_string "cause breakdown:\n";
-  print_string (Trace.causes_to_string ());
+  print_string (Dcache_syscalls.Kernel_procfs.causes_to_string env.Env.kernel);
   Printf.printf "event ring: %d events recorded (Trace.dump_chrome () renders them\n"
     (Trace.recorded ());
   print_endline "as Chrome trace_event JSON for chrome://tracing / Perfetto)";

@@ -2,6 +2,8 @@ open Dcache_vfs.Types
 module Signature = Dcache_sig.Signature
 module Trace = Dcache_util.Trace
 module Locktab = Dcache_util.Locktab
+module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 
 (* Buckets are intrusive singly-headed doubly-linked chains threaded through
    the dentries themselves ([d_dlht_next] / [d_dlht_prev]): insert and remove
@@ -53,6 +55,7 @@ type t = {
   ns : namespace;
   count : int Atomic.t;
   stripes : Locktab.t option;  (** sharded-mutation stripe locks; None = legacy *)
+  counters : Counter.t;  (** the owning dcache's, for the quarantine cause *)
 }
 
 type ns_ext += Dlht_ext of t
@@ -77,7 +80,7 @@ let of_namespace_opt ns =
 let of_namespace_exn ns =
   match ns.ns_ext with Some (Dlht_ext t) -> t | Some _ | None -> raise Not_found
 
-let of_namespace ?(stripes = 0) ~buckets ns =
+let of_namespace ?(stripes = 0) ~buckets ~counters ns =
   match ns.ns_ext with
   | Some (Dlht_ext t) -> t
   | Some _ | None ->
@@ -95,6 +98,7 @@ let of_namespace ?(stripes = 0) ~buckets ns =
              submask of every (only ever growing) table mask. *)
           (if stripes > 0 then Some (Locktab.create (Stdlib.min stripes buckets))
            else None);
+        counters;
       }
     in
     ns.ns_ext <- Some (Dlht_ext t);
@@ -134,7 +138,7 @@ let drain_bucket t src dst i =
         d.d_dlht_prev <- None;
         d.d_dlht_ns <- None;
         Atomic.decr t.count;
-        Trace.bump_cause Trace.cause_quarantined;
+        Counter.bump t.counters Counters.quarantined;
         Trace.stamp Trace.ev_quarantine d.d_id);
       drain next
   in
@@ -414,7 +418,7 @@ let scrub t =
   List.iter
     (fun (idx, d) ->
       unchain t idx d;
-      Trace.bump_cause Trace.cause_quarantined;
+      Counter.bump t.counters Counters.quarantined;
       Trace.stamp Trace.ev_quarantine d.d_id)
     !bad;
   {

@@ -31,12 +31,14 @@ module Locktab = Dcache_util.Locktab
 
 type t
 
-val of_namespace : ?stripes:int -> buckets:int -> namespace -> t
+val of_namespace :
+  ?stripes:int -> buckets:int -> counters:Dcache_util.Stats.Counter.t -> namespace -> t
 (** The namespace's table, created on first use (stored in [ns_ext]) with
-    [buckets] initial buckets.  [stripes] (default 0 = none) attaches a
-    sharded-mutation lock table, clamped to [buckets] so the stripe mask
-    stays a submask of every table mask: one bucket never spans stripes,
-    before or after a doubling.
+    [buckets] initial buckets; entries it quarantines count in
+    [counters].  [stripes] (default 0 = none) attaches a sharded-mutation
+    lock table, clamped to [buckets] so the stripe mask stays a submask of
+    every table mask: one bucket never spans stripes, before or after a
+    doubling.
     @raise Invalid_argument if [buckets] is not a positive power of two
     (the bucket index is computed by masking the signature's low bits). *)
 

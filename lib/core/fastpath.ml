@@ -8,6 +8,7 @@ module Config = Vfs.Config
 module Phases = Vfs.Phases
 module Signature = Dcache_sig.Signature
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Trace = Dcache_util.Trace
@@ -24,21 +25,7 @@ type t = {
      probes record the stripes their dentry reads depend on (None when
      unsharded — recording is then a dead branch). *)
   dtab : Locktab.t option;
-  (* Counter cells resolved once at creation: the probe bumps statistics
-     with a per-domain atomic store instead of a per-lookup map lookup.
-     Cells survive [Kernel.reset_stats] (Counter.reset zeroes in place). *)
-  c_hit : Counter.cell;
-  c_fallback : Counter.cell;
-  c_neg : Counter.cell;
-  c_dotdot : Counter.cell;
-  c_refwalk : Counter.cell;
-  c_lockless_retry : Counter.cell;
-  c_locked_probe : Counter.cell;
-  c_prefix_resume : Counter.cell;
-  c_prefix_negfail : Counter.cell;
-  c_prefix_stale : Counter.cell;
-  c_lease_fallback : Counter.cell;
-  c_pcc_refill : Counter.cell;
+  counters : Counter.t;
 }
 
 let create dcache =
@@ -46,25 +33,13 @@ let create dcache =
   let key =
     Signature.create_key ~sig_bits:config.Config.sig_bits ~seed:config.Config.hash_seed ()
   in
-  let counters = Dcache.counters dcache in
   let t =
     {
       dcache;
       key;
       simulate_pcc_miss = false;
       dtab = Dcache.stripes dcache;
-      c_hit = Counter.cell counters "fastpath_hit";
-      c_fallback = Counter.cell counters "fastpath_fallback";
-      c_neg = Counter.cell counters "fastpath_negative_hit";
-      c_dotdot = Counter.cell counters "fastpath_dotdot_sublookup";
-      c_refwalk = Counter.cell counters "walk_refwalk_fallback";
-      c_lockless_retry = Counter.cell counters "fastpath_lockless_retry";
-      c_locked_probe = Counter.cell counters "fastpath_locked_probe";
-      c_prefix_resume = Counter.cell counters "fastpath_prefix_resume";
-      c_prefix_negfail = Counter.cell counters "fastpath_prefix_negfail";
-      c_prefix_stale = Counter.cell counters "fastpath_prefix_stale";
-      c_lease_fallback = Counter.cell counters "fastpath_lease_fallback";
-      c_pcc_refill = Counter.cell counters "fastpath_pcc_refill";
+      counters = Dcache.counters dcache;
     }
   in
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
@@ -74,7 +49,6 @@ let dcache t = t.dcache
 let key t = t.key
 let set_simulate_pcc_miss t v = t.simulate_pcc_miss <- v
 let config t = Dcache.config t.dcache
-let counters t = Dcache.counters t.dcache
 
 (* --- canonical hash states (§3.1) ---
 
@@ -179,7 +153,7 @@ let gate_positive t final =
          | None -> false (* the fs root: no containing directory to lease *)
          | Some parent -> not (dentry_leased live parent))
     then begin
-      Counter.bump t.c_lease_fallback;
+      Counter.bump t.counters Counters.fastpath_lease_fallback;
       note_dir Profiler.m_lease final;
       raise Fall_back
     end
@@ -196,7 +170,7 @@ let lease_blocks_negative t d =
       match d.d_parent with None -> true | Some parent -> not (dentry_leased live parent)
     in
     if blocked then begin
-      Counter.bump t.c_lease_fallback;
+      Counter.bump t.counters Counters.fastpath_lease_fallback;
       note_dir Profiler.m_lease d
     end;
     blocked
@@ -208,7 +182,7 @@ let lease_blocks_dir t dir =
   | Some live ->
     let blocked = not (dentry_leased live dir) in
     if blocked then begin
-      Counter.bump t.c_lease_fallback;
+      Counter.bump t.counters Counters.fastpath_lease_fallback;
       if !Profiler.armed then
         Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_lease
     end;
@@ -219,11 +193,11 @@ let dlht_of t ctx =
   (* The DLHT gets stripes exactly when the dcache did: both tables are
      mutated by the same sharded sections. *)
   let stripes = match t.dtab with Some _ -> cfg.Config.dcache_stripes | None -> 0 in
-  Dlht.of_namespace ~stripes ~buckets:cfg.Config.dlht_buckets ctx.Walk.ns
+  Dlht.of_namespace ~stripes ~buckets:cfg.Config.dlht_buckets ~counters:t.counters ctx.Walk.ns
 
 let pcc_of t ctx =
   let cfg = config t in
-  Pcc.of_cred ctx.Walk.cred ctx.Walk.ns ~entries:cfg.Config.pcc_entries
+  Pcc.of_cred ctx.Walk.cred ctx.Walk.ns ~counters:t.counters ~entries:cfg.Config.pcc_entries
 
 (* --- lockless-probe discipline ---
 
@@ -443,7 +417,7 @@ let refill t ctx pcc sc ~vsnap d =
     climb t ctx pcc sc mnt parent refill_fuel;
     commit_check t sc vsnap;
     Pcc.insert pcc d ~seq;
-    Counter.bump t.c_pcc_refill
+    Counter.bump t.counters Counters.fastpath_pcc_refill
   | _ -> raise Fall_back
 
 (* Validate a DLHT hit against the PCC, refilling a missing entry: the
@@ -664,7 +638,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
           prefix_scan t ctx dlht pcc sc path ~vsnap (k - 1)
         | Negative errno ->
           commit_check t sc vsnap;
-          Counter.bump t.c_prefix_negfail;
+          Counter.bump t.counters Counters.fastpath_prefix_negfail;
           Trace.stamp Trace.ev_prefix_negfail (k + 1);
           note_dir Profiler.m_neg literal;
           sc.neg_errno <- errno;
@@ -693,7 +667,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                  let len = (span land 0x1fff) - pos in
                  if not (Dcache.contains_child t.dcache real path ~pos ~len) then begin
                    commit_check t sc vsnap;
-                   Counter.bump t.c_prefix_negfail;
+                   Counter.bump t.counters Counters.fastpath_prefix_negfail;
                    Trace.stamp Trace.ev_prefix_negfail (k + 1);
                    if !Profiler.armed then
                      Profiler.hh_record real.d_sb.sb_id real.d_id real.d_name Profiler.m_neg;
@@ -740,7 +714,7 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
     scan_and_hash t ctx dlht pcc sc path rc vsnap floor
   end
   else begin
-    Counter.bump t.c_dotdot;
+    Counter.bump t.counters Counters.fastpath_dotdot_sublookup;
     let prefix = probe_prefix_buf t ctx dlht pcc sc ~vsnap in
     let up = hstate_of t vsnap (fast_dotdot ctx prefix) in
     Signature.mstate_resume sc.ms up;
@@ -784,7 +758,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
     | Some d -> d
     | None ->
       commit_check t sc vsnap;
-      Trace.bump_cause Trace.cause_cold;
+      Counter.bump t.counters Counters.cold;
       (* Genuine miss: scan the boundary snapshots for the longest cached
          ancestor — fast-fail from the prefix or mark the resume point —
          then fall back (§3.5).  Never returns. *)
@@ -819,7 +793,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       if lease_blocks_negative t shallow_real then raise Fall_back;
       if not (Dcache.negative_current shallow_real) then raise Fall_back;
       commit_check t sc vsnap;
-      Counter.bump t.c_neg;
+      Counter.bump t.counters Counters.fastpath_negative_hit;
       Trace.stamp Trace.ev_fast_neg 0;
       note_dir Profiler.m_neg literal;
       Errno.to_error errno
@@ -833,7 +807,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
         if lease_blocks_negative t final then raise Fall_back;
         if not (Dcache.negative_current final) then raise Fall_back;
         commit_check t sc vsnap;
-        Counter.bump t.c_neg;
+        Counter.bump t.counters Counters.fastpath_negative_hit;
         Trace.stamp Trace.ev_fast_neg 0;
         note_dir Profiler.m_neg final;
         Errno.to_error errno
@@ -936,7 +910,7 @@ let populate t ctx ~visited ~absolute ~start =
           d.d_sig <- None;
           d.d_mnt <- Some r.mnt;
           Dcache.bump_seq d;
-          Counter.incr (counters t) "mount_alias_resignature"
+          Counter.bump t.counters Counters.mount_alias_resignature
         | Some _ | None -> ());
         let state = ensure_hstate t r in
         let signature =
@@ -968,7 +942,7 @@ let populate t ctx ~visited ~absolute ~start =
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d ~seq:d.d_seq
         end)
       visited;
-    Counter.add (counters t) "fastpath_populated" (List.length visited)
+    Counter.add t.counters Counters.fastpath_populated (List.length visited)
 
 (* --- the public lookup --- *)
 
@@ -991,7 +965,7 @@ let resume_plan t ctx sc path =
      || not (sc.snap_path == path)
   then None
   else if Dcache.invalidation_counter t.dcache <> sc.snap_inval then begin
-    Counter.bump t.c_prefix_stale;
+    Counter.bump t.counters Counters.fastpath_prefix_stale;
     None
   end
   else begin
@@ -1001,7 +975,7 @@ let resume_plan t ctx sc path =
     let pcc = pcc_of t ctx in
     match Dlht.find_buf dlht ~key:t.key sc.pbuf with
     | None ->
-      Counter.bump t.c_prefix_stale;
+      Counter.bump t.counters Counters.fastpath_prefix_stale;
       None
     | Some literal -> (
       let real = real_of literal in
@@ -1011,13 +985,13 @@ let resume_plan t ctx sc path =
           && ((real == literal) || pcc_valid t pcc real)
           && dentry_is_dir real)
       then begin
-        Counter.bump t.c_prefix_stale;
+        Counter.bump t.counters Counters.fastpath_prefix_stale;
         None
       end
       else begin
         match real.d_mnt with
         | None ->
-          Counter.bump t.c_prefix_stale;
+          Counter.bump t.counters Counters.fastpath_prefix_stale;
           None
         | Some mnt ->
           let ancestor = Vfs.Mount.traverse_mounts { mnt; dentry = real } in
@@ -1038,14 +1012,14 @@ let resume_plan t ctx sc path =
    never fires, but it documents (and preserves) the protocol.  Caller holds the write
    lock; [ctx.cwd] is the walk origin for relative paths. *)
 let fallback t ctx ~flags sc path ~within =
-  Counter.bump t.c_fallback;
+  Counter.bump t.counters Counters.fastpath_fallback;
   Trace.stamp Trace.ev_fallback 0;
   let flags = { flags with Walk.collect = true } in
   let invalidation_before = Dcache.invalidation_counter t.dcache in
   let result, pop_start =
     match resume_plan t ctx sc path with
     | Some (ancestor, depth, suffix) ->
-      Counter.bump t.c_prefix_resume;
+      Counter.bump t.counters Counters.fastpath_prefix_resume;
       Trace.stamp Trace.ev_prefix_resume depth;
       Trace.record_resume_depth depth;
       (* The resumed walk still collects, so the suffix prefixes are
@@ -1058,7 +1032,7 @@ let fallback t ctx ~flags sc path ~within =
      describe state the device no longer backs — so publish nothing and
      let a later, healthy walk repopulate. *)
   (match result.Walk.outcome with
-  | Error Errno.EIO -> Counter.incr (Dcache.counters t.dcache) "fastpath_eio_no_populate"
+  | Error Errno.EIO -> Counter.bump t.counters Counters.fastpath_eio_no_populate
   | Ok _ | Error _ ->
     if Dcache.invalidation_counter t.dcache = invalidation_before then
       populate t ctx ~visited:result.Walk.visited ~absolute:result.Walk.absolute
@@ -1070,9 +1044,9 @@ let fallback t ctx ~flags sc path ~within =
 (* Count a lockless retry.  §3.8: also charge it to the raced probe's
    deciding directory when the probe got far enough to stash one. *)
 let note_lockless_retry t sc =
-  Counter.bump t.c_lockless_retry;
+  Counter.bump t.counters Counters.fastpath_lockless_retry;
   Trace.stamp Trace.ev_lockless_retry 0;
-  Trace.bump_cause Trace.cause_seqcount_retry;
+  Counter.bump t.counters Counters.seqcount_retry;
   if !Profiler.armed && sc.hh_id >= 0 then
     Profiler.hh_record sc.hh_sb sc.hh_id sc.hh_name Profiler.m_retry
 
@@ -1094,7 +1068,7 @@ let attempt t ctx ~start ~flags sc path ~within ~vsnap =
   | _ -> (
     match probe_into t ctx ~start ~flags sc path ~within ~vsnap with
     | result ->
-      Counter.bump t.c_hit;
+      Counter.bump t.counters Counters.fastpath_hit;
       Trace.stamp Trace.ev_fast_hit 0;
       result
     | exception Neg_fail ->
@@ -1167,7 +1141,7 @@ let rec probe_optimistic t ctx ~start ~flags sc path ~within ~tries =
 
 and retry_optimistic t ctx ~start ~flags sc path ~within ~tries =
   if tries + 1 >= max_attempts then begin
-    Counter.bump t.c_locked_probe;
+    Counter.bump t.counters Counters.fastpath_locked_probe;
     let ctx = { ctx with Walk.cwd = start } in
     Dcache.with_write t.dcache (fun () -> resolve_locked t ctx ~flags sc path ~within)
   end
@@ -1197,8 +1171,8 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
     with
     | result -> result
     | exception Walk.Need_refwalk ->
-      Counter.bump t.c_refwalk;
-      Trace.bump_cause Trace.cause_seqcount_retry;
+      Counter.bump t.counters Counters.walk_refwalk_fallback;
+      Counter.bump t.counters Counters.seqcount_retry;
       Trace.stamp Trace.ev_refwalk 0;
       Dcache.with_write t.dcache (fun () ->
           match (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path).Walk.outcome with
@@ -1219,7 +1193,7 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
 let lookup_into t ctx ?start ?flags path ~within =
   if not !Trace.timing then lookup_into_raw t ctx ?start ?flags path ~within
   else begin
-    let fallbacks_before = Counter.cell_value t.c_fallback in
+    let fallbacks_before = Counter.get t.counters Counters.fastpath_fallback in
     let t0 = Clock.monotonic_ns () in
     let result = lookup_into_raw t ctx ?start ?flags path ~within in
     let dt = Clock.monotonic_ns () - t0 in
@@ -1229,7 +1203,8 @@ let lookup_into t ctx ?start ?flags path ~within =
       | Error _ -> Trace.cls_negative
       | Ok _ ->
         if not (config t).Config.fastpath then Trace.cls_slowpath
-        else if Counter.cell_value t.c_fallback > fallbacks_before then Trace.cls_fallback
+        else if Counter.get t.counters Counters.fastpath_fallback > fallbacks_before then
+          Trace.cls_fallback
         else Trace.cls_fast
     in
     Trace.record_latency cls dt;
@@ -1265,7 +1240,7 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
     done;
     deferred.(!j + 1) <- v
   done;
-  Counter.add (counters t) "fastpath_batch_deferred" ndef;
+  Counter.add t.counters Counters.fastpath_batch_deferred ndef;
   Dcache.with_write t.dcache (fun () ->
       for k = 0 to ndef - 1 do
         let i = deferred.(k) in
@@ -1346,7 +1321,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
             incr i;
             false
           | exception Seq_retry ->
-            Counter.incr (counters t) "fastpath_batch_split";
+            Counter.bump t.counters Counters.fastpath_batch_split;
             Trace.stamp Trace.ev_batch_split op;
             snap := -1;
             true

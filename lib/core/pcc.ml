@@ -1,6 +1,8 @@
 open Dcache_vfs.Types
 module Cred = Dcache_cred.Cred
 module Trace = Dcache_util.Trace
+module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 
 (* Entries pack (dentry id, dentry seq) into one immediate int so that a
    concurrent reader can never observe a half-updated pair.  31 bits of id
@@ -28,6 +30,7 @@ type t = {
   mutable window_start : int;  (* hits + misses when the window opened *)
   mutable grow_count : int;
   grow_lock : Mutex.t;  (* serializes growth: locked inserts and refills *)
+  counters : Counter.t;  (* the owning dcache's, for the stale-drop cause *)
 }
 
 let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
@@ -39,11 +42,11 @@ let make_table entries =
 (* The paper's 64 KB table, and where a growing table starts. *)
 let initial_entries = 4096
 
-let create ~entries () =
+let create ~counters ~entries () =
   let max_entries = next_pow2 (max 16 entries) 16 in
   { table = make_table (min max_entries initial_entries); max_entries; hit_count = 0;
     miss_count = 0; displaced = 0; window_start = 0; grow_count = 0;
-    grow_lock = Mutex.create () }
+    grow_lock = Mutex.create (); counters }
 
 let capacity t = Array.length t.table.slots
 let grows t = t.grow_count
@@ -73,7 +76,7 @@ let rec check_scan t table id seq base i =
            entry" semantics (§3.2). *)
         table.slots.(base + i) <- 0;
         t.miss_count <- t.miss_count + 1;
-        Trace.bump_cause Trace.cause_seqcount_retry;
+        Counter.bump t.counters Counters.seqcount_retry;
         Trace.stamp Trace.ev_pcc_stale id;
         false
       end
@@ -213,7 +216,7 @@ let rec slot_table = function
    lookup that loses the race merely misses. *)
 let of_cred_exn cred ns = Hashtbl.find (slot_table (Cred.slots cred)) ns.ns_id
 
-let of_cred cred ns ~entries =
+let of_cred cred ns ~counters ~entries =
   let table =
     match slot_table (Cred.slots cred) with
     | tbl -> tbl
@@ -225,6 +228,6 @@ let of_cred cred ns ~entries =
   match Hashtbl.find table ns.ns_id with
   | pcc -> pcc
   | exception Not_found ->
-    let pcc = create ~entries () in
+    let pcc = create ~counters ~entries () in
     Hashtbl.add table ns.ns_id pcc;
     pcc

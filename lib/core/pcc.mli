@@ -20,8 +20,9 @@ open Dcache_vfs.Types
 
 type t
 
-val create : entries:int -> unit -> t
-(** [entries] is the ceiling, rounded up to a power of two, minimum 16.
+val create : counters:Dcache_util.Stats.Counter.t -> entries:int -> unit -> t
+(** Stale entries it drops count in [counters].  [entries] is the
+    ceiling, rounded up to a power of two, minimum 16.
     The table starts at [min entries 4096] — the paper's 64 KB PCC — and
     doubles up to the ceiling whenever capacity replacement evicts more
     than one live entry per 32 checks, counted over windows of one table's
@@ -53,7 +54,8 @@ val insert : t -> dentry -> seq:int -> unit
 
 val invalidate_all : t -> unit
 
-val of_cred : Dcache_cred.Cred.t -> namespace -> entries:int -> t
+val of_cred :
+  Dcache_cred.Cred.t -> namespace -> counters:Dcache_util.Stats.Counter.t -> entries:int -> t
 (** The PCC shared by all processes holding this credential {e in this
     mount namespace} (§4.1, §4.3); created on first use and stored in the
     credential's security slot. *)

@@ -17,6 +17,7 @@ module Inode = Dcache_vfs.Inode
 module Lsm = Dcache_cred.Lsm
 module Fastpath = Dcache_core.Fastpath
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
 
@@ -52,12 +53,6 @@ type state = {
   deferred : int array;
   (* cached walk context, revalidated by physical equality each submit *)
   mutable ctx : Walk.ctx;
-  (* counter cells cached at create: the name-based lookups allocate an
-     option per call, and submit must stay word-free *)
-  c_submit : Counter.cell;
-  c_ops : Counter.cell;
-  c_windows : Counter.cell;
-  c_lookup : Counter.cell;
 }
 
 type t = {
@@ -140,7 +135,6 @@ let create ?(cap = 128) proc =
     | Positive inode -> Inode.attr inode
     | Partial _ | Negative _ -> assert false
   in
-  let cs = Kernel.counters proc.Proc.kernel in
   let s =
     {
       proc;
@@ -158,10 +152,6 @@ let create ?(cap = 128) proc =
       dir_cursor = 0;
       deferred = Array.make cap 0;
       ctx = Proc.walk_ctx proc;
-      c_submit = Counter.cell cs "batch_submit";
-      c_ops = Counter.cell cs "batch_ops";
-      c_windows = Counter.cell cs "batch_windows";
-      c_lookup = Counter.cell cs "path_lookup";
     }
   in
   {
@@ -221,13 +211,14 @@ let submit t =
   let s = t.s in
   let n = s.sq_n in
   if n > 0 then begin
-    Counter.bump s.c_submit;
-    Counter.bump_by s.c_ops n;
+    let cs = Kernel.counters s.proc.Proc.kernel in
+    Counter.bump cs Counters.batch_submit;
+    Counter.add cs Counters.batch_ops n;
     (* One lookup count per op keeps the Table-1 style per-lookup stats
        comparable with the sequential front-end; the per-path byte and
        component tallies are skipped — they would cost a string scan per
        op on the zero-allocation path. *)
-    Counter.bump_by s.c_lookup n;
+    Counter.add cs Counters.path_lookup n;
     (* One span mint for the whole submission (§3.8): every op's stamps
        ride the same request-scoped span. *)
     if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_batch_submit n;
@@ -235,7 +226,7 @@ let submit t =
        append arena per submission. *)
     s.dir_cursor <- 0;
     if not (ctx_fresh s) then s.ctx <- Proc.walk_ctx s.proc;
-    Counter.bump_by s.c_windows
+    Counter.add cs Counters.batch_windows
       (Fastpath.probe_batch
          (Kernel.fastpath s.proc.Proc.kernel)
          s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within

@@ -103,5 +103,5 @@ let scrub t =
         scrub_problems = d.Dcache.scrub_problems @ dlht_problems;
       })
 
-let stats_snapshot t = Dcache_util.Stats.Counter.to_assoc (Dcache.counters t.dcache)
-let reset_stats t = Dcache_util.Stats.Counter.reset (Dcache.counters t.dcache)
+let stats_snapshot t = Dcache_util.Stats.Counter.to_assoc (counters t)
+let reset_stats t = Dcache_util.Stats.Counter.reset (counters t)

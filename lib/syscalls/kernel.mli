@@ -61,4 +61,8 @@ val scrub : t -> scrub_report
     it after fault campaigns. *)
 
 val stats_snapshot : t -> (string * int) list
+(** Every declared counter ({!Dcache_util.Counters}), zeros included,
+    sorted by name. *)
+
 val reset_stats : t -> unit
+(** Zeroes every counter, the causes included. *)

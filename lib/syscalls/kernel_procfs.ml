@@ -5,6 +5,12 @@ module Dcache = Dcache_vfs.Dcache
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
+module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
+
+(* One [name value] line for a declared counter. *)
+let counter_line kernel id =
+  Printf.sprintf "%s %d\n" (Counter.name id) (Counter.get (Kernel.counters kernel) id)
 
 (* DLHT load figures (init namespace) appended to dcache/stats.  These are
    gauges, not monotonic counters — population and chain lengths go up and
@@ -85,12 +91,7 @@ let render_stripes kernel () =
        [with_write] is a full-stop for the stripes, so the ratio of
        [global_write_acquired] to stripe acquisitions says how much of
        the mutation load still funnels through the big lock. *)
-    let globals =
-      Dcache_util.Stats.Counter.get (Kernel.counters kernel)
-        "global_write_acquired"
-    in
-    Dcache_util.Locktab.to_string tab
-    ^ Printf.sprintf "global_write_acquired %d\n" globals
+    Dcache_util.Locktab.to_string tab ^ counter_line kernel Counters.global_write_acquired
 
 (* [dcache/neglists] is the negative-dentry book (§6.3): the per-stripe
    bound, eviction and invalidation tallies, and one occupancy line per
@@ -98,17 +99,15 @@ let render_stripes kernel () =
    /proc alone. *)
 let render_neglists kernel () =
   let d = Kernel.dcache kernel in
-  let c name = Dcache_util.Stats.Counter.get (Kernel.counters kernel) name in
   let occ = Dcache.neg_occupancy d in
   let total = Array.fold_left ( + ) 0 occ in
   let buf = Buffer.create 256 in
   Printf.bprintf buf "neg_list_cap %d\n" (Dcache.neg_list_cap d);
   Printf.bprintf buf "neg_lists %d\n" (Array.length occ);
   Printf.bprintf buf "neg_cached %d\n" total;
-  Printf.bprintf buf "neg_evicted %d\n" (c "neg_evicted");
-  Printf.bprintf buf "neg_gen_invalidations %d\n" (c "neg_gen_invalidations");
-  Printf.bprintf buf "walk_stale_negative %d\n" (c "walk_stale_negative");
-  Printf.bprintf buf "create_neg_shortcut %d\n" (c "create_neg_shortcut");
+  List.iter
+    (fun id -> Buffer.add_string buf (counter_line kernel id))
+    Counters.[ neg_evicted; neg_gen_invalidations; walk_stale_negative; create_neg_shortcut ];
   Array.iteri (fun i n -> Printf.bprintf buf "neglist %d occupancy %d\n" i n) occ;
   Buffer.contents buf
 
@@ -145,7 +144,7 @@ let render_config kernel () =
    consume them. *)
 
 let render_histograms () = Trace.histograms_to_string ()
-let render_causes () = Trace.causes_to_string ()
+let causes_to_string kernel = String.concat "" (List.map (counter_line kernel) Counters.causes)
 let render_trace () = Trace.ring_to_string ()
 
 (* [dcache/hot] is the per-directory cache-efficacy sketch (§3.8): top-K
@@ -157,22 +156,19 @@ let render_hot () = Profiler.hot_to_string ()
    (windows/submit ≈ 1 is the amortization working), splits and phase-2
    deferrals and the sharded mkdir/rmdir counters. *)
 let render_batch kernel () =
-  let c name =
-    Dcache_util.Stats.Counter.get (Kernel.counters kernel) name
-  in
-  let submits = c "batch_submit" and windows = c "batch_windows" in
-  String.concat "\n"
+  let c = Counter.get (Kernel.counters kernel) in
+  let submits = c Counters.batch_submit and windows = c Counters.batch_windows in
+  String.concat ""
     [
-      Printf.sprintf "batch_submits %d" submits;
-      Printf.sprintf "batch_ops %d" (c "batch_ops");
-      Printf.sprintf "batch_windows %d" windows;
-      Printf.sprintf "batch_windows_per_submit %.2f"
+      Printf.sprintf "batch_submits %d\n" submits;
+      counter_line kernel Counters.batch_ops;
+      counter_line kernel Counters.batch_windows;
+      Printf.sprintf "batch_windows_per_submit %.2f\n"
         (float_of_int windows /. float_of_int (max 1 submits));
-      Printf.sprintf "batch_splits %d" (c "fastpath_batch_split");
-      Printf.sprintf "batch_deferred %d" (c "fastpath_batch_deferred");
-      Printf.sprintf "sharded_mkdir %d" (c "sharded_mkdir");
-      Printf.sprintf "sharded_rmdir %d" (c "sharded_rmdir");
-      "";
+      Printf.sprintf "batch_splits %d\n" (c Counters.fastpath_batch_split);
+      Printf.sprintf "batch_deferred %d\n" (c Counters.fastpath_batch_deferred);
+      counter_line kernel Counters.sharded_mkdir;
+      counter_line kernel Counters.sharded_rmdir;
     ]
 
 let render_faults faults () =
@@ -260,7 +256,7 @@ let make ?faults ?netfs kernel =
   ok (Pseudofs.add_file p "/dcache/stripes" ~content:(render_stripes kernel));
   ok (Pseudofs.add_file p "/dcache/neglists" ~content:(render_neglists kernel));
   ok (Pseudofs.add_file p "/dcache/histograms" ~content:render_histograms);
-  ok (Pseudofs.add_file p "/dcache/causes" ~content:render_causes);
+  ok (Pseudofs.add_file p "/dcache/causes" ~content:(fun () -> causes_to_string kernel));
   ok (Pseudofs.add_file p "/dcache/trace" ~content:render_trace);
   ok (Pseudofs.add_file p "/dcache/hot" ~content:render_hot);
   ok (Pseudofs.add_file p "/dcache/batch" ~content:(render_batch kernel));

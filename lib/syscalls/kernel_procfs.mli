@@ -4,11 +4,13 @@
     through the ordinary file API — dogfooding the pseudo file system
     substrate the paper's negative-dentry discussion covers (§5.2):
 
-    - [dcache/stats]      — all kernel counters, one [name value] per line
+    - [dcache/stats]      — every declared counter ({!Dcache_util.Counters}),
+                            zeros included, one [name value] per line
     - [dcache/summary]    — dentry count and primary-table occupancy
     - [dcache/config]     — the active directory-cache configuration
     - [dcache/histograms] — per-outcome-class lookup latency (p50/p90/p99)
-    - [dcache/causes]     — cause-attributed miss/invalidation counters
+    - [dcache/causes]     — this kernel's cause-attributed miss/invalidation
+                            counters
     - [dcache/trace]      — event-ring status plus the newest events
     - [faults]            — fault-injector sites: schedule/arrivals/injected
     - [netfs/rpc]         — netfs RPC totals (drops/retries/giveups/DRC/
@@ -22,11 +24,14 @@
 
     [faults]/[netfs] attach the corresponding subsystems; without them the
     files report that nothing is attached.  Trace state is process-global,
-    so [dcache/histograms]/[causes]/[trace] read the same figures from any
-    kernel's procfs. *)
+    so [dcache/histograms]/[trace] read the same figures from any kernel's
+    procfs. *)
 
 val make :
   ?faults:Dcache_util.Fault.t ->
   ?netfs:Dcache_fs.Netfs.server ->
   Kernel.t ->
   Dcache_fs.Fs_intf.t
+
+val causes_to_string : Kernel.t -> string
+(** The content of [dcache/causes]: one [name value] line per cause. *)

@@ -46,11 +46,6 @@ type t = {
   fds : (int, fd) Hashtbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
-  (* counter cells resolved at spawn/fork: name-keyed bumps allocate an
-     option per call, and the scratch readdir's warm path must stay
-     word-free *)
-  c_scratch_warm : Dcache_util.Stats.Counter.cell;
-  c_scratch_sys : Dcache_util.Stats.Counter.cell;
 }
 
 let scratch_initial = 64
@@ -98,7 +93,6 @@ let spawn ?cred kernel =
   Dcache.dget root.dentry;
   Dcache.dget root.dentry;
   (* two pins: one for root, one for cwd *)
-  let cs = Kernel.counters kernel in
   {
     kernel;
     cred;
@@ -108,14 +102,11 @@ let spawn ?cred kernel =
     fds = Hashtbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
-    c_scratch_warm = Dcache_util.Stats.Counter.cell cs "readdir_scratch_warm";
-    c_scratch_sys = Dcache_util.Stats.Counter.cell cs "sys_readdir_fill";
   }
 
 let fork t =
   Dcache.dget t.root.dentry;
   Dcache.dget t.cwd.dentry;
-  let cs = Kernel.counters t.kernel in
   {
     kernel = t.kernel;
     cred = t.cred;
@@ -125,8 +116,6 @@ let fork t =
     fds = Hashtbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
-    c_scratch_warm = Dcache_util.Stats.Counter.cell cs "readdir_scratch_warm";
-    c_scratch_sys = Dcache_util.Stats.Counter.cell cs "sys_readdir_fill";
   }
 
 let walk_ctx t =

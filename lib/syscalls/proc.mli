@@ -49,10 +49,6 @@ type t = {
   fds : (int, fd) Hashtbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
-  c_scratch_warm : Dcache_util.Stats.Counter.cell;
-      (** ["readdir_scratch_warm"], resolved at spawn: name-keyed bumps
-          allocate, and the warm readdir must stay word-free *)
-  c_scratch_sys : Dcache_util.Stats.Counter.cell;  (** ["sys_readdir_fill"] *)
 }
 
 val scratch_cap : dirent_scratch -> int

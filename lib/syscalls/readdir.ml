@@ -37,6 +37,7 @@ module Inode = Dcache_vfs.Inode
 module Config = Dcache_vfs.Config
 module Fs = Dcache_fs.Fs_intf
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Rwlock = Dcache_util.Rwlock
 module Locktab = Dcache_util.Locktab
 module Dlist = Dcache_util.Dlist
@@ -45,7 +46,7 @@ module Fault = Dcache_util.Fault
 
 let dcache proc = Kernel.dcache proc.Proc.kernel
 let kconfig proc = Kernel.config proc.Proc.kernel
-let count proc name = Counter.incr (Kernel.counters proc.Proc.kernel) name
+let counters proc = Kernel.counters proc.Proc.kernel
 
 exception Readdir_errno of Errno.t
 (** Error escape for {!fill}: boxing a [result] would put two words on the
@@ -202,7 +203,7 @@ let promote_listing_locked proc dir (listing : Fs.dirent list) =
     listing;
   if !safe then begin
     Dcache.set_complete d dir;
-    count proc "readdir_promoted"
+    Counter.bump (counters proc) Counters.readdir_promoted
   end;
   !safe
 
@@ -221,10 +222,10 @@ let listing_source proc inode dir =
   let dnlc = (kconfig proc).Config.dnlc_style_completeness in
   match if dnlc then Kernel.dnlc_find kernel dir.d_id dir.d_dir_gen else None with
   | Some listing ->
-    count proc "readdir_from_dnlc";
+    Counter.bump (counters proc) Counters.readdir_from_dnlc;
     Ok listing
   | None ->
-    count proc "readdir_from_fs";
+    Counter.bump (counters proc) Counters.readdir_from_fs;
     let r = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
     (match r with
     | Ok listing when dnlc -> Kernel.dnlc_store kernel dir.d_id dir.d_dir_gen listing
@@ -249,8 +250,8 @@ let fill_locked proc inode dir ~base =
   let section () =
     if not (dir_live dir) then Error Errno.ENOENT
     else if Dcache.is_complete d dir then begin
-      count proc "readdir_scratch_fill";
-      count proc "readdir_from_cache";
+      Counter.bump (counters proc) Counters.readdir_scratch_fill;
+      Counter.bump (counters proc) Counters.readdir_from_cache;
       Ok (scratch_fill_children proc dir ~base)
     end
     else begin
@@ -260,7 +261,7 @@ let fill_locked proc inode dir ~base =
       | Error e -> Error e
       | Ok listing ->
         let complete = completes && promote_listing_locked proc dir listing in
-        count proc "readdir_scratch_fill";
+        Counter.bump (counters proc) Counters.readdir_scratch_fill;
         if complete then Ok (scratch_fill_children proc dir ~base)
         else Ok (scratch_fill_listing proc listing ~base)
     end
@@ -290,7 +291,7 @@ let fill proc inode dir ~base =
   in
   if n >= 0 then begin
     ds.Proc.ds_n <- n;
-    Counter.bump proc.Proc.c_scratch_warm;
+    Counter.bump (counters proc) Counters.readdir_scratch_warm;
     n
   end
   else begin

@@ -11,6 +11,7 @@ module Cred = Dcache_cred.Cred
 module Fastpath = Dcache_core.Fastpath
 module Fs = Dcache_fs.Fs_intf
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Locktab = Dcache_util.Locktab
 module Dlist = Dcache_util.Dlist
 module Fault = Dcache_util.Fault
@@ -24,22 +25,21 @@ let ( let* ) = Result.bind
 let counters proc = Kernel.counters proc.Proc.kernel
 let dcache proc = Kernel.dcache proc.Proc.kernel
 let kconfig proc = Kernel.config proc.Proc.kernel
-let count proc name = Counter.incr (counters proc) name
 
 (* Syscall entry: bump the per-kernel counter and mint a request-scoped
    span (§3.8).  The span id installs as this domain's current span and
    rides every subsequent Trace stamp, netfs RPC and lease-break
    notification until the next syscall entry on the domain.  Disarmed,
    [span_enter] is a load-and-branch returning 0 and nothing is stamped. *)
-let sys proc name =
-  count proc name;
+let sys proc id =
+  Counter.bump (counters proc) id;
   if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
 
 (* Per-lookup path statistics (reported in the paper's Table 1). *)
 let note_lookup proc path =
   let c = counters proc in
-  Counter.incr c "path_lookup";
-  Counter.add c "path_bytes" (String.length path);
+  Counter.bump c Counters.path_lookup;
+  Counter.add c Counters.path_bytes (String.length path);
   let comps = ref 0 in
   let in_comp = ref false in
   String.iter
@@ -50,7 +50,7 @@ let note_lookup proc path =
         incr comps
       end)
     path;
-  Counter.add c "path_comps" !comps
+  Counter.add c Counters.path_comps !comps
 
 let permission proc inode mask =
   if Lsm.permission (Kernel.registry proc.Proc.kernel) proc.Proc.cred (Inode.attr inode) mask
@@ -171,34 +171,34 @@ let do_stat ?(follow = true) ?start proc path =
 
 let stat proc path =
   Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_stat";
+      sys proc Counters.sys_stat;
       do_stat proc path)
 
 let lstat proc path =
   Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_lstat";
+      sys proc Counters.sys_lstat;
       do_stat ~follow:false proc path)
 
 let fstatat proc dirfd path ?(follow = true) () =
   Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_fstatat";
+      sys proc Counters.sys_fstatat;
       let* fd = Proc.find_fd proc dirfd in
       do_stat ~follow ~start:fd.Proc.fd_ref proc path)
 
 let fstat proc fdnum =
-  sys proc "sys_fstat";
+  sys proc Counters.sys_fstat;
   let* fd = Proc.find_fd proc fdnum in
   Ok (Inode.attr fd.Proc.fd_inode)
 
 let access proc path mask =
   Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_access";
+      sys proc Counters.sys_access;
       resolve_with proc path ~within:(fun ref_ ->
           let* inode = positive_inode ref_.dentry in
           permission proc inode mask))
 
 let readlink proc path =
-  sys proc "sys_readlink";
+  sys proc Counters.sys_readlink;
   let* ref_ = resolve ~flags:(lookup_flags ~follow:false ()) proc path in
   let* inode = positive_inode ref_.dentry in
   if File_kind.equal (Inode.kind inode) File_kind.Symlink then Inode.symlink_target inode
@@ -426,7 +426,7 @@ let mutate ?start ?peek proc ~site path ~covers body =
   | Some r -> r
   | None -> with_write proc (fun () -> Result.bind (resolve_parent_locked ?start proc path) body)
 
-let count_striped proc t name = if t.striped then count proc name
+let count_striped proc t id = if t.striped then Counter.bump (counters proc) id
 
 let has_grandchildren d =
   let deep = ref false in
@@ -447,8 +447,8 @@ let create_child proc t kind mode =
   if File_kind.equal kind File_kind.Directory then Inode.bump_nlink dir_inode 1;
   refresh_dir_attr dir_inode;
   if t.striped then begin
-    count proc "create_neg_shortcut";
-    if Option.is_none t.child then count proc "complete_dir_negative"
+    Counter.bump (counters proc) Counters.create_neg_shortcut;
+    if Option.is_none t.child then Counter.bump (counters proc) Counters.complete_dir_negative
   end;
   Ok (instantiate proc t attr)
 
@@ -477,8 +477,8 @@ let open_create proc ~mode ~follow flags t =
     end)
   | _ ->
     let* child = create_child proc t File_kind.Regular mode in
-    count proc "files_created";
-    count_striped proc t "sharded_create";
+    Counter.bump (counters proc) Counters.files_created;
+    count_striped proc t Counters.sharded_create;
     let* fd = finish_open proc flags { t.dir with dentry = child } in
     Ok (`Opened fd)
 
@@ -500,17 +500,17 @@ let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
 
 let openf ?mode proc path flags =
   Systime.timed Systime.Open (fun () ->
-      sys proc "sys_open";
+      sys proc Counters.sys_open;
       do_open ?mode proc path flags)
 
 let openat ?mode proc dirfd path flags =
   Systime.timed Systime.Open (fun () ->
-      sys proc "sys_openat";
+      sys proc Counters.sys_openat;
       let* fd = Proc.find_fd proc dirfd in
       do_open ?mode ~start:fd.Proc.fd_ref proc path flags)
 
 let close proc fdnum =
-  sys proc "sys_close";
+  sys proc Counters.sys_close;
   let* fd = Proc.remove_fd proc fdnum in
   Dcache.dput fd.Proc.fd_ref.dentry;
   let inode = fd.Proc.fd_inode in
@@ -518,7 +518,7 @@ let close proc fdnum =
   Ok ()
 
 let read proc fdnum len =
-  sys proc "sys_read";
+  sys proc Counters.sys_read;
   let* fd = Proc.find_fd proc fdnum in
   if not fd.Proc.fd_readable then Error Errno.EBADF
   else begin
@@ -529,7 +529,7 @@ let read proc fdnum len =
   end
 
 let pread proc fdnum ~off ~len =
-  sys proc "sys_pread";
+  sys proc Counters.sys_pread;
   let* fd = Proc.find_fd proc fdnum in
   if not fd.Proc.fd_readable then Error Errno.EBADF
   else begin
@@ -547,7 +547,7 @@ let do_write (fd : Proc.fd) ~off data =
   end
 
 let write proc fdnum data =
-  sys proc "sys_write";
+  sys proc Counters.sys_write;
   let* fd = Proc.find_fd proc fdnum in
   let off =
     if fd.Proc.fd_append then (Inode.attr fd.Proc.fd_inode).Attr.size else fd.Proc.fd_pos
@@ -557,7 +557,7 @@ let write proc fdnum data =
   Ok written
 
 let pwrite proc fdnum ~off data =
-  sys proc "sys_pwrite";
+  sys proc Counters.sys_pwrite;
   let* fd = Proc.find_fd proc fdnum in
   do_write fd ~off data
 
@@ -576,8 +576,7 @@ let scratch_dirent (ds : Proc.dirent_scratch) i =
     minor-heap allocation; see {!Readdir}.  @raise Readdir_errno instead
     of boxing a [result] (two words) on that path. *)
 let readdir_fill proc fdnum =
-  Counter.bump proc.Proc.c_scratch_sys;
-  if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0;
+  sys proc Counters.sys_readdir_fill;
   let fd =
     try Proc.find_fd_exn proc fdnum
     with Not_found -> raise (Readdir_errno Errno.EBADF)
@@ -588,7 +587,7 @@ let readdir_fill proc fdnum =
 (* A stream lists once, on its first call (or first after a rewind), and
    serves every chunk from its own copy of the scratch, at [fd_pos]. *)
 let getdents proc fdnum want =
-  sys proc "sys_getdents";
+  sys proc Counters.sys_getdents;
   let* fd = Proc.find_fd proc fdnum in
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else begin
@@ -611,7 +610,7 @@ let getdents proc fdnum want =
   end
 
 let lseek proc fdnum off =
-  sys proc "sys_lseek";
+  sys proc Counters.sys_lseek;
   let* fd = Proc.find_fd proc fdnum in
   if off < 0 then Error Errno.EINVAL
   else begin
@@ -621,7 +620,7 @@ let lseek proc fdnum off =
   end
 
 let truncate proc path size =
-  sys proc "sys_truncate";
+  sys proc Counters.sys_truncate;
   if size < 0 then Error Errno.EINVAL
   else
     resolve_with proc path ~within:(fun ref_ ->
@@ -653,13 +652,13 @@ let do_mkdir ?start ~mode proc path =
       | Some child when dentry_is_positive child -> Error Errno.EEXIST
       | _ ->
         let* child = create_child proc t File_kind.Directory mode in
-        count_striped proc t "sharded_mkdir";
+        count_striped proc t Counters.sharded_mkdir;
         (* A brand-new directory's (empty) listing is fully cached (§5.1). *)
         Dcache.set_complete (dcache proc) child;
         Ok ())
 
 let mkdir ?(mode = Mode.default_dir) proc path =
-  sys proc "sys_mkdir";
+  sys proc Counters.sys_mkdir;
   do_mkdir ~mode proc path
 
 (* An uncached name needs the slowpath's fill.  A file with extra hard
@@ -693,7 +692,7 @@ let do_unlink ?start proc path =
             let* child_inode = positive_inode child in
             let* () = t.dir.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode) t.name in
             refresh_dir_attr dir_inode;
-            count_striped proc t "sharded_unlink";
+            count_striped proc t Counters.sharded_unlink;
             Dcache.bump_dir_gen t.dir.dentry;
             Inode.bump_nlink child_inode (-1);
             if (Inode.attr child_inode).Attr.nlink <= 0 then
@@ -704,7 +703,7 @@ let do_unlink ?start proc path =
 
 let unlink proc path =
   Systime.timed Systime.Unlink (fun () ->
-      sys proc "sys_unlink";
+      sys proc Counters.sys_unlink;
       do_unlink proc path)
 
 (* rmdir holds the target's own-id stripe too ([~peek]): it guards the
@@ -723,7 +722,7 @@ let rmdir_covers proc t =
       || not (Mount.is_mountpoint proc.Proc.ns t.dir.mnt child || has_grandchildren child))
 
 let rmdir proc path =
-  sys proc "sys_rmdir";
+  sys proc Counters.sys_rmdir;
   mutate proc ~site:(fun cs -> cs.cs_rmdir) ~peek:true path ~covers:(rmdir_covers proc)
     (fun t ->
       match t.child with
@@ -737,7 +736,7 @@ let rmdir proc path =
             let* () = check_not_mountpoint proc t child in
             let* dir_inode = writable_dir proc t.dir in
             let* () = t.dir.dentry.d_sb.sb_fs.Fs.rmdir (Inode.ino dir_inode) t.name in
-            count_striped proc t "sharded_rmdir";
+            count_striped proc t Counters.sharded_rmdir;
             Dcache.bump_dir_gen t.dir.dentry;
             Inode.bump_nlink dir_inode (-1);
             refresh_dir_attr dir_inode;
@@ -820,7 +819,7 @@ let rename_body proc src dst =
           end;
           refresh_dir_attr old_dir;
           if cross then refresh_dir_attr new_dir;
-          count_striped proc src "sharded_rename";
+          count_striped proc src Counters.sharded_rename;
           (* Keep the old name cached as a negative dentry (§5.2), unless
              the old directory is complete: its listing answers the
              absence (§5.1). *)
@@ -883,7 +882,7 @@ let rename_striped proc old_path new_path =
   | _ -> None
 
 let rename proc old_path new_path =
-  sys proc "sys_rename";
+  sys proc Counters.sys_rename;
   match rename_striped proc old_path new_path with
   | Some r -> r
   | None ->
@@ -893,7 +892,7 @@ let rename proc old_path new_path =
         rename_body proc src dst)
 
 let link proc old_path new_path =
-  sys proc "sys_link";
+  sys proc Counters.sys_link;
   with_write proc (fun () ->
       let* old_ref = resolve_locked ~flags:(lookup_flags ~follow:false ()) proc old_path in
       let* old_inode = positive_inode old_ref.dentry in
@@ -932,11 +931,11 @@ let do_symlink ?start proc ~target path =
         Ok ())
 
 let symlink proc ~target path =
-  sys proc "sys_symlink";
+  sys proc Counters.sys_symlink;
   do_symlink proc ~target path
 
 let mkstemp ?prng ?(prefix = "tmp") proc dir =
-  sys proc "sys_mkstemp";
+  sys proc Counters.sys_mkstemp;
   let prng =
     match prng with Some p -> p | None -> Dcache_util.Prng.create (Hashtbl.hash dir)
   in
@@ -980,23 +979,23 @@ let setattr_path proc path ~privileged changes =
 
 let chmod proc path mode =
   Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc "sys_chmod";
+      sys proc Counters.sys_chmod;
       setattr_path proc path ~privileged:false { Fs.no_setattr with Fs.set_mode = Some mode })
 
 let chown proc path ~uid ~gid =
   Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc "sys_chown";
+      sys proc Counters.sys_chown;
       setattr_path proc path ~privileged:true
         { Fs.no_setattr with Fs.set_uid = Some uid; set_gid = Some gid })
 
 let set_label proc path label =
-  sys proc "sys_set_label";
+  sys proc Counters.sys_set_label;
   setattr_path proc path ~privileged:true { Fs.no_setattr with Fs.set_label = Some label }
 
 (* --- process state --- *)
 
 let chdir proc path =
-  sys proc "sys_chdir";
+  sys proc Counters.sys_chdir;
   resolve_with proc path ~flags:(lookup_flags ~must_dir:true ()) ~within:(fun ref_ ->
       let* inode = positive_inode ref_.dentry in
       let* () = permission proc inode Access.may_exec in
@@ -1007,7 +1006,7 @@ let chdir proc path =
          proc.Proc.cwd <- ref_)
 
 let fchdir proc fdnum =
-  sys proc "sys_fchdir";
+  sys proc Counters.sys_fchdir;
   let* fd = Proc.find_fd proc fdnum in
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else begin
@@ -1018,7 +1017,7 @@ let fchdir proc fdnum =
   end
 
 let chroot proc path =
-  sys proc "sys_chroot";
+  sys proc Counters.sys_chroot;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else
     resolve_with proc path ~flags:(lookup_flags ~must_dir:true ()) ~within:(fun ref_ ->
@@ -1033,7 +1032,7 @@ let chroot proc path =
 (* --- mounts --- *)
 
 let mount_fs ?(readonly = false) ?(nosuid = false) proc fs path =
-  sys proc "sys_mount";
+  sys proc Counters.sys_mount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
@@ -1048,7 +1047,7 @@ let mount_fs ?(readonly = false) ?(nosuid = false) proc fs path =
   end
 
 let bind_mount ?(readonly = false) proc ~src ~dst =
-  sys proc "sys_mount";
+  sys proc Counters.sys_mount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
@@ -1063,7 +1062,7 @@ let bind_mount ?(readonly = false) proc ~src ~dst =
   end
 
 let umount proc path =
-  sys proc "sys_umount";
+  sys proc Counters.sys_umount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
@@ -1080,7 +1079,7 @@ let umount proc path =
   end
 
 let unshare_mount_ns proc =
-  sys proc "sys_unshare";
+  sys proc Counters.sys_unshare;
   Dcache.with_write (dcache proc) (fun () ->
       let ns = Mount.clone_namespace proc.Proc.ns in
       proc.Proc.ns <- ns;
@@ -1101,19 +1100,19 @@ let with_dirfd proc dirfd k =
   else k fd.Proc.fd_ref
 
 let mkdirat ?(mode = Mode.default_dir) proc dirfd path =
-  sys proc "sys_mkdirat";
+  sys proc Counters.sys_mkdirat;
   with_dirfd proc dirfd (fun start -> do_mkdir ~start ~mode proc path)
 
 let unlinkat proc dirfd path =
-  sys proc "sys_unlinkat";
+  sys proc Counters.sys_unlinkat;
   with_dirfd proc dirfd (fun start -> do_unlink ~start proc path)
 
 let symlinkat proc ~target dirfd path =
-  sys proc "sys_symlinkat";
+  sys proc Counters.sys_symlinkat;
   with_dirfd proc dirfd (fun start -> do_symlink ~start proc ~target path)
 
 let readlinkat proc dirfd path =
-  sys proc "sys_readlinkat";
+  sys proc Counters.sys_readlinkat;
   with_dirfd proc dirfd (fun start ->
       let* ref_ = resolve ~start ~flags:(lookup_flags ~follow:false ()) proc path in
       let* inode = positive_inode ref_.dentry in
@@ -1122,14 +1121,14 @@ let readlinkat proc dirfd path =
 
 let faccessat proc dirfd path mask =
   Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_faccessat";
+      sys proc Counters.sys_faccessat;
       with_dirfd proc dirfd (fun start ->
           resolve_with ~start proc path ~within:(fun ref_ ->
               let* inode = positive_inode ref_.dentry in
               permission proc inode mask)))
 
 let getcwd proc =
-  sys proc "sys_getcwd";
+  sys proc Counters.sys_getcwd;
   let root = proc.Proc.root in
   let cwd = proc.Proc.cwd in
   if cwd.dentry.d_parent <> None && not cwd.dentry.d_hashed then
@@ -1157,7 +1156,7 @@ let getcwd proc =
    particular not the global write lock a subtree invalidation would
    take. *)
 let invalidate_negatives proc path =
-  sys proc "sys_invalidate_negatives";
+  sys proc Counters.sys_invalidate_negatives;
   let* ref_ = resolve proc path in
   Dcache.invalidate_negatives (dcache proc) ref_.dentry.d_sb;
   Ok ()
@@ -1179,11 +1178,11 @@ let invalidate_covers proc t =
 let evict proc ~striped dentry =
   ignore (Dcache.invalidate_structure (dcache proc) dentry);
   Dcache.unhash ~reclaim:true (dcache proc) dentry;
-  if striped then count proc "sharded_cb_invalidate";
+  if striped then Counter.bump (counters proc) Counters.sharded_cb_invalidate;
   Ok ()
 
 let invalidate_path proc path =
-  sys proc "sys_invalidate_path";
+  sys proc Counters.sys_invalidate_path;
   match
     stripe_scope ~peek:true proc ~site:(fun cs -> cs.cs_invalidate) path
       ~covers:(invalidate_covers proc) (fun t ->

@@ -205,62 +205,59 @@ module Lhist = struct
 end
 
 module Counter = struct
-  (* Multi-writer-safe counter sets.  A cell is a small array of atomic
-     slots indexed by [domain id mod slots]: a bump is one uncontended
-     fetch-and-add on (usually) the caller's own slot, so concurrent
-     domains never lose counts — the slot is atomic even when two domain
-     ids collide on it — and a single-domain test still reads exact
-     figures.  The bump allocates nothing, which keeps cached cells legal
-     inside the zero-allocation warm fastpath.
-
-     The key → cell map is an immutable [Map] behind an [Atomic]: lookups
-     are lock-free over a persistent snapshot, and the rare first-use
-     insertion CAS-loops.  Cells are never removed, so a cell cached at
-     create time stays valid forever; [reset] zeroes slots in place. *)
+  (* One fixed table per dcache.  Every counter is declared once, at
+     module initialisation (see [Counters]), and its id indexes the table.
+     Each counter has one atomic slot per [domain id mod slots], laid out
+     slot-major so a domain's slots sit apart from the other domains':
+     a bump is one uncontended fetch-and-add on (usually) the caller's own
+     slot, concurrent domains never lose counts — the slot is atomic even
+     when two domain ids collide on it — and a single-domain test still
+     reads exact figures.  A bump allocates nothing, so it is legal inside
+     the zero-allocation warm fastpath. *)
 
   let slots = 8
   let slot_mask = slots - 1
 
-  type cell = int Atomic.t array
+  type id = int
+  type t = int Atomic.t array
 
-  module M = Map.Make (String)
+  let names = ref [||]
 
-  type t = cell M.t Atomic.t
+  (* A table is sized when it is created: an id declared later would land
+     in the next domain's row. *)
+  let frozen = ref false
 
-  let create () : t = Atomic.make M.empty
+  let declare name =
+    if !frozen then invalid_arg ("Stats.Counter.declare: a table already exists: " ^ name);
+    if Array.mem name !names then invalid_arg ("Stats.Counter.declare: duplicate " ^ name);
+    names := Array.append !names [| name |];
+    Array.length !names - 1
 
-  let rec cell (t : t) key =
-    let m = Atomic.get t in
-    match M.find_opt key m with
-    | Some c -> c
-    | None ->
-      let c = Array.init slots (fun _ -> Atomic.make 0) in
-      if Atomic.compare_and_set t m (M.add key c m) then c else cell t key
+  let name id = !names.(id)
 
-  let[@inline] bump (c : cell) = Atomic.incr c.((Domain.self () :> int) land slot_mask)
+  let create () : t =
+    frozen := true;
+    Array.init (slots * Array.length !names) (fun _ -> Atomic.make 0)
 
-  let[@inline] bump_by (c : cell) n =
-    ignore (Atomic.fetch_and_add c.((Domain.self () :> int) land slot_mask) n)
+  (* Slot [s] of counter [id] lives at [s * n + id], [n] the declared
+     count. *)
+  let[@inline] mine (t : t) id =
+    t.(((Domain.self () :> int) land slot_mask) * (Array.length t / slots) + id)
 
-  let cell_value (c : cell) =
+  let[@inline] bump t id = Atomic.incr (mine t id)
+  let[@inline] add t id n = ignore (Atomic.fetch_and_add (mine t id) n)
+
+  let get (t : t) id =
+    let n = Array.length t / slots in
     let sum = ref 0 in
-    for i = 0 to slots - 1 do
-      sum := !sum + Atomic.get c.(i)
+    for s = 0 to slots - 1 do
+      sum := !sum + Atomic.get t.((s * n) + id)
     done;
     !sum
 
-  let incr t key = bump (cell t key)
-  let add t key n = bump_by (cell t key) n
+  let reset (t : t) = Array.iter (fun a -> Atomic.set a 0) t
 
-  let get t key =
-    match M.find_opt key (Atomic.get t) with Some c -> cell_value c | None -> 0
-
-  (* Zero in place: hot paths hold on to cells obtained from [cell], and
-     those cells must survive a stats reset. *)
-  let reset t = M.iter (fun _ c -> Array.iter (fun a -> Atomic.set a 0) c) (Atomic.get t)
-
-  (* [M.fold] visits keys in increasing order; the cons builds descending,
-     so reverse to keep the documented sorted-by-key contract. *)
   let to_assoc t =
-    List.rev (M.fold (fun k c acc -> (k, cell_value c) :: acc) (Atomic.get t) [])
+    List.init (Array.length !names) (fun id -> (name id, get t id))
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 end

@@ -71,35 +71,34 @@ module Lhist : sig
   (** One-line [n … min … p50 … p90 … p99 … max … mean …] rendering. *)
 end
 
-(** Online counter sets, used by the kernel instrumentation.  Safe under
-    concurrent domains: each cell is a small array of atomic slots indexed
-    by domain id, so bumps are never lost and (mostly) uncontended. *)
+(** The kernel's counters.  Each is declared once, in [Counters], and
+    each dcache owns one fixed table of all of them: per-domain atomic
+    slots indexed by id, so bumps from concurrent domains are never lost
+    and (mostly) uncontended. *)
 module Counter : sig
+  type id
   type t
-  type cell
+
+  val declare : string -> id
+  (** A new counter, for module initialisation only.
+      @raise Invalid_argument on a duplicate name, or once a table exists. *)
+
+  val name : id -> string
 
   val create : unit -> t
+  (** A zeroed table of every declared counter. *)
 
-  val cell : t -> string -> cell
-  (** The counter's underlying cell, created on first use.  Hot paths cache
-      the cell once and {!bump} it — one atomic fetch-and-add on the
-      calling domain's slot, no hashing, no allocation.  Cells stay live
-      across {!reset}. *)
-
-  val bump : cell -> unit
+  val bump : t -> id -> unit
   (** Count one on the calling domain's slot.  Allocation-free. *)
 
-  val bump_by : cell -> int -> unit
-  val cell_value : cell -> int
+  val add : t -> id -> int -> unit
+  (** Allocation-free. *)
+
+  val get : t -> id -> int
   (** Sum over all domain slots. *)
 
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-
   val reset : t -> unit
-  (** Zeroes every counter in place (cached cells remain valid). *)
 
   val to_assoc : t -> (string * int) list
-  (** Sorted by key. *)
+  (** Every declared counter, zeros included, sorted by name. *)
 end

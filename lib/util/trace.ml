@@ -1,6 +1,6 @@
 (* Kernel-wide tracing & metrics (ftrace-shaped, sized for the simulator).
 
-   Three always-compiled-in, disarmed-by-default facilities:
+   Two always-compiled-in, disarmed-by-default facilities:
 
    - an event ring: one preallocated int array, four interleaved words per
      entry (timestamp, event id, argument, span) behind a power-of-two
@@ -17,9 +17,8 @@
      histogram write itself never allocates; the clock read does (see
      Clock), which is why [timing] is a separate switch from [armed].
 
-   - cause-attributed counters: why did a lookup miss or an entry die?
-     Always on — each is bumped off the warm path (miss, invalidation and
-     scrub paths only) with a single array store.
+   Why a lookup missed or an entry died is counted per kernel, by the
+   cause counters of [Counters].
 
    Everything here is global state, like the subsystems it observes cutting
    across kernel instances; [reset ()] between experiments. *)
@@ -166,42 +165,6 @@ let iter_events f =
     f (start + k) a.(base) a.(base + 1) a.(base + 2) a.(base + 3)
   done
 
-(* --- cause-attributed counters --- *)
-
-let cause_cold = 0
-let cause_inval_rename = 1
-let cause_inval_chmod = 2
-let cause_seqcount_retry = 3
-let cause_dir_incomplete = 4
-let cause_quarantined = 5
-let n_causes = 6
-
-let cause_names =
-  [|
-    "cold";
-    "invalidated_by_rename";
-    "invalidated_by_chmod";
-    "seqcount_retry";
-    "dir_incomplete";
-    "quarantined";
-  |]
-
-(* Atomic: cause bumps come from miss/invalidation paths that run
-   concurrently on sharded writer domains. *)
-let causes = Array.init n_causes (fun _ -> Atomic.make 0)
-
-let[@inline] bump_cause c = Atomic.incr causes.(c)
-let cause_count c = Atomic.get causes.(c)
-let cause_name c = cause_names.(c)
-
-let causes_to_string () =
-  let buf = Buffer.create 128 in
-  for c = 0 to n_causes - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "%s %d\n" cause_names.(c) (Atomic.get causes.(c)))
-  done;
-  Buffer.contents buf
-
 (* --- per-outcome-class latency histograms --- *)
 
 let cls_fast = 0
@@ -257,7 +220,6 @@ let disarm () =
 
 let reset () =
   Atomic.set seq 0;
-  Array.iter (fun c -> Atomic.set c 0) causes;
   Array.iter Stats.Lhist.reset lat;
   Stats.Lhist.reset resume_depth;
   Stats.Lhist.reset lease_age

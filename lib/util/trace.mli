@@ -1,5 +1,5 @@
-(** Kernel-wide tracing & metrics: event ring, per-outcome-class latency
-    histograms, cause-attributed counters.
+(** Kernel-wide tracing & metrics: event ring and per-outcome-class
+    latency histograms.
 
     Everything is compiled in unconditionally and disarmed by default.
     The overhead discipline, proven by [test/t_alloc.ml] and the [trace]
@@ -39,8 +39,7 @@ val arm : unit -> unit
 val disarm : unit -> unit
 
 val reset : unit -> unit
-(** Empty the ring, zero the cause counters, reset the histograms.  Leaves
-    the switches alone. *)
+(** Empty the ring and reset the histograms.  Leaves the switches alone. *)
 
 (** {2 The event ring} *)
 
@@ -178,41 +177,6 @@ val ev_batch_split : int
 
 val n_events : int
 val event_name : int -> string
-
-(** {2 Cause-attributed counters}
-
-    Why a lookup missed or a cache entry died.  Always on: each bump is a
-    single array store on a path that is already off the warm fastpath
-    (miss, invalidation, scrub). *)
-
-val cause_cold : int
-(** DLHT probe found no entry for the signature. *)
-
-val cause_inval_rename : int
-(** Dentry shot down by a structural change (rename / alias retarget);
-    counted per dentry at invalidation time. *)
-
-val cause_inval_chmod : int
-(** Dentry's PCC protection bumped by a permission change; counted per
-    dentry at invalidation time. *)
-
-val cause_seqcount_retry : int
-(** A stale-seq PCC entry was dropped, or an Rcu-mode walk restarted in
-    Ref mode — the simulator's analogs of seqlock retries. *)
-
-val cause_dir_incomplete : int
-(** A dcache miss had to consult the file system because the directory's
-    cached listing is not complete (§5.1). *)
-
-val cause_quarantined : int
-(** Entry removed by a scrub pass (DLHT or dcache). *)
-
-val n_causes : int
-val bump_cause : int -> unit
-val cause_count : int -> int
-val cause_name : int -> string
-val causes_to_string : unit -> string
-(** One [name value] per line. *)
 
 (** {2 Per-outcome-class latency histograms} *)
 

@@ -5,6 +5,7 @@ module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Locktab = Dcache_util.Locktab
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
 module Fs_intf = Dcache_fs.Fs_intf
@@ -117,7 +118,7 @@ let with_write t f =
      funnels through the exclusive lock (global-scope syscalls, eviction,
      DLHT grow, subtree invalidation too wide to stripe) shows up here, surfaced
      in /proc/dcache/stripes so the sharding follow-ons can be tracked. *)
-  Counter.incr t.counters "global_write_acquired";
+  Counter.bump t.counters Counters.global_write_acquired;
   Seqcount.write_begin t.write_seq;
   match f () with
   | result ->
@@ -251,7 +252,7 @@ let lookup t parent name =
   match scan (Atomic.get t.buckets.(idx)) with
   | Some d ->
     d.d_last_used <- Atomic.get t.tick;
-    Counter.incr t.counters "dcache_hit";
+    Counter.bump t.counters Counters.dcache_hit;
     Some d
   | None -> None
 
@@ -373,7 +374,7 @@ let detach ?(reclaim = true) t d =
     Dlist.remove parent.d_children node;
     if reclaim && parent.d_complete then begin
       parent.d_complete <- false;
-      Counter.incr t.counters "completeness_lost"
+      Counter.bump t.counters Counters.completeness_lost
     end
   | _ -> ());
   d.d_sibling <- None;
@@ -403,7 +404,7 @@ let rec neg_shrink t list cap =
       victim.d_neg <- None;
       if dentry_is_negative victim && evictable victim && victim.d_hashed then begin
         detach ~reclaim:false t victim;
-        Counter.incr t.counters "neg_evicted"
+        Counter.bump t.counters Counters.neg_evicted
       end;
       neg_shrink t list cap
   end
@@ -444,7 +445,7 @@ let negative_current d =
 
 let invalidate_negatives t sb =
   sb.sb_neg_gen <- sb.sb_neg_gen + 1;
-  Counter.incr t.counters "neg_gen_invalidations"
+  Counter.bump t.counters Counters.neg_gen_invalidations
 
 let neg_list_cap t = t.config.Config.neg_list_cap
 let neg_occupancy t = Array.map Dlist.length t.neg_lists
@@ -479,7 +480,7 @@ let evict_some t want =
         Dlist.push_back t.clock node;
         d.d_lru <- Some node;
         detach t d;
-        Counter.incr t.counters "dcache_evicted";
+        Counter.bump t.counters Counters.dcache_evicted;
         incr evicted
       end
   done;
@@ -500,7 +501,7 @@ let purge t =
         Dlist.push_front t.clock node;
         if evictable d then begin
           detach t d;
-          Counter.incr t.counters "dcache_evicted";
+          Counter.bump t.counters Counters.dcache_evicted;
           incr evicted
         end
     done;
@@ -582,7 +583,7 @@ let should_cache_negatives t sb =
   sb.sb_fs.Fs_intf.negative_dentries || t.config.Config.aggressive_negative
 
 let fill t parent name =
-  Counter.incr t.counters "dcache_miss";
+  Counter.bump t.counters Counters.dcache_miss;
   (* §3.8: misses are attributed here, directory-precise and config-
      agnostic (every kernel flavor funnels cold lookups through fill),
      rather than in the fastpath fallback, which would double count. *)
@@ -598,7 +599,7 @@ let fill t parent name =
       Ok (alloc_child t parent name (Positive inode))
     | Error Errno.ENOENT ->
       if should_cache_negatives t sb then begin
-        Counter.incr t.counters "negative_created";
+        Counter.bump t.counters Counters.negative_created;
         Ok (alloc_child t parent name (Negative Errno.ENOENT))
       end
       else Error Errno.ENOENT
@@ -631,13 +632,13 @@ let invalidate_permissions t dir =
     iter_children dir (fun child ->
         walk_subtree child (fun d ->
             incr visited;
-            bump_seq d;
-            Trace.bump_cause Trace.cause_inval_chmod));
+            bump_seq d));
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_chmod !visited;
     if !Profiler.armed then
       Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_inval;
-    Counter.add t.counters "invalidate_permission_dentries" !visited;
+    Counter.add t.counters Counters.invalidate_permission_dentries !visited;
+    Counter.add t.counters Counters.invalidated_by_chmod !visited;
     !visited
   end
 
@@ -654,8 +655,7 @@ let invalidate_structure t dentry =
     let visited = ref 0 in
     walk_subtree dentry (fun d ->
         incr visited;
-        shootdown t d;
-        Trace.bump_cause Trace.cause_inval_rename);
+        shootdown t d);
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_rename !visited;
     (* Attributed to the containing directory (the shot-down subtree's
@@ -666,7 +666,8 @@ let invalidate_structure t dentry =
        | Some p -> Profiler.hh_record p.d_sb.sb_id p.d_id p.d_name Profiler.m_inval
        | None ->
          Profiler.hh_record dentry.d_sb.sb_id dentry.d_id dentry.d_name Profiler.m_inval);
-    Counter.add t.counters "invalidate_structure_dentries" !visited;
+    Counter.add t.counters Counters.invalidate_structure_dentries !visited;
+    Counter.add t.counters Counters.invalidated_by_rename !visited;
     !visited
   end
 
@@ -698,7 +699,7 @@ let make_negative t d errno =
   d.d_alias <- None;
   d.d_target_sig <- None;
   neg_note_created t d;
-  Counter.incr t.counters "negative_created"
+  Counter.bump t.counters Counters.negative_created
 
 (* A complete directory is its own negative cache (§5.1): under one the
    name is dropped, not kept as a negative, and the listing answers its
@@ -843,9 +844,9 @@ let scrub t =
         drop_children t d;
         detach ~reclaim:true t d;
         incr quarantined;
-        Trace.bump_cause Trace.cause_quarantined;
         Trace.stamp Trace.ev_quarantine d.d_id;
-        Counter.incr t.counters "dcache_quarantined"
+        Counter.bump t.counters Counters.quarantined;
+        Counter.bump t.counters Counters.dcache_quarantined
       end)
     !bad;
   {
@@ -864,7 +865,7 @@ let set_complete t d =
   if t.config.Config.dir_completeness && dentry_is_dir d then begin
     iter_children d (fun child -> if dentry_is_negative child then unhash t child);
     d.d_complete <- true;
-    Counter.incr t.counters "completeness_set"
+    Counter.bump t.counters Counters.completeness_set
   end
 
 let clear_complete d = d.d_complete <- false

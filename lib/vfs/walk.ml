@@ -2,6 +2,7 @@ open Dcache_types
 open Types
 module Lsm = Dcache_cred.Lsm
 module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
 
@@ -118,12 +119,12 @@ let revalidate_hit mode t child =
     match ino with
     | None -> true (* stateless clients do not cache negatives *)
     | Some ino -> (
-      Counter.incr (Dcache.counters t) "netfs_revalidate";
+      Counter.bump (Dcache.counters t) Counters.netfs_revalidate;
       match check ino with
       | Ok true -> true
       | Ok false | Error _ ->
         if mode = Rcu then raise Need_refwalk;
-        Counter.incr (Dcache.counters t) "netfs_stale_dentry";
+        Counter.bump (Dcache.counters t) Counters.netfs_stale_dentry;
         (* A stale child proves the parent's cached listing diverged from
            the server; its completeness claim cannot survive, or the refill
            below would be answered ENOENT from the cache itself. *)
@@ -144,7 +145,7 @@ let step mode t (cur : path_ref) name =
     match cached with
     | Some child when dentry_is_negative child && not (Dcache.negative_current child) ->
       if mode = Ref then begin
-        Counter.incr (Dcache.counters t) "walk_stale_negative";
+        Counter.bump (Dcache.counters t) Counters.walk_stale_negative;
         Dcache.unhash t child
       end;
       None
@@ -152,7 +153,7 @@ let step mode t (cur : path_ref) name =
   in
   match cached with
   | Some child when revalidate_hit mode t child ->
-    if dentry_is_negative child then Counter.incr (Dcache.counters t) "walk_negative_hit";
+    if dentry_is_negative child then Counter.bump (Dcache.counters t) Counters.walk_negative_hit;
     Some child
   | Some _ (* stale and dropped: fall through to a fresh fill *)
   | None ->
@@ -160,7 +161,7 @@ let step mode t (cur : path_ref) name =
       (* A complete directory answers misses definitively without consulting
          the file system (§5.1), and is its own negative cache: nothing is
          cached for the absent name. *)
-      Counter.incr (Dcache.counters t) "complete_dir_negative";
+      Counter.bump (Dcache.counters t) Counters.complete_dir_negative;
       Trace.stamp Trace.ev_complete_neg 0;
       if !Profiler.armed then
         Profiler.hh_record cur.dentry.d_sb.sb_id cur.dentry.d_id cur.dentry.d_name
@@ -171,7 +172,7 @@ let step mode t (cur : path_ref) name =
       if mode = Rcu then raise Need_refwalk;
       (* Counted in Ref mode only, or the Rcu attempt and its Ref replay
          would attribute the same miss twice. *)
-      Trace.bump_cause Trace.cause_dir_incomplete;
+      Counter.bump (Dcache.counters t) Counters.dir_incomplete;
       match Dcache.fill t cur.dentry name with
       | Ok child -> Some child
       | Error Errno.ENOENT -> None (* fs without negative caching *)
@@ -195,7 +196,7 @@ let build_deep_negatives mode t d errno rest ~record =
         | None -> (
           match Dcache.add_child t parent name (Negative errno) with
           | Ok child ->
-            Counter.incr (Dcache.counters t) "deep_negative_created";
+            Counter.bump (Dcache.counters t) Counters.deep_negative_created;
             record child;
             chain child more
           | Error _ -> ()))
@@ -226,7 +227,7 @@ let get_or_make_alias mode t alias_parent name real =
       match Dcache.add_child t alias_parent name real.d_state with
       | Ok a ->
         a.d_alias <- Some real;
-        Counter.incr (Dcache.counters t) "symlink_alias_created";
+        Counter.bump (Dcache.counters t) Counters.symlink_alias_created;
         Some a
       | Error _ -> None
     end
@@ -241,7 +242,7 @@ let split_components config path =
 let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   let config = Dcache.config t in
   let counters = Dcache.counters t in
-  Counter.incr counters "walk_slowpath";
+  Counter.bump counters Counters.walk_slowpath;
   Trace.stamp Trace.ev_slowpath 0;
   let visited = ref [] in
   let push r = if flags.collect then visited := r :: !visited in
@@ -287,7 +288,7 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   and handle_name (cur : path_ref) alias depth name rest =
     (* Per-component accounting: lets the deepmiss benchmark verify that a
        prefix-resumed miss walks only the uncached suffix. *)
-    Counter.incr counters "walk_components";
+    Counter.bump counters Counters.walk_components;
     let is_last = no_more_components rest in
     match step mode t cur name with
     | None ->
@@ -319,7 +320,7 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
             | Error e -> raise (Walk_error e)
           in
           let target_items = items_of (split_components config target) in
-          Counter.incr counters "symlink_resolved";
+          Counter.bump counters Counters.symlink_resolved;
           (* Literal dentry standing for this symlink in the lookup path;
              the spliced target components are walked with no alias chain
              and the literal chain resumes afterwards. *)
@@ -402,7 +403,7 @@ let resolve_in_mode mode t ctx ?(flags = default_flags) path =
    [absolute] is false, so the caller's population applies the
    directory-reference rule against [start_at]. *)
 let resolve_resumed t ctx ?(flags = default_flags) ~start_at suffix =
-  Counter.incr (Dcache.counters t) "walk_resumed";
+  Counter.bump (Dcache.counters t) Counters.walk_resumed;
   try
     match walk_internal Ref t ctx ~flags ~stop_at_parent:false ~start_at suffix with
     | `Resolved r -> r

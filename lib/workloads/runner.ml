@@ -21,7 +21,7 @@ let run ?(label = "workload") env f =
   let _, real_ns = Dcache_util.Clock.time_ns f in
   let virt_ns = Dcache_util.Vclock.elapsed_ns env.Env.vclock in
   let counters = Kernel.stats_snapshot env.Env.kernel in
-  let get key = try List.assoc key counters with Not_found -> 0 in
+  let get key = List.assoc key counters in
   let hits = get "dcache_hit" in
   let misses = get "dcache_miss" in
   let lookups = get "path_lookup" in

@@ -12,6 +12,8 @@ module Signature = Dcache_sig.Signature
 module Path = Dcache_vfs.Path
 module Proc = Dcache_syscalls.Proc
 module Trace = Dcache_util.Trace
+module Counter = Dcache_util.Stats.Counter
+module Counters = Dcache_util.Counters
 module Rwlock = Dcache_util.Rwlock
 module Dcache = Dcache_vfs.Dcache
 
@@ -235,6 +237,23 @@ let test_armed_ring_stamp_zero_alloc () =
       Alcotest.(check bool) "stamps landed in the ring" true
         (Trace.recorded () >= iters);
       Alcotest.(check (float 0.0)) "armed ring stamp allocates zero words" 0.0 words)
+
+(* A counter bump by id is one fetch-and-add on the caller's slot of its
+   kernel's table: no lookup, no option, nothing on the minor heap. *)
+let test_counter_bump_zero_alloc () =
+  let kernel, _ = ram_kernel ~config:Config.optimized () in
+  let counters = Kernel.counters kernel in
+  let iters = 10_000 in
+  let bump () = Counter.bump counters Counters.fastpath_hit in
+  let add () = Counter.add counters Counters.path_bytes 3 in
+  Alcotest.(check (float 0.0)) "Counter.bump allocates zero words" 0.0
+    (measure_minor_words iters bump);
+  Alcotest.(check (float 0.0)) "Counter.add allocates zero words" 0.0
+    (measure_minor_words iters add);
+  Alcotest.(check int) "every bump counted" (iters + 2)
+    (Counter.get counters Counters.fastpath_hit);
+  Alcotest.(check int) "every add counted" (3 * (iters + 2))
+    (Counter.get counters Counters.path_bytes)
 
 let test_warm_hit_armed_ring_zero_alloc () =
   let kernel, p = ram_kernel ~config:Config.optimized () in
@@ -629,7 +648,8 @@ let test_inplace_hasher_toolong () =
 
 let dlht_of kernel (p : Proc.t) =
   let cfg = Kernel.config kernel in
-  Dlht.of_namespace ~buckets:cfg.Config.dlht_buckets p.Proc.ns
+  Dlht.of_namespace ~buckets:cfg.Config.dlht_buckets ~counters:(Kernel.counters kernel)
+    p.Proc.ns
 
 let check_healthy what dlht =
   Alcotest.(check (list string)) (what ^ ": self_check clean") [] (Dlht.self_check dlht);
@@ -717,14 +737,15 @@ let test_dlht_mount_alias_churn () =
 let test_dlht_bucket_validation () =
   (* Baseline kernels never create a DLHT, so the namespace is free for a
      direct module-level check. *)
-  let _kernel, p = ram_kernel ~config:Config.baseline () in
+  let kernel, p = ram_kernel ~config:Config.baseline () in
+  let counters = Kernel.counters kernel in
   Alcotest.check_raises "non-power-of-two rejected"
     (Invalid_argument "Dlht.of_namespace: bucket count must be a positive power of two")
-    (fun () -> ignore (Dlht.of_namespace ~buckets:1000 p.Proc.ns));
+    (fun () -> ignore (Dlht.of_namespace ~buckets:1000 ~counters p.Proc.ns));
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Dlht.of_namespace: bucket count must be a positive power of two")
-    (fun () -> ignore (Dlht.of_namespace ~buckets:0 p.Proc.ns));
-  let dlht = Dlht.of_namespace ~buckets:64 p.Proc.ns in
+    (fun () -> ignore (Dlht.of_namespace ~buckets:0 ~counters p.Proc.ns));
+  let dlht = Dlht.of_namespace ~buckets:64 ~counters p.Proc.ns in
   Alcotest.(check int) "fresh table is empty" 0 (Dlht.population dlht);
   let occ = Dlht.occupancy dlht in
   Alcotest.(check int) "64 buckets" 64 occ.Dlht.occ_buckets
@@ -998,6 +1019,8 @@ let suite =
       test_warm_lease_hit_zero_alloc;
     Alcotest.test_case "warm negative hit allocates zero minor words" `Quick
       test_warm_negative_hit_zero_alloc;
+    Alcotest.test_case "counter bump and add by id allocate zero minor words" `Quick
+      test_counter_bump_zero_alloc;
     Alcotest.test_case "armed trace ring stamp allocates zero minor words" `Quick
       test_armed_ring_stamp_zero_alloc;
     Alcotest.test_case "warm hit with armed ring allocates zero minor words" `Quick

@@ -485,10 +485,11 @@ let test_missing_state_is_a_miss () =
 let test_pcc_unit () =
   (* [pcc_entries] is the one knob: a ceiling at or below the paper's 4096
      is a static table; a higher one starts at 4096 and may grow to it. *)
-  let static = Pcc.create ~entries:64 () in
+  let counters = Dcache_util.Stats.Counter.create () in
+  let static = Pcc.create ~counters ~entries:64 () in
   Alcotest.(check int) "capacity rounded" 64 (Pcc.capacity static);
   Alcotest.(check int) "static: no growth" 0 (Pcc.grows static);
-  let growing = Pcc.create ~entries:20_000 () in
+  let growing = Pcc.create ~counters ~entries:20_000 () in
   Alcotest.(check int) "starts at the paper's 64 KB" 4096 (Pcc.capacity growing);
   Alcotest.(check int) "no growth before churn" 0 (Pcc.grows growing);
   let kernel, p = setup () in
@@ -517,7 +518,10 @@ let test_dynamic_pcc_grows () =
       ignore (get "stat" (S.stat p (path i)))
     done
   done;
-  let pcc = Pcc.of_cred p.Proc.cred (Kernel.init_ns kernel) ~entries:config.Config.pcc_entries in
+  let pcc =
+    Pcc.of_cred p.Proc.cred (Kernel.init_ns kernel) ~counters:(Kernel.counters kernel)
+      ~entries:config.Config.pcc_entries
+  in
   Alcotest.(check bool) "grew" true (Pcc.grows pcc > 0);
   Alcotest.(check bool) "capacity increased" true (Pcc.capacity pcc > 4096);
   Alcotest.(check bool) "capacity within the ceiling" true (Pcc.capacity pcc <= 16384);
@@ -552,7 +556,10 @@ let test_pcc_fitting_set_keeps_size () =
   for _ = 1 to 200_000 do
     ignore (get "stat" (S.stat p (path (Dcache_util.Prng.int g files))))
   done;
-  let pcc = Pcc.of_cred p.Proc.cred (Kernel.init_ns kernel) ~entries:config.Config.pcc_entries in
+  let pcc =
+    Pcc.of_cred p.Proc.cred (Kernel.init_ns kernel) ~counters:(Kernel.counters kernel)
+      ~entries:config.Config.pcc_entries
+  in
   (* More evictions than a quarter of the table. *)
   Alcotest.(check bool) "evictions trickled" true (counter kernel "fastpath_pcc_refill" > 1024);
   Alcotest.(check int) "no growth" 0 (Pcc.grows pcc);
@@ -862,7 +869,8 @@ let test_dlht_membership_unit () =
      table no longer holds it. *)
   let find_in ns =
     let dlht =
-      Dcache_core.Dlht.of_namespace ~buckets:(Kernel.config kernel).Config.dlht_buckets ns
+      Dcache_core.Dlht.of_namespace ~buckets:(Kernel.config kernel).Config.dlht_buckets
+        ~counters:(Kernel.counters kernel) ns
     in
     let key = Dcache_core.Fastpath.key (Kernel.fastpath kernel) in
     (* recover the signature by re-resolving through the child; simpler:

@@ -129,6 +129,23 @@ let test_counting_wrapper () =
   ignore (wrapped.Lsm.inode_permission owner a Access.may_read);
   Alcotest.(check int) "counted" 2 (calls ())
 
+(* The paper's §2.3 manageability anomaly, in the dangerous direction:
+   Alice once made a subdirectory world-readable by hand; later she locks
+   her home directory down.  Windows' propagation heuristic skips
+   manually-modified children, so there the subdirectory stays readable.
+   POSIX prefix semantics, and so our kernel, deny the same access:
+   reaching the subdirectory needs search permission on home. *)
+let test_locked_parent_denies_manual_child () =
+  let kernel, root_p = ram_kernel ~config:Config.optimized () in
+  get "tree" (S.mkdir_p root_p "/home/alice/public");
+  get "own" (S.chown root_p "/home/alice" ~uid:1000 ~gid:1000);
+  get "own2" (S.chown root_p "/home/alice/public" ~uid:1000 ~gid:1000);
+  get "manual chmod" (S.chmod root_p "/home/alice/public" 0o755);
+  get "lockdown" (S.chmod root_p "/home/alice" 0o700);
+  let bob_p = Dcache_syscalls.Proc.spawn ~cred:(bob ()) kernel in
+  expect_err Errno.EACCES "POSIX prefix semantics deny"
+    (S.stat bob_p "/home/alice/public")
+
 let suite =
   [
     Alcotest.test_case "commit unchanged keeps identity" `Quick test_commit_unchanged_keeps_identity;
@@ -142,60 +159,6 @@ let suite =
     Alcotest.test_case "lsm cannot grant" `Quick test_lsm_cannot_grant;
     Alcotest.test_case "maclabel policy" `Quick test_maclabel_policy;
     Alcotest.test_case "counting wrapper" `Quick test_counting_wrapper;
-  ]
-
-(* --- the Windows propagated-permission comparison (paper §2.3) --- *)
-
-module Propagated = Dcache_cred.Propagated
-
-let test_propagated_inheritance () =
-  let t = Propagated.create ~root_mode:0o755 in
-  let home = Propagated.add t (Propagated.root t) "home" in
-  let docs = Propagated.add t home "docs" in
-  Alcotest.(check int) "inherits" 0o755 (Propagated.effective_mode docs);
-  (* chmod propagates to inherited children... *)
-  let rewritten = Propagated.chmod t home 0o700 in
-  Alcotest.(check int) "two objects rewritten" 2 rewritten;
-  Alcotest.(check int) "child updated" 0o700 (Propagated.effective_mode docs)
-
-let test_propagated_check_is_direct () =
-  (* Effective permissions live on the object: the check never walks the
-     prefix — the property that makes Windows-style direct lookup work. *)
-  let t = Propagated.create ~root_mode:0o755 in
-  let rec deepen node n = if n = 0 then node else deepen (Propagated.add t node "d") (n - 1) in
-  let leaf = deepen (Propagated.root t) 12 in
-  Alcotest.(check int) "one read suffices" 0o755 (Propagated.effective_mode leaf)
-
-let test_propagated_manageability_anomaly () =
-  (* The paper's §2.3 problem, in the dangerous direction: Alice once made
-     a subdirectory world-readable by hand; later she locks her home
-     directory down.  Windows' heuristic skips manually-modified children,
-     so the subdirectory stays world-readable.  Our kernel's POSIX prefix
-     semantics deny the same access, because reaching the subdirectory
-     requires search permission on home. *)
-  let t = Propagated.create ~root_mode:0o755 in
-  let home = Propagated.add t (Propagated.root t) "alice" in
-  let public = Propagated.add_manual t home "public" ~mode:0o755 in
-  ignore (Propagated.chmod t home 0o700);
-  Alcotest.(check int) "anomaly: manual child untouched" 0o755
-    (Propagated.effective_mode public);
-  (* same scenario through the simulated kernel: access is denied *)
-  let kernel, root_p = ram_kernel ~config:Config.optimized () in
-  get "tree" (S.mkdir_p root_p "/home/alice/public");
-  get "own" (S.chown root_p "/home/alice" ~uid:1000 ~gid:1000);
-  get "own2" (S.chown root_p "/home/alice/public" ~uid:1000 ~gid:1000);
-  get "manual chmod" (S.chmod root_p "/home/alice/public" 0o755);
-  get "lockdown" (S.chmod root_p "/home/alice" 0o700);
-  let bob_p = Dcache_syscalls.Proc.spawn ~cred:(bob ()) kernel in
-  expect_err Errno.EACCES "POSIX prefix semantics deny"
-    (S.stat bob_p "/home/alice/public")
-
-let propagated_suite =
-  [
-    Alcotest.test_case "propagated: inheritance + chmod propagation" `Quick
-      test_propagated_inheritance;
-    Alcotest.test_case "propagated: access check is one read" `Quick
-      test_propagated_check_is_direct;
-    Alcotest.test_case "propagated: the manageability anomaly (vs our kernel)" `Quick
-      test_propagated_manageability_anomaly;
+    Alcotest.test_case "locked-down parent denies a manually opened child" `Quick
+      test_locked_parent_denies_manual_child;
   ]

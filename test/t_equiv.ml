@@ -327,7 +327,7 @@ let run_trace_counting config ops =
   (observations, kernel)
 
 let counter kernel key =
-  try List.assoc key (Kernel.stats_snapshot kernel) with Not_found -> 0
+  List.assoc key (Kernel.stats_snapshot kernel)
 
 (* The deep churn on [config] against the baseline: every observation
    agrees, the dcache stays consistent, and the [exercised] counter moved

@@ -182,12 +182,16 @@ let test_proc_observability_surface () =
           Alcotest.(check bool) ("cause " ^ k ^ " seen") true
             (assoc_or_fail "causes" k causes > 0))
         [ "cold"; "invalidated_by_rename"; "invalidated_by_chmod" ];
-      List.iteri
-        (fun c k ->
-          let v = assoc_or_fail "causes" k causes in
+      Alcotest.(check (list string)) "the six causes, in order"
+        [ "cold"; "invalidated_by_rename"; "invalidated_by_chmod"; "seqcount_retry";
+          "dir_incomplete"; "quarantined" ]
+        (List.map fst causes);
+      let snapshot = Kernel.stats_snapshot kernel in
+      List.iter
+        (fun (k, v) ->
           Alcotest.(check bool) ("cause " ^ k ^ " bounded") true
-            (v >= 0 && v <= Trace.cause_count c))
-        (List.init Trace.n_causes Trace.cause_name);
+            (v >= 0 && v <= assoc_or_fail "snapshot" k snapshot))
+        causes;
 
       (* /proc/dcache/trace: armed, non-empty, and every event line names a
          known event. *)
@@ -897,6 +901,30 @@ let test_batch_surface_per_kernel () =
     (fun name -> Alcotest.(check int) ("B shows no " ^ name) 0 (field "B" pb name))
     [ "batch_submits"; "batch_ops"; "batch_windows" ]
 
+let test_causes_per_kernel () =
+  (* Two kernels in one program, both procfs mounted in A's process so
+     reading them walks only A.  Cold misses on A must leave B's
+     /proc/dcache/causes at zero. *)
+  let ka, pa = ram_kernel ~config:Config.optimized () in
+  let kb, _ = ram_kernel ~config:Config.optimized () in
+  get "mkdir /proc" (S.mkdir_p pa "/proc");
+  get "mkdir /procb" (S.mkdir_p pa "/procb");
+  get "mount proc" (S.mount_fs pa (Kernel_procfs.make ka) "/proc");
+  get "mount procb" (S.mount_fs pa (Kernel_procfs.make kb) "/procb");
+  Kernel.reset_stats kb;
+  for i = 1 to 20 do
+    expect_err Errno.ENOENT "cold miss" (S.stat pa (Printf.sprintf "/miss%d" i))
+  done;
+  let causes p path = kv_lines (read p path) in
+  Alcotest.(check bool) "A counts its cold misses" true
+    (assoc_or_fail "A causes" "cold" (causes pa "/proc/dcache/causes") >= 20);
+  let b = causes pa "/procb/dcache/causes" in
+  Alcotest.(check int) "B lists all six causes" 6 (List.length b);
+  List.iter (fun (k, v) -> Alcotest.(check int) ("B " ^ k) 0 v) b;
+  Kernel.reset_stats ka;
+  Alcotest.(check int) "reset_stats zeroes A's causes" 0
+    (List.assoc "cold" (Kernel.stats_snapshot ka))
+
 let suite =
   [
     Alcotest.test_case "scripted workload: full /proc surface read-back" `Quick
@@ -918,6 +946,8 @@ let suite =
       test_hot_two_kernels;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;
+    Alcotest.test_case "/proc/dcache/causes counts only its own kernel" `Quick
+      test_causes_per_kernel;
     Alcotest.test_case "/proc/dcache/batch counts only its own kernel" `Quick
       test_batch_surface_per_kernel;
     Alcotest.test_case "PCC refill counter and gauges via /proc" `Quick test_pcc_surface;

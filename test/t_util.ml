@@ -227,21 +227,11 @@ let test_trace_ring_wraparound () =
         (Invalid_argument "Trace.configure: capacity must be a positive power of two")
         (fun () -> Trace.configure ~capacity:100))
 
-let test_trace_causes_and_latency () =
+let test_trace_latency () =
   Trace.reset ();
   Fun.protect
     ~finally:(fun () -> Trace.reset ())
     (fun () ->
-      Trace.bump_cause Trace.cause_cold;
-      Trace.bump_cause Trace.cause_cold;
-      Trace.bump_cause Trace.cause_inval_rename;
-      Alcotest.(check int) "cold" 2 (Trace.cause_count Trace.cause_cold);
-      Alcotest.(check int) "rename" 1 (Trace.cause_count Trace.cause_inval_rename);
-      let rendered = Trace.causes_to_string () in
-      Alcotest.(check bool) "cold line" true
-        (Kit.contains_substring rendered "cold 2");
-      Alcotest.(check bool) "every cause named" true
-        (Kit.contains_substring rendered "dir_incomplete 0");
       Trace.record_latency Trace.cls_fast 500;
       Trace.record_latency Trace.cls_fast 700;
       Alcotest.(check int) "latency recorded" 2
@@ -253,17 +243,29 @@ let test_trace_causes_and_latency () =
         (Kit.contains_substring h "class eio n 0"))
 
 let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
-  Stats.Counter.add c "b" 5;
-  Alcotest.(check int) "a" 2 (Stats.Counter.get c "a");
-  Alcotest.(check int) "b" 5 (Stats.Counter.get c "b");
-  Alcotest.(check int) "missing" 0 (Stats.Counter.get c "zzz");
-  Alcotest.(check (list (pair string int))) "assoc" [ ("a", 2); ("b", 5) ]
-    (Stats.Counter.to_assoc c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.get c "a")
+  let module C = Stats.Counter in
+  let c = C.create () in
+  C.bump c Counters.fastpath_hit;
+  C.bump c Counters.fastpath_hit;
+  C.add c Counters.path_bytes 5;
+  Alcotest.(check int) "bump" 2 (C.get c Counters.fastpath_hit);
+  Alcotest.(check int) "add" 5 (C.get c Counters.path_bytes);
+  Alcotest.(check int) "untouched" 0 (C.get c Counters.cold);
+  Alcotest.(check string) "name" "fastpath_hit" (C.name Counters.fastpath_hit);
+  let assoc = C.to_assoc c in
+  let names = List.map fst assoc in
+  Alcotest.(check (list string)) "sorted by name" (List.sort String.compare names) names;
+  Alcotest.(check (list (pair string int))) "every declared counter, zeros included"
+    [ ("fastpath_hit", 2); ("path_bytes", 5) ]
+    (List.filter (fun (_, v) -> v <> 0) assoc);
+  Alcotest.(check int) "zeros listed" 0 (List.assoc "cold" assoc);
+  Alcotest.(check (option int)) "one table, separate counts" (Some 0)
+    (List.assoc_opt "fastpath_hit" (C.to_assoc (C.create ())));
+  C.reset c;
+  Alcotest.(check bool) "reset" true (List.for_all (fun (_, v) -> v = 0) (C.to_assoc c));
+  Alcotest.check_raises "no declaration once a table exists"
+    (Invalid_argument "Stats.Counter.declare: a table already exists: late")
+    (fun () -> ignore (C.declare "late"))
 
 let test_vclock () =
   let v = Vclock.create () in
@@ -341,8 +343,7 @@ let suite =
     Alcotest.test_case "lhist buckets and reset" `Quick test_lhist_buckets_and_reset;
     Alcotest.test_case "lhist record allocates nothing" `Quick test_lhist_record_no_alloc;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_ring_wraparound;
-    Alcotest.test_case "trace causes and latency classes" `Quick
-      test_trace_causes_and_latency;
+    Alcotest.test_case "trace latency classes" `Quick test_trace_latency;
     Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "vclock" `Quick test_vclock;
     Alcotest.test_case "seqcount" `Quick test_seqcount;

@@ -5,7 +5,7 @@ let () =
       ("signature", T_sig.suite);
       ("storage", T_storage.suite);
       ("fs", T_fs.suite @ T_fs.fsck_suite);
-      ("cred", T_cred.suite @ T_cred.propagated_suite);
+      ("cred", T_cred.suite);
       ("vfs", T_vfs.suite @ T_vfs.path_suite);
       ("core", T_core.suite @ T_core.extra_suite @ T_core.chroot_suite @ T_core.dnlc_suite @ T_core.dlht_suite @ T_core.chunked_mutation_suite @ T_core.refill_suite);
       ("alloc", T_alloc.suite);
