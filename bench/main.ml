@@ -1019,12 +1019,20 @@ let alloc () =
       exit_code := 1
     end
   in
+  (* An optimized warm stat() builds the walk context (6 words) and the
+     [Ok] around its attributes (2); more gates CI. *)
+  let stat_words_max = 8.0 in
   let syscall_line label (env : W.Env.t) path =
     let p = env.W.Env.proc in
     let f () = ignore (S.stat p path) in
     f ();
     (* warm the caches before either measurement *)
-    line label (Stats.minor_words_per_op ~iters f) (latency_ns f)
+    let words = Stats.minor_words_per_op ~iters f in
+    line label words (latency_ns f);
+    if (Kernel.config env.W.Env.kernel).Config.fastpath && words > stat_words_max then begin
+      row "  FAIL: %s allocates more than %.0f words/op\n" label stat_words_max;
+      exit_code := 1
+    end
   in
   subheader "stat() - syscall layer, warm caches";
   List.iter

@@ -96,7 +96,7 @@ let of_namespace ?(stripes = 0) ~buckets ~counters ns =
         stripes =
           (* Clamp to the initial bucket count so the stripe mask stays a
              submask of every (only ever growing) table mask. *)
-          (if stripes > 0 then Some (Locktab.create (Stdlib.min stripes buckets))
+          (if stripes > 0 then Some (Locktab.create (Int.min stripes buckets))
            else None);
         counters;
       }

@@ -682,10 +682,13 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
       end
   end
 
+(* A miss the prefix scan answers (a fast-fail verdict) is not cold: only
+   one that really falls back counts. *)
 let prefix_miss t ctx dlht pcc sc path ~vsnap =
   if (config t).Config.prefix_resume then
     (* Slot [n-1] is the full path — the probe that just missed. *)
     prefix_scan t ctx dlht pcc sc path ~vsnap (Signature.snaps_count sc.snaps - 2);
+  Counter.bump t.counters Counters.cold;
   raise Fall_back
 
 (* Scan-and-hash driver for the in-place probe (§4.2).  On a ".." under
@@ -758,7 +761,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
     | Some d -> d
     | None ->
       commit_check t sc vsnap;
-      Counter.bump t.counters Counters.cold;
       (* Genuine miss: scan the boundary snapshots for the longest cached
          ancestor — fast-fail from the prefix or mark the resume point —
          then fall back (§3.5).  Never returns. *)
@@ -937,8 +939,7 @@ let populate t ctx ~visited ~absolute ~start =
           when File_kind.equal (Vfs.Inode.kind inode) File_kind.Symlink ->
           d.d_target_sig <- target_signature t r d inode
         | _ -> ());
-        if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then
-          Dlht.insert dlht ns d signature;
+        Dlht.insert dlht ns d signature;
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d ~seq:d.d_seq
         end)
       visited;

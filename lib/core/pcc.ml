@@ -3,6 +3,7 @@ module Cred = Dcache_cred.Cred
 module Trace = Dcache_util.Trace
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
+module Inttbl = Dcache_util.Inttbl
 
 (* Entries pack (dentry id, dentry seq) into one immediate int so that a
    concurrent reader can never observe a half-updated pair.  31 bits of id
@@ -43,8 +44,8 @@ let make_table entries =
 let initial_entries = 4096
 
 let create ~counters ~entries () =
-  let max_entries = next_pow2 (max 16 entries) 16 in
-  { table = make_table (min max_entries initial_entries); max_entries; hit_count = 0;
+  let max_entries = next_pow2 (Int.max 16 entries) 16 in
+  { table = make_table (Int.min max_entries initial_entries); max_entries; hit_count = 0;
     miss_count = 0; displaced = 0; window_start = 0; grow_count = 0;
     grow_lock = Mutex.create (); counters }
 
@@ -195,11 +196,11 @@ let misses t = t.miss_count
 
 (* --- per-credential storage (§4.1) --- *)
 
-type Cred.slot += Pcc_slot of (int, t) Hashtbl.t
+type Cred.slot += Pcc_slot of t Inttbl.t
 
 (* [of_cred] runs on every fastpath lookup, so the warm path must not
    allocate: the slot list is scanned by a top-level matcher (no closure, no
-   [Some] wrapper) and the per-namespace table is probed with [Hashtbl.find]
+   [Some] wrapper) and the per-namespace table is probed with [Inttbl.find]
    plus an exception branch rather than [find_opt].  Only the first lookup by
    a fresh credential (attach slot, create cache) allocates. *)
 let rec slot_table = function
@@ -208,26 +209,26 @@ let rec slot_table = function
   | _ :: rest -> slot_table rest
 
 (* Non-creating variant for the lockless fastpath: creation mutates the
-   credential's slot list and the per-cred Hashtbl, which only the locked
+   credential's slot list and the per-cred table, which only the locked
    paths may do.  Raises [Not_found] (caught by the probe, which retries
    under the read lock) instead of boxing an option, so the warm lockless
    hit stays allocation-free.  Racing a concurrent creator under the write
-   lock is safe: [Cred.add_slot] publishes an immutable cons and a Hashtbl
+   lock is safe: [Cred.add_slot] publishes an immutable cons and a table
    lookup that loses the race merely misses. *)
-let of_cred_exn cred ns = Hashtbl.find (slot_table (Cred.slots cred)) ns.ns_id
+let of_cred_exn cred ns = Inttbl.find (slot_table (Cred.slots cred)) ns.ns_id
 
 let of_cred cred ns ~counters ~entries =
   let table =
     match slot_table (Cred.slots cred) with
     | tbl -> tbl
     | exception Not_found ->
-      let tbl = Hashtbl.create 4 in
+      let tbl = Inttbl.create 4 in
       Cred.add_slot cred (Pcc_slot tbl);
       tbl
   in
-  match Hashtbl.find table ns.ns_id with
+  match Inttbl.find table ns.ns_id with
   | pcc -> pcc
   | exception Not_found ->
     let pcc = create ~counters ~entries () in
-    Hashtbl.add table ns.ns_id pcc;
+    Inttbl.add table ns.ns_id pcc;
     pcc

@@ -7,6 +7,12 @@ type t = { a : int; b : int; c : int; d : int }
 type key = {
   seed : int;
   sig_bits : int;
+  (* Per-lane compare masks over the first [sig_bits] of the signature
+     layout (see [equal]). *)
+  mask_a : int;
+  mask_b : int;
+  mask_c : int;
+  mask_d : int;
   (* Per-lane per-position key material, grown on demand; entry
      [lane].(pos) is a pure function of (seed, lane, pos), so growth never
      changes existing values. *)
@@ -62,13 +68,26 @@ let fill_tables key from_pos =
     done
   done
 
+(* The signature is laid out as: lane [a] bits 16..62 (47 bits), then lanes
+   [b], [c], [d] (63 bits each).  [equal] compares the first [sig_bits] of
+   that string, so a truncated key widens collision odds for tests while
+   production keys compare everything.  The lane masks are computed once
+   here; a compare is then one xor-and-mask test per lane. *)
+let lane_mask sig_bits ~consumed ~width =
+  let take = Int.min width (Int.max 0 (sig_bits - consumed)) in
+  if take >= 63 then -1 else (1 lsl take) - 1
+
 let create_key ?(sig_bits = max_sig_bits) ~seed () =
-  let sig_bits = max 1 (min max_sig_bits sig_bits) in
+  let sig_bits = Int.max 1 (Int.min max_sig_bits sig_bits) in
   let seed = fmix seed in
   let key =
     {
       seed;
       sig_bits;
+      mask_a = lane_mask sig_bits ~consumed:0 ~width:47 lsl bucket_bits;
+      mask_b = lane_mask sig_bits ~consumed:47 ~width:63;
+      mask_c = lane_mask sig_bits ~consumed:110 ~width:63;
+      mask_d = lane_mask sig_bits ~consumed:173 ~width:63;
       t0 = Array.make initial_capacity 0;
       t1 = Array.make initial_capacity 0;
       t2 = Array.make initial_capacity 0;
@@ -82,12 +101,6 @@ let create_key ?(sig_bits = max_sig_bits) ~seed () =
   in
   fill_tables key 0;
   key
-
-let random_key () =
-  let seed =
-    Hashtbl.hash (Unix.gettimeofday (), Unix.getpid (), Sys.opaque_identity (ref ()))
-  in
-  create_key ~seed ()
 
 let sig_bits key = key.sig_bits
 
@@ -163,27 +176,13 @@ let finalize key state =
 let hash_string key s = finalize key (feed_string key empty_state s)
 let bucket t = t.a land bucket_index_mask
 
-(* The signature is laid out as: lane [a] bits 16..62 (47 bits), then lanes
-   [b], [c], [d] (63 bits each).  [equal] compares the first [sig_bits] of
-   that string, so a truncated key widens collision odds for tests while
-   production keys compare everything.
+let[@inline] equal_lanes key xa xb xc xd y =
+  (xa lxor y.a) land key.mask_a = 0
+  && (xb lxor y.b) land key.mask_b = 0
+  && (xc lxor y.c) land key.mask_c = 0
+  && (xd lxor y.d) land key.mask_d = 0
 
-   The helpers are top-level [@inline] functions taking [bits] explicitly —
-   local closures here would put two allocations on every DLHT chain
-   comparison, i.e. on every warm probe. *)
-let[@inline] mask_low n v = if n >= 63 then v else v land ((1 lsl n) - 1)
-
-let[@inline] seg_equal bits consumed width xv yv =
-  let take = min width (max 0 (bits - consumed)) in
-  take = 0 || mask_low take xv = mask_low take yv
-
-let[@inline] equal_lanes bits xa xb xc xd y =
-  seg_equal bits 0 47 (xa lsr bucket_bits) (y.a lsr bucket_bits)
-  && seg_equal bits 47 63 xb y.b
-  && seg_equal bits 110 63 xc y.c
-  && seg_equal bits 173 63 xd y.d
-
-let equal key x y = equal_lanes key.sig_bits x.a x.b x.c x.d y
+let equal key x y = equal_lanes key x.a x.b x.c x.d y
 
 (* --- in-place (allocation-free) hashing --------------------------------
 
@@ -231,10 +230,11 @@ let[@inline] feed_char_into key ms ch =
   ms.m3 <- ms.m3 + (Array.unsafe_get key.t3 pos * byte);
   ms.mpos <- pos + 1
 
-(* Lane sums accumulate through the mutable fields, not local [ref]s: the
-   compiler (no flambda here) would box each ref on the minor heap, and this
-   loop runs on the allocation-free probe.  Components are short (≤ 255
-   bytes), so the extra field traffic is noise. *)
+(* Lane sums accumulate through the mutable fields.  A local [ref] that does
+   not escape the loop would do as well: the compiler turns it into a
+   mutable variable even without flambda (0 words/op measured), so the
+   choice is not an allocation one.  Components are short (≤ 255 bytes),
+   so the field traffic is noise. *)
 let feed_bytes_into key ms s ~pos ~len =
   if len > 0 then begin
     if ms.mpos + len > key.capacity then grow key (ms.mpos + len);
@@ -262,8 +262,7 @@ let feed_bytes_into key ms s ~pos ~len =
 let scan_done = -1
 let scan_toolong = -2
 
-(* Cursor movement is tail recursion over int arguments — a [ref]-and-while
-   formulation would cost minor-heap boxes per call without flambda. *)
+(* Cursor movement is tail recursion over int arguments. *)
 let rec skip_slashes s len i =
   if i < len && String.unsafe_get s i = '/' then skip_slashes s len (i + 1) else i
 
@@ -407,15 +406,16 @@ let finalize_snap_into key sn i b =
   b.bd <- fmix (st.(base + 4) + Array.unsafe_get key.f3 pos)
 
 let buf_bucket b = b.ba land bucket_index_mask
-let equal_buf key b y = equal_lanes key.sig_bits b.ba b.bb b.bc b.bd y
+let equal_buf key b y = equal_lanes key b.ba b.bb b.bc b.bd y
 let of_buf b = { a = b.ba; b = b.bb; c = b.bc; d = b.bd }
 
+let of_lanes ~a ~b ~c ~d = { a; b; c; d }
 let to_hex t = Printf.sprintf "%016x%016x%016x%016x" t.a t.b t.c t.d
 
 let compare_full x y =
-  match compare x.a y.a with
+  match Int.compare x.a y.a with
   | 0 -> (
-    match compare x.b y.b with
-    | 0 -> ( match compare x.c y.c with 0 -> compare x.d y.d | r -> r)
+    match Int.compare x.b y.b with
+    | 0 -> ( match Int.compare x.c y.c with 0 -> Int.compare x.d y.d | r -> r)
     | r -> r)
   | r -> r

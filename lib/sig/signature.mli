@@ -36,9 +36,6 @@ val create_key : ?sig_bits:int -> seed:int -> unit -> key
     number of signature bits compared by {!equal}, for collision-injection
     tests. *)
 
-val random_key : unit -> key
-(** A key seeded from the environment, as a real kernel would at boot. *)
-
 val sig_bits : key -> int
 val empty_state : state
 val feed_string : key -> state -> string -> state
@@ -64,6 +61,11 @@ val equal : key -> t -> t -> bool
     bucket bits, mirroring the paper's index/signature split). *)
 
 val to_hex : t -> string
+(** Lanes [a], [b], [c], [d] as four 16-digit hex fields. *)
+
+val of_lanes : a:int -> b:int -> c:int -> d:int -> t
+(** The digest with these lanes: lets tests build signatures that differ
+    in chosen bits. *)
 
 val compare_full : t -> t -> int
 (** Total order over all lanes, for use in test containers. *)

@@ -1,5 +1,6 @@
 module Fault = Dcache_util.Fault
 module Prng = Dcache_util.Prng
+module Inttbl = Dcache_util.Inttbl
 module Errno = Dcache_types.Errno
 
 type config = {
@@ -35,7 +36,7 @@ type t = {
   config : config;
   clock : Dcache_util.Vclock.t;
   (* Blocks are allocated lazily: a fresh device reads as zeroes. *)
-  store : (int, bytes) Hashtbl.t;
+  store : bytes Inttbl.t;
   mutable last_block : int;
   mutable read_count : int;
   mutable write_count : int;
@@ -57,7 +58,7 @@ let create ?(config = default_config) ?faults clock =
   {
     config;
     clock;
-    store = Hashtbl.create 1024;
+    store = Inttbl.create 1024;
     last_block = -2;
     read_count = 0;
     write_count = 0;
@@ -86,7 +87,7 @@ let read_block t n =
   t.read_count <- t.read_count + 1;
   match t.faults with
   | None -> (
-    match Hashtbl.find_opt t.store n with
+    match Inttbl.find_opt t.store n with
     | Some data -> Bytes.copy data
     | None -> Bytes.make t.config.block_size '\000')
   | Some f ->
@@ -95,7 +96,7 @@ let read_block t n =
       raise (Errno.Error Errno.EIO)
     end;
     let data =
-      match Hashtbl.find_opt t.store n with
+      match Inttbl.find_opt t.store n with
       | Some data -> Bytes.copy data
       | None -> Bytes.make t.config.block_size '\000'
     in
@@ -115,7 +116,7 @@ let write_block t n data =
   charge_access t n;
   t.write_count <- t.write_count + 1;
   match t.faults with
-  | None -> Hashtbl.replace t.store n (Bytes.copy data)
+  | None -> Inttbl.replace t.store n (Bytes.copy data)
   | Some f ->
     if Fault.fire f.write_fail then begin
       t.write_errors <- t.write_errors + 1;
@@ -128,14 +129,14 @@ let write_block t n data =
       let sectors = t.config.block_size / 512 in
       let keep = 512 * Prng.int f.corrupt sectors in
       let merged =
-        match Hashtbl.find_opt t.store n with
+        match Inttbl.find_opt t.store n with
         | Some old -> Bytes.copy old
         | None -> Bytes.make t.config.block_size '\000'
       in
       Bytes.blit data 0 merged 0 keep;
-      Hashtbl.replace t.store n merged
+      Inttbl.replace t.store n merged
     end
-    else Hashtbl.replace t.store n (Bytes.copy data)
+    else Inttbl.replace t.store n (Bytes.copy data)
 
 let read_block_result t n =
   match read_block t n with

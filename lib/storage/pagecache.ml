@@ -1,12 +1,13 @@
 module Dlist = Dcache_util.Dlist
 module Fault = Dcache_util.Fault
+module Inttbl = Dcache_util.Inttbl
 
 type page = { block : int; data : bytes; mutable dirty : bool; lru : page Dlist.node Lazy.t }
 
 type t = {
   device : Blockdev.t;
   capacity : int;
-  pages : (int, page) Hashtbl.t;
+  pages : page Inttbl.t;
   lru : page Dlist.t;  (* front = most recently used *)
   mutable hit_count : int;
   mutable miss_count : int;
@@ -18,7 +19,7 @@ let create ?(capacity_pages = 4096) device =
   {
     device;
     capacity = capacity_pages;
-    pages = Hashtbl.create 1024;
+    pages = Inttbl.create 1024;
     lru = Dlist.create ();
     hit_count = 0;
     miss_count = 0;
@@ -40,20 +41,20 @@ let evict_one t =
   | Some node ->
     let page = Dlist.value node in
     writeback t page;
-    Hashtbl.remove t.pages page.block
+    Inttbl.remove t.pages page.block
 
 let lookup t n =
-  match Hashtbl.find_opt t.pages n with
+  match Inttbl.find_opt t.pages n with
   | Some page ->
     t.hit_count <- t.hit_count + 1;
     Dlist.move_to_front t.lru (Lazy.force page.lru);
     page
   | None ->
     t.miss_count <- t.miss_count + 1;
-    if Hashtbl.length t.pages >= t.capacity then evict_one t;
+    if Inttbl.length t.pages >= t.capacity then evict_one t;
     let data = Blockdev.read_block t.device n in
     let rec page = { block = n; data; dirty = false; lru = lazy (Dlist.node page) } in
-    Hashtbl.add t.pages n page;
+    Inttbl.add t.pages n page;
     Dlist.push_front t.lru (Lazy.force page.lru);
     page
 
@@ -97,7 +98,7 @@ let flush t = Dlist.iter (fun page -> writeback t page) t.lru
 
 let drop_caches t =
   flush t;
-  Hashtbl.reset t.pages;
+  Inttbl.reset t.pages;
   while Dlist.pop_front t.lru <> None do
     ()
   done
@@ -108,7 +109,7 @@ let drop_caches t =
 let crash t =
   let lost = ref 0 in
   Dlist.iter (fun page -> if page.dirty then incr lost) t.lru;
-  Hashtbl.reset t.pages;
+  Inttbl.reset t.pages;
   while Dlist.pop_front t.lru <> None do
     ()
   done;
@@ -117,7 +118,7 @@ let crash t =
 let hits t = t.hit_count
 let misses t = t.miss_count
 let writebacks t = t.writeback_count
-let cached_pages t = Hashtbl.length t.pages
+let cached_pages t = Inttbl.length t.pages
 
 let reset_stats t =
   t.hit_count <- 0;

@@ -69,7 +69,7 @@ type t = {
 let ok_unit : (unit, Errno.t) result = Ok ()
 let nofollow_flags = { Walk.follow_last = false; must_dir = false; collect = false }
 
-(* Mirror of [Syscalls.do_stat]'s result match: positive → attr, anything
+(* Mirror of [Syscalls.stat_attr]: positive → attr, anything
    still cached short of positive → ENOENT.  No promotion — exactly what
    the sequential stat does. *)
 let stat_within s mnt dentry =
@@ -80,8 +80,9 @@ let stat_within s mnt dentry =
     ok_unit
   | Partial _ | Negative _ -> Errno.to_error Errno.ENOENT
 
-(* Mirror of [Syscalls.access]'s within: positive_inode (promoting a
-   partial, as the sequential path does) then the LSM permission stack.
+(* Mirror of [Syscalls.access]: positive_inode (promoting a partial, as
+   the sequential path does) then the LSM permission stack, which the
+   sequential path runs just after its lookup.
    The promotion branch allocates, but is unreachable on a warm all-hit
    batch — warm dentries are positive. *)
 let access_within s mnt dentry =

@@ -1,6 +1,7 @@
 open Dcache_vfs.Types
 module Cred = Dcache_cred.Cred
 module Dcache = Dcache_vfs.Dcache
+module Inttbl = Dcache_util.Inttbl
 
 type open_flag =
   | O_RDONLY
@@ -43,7 +44,7 @@ type t = {
   mutable root : path_ref;
   mutable cwd : path_ref;
   mutable ns : namespace;
-  fds : (int, fd) Hashtbl.t;
+  fds : fd Inttbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
 }
@@ -99,7 +100,7 @@ let spawn ?cred kernel =
     root;
     cwd = root;
     ns = Kernel.init_ns kernel;
-    fds = Hashtbl.create 16;
+    fds = Inttbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
   }
@@ -113,7 +114,7 @@ let fork t =
     root = t.root;
     cwd = t.cwd;
     ns = t.ns;
-    fds = Hashtbl.create 16;
+    fds = Inttbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
   }
@@ -136,21 +137,21 @@ let install_fd t ~fd =
   let num = t.next_fd in
   t.next_fd <- num + 1;
   let fd = fd num in
-  Hashtbl.add t.fds num fd;
+  Inttbl.add t.fds num fd;
   fd
 
 let find_fd t num =
-  match Hashtbl.find_opt t.fds num with
+  match Inttbl.find_opt t.fds num with
   | Some fd -> Ok fd
   | None -> Error Dcache_types.Errno.EBADF
 
 (* Allocation-free variant for the scratch readdir's warm path: [find_fd]
    boxes a result per call.  @raise Not_found on a bad descriptor. *)
-let find_fd_exn t num = Hashtbl.find t.fds num
+let find_fd_exn t num = Inttbl.find t.fds num
 
 let remove_fd t num =
-  match Hashtbl.find_opt t.fds num with
+  match Inttbl.find_opt t.fds num with
   | Some fd ->
-    Hashtbl.remove t.fds num;
+    Inttbl.remove t.fds num;
     Ok fd
   | None -> Error Dcache_types.Errno.EBADF

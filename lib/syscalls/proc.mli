@@ -46,7 +46,7 @@ type t = {
   mutable root : path_ref;
   mutable cwd : path_ref;
   mutable ns : namespace;
-  fds : (int, fd) Hashtbl.t;
+  fds : fd Dcache_util.Inttbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
 }

@@ -35,22 +35,19 @@ let sys proc id =
   Counter.bump (counters proc) id;
   if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
 
+(* Non-empty runs of non-slash bytes from [i]; [in_comp] when [i] is
+   inside one already counted. *)
+let rec count_components path i in_comp n =
+  if i >= String.length path then n
+  else if String.unsafe_get path i = '/' then count_components path (i + 1) false n
+  else count_components path (i + 1) true (if in_comp then n else n + 1)
+
 (* Per-lookup path statistics (reported in the paper's Table 1). *)
 let note_lookup proc path =
   let c = counters proc in
   Counter.bump c Counters.path_lookup;
   Counter.add c Counters.path_bytes (String.length path);
-  let comps = ref 0 in
-  let in_comp = ref false in
-  String.iter
-    (fun ch ->
-      if ch = '/' then in_comp := false
-      else if not !in_comp then begin
-        in_comp := true;
-        incr comps
-      end)
-    path;
-  Counter.add c Counters.path_comps !comps
+  Counter.add c Counters.path_comps (count_components path 0 false 0)
 
 let permission proc inode mask =
   if Lsm.permission (Kernel.registry proc.Proc.kernel) proc.Proc.cred (Inode.attr inode) mask
@@ -161,41 +158,76 @@ let instantiate proc t (attr : Attr.t) =
     | Ok child -> child
     | Error _ -> assert false)
 
-(* --- metadata --- *)
+(* --- metadata ---
 
-let do_stat ?(follow = true) ?start proc path =
-  let* ref_ = resolve ?start ~flags:(lookup_flags ~follow ()) proc path in
-  match ref_.dentry.d_state with
+   stat, lstat, fstatat and access are most workloads' warm path.  They
+   resolve through [Fastpath.lookup_into] with top-level [within]s and
+   preallocated flags, and take the [Systime] closure only when it is
+   armed: a warm hit builds the walk context and the [Ok] it returns, no
+   closure, [path_ref] or [Walk.result_]. *)
+
+let follow_flags = Some (lookup_flags ())
+let nofollow_flags = Some (lookup_flags ~follow:false ())
+
+let stat_attr _mnt d =
+  match d.d_state with
   | Positive inode -> Ok (Inode.attr inode)
   | Partial _ | Negative _ -> Error Errno.ENOENT
 
+let positive_within _mnt d = positive_inode d
+
+let lookup_into ?start proc path flags ~within =
+  note_lookup proc path;
+  Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
+    path ~within
+
+let stat_body proc path flags id =
+  sys proc id;
+  lookup_into proc path flags ~within:stat_attr
+
 let stat proc path =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc Counters.sys_stat;
-      do_stat proc path)
+  if !Systime.enabled then
+    Systime.timed Systime.Access_stat (fun () ->
+        stat_body proc path follow_flags Counters.sys_stat)
+  else stat_body proc path follow_flags Counters.sys_stat
 
 let lstat proc path =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc Counters.sys_lstat;
-      do_stat ~follow:false proc path)
+  if !Systime.enabled then
+    Systime.timed Systime.Access_stat (fun () ->
+        stat_body proc path nofollow_flags Counters.sys_lstat)
+  else stat_body proc path nofollow_flags Counters.sys_lstat
+
+let fstatat_body proc dirfd path follow =
+  sys proc Counters.sys_fstatat;
+  match Proc.find_fd proc dirfd with
+  | Error e -> Error e
+  | Ok fd ->
+    lookup_into ~start:fd.Proc.fd_ref proc path
+      (if follow then follow_flags else nofollow_flags)
+      ~within:stat_attr
 
 let fstatat proc dirfd path ?(follow = true) () =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc Counters.sys_fstatat;
-      let* fd = Proc.find_fd proc dirfd in
-      do_stat ~follow ~start:fd.Proc.fd_ref proc path)
+  if !Systime.enabled then
+    Systime.timed Systime.Access_stat (fun () -> fstatat_body proc dirfd path follow)
+  else fstatat_body proc dirfd path follow
 
 let fstat proc fdnum =
   sys proc Counters.sys_fstat;
   let* fd = Proc.find_fd proc fdnum in
   Ok (Inode.attr fd.Proc.fd_inode)
 
+(* The permission check runs on the inode the lookup returned, after it:
+   a [within] closing over the credential and mask would allocate. *)
+let access_body proc path mask =
+  sys proc Counters.sys_access;
+  match lookup_into proc path follow_flags ~within:positive_within with
+  | Ok inode -> permission proc inode mask
+  | Error e -> Error e
+
 let access proc path mask =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc Counters.sys_access;
-      resolve_with proc path ~within:(fun ref_ ->
-          let* inode = positive_inode ref_.dentry in
-          permission proc inode mask))
+  if !Systime.enabled then
+    Systime.timed Systime.Access_stat (fun () -> access_body proc path mask)
+  else access_body proc path mask
 
 let readlink proc path =
   sys proc Counters.sys_readlink;
@@ -542,7 +574,7 @@ let do_write (fd : Proc.fd) ~off data =
   else begin
     let inode = fd.Proc.fd_inode in
     let* written = (Inode.fs inode).Fs.write (Inode.ino inode) ~off data in
-    Inode.note_size inode (max (Inode.attr inode).Attr.size (off + written));
+    Inode.note_size inode (Int.max (Inode.attr inode).Attr.size (off + written));
     Ok written
   end
 
@@ -603,8 +635,8 @@ let getdents proc fdnum want =
           Ok entries)
     in
     let n = Array.length entries in
-    let pos = min fd.Proc.fd_pos n in
-    let take = max 0 (min want (n - pos)) in
+    let pos = Int.min fd.Proc.fd_pos n in
+    let take = Int.max 0 (Int.min want (n - pos)) in
     fd.Proc.fd_pos <- pos + take;
     Ok (Array.to_list (Array.sub entries pos take))
   end
@@ -937,7 +969,7 @@ let symlink proc ~target path =
 let mkstemp ?prng ?(prefix = "tmp") proc dir =
   sys proc Counters.sys_mkstemp;
   let prng =
-    match prng with Some p -> p | None -> Dcache_util.Prng.create (Hashtbl.hash dir)
+    match prng with Some p -> p | None -> Dcache_util.Prng.create (String.hash dir)
   in
   let rec attempt tries =
     if tries = 0 then Error Errno.EEXIST

@@ -1,6 +1,7 @@
 open Dcache_types
 open Types
 module Dlist = Dcache_util.Dlist
+module Inttbl = Dcache_util.Inttbl
 module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Locktab = Dcache_util.Locktab
@@ -138,7 +139,7 @@ let bucket_occupancy t =
   let hist = Array.make 5 0 in
   Array.iter
     (fun bucket ->
-      let len = min (List.length (Atomic.get bucket)) (Array.length hist - 1) in
+      let len = Int.min (List.length (Atomic.get bucket)) (Array.length hist - 1) in
       hist.(len) <- hist.(len) + 1)
     t.buckets;
   hist
@@ -158,7 +159,7 @@ let bucket_index t parent_id name = name_hash parent_id name land (Array.length 
 
 (* --- inode cache ---
 
-   The icache Hashtbl is touched from sharded mutation sections (a created
+   The icache table is touched from sharded mutation sections (a created
    file's iget, an unlinked file's iforget) on different stripes at once, so
    a leaf mutex serializes it.  Module-level because superblocks don't carry
    one; the critical section is a single table operation. *)
@@ -168,7 +169,7 @@ let icache_mu = Mutex.create ()
 let iget sb (attr : Attr.t) =
   Mutex.lock icache_mu;
   let inode =
-    match Hashtbl.find_opt sb.sb_icache attr.ino with
+    match Inttbl.find_opt sb.sb_icache attr.ino with
     | Some inode ->
       (* The caller just heard [attr] from the file system; adopt it, or a
          refill after a remote mutation would serve the stale snapshot. *)
@@ -176,7 +177,7 @@ let iget sb (attr : Attr.t) =
       inode
     | None ->
       let inode = Inode.make ~fs:sb.sb_fs attr in
-      Hashtbl.add sb.sb_icache attr.ino inode;
+      Inttbl.add sb.sb_icache attr.ino inode;
       inode
   in
   Mutex.unlock icache_mu;
@@ -186,7 +187,7 @@ let iget sb (attr : Attr.t) =
    attributes (the iput-side eviction of Linux's inode cache). *)
 let iforget sb ino =
   Mutex.lock icache_mu;
-  Hashtbl.remove sb.sb_icache ino;
+  Inttbl.remove sb.sb_icache ino;
   Mutex.unlock icache_mu
 
 let make_superblock t fs =
@@ -197,7 +198,7 @@ let make_superblock t fs =
       {
         sb_id = Atomic.fetch_and_add next_sb_id 1;
         sb_fs = fs;
-        sb_icache = Hashtbl.create 256;
+        sb_icache = Inttbl.create 256;
         sb_root = None;
         sb_neg_gen = 0;
       }

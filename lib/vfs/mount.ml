@@ -1,5 +1,6 @@
 open Dcache_types
 open Types
+module Inttbl = Dcache_util.Inttbl
 
 let next_mnt_id = Atomic.make 1
 let next_ns_id = Atomic.make 1
@@ -9,14 +10,16 @@ let new_namespace () =
     ns_id = Atomic.fetch_and_add next_ns_id 1;
     ns_root = None;
     ns_mounts = [];
-    ns_mountpoints = Hashtbl.create 16;
+    ns_mountpoints = Inttbl.create 16;
     ns_ext = None;
   }
 
 let register ns mount =
   ns.ns_mounts <- mount :: ns.ns_mounts;
   match mount.mnt_mountpoint with
-  | Some (parent, dentry) -> Hashtbl.replace ns.ns_mountpoints (parent.mnt_id, dentry.d_id) mount
+  | Some (_, dentry) ->
+    let at = Option.value (Inttbl.find_opt ns.ns_mountpoints dentry.d_id) ~default:[] in
+    Inttbl.replace ns.ns_mountpoints dentry.d_id (mount :: at)
   | None -> ()
 
 let mount_rootfs ns sb =
@@ -42,7 +45,21 @@ let root ns =
   | Some mnt -> { mnt; dentry = mnt.mnt_root }
   | None -> invalid_arg "Mount.root: namespace has no root file system"
 
-let mount_lookup ns mnt dentry = Hashtbl.find_opt ns.ns_mountpoints (mnt.mnt_id, dentry.d_id)
+let rec attached_at mnt dentry = function
+  | [] -> None
+  | m :: rest -> (
+    match m.mnt_mountpoint with
+    | Some (parent, d) when parent == mnt && d == dentry -> Some m
+    | Some _ | None -> attached_at mnt dentry rest)
+
+(* [traverse_mounts] asks this on every walk component; the table is keyed
+   by the dentry id alone, so a dentry nothing is mounted on costs one int
+   probe and allocates nothing. *)
+let mount_lookup ns mnt dentry =
+  match Inttbl.find_opt ns.ns_mountpoints dentry.d_id with
+  | None -> None
+  | Some at -> attached_at mnt dentry at
+
 let is_mountpoint ns mnt dentry = mount_lookup ns mnt dentry <> None
 
 let attach ns ~at ~root ~sb ~readonly ~nosuid =
@@ -70,15 +87,21 @@ let attach ns ~at ~root ~sb ~readonly ~nosuid =
 let detach ns mount =
   match mount.mnt_mountpoint with
   | None -> Error Errno.EBUSY (* the root fs cannot be unmounted *)
-  | Some (parent, dentry) ->
+  | Some (_, dentry) ->
     let stacked =
-      Hashtbl.fold
-        (fun (parent_id, _) child acc -> acc || (parent_id = mount.mnt_id && child != mount))
-        ns.ns_mountpoints false
+      List.exists
+        (fun child ->
+          match child.mnt_mountpoint with Some (parent, _) -> parent == mount | None -> false)
+        ns.ns_mounts
     in
     if stacked then Error Errno.EBUSY
     else begin
-      Hashtbl.remove ns.ns_mountpoints (parent.mnt_id, dentry.d_id);
+      (match
+         List.filter (fun m -> m != mount)
+           (Option.value (Inttbl.find_opt ns.ns_mountpoints dentry.d_id) ~default:[])
+       with
+      | [] -> Inttbl.remove ns.ns_mountpoints dentry.d_id
+      | rest -> Inttbl.replace ns.ns_mountpoints dentry.d_id rest);
       ns.ns_mounts <- List.filter (fun m -> not (m == mount)) ns.ns_mounts;
       Dcache.dput dentry;
       Dcache.dput mount.mnt_root;
@@ -101,9 +124,9 @@ let clone_namespace old_ns =
   let ns = new_namespace () in
   (* Rebuild mounts parent-first so mountpoint references can be remapped to
      the new mount objects. *)
-  let mapping = Hashtbl.create 16 in
+  let mapping = Inttbl.create 16 in
   let rec instantiate old_mount =
-    match Hashtbl.find_opt mapping old_mount.mnt_id with
+    match Inttbl.find_opt mapping old_mount.mnt_id with
     | Some m -> m
     | None ->
       let mountpoint =
@@ -122,7 +145,7 @@ let clone_namespace old_ns =
           mnt_nosuid = old_mount.mnt_nosuid;
         }
       in
-      Hashtbl.add mapping old_mount.mnt_id mount;
+      Inttbl.add mapping old_mount.mnt_id mount;
       Dcache.dget mount.mnt_root;
       (match mount.mnt_mountpoint with Some (_, d) -> Dcache.dget d | None -> ());
       register ns mount;

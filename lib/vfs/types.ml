@@ -72,7 +72,7 @@ type dentry = {
 and superblock = {
   sb_id : int;
   sb_fs : Dcache_fs.Fs_intf.t;
-  sb_icache : (int, Inode.t) Hashtbl.t;
+  sb_icache : Inode.t Dcache_util.Inttbl.t;
   mutable sb_root : dentry option;
   mutable sb_neg_gen : int;
       (** per-mount negative-dentry generation (one superblock = one mount
@@ -94,8 +94,9 @@ and namespace = {
   ns_id : int;
   mutable ns_root : mount option;
   mutable ns_mounts : mount list;
-  ns_mountpoints : (int * int, mount) Hashtbl.t;
-      (** (parent mount id, mountpoint dentry id) -> child mount *)
+  ns_mountpoints : mount list Dcache_util.Inttbl.t;
+      (** mountpoint dentry id -> the mounts attached at that dentry, one
+          per parent mount *)
   mutable ns_ext : ns_ext option;
 }
 

@@ -236,6 +236,32 @@ let test_extfs_many_entries_in_dir () =
   Alcotest.(check int) "350 after reuse" 350
     (List.length (get "rd" (fs.Fs.readdir fs.Fs.root_ino)))
 
+(* Extfs compares dirent names in place: length first, then bytes. *)
+let test_extfs_find_entry_in_place () =
+  let fs = make_extfs () in
+  let root = fs.Fs.root_ino in
+  let lookup name = fs.Fs.lookup root name in
+  let x = mkfile fs root "mailX" in
+  let y = mkfile fs root "mailY" in
+  let z = mkdir fs root "mailZ" in
+  let long = mkfile fs root "mailXX" in
+  let ino name = (get name (lookup name)).Attr.ino in
+  Alcotest.(check int) "last byte X" x.Attr.ino (ino "mailX");
+  Alcotest.(check int) "last byte Y" y.Attr.ino (ino "mailY");
+  Alcotest.(check int) "last byte Z" z.Attr.ino (ino "mailZ");
+  Alcotest.(check int) "longer name" long.Attr.ino (ino "mailXX");
+  expect_err Errno.ENOENT "prefix of a name" (lookup "mail");
+  expect_err Errno.ENOENT "name plus a byte" (lookup "mailYY");
+  expect_err Errno.ENOENT "same length, other last byte" (lookup "mailW");
+  (* A tombstone keeps its name bytes: the search must skip it, and must
+     not take the live name it is a prefix of. *)
+  get "unlink" (fs.Fs.unlink root "mailX");
+  expect_err Errno.ENOENT "tombstoned" (lookup "mailX");
+  Alcotest.(check int) "after tombstone" long.Attr.ino (ino "mailXX");
+  Alcotest.(check int) "neighbour kept" y.Attr.ino (ino "mailY");
+  let again = mkfile fs root "mailX" in
+  Alcotest.(check int) "recreated" again.Attr.ino (ino "mailX")
+
 let test_extfs_inode_reuse () =
   let fs = make_extfs () in
   let a = mkfile fs fs.Fs.root_ino "first" in
@@ -285,6 +311,8 @@ let suite =
       Alcotest.test_case "extfs bad superblock" `Quick test_extfs_bad_superblock;
       Alcotest.test_case "extfs many dirents + tombstones" `Quick test_extfs_many_entries_in_dir;
       Alcotest.test_case "extfs inode reuse" `Quick test_extfs_inode_reuse;
+      Alcotest.test_case "extfs dirent search compares names in place" `Quick
+        test_extfs_find_entry_in_place;
       Alcotest.test_case "pseudofs dynamic content" `Quick test_pseudofs_dynamic_content;
       Alcotest.test_case "pseudofs immutable via fs" `Quick test_pseudofs_immutable_via_fs;
       Alcotest.test_case "pseudofs remove" `Quick test_pseudofs_remove;

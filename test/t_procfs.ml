@@ -925,6 +925,30 @@ let test_causes_per_kernel () =
   Alcotest.(check int) "reset_stats zeroes A's causes" 0
     (List.assoc "cold" (Kernel.stats_snapshot ka))
 
+let test_cold_only_on_fallback () =
+  (* A warm absent name under a complete directory is answered by the
+     prefix scan without falling back: it is not a cold miss.  Only a probe
+     that really falls back counts as [cold]. *)
+  let k, p = ram_kernel ~config:Config.optimized () in
+  get "mkdir /proc" (S.mkdir_p p "/proc");
+  get "mount proc" (S.mount_fs p (Kernel_procfs.make k) "/proc");
+  get "mkdir /d" (S.mkdir_p p "/d/sub");
+  expect_err Errno.ENOENT "warm-up" (S.stat p "/d/absent");
+  Kernel.reset_stats k;
+  for _ = 1 to 20 do
+    expect_err Errno.ENOENT "absent under complete dir" (S.stat p "/d/absent")
+  done;
+  let stat name = List.assoc name (Kernel.stats_snapshot k) in
+  Alcotest.(check int) "answered from the complete parent" 20 (stat "fastpath_prefix_negfail");
+  Alcotest.(check int) "no fallback" 0 (stat "fastpath_fallback");
+  Alcotest.(check int) "not cold" 0 (stat "cold");
+  expect_err Errno.ENOENT "cold miss" (S.stat p "/fresh");
+  Alcotest.(check int) "a fallback is cold" 1 (stat "cold");
+  (* Reading the file is itself a lookup that falls back (procfs dentries
+     are never published for direct lookup), so compare after it. *)
+  let shown = assoc_or_fail "causes" "cold" (kv_lines (read p "/proc/dcache/causes")) in
+  Alcotest.(check int) "/proc/dcache/causes shows it" (stat "cold") shown
+
 let suite =
   [
     Alcotest.test_case "scripted workload: full /proc surface read-back" `Quick
@@ -946,6 +970,8 @@ let suite =
       test_hot_two_kernels;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;
+    Alcotest.test_case "/proc/dcache/causes counts cold only on a fallback" `Quick
+      test_cold_only_on_fallback;
     Alcotest.test_case "/proc/dcache/causes counts only its own kernel" `Quick
       test_causes_per_kernel;
     Alcotest.test_case "/proc/dcache/batch counts only its own kernel" `Quick

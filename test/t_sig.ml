@@ -103,6 +103,56 @@ let test_truncated_sig_collides () =
   Alcotest.(check bool) "collision found" true collision;
   Alcotest.(check int) "sig_bits clamped" 2 (Signature.sig_bits tiny)
 
+(* Reference compare over the signature layout: lane [a] bits 16..62, then
+   lanes [b], [c] and [d] (63 bits each), first [bits] of them. *)
+let lanes t =
+  let h = Signature.to_hex t in
+  Array.init 4 (fun i -> int_of_string ("0x" ^ String.sub h (16 * i) 16))
+
+let layout_bit l i =
+  if i < 47 then (l.(0) lsr (16 + i)) land 1
+  else if i < 110 then (l.(1) lsr (i - 47)) land 1
+  else if i < 173 then (l.(2) lsr (i - 110)) land 1
+  else (l.(3) lsr (i - 173)) land 1
+
+let reference_equal bits lx ly =
+  let rec go i = i >= bits || (layout_bit lx i = layout_bit ly i && go (i + 1)) in
+  go 0
+
+let keys_by_bits =
+  lazy
+    (Array.init (Signature.max_sig_bits + 1) (fun bits ->
+         Signature.create_key ~sig_bits:bits ~seed:1 ()))
+
+(* A hashed signature and a copy with a few raw lane bits flipped (bucket
+   bits included, which no compare sees): [equal] and [equal_buf] agree
+   with the reference at every signature width. *)
+let masked_compare_property =
+  QCheck.Test.make ~name:"equal/equal_buf match a bit-by-bit reference" ~count:200
+    QCheck.(
+      pair
+        (string_of_size (QCheck.Gen.int_bound 16))
+        (list_of_size (QCheck.Gen.int_bound 3) (int_bound 251)))
+    (fun (s, flips) ->
+      let keys = Lazy.force keys_by_bits in
+      let x = Signature.hash_string keys.(Signature.max_sig_bits) s in
+      let lx = lanes x in
+      let ly = Array.copy lx in
+      List.iter (fun p -> ly.(p / 63) <- ly.(p / 63) lxor (1 lsl (p mod 63))) flips;
+      let y = Signature.of_lanes ~a:ly.(0) ~b:ly.(1) ~c:ly.(2) ~d:ly.(3) in
+      let ms = Signature.mstate () and b = Signature.buf () in
+      Signature.feed_bytes_into keys.(1) ms s ~pos:0 ~len:(String.length s);
+      Signature.finalize_into keys.(1) ms b;
+      let ok = ref true in
+      for bits = 1 to Signature.max_sig_bits do
+        let expect = reference_equal bits lx ly in
+        if
+          Signature.equal keys.(bits) x y <> expect
+          || Signature.equal_buf keys.(bits) b y <> expect
+        then ok := false
+      done;
+      !ok)
+
 let test_grow_consistency () =
   (* Hashing a long path must agree with hashing after the key tables have
      been grown by an even longer one. *)
@@ -141,6 +191,7 @@ let suite =
     QCheck_alcotest.to_alcotest resume_property;
     QCheck_alcotest.to_alcotest feed_char_property;
     QCheck_alcotest.to_alcotest distinct_strings_property;
+    QCheck_alcotest.to_alcotest masked_compare_property;
     Alcotest.test_case "prefix does not collide" `Quick test_prefix_no_collision;
     Alcotest.test_case "empty vs nonempty" `Quick test_empty_vs_nonempty;
     Alcotest.test_case "bucket range and spread" `Quick test_bucket_range_and_spread;
