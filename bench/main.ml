@@ -9,9 +9,8 @@ module W = Dcache_workloads
 module Kernel = Dcache_syscalls.Kernel
 module Proc = Dcache_syscalls.Proc
 module S = Dcache_syscalls.Syscalls
-module Systime = Dcache_syscalls.Systime
 module Config = Dcache_vfs.Config
-module Phases = Dcache_vfs.Phases
+module Timers = Dcache_util.Timers
 module Signature = Dcache_sig.Signature
 module Siphash = Dcache_sig.Siphash
 module Prng = Dcache_util.Prng
@@ -187,19 +186,19 @@ let fig1 () =
       app.run ();
       (* warm *)
       app.setup_each ();
-      Systime.enabled := true;
-      Systime.reset ();
-      let _, total_ns = Dcache_util.Clock.time_ns app.run in
-      Systime.enabled := false;
-      let totals = Systime.totals () in
-      let frac clazz =
-        let ns = List.assoc clazz (List.map (fun (c, ns, _) -> (c, ns)) totals) in
-        Int64.to_float ns /. Int64.to_float total_ns *. 100.0
-      in
-      let all = Int64.to_float (Systime.total_path_ns ()) /. Int64.to_float total_ns *. 100.0 in
+      let tm = Kernel.timers env.W.Env.kernel in
+      Timers.reset tm;
+      Timers.arm tm Timers.Syscalls true;
+      let t0 = Dcache_util.Clock.monotonic_ns () in
+      app.run ();
+      let total_ns = float_of_int (Dcache_util.Clock.monotonic_ns () - t0) in
+      Timers.arm tm Timers.Syscalls false;
+      let ns id = float_of_int (Stats.Lhist.sum (Timers.get tm id)) in
+      let frac id = ns id /. total_ns *. 100.0 in
+      let all = List.fold_left (fun acc id -> acc +. frac id) 0.0 Timers.syscalls in
       row "%-16s %9.1f%% %9.1f%% %11.1f%% %9.1f%% %7.1f%%\n" app.app_name
-        (frac Systime.Access_stat) (frac Systime.Open) (frac Systime.Chmod_chown)
-        (frac Systime.Unlink) all)
+        (frac Timers.access_stat) (frac Timers.open_) (frac Timers.chmod_chown)
+        (frac Timers.unlink) all)
     apps
 
 (* ------------------------------------------------------------------ *)
@@ -264,22 +263,22 @@ let fig3 () =
   let run_config label config =
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
+    let tm = Kernel.timers env.W.Env.kernel in
     W.Lmbench.setup p;
     List.iter
       (fun (plabel, path) ->
         ignore (S.stat p path);
         (* warm *)
-        Phases.enabled := true;
-        Phases.reset ();
+        Timers.reset tm;
+        Timers.arm tm Timers.Lookups true;
         for _ = 1 to iters do
           ignore (S.stat p path)
         done;
-        Phases.enabled := false;
-        let totals = Phases.totals () in
-        let per phase = Int64.to_float (List.assoc phase totals) /. float_of_int iters in
-        row "%-10s %-18s %8.1f %10.1f %12.1f %10.1f %9.1f\n" label plabel (per Phases.Init)
-          (per Phases.Permission) (per Phases.Scan_hash) (per Phases.Table_lookup)
-          (per Phases.Finalize))
+        Timers.arm tm Timers.Lookups false;
+        let per id = float_of_int (Stats.Lhist.sum (Timers.get tm id)) /. float_of_int iters in
+        row "%-10s %-18s %8.1f %10.1f %12.1f %10.1f %9.1f\n" label plabel (per Timers.init)
+          (per Timers.permission) (per Timers.scan_hash) (per Timers.table_lookup)
+          (per Timers.finalize))
       W.Lmbench.fig3_paths
   in
   row "%-10s %-18s %8s %10s %12s %10s %9s\n" "kernel" "path" "init" "permission" "scan+hash"
@@ -1238,32 +1237,32 @@ let trace () =
   in
   f ();
   Utrace.reset ();
-  Utrace.disarm ();
+  Utrace.armed := false;
   let measure label =
     line label (Stats.minor_words_per_op ~iters:words_iters f) (latency_ns f)
   in
   measure "probe, tracing disarmed (the default)";
   Utrace.armed := true;
   measure "probe, event ring armed (seq timestamps)";
-  Utrace.timing := true;
-  measure "probe, ring + latency histograms (2 clock reads)";
-  Utrace.real_clock := true;
-  measure "probe, ring w/ real-clock stamps (boxes Int64)";
-  Utrace.real_clock := false;
-  Utrace.timing := false;
+  let tm = Kernel.timers env.W.Env.kernel in
+  Timers.arm tm Timers.Lookups true;
+  measure "probe, ring + lookup timers (12 clock reads)";
+  Timers.arm tm Timers.Lookups false;
   let stamp () = Utrace.stamp Utrace.ev_fast_hit 7 in
   stamp ();
   line "raw armed Trace.stamp"
     (Stats.minor_words_per_op ~iters:words_iters stamp)
     (latency_ns stamp);
-  Utrace.disarm ();
+  Utrace.armed := false;
 
   subheader
-    "observability surface after a maildir-style workload (timing armed:\n\
+    "observability surface after a maildir-style workload (lookup timers armed:\n\
      deliveries, warm re-stats, negative probes, one rename + one chmod)";
   Utrace.reset ();
-  Utrace.arm ();
   let env = W.Env.ram Config.optimized in
+  let tm = Kernel.timers env.W.Env.kernel in
+  Utrace.armed := true;
+  Timers.arm tm Timers.Lookups true;
   let p = env.W.Env.proc in
   ok "tree" (S.mkdir_p p "/mail/cur");
   for i = 1 to 50 do
@@ -1282,8 +1281,9 @@ let trace () =
   for i = 2 to 50 do
     ignore (S.stat p (Printf.sprintf "/mail/cur/m%d" i))
   done;
-  Utrace.disarm ();
-  print_string (Utrace.histograms_to_string ());
+  Utrace.armed := false;
+  Timers.arm tm Timers.Lookups false;
+  print_string (Timers.histograms_to_string tm);
   print_string (Dcache_syscalls.Kernel_procfs.causes_to_string env.W.Env.kernel);
   row "ring: recorded %d, dropped %d (capacity %d)\n" (Utrace.recorded ())
     (Utrace.dropped ()) (Utrace.capacity ());
@@ -1968,15 +1968,11 @@ let coherence () =
      consumes the recorded breaker span and stamps the cross-client link,
      which [dump_chrome] renders as a connected flow.  The dump is the CI
      artifact. *)
-  let module Uprof = Dcache_util.Profiler in
   Utrace.reset ();
-  Uprof.reset ();
   Utrace.armed := true;
-  Uprof.arm ();
   ok "traced break write" (S.write_file wp hot.(0) "traced");
   Array.iter (fun (_, _, p) -> ignore (S.stat p hot.(0))) readers;
   Utrace.armed := false;
-  Uprof.disarm ();
   let links = ref 0 in
   Utrace.iter_events (fun _ _ ev _ _ -> if ev = Utrace.ev_span_link then incr links);
   let dump = Utrace.dump_chrome () in
@@ -1987,7 +1983,6 @@ let coherence () =
     (String.length dump) (min (Utrace.recorded ()) (Utrace.capacity ())) !links;
   if !links = 0 then row "  WARNING: no cross-client span links captured\n";
   Utrace.reset ();
-  Uprof.reset ();
 
   (* --- phase 3: fault-storm staleness audit (short ttl) --- *)
   let ttl = 2_000_000 and skew = 200_000 in
@@ -2097,8 +2092,9 @@ let coherence () =
 (* Profile: §3.8 profiler overhead — armed vs disarmed warm hits       *)
 (* ------------------------------------------------------------------ *)
 
-(* Two measurements, each disarmed then armed (ring + profiler; timing
-   stays off — clock reads are a separate, costed switch):
+(* Two measurements, each disarmed then armed ([Trace.armed]: ring, spans
+   and sketch; the kernel's timers stay off — clock reads are armed
+   separately):
 
    - the raw warm fastpath probe, which pays the sketch update and the
      ring stamp when armed, and must keep its zero-allocation discipline;
@@ -2109,7 +2105,7 @@ let coherence () =
 let profile () =
   header
     "Profile - request-scoped spans + per-directory sketch (§3.8).\n\
-     Armed (ring + profiler, no timing) vs disarmed; the armed warm hit\n\
+     Armed (ring + spans + sketch, no timers) vs disarmed; the armed warm hit\n\
      must stay allocation-free and within 10% of the disarmed cost.";
   let module Uprof = Dcache_util.Profiler in
   let iters = if !quick then 50_000 else 200_000 in
@@ -2144,9 +2140,10 @@ let profile () =
     ignore (S.stat p paths.(!j land 31));
     incr j
   in
+  let hot = Kernel.hot env.W.Env.kernel in
   Utrace.reset ();
-  Uprof.reset ();
-  Utrace.disarm ();
+  Uprof.reset hot;
+  Utrace.armed := false;
   probe ();
   syscall ();
   (* The host is noisy enough that a disarmed block followed by an armed
@@ -2168,7 +2165,6 @@ let profile () =
     let ratio = Array.make rounds 0.0 in
     let half armed_half =
       Utrace.armed := armed_half;
-      if armed_half then Uprof.arm () else Uprof.disarm ();
       time f iters
     in
     for r = 0 to rounds - 1 do
@@ -2185,7 +2181,6 @@ let profile () =
       ratio.(r) <- (if dis.(r) > 0.0 then arm.(r) /. dis.(r) else 1.0)
     done;
     Utrace.armed := false;
-    Uprof.disarm ();
     (Stats.median dis, Stats.median arm, (Stats.median ratio -. 1.0) *. 100.0)
   in
   let probe_dis_ns, probe_arm_ns, probe_pct = paired probe in
@@ -2193,20 +2188,17 @@ let profile () =
   (* Raw per-hook costs, armed: what one stamp / one sketch update / one
      span mint actually spend. *)
   Utrace.armed := true;
-  Uprof.arm ();
   let raw_stamp = latency_ns ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7) in
-  let raw_record = latency_ns ~iters (fun () -> Uprof.hh_record 1 5 "d" Uprof.m_hit) in
-  let raw_mint = latency_ns ~iters (fun () -> ignore (Uprof.span_enter ())) in
+  let scratch = Uprof.create () in
+  let raw_record = latency_ns ~iters (fun () -> Uprof.record scratch 5 "d" Uprof.m_hit) in
+  let raw_mint = latency_ns ~iters (fun () -> ignore (Utrace.span_enter ())) in
   Utrace.armed := false;
-  Uprof.disarm ();
-  row "raw armed costs: stamp %.1f ns, hh_record %.1f ns, span_enter %.1f ns\n"
+  row "raw armed costs: stamp %.1f ns, record %.1f ns, span_enter %.1f ns\n"
     raw_stamp raw_record raw_mint;
   let probe_dis_words = Stats.minor_words_per_op ~iters:words_iters probe in
   Utrace.armed := true;
-  Uprof.arm ();
   let probe_arm_words = Stats.minor_words_per_op ~iters:words_iters probe in
   Utrace.armed := false;
-  Uprof.disarm ();
   row "%-34s %9.1f ns disarmed %9.1f ns armed %+7.1f%%\n" "warm fastpath probe" probe_dis_ns
     probe_arm_ns probe_pct;
   row "%-34s %9.2f w  disarmed %9.2f w  armed\n" "  words/op" probe_dis_words
@@ -2216,9 +2208,9 @@ let profile () =
   if probe_arm_words > 0.0 then row "  WARNING: armed warm probe allocated\n";
   if probe_pct > 10.0 || stat_pct > 10.0 then
     row "  WARNING: armed overhead above the 10%% bound\n";
-  let slots = Uprof.hot () in
+  let slots = Uprof.hot hot in
   subheader "per-directory sketch after the armed window";
-  print_string (Uprof.hot_to_string ());
+  print_string (Uprof.to_string hot);
   let top_json =
     slots
     |> List.filteri (fun k _ -> k < n_dirs)
@@ -2246,7 +2238,6 @@ let profile () =
     ]
   in
   Utrace.reset ();
-  Uprof.reset ();
   Bench_report.write ~experiment:"profile" figures
 
 (* ------------------------------------------------------------------ *)

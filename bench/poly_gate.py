@@ -43,6 +43,7 @@ MODULES = [
     ("storage", "pagecache"),
     ("storage", "blockdev"),
     ("fs", "extfs"),
+    ("fs", "netfs"),
 ]
 
 POLY_SYMBOL = re.compile(

@@ -7,10 +7,10 @@ module Kernel = Dcache_syscalls.Kernel
 module Proc = Dcache_syscalls.Proc
 module S = Dcache_syscalls.Syscalls
 module Config = Dcache_vfs.Config
-module Phases = Dcache_vfs.Phases
 module Lmbench = Dcache_workloads.Lmbench
 module Env = Dcache_workloads.Env
 module Trace = Dcache_util.Trace
+module Timers = Dcache_util.Timers
 
 let profile label config path =
   let env = Env.ram config in
@@ -19,28 +19,26 @@ let profile label config path =
   ignore (S.stat proc path);
   (* warm: populate caches *)
   let iters = 20000 in
-  Phases.enabled := true;
-  Phases.reset ();
+  let tm = Kernel.timers env.Env.kernel in
+  Timers.arm tm Timers.Lookups true;
   for _ = 1 to iters do
     ignore (S.stat proc path)
   done;
-  Phases.enabled := false;
+  Timers.arm tm Timers.Lookups false;
   Printf.printf "%s  (path %s)\n" label path;
-  let totals = Phases.totals () in
-  let total =
-    List.fold_left (fun acc (_, ns) -> acc +. Int64.to_float ns) 0.0 totals
-  in
+  let ns phase = float_of_int (Dcache_util.Stats.Lhist.sum (Timers.get tm phase)) in
+  let total = List.fold_left (fun acc phase -> acc +. ns phase) 0.0 Timers.phases in
   List.iter
-    (fun (phase, ns) ->
-      let per = Int64.to_float ns /. float_of_int iters in
-      let share = Int64.to_float ns /. total *. 100.0 in
+    (fun phase ->
+      let per = ns phase /. float_of_int iters in
+      let share = ns phase /. total *. 100.0 in
       let bar = String.make (int_of_float (share /. 2.5)) '#' in
-      Printf.printf "  %-24s %8.1f ns  %5.1f%% %s\n" (Phases.name phase) per share bar)
-    totals;
+      Printf.printf "  %-24s %8.1f ns  %5.1f%% %s\n" (Timers.name phase) per share bar)
+    Timers.phases;
   print_newline ()
 
 (* The same lookups through the tracing layer: arm the event ring and the
-   per-outcome latency histograms, mix hits with negatives and misses, and
+   kernel's lookup timers, mix hits with negatives and misses, and
    read the distribution + cause attribution back.  The 500 absent names
    sit under a directory made by mkdir, which is complete, so the cache
    answers them without a walk and they are not cold; the 50 fresh names
@@ -54,7 +52,9 @@ let observe () =
   ignore (S.stat proc hit);
   Trace.reset ();
   Kernel.reset_stats env.Env.kernel;
-  Trace.arm ();
+  let tm = Kernel.timers env.Env.kernel in
+  Trace.armed := true;
+  Timers.arm tm Timers.Lookups true;
   for _ = 1 to 5000 do
     ignore (S.stat proc hit)
   done;
@@ -64,11 +64,12 @@ let observe () =
   for i = 1 to 50 do
     ignore (S.stat proc (Printf.sprintf "fresh%d" i)) (* cold misses *)
   done;
-  Trace.disarm ();
+  Trace.armed := false;
+  Timers.arm tm Timers.Lookups false;
   print_endline
     "The same lookups, observed: per-outcome-class latency histograms and\n\
      cause-attributed miss counters (tracing armed for this window only):";
-  print_string (Trace.histograms_to_string ());
+  print_string (Timers.histograms_to_string tm);
   print_string "cause breakdown:\n";
   print_string (Dcache_syscalls.Kernel_procfs.causes_to_string env.Env.kernel);
   Printf.printf "event ring: %d events recorded (Trace.dump_chrome () renders them\n"

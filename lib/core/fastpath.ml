@@ -5,7 +5,6 @@ module Dcache = Vfs.Dcache
 module Walk = Vfs.Walk
 module Path = Vfs.Path
 module Config = Vfs.Config
-module Phases = Vfs.Phases
 module Signature = Dcache_sig.Signature
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
@@ -13,6 +12,7 @@ module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
+module Timers = Dcache_util.Timers
 module Clock = Dcache_util.Clock
 
 module Locktab = Dcache_util.Locktab
@@ -26,6 +26,8 @@ type t = {
      unsharded — recording is then a dead branch). *)
   dtab : Locktab.t option;
   counters : Counter.t;
+  timers : Timers.t;
+  hot : Profiler.t;
 }
 
 let create dcache =
@@ -40,6 +42,8 @@ let create dcache =
       simulate_pcc_miss = false;
       dtab = Dcache.stripes dcache;
       counters = Dcache.counters dcache;
+      timers = Dcache.timers dcache;
+      hot = Dcache.hot dcache;
     }
   in
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
@@ -132,13 +136,13 @@ let[@inline] dentry_leased live d =
 (* §3.8 cache-efficacy attribution: charge [metric] to the directory that
    decided the verdict on [d] — its parent, or [d] itself at an fs root.
    Armed-only (the armed check skips even the parent match disarmed);
-   [hh_record] is int/pointer stores into preallocated sketch slots, so
-   the zero-allocation warm hit can stay profiled. *)
-let[@inline] note_dir metric d =
-  if !Profiler.armed then
+   [Profiler.record] is int/pointer stores into preallocated sketch slots,
+   so the zero-allocation warm hit can stay profiled. *)
+let[@inline] note_dir t metric d =
+  if !Trace.armed then
     match d.d_parent with
-    | Some p -> Profiler.hh_record p.d_sb.sb_id p.d_id p.d_name metric
-    | None -> Profiler.hh_record d.d_sb.sb_id d.d_id d.d_name metric
+    | Some p -> Profiler.record t.hot p.d_id p.d_name metric
+    | None -> Profiler.record t.hot d.d_id d.d_name metric
 
 (* A positive verdict for [final]: its own lease and (when it has a cached
    parent) the containing directory's lease must both be live — the parent
@@ -154,7 +158,7 @@ let gate_positive t final =
          | Some parent -> not (dentry_leased live parent))
     then begin
       Counter.bump t.counters Counters.fastpath_lease_fallback;
-      note_dir Profiler.m_lease final;
+      note_dir t Profiler.m_lease final;
       raise Fall_back
     end
 
@@ -171,7 +175,7 @@ let lease_blocks_negative t d =
     in
     if blocked then begin
       Counter.bump t.counters Counters.fastpath_lease_fallback;
-      note_dir Profiler.m_lease d
+      note_dir t Profiler.m_lease d
     end;
     blocked
 
@@ -183,8 +187,7 @@ let lease_blocks_dir t dir =
     let blocked = not (dentry_leased live dir) in
     if blocked then begin
       Counter.bump t.counters Counters.fastpath_lease_fallback;
-      if !Profiler.armed then
-        Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_lease
+      Profiler.record t.hot dir.d_id dir.d_name Profiler.m_lease
     end;
     blocked
 
@@ -273,7 +276,6 @@ type scratch = {
      probe's verdict (set armed-only when the literal is found), so
      [note_lockless_retry] can charge the seqcount retry to the directory
      whose chain the raced writer touched.  -1: no candidate. *)
-  mutable hh_sb : int;
   mutable hh_id : int;
   mutable hh_name : string;
 }
@@ -296,7 +298,6 @@ let scratch_key =
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
         stripe_snaps = Array.make stripe_cap 0;
-        hh_sb = 0;
         hh_id = -1;
         hh_name = "";
       })
@@ -640,7 +641,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
           commit_check t sc vsnap;
           Counter.bump t.counters Counters.fastpath_prefix_negfail;
           Trace.stamp Trace.ev_prefix_negfail (k + 1);
-          note_dir Profiler.m_neg literal;
+          note_dir t Profiler.m_neg literal;
           sc.neg_errno <- errno;
           raise_notrace Neg_fail
         | Positive _ | Partial _ ->
@@ -669,8 +670,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                    commit_check t sc vsnap;
                    Counter.bump t.counters Counters.fastpath_prefix_negfail;
                    Trace.stamp Trace.ev_prefix_negfail (k + 1);
-                   if !Profiler.armed then
-                     Profiler.hh_record real.d_sb.sb_id real.d_id real.d_name Profiler.m_neg;
+                   Profiler.record t.hot real.d_id real.d_name Profiler.m_neg;
                    sc.neg_errno <- Errno.ENOENT;
                    raise_notrace Neg_fail
                  end
@@ -724,6 +724,11 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
     scan_and_hash t ctx dlht pcc sc path rc vsnap up
   end
 
+(* Fig. 3 phase hooks, module-local so that a disarmed probe pays one
+   branch on [timed] per hook and no call. *)
+let[@inline] phase_start timed = if timed then Clock.monotonic_ns () else 0
+let[@inline] phase_stop t timed id t0 = if timed then Timers.stop t.timers id t0
+
 (* [vsnap >= 0]: optimistic mode — no lock held, [vsnap] is the write-
    sequence snapshot to validate against at every commit point (just before
    an error, a success, or [within] — which has caller side effects and
@@ -746,15 +751,17 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   let pcc = pcc_for t ctx vsnap in
   let absolute = Path.is_absolute path in
   let trailing_slash = Path.has_trailing_slash path in
-  let t0 = Phases.stamp () in
+  (* Fig. 3 phase timers: the table is read once per probe. *)
+  let timed = t.timers.Timers.lookups in
+  let t0 = phase_start timed in
   let base = hstate_of t vsnap (if absolute then ctx.Walk.root else start) in
   Signature.mstate_resume sc.ms base;
-  Phases.record_span Phases.Init t0;
-  let t1 = Phases.stamp () in
+  phase_stop t timed Timers.init t0;
+  let t0 = phase_start timed in
   scan_and_hash t ctx dlht pcc sc path 0 vsnap base;
   Signature.finalize_into t.key sc.ms sc.sbuf;
-  Phases.record_span Phases.Scan_hash t1;
-  let t2 = Phases.stamp () in
+  phase_stop t timed Timers.scan_hash t0;
+  let t0 = phase_start timed in
   record_chain sc dlht (Signature.buf_bucket sc.sbuf);
   let literal =
     match Dlht.find_buf dlht ~key:t.key sc.sbuf with
@@ -766,28 +773,26 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
          then fall back (§3.5).  Never returns. *)
       prefix_miss t ctx dlht pcc sc path ~vsnap
   in
-  Phases.record_span Phases.Table_lookup t2;
-  let t3 = Phases.stamp () in
+  phase_stop t timed Timers.table_lookup t0;
+  let t0 = phase_start timed in
   let shallow_real = real_of literal in
   record_dentry t sc literal;
   if not (shallow_real == literal) then record_dentry t sc shallow_real;
   (* Stash the verdict's deciding directory for retry attribution (§3.8):
      a seqcount retry aborts the probe before any per-directory metric is
      charged, so the retry handler needs the candidate remembered here. *)
-  if !Profiler.armed then begin
+  if !Trace.armed then begin
     match literal.d_parent with
     | Some p ->
-      sc.hh_sb <- p.d_sb.sb_id;
       sc.hh_id <- p.d_id;
       sc.hh_name <- p.d_name
     | None ->
-      sc.hh_sb <- literal.d_sb.sb_id;
       sc.hh_id <- literal.d_id;
       sc.hh_name <- literal.d_name
   end;
   validate t ctx pcc sc ~vsnap literal shallow_real;
-  Phases.record_span Phases.Permission t3;
-  let t4 = Phases.stamp () in
+  phase_stop t timed Timers.permission t0;
+  let t0 = phase_start timed in
   let at_root = at_ns_root ctx in
   let result =
     match shallow_real.d_state with
@@ -797,7 +802,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       commit_check t sc vsnap;
       Counter.bump t.counters Counters.fastpath_negative_hit;
       Trace.stamp Trace.ev_fast_neg 0;
-      note_dir Profiler.m_neg literal;
+      note_dir t Profiler.m_neg literal;
       Errno.to_error errno
     | Positive _ | Partial _ -> (
       let final =
@@ -811,7 +816,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
         commit_check t sc vsnap;
         Counter.bump t.counters Counters.fastpath_negative_hit;
         Trace.stamp Trace.ev_fast_neg 0;
-        note_dir Profiler.m_neg final;
+        note_dir t Profiler.m_neg final;
         Errno.to_error errno
       | Partial _ -> raise Fall_back
       | Positive _ ->
@@ -827,11 +832,11 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
             gate_positive t final;
             commit_check t sc vsnap;
             final.d_last_used <- Dcache.new_tick t.dcache;
-            note_dir Profiler.m_hit final;
+            note_dir t Profiler.m_hit final;
             within mnt final
         end)
   in
-  Phases.record_span Phases.Finalize t4;
+  phase_stop t timed Timers.finalize t0;
   result
 
 (* --- population (§3.1, §3.2) --- *)
@@ -911,7 +916,7 @@ let populate t ctx ~visited ~absolute ~start =
           d.d_hstate <- None;
           d.d_sig <- None;
           d.d_mnt <- Some r.mnt;
-          Dcache.bump_seq d;
+          Dcache.bump_seq t.dcache d;
           Counter.bump t.counters Counters.mount_alias_resignature
         | Some _ | None -> ());
         let state = ensure_hstate t r in
@@ -1022,7 +1027,7 @@ let fallback t ctx ~flags sc path ~within =
     | Some (ancestor, depth, suffix) ->
       Counter.bump t.counters Counters.fastpath_prefix_resume;
       Trace.stamp Trace.ev_prefix_resume depth;
-      Trace.record_resume_depth depth;
+      Timers.record t.timers Timers.resume_depth depth;
       (* The resumed walk still collects, so the suffix prefixes are
          published and the next miss lands one component deeper. *)
       (Walk.resolve_resumed t.dcache ctx ~flags ~start_at:ancestor suffix, ancestor)
@@ -1048,8 +1053,7 @@ let note_lockless_retry t sc =
   Counter.bump t.counters Counters.fastpath_lockless_retry;
   Trace.stamp Trace.ev_lockless_retry 0;
   Counter.bump t.counters Counters.seqcount_retry;
-  if !Profiler.armed && sc.hh_id >= 0 then
-    Profiler.hh_record sc.hh_sb sc.hh_id sc.hh_name Profiler.m_retry
+  if sc.hh_id >= 0 then Profiler.record t.hot sc.hh_id sc.hh_name Profiler.m_retry
 
 (* --- the per-op attempt (§3.2, §3.9) ---
 
@@ -1183,32 +1187,31 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
   else
     probe_optimistic t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within ~tries:0
 
-(* Latency attribution (Trace timing mode): every public lookup is timed
-   with the monotonic ns clock and recorded into the histogram of its
-   outcome class.  Classification works backwards from what is observable
-   after the fact: an EIO is its own class (I/O failure, never cached); any
-   other error is a negative; a success on a fastpath-less configuration is
-   the slowpath; a success that bumped the fallback counter went
-   probe-miss-then-slowpath; the rest are fastpath hits.  Disarmed, the
-   wrapper is one load-and-branch — the warm path stays allocation-free. *)
+(* Latency attribution (the timer table's lookups group): every public
+   lookup is timed and recorded into the histogram of its outcome class.
+   Classification works backwards from what is observable after the fact:
+   an EIO is its own class (I/O failure, never cached); any other error is
+   a negative; a success on a fastpath-less configuration is the slowpath;
+   a success that bumped the fallback counter went probe-miss-then-slowpath;
+   the rest are fastpath hits.  Disarmed, the wrapper is one
+   load-and-branch — the warm path stays allocation-free. *)
 let lookup_into t ctx ?start ?flags path ~within =
-  if not !Trace.timing then lookup_into_raw t ctx ?start ?flags path ~within
+  if not t.timers.Timers.lookups then lookup_into_raw t ctx ?start ?flags path ~within
   else begin
     let fallbacks_before = Counter.get t.counters Counters.fastpath_fallback in
     let t0 = Clock.monotonic_ns () in
     let result = lookup_into_raw t ctx ?start ?flags path ~within in
-    let dt = Clock.monotonic_ns () - t0 in
     let cls =
       match result with
-      | Error Errno.EIO -> Trace.cls_eio
-      | Error _ -> Trace.cls_negative
+      | Error Errno.EIO -> Timers.eio
+      | Error _ -> Timers.negative
       | Ok _ ->
-        if not (config t).Config.fastpath then Trace.cls_slowpath
+        if not (config t).Config.fastpath then Timers.slowpath
         else if Counter.get t.counters Counters.fastpath_fallback > fallbacks_before then
-          Trace.cls_fallback
-        else Trace.cls_fast
+          Timers.fallback_hit
+        else Timers.fastpath_hit
     in
-    Trace.record_latency cls dt;
+    Timers.stop t.timers cls t0;
     result
   end
 

@@ -3,7 +3,8 @@ open Fs_intf
 module Fault = Dcache_util.Fault
 module Vclock = Dcache_util.Vclock
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
+module Inttbl = Dcache_util.Inttbl
+module Lhist = Dcache_util.Stats.Lhist
 
 type protocol = Stateless | Stateful
 
@@ -43,17 +44,17 @@ type rpc_stats = {
 (* One client handle: its lease table, the server epoch it last observed,
    and the invalidation hook the kernel integration wires to its dcache.
    [leases] maps inode -> client-side expiry (virtual ns, plain int): the
-   lockless gate is a Hashtbl.find + integer compare, no allocation. *)
+   lockless gate is an Inttbl.find + integer compare, no allocation. *)
 type client = {
   c_id : int;
   c_protocol : protocol;
   mutable c_epoch_seen : int;
-  c_leases : (int, int) Hashtbl.t;
-  c_seen : (int, int) Hashtbl.t;  (* inode -> generation last observed *)
+  c_leases : int Inttbl.t;
+  c_seen : int Inttbl.t;  (* inode -> generation last observed *)
   (* §3.8 causal tracing: inode -> span of the remote request whose
      mutation broke our lease on it, recorded at delivery and consumed by
      the lease gate's miss branch to stamp the cross-client link. *)
-  c_break_spans : (int, int) Hashtbl.t;
+  c_break_spans : int Inttbl.t;
   mutable c_on_invalidate : int -> unit;
   (* per-client lease statistics; mutable ints so the gate stays 0-alloc *)
   mutable c_grants : int;
@@ -68,7 +69,7 @@ type server = {
   backing : Fs_intf.t;
   clock : Dcache_util.Vclock.t;
   rpc_latency : int64;
-  generations : (int, int) Hashtbl.t;  (* per-inode change generation *)
+  generations : int Inttbl.t;  (* per-inode change generation *)
   mutable rpcs : int;
   cb : callback;
   faults : faults option;
@@ -79,10 +80,13 @@ type server = {
   grace : int;
   mutable epoch : int;  (* bumped by every crash/restart *)
   mutable grace_until : int;  (* virtual ns; mutations stall until then *)
-  grants : (int, (int, int) Hashtbl.t) Hashtbl.t;
+  grants : int Inttbl.t Inttbl.t;
       (* inode -> (client id -> server-side expiry).  The server's book of
          promises: a mutation must break every entry here (or be unable to,
          across a partition — which is why grants also carry an expiry). *)
+  lease_age : Lhist.t;
+      (* virtual-ns age of each lease when a client's lockless gate
+         consulted it (live and expired verdicts both record) *)
   mutable clients : client list;  (* registration order, for callbacks *)
   mutable next_client : int;
 }
@@ -108,7 +112,7 @@ let server ?(rpc_latency_ns = 120_000) ?faults ?(delay_ns = 2_000_000)
     backing;
     clock;
     rpc_latency = Int64.of_int rpc_latency_ns;
-    generations = Hashtbl.create 256;
+    generations = Inttbl.create 256;
     rpcs = 0;
     cb = { on_break = (fun _ -> ()) };
     faults;
@@ -128,7 +132,8 @@ let server ?(rpc_latency_ns = 120_000) ?faults ?(delay_ns = 2_000_000)
     grace = grace_ns;
     epoch = 0;
     grace_until = 0;
-    grants = Hashtbl.create 256;
+    grants = Inttbl.create 256;
+    lease_age = Lhist.create ();
     clients = [];
     next_client = 0;
   }
@@ -162,12 +167,12 @@ let fault_sites t =
   | None -> []
   | Some fl -> [ fl.drop; fl.delay; fl.partition; fl.crash ]
 
-let grant_count t =
-  Hashtbl.fold (fun _ holders acc -> acc + Hashtbl.length holders) t.grants 0
+let grant_count t = Inttbl.fold (fun _ holders acc -> acc + Inttbl.length holders) t.grants 0
+let lease_age t = t.lease_age
 
-let generation t ino = Option.value (Hashtbl.find_opt t.generations ino) ~default:0
+let generation t ino = Option.value (Inttbl.find_opt t.generations ino) ~default:0
 
-let bump_generation t ino = Hashtbl.replace t.generations ino (generation t ino + 1)
+let bump_generation t ino = Inttbl.replace t.generations ino (generation t ino + 1)
 
 (* --- the lease book --- *)
 
@@ -180,16 +185,16 @@ let bump_generation t ino = Hashtbl.replace t.generations ino (generation t ino 
 let grant t c ino =
   if c.c_protocol = Stateful && not (in_grace t) then begin
     let now = now_ns t in
-    Hashtbl.replace c.c_leases ino (now + t.lease_ttl);
+    Inttbl.replace c.c_leases ino (now + t.lease_ttl);
     let holders =
-      match Hashtbl.find_opt t.grants ino with
+      match Inttbl.find_opt t.grants ino with
       | Some h -> h
       | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.add t.grants ino h;
+        let h = Inttbl.create 4 in
+        Inttbl.add t.grants ino h;
         h
     in
-    Hashtbl.replace holders c.c_id (now + t.lease_ttl + t.lease_skew);
+    Inttbl.replace holders c.c_id (now + t.lease_ttl + t.lease_skew);
     c.c_grants <- c.c_grants + 1;
     Trace.stamp Trace.ev_lease_grant ino
   end
@@ -199,16 +204,19 @@ let grant t c ino =
    crossing a live partition is lost — the holder keeps its (expiring)
    lease, which is exactly the window the ttl bounds.  Expired grants are
    dropped without a delivery attempt: the holder's own gate already
-   refuses them. *)
+   refuses them.  Deliveries go out in client registration order, so which
+   one a partition swallows depends on the fault schedule alone, never on
+   how a hash table orders client ids. *)
 let break_leases t ~except ino =
-  match Hashtbl.find_opt t.grants ino with
+  match Inttbl.find_opt t.grants ino with
   | None -> ()
   | Some holders ->
     let now = now_ns t in
-    Hashtbl.remove t.grants ino;
-    Hashtbl.iter
-      (fun cid expiry ->
-        if cid <> except && expiry >= now then begin
+    Inttbl.remove t.grants ino;
+    List.iter
+      (fun c ->
+        match Inttbl.find holders c.c_id with
+        | expiry when c.c_id <> except && expiry >= now ->
           Trace.stamp Trace.ev_lease_break ino;
           let delivered =
             match t.faults with
@@ -218,24 +226,20 @@ let break_leases t ~except ino =
               false
             | _ -> true
           in
-          if delivered then
-            List.iter
-              (fun c ->
-                if c.c_id = cid then begin
-                  Hashtbl.remove c.c_leases ino;
-                  (* §3.8: remember which request broke us {e before}
-                     delivering the invalidation — the callback re-enters
-                     the holder's kernel and may replace the domain's
-                     current span.  The holder's next gate miss on [ino]
-                     consumes this and stamps the cross-client link. *)
-                  if !Profiler.armed then
-                    Hashtbl.replace c.c_break_spans ino (Profiler.current ());
-                  c.c_breaks <- c.c_breaks + 1;
-                  c.c_on_invalidate ino
-                end)
-              t.clients
-        end)
-      holders
+          if delivered then begin
+            Inttbl.remove c.c_leases ino;
+            (* §3.8: remember which request broke us {e before} delivering
+               the invalidation — the callback re-enters the holder's
+               kernel and may replace the domain's current span.  The
+               holder's next gate miss on [ino] consumes this and stamps
+               the cross-client link. *)
+            if !Trace.armed then Inttbl.replace c.c_break_spans ino (Trace.current_span ());
+            c.c_breaks <- c.c_breaks + 1;
+            c.c_on_invalidate ino
+          end
+        | _ -> ()
+        | exception Not_found -> ())
+      t.clients
 
 (* Seed-deterministic server crash/restart: the epoch fences everything the
    old incarnation promised or half-answered, the grant book is wiped (a
@@ -246,7 +250,7 @@ let break_leases t ~except ino =
    execute, making the staleness bound structural rather than best-effort. *)
 let restart t =
   t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.grants;
+  Inttbl.reset t.grants;
   t.grace_until <- now_ns t + t.grace;
   t.stats.rs_crashes <- t.stats.rs_crashes + 1;
   Trace.stamp Trace.ev_netfs_crash t.epoch
@@ -301,7 +305,7 @@ let rpc t policy ~idempotent f =
      (including the lease breaks a mutation triggers) share one lane in
      the trace.  Captured once here: a DRC-fenced re-execution on a later
      attempt still belongs to the original request. *)
-  let wire_span = Profiler.current () in
+  let wire_span = Trace.current_span () in
   let execute () =
     let run () =
       if not idempotent then begin
@@ -311,7 +315,7 @@ let rpc t policy ~idempotent f =
       end;
       (t.epoch, f t.backing)
     in
-    if wire_span = 0 then run () else Profiler.with_span wire_span run
+    if wire_span = 0 then run () else Trace.with_span wire_span run
   in
   let rec go attempt ~reply =
     t.rpcs <- t.rpcs + 1;
@@ -362,7 +366,7 @@ let rpc t policy ~idempotent f =
       else begin
         t.stats.rs_retries <- t.stats.rs_retries + 1;
         Trace.stamp Trace.ev_rpc_retry attempt;
-        let backoff = min policy.backoff_max_ns (policy.backoff_base_ns lsl attempt) in
+        let backoff = Int.min policy.backoff_max_ns (policy.backoff_base_ns lsl attempt) in
         Vclock.charge t.clock (Int64.of_int backoff);
         go (attempt + 1) ~reply
       end
@@ -387,9 +391,9 @@ let connect ?(protocol = Stateful) server =
       c_id = server.next_client;
       c_protocol = protocol;
       c_epoch_seen = server.epoch;
-      c_leases = Hashtbl.create 256;
-      c_seen = Hashtbl.create 256;
-      c_break_spans = Hashtbl.create 16;
+      c_leases = Inttbl.create 256;
+      c_seen = Inttbl.create 256;
+      c_break_spans = Inttbl.create 16;
       c_on_invalidate = (fun _ -> ());
       c_grants = 0;
       c_gate_live = 0;
@@ -407,14 +411,13 @@ let set_invalidate c hook = c.c_on_invalidate <- hook
 
 (* §3.8: the victim end of the cross-client causal edge.  A gate miss on
    an inode whose lease a remote mutation broke consumes the recorded
-   breaker span and stamps the link (arg = breaker).  Int-key
-   Hashtbl.find/remove allocate nothing, and the miss branch has already
-   left the warm path. *)
+   breaker span and stamps the link (arg = breaker).  Inttbl.find/remove
+   allocate nothing, and the miss branch has already left the warm path. *)
 let note_break_span c ino =
-  if !Profiler.armed then begin
-    match Hashtbl.find c.c_break_spans ino with
+  if !Trace.armed then begin
+    match Inttbl.find c.c_break_spans ino with
     | breaker ->
-      Hashtbl.remove c.c_break_spans ino;
+      Inttbl.remove c.c_break_spans ino;
       Trace.stamp Trace.ev_span_link breaker
     | exception Not_found -> ()
   end
@@ -433,7 +436,7 @@ type lease_stats = {
 
 let lease_stats server c =
   let now = now_ns server in
-  let live = Hashtbl.fold (fun _ e acc -> if e >= now then acc + 1 else acc) c.c_leases 0 in
+  let live = Inttbl.fold (fun _ e acc -> if e >= now then acc + 1 else acc) c.c_leases 0 in
   {
     ls_grants = c.c_grants;
     ls_gate_live = c.c_gate_live;
@@ -454,7 +457,7 @@ let observe_epoch server c =
   if c.c_epoch_seen <> server.epoch then begin
     Trace.stamp Trace.ev_lease_fence c.c_epoch_seen;
     c.c_fences <- c.c_fences + 1;
-    Hashtbl.reset c.c_leases;
+    Inttbl.reset c.c_leases;
     c.c_epoch_seen <- server.epoch
   end
 
@@ -462,7 +465,7 @@ let fs server c retry =
   let backing = server.backing in
   let protocol = c.c_protocol in
   let note_attr (attr : Attr.t) =
-    Hashtbl.replace c.c_seen attr.Attr.ino (generation server attr.Attr.ino);
+    Inttbl.replace c.c_seen attr.Attr.ino (generation server attr.Attr.ino);
     grant server c attr.Attr.ino;
     attr
   in
@@ -473,7 +476,7 @@ let fs server c retry =
   let mutated ino =
     bump_generation server ino;
     break_leases server ~except:c.c_id ino;
-    Hashtbl.replace c.c_seen ino (generation server ino);
+    Inttbl.replace c.c_seen ino (generation server ino);
     grant server c ino
   in
   let rpc_ policy ~idempotent f =
@@ -490,7 +493,7 @@ let fs server c retry =
     let live =
       protocol = Stateful
       &&
-      match Hashtbl.find c.c_leases ino with
+      match Inttbl.find c.c_leases ino with
       | expiry -> now_ns server <= expiry
       | exception Not_found -> false
     in
@@ -503,24 +506,24 @@ let fs server c retry =
           | Ok _ ->
             let current = generation server ino in
             let fresh =
-              match Hashtbl.find_opt c.c_seen ino with
+              match Inttbl.find_opt c.c_seen ino with
               | Some g -> g = current
               | None -> false
             in
-            Hashtbl.replace c.c_seen ino current;
+            Inttbl.replace c.c_seen ino current;
             if fresh then grant server c ino;
             Ok fresh)
   in
   (* The lockless lease gate (§3.7): consulted by the fastpath at its
-     commit points.  One Hashtbl.find on an int key, one virtual-clock
+     commit points.  One Inttbl.find, one virtual-clock
      read, integer compares and plain int-field stores — no allocation, so
      a warm live-lease hit keeps the 0-words/0-locks guarantee.  The
      Trace stamps are load-and-branch when disarmed. *)
   let lease_check ino =
-    match Hashtbl.find c.c_leases ino with
+    match Inttbl.find c.c_leases ino with
     | expiry ->
       let now = Int64.to_int (Vclock.elapsed_ns server.clock) in
-      Trace.record_lease_age (server.lease_ttl - (expiry - now));
+      Lhist.record server.lease_age (server.lease_ttl - (expiry - now));
       if now <= expiry then begin
         c.c_gate_live <- c.c_gate_live + 1;
         true

@@ -165,6 +165,10 @@ val grace_ns : server -> int
 val grant_count : server -> int
 (** Grants currently on the server's books (gauge), across all clients. *)
 
+val lease_age : server -> Dcache_util.Stats.Lhist.t
+(** Virtual-ns age of each lease when a client's lockless gate consulted
+    it (live and expired verdicts both record). *)
+
 val bump_generation : server -> int -> unit
 (** Mark inode [ino] changed on the server out-of-band {e without}
     breaking leases: a client's next revalidation of it fails.  Prefer

@@ -19,7 +19,6 @@ module Fastpath = Dcache_core.Fastpath
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 
 (* SQ op codes (int, not a variant: the SQ is a struct-of-arrays and an
    immediate opcode keeps pushes store-only). *)
@@ -222,7 +221,7 @@ let submit t =
     Counter.add cs Counters.path_lookup n;
     (* One span mint for the whole submission (§3.8): every op's stamps
        ride the same request-scoped span. *)
-    if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_batch_submit n;
+    if Trace.span_enter () <> 0 then Trace.stamp Trace.ev_batch_submit n;
     (* Listings from the previous submission die here: the scratch is one
        append arena per submission. *)
     s.dir_cursor <- 0;

@@ -19,7 +19,7 @@
     submissions count under ["batch_submit"]/["batch_ops"] (and the
     validation windows they opened under ["batch_windows"]) rather than the
     per-syscall counters, skip the per-path byte/component tallies, and
-    run outside {!Systime} wall-clock classing (the open-loop runner
+    run outside the Fig. 1 syscall timers (the open-loop runner
     charges batch service time to the virtual clock itself). *)
 
 open Dcache_types

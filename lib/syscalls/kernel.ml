@@ -4,10 +4,22 @@ module Dcache = Vfs.Dcache
 module Mount = Vfs.Mount
 module Lsm = Dcache_cred.Lsm
 module Fastpath = Dcache_core.Fastpath
+module Fault = Dcache_util.Fault
+
+type crash_sites = {
+  cs_create : Fault.site;
+  cs_unlink : Fault.site;
+  cs_rename : Fault.site;
+  cs_invalidate : Fault.site;
+  cs_mkdir : Fault.site;
+  cs_rmdir : Fault.site;
+  cs_readdir : Fault.site;
+}
 
 type t = {
   dcache : Dcache.t;
   fastpath : Fastpath.t;
+  timers : Dcache_util.Timers.t;  (* the dcache's, read by every syscall *)
   registry : Lsm.registry;
   init_ns : namespace;
   (* The default credential of processes spawned without one: shared by
@@ -23,6 +35,7 @@ type t = {
      takes its own mutex. *)
   dnlc : (int, int * Dcache_fs.Fs_intf.dirent list) Hashtbl.t;
   dnlc_lock : Mutex.t;
+  mutable crash_sites : crash_sites option;
 }
 
 let make_superblock t fs =
@@ -46,8 +59,18 @@ let create ?(config = Vfs.Config.baseline) ?(lsms = []) ~root_fs () =
   List.iter (Lsm.register registry) lsms;
   let init_ns = Mount.new_namespace () in
   let t =
-    { dcache; fastpath; registry; init_ns; root_cred = Dcache_cred.Cred.root ();
-      sb_keys = []; dnlc = Hashtbl.create 64; dnlc_lock = Mutex.create () }
+    {
+      dcache;
+      fastpath;
+      timers = Dcache.timers dcache;
+      registry;
+      init_ns;
+      root_cred = Dcache_cred.Cred.root ();
+      sb_keys = [];
+      dnlc = Hashtbl.create 64;
+      dnlc_lock = Mutex.create ();
+      crash_sites = None;
+    }
   in
   (match make_superblock t root_fs with
   | Ok sb -> ignore (Mount.mount_rootfs init_ns sb)
@@ -62,6 +85,10 @@ let init_ns t = t.init_ns
 let root_cred t = t.root_cred
 let root t = Mount.root t.init_ns
 let counters t = Dcache.counters t.dcache
+let timers t = t.timers
+let hot t = Dcache.hot t.dcache
+let crash_sites t = t.crash_sites
+let set_crash_sites t sites = t.crash_sites <- sites
 let register_lsm t hooks = Lsm.register t.registry hooks
 
 let dnlc_find t id gen =
@@ -104,4 +131,7 @@ let scrub t =
       })
 
 let stats_snapshot t = Dcache_util.Stats.Counter.to_assoc (counters t)
-let reset_stats t = Dcache_util.Stats.Counter.reset (counters t)
+let reset_stats t =
+  Dcache_util.Stats.Counter.reset (counters t);
+  Dcache_util.Timers.reset t.timers;
+  Dcache_util.Profiler.reset (hot t)

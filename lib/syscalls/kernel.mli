@@ -27,6 +27,8 @@ val root_cred : t -> Dcache_cred.Cred.t
 
 val root : t -> path_ref
 val counters : t -> Dcache_util.Stats.Counter.t
+val timers : t -> Dcache_util.Timers.t
+val hot : t -> Dcache_util.Profiler.t
 
 val register_lsm : t -> Dcache_cred.Lsm.hooks -> unit
 
@@ -60,9 +62,25 @@ val scrub : t -> scrub_report
     them.  Cheap no-op on a healthy cache; tests and the [faults] bench run
     it after fault campaigns. *)
 
+(** Crash points inside the stripe-scope mutation sections (see
+    {!Syscalls.install_crash_sites}); [None], the default, disarms them. *)
+type crash_sites = {
+  cs_create : Dcache_util.Fault.site;
+  cs_unlink : Dcache_util.Fault.site;
+  cs_rename : Dcache_util.Fault.site;
+  cs_invalidate : Dcache_util.Fault.site;
+  cs_mkdir : Dcache_util.Fault.site;
+  cs_rmdir : Dcache_util.Fault.site;
+  cs_readdir : Dcache_util.Fault.site;
+}
+
+val crash_sites : t -> crash_sites option
+val set_crash_sites : t -> crash_sites option -> unit
+
 val stats_snapshot : t -> (string * int) list
 (** Every declared counter ({!Dcache_util.Counters}), zeros included,
     sorted by name. *)
 
 val reset_stats : t -> unit
-(** Zeroes every counter, the causes included. *)
+(** Zeroes every counter (the causes included), the timer table and the
+    per-directory sketch. *)

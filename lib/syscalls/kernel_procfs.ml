@@ -5,6 +5,8 @@ module Dcache = Dcache_vfs.Dcache
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
+module Timers = Dcache_util.Timers
+module Lhist = Dcache_util.Stats.Lhist
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 
@@ -66,10 +68,10 @@ let render_summary kernel () =
   (* Prefix-resume depth gauges (§3.5): how many components each resumed
      walk skipped.  The full distribution lives in dcache/histograms
      ("class resume_depth"); these are the headline figures. *)
-  let rd = Trace.resume_depth in
-  Printf.bprintf buf "resume_depth_n %d\n" (Dcache_util.Stats.Lhist.count rd);
-  Printf.bprintf buf "resume_depth_max %d\n" (Dcache_util.Stats.Lhist.max_value rd);
-  Printf.bprintf buf "resume_depth_mean %.1f\n" (Dcache_util.Stats.Lhist.mean rd);
+  let rd = Timers.get (Kernel.timers kernel) Timers.resume_depth in
+  Printf.bprintf buf "resume_depth_n %d\n" (Lhist.count rd);
+  Printf.bprintf buf "resume_depth_max %d\n" (Lhist.max_value rd);
+  Printf.bprintf buf "resume_depth_mean %.1f\n" (Lhist.mean rd);
   Array.iteri
     (fun len count ->
       Printf.bprintf buf "buckets_len_%s%d %d (%.1f%%)\n"
@@ -136,20 +138,14 @@ let render_config kernel () =
       "";
     ]
 
-(* --- observability files (PR 3) ---
+(* --- observability files ---
 
-   Every render closure reads live Trace / Fault / Netfs state at open
-   time, so repeated reads see the current figures; formats are one
+   Every render closure reads live kernel / Trace / Fault / Netfs state at
+   open time, so repeated reads see the current figures; formats are one
    [key value...] record per line so the t_procfs parser (and awk) can
    consume them. *)
 
-let render_histograms () = Trace.histograms_to_string ()
 let causes_to_string kernel = String.concat "" (List.map (counter_line kernel) Counters.causes)
-let render_trace () = Trace.ring_to_string ()
-
-(* [dcache/hot] is the per-directory cache-efficacy sketch (§3.8): top-K
-   heavy hitters with their exact-count error bounds. *)
-let render_hot () = Profiler.hot_to_string ()
 
 (* [dcache/batch] is the vectored front-end's scoreboard (§3.9), read
    from this kernel's counters: ring traffic, how many validation windows the submissions actually paid for
@@ -230,6 +226,7 @@ let render_netfs_leases netfs () =
     Printf.bprintf buf "lease_skew_ns %d\n" (Netfs.lease_skew_ns srv);
     Printf.bprintf buf "grace_ns %d\n" (Netfs.grace_ns srv);
     Printf.bprintf buf "grants %d\n" (Netfs.grant_count srv);
+    Printf.bprintf buf "lease_age %s\n" (Lhist.to_string (Netfs.lease_age srv));
     let clients = Netfs.clients srv in
     Printf.bprintf buf "clients %d\n" (List.length clients);
     List.iter
@@ -255,10 +252,16 @@ let make ?faults ?netfs kernel =
   ok (Pseudofs.add_file p "/dcache/config" ~content:(render_config kernel));
   ok (Pseudofs.add_file p "/dcache/stripes" ~content:(render_stripes kernel));
   ok (Pseudofs.add_file p "/dcache/neglists" ~content:(render_neglists kernel));
-  ok (Pseudofs.add_file p "/dcache/histograms" ~content:render_histograms);
+  ok
+    (Pseudofs.add_file p "/dcache/histograms" ~content:(fun () ->
+         Timers.histograms_to_string (Kernel.timers kernel)));
   ok (Pseudofs.add_file p "/dcache/causes" ~content:(fun () -> causes_to_string kernel));
-  ok (Pseudofs.add_file p "/dcache/trace" ~content:render_trace);
-  ok (Pseudofs.add_file p "/dcache/hot" ~content:render_hot);
+  ok (Pseudofs.add_file p "/dcache/trace" ~content:(fun () -> Trace.ring_to_string ()));
+  (* The per-directory cache-efficacy sketch (§3.8): top-K heavy hitters
+     with their exact-count error bounds. *)
+  ok
+    (Pseudofs.add_file p "/dcache/hot" ~content:(fun () ->
+         Profiler.to_string (Kernel.hot kernel)));
   ok (Pseudofs.add_file p "/dcache/batch" ~content:(render_batch kernel));
   ok (Pseudofs.add_file p "/faults" ~content:(render_faults faults));
   ok (Pseudofs.add_dir p "/netfs");

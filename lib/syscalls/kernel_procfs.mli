@@ -9,9 +9,11 @@
     - [dcache/summary]    — dentry count and primary-table occupancy
     - [dcache/config]     — the active directory-cache configuration
     - [dcache/histograms] — per-outcome-class lookup latency (p50/p90/p99)
+                            and the prefix-resume depths
     - [dcache/causes]     — this kernel's cause-attributed miss/invalidation
                             counters
     - [dcache/trace]      — event-ring status plus the newest events
+    - [dcache/hot]        — the per-directory cache-efficacy sketch
     - [faults]            — fault-injector sites: schedule/arrivals/injected
     - [netfs/rpc]         — netfs RPC totals (drops/retries/giveups/DRC/
                             partitions/crashes/fenced) plus exact per-site
@@ -19,13 +21,16 @@
                             zero traffic renders all-zero figures, never
                             the absent-server placeholder
     - [netfs/leases]      — the lease book (§3.7): epoch, grace, grant
-                            gauges, and per-client grant/gate/break lines
+                            gauges, the lease-age histogram, and
+                            per-client grant/gate/break lines
     - [version]           — build banner
 
     [faults]/[netfs] attach the corresponding subsystems; without them the
-    files report that nothing is attached.  Trace state is process-global,
-    so [dcache/histograms]/[trace] read the same figures from any kernel's
-    procfs. *)
+    files report that nothing is attached.  Every [dcache/] file but
+    [trace] reads only this kernel: its counters, timer table and sketch.
+    The event ring is program-wide (a netfs server and its clients share
+    one timeline), so [dcache/trace] reads the same ring from any
+    kernel's procfs. *)
 
 val make :
   ?faults:Dcache_util.Fault.t ->

@@ -60,12 +60,10 @@ exception Scratch_overflow
 (* Crash-fault site for the stripe-locked promotion section, registered by
    [Syscalls.install_crash_sites] under "syscalls.sharded_readdir" so it
    rides the same injector as the other sharded sections. *)
-let crash_site : Fault.site option ref = ref None
-let set_crash_site s = crash_site := Some s
-let clear_crash_site () = crash_site := None
-
-let[@inline] crash_point () =
-  match !crash_site with None -> () | Some s -> Fault.crash_point s
+let crash_point proc =
+  match Kernel.crash_sites proc.Proc.kernel with
+  | None -> ()
+  | Some cs -> Fault.crash_point cs.Kernel.cs_readdir
 
 (* Run [f] under whatever guards this directory's children, completeness
    bit and generation: the directory's own-id stripe (plus the rwlock read
@@ -84,7 +82,7 @@ let with_dir_stripe proc dir f =
     | Some tab ->
       Dcache.with_read d (fun () ->
           Locktab.with_lock tab (Locktab.index tab dir.d_id) (fun () ->
-              crash_point ();
+              crash_point proc;
               f ()))
     | None -> Dcache.with_write d f
   end

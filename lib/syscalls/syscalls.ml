@@ -16,7 +16,7 @@ module Locktab = Dcache_util.Locktab
 module Dlist = Dcache_util.Dlist
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
+module Timers = Dcache_util.Timers
 module Batch = Batch
 
 type 'a r = ('a, Errno.t) result
@@ -33,7 +33,7 @@ let kconfig proc = Kernel.config proc.Proc.kernel
    [span_enter] is a load-and-branch returning 0 and nothing is stamped. *)
 let sys proc id =
   Counter.bump (counters proc) id;
-  if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
+  if Trace.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
 
 (* Non-empty runs of non-slash bytes from [i]; [in_comp] when [i] is
    inside one already counted. *)
@@ -158,13 +158,22 @@ let instantiate proc t (attr : Attr.t) =
     | Ok child -> child
     | Error _ -> assert false)
 
+(* Fig. 1 hooks: a path-based syscall's time is charged to its class on
+   the kernel's timer table while the syscalls group is armed.  Disarmed,
+   [sys_clock] is a load-and-branch returning 0 and [sys_charge] a branch
+   on it. *)
+let sys_clock proc =
+  if (Kernel.timers proc.Proc.kernel).Timers.syscalls then Dcache_util.Clock.monotonic_ns ()
+  else 0
+
+let sys_charge proc id t0 = if t0 <> 0 then Timers.stop (Kernel.timers proc.Proc.kernel) id t0
+
 (* --- metadata ---
 
    stat, lstat, fstatat and access are most workloads' warm path.  They
    resolve through [Fastpath.lookup_into] with top-level [within]s and
-   preallocated flags, and take the [Systime] closure only when it is
-   armed: a warm hit builds the walk context and the [Ok] it returns, no
-   closure, [path_ref] or [Walk.result_]. *)
+   preallocated flags: a warm hit builds the walk context and the [Ok] it
+   returns, no closure, [path_ref] or [Walk.result_]. *)
 
 let follow_flags = Some (lookup_flags ())
 let nofollow_flags = Some (lookup_flags ~follow:false ())
@@ -181,35 +190,29 @@ let lookup_into ?start proc path flags ~within =
   Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
     path ~within
 
-let stat_body proc path flags id =
+let stat_as proc path flags id =
+  let t0 = sys_clock proc in
   sys proc id;
-  lookup_into proc path flags ~within:stat_attr
+  let r = lookup_into proc path flags ~within:stat_attr in
+  sys_charge proc Timers.access_stat t0;
+  r
 
-let stat proc path =
-  if !Systime.enabled then
-    Systime.timed Systime.Access_stat (fun () ->
-        stat_body proc path follow_flags Counters.sys_stat)
-  else stat_body proc path follow_flags Counters.sys_stat
-
-let lstat proc path =
-  if !Systime.enabled then
-    Systime.timed Systime.Access_stat (fun () ->
-        stat_body proc path nofollow_flags Counters.sys_lstat)
-  else stat_body proc path nofollow_flags Counters.sys_lstat
-
-let fstatat_body proc dirfd path follow =
-  sys proc Counters.sys_fstatat;
-  match Proc.find_fd proc dirfd with
-  | Error e -> Error e
-  | Ok fd ->
-    lookup_into ~start:fd.Proc.fd_ref proc path
-      (if follow then follow_flags else nofollow_flags)
-      ~within:stat_attr
+let stat proc path = stat_as proc path follow_flags Counters.sys_stat
+let lstat proc path = stat_as proc path nofollow_flags Counters.sys_lstat
 
 let fstatat proc dirfd path ?(follow = true) () =
-  if !Systime.enabled then
-    Systime.timed Systime.Access_stat (fun () -> fstatat_body proc dirfd path follow)
-  else fstatat_body proc dirfd path follow
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_fstatat;
+  let r =
+    match Proc.find_fd proc dirfd with
+    | Error e -> Error e
+    | Ok fd ->
+      lookup_into ~start:fd.Proc.fd_ref proc path
+        (if follow then follow_flags else nofollow_flags)
+        ~within:stat_attr
+  in
+  sys_charge proc Timers.access_stat t0;
+  r
 
 let fstat proc fdnum =
   sys proc Counters.sys_fstat;
@@ -218,16 +221,16 @@ let fstat proc fdnum =
 
 (* The permission check runs on the inode the lookup returned, after it:
    a [within] closing over the credential and mask would allocate. *)
-let access_body proc path mask =
-  sys proc Counters.sys_access;
-  match lookup_into proc path follow_flags ~within:positive_within with
-  | Ok inode -> permission proc inode mask
-  | Error e -> Error e
-
 let access proc path mask =
-  if !Systime.enabled then
-    Systime.timed Systime.Access_stat (fun () -> access_body proc path mask)
-  else access_body proc path mask
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_access;
+  let r =
+    match lookup_into proc path follow_flags ~within:positive_within with
+    | Ok inode -> permission proc inode mask
+    | Error e -> Error e
+  in
+  sys_charge proc Timers.access_stat t0;
+  r
 
 let readlink proc path =
   sys proc Counters.sys_readlink;
@@ -318,37 +321,29 @@ let finish_open proc flags (ref_ : path_ref) =
    odd, wedging every later lockless probe that records it and
    deadlocking [Kernel.scrub]'s [with_write].
    Sites default to [Off]; [install_crash_sites] registers them on a
-   caller-owned injector. *)
-type crash_sites = {
-  cs_create : Fault.site;
-  cs_unlink : Fault.site;
-  cs_rename : Fault.site;
-  cs_invalidate : Fault.site;
-  cs_mkdir : Fault.site;
-  cs_rmdir : Fault.site;
-}
-
-let crash_sites : crash_sites option ref = ref None
-
-let install_crash_sites inj =
-  crash_sites :=
-    Some
-      {
-        cs_create = Fault.site inj "syscalls.sharded_create";
-        cs_unlink = Fault.site inj "syscalls.sharded_unlink";
-        cs_rename = Fault.site inj "syscalls.sharded_rename";
-        cs_invalidate = Fault.site inj "syscalls.sharded_invalidate";
-        cs_mkdir = Fault.site inj "syscalls.sharded_mkdir";
-        cs_rmdir = Fault.site inj "syscalls.sharded_rmdir";
-      };
+   caller-owned injector, for one kernel. *)
+let install_crash_sites kernel inj =
+  let site name = Fault.site inj ("syscalls.sharded_" ^ name) in
+  (* Registered in this order, which [Fault.sites] lists. *)
+  let cs_create = site "create" in
+  let cs_unlink = site "unlink" in
+  let cs_rename = site "rename" in
+  let cs_invalidate = site "invalidate" in
+  let cs_mkdir = site "mkdir" in
+  let cs_rmdir = site "rmdir" in
   (* The stripe-locked readdir promotion lives in [Readdir] (it is shared
      with the batch front-end); its site rides the same injector. *)
-  Readdir.set_crash_site (Fault.site inj "syscalls.sharded_readdir")
+  let cs_readdir = site "readdir" in
+  Kernel.set_crash_sites kernel
+    (Some
+       { Kernel.cs_create; cs_unlink; cs_rename; cs_invalidate; cs_mkdir; cs_rmdir; cs_readdir })
 
-let clear_crash_sites () =
-  crash_sites := None;
-  Readdir.clear_crash_site ()
-let[@inline] crash_point pick = match !crash_sites with None -> () | Some cs -> Fault.crash_point (pick cs)
+let clear_crash_sites kernel = Kernel.set_crash_sites kernel None
+
+let[@inline] crash_point proc pick =
+  match Kernel.crash_sites proc.Proc.kernel with
+  | None -> ()
+  | Some cs -> Fault.crash_point (pick cs)
 
 (* Split [path] into (dirname, basename) when the final component is a
    plain name.  [None] dirname means the walk start itself (cwd / dirfd).
@@ -434,7 +429,7 @@ let stripe_scope ?start ?(peek = false) proc ~site path ~covers body =
         | None -> None
         | Some (sj, peeked) ->
           Locktab.with_lock2 tab si sj (fun () ->
-              crash_point site;
+              crash_point proc site;
               if not (dir_valid proc dir) then None
               else begin
                 let child = Dcache.lookup d dir.dentry name in
@@ -531,15 +526,21 @@ let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
   end
 
 let openf ?mode proc path flags =
-  Systime.timed Systime.Open (fun () ->
-      sys proc Counters.sys_open;
-      do_open ?mode proc path flags)
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_open;
+  let r = do_open ?mode proc path flags in
+  sys_charge proc Timers.open_ t0;
+  r
 
 let openat ?mode proc dirfd path flags =
-  Systime.timed Systime.Open (fun () ->
-      sys proc Counters.sys_openat;
-      let* fd = Proc.find_fd proc dirfd in
-      do_open ?mode ~start:fd.Proc.fd_ref proc path flags)
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_openat;
+  let r =
+    let* fd = Proc.find_fd proc dirfd in
+    do_open ?mode ~start:fd.Proc.fd_ref proc path flags
+  in
+  sys_charge proc Timers.open_ t0;
+  r
 
 let close proc fdnum =
   sys proc Counters.sys_close;
@@ -734,9 +735,11 @@ let do_unlink ?start proc path =
           end))
 
 let unlink proc path =
-  Systime.timed Systime.Unlink (fun () ->
-      sys proc Counters.sys_unlink;
-      do_unlink proc path)
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_unlink;
+  let r = do_unlink proc path in
+  sys_charge proc Timers.unlink t0;
+  r
 
 (* rmdir holds the target's own-id stripe too ([~peek]): it guards the
    cached names inside the removed directory.  Grandchildren live under
@@ -896,7 +899,7 @@ let rename_striped proc old_path new_path =
       let si = Locktab.index tab po.dentry.d_id and sj = Locktab.index tab pn.dentry.d_id in
       Dcache.with_read d (fun () ->
           Locktab.with_lock2 tab si sj (fun () ->
-              crash_point (fun cs -> cs.cs_rename);
+              crash_point proc (fun cs -> cs.Kernel.cs_rename);
               if not (dir_valid proc po && dir_valid proc pn) then None
               else begin
                 match Dcache.lookup d po.dentry old_name with
@@ -1010,15 +1013,23 @@ let setattr_path proc path ~privileged changes =
       end)
 
 let chmod proc path mode =
-  Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc Counters.sys_chmod;
-      setattr_path proc path ~privileged:false { Fs.no_setattr with Fs.set_mode = Some mode })
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_chmod;
+  let r =
+    setattr_path proc path ~privileged:false { Fs.no_setattr with Fs.set_mode = Some mode }
+  in
+  sys_charge proc Timers.chmod_chown t0;
+  r
 
 let chown proc path ~uid ~gid =
-  Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc Counters.sys_chown;
-      setattr_path proc path ~privileged:true
-        { Fs.no_setattr with Fs.set_uid = Some uid; set_gid = Some gid })
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_chown;
+  let r =
+    setattr_path proc path ~privileged:true
+      { Fs.no_setattr with Fs.set_uid = Some uid; set_gid = Some gid }
+  in
+  sys_charge proc Timers.chmod_chown t0;
+  r
 
 let set_label proc path label =
   sys proc Counters.sys_set_label;
@@ -1152,12 +1163,16 @@ let readlinkat proc dirfd path =
       else Error Errno.EINVAL)
 
 let faccessat proc dirfd path mask =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc Counters.sys_faccessat;
-      with_dirfd proc dirfd (fun start ->
-          resolve_with ~start proc path ~within:(fun ref_ ->
-              let* inode = positive_inode ref_.dentry in
-              permission proc inode mask)))
+  let t0 = sys_clock proc in
+  sys proc Counters.sys_faccessat;
+  let r =
+    with_dirfd proc dirfd (fun start ->
+        resolve_with ~start proc path ~within:(fun ref_ ->
+            let* inode = positive_inode ref_.dentry in
+            permission proc inode mask))
+  in
+  sys_charge proc Timers.access_stat t0;
+  r
 
 let getcwd proc =
   sys proc Counters.sys_getcwd;

@@ -148,7 +148,7 @@ val invalidate_negatives : Proc.t -> string -> unit r
 
 (** {1 Crash-fault coverage (stripe-scope sections)} *)
 
-val install_crash_sites : Dcache_util.Fault.t -> unit
+val install_crash_sites : Kernel.t -> Dcache_util.Fault.t -> unit
 (** Register crash points inside the stripe-scope mutation sections —
     ["syscalls.sharded_create"], ["syscalls.sharded_unlink"],
     ["syscalls.sharded_rename"], ["syscalls.sharded_invalidate"],
@@ -157,10 +157,11 @@ val install_crash_sites : Dcache_util.Fault.t -> unit
     the mutation body and raises {!Dcache_util.Fault.Crash} out of the
     syscall; the section releases its stripe(s) and the read lock on the
     way out, so a subsequent {!Kernel.scrub} fully repairs the cache.
-    Sites are module-global (the sections are hot paths and carry no
-    injector plumbing); {!clear_crash_sites} detaches them. *)
+    The sites belong to the kernel, as does the
+    ["syscalls.sharded_readdir"] site of the stripe-locked readdir
+    promotion; {!clear_crash_sites} detaches them. *)
 
-val clear_crash_sites : unit -> unit
+val clear_crash_sites : Kernel.t -> unit
 
 (** {1 Convenience} *)
 

@@ -1,12 +1,5 @@
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
-(* Native-int variant for hot-path phase stamps: 63 bits of nanoseconds
-   (~292 years) never overflow, and int arithmetic keeps the accumulating
-   side free of Int64 boxing.  (The clock read itself still boxes the float
-   returned by [gettimeofday]; phase instrumentation is therefore only
-   allocation-free while disabled.) *)
-let now_int_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* CLOCK_MONOTONIC through bechamel's C stub: true nanosecond resolution
    where [gettimeofday] only resolves microseconds (a warm fastpath hit is
    a few hundred ns — invisible to the wall clock above), and immune to

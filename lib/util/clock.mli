@@ -3,9 +3,6 @@
 val now_ns : unit -> int64
 (** Monotonic-enough wall clock in nanoseconds (from [Unix.gettimeofday]). *)
 
-val now_int_ns : unit -> int
-(** {!now_ns} as a native int (no [Int64] boxing on the consumer side). *)
-
 val monotonic_ns : unit -> int
 (** [CLOCK_MONOTONIC] in nanoseconds as a native int: real ns resolution
     (the wall clock above only resolves µs).  Reads through an [@unboxed]

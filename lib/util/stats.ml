@@ -167,6 +167,14 @@ module Lhist = struct
     if v > t.vmax then t.vmax <- v
 
   let count t = t.n
+  let sum t = t.sum
+
+  let add into h =
+    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) h.counts;
+    into.n <- into.n + h.n;
+    into.sum <- into.sum + h.sum;
+    into.vmin <- Int.min into.vmin h.vmin;
+    into.vmax <- Int.max into.vmax h.vmax
   let bucket_count t i = t.counts.(i)
   let min_value t = if t.n = 0 then 0 else t.vmin
   let max_value t = if t.n = 0 then 0 else t.vmax

@@ -50,6 +50,13 @@ module Lhist : sig
   (** Count one sample (negatives clamp to 0).  Allocation-free. *)
 
   val count : t -> int
+
+  val sum : t -> int
+  (** The exact sum of the recorded samples. *)
+
+  val add : t -> t -> unit
+  (** [add into h] folds [h]'s samples into [into]. *)
+
   val min_value : t -> int
   val max_value : t -> int
   val mean : t -> float

@@ -1,27 +1,28 @@
-(* Kernel-wide tracing & metrics (ftrace-shaped, sized for the simulator).
+(* Program-wide tracing (ftrace-shaped, sized for the simulator).
 
-   Two always-compiled-in, disarmed-by-default facilities:
+   Two always-compiled-in, disarmed-by-default facilities behind one
+   switch, [armed]:
 
    - an event ring: one preallocated int array, four interleaved words per
-     entry (timestamp, event id, argument, span) behind a power-of-two
-     mask.  An armed [stamp] is four adjacent int stores and an increment —
-     no allocation, so the ring can stay armed across a zero-allocation
-     fastpath run.  Disarmed it is a single
-     load-and-branch.  Timestamps are the stamp's own sequence number by
-     default (a total order is what trace analysis needs); flipping
-     [real_clock] stamps [Clock.monotonic_ns] instead, which buys real
-     nanoseconds at the cost of a boxed Int64 per stamp.
+     entry (sequence number, event id, argument, span) behind a
+     power-of-two mask.  An armed [stamp] is four adjacent int stores and
+     an increment — no allocation, so the ring can stay armed across a
+     zero-allocation fastpath run.  Disarmed it is a single
+     load-and-branch.  The timestamp is the stamp's own sequence number: a
+     total order is what trace analysis needs.
 
-   - per-outcome-class latency histograms ({!Stats.Lhist}): armed by
-     [timing], recorded by the fastpath entry around every lookup.  The
-     histogram write itself never allocates; the clock read does (see
-     Clock), which is why [timing] is a separate switch from [armed].
+   - request-scoped span ids (§3.8).  Every syscall entry mints a span id
+     from a per-domain block (blocks are carved off one global atomic, so
+     two domains never mint the same id) and installs it as the domain's
+     current span.  The id rides every stamp, is carried in the netfs
+     wire message, re-installed server-side, and recorded at lease-break
+     delivery — so a cross-client invalidation storm renders as one
+     connected trace.  Span 0 means "no span".
 
-   Why a lookup missed or an entry died is counted per kernel, by the
-   cause counters of [Counters].
-
-   Everything here is global state, like the subsystems it observes cutting
-   across kernel instances; [reset ()] between experiments. *)
+   Both are program-wide on purpose: a netfs server and its clients'
+   kernels share one timeline.  Everything a kernel measures about itself
+   (counters, timers, the per-directory sketch) lives in its dcache.
+   [reset ()] between experiments. *)
 
 (* --- event taxonomy --- *)
 
@@ -114,8 +115,6 @@ let default_capacity = 8192
    stamp's cost. *)
 let ring_stride = 4
 let armed = ref false
-let real_clock = ref false
-let timing = ref false
 let ring_buf = ref (Array.make (default_capacity * ring_stride) 0)
 let mask = ref (default_capacity - 1)
 
@@ -135,6 +134,52 @@ let configure ~capacity =
   mask := capacity - 1;
   Atomic.set seq 0
 
+(* --- request-scoped span ids --- *)
+
+(* Block 0 is never handed out, so a real span id is always >= [span_block]
+   and 0 can mean "no span". *)
+let span_block = 1 lsl 20
+let next_block = Atomic.make 1
+
+(* Per-domain span state lives in Domain.DLS: on this compiler the DLS
+   read ("%dls_get", an intrinsic) is measurably cheaper than a
+   [Domain.self] C call, and [current_span] runs inside every armed stamp,
+   so the access path is the whole cost.  The record is mutated in place —
+   one DLS read per hook, int stores after that. *)
+type span_scratch = {
+  mutable sp_cur : int;  (* the domain's current span; 0 = none *)
+  mutable sp_next : int;  (* next id to mint from the domain's block *)
+  mutable sp_limit : int;  (* exclusive end of the block *)
+}
+
+let span_key = Domain.DLS.new_key (fun () -> { sp_cur = 0; sp_next = 0; sp_limit = 0 })
+
+(* Armed cost: a DLS read and three int stores; the block refill is one
+   atomic fetch-and-add every 2^20 spans.  Nothing allocates. *)
+let span_enter () =
+  if not !armed then 0
+  else begin
+    let s = Domain.DLS.get span_key in
+    if s.sp_next >= s.sp_limit then begin
+      let b = Atomic.fetch_and_add next_block 1 in
+      s.sp_next <- b * span_block;
+      s.sp_limit <- (b + 1) * span_block
+    end;
+    let id = s.sp_next in
+    s.sp_next <- id + 1;
+    s.sp_cur <- id;
+    id
+  end
+
+let[@inline] current_span () = (Domain.DLS.get span_key).sp_cur
+
+(* Allocates a closure — RPC path only. *)
+let with_span id f =
+  let s = Domain.DLS.get span_key in
+  let saved = s.sp_cur in
+  s.sp_cur <- id;
+  Fun.protect ~finally:(fun () -> s.sp_cur <- saved) f
+
 (* The entry base is masked by the array's own length (capacity and stride
    are both powers of two, so entry count = length lsr 2): no bounds-check
    branch, yet memory-safe even if a racing [configure] swaps the buffer
@@ -144,10 +189,10 @@ let[@inline] stamp ev arg =
     let s = Atomic.fetch_and_add seq 1 in
     let a = !ring_buf in
     let base = (s land ((Array.length a lsr 2) - 1)) * ring_stride in
-    Array.unsafe_set a base (if !real_clock then Clock.monotonic_ns () else s);
+    Array.unsafe_set a base s;
     Array.unsafe_set a (base + 1) ev;
     Array.unsafe_set a (base + 2) arg;
-    Array.unsafe_set a (base + 3) (Profiler.current ())
+    Array.unsafe_set a (base + 3) (current_span ())
   end
 
 let recorded () = Atomic.get seq
@@ -165,72 +210,15 @@ let iter_events f =
     f (start + k) a.(base) a.(base + 1) a.(base + 2) a.(base + 3)
   done
 
-(* --- per-outcome-class latency histograms --- *)
-
-let cls_fast = 0
-let cls_fallback = 1
-let cls_slowpath = 2
-let cls_negative = 3
-let cls_eio = 4
-let n_classes = 5
-
-let class_names = [| "fastpath_hit"; "fallback_hit"; "slowpath"; "negative"; "eio" |]
-let class_name c = class_names.(c)
-
-let lat = Array.init n_classes (fun _ -> Stats.Lhist.create ())
-let latency c = lat.(c)
-
-let[@inline] record_latency c ns = Stats.Lhist.record lat.(c) ns
-
-(* Resume-depth histogram (§3.5): how many already-cached components each
-   prefix-resumed miss skipped.  Not a latency class — depths, not ns — but
-   the same preallocated log2 store, so recording is fastpath-safe. *)
-let resume_depth = Stats.Lhist.create ()
-let[@inline] record_resume_depth depth = Stats.Lhist.record resume_depth depth
-
-(* Lease-age histogram (§3.7): how far into its ttl each lease was when the
-   client consulted it at the lockless gate — ages in virtual ns, recorded
-   on both verdicts (a live gate records the age served, an expired gate
-   the overshoot clamped to the recordable range).  Same preallocated log2
-   store as the latency classes, so the gate stays allocation-free. *)
-let lease_age = Stats.Lhist.create ()
-let[@inline] record_lease_age age = Stats.Lhist.record lease_age age
-
-let histograms_to_string () =
-  let buf = Buffer.create 512 in
-  for c = 0 to n_classes - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "class %s %s\n" class_names.(c) (Stats.Lhist.to_string lat.(c)))
-  done;
-  Buffer.add_string buf
-    (Printf.sprintf "class resume_depth %s\n" (Stats.Lhist.to_string resume_depth));
-  Buffer.add_string buf
-    (Printf.sprintf "class lease_age %s\n" (Stats.Lhist.to_string lease_age));
-  Buffer.contents buf
-
-(* --- arming / reset --- *)
-
-let arm () =
-  armed := true;
-  timing := true
-
-let disarm () =
-  armed := false;
-  timing := false
-
 let reset () =
   Atomic.set seq 0;
-  Array.iter Stats.Lhist.reset lat;
-  Stats.Lhist.reset resume_depth;
-  Stats.Lhist.reset lease_age
+  (Domain.DLS.get span_key).sp_cur <- 0
 
 (* --- rendering --- *)
 
 let ring_to_string ?(limit = 64) () =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "armed %b\n" !armed;
-  Printf.bprintf buf "timing %b\n" !timing;
-  Printf.bprintf buf "real_clock %b\n" !real_clock;
   Printf.bprintf buf "capacity %d\n" (capacity ());
   Printf.bprintf buf "recorded %d\n" (recorded ());
   Printf.bprintf buf "dropped %d\n" (dropped ());
@@ -246,9 +234,9 @@ let ring_to_string ?(limit = 64) () =
 
 (* Chrome trace_event JSON (the "JSON Array Format" with a traceEvents
    wrapper), loadable in chrome://tracing and Perfetto.  Every ring entry
-   becomes a global instant event; [ts] is the raw stamp (sequence number,
-   or ns when [real_clock] was set — the viewer's timescale label reads µs
-   either way, which only affects the axis captions).  Event names are
+   becomes a global instant event; [ts] is the stamp's sequence number (the
+   viewer's timescale label reads µs, which only affects the axis
+   captions).  Event names are
    drawn from [event_names] and contain no characters needing escapes.
 
    Span-aware additions (§3.8): each distinct nonzero span among the

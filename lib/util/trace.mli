@@ -1,52 +1,35 @@
-(** Kernel-wide tracing & metrics: event ring and per-outcome-class
-    latency histograms.
+(** Program-wide tracing: the event ring and request-scoped span ids.
 
-    Everything is compiled in unconditionally and disarmed by default.
-    The overhead discipline, proven by [test/t_alloc.ml] and the [trace]
-    benchmark:
+    Both are compiled in unconditionally and disarmed by default, behind
+    one switch, {!armed}, which also arms each kernel's per-directory
+    sketch ({!Profiler}).  The overhead discipline, proven by
+    [test/t_alloc.ml] and the [trace] and [profile] benchmarks:
 
     - disarmed, every probe-site hook is one load-and-branch and allocates
       nothing — the warm fastpath keeps its zero-allocation guarantee;
-    - an {e armed} ring {!stamp} is still allocation-free (the ring is
-      three preallocated int arrays; the default timestamp is the stamp's
-      own sequence number);
-    - only [timing] mode pays for clock reads (two {!Clock.monotonic_ns}
-      calls per lookup — ~100-150 ns, and allocation-free only as long as
-      the compiler inlines the clock stub), which is why it is a separate
-      switch.
+    - an armed {!stamp} is still allocation-free: the ring is one flat int
+      array with four words per entry, and the timestamp is the stamp's
+      own sequence number.
 
-    State is global (the subsystems it observes span kernel instances);
-    call {!reset} between experiments. *)
-
-(** {2 Switches} *)
+    The ring and the spans are program-wide because a netfs server and its
+    clients' kernels share one timeline: a lease break renders as one flow
+    from the mutating client's span to the victim's fallback.  What a
+    kernel measures about itself — counters ({!Stats.Counter}), timers
+    ({!Timers}) and the sketch — its dcache owns.  Call {!reset} between
+    experiments. *)
 
 val armed : bool ref
-(** Gates the event ring.  {!arm}/{!disarm} flip it together with
-    [timing]; set directly for ring-only capture. *)
-
-val timing : bool ref
-(** Gates latency-histogram recording (and its clock reads) in the
-    fastpath entry. *)
-
-val real_clock : bool ref
-(** When set, ring stamps record {!Clock.monotonic_ns} instead of the
-    sequence number — real timestamps at the cost of a clock read per
-    stamp.  Default [false]. *)
-
-val arm : unit -> unit
-(** [armed := true; timing := true]. *)
-
-val disarm : unit -> unit
+(** Arms the ring, span minting and every kernel's sketch together. *)
 
 val reset : unit -> unit
-(** Empty the ring and reset the histograms.  Leaves the switches alone. *)
+(** Empty the ring and clear the calling domain's current span.  Leaves
+    {!armed} alone. *)
 
 (** {2 The event ring} *)
 
 val stamp : int -> int -> unit
-(** [stamp ev arg] appends an event when armed; disarmed it is a branch.
-    Never allocates ([real_clock] adds a clock read per stamp; see
-    {!Clock.monotonic_ns} for its allocation caveat). *)
+(** [stamp ev arg] appends an event, tagged with the current span, when
+    armed; disarmed it is a branch.  Never allocates. *)
 
 val configure : capacity:int -> unit
 (** Replace the ring (default capacity 8192 events); empties it.
@@ -63,11 +46,11 @@ val dropped : unit -> int
 
 val iter_events : (int -> int -> int -> int -> int -> unit) -> unit
 (** [iter_events f] calls [f seq ts ev arg span] oldest-first over the
-    retained events ([span] is the recording request's {!Profiler} span
-    id, 0 when none). *)
+    retained events ([span] is the recording request's span id, 0 when
+    none; [ts] is the stamp's sequence number). *)
 
 val ring_to_string : ?limit:int -> unit -> string
-(** Header ([armed]/[timing]/[capacity]/[recorded]/[dropped]) plus the
+(** Header ([armed]/[capacity]/[recorded]/[dropped]) plus the
     newest [limit] (default 64) events, one [seq ts name arg] per line
     (with a [span=N] suffix when the event carries a span). *)
 
@@ -77,6 +60,20 @@ val dump_chrome : unit -> string
     [args]), an async "b"/"e" bracket per distinct span, and a flow
     "s"/"f" pair per {!ev_span_link} connecting the causing span's lane to
     the link — cross-client lease-break causality reads as one flow. *)
+
+(** {2 Request-scoped spans (§3.8)} *)
+
+val span_enter : unit -> int
+(** Mint a fresh span id and install it as the calling domain's current
+    span.  Returns 0 when disarmed.  Zero-allocation. *)
+
+val current_span : unit -> int
+(** The calling domain's current span id; 0 = no span. *)
+
+val with_span : int -> (unit -> 'a) -> 'a
+(** Run under span [id], restoring the caller's span afterwards — the
+    server side of a wire message carrying the client's span.  Allocates
+    (closure); RPC path only, never on the warm hit. *)
 
 (** {2 Event ids} *)
 
@@ -152,8 +149,8 @@ val ev_netfs_crash : int
     grace period opened; arg = the new epoch. *)
 
 val ev_syscall : int
-(** A syscall entry minted a fresh {!Profiler} span (stamped only when the
-    profiler is armed; the span id rides the stamp's span lane). *)
+(** A syscall entry minted a fresh span (stamped only when armed; the
+    span id rides the stamp's span lane). *)
 
 val ev_rpc_send : int
 (** A netfs RPC attempt left the client carrying the current span in the
@@ -177,40 +174,3 @@ val ev_batch_split : int
 
 val n_events : int
 val event_name : int -> string
-
-(** {2 Per-outcome-class latency histograms} *)
-
-val cls_fast : int
-val cls_fallback : int
-val cls_slowpath : int
-val cls_negative : int
-val cls_eio : int
-val n_classes : int
-val class_name : int -> string
-
-val latency : int -> Stats.Lhist.t
-val record_latency : int -> int -> unit
-(** [record_latency cls ns]: allocation-free histogram store. *)
-
-val histograms_to_string : unit -> string
-(** One [class name n … p50 … p90 … p99 … max … mean …] line per latency
-    class, plus the [resume_depth] and [lease_age] histograms in the same
-    format. *)
-
-(** {2 Resume-depth histogram (§3.5)} *)
-
-val resume_depth : Stats.Lhist.t
-(** Components skipped per prefix-resumed miss (depths, not nanoseconds);
-    reset by {!reset} alongside the latency histograms. *)
-
-val record_resume_depth : int -> unit
-(** Allocation-free histogram store. *)
-
-(** {2 Lease-age histogram (§3.7)} *)
-
-val lease_age : Stats.Lhist.t
-(** Virtual-ns age of each lease when the client's lockless gate consulted
-    it (live and expired verdicts both record); reset by {!reset}. *)
-
-val record_lease_age : int -> unit
-(** Allocation-free histogram store. *)

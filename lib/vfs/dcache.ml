@@ -9,6 +9,7 @@ module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
+module Timers = Dcache_util.Timers
 module Fs_intf = Dcache_fs.Fs_intf
 
 type hooks = { mutable on_shootdown : dentry -> unit }
@@ -25,6 +26,9 @@ type t = {
       (** dentry id generator: ids are per dcache, so a tree's ids (and the
           PCC set conflicts they decide) do not depend on what other
           kernels in the program allocated *)
+  next_seq : int Atomic.t;
+      (** version generator: a dentry slot "reallocated" for a new path
+          starts with a version no stale PCC entry can match (§3.1) *)
   clock : dentry Dlist.t;  (** reclaim list; front = recently inserted *)
   lru_mu : Mutex.t;
       (** serializes reclaim-list splices reachable from sharded mutation
@@ -61,15 +65,9 @@ type t = {
           slot when unsharded — everything is then under the write lock. *)
   hooks : hooks;
   counters : Counter.t;
+  timers : Timers.t;
+  hot : Profiler.t;
 }
-
-(* Global generators.  The seq generator guarantees that a dentry slot
-   "reallocated" for a new path starts with a version number no stale PCC
-   entry can match (§3.1).  Dentry ids, which model kernel virtual
-   addresses (unique within a dcache, never reused while cached), come
-   from the dcache's own [next_id]. *)
-let next_sb_id = Atomic.make 1
-let next_seq = Atomic.make 1
 
 let create config =
   let sharded = config.Config.fastpath && config.Config.dcache_stripes > 0 in
@@ -78,6 +76,7 @@ let create config =
     buckets = Array.init config.Config.dcache_buckets (fun _ -> Atomic.make []);
     count = Atomic.make 0;
     next_id = Atomic.make 1;
+    next_seq = Atomic.make 1;
     clock = Dlist.create ();
     lru_mu = Mutex.create ();
     tick = Atomic.make 0;
@@ -96,11 +95,15 @@ let create config =
         (fun _ -> Dlist.create ());
     hooks = { on_shootdown = (fun _ -> ()) };
     counters = Counter.create ();
+    timers = Timers.create ();
+    hot = Profiler.create ();
   }
 
 let config t = t.config
 let hooks t = t.hooks
 let counters t = t.counters
+let timers t = t.timers
+let hot t = t.hot
 let lock t = t.lock
 let rename_lock t = t.rename_lock
 let write_seq t = t.write_seq
@@ -196,7 +199,6 @@ let make_superblock t fs =
   | Ok attr ->
     let sb =
       {
-        sb_id = Atomic.fetch_and_add next_sb_id 1;
         sb_fs = fs;
         sb_icache = Inttbl.create 256;
         sb_root = None;
@@ -221,7 +223,7 @@ let make_superblock t fs =
         d_last_used = 0;
         d_complete = false;
         d_dir_gen = 0;
-        d_seq = Atomic.fetch_and_add next_seq 1;
+        d_seq = Atomic.fetch_and_add t.next_seq 1;
         d_sig = None;
         d_hstate = None;
         d_dlht_ns = None;
@@ -544,7 +546,7 @@ let alloc_child t parent name state =
       d_last_used = Atomic.get t.tick;
       d_complete = false;
       d_dir_gen = 0;
-      d_seq = Atomic.fetch_and_add next_seq 1;
+      d_seq = Atomic.fetch_and_add t.next_seq 1;
       d_sig = None;
       d_hstate = None;
       d_dlht_ns = None;
@@ -588,8 +590,7 @@ let fill t parent name =
   (* §3.8: misses are attributed here, directory-precise and config-
      agnostic (every kernel flavor funnels cold lookups through fill),
      rather than in the fastpath fallback, which would double count. *)
-  if !Profiler.armed then
-    Profiler.hh_record parent.d_sb.sb_id parent.d_id parent.d_name Profiler.m_miss;
+  Profiler.record t.hot parent.d_id parent.d_name Profiler.m_miss;
   let sb = parent.d_sb in
   match dentry_inode parent with
   | None -> Error Errno.ENOENT
@@ -620,7 +621,7 @@ let promote d =
 
 (* --- invalidation (§3.2) --- *)
 
-let bump_seq d = d.d_seq <- Atomic.fetch_and_add next_seq 1
+let bump_seq t d = d.d_seq <- Atomic.fetch_and_add t.next_seq 1
 
 let rec walk_subtree d f =
   f d;
@@ -633,18 +634,17 @@ let invalidate_permissions t dir =
     iter_children dir (fun child ->
         walk_subtree child (fun d ->
             incr visited;
-            bump_seq d));
+            bump_seq t d));
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_chmod !visited;
-    if !Profiler.armed then
-      Profiler.hh_record dir.d_sb.sb_id dir.d_id dir.d_name Profiler.m_inval;
+    Profiler.record t.hot dir.d_id dir.d_name Profiler.m_inval;
     Counter.add t.counters Counters.invalidate_permission_dentries !visited;
     Counter.add t.counters Counters.invalidated_by_chmod !visited;
     !visited
   end
 
 let shootdown t d =
-  bump_seq d;
+  bump_seq t d;
   t.hooks.on_shootdown d;
   d.d_sig <- None;
   d.d_hstate <- None;
@@ -662,11 +662,8 @@ let invalidate_structure t dentry =
     (* Attributed to the containing directory (the shot-down subtree's
        parent), matching how hits and misses are charged; a rootless
        dentry charges itself. *)
-    (if !Profiler.armed then
-       match dentry.d_parent with
-       | Some p -> Profiler.hh_record p.d_sb.sb_id p.d_id p.d_name Profiler.m_inval
-       | None ->
-         Profiler.hh_record dentry.d_sb.sb_id dentry.d_id dentry.d_name Profiler.m_inval);
+    (let dir = match dentry.d_parent with Some p -> p | None -> dentry in
+     Profiler.record t.hot dir.d_id dir.d_name Profiler.m_inval);
     Counter.add t.counters Counters.invalidate_structure_dentries !visited;
     Counter.add t.counters Counters.invalidated_by_rename !visited;
     !visited

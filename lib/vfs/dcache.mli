@@ -27,6 +27,13 @@ val create : Config.t -> t
 val config : t -> Config.t
 val hooks : t -> hooks
 val counters : t -> Dcache_util.Stats.Counter.t
+
+val timers : t -> Dcache_util.Timers.t
+(** This kernel's timer table (Figs. 1 and 3, the outcome histograms). *)
+
+val hot : t -> Dcache_util.Profiler.t
+(** This kernel's per-directory sketch (§3.8). *)
+
 val lock : t -> Dcache_util.Rwlock.t
 val rename_lock : t -> Dcache_util.Seqcount.t
 
@@ -179,9 +186,9 @@ val prune_children : t -> dentry -> unit
     e.g. deep negative children after a non-directory is created over a
     negative dentry (§5.2). *)
 
-val bump_seq : dentry -> unit
-(** Advance a dentry's version counter (from the global monotonic source),
-    invalidating every PCC entry referring to it. *)
+val bump_seq : t -> dentry -> unit
+(** Advance a dentry's version counter (from this dcache's monotonic
+    source), invalidating every PCC entry referring to it. *)
 
 val invalidate_permissions : t -> dentry -> int
 (** Before chmod/chown of a directory: bump the version counter of every

@@ -70,7 +70,6 @@ type dentry = {
 }
 
 and superblock = {
-  sb_id : int;
   sb_fs : Dcache_fs.Fs_intf.t;
   sb_icache : Inode.t Dcache_util.Inttbl.t;
   mutable sb_root : dentry option;

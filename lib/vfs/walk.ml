@@ -5,6 +5,7 @@ module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
+module Timers = Dcache_util.Timers
 
 type ctx = {
   cred : Dcache_cred.Cred.t;
@@ -58,8 +59,10 @@ let rec no_more_components = function
 let check_exec ctx inode =
   Lsm.permission ctx.registry ctx.cred (Inode.attr inode) Access.may_exec
 
-let may_lookup ctx inode =
-  let allowed = Phases.timed Phases.Permission (fun () -> check_exec ctx inode) in
+let may_lookup tm ctx inode =
+  let t0 = Timers.start tm.Timers.lookups in
+  let allowed = check_exec ctx inode in
+  Timers.stop tm Timers.permission t0;
   if not allowed then raise (Walk_error Errno.EACCES)
 
 (* Require a positive directory to descend into; promotes Partial dentries
@@ -136,7 +139,10 @@ let revalidate_hit mode t child =
 
 (* The dcache probe + miss fill for one component. *)
 let step mode t (cur : path_ref) name =
-  let cached = Phases.timed Phases.Table_lookup (fun () -> Dcache.lookup t cur.dentry name) in
+  let tm = Dcache.timers t in
+  let t0 = Timers.start tm.Timers.lookups in
+  let cached = Dcache.lookup t cur.dentry name in
+  Timers.stop tm Timers.table_lookup t0;
   (* Per-mount negative invalidation: a negative earned under an older
      generation is a miss, and a Ref walk drops it so the refill below can
      re-earn the verdict (Rcu leaves the cleanup to the next Ref walk —
@@ -163,9 +169,7 @@ let step mode t (cur : path_ref) name =
          cached for the absent name. *)
       Counter.bump (Dcache.counters t) Counters.complete_dir_negative;
       Trace.stamp Trace.ev_complete_neg 0;
-      if !Profiler.armed then
-        Profiler.hh_record cur.dentry.d_sb.sb_id cur.dentry.d_id cur.dentry.d_name
-          Profiler.m_neg;
+      Profiler.record (Dcache.hot t) cur.dentry.d_id cur.dentry.d_name Profiler.m_neg;
       None
     end
     else begin
@@ -242,6 +246,7 @@ let split_components config path =
 let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   let config = Dcache.config t in
   let counters = Dcache.counters t in
+  let tm = Dcache.timers t in
   Counter.bump counters Counters.walk_slowpath;
   Trace.stamp Trace.ev_slowpath 0;
   let visited = ref [] in
@@ -253,15 +258,16 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
     match start_at with Some _ -> false | None -> Path.is_absolute path
   in
   let trailing_slash = Path.has_trailing_slash path in
-  let items =
-    Phases.timed Phases.Scan_hash (fun () -> items_of (split_components config path))
-  in
+  let t0 = Timers.start tm.Timers.lookups in
+  let items = items_of (split_components config path) in
+  Timers.stop tm Timers.scan_hash t0;
+  let t0 = Timers.start tm.Timers.lookups in
   let start =
-    Phases.timed Phases.Init (fun () ->
-        match start_at with
-        | Some r -> r
-        | None -> if absolute then Mount.traverse_mounts ctx.root else ctx.cwd)
+    match start_at with
+    | Some r -> r
+    | None -> if absolute then Mount.traverse_mounts ctx.root else ctx.cwd
   in
+  Timers.stop tm Timers.init t0;
   (* [alias] is the current literal dentry when the walk has passed through
      a symlink; [None] when literal = real. *)
   let rec loop (cur : path_ref) alias depth items =
@@ -278,7 +284,7 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
       end
     | Comp comp :: rest -> (
       let dir = dir_inode_of mode cur.dentry in
-      may_lookup ctx dir;
+      may_lookup tm ctx dir;
       match comp with
       | Path.Cur -> loop cur alias depth rest
       | Path.Up -> loop (follow_dotdot ctx cur) None depth rest
@@ -365,13 +371,13 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   match finished with
   | `Err e -> `Resolved { outcome = Error e; visited = List.rev !visited; absolute }
   | `Final cur ->
+    let t0 = Timers.start tm.Timers.lookups in
     let final =
-      Phases.timed Phases.Finalize (fun () ->
-          if flags.must_dir || trailing_slash then begin
-            if dentry_is_dir cur.dentry then cur else raise (Walk_error Errno.ENOTDIR)
-          end
-          else cur)
+      if (flags.must_dir || trailing_slash) && not (dentry_is_dir cur.dentry) then
+        raise (Walk_error Errno.ENOTDIR)
+      else cur
     in
+    Timers.stop tm Timers.finalize t0;
     `Resolved { outcome = Ok final; visited = List.rev !visited; absolute }
   | `Parent (cur, name) ->
     (* Parent-style termination: [cur] is the containing directory; the

@@ -53,8 +53,9 @@ let test_warm_hit_zero_alloc () =
      disarmed half of the overhead discipline — the stamps are present but
      must cost nothing. *)
   Alcotest.(check bool) "tracing ring disarmed" false !Trace.armed;
-  Alcotest.(check bool) "tracing timing disarmed" false !Trace.timing;
   let kernel, p = ram_kernel ~config:Config.optimized () in
+  Alcotest.(check bool) "lookup timers disarmed" false
+    (Kernel.timers kernel).Dcache_util.Timers.lookups;
   get "tree" (S.mkdir_p p "/a/b/c");
   get "file" (S.write_file p "/a/b/c/target" "payload");
   let fp = Kernel.fastpath kernel in
@@ -93,10 +94,11 @@ let test_refill_zero_alloc () =
   let r0 = counter kernel "fastpath_pcc_refill" in
   let f0 = counter kernel "fastpath_fallback" in
   let iters = 10_000 in
+  let dcache = Kernel.dcache kernel in
   Rwlock.reset_acquisition_counts ();
   let words =
     measure_minor_words iters (fun () ->
-        Dcache.bump_seq target;
+        Dcache.bump_seq dcache target;
         probe_ok fp ctx "/a/b/c/target")
   in
   let locks = Rwlock.acquisition_counts () in
@@ -216,11 +218,11 @@ let test_warm_negative_hit_zero_alloc () =
 
 (* --- armed-tracing allocation discipline ---
 
-   The ring is three preallocated int arrays and the default timestamp is
-   the stamp's own sequence number, so even an *armed* stamp must not touch
-   the minor heap — and a warm fastpath hit with the ring armed must stay
-   at zero words too.  (Only [timing] mode allocates: the monotonic clock
-   read boxes an Int64; that mode is exercised by the bench, not here.) *)
+   The ring is one preallocated int array and the timestamp is the stamp's
+   own sequence number, so even an *armed* stamp must not touch the minor
+   heap — and a warm fastpath hit with the ring armed must stay at zero
+   words too.  (The kernel's timers, which read the clock, are exercised by
+   the bench, not here.) *)
 
 let test_armed_ring_stamp_zero_alloc () =
   Trace.reset ();
@@ -289,25 +291,26 @@ let test_warm_hit_armed_ring_zero_alloc () =
 module Profiler = Dcache_util.Profiler
 
 let test_profiler_hooks_zero_alloc () =
-  Profiler.reset ();
+  let hot = Profiler.create () in
+  Trace.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Profiler.disarm ();
-      Profiler.reset ())
+      Trace.armed := false;
+      Trace.reset ())
     (fun () ->
       let iters = 10_000 in
       let hooks () =
-        ignore (Profiler.span_enter ());
-        Profiler.hh_record 1 7 "dir" Profiler.m_hit
+        ignore (Trace.span_enter ());
+        Profiler.record hot 7 "dir" Profiler.m_hit
       in
       let words = measure_minor_words iters hooks in
       Alcotest.(check (float 0.0)) "disarmed hooks allocate zero words" 0.0 words;
       Alcotest.(check int) "disarmed hooks record nothing" 0
-        (List.length (Profiler.hot ()));
-      Profiler.arm ();
+        (List.length (Profiler.hot hot));
+      Trace.armed := true;
       let words = measure_minor_words iters hooks in
-      Alcotest.(check bool) "spans were minted" true (Profiler.current () <> 0);
-      (match Profiler.hot () with
+      Alcotest.(check bool) "spans were minted" true (Trace.current_span () <> 0);
+      (match Profiler.hot hot with
       | [ s ] ->
         Alcotest.(check bool) "sketch counted every armed call" true
           (s.Profiler.h_metrics.(Profiler.m_hit) >= iters)
@@ -326,15 +329,11 @@ let test_warm_hit_armed_profiler_zero_alloc () =
   let ctx = Proc.walk_ctx p in
   probe_ok fp ctx "/a/b/c/target";
   Trace.reset ();
-  Profiler.reset ();
   Trace.armed := true;
-  Profiler.arm ();
   Fun.protect
     ~finally:(fun () ->
       Trace.armed := false;
-      Profiler.disarm ();
-      Trace.reset ();
-      Profiler.reset ())
+      Trace.reset ())
     (fun () ->
       let iters = 10_000 in
       Rwlock.reset_acquisition_counts ();
@@ -347,7 +346,7 @@ let test_warm_hit_armed_profiler_zero_alloc () =
           (fun acc s ->
             if s.Profiler.h_label = "c" then acc + s.Profiler.h_metrics.(Profiler.m_hit)
             else acc)
-          0 (Profiler.hot ())
+          0 (Profiler.hot (Kernel.hot kernel))
       in
       Alcotest.(check bool) "sketch charged the parent directory" true (hits >= iters);
       Alcotest.(check (float 0.0)) "warm hit with armed profiler allocates zero words"

@@ -172,12 +172,13 @@ let run_op root_p user_p op =
   in
   go root_p op
 
-let run_trace config ops =
-  let fs = Dcache_fs.Ramfs.create () in
-  let kernel = Kernel.create ~config ~root_fs:fs () in
+let run_trace_in kernel ops =
   let root_p = Proc.spawn kernel in
   let user_p = Proc.spawn ~cred:(Cred.make ~uid:1000 ~gid:1000 ()) kernel in
   List.map (fun op -> run_op root_p user_p op) ops
+
+let run_trace config ops =
+  run_trace_in (Kernel.create ~config ~root_fs:(Dcache_fs.Ramfs.create ()) ()) ops
 
 let equivalence_test extra_label config_b =
   QCheck.Test.make
@@ -503,20 +504,18 @@ let absent_name_test =
 
 let run_trace_armed config ops =
   let module Trace = Dcache_util.Trace in
-  let module Profiler = Dcache_util.Profiler in
+  let kernel = Kernel.create ~config ~root_fs:(Dcache_fs.Ramfs.create ()) () in
   Trace.reset ();
-  Profiler.reset ();
   Trace.armed := true;
-  Profiler.arm ();
   Fun.protect
     ~finally:(fun () ->
       Trace.armed := false;
-      Profiler.disarm ();
-      Trace.reset ();
-      Profiler.reset ())
+      Trace.reset ())
     (fun () ->
-      let observations = run_trace config ops in
-      (observations, List.length (Profiler.hot ()), Trace.recorded ()))
+      let observations = run_trace_in kernel ops in
+      ( observations,
+        List.length (Dcache_util.Profiler.hot (Kernel.hot kernel)),
+        Trace.recorded () ))
 
 let profiling_transparency_test seed =
   Alcotest.test_case

@@ -508,10 +508,10 @@ let crash_site_names =
 
 let run_stripe_crash_schedule s =
   let inj = Fault.create ~seed:s () in
-  S.install_crash_sites inj;
-  Fun.protect ~finally:S.clear_crash_sites (fun () ->
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  S.install_crash_sites kernel inj;
+  Fun.protect ~finally:(fun () -> S.clear_crash_sites kernel) (fun () ->
       let prng = Prng.create ((s * 31) + 5) in
-      let kernel, p = ram_kernel ~config:Config.optimized () in
       get "tree" (S.mkdir_p p "/w/x");
       get "tree2" (S.mkdir_p p "/w/y");
       for i = 0 to 5 do

@@ -14,6 +14,8 @@ module Kernel_procfs = Dcache_syscalls.Kernel_procfs
 module Netfs = Dcache_fs.Netfs
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
+module Timers = Dcache_util.Timers
+module Profiler = Dcache_util.Profiler
 module Vclock = Dcache_util.Vclock
 
 (* --- tiny line-format parsers --- *)
@@ -62,16 +64,19 @@ let read p path = get ("read " ^ path) (S.read_file p path)
 
 (* --- the scripted workload + full surface read-back --- *)
 
+let arm_lookup_timers kernel = Timers.arm (Kernel.timers kernel) Timers.Lookups true
+
 let test_proc_observability_surface () =
   Trace.reset ();
-  Trace.arm ();
+  Trace.armed := true;
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
+      Trace.armed := false;
       Trace.reset ())
     (fun () ->
       let faults = Fault.create ~seed:5 () in
       let kernel, p = ram_kernel ~config:Config.optimized () in
+      arm_lookup_timers kernel;
       (* A netfs mount so /proc/netfs/rpc has something to report. *)
       let vclock = Vclock.create () in
       let server = Netfs.server ~faults ~clock:vclock (Dcache_fs.Ramfs.create ()) in
@@ -204,11 +209,16 @@ let test_proc_observability_surface () =
       let event_lines =
         List.filter_map
           (fun line ->
+            (* [seq ts name arg], with a [span=N] suffix under a span. *)
             match String.split_on_char ' ' line with
-            | [ s; ts; name; arg ]
+            | s :: ts :: name :: arg :: span
               when int_of_string_opt s <> None
                    && int_of_string_opt ts <> None
-                   && int_of_string_opt arg <> None ->
+                   && int_of_string_opt arg <> None
+                   && (match span with
+                      | [] -> true
+                      | [ sp ] -> String.starts_with ~prefix:"span=" sp
+                      | _ -> false) ->
               Some name
             | _ -> None)
           (lines trace_body)
@@ -310,10 +320,10 @@ let test_proc_observability_surface () =
 
 let test_prefix_resume_surface () =
   Trace.reset ();
-  Trace.arm ();
+  Trace.armed := true;
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
+      Trace.armed := false;
       Trace.reset ())
     (fun () ->
       let kernel, p = ram_kernel ~config:Config.optimized () in
@@ -375,8 +385,10 @@ let test_prefix_resume_surface () =
       Alcotest.(check bool) "depth bounded by the chain" true
         (hist_field line "max" <= 12);
       Alcotest.(check bool) "depth positive" true (hist_field line "min" >= 1);
-      Alcotest.(check bool) "histogram bounded by Trace state" true
-        (n <= Dcache_util.Stats.Lhist.count Trace.resume_depth);
+      Alcotest.(check bool) "histogram bounded by the kernel's timer" true
+        (n
+        <= Dcache_util.Stats.Lhist.count
+             (Timers.get (Kernel.timers kernel) Timers.resume_depth));
 
       (* Summary gauges and the config line. *)
       let summary = kv_lines (read p "/proc/dcache/summary") in
@@ -445,7 +457,7 @@ let test_chrome_dump_is_valid_json () =
   Trace.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
+      Trace.armed := false;
       Trace.reset ())
     (fun () ->
       Alcotest.(check bool) "empty ring dumps valid JSON" true
@@ -637,13 +649,10 @@ let test_neglists_surface () =
    is restricted to the labels the test drove. *)
 
 let test_hot_surface () =
-  let module Profiler = Dcache_util.Profiler in
   Trace.reset ();
-  Profiler.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Profiler.disarm ();
-      Profiler.reset ();
+      Trace.armed := false;
       Trace.reset ())
     (fun () ->
       let kernel, p = ram_kernel ~config:Config.optimized () in
@@ -668,7 +677,7 @@ let test_hot_surface () =
         expect_err Errno.ENOENT "warm negative" (S.stat p (dir i ^ "/missing"));
         expect_err Errno.ENOENT "warm negative" (S.stat p (dir i ^ "/missing"))
       done;
-      Profiler.arm ();
+      Trace.armed := true;
       let expected_hit = Array.make ndirs 0 in
       let expected_neg = Array.make ndirs 0 in
       for i = 0 to ndirs - 1 do
@@ -683,7 +692,7 @@ let test_hot_surface () =
           expected_neg.(i) <- expected_neg.(i) + 1
         done
       done;
-      Profiler.disarm ();
+      Trace.armed := false;
       let body = read p "/proc/dcache/hot" in
       Alcotest.(check int) "no evictions: under K distinct directories" 0
         (assoc_or_fail "hot" "evictions" (kv_lines body));
@@ -734,17 +743,13 @@ let test_hot_surface () =
       Alcotest.(check bool) "slots sorted by total descending" true (descending totals))
 
 (* Dentry ids are numbered per dcache, so the same tree built in two
-   kernels gives its directories equal ids.  The sketch is program-wide
-   and must still keep them apart: each kernel's directory gets its own
-   slot with its own count, told apart by superblock. *)
+   kernels gives its directories equal ids.  Each kernel's sketch holds
+   only its own directory, with its own count. *)
 let test_hot_two_kernels () =
-  let module Profiler = Dcache_util.Profiler in
   Trace.reset ();
-  Profiler.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Profiler.disarm ();
-      Profiler.reset ();
+      Trace.armed := false;
       Trace.reset ())
     (fun () ->
       let setup () =
@@ -754,39 +759,118 @@ let test_hot_two_kernels () =
         get "mkdir" (S.mkdir_p p "/twindir");
         get "seed" (S.write_file p "/twindir/f" "x");
         ignore (get "warm" (S.stat p "/twindir/f"));
-        p
+        (kernel, p)
       in
-      let pa = setup () in
-      let pb = setup () in
-      Profiler.arm ();
+      let ka, pa = setup () in
+      let kb, pb = setup () in
+      Trace.armed := true;
       for _ = 1 to 3 do
         ignore (get "hit a" (S.stat pa "/twindir/f"))
       done;
       for _ = 1 to 5 do
         ignore (get "hit b" (S.stat pb "/twindir/f"))
       done;
-      Profiler.disarm ();
-      let slots =
-        List.filter (fun s -> s.Profiler.h_label = "twindir") (Profiler.hot ())
+      Trace.armed := false;
+      let twins kernel =
+        List.filter (fun s -> s.Profiler.h_label = "twindir") (Profiler.hot (Kernel.hot kernel))
       in
-      (match slots with
-      | [ x; y ] ->
+      (match (twins ka, twins kb) with
+      | [ x ], [ y ] ->
         Alcotest.(check int) "the two directories share a dentry id" x.Profiler.h_key
           y.Profiler.h_key;
-        Alcotest.(check bool) "and differ by superblock" true
-          (x.Profiler.h_owner <> y.Profiler.h_owner)
-      | _ -> Alcotest.failf "expected two twindir slots, got %d" (List.length slots));
-      Alcotest.(check (list int)) "each kernel's hits counted apart" [ 5; 3 ]
-        (List.map (fun s -> s.Profiler.h_metrics.(Profiler.m_hit)) slots);
-      let rendered =
+        Alcotest.(check (pair int int)) "each kernel's hits counted apart" (3, 5)
+          (x.Profiler.h_metrics.(Profiler.m_hit), y.Profiler.h_metrics.(Profiler.m_hit))
+      | a, b ->
+        Alcotest.failf "expected one twindir slot per kernel, got %d and %d" (List.length a)
+          (List.length b));
+      let rendered p =
         List.filter
           (fun line ->
             match String.split_on_char ' ' line with
             | "dir" :: _ :: "twindir" :: _ -> true
             | _ -> false)
-          (lines (read pa "/proc/dcache/hot"))
+          (lines (read p "/proc/dcache/hot"))
       in
-      Alcotest.(check int) "/proc/dcache/hot lists both" 2 (List.length rendered))
+      Alcotest.(check int) "A's /proc/dcache/hot lists its own" 1 (List.length (rendered pa));
+      Alcotest.(check int) "B's /proc/dcache/hot lists its own" 1 (List.length (rendered pb)))
+
+(* Two kernels in one program, different workloads: A only hits warm
+   files, B only resumes cold misses and answers absent names.  Each
+   kernel's /proc/dcache/histograms, /proc/dcache/hot and summary
+   resume_depth lines must show its own figures and none of the other's. *)
+let test_two_kernels_read_their_own () =
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.armed := false;
+      Trace.reset ())
+    (fun () ->
+      let setup () =
+        let kernel, p = ram_kernel ~config:Config.optimized () in
+        get "mkdir /proc" (S.mkdir_p p "/proc");
+        get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+        (kernel, p)
+      in
+      let ka, pa = setup () in
+      let kb, pb = setup () in
+      get "A tree" (S.mkdir_p pa "/adir");
+      get "A file" (S.write_file pa "/adir/f" "x");
+      ignore (get "A warm" (S.stat pa "/adir/f"));
+      let deep = "/b0/b1/b2/b3/b4/b5" in
+      get "B tree" (S.mkdir_p pb deep);
+      for i = 1 to 10 do
+        get "B leaf" (S.write_file pb (Printf.sprintf "%s/m%d" deep i) "x")
+      done;
+      Kernel.drop_caches kb;
+      ignore (get "B warm chain" (S.stat pb deep));
+      List.iter Kernel.reset_stats [ ka; kb ];
+      Timers.arm (Kernel.timers ka) Timers.Lookups true;
+      Timers.arm (Kernel.timers kb) Timers.Lookups true;
+      Trace.armed := true;
+      for _ = 1 to 20 do
+        ignore (get "A hit" (S.stat pa "/adir/f"))
+      done;
+      for i = 1 to 10 do
+        ignore (get "B resumed miss" (S.stat pb (Printf.sprintf "%s/m%d" deep i)))
+      done;
+      Trace.armed := false;
+      Timers.arm (Kernel.timers ka) Timers.Lookups false;
+      Timers.arm (Kernel.timers kb) Timers.Lookups false;
+      let resumes_b = counter kb "fastpath_prefix_resume" in
+      Alcotest.(check bool) "B resumed its misses" true (resumes_b >= 10);
+      Alcotest.(check int) "A resumed nothing" 0 (counter ka "fastpath_prefix_resume");
+      (* Opening a /proc file may itself resume from /proc: A's resume
+         depths are bounded by A's own resume counter, read afterwards. *)
+      let hist p cls = hist_field (hist_line (read p "/proc/dcache/histograms") cls) "n" in
+      Alcotest.(check bool) "A's hits in A's histograms" true (hist pa "fastpath_hit" >= 20);
+      Alcotest.(check int) "no fallbacks in A's histograms" 0 (hist pa "fallback_hit");
+      let a_depths = hist pa "resume_depth" in
+      Alcotest.(check bool) "only A's own resumes in A's histograms" true
+        (a_depths <= counter ka "fastpath_prefix_resume");
+      Alcotest.(check bool) "B's resumes in B's histograms" true (hist pb "resume_depth" >= 10);
+      Alcotest.(check bool) "B's fallbacks in B's histograms" true
+        (hist pb "fallback_hit" >= 10);
+      let summary p = kv_lines (read p "/proc/dcache/summary") in
+      let a_summary = assoc_or_fail "summary" "resume_depth_n" (summary pa) in
+      Alcotest.(check bool) "A's summary: only its own resumes" true
+        (a_summary <= counter ka "fastpath_prefix_resume");
+      Alcotest.(check bool) "B's summary: its resumes" true
+        (assoc_or_fail "summary" "resume_depth_n" (summary pb) >= 10);
+      let hot_labels p =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | "dir" :: _ :: label :: _ -> Some label
+            | _ -> None)
+          (lines (read p "/proc/dcache/hot"))
+      in
+      Alcotest.(check bool) "A's sketch holds /adir" true (List.mem "adir" (hot_labels pa));
+      Alcotest.(check bool) "A's sketch holds none of B's directories" false
+        (List.exists (fun l -> String.length l = 2 && l.[0] = 'b') (hot_labels pa));
+      Alcotest.(check bool) "B's sketch holds its deep directory" true
+        (List.mem "b5" (hot_labels pb));
+      Alcotest.(check bool) "B's sketch does not hold /adir" false
+        (List.mem "adir" (hot_labels pb)))
 
 let test_procfs_without_attachments () =
   (* The optional subsystems default off; the files still exist and say so
@@ -968,6 +1052,8 @@ let suite =
       test_hot_surface;
     Alcotest.test_case "/proc/dcache/hot keeps two kernels' equal ids apart" `Quick
       test_hot_two_kernels;
+    Alcotest.test_case "two kernels' histograms, hot and resume depths stay apart" `Quick
+      test_two_kernels_read_their_own;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;
     Alcotest.test_case "/proc/dcache/causes counts cold only on a fallback" `Quick

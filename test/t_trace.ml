@@ -1,8 +1,8 @@
-(* The §3.8 profiler: span-threaded trace ring, chrome dump flow linkage,
-   the space-saving sketch's error bounds, and sliding-window rotation.
+(* The §3.8 profiler: span-threaded trace ring, chrome dump flow linkage
+   and the space-saving sketch's error bounds.
 
-   Every test resets Trace and Profiler on the way out — both are global,
-   and the suites share one binary. *)
+   Every test resets Trace on the way out — the ring and the spans are
+   program-wide, and the suites share one binary. *)
 
 open Kit
 module Trace = Dcache_util.Trace
@@ -36,18 +36,14 @@ let int_after s key from =
 
 let test_ring_wraparound_chrome () =
   Trace.reset ();
-  Profiler.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
-      Profiler.disarm ();
+      Trace.armed := false;
       Trace.configure ~capacity:8192;
-      Trace.reset ();
-      Profiler.reset ())
+      Trace.reset ())
     (fun () ->
       Trace.configure ~capacity:16;
       Trace.armed := true;
-      Profiler.arm ();
       (* Real workload traffic (not hand stamps): plenty of syscalls so the
          16-slot ring wraps several times over. *)
       let _kernel, p = ram_kernel ~config:Config.optimized () in
@@ -57,7 +53,6 @@ let test_ring_wraparound_chrome () =
         ignore (get "stat" (S.stat p "/w/f"))
       done;
       Trace.armed := false;
-      Profiler.disarm ();
       let total = Trace.recorded () in
       Alcotest.(check bool) "ring overflowed" true (total > 16);
       Alcotest.(check int) "dropped = recorded - capacity" (total - 16) (Trace.dropped ());
@@ -86,13 +81,10 @@ let test_ring_wraparound_chrome () =
 
 let test_cross_client_flow () =
   Trace.reset ();
-  Profiler.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
-      Profiler.disarm ();
-      Trace.reset ();
-      Profiler.reset ())
+      Trace.armed := false;
+      Trace.reset ())
     (fun () ->
       let clock = Vclock.create () in
       let backing = Dcache_fs.Ramfs.create () in
@@ -113,7 +105,6 @@ let test_cross_client_flow () =
         ignore (get "B warms" (S.stat pB "/export/data/file"))
       done;
       Trace.armed := true;
-      Profiler.arm ();
       (* Client A rewrites the file: A's request span rides the RPC; the
          server-side mutation breaks B's lease under that span and records
          it in B's break table. *)
@@ -124,7 +115,6 @@ let test_cross_client_flow () =
          the recorded breaker span and stamps the link, then falls back. *)
       ignore (get "B re-stats" (S.stat pB "/export/data/file"));
       Trace.armed := false;
-      Profiler.disarm ();
       let js = Trace.dump_chrome () in
       Alcotest.(check bool) "dump is valid JSON" true (json_valid js);
       let link = find_sub js "\"name\":\"span_link\"" 0 in
@@ -167,13 +157,11 @@ let test_cross_client_flow () =
 (* --- space-saving sketch: the classic bounds hold under eviction --- *)
 
 let test_sketch_error_bounds () =
-  Profiler.reset ();
+  let sk = Profiler.create () in
   Fun.protect
-    ~finally:(fun () ->
-      Profiler.disarm ();
-      Profiler.reset ())
+    ~finally:(fun () -> Trace.armed := false)
     (fun () ->
-      Profiler.arm ();
+      Trace.armed := true;
       let nkeys = Profiler.hh_k * 3 in
       let truth = Array.make nkeys 0 in
       let labels = Array.init nkeys (fun i -> Printf.sprintf "d%d" i) in
@@ -182,13 +170,13 @@ let test_sketch_error_bounds () =
       for round = 1 to 40 do
         for key = 0 to nkeys - 1 do
           if key < 8 || round mod (1 + (key / 8)) = 0 then begin
-            Profiler.hh_record 1 key labels.(key) Profiler.m_hit;
+            Profiler.record sk key labels.(key) Profiler.m_hit;
             truth.(key) <- truth.(key) + 1
           end
         done
       done;
-      Profiler.disarm ();
-      let slots = Profiler.hot () in
+      Trace.armed := false;
+      let slots = Profiler.hot sk in
       Alcotest.(check bool) "sketch is full" true (List.length slots = Profiler.hh_k);
       let min_total =
         List.fold_left (fun m s -> min m s.Profiler.h_total) max_int slots
@@ -225,42 +213,42 @@ let test_sketch_error_bounds () =
           true (List.mem key resident)
       done;
       (* Exactness below K distinct keys. *)
-      Profiler.reset ();
-      Profiler.arm ();
+      Profiler.reset sk;
+      Trace.armed := true;
       for key = 0 to Profiler.hh_k - 1 do
         for _ = 1 to key + 1 do
-          Profiler.hh_record 1 key "x" Profiler.m_miss
+          Profiler.record sk key "x" Profiler.m_miss
         done
       done;
       List.iter
         (fun s ->
           Alcotest.(check int) "exact while under K" 0 s.Profiler.h_err;
           Alcotest.(check int) "exact count" (s.Profiler.h_key + 1) s.Profiler.h_total)
-        (Profiler.hot ()))
+        (Profiler.hot sk))
 
 (* --- span plumbing unit checks --- *)
 
 let test_span_plumbing () =
-  Profiler.reset ();
+  Trace.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Profiler.disarm ();
-      Profiler.reset ())
+      Trace.armed := false;
+      Trace.reset ())
     (fun () ->
-      Alcotest.(check int) "disarmed span_enter returns 0" 0 (Profiler.span_enter ());
-      Profiler.arm ();
-      let s1 = Profiler.span_enter () in
-      let s2 = Profiler.span_enter () in
+      Alcotest.(check int) "disarmed span_enter returns 0" 0 (Trace.span_enter ());
+      Trace.armed := true;
+      let s1 = Trace.span_enter () in
+      let s2 = Trace.span_enter () in
       Alcotest.(check bool) "spans are nonzero" true (s1 <> 0 && s2 <> 0);
       Alcotest.(check bool) "spans are distinct" true (s1 <> s2);
-      Alcotest.(check int) "current = latest" s2 (Profiler.current ());
-      let inside = Profiler.with_span s1 (fun () -> Profiler.current ()) in
+      Alcotest.(check int) "current = latest" s2 (Trace.current_span ());
+      let inside = Trace.with_span s1 (fun () -> Trace.current_span ()) in
       Alcotest.(check int) "with_span installs the carried span" s1 inside;
-      Alcotest.(check int) "with_span restores on exit" s2 (Profiler.current ());
-      (match Profiler.with_span s1 (fun () -> failwith "boom") with
+      Alcotest.(check int) "with_span restores on exit" s2 (Trace.current_span ());
+      (match Trace.with_span s1 (fun () -> failwith "boom") with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "exception swallowed");
-      Alcotest.(check int) "with_span restores on raise" s2 (Profiler.current ()))
+      Alcotest.(check int) "with_span restores on raise" s2 (Trace.current_span ()))
 
 let suite =
   [

@@ -194,7 +194,7 @@ let test_trace_ring_wraparound () =
   Trace.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disarm ();
+      Trace.armed := false;
       Trace.configure ~capacity:8192;
       Trace.reset ())
     (fun () ->
@@ -227,20 +227,32 @@ let test_trace_ring_wraparound () =
         (Invalid_argument "Trace.configure: capacity must be a positive power of two")
         (fun () -> Trace.configure ~capacity:100))
 
-let test_trace_latency () =
-  Trace.reset ();
-  Fun.protect
-    ~finally:(fun () -> Trace.reset ())
-    (fun () ->
-      Trace.record_latency Trace.cls_fast 500;
-      Trace.record_latency Trace.cls_fast 700;
-      Alcotest.(check int) "latency recorded" 2
-        (Dcache_util.Stats.Lhist.count (Trace.latency Trace.cls_fast));
-      let h = Trace.histograms_to_string () in
-      Alcotest.(check bool) "class line present" true
-        (Kit.contains_substring h "class fastpath_hit n 2");
-      Alcotest.(check bool) "empty classes still listed" true
-        (Kit.contains_substring h "class eio n 0"))
+(* A kernel's timer table: start/stop charges its own row, the merged
+   histogram keeps the exact sum, and the outcome classes render even
+   when empty. *)
+let test_timers () =
+  let module Timers = Dcache_util.Timers in
+  let tm = Timers.create () in
+  Alcotest.(check int) "disarmed start reads no clock" 0 (Timers.start tm.Timers.lookups);
+  Timers.stop tm Timers.init 0;
+  Alcotest.(check int) "a zero start charges nothing" 0
+    (Stats.Lhist.count (Timers.get tm Timers.init));
+  Timers.arm tm Timers.Lookups true;
+  let t0 = Timers.start tm.Timers.lookups in
+  Alcotest.(check bool) "armed start reads the clock" true (t0 <> 0);
+  Timers.stop tm Timers.init t0;
+  Alcotest.(check int) "armed stop records" 1 (Stats.Lhist.count (Timers.get tm Timers.init));
+  Timers.record tm Timers.fastpath_hit 500;
+  Timers.record tm Timers.fastpath_hit 700;
+  Alcotest.(check int) "exact sum" 1200 (Stats.Lhist.sum (Timers.get tm Timers.fastpath_hit));
+  let h = Timers.histograms_to_string tm in
+  Alcotest.(check bool) "class line present" true
+    (Kit.contains_substring h "class fastpath_hit n 2");
+  Alcotest.(check bool) "empty classes still listed" true
+    (Kit.contains_substring h "class eio n 0");
+  Timers.reset tm;
+  Alcotest.(check int) "reset empties every row" 0
+    (Stats.Lhist.count (Timers.get tm Timers.fastpath_hit))
 
 let test_counter () =
   let module C = Stats.Counter in
@@ -343,7 +355,7 @@ let suite =
     Alcotest.test_case "lhist buckets and reset" `Quick test_lhist_buckets_and_reset;
     Alcotest.test_case "lhist record allocates nothing" `Quick test_lhist_record_no_alloc;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_ring_wraparound;
-    Alcotest.test_case "trace latency classes" `Quick test_trace_latency;
+    Alcotest.test_case "timer table" `Quick test_timers;
     Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "vclock" `Quick test_vclock;
     Alcotest.test_case "seqcount" `Quick test_seqcount;
