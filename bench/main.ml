@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every figure and table of the paper's
    evaluation (§6).  Run with no arguments for all experiments at quick
    scale, `--full` for paper-scale parameters, or name experiment ids
-   (fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 tab1 tab2 tab3 tab4 ablation
-   bechamel alloc faults trace scale) to run a subset.  See DESIGN.md for
-   the experiment index. *)
+   (`--list` prints them) to run a subset.  Every experiment prints its
+   tables and writes them, with the spread of every timed cell, to
+   BENCH_<id>.json (figure.ml).  See DESIGN.md for the experiment index. *)
 
 module W = Dcache_workloads
 module Kernel = Dcache_syscalls.Kernel
@@ -11,10 +11,66 @@ module Proc = Dcache_syscalls.Proc
 module S = Dcache_syscalls.Syscalls
 module Config = Dcache_vfs.Config
 module Timers = Dcache_util.Timers
+module Stats = Dcache_util.Stats
+module Counters = Dcache_util.Counters
 module Signature = Dcache_sig.Signature
 module Siphash = Dcache_sig.Siphash
 module Prng = Dcache_util.Prng
+module Vclock = Dcache_util.Vclock
+module Fault = Dcache_util.Fault
+module Utrace = Dcache_util.Trace
+module Fastpath = Dcache_core.Fastpath
+module Errno = Dcache_types.Errno
 open Bu
+open Figure
+
+(* A base and an optimized arm, timed alternately. *)
+let vs base opt = match trials [ base; opt ] with [ b; o ] -> (b, o) | _ -> assert false
+
+(* One row per labelled arm; the arms are timed alternately. *)
+let arm_rows ?(k = 1.0) t arms =
+  List.iter2 (fun (label, _) s -> row t [ L label; M (rescale k s) ]) arms (trials (List.map snd arms))
+
+(* Rows of labelled configs by measured columns: each column holds one arm
+   per row, and a column's arms are timed alternately. *)
+let grid ?(k = 1.0) t labels columns =
+  let measured = List.map (fun arms -> List.map (rescale k) (trials arms)) columns in
+  List.iteri (fun i label -> row t (L label :: List.map (fun c -> M (List.nth c i)) measured)) labels
+
+let us = rescale 1e-3
+
+(* A body that renames [a] to [b] and back on alternate calls. *)
+let ping_pong rename a b =
+  let there = ref false in
+  fun () ->
+    let src, dst = if !there then (b, a) else (a, b) in
+    there := not !there;
+    rename src dst
+
+let readdir_arm (env : W.Env.t) ~iters dir () =
+  per_op ~vclock:env.W.Env.vclock ~iters (fun () ->
+      ignore (ok "rd" (S.readdir_path env.W.Env.proc dir)))
+
+let mkstemp_arm (env : W.Env.t) ~seed dir =
+  let p = env.W.Env.proc in
+  let prng = Prng.create seed in
+  fun () ->
+    per_op ~vclock:env.W.Env.vclock ~iters:100 (fun () ->
+        let fd, path = ok "mkstemp" (S.mkstemp ~prng p dir) in
+        ok "close" (S.close p fd);
+        ok "unlink" (S.unlink p path))
+
+(* Allocation tables: minor words and ns per call of a warm operation. *)
+let words_table key =
+  table key
+    [ col ~left:true 44 "case" "case"; col ~dec:2 9 "words/op" "words_per_op";
+      col 9 "ns/op" "ns_per_op" ]
+
+let words_row t label ~iters f =
+  f ();
+  let words = Stats.minor_words_per_op ~iters f in
+  row t [ L label; R words; M (latency f) ];
+  words
 
 (* ------------------------------------------------------------------ *)
 (* Application suite shared by Fig. 1, Table 1 and Table 2.           *)
@@ -109,59 +165,43 @@ let build_apps (env : W.Env.t) =
     };
   ]
 
-(* Measurements of the two kernels are interleaved per repetition so that
-   slow drift in the (noisy) host hits both kernels equally; each kernel
-   reports its median run. *)
+(* Every app's runs on the two kernels, alternated trial by trial so slow
+   drift in the (noisy) host hits both kernels equally. *)
 let run_app_tables ~cold env_base env_opt =
   let apps_base = build_apps env_base in
   let apps_opt = build_apps env_opt in
   (* Cold runs are dominated by deterministic virtual device time; one
-     repetition is enough.  Warm runs are wall-clock and need medians. *)
-  let reps = if cold then 1 else if !quick then 5 else 7 in
-  let median runs =
-    let sorted =
-      List.sort (fun a b -> Int64.compare a.W.Runner.total_ns b.W.Runner.total_ns) runs
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
+     trial is enough.  Warm runs are wall-clock and need medians. *)
+  let n = if cold then 1 else if !quick then 5 else 7 in
   List.map2
     (fun app_b app_o ->
-      (* Paper protocol: run once and drop the first run (warm cache); for
-         the cold table, caches are dropped right before every measured
-         run. *)
-      let one env (app : app) =
+      (* Paper protocol: the warm-up run is dropped (warm cache); for the
+         cold table, caches are dropped right before every measured run. *)
+      let one env (app : app) () =
         app.setup_each ();
         if cold then W.Env.drop_caches env;
         let loops = if cold then 1 else app.loops in
-        let result =
+        let r =
           W.Runner.run ~label:app.app_name env (fun () ->
               for _ = 1 to loops do
                 app.run ()
               done)
         in
-        { result with
-          W.Runner.real_ns = Int64.div result.W.Runner.real_ns (Int64.of_int loops);
-          virt_ns = Int64.div result.W.Runner.virt_ns (Int64.of_int loops);
-          total_ns = Int64.div result.W.Runner.total_ns (Int64.of_int loops) }
+        let per ns = Int64.div ns (Int64.of_int loops) in
+        { r with
+          W.Runner.real_ns = per r.W.Runner.real_ns;
+          virt_ns = per r.W.Runner.virt_ns;
+          total_ns = per r.W.Runner.total_ns }
       in
-      app_b.setup_each ();
-      app_b.run ();
-      app_o.setup_each ();
-      app_o.run ();
-      let runs =
-        List.init reps (fun _ ->
-            let rb = one env_base app_b in
-            let ro = one env_opt app_o in
-            (rb, ro))
-      in
-      (app_b.app_name, median (List.map fst runs), median (List.map snd runs)))
+      match runs ~n [ one env_base app_b; one env_opt app_o ] with
+      | [ rb; ro ] -> (app_b.app_name, rb, ro)
+      | _ -> assert false)
     apps_base apps_opt
 
 let path_stats (result : W.Runner.result) =
-  let get k = List.assoc k result.W.Runner.counters in
-  let lookups = max 1 result.W.Runner.path_lookups in
-  ( float_of_int (get "path_bytes") /. float_of_int lookups,
-    float_of_int (get "path_comps") /. float_of_int lookups )
+  let get id = float_of_int (List.assoc (Stats.Counter.name id) result.W.Runner.counters) in
+  let lookups = float_of_int (max 1 result.W.Runner.path_lookups) in
+  (get Counters.path_bytes /. lookups, get Counters.path_comps /. lookups)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1: fraction of execution time in path-based system calls       *)
@@ -175,37 +215,38 @@ let fig1 () =
   let apps =
     (* the parallel make accumulates syscall time across domains, which is
        not comparable to wall time; Fig. 1 keeps the serial applications *)
-    List.filter (fun app -> not (String.length app.app_name > 5
-                                 && String.sub app.app_name 0 6 = "make -")) (build_apps env)
+    List.filter
+      (fun app -> not (String.starts_with ~prefix:"make -" app.app_name))
+      (build_apps env)
   in
-  row "%-16s %10s %10s %12s %10s %8s\n" "app" "acc/stat%" "open%" "chmod/chown%" "unlink%"
-    "total%";
+  let pct = col ~suffix:"%" in
+  let t =
+    table "apps"
+      [ col ~left:true 16 "app" "app"; pct 10 "acc/stat%" "access_stat_pct"; pct 10 "open%" "open_pct";
+        pct 12 "chmod/chown%" "chmod_chown_pct"; pct 10 "unlink%" "unlink_pct";
+        pct 8 "total%" "total_pct" ]
+  in
+  let tm = Kernel.timers env.W.Env.kernel in
   List.iter
     (fun app ->
-      app.setup_each ();
-      app.run ();
-      (* warm *)
-      app.setup_each ();
-      let tm = Kernel.timers env.W.Env.kernel in
-      Timers.reset tm;
-      Timers.arm tm Timers.Syscalls true;
-      let t0 = Dcache_util.Clock.monotonic_ns () in
-      app.run ();
-      let total_ns = float_of_int (Dcache_util.Clock.monotonic_ns () - t0) in
-      Timers.arm tm Timers.Syscalls false;
-      let ns id = float_of_int (Stats.Lhist.sum (Timers.get tm id)) in
-      let frac id = ns id /. total_ns *. 100.0 in
-      let all = List.fold_left (fun acc id -> acc +. frac id) 0.0 Timers.syscalls in
-      row "%-16s %9.1f%% %9.1f%% %11.1f%% %9.1f%% %7.1f%%\n" app.app_name
-        (frac Timers.access_stat) (frac Timers.open_) (frac Timers.chmod_chown)
-        (frac Timers.unlink) all)
+      let fractions () =
+        app.setup_each ();
+        Timers.reset tm;
+        Timers.arm tm Timers.Syscalls true;
+        let total = float_of_int (elapsed_ns app.run) in
+        Timers.arm tm Timers.Syscalls false;
+        let frac id = float_of_int (Stats.Lhist.sum (Timers.get tm id)) /. total *. 100.0 in
+        List.map frac [ Timers.access_stat; Timers.open_; Timers.chmod_chown; Timers.unlink ]
+        @ [ List.fold_left (fun acc id -> acc +. frac id) 0.0 Timers.syscalls ]
+      in
+      row t (L app.app_name :: List.map (fun s -> M s) (spreads (List.hd (runs [ fractions ])))))
     apps
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 2: the optimization trajectory (stands in for kernel versions) *)
 (* ------------------------------------------------------------------ *)
 
-let stat_8comp_latency config =
+let stat_8comp_latency config () =
   let env = W.Env.ram config in
   let p = env.W.Env.proc in
   W.Lmbench.setup p;
@@ -233,23 +274,27 @@ let fig2 () =
       ("+ aggressive & deep negatives (full design)", Config.optimized);
     ]
   in
-  let base = ref 0.0 in
-  row "%-45s %12s %8s\n" "configuration" "stat (ns)" "vs base";
-  List.iter
-    (fun (name, config) ->
-      let ns = median_of_runs (fun () -> stat_8comp_latency config) in
-      if !base = 0.0 then base := ns;
-      row "%-45s %12.1f %+7.1f%%\n" name ns (pct_gain ~base:!base ns))
-    ladder;
+  let t =
+    table "ladder"
+      [ col ~left:true 45 "configuration" "config"; col 12 "stat (ns)" "stat_ns";
+        col ~sign:true ~suffix:"%" 8 "vs base" "gain_pct" ]
+  in
+  let stats = trials (List.map (fun (_, config) -> stat_8comp_latency config) ladder) in
+  let base = (List.hd stats).median in
+  List.iter2 (fun (name, _) s -> row t [ L name; M s; R (pct_gain ~base s.median) ]) ladder stats;
   subheader "paper 3.3 hash-function comparison (per-signature cost, 45-byte path)";
   let path = "usr/include/gcc-x86_64-linux-gnu/sys/types.h" in
   let key = Signature.create_key ~seed:7 () in
   let sipkey = Siphash.key_of_seed 7 in
-  let multilinear = latency_ns ~iters:20000 (fun () -> ignore (Signature.hash_string key path)) in
-  let prf = latency_ns ~iters:20000 (fun () -> ignore (Siphash.hash256 sipkey path)) in
-  row "%-45s %12.1f ns\n" "2-universal multilinear (ours, 4 lanes)" multilinear;
-  row "%-45s %12.1f ns\n" "SipHash-2-4 PRF (4 lanes, software)" prf;
-  row "(the paper reached the same conclusion: the PRF costs too much to win)\n"
+  let hash f () = per_op ~iters:20000 f in
+  arm_rows
+    (table "hashes" [ col ~left:true 45 "hash function" "hash"; col 12 "ns" "ns" ])
+    [
+      ( "2-universal multilinear (ours, 4 lanes)",
+        hash (fun () -> ignore (Signature.hash_string key path)) );
+      ("SipHash-2-4 PRF (4 lanes, software)", hash (fun () -> ignore (Siphash.hash256 sipkey path)));
+    ];
+  print_endline "(the paper reached the same conclusion: the PRF costs too much to win)"
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 3: principal components of lookup latency                      *)
@@ -260,31 +305,34 @@ let fig3 () =
     "Fig. 3 - Principal sources of path lookup latency (ns per lookup).\n\
      Note: per-phase timers add overhead; compare shapes, not totals.";
   let iters = if !quick then 2000 else 10000 in
-  let run_config label config =
-    let env = W.Env.ram config in
-    let p = env.W.Env.proc in
-    let tm = Kernel.timers env.W.Env.kernel in
-    W.Lmbench.setup p;
-    List.iter
-      (fun (plabel, path) ->
-        ignore (S.stat p path);
-        (* warm *)
-        Timers.reset tm;
-        Timers.arm tm Timers.Lookups true;
-        for _ = 1 to iters do
-          ignore (S.stat p path)
-        done;
-        Timers.arm tm Timers.Lookups false;
-        let per id = float_of_int (Stats.Lhist.sum (Timers.get tm id)) /. float_of_int iters in
-        row "%-10s %-18s %8.1f %10.1f %12.1f %10.1f %9.1f\n" label plabel (per Timers.init)
-          (per Timers.permission) (per Timers.scan_hash) (per Timers.table_lookup)
-          (per Timers.finalize))
-      W.Lmbench.fig3_paths
+  let t =
+    table "phases"
+      [ col ~left:true 10 "kernel" "kernel"; col ~left:true 18 "path" "path"; col 8 "init" "init_ns";
+        col 10 "permission" "permission_ns"; col 12 "scan+hash" "scan_hash_ns";
+        col 10 "tbl-lookup" "table_lookup_ns"; col 9 "finalize" "finalize_ns" ]
   in
-  row "%-10s %-18s %8s %10s %12s %10s %9s\n" "kernel" "path" "init" "permission" "scan+hash"
-    "tbl-lookup" "finalize";
-  run_config "unmod" Config.baseline;
-  run_config "opt" Config.optimized
+  List.iter
+    (fun (label, config) ->
+      let env = W.Env.ram config in
+      let p = env.W.Env.proc in
+      let tm = Kernel.timers env.W.Env.kernel in
+      W.Lmbench.setup p;
+      List.iter
+        (fun (plabel, path) ->
+          let phases () =
+            Timers.reset tm;
+            Timers.arm tm Timers.Lookups true;
+            for _ = 1 to iters do
+              ignore (S.stat p path)
+            done;
+            Timers.arm tm Timers.Lookups false;
+            List.map
+              (fun id -> float_of_int (Stats.Lhist.sum (Timers.get tm id)) /. float_of_int iters)
+              [ Timers.init; Timers.permission; Timers.scan_hash; Timers.table_lookup; Timers.finalize ]
+          in
+          row t (L label :: L plabel :: List.map (fun s -> M s) (spreads (List.hd (runs [ phases ])))))
+        W.Lmbench.fig3_paths)
+    [ ("unmod", Config.baseline); ("opt", Config.optimized) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: stat/open latency per path pattern                          *)
@@ -301,27 +349,28 @@ let fig6 () =
   let env_base = mk Config.baseline in
   let env_opt = mk Config.optimized in
   let env_miss = mk Config.optimized in
-  Dcache_core.Fastpath.set_simulate_pcc_miss (Kernel.fastpath env_miss.W.Env.kernel) true;
+  Fastpath.set_simulate_pcc_miss (Kernel.fastpath env_miss.W.Env.kernel) true;
   let env_lex = mk { Config.optimized with Config.dotdot = Config.Dotdot_lexical } in
-  let measure f env pattern = median_of_runs (fun () -> f env.W.Env.proc pattern ~iters) in
   List.iter
     (fun (syscall, f) ->
       subheader (syscall ^ " latency (ns)");
-      row "%-10s %10s %10s %14s %12s\n" "pattern" "unmod" "opt" "opt-PCC-miss" "opt-lexical*";
+      let t =
+        table syscall
+          [ col ~left:true 10 "pattern" "pattern"; col 10 "unmod" "unmod_ns"; col 10 "opt" "opt_ns";
+            col 14 "opt-PCC-miss" "opt_pcc_miss_ns"; col 12 "opt-lexical*" "opt_lexical_ns" ]
+      in
       List.iter
         (fun pattern ->
-          let base = measure f env_base pattern in
-          let opt = measure f env_opt pattern in
-          let miss = measure f env_miss pattern in
-          let lex =
-            match pattern.W.Lmbench.label with
-            | "1-dotdot" | "4-dotdot" -> Printf.sprintf "%12.1f" (measure f env_lex pattern)
-            | _ -> "           -"
+          let dotdot =
+            match pattern.W.Lmbench.label with "1-dotdot" | "4-dotdot" -> true | _ -> false
           in
-          row "%-10s %10.1f %10.1f %14.1f %s\n" pattern.W.Lmbench.label base opt miss lex)
+          let envs = [ env_base; env_opt; env_miss ] @ if dotdot then [ env_lex ] else [] in
+          let arms = List.map (fun (env : W.Env.t) () -> f env.W.Env.proc pattern ~iters) envs in
+          let cells = List.map (fun s -> M s) (trials arms) in
+          row t ((L pattern.W.Lmbench.label :: cells) @ if dotdot then [] else [ Nil ]))
         W.Lmbench.patterns)
     [ ("stat", W.Lmbench.measure_stat); ("open", W.Lmbench.measure_open) ];
-  row "(* Plan 9 lexical dot-dot semantics, applicable to dot-dot patterns)\n"
+  print_endline "(* Plan 9 lexical dot-dot semantics, applicable to dot-dot patterns)"
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: chmod / rename latency vs cached subtree size               *)
@@ -362,46 +411,48 @@ let fig7 () =
       ("depth=3, 1000", 3, 1000) ]
     @ if !quick then [] else [ ("depth=4, 10000", 4, 10000) ]
   in
-  let measure config =
-    let env = W.Env.ram config in
-    let p = env.W.Env.proc in
-    List.map
-      (fun (label, depth, files) ->
-        let root = Printf.sprintf "/t%d_%d" depth files in
+  let env_b = W.Env.ram Config.baseline and env_o = W.Env.ram Config.optimized in
+  let ucol = col ~dec:2 ~suffix:"us" and slow = col ~dec:0 ~sign:true ~suffix:"%" in
+  let t =
+    table "trees"
+      [ col ~left:true 18 "tree" "tree"; ucol 12 "chmod-base" "chmod_base_us";
+        ucol 12 "chmod-opt" "chmod_opt_us"; slow 8 "slowdn" "chmod_slowdown_pct";
+        ucol ~bar:true 12 "renam-base" "rename_base_us"; ucol 12 "renam-opt" "rename_opt_us";
+        slow 8 "slowdn" "rename_slowdown_pct" ]
+  in
+  List.iter
+    (fun (label, depth, files) ->
+      let root = Printf.sprintf "/t%d_%d" depth files in
+      let build (env : W.Env.t) =
+        let p = env.W.Env.proc in
         if depth = 0 && files = 1 then begin
           ok "mkdir" (S.mkdir_p p root);
           ok "single" (S.write_file p (root ^ "/only") "x")
         end
         else build_subtree p ~root ~depth ~files;
-        ignore (W.Apps.du p ~root);
         (* warm every descendant *)
-        let chmod_ns =
-          let mode = ref 0o755 in
-          latency_ns ~iters:(if files >= 1000 then 20 else 200) (fun () ->
-              mode := (if !mode = 0o755 then 0o750 else 0o755);
-              ok "chmod" (S.chmod p root !mode))
-        in
-        let rename_ns =
-          let at_alt = ref false in
-          let alt = root ^ "alt" in
-          latency_ns ~iters:(if files >= 1000 then 20 else 200) (fun () ->
-              let src, dst = if !at_alt then (alt, root) else (root, alt) in
-              at_alt := not !at_alt;
-              ok "rename" (S.rename p src dst))
-        in
-        (label, chmod_ns /. 1000.0, rename_ns /. 1000.0))
-      cases
-  in
-  let base = measure Config.baseline in
-  let opt = measure Config.optimized in
-  row "%-18s %12s %12s %8s | %12s %12s %8s\n" "tree" "chmod-base" "chmod-opt" "slowdn"
-    "renam-base" "renam-opt" "slowdn";
-  List.iter2
-    (fun (label, cb, rb) (_, co, ro) ->
-      let slow a b = (b -. a) /. a *. 100.0 in
-      row "%-18s %10.2fus %10.2fus %+7.0f%% | %10.2fus %10.2fus %+7.0f%%\n" label cb co
-        (slow cb co) rb ro (slow rb ro))
-    base opt
+        ignore (W.Apps.du p ~root);
+        p
+      in
+      let pb = build env_b and po = build env_o in
+      let iters = if files >= 1000 then 20 else 200 in
+      let timed body p =
+        let f = body p in
+        fun () -> per_op ~iters f
+      in
+      let chmod p =
+        let mode = ref 0o755 in
+        fun () ->
+          mode := if !mode = 0o755 then 0o750 else 0o755;
+          ok "chmod" (S.chmod p root !mode)
+      in
+      let rename p = ping_pong (fun src dst -> ok "rename" (S.rename p src dst)) root (root ^ "alt") in
+      let cb, co = vs (timed chmod pb) (timed chmod po) in
+      let rb, ro = vs (timed rename pb) (timed rename po) in
+      let slowdown a b = pct_rise ~base:a.median b.median in
+      row t
+        [ L label; M (us cb); M (us co); R (slowdown cb co); M (us rb); M (us ro); R (slowdown rb ro) ])
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 8: lookup latency under concurrent threads                     *)
@@ -415,8 +466,7 @@ let fig8 () =
         this exercises the read-path synchronization, not HW parallelism."
        (Domain.recommended_domain_count ()));
   let iters = if !quick then 2000 else 10000 in
-  let threads = [ 1; 2; 4; 8; 12 ] in
-  let measure config do_open nthreads =
+  let measure config do_open nthreads () =
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
     W.Lmbench.setup p;
@@ -435,23 +485,25 @@ let fig8 () =
         done
     in
     let bodies = List.init nthreads (fun _ -> worker ()) in
-    let t0 = Dcache_util.Clock.now_ns () in
-    let domains = List.map (fun body -> Domain.spawn body) bodies in
-    List.iter Domain.join domains;
-    let t1 = Dcache_util.Clock.now_ns () in
     (* wall time divided by per-thread iterations and threads: per-op cost
        normalized for timesharing *)
-    Int64.to_float (Int64.sub t1 t0) /. float_of_int (iters * nthreads)
+    float_of_int (elapsed_ns (fun () -> List.iter Domain.join (List.map Domain.spawn bodies)))
+    /. float_of_int (iters * nthreads)
   in
-  row "%-8s %12s %12s %12s %12s\n" "threads" "stat-base" "stat-opt" "open-base" "open-opt";
+  let t =
+    table "threads"
+      [ col ~left:true 8 "threads" "threads"; col 12 "stat-base" "stat_base_ns";
+        col 12 "stat-opt" "stat_opt_ns"; col 12 "open-base" "open_base_ns";
+        col 12 "open-opt" "open_opt_ns" ]
+  in
   List.iter
     (fun n ->
-      row "%-8d %12.1f %12.1f %12.1f %12.1f\n" n
-        (measure Config.baseline false n)
-        (measure Config.optimized false n)
-        (measure Config.baseline true n)
-        (measure Config.optimized true n))
-    threads
+      let arms =
+        [ measure Config.baseline false n; measure Config.optimized false n;
+          measure Config.baseline true n; measure Config.optimized true n ]
+      in
+      row t (C n :: List.map (fun s -> M s) (trials arms)))
+    [ 1; 2; 4; 8; 12 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: readdir and mkstemp latency vs directory size               *)
@@ -459,68 +511,61 @@ let fig8 () =
 
 let fig9 () =
   header "Fig. 9 - readdir and mkstemp latency vs directory size (us)";
-  let sizes = [ 10; 100; 1000 ] @ if !quick then [] else [ 10000 ] in
-  let measure config =
-    (* Disk-backed fs: the readdir win comes from skipping on-disk dirent
-       re-parsing (paper 5.1). *)
-    let env = W.Env.disk config in
-    let p = env.W.Env.proc in
-    List.map
-      (fun size ->
-        let dir = Printf.sprintf "/dir%d" size in
-        W.Webserver.setup p ~dir ~files:size;
-        ignore (ok "warm" (S.readdir_path p dir));
-        let readdir_ns =
-          env_latency_ns env ~iters:(max 20 (2000 / size)) (fun () ->
-              ignore (ok "rd" (S.readdir_path p dir)))
-        in
-        let prng = Prng.create size in
-        let mkstemp_ns =
-          env_latency_ns env ~iters:100 (fun () ->
-              let fd, path = ok "mkstemp" (S.mkstemp ~prng p dir) in
-              ok "close" (S.close p fd);
-              ok "unlink" (S.unlink p path))
-        in
-        (size, readdir_ns /. 1000.0, mkstemp_ns /. 1000.0))
-      sizes
+  (* Disk-backed fs: the readdir win comes from skipping on-disk dirent
+     re-parsing (paper 5.1). *)
+  let env_b = W.Env.disk Config.baseline and env_o = W.Env.disk Config.optimized in
+  let ucol = col ~dec:2 ~suffix:"us" and gain = col ~dec:0 ~sign:true ~suffix:"%" in
+  let t =
+    table "sizes"
+      [ col ~left:true 8 "files" "files"; ucol 13 "readdir-base" "readdir_base_us";
+        ucol 13 "readdir-opt" "readdir_opt_us"; gain 8 "gain" "readdir_gain_pct";
+        ucol ~bar:true 13 "mkstmp-base" "mkstemp_base_us"; ucol 13 "mkstmp-opt" "mkstemp_opt_us";
+        gain 8 "gain" "mkstemp_gain_pct" ]
   in
-  let base = measure Config.baseline in
-  let opt = measure Config.optimized in
-  row "%-8s %13s %13s %8s | %13s %13s %8s\n" "files" "readdir-base" "readdir-opt" "gain"
-    "mkstmp-base" "mkstmp-opt" "gain";
-  List.iter2
-    (fun (size, rb, mb) (_, ro, mo) ->
-      row "%-8d %11.2fus %11.2fus %+7.0f%% | %11.2fus %11.2fus %+7.0f%%\n" size rb ro
-        (pct_gain ~base:rb ro) mb mo (pct_gain ~base:mb mo))
-    base opt
+  List.iter
+    (fun size ->
+      let dir = Printf.sprintf "/dir%d" size in
+      let readdir (env : W.Env.t) =
+        W.Webserver.setup env.W.Env.proc ~dir ~files:size;
+        ignore (ok "warm" (S.readdir_path env.W.Env.proc dir));
+        readdir_arm env ~iters:(max 20 (2000 / size)) dir
+      in
+      let rb, ro = vs (readdir env_b) (readdir env_o) in
+      let mb, mo = vs (mkstemp_arm env_b ~seed:size dir) (mkstemp_arm env_o ~seed:size dir) in
+      let gain a b = pct_gain ~base:a.median b.median in
+      row t [ C size; M (us rb); M (us ro); R (gain rb ro); M (us mb); M (us mo); R (gain mb mo) ])
+    ([ 10; 100; 1000 ] @ if !quick then [] else [ 10000 ])
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: Dovecot maildir throughput                                 *)
 (* ------------------------------------------------------------------ *)
 
+let throughput_table key head =
+  table key
+    [ col ~left:true 10 head "size"; col ~dec:0 14 "base (ops/s)" "base_per_s";
+      col ~dec:0 14 "opt (ops/s)" "opt_per_s"; col ~sign:true ~suffix:"%" 8 "gain" "gain_pct" ]
+
+let throughput_row t size (b, o) = row t [ C size; M b; M o; R (pct_rise ~base:b.median o.median) ]
+
 let fig10 () =
   header "Fig. 10 - Dovecot IMAP model: mark/unmark throughput (ops/s)";
-  let sizes = [ 50; 100; 500; 1000 ] @ if !quick then [] else [ 2000; 3000 ] in
   let ops = if !quick then 60 else 200 in
-  let measure config size =
-    let env = W.Env.disk config in
-    let p = env.W.Env.proc in
-    let mbox = W.Maildir.setup p ~root:(Printf.sprintf "/mail%d" size) ~messages:size ~seed:7 in
-    ignore (W.Maildir.run_ops p mbox ~ops:5 ~seed:1);
-    (* warm *)
-    median_of_runs (fun () ->
-        let result =
-          W.Runner.run env (fun () -> ignore (W.Maildir.run_ops p mbox ~ops ~seed:2))
-        in
-        float_of_int ops /. seconds result)
-  in
-  row "%-10s %14s %14s %8s\n" "mailbox" "base (ops/s)" "opt (ops/s)" "gain";
+  let t = throughput_table "mailboxes" "mailbox" in
   List.iter
     (fun size ->
-      let base = measure Config.baseline size in
-      let opt = measure Config.optimized size in
-      row "%-10d %14.0f %14.0f %+7.1f%%\n" size base opt ((opt -. base) /. base *. 100.0))
-    sizes
+      let arm config =
+        let env = W.Env.disk config in
+        let p = env.W.Env.proc in
+        let mbox =
+          W.Maildir.setup p ~root:(Printf.sprintf "/mail%d" size) ~messages:size ~seed:7
+        in
+        ignore (W.Maildir.run_ops p mbox ~ops:5 ~seed:1);
+        fun () ->
+          let r = W.Runner.run env (fun () -> ignore (W.Maildir.run_ops p mbox ~ops ~seed:2)) in
+          float_of_int ops /. seconds r
+      in
+      throughput_row t size (vs (arm Config.baseline) (arm Config.optimized)))
+    ([ 50; 100; 500; 1000 ] @ if !quick then [] else [ 2000; 3000 ])
 
 (* ------------------------------------------------------------------ *)
 (* Tables 1 and 2: application execution time, warm and cold           *)
@@ -531,16 +576,26 @@ let app_table ~cold title =
   let env_base = W.Env.disk Config.baseline in
   let env_opt = W.Env.disk Config.optimized in
   let rows = run_app_tables ~cold env_base env_opt in
-  row "%-16s %5s %4s | %12s %6s %6s | %12s %8s\n" "app" "l" "#" "unmod (s)" "hit%" "neg%"
-    "opt (s)" "gain";
+  let secs ?bar = col ~dec:4 ?bar 12 and pct = col ~suffix:"%" 6 in
+  let t =
+    table "apps"
+      [ col ~left:true 16 "app" "app"; col ~dec:0 5 "l" "path_bytes"; col 4 "#" "path_comps";
+        secs ~bar:true "unmod (s)" "unmod_s"; pct "hit%" "unmod_hit_pct";
+        pct "neg%" "unmod_neg_pct"; secs ~bar:true "opt (s)" "opt_s";
+        col ~dec:2 ~sign:true ~suffix:"%" 8 "gain" "gain_pct" ]
+  in
+  let median_run rs =
+    let sorted = List.sort (fun a b -> Int64.compare a.W.Runner.total_ns b.W.Runner.total_ns) rs in
+    List.nth sorted (List.length sorted / 2)
+  in
   List.iter
-    (fun (name, rb, ro) ->
+    (fun (name, rbs, ros) ->
+      let rb = median_run rbs and ro = median_run ros in
       let l, comps = path_stats rb in
-      row "%-16s %5.0f %4.1f | %12.4f %5.1f%% %5.1f%% | %12.4f %+7.2f%%\n" name l comps
-        (seconds rb)
-        (rb.W.Runner.hit_rate *. 100.0)
-        (rb.W.Runner.neg_rate *. 100.0)
-        (seconds ro) (W.Runner.gain ~baseline:rb ro))
+      let time rs = M (spread (List.map seconds rs)) in
+      row t
+        [ L name; R l; R comps; time rbs; R (rb.W.Runner.hit_rate *. 100.0);
+          R (rb.W.Runner.neg_rate *. 100.0); time ros; R (W.Runner.gain ~baseline:rb ro) ])
     rows
 
 let tab1 () =
@@ -559,24 +614,21 @@ let tab2 () =
 
 let tab3 () =
   header "Table 3 - Apache-style generated directory listings (requests/s)";
-  let sizes = [ 10; 100; 1000 ] @ if !quick then [] else [ 10000 ] in
-  let measure config size =
-    let env = W.Env.disk config in
-    let p = env.W.Env.proc in
-    let dir = Printf.sprintf "/www%d" size in
-    W.Webserver.setup p ~dir ~files:size;
-    ignore (W.Webserver.request p ~dir);
-    let iters = max 5 (2000 / size) in
-    let ns = env_latency_ns env ~iters (fun () -> ignore (W.Webserver.request p ~dir)) in
-    1e9 /. ns
-  in
-  row "%-10s %14s %14s %8s\n" "# files" "unmod (req/s)" "opt (req/s)" "gain";
+  let t = throughput_table "sizes" "# files" in
   List.iter
     (fun size ->
-      let base = measure Config.baseline size in
-      let opt = measure Config.optimized size in
-      row "%-10d %14.0f %14.0f %+7.1f%%\n" size base opt ((opt -. base) /. base *. 100.0))
-    sizes
+      let arm config =
+        let env = W.Env.disk config in
+        let p = env.W.Env.proc in
+        let dir = Printf.sprintf "/www%d" size in
+        W.Webserver.setup p ~dir ~files:size;
+        ignore (W.Webserver.request p ~dir);
+        let iters = max 5 (2000 / size) in
+        fun () ->
+          1e9 /. per_op ~vclock:env.W.Env.vclock ~iters (fun () -> ignore (W.Webserver.request p ~dir))
+      in
+      throughput_row t size (vs (arm Config.baseline) (arm Config.optimized)))
+    ([ 10; 100; 1000 ] @ if !quick then [] else [ 10000 ])
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: lines of code                                              *)
@@ -623,19 +675,48 @@ let tab4 () =
       ("workloads (lib/workloads)", [ "lib/workloads" ]);
     ]
   in
-  row "%-48s %10s\n" "component" "LoC";
-  let total = ref 0 in
-  List.iter
-    (fun (name, dirs) ->
-      let loc = List.fold_left (fun acc d -> acc + count_loc (Filename.concat root d)) 0 dirs in
-      total := !total + loc;
-      row "%-48s %10d\n" name loc)
-    groups;
-  row "%-48s %10d\n" "total library code" !total
+  let t = table "components" [ col ~left:true 48 "component" "component"; col 10 "LoC" "loc" ] in
+  let total =
+    List.fold_left
+      (fun total (name, dirs) ->
+        let loc = List.fold_left (fun acc d -> acc + count_loc (Filename.concat root d)) 0 dirs in
+        row t [ L name; C loc ];
+        total + loc)
+      0 groups
+  in
+  row t [ L "total library code"; C total ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (paper 6.3, 6.5 and DESIGN.md design choices)             *)
 (* ------------------------------------------------------------------ *)
+
+let config_col = col ~left:true 34 "config" "config"
+
+let gain_col = col ~sign:true ~suffix:"%" 7 "gain" "gain_pct"
+
+(* Warm stat latency of Lmbench patterns, one row per config. *)
+let pattern_table key configs patterns =
+  let iters = if !quick then 2000 else 10000 in
+  let t =
+    table key
+      (config_col
+      :: List.map (fun q -> col 9 (q.W.Lmbench.label ^ " ns") (q.W.Lmbench.label ^ "_ns")) patterns)
+  in
+  let envs =
+    List.map
+      (fun (_, config) ->
+        let env = W.Env.ram config in
+        W.Lmbench.setup env.W.Env.proc;
+        env)
+      configs
+  in
+  grid t (List.map fst configs)
+    (List.map
+       (fun q ->
+         List.map (fun (env : W.Env.t) () -> W.Lmbench.measure_stat env.W.Env.proc q ~iters) envs)
+       patterns)
+
+let lmbench_pattern label = List.find (fun q -> q.W.Lmbench.label = label) W.Lmbench.patterns
 
 let ablation () =
   header "Ablations";
@@ -643,7 +724,7 @@ let ablation () =
     "PCC capacity vs updatedb gain (paper 6.3: gain drops when the tree\n\
      outgrows the PCC)";
   let tree_scale = scale () *. 4.0 in
-  let run_updatedb config =
+  let updatedb_env config =
     let env = W.Env.disk config in
     let p = env.W.Env.proc in
     ignore (W.Tree_gen.build p ~root:"/usr" (W.Tree_gen.usr_tree ~scale:tree_scale ()));
@@ -652,191 +733,159 @@ let ablation () =
       incr uniq;
       ignore (W.Apps.updatedb p ~root:"/usr" ~output:(Printf.sprintf "/db%d" !uniq))
     in
-    go ();
     (* warm *)
-    let t =
-      median_of_runs (fun () ->
-          seconds
-            (W.Runner.run env (fun () ->
-                 for _ = 1 to 5 do
-                   go ()
-                 done))
-          /. 5.0)
-    in
-    Kernel.reset_stats env.W.Env.kernel;
     go ();
-    let lookups = max 1 (counter env "path_lookup") in
-    let fallbacks = counter env "fastpath_fallback" in
-    (t, 100.0 *. float_of_int fallbacks /. float_of_int lookups)
+    (env, go)
   in
-  let base, _ = run_updatedb Config.baseline in
-  row "%-34s %10.4fs\n" "baseline" base;
+  let updatedb (env, go) () =
+    seconds
+      (W.Runner.run env (fun () ->
+           for _ = 1 to 5 do
+             go ()
+           done))
+    /. 5.0
+  in
+  let slowpath_pct (env, go) =
+    let k = env.W.Env.kernel in
+    Kernel.reset_stats k;
+    go ();
+    100.0 *. float_of_int (count k Counters.fastpath_fallback)
+    /. float_of_int (max 1 (count k Counters.path_lookup))
+  in
   (* Ceilings up to 4096 are the paper's static table; above it the table
      starts at 4096 and grows (the extension). *)
-  List.iter
-    (fun entries ->
-      let t, fallback_pct =
-        run_updatedb { Config.optimized with Config.pcc_entries = entries }
-      in
-      let label =
-        if entries <= 4096 then Printf.sprintf "PCC %6d entries (%4d KB)" entries (entries * 16 / 1024)
-        else Printf.sprintf "PCC grows to %d (extension)" entries
-      in
-      row "%-34s %10.4fs  gain %+5.1f%%  slowpath %4.1f%%\n" label t (pct_gain ~base t)
-        fallback_pct)
-    [ 64; 256; 1024; 4096; 16384 ];
+  let pcc entries =
+    ( (if entries <= 4096 then
+         Printf.sprintf "PCC %6d entries (%4d KB)" entries (entries * 16 / 1024)
+       else Printf.sprintf "PCC grows to %d (extension)" entries),
+      { Config.optimized with Config.pcc_entries = entries } )
+  in
+  let configs = ("baseline", Config.baseline) :: List.map pcc [ 64; 256; 1024; 4096; 16384 ] in
+  let envs = List.map (fun (_, config) -> updatedb_env config) configs in
+  let times = trials (List.map updatedb envs) in
+  let t =
+    table "pcc_capacity"
+      [ config_col; col ~dec:4 ~suffix:"s" 11 "updatedb" "updatedb_s"; gain_col;
+        col ~suffix:"%" 9 "slowpath" "slowpath_pct" ]
+  in
+  let base = (List.hd times).median in
+  List.iteri
+    (fun i (((label, _), env), s) ->
+      if i = 0 then row t [ L label; M s; Nil; Nil ]
+      else row t [ L label; M s; R (pct_gain ~base s.median); R (slowpath_pct env) ])
+    (List.combine (List.combine configs envs) times);
 
   subheader "deep negative dentries (paper 6.1: without them, neg-d is much worse)";
-  let neg_d = List.find (fun q -> q.W.Lmbench.label = "neg-d") W.Lmbench.patterns in
-  let neg_f = List.find (fun q -> q.W.Lmbench.label = "neg-f") W.Lmbench.patterns in
-  let stat_pattern config pattern =
-    let env = W.Env.ram config in
-    W.Lmbench.setup env.W.Env.proc;
-    median_of_runs (fun () ->
-        W.Lmbench.measure_stat env.W.Env.proc pattern
-          ~iters:(if !quick then 2000 else 10000))
-  in
-  List.iter
-    (fun (label, config) ->
-      row "%-34s neg-f %8.1f ns   neg-d %8.1f ns\n" label (stat_pattern config neg_f)
-        (stat_pattern config neg_d))
+  pattern_table "deep_negatives"
     [
       ("baseline", Config.baseline);
       ("optimized w/o deep negatives", { Config.optimized with Config.deep_negative = false });
       ("optimized (full)", Config.optimized);
-    ];
+    ]
+    [ lmbench_pattern "neg-f"; lmbench_pattern "neg-d" ];
 
   subheader "directory completeness (readdir of a 1000-entry directory)";
-  let readdir_1000 config =
+  let big config =
     let env = W.Env.disk config in
-    let p = env.W.Env.proc in
-    W.Webserver.setup p ~dir:"/big" ~files:1000;
-    ignore (ok "warm" (S.readdir_path p "/big"));
-    env_latency_ns env ~iters:20 (fun () -> ignore (ok "rd" (S.readdir_path p "/big")))
-    /. 1000.0
+    W.Webserver.setup env.W.Env.proc ~dir:"/big" ~files:1000;
+    ignore (ok "warm" (S.readdir_path env.W.Env.proc "/big"));
+    env
   in
-  List.iter
-    (fun (label, config) -> row "%-34s %10.2f us\n" label (readdir_1000 config))
-    [
-      ("baseline", Config.baseline);
-      ("optimized w/o completeness", { Config.optimized with Config.dir_completeness = false });
-      ("optimized (full)", Config.optimized);
-    ];
+  arm_rows ~k:1e-3
+    (table "completeness" [ config_col; col ~dec:2 10 "readdir us" "readdir_us" ])
+    (List.map
+       (fun (label, config) -> (label, readdir_arm (big config) ~iters:20 "/big"))
+       [
+         ("baseline", Config.baseline);
+         ("optimized w/o completeness", { Config.optimized with Config.dir_completeness = false });
+         ("optimized (full)", Config.optimized);
+       ]);
 
   subheader
     "completeness integration (paper 2.3/5.1): ours (in the dcache) vs a\n\
      Solaris-DNLC-style separate listing cache (1000-entry directory, disk)";
-  let completeness_trial label config =
-    let env = W.Env.disk config in
-    let p = env.W.Env.proc in
-    W.Webserver.setup p ~dir:"/big" ~files:1000;
-    (* (a) repeated readdir *)
-    ignore (ok "warm" (S.readdir_path p "/big"));
-    let readdir_us =
-      env_latency_ns env ~iters:20 (fun () -> ignore (ok "rd" (S.readdir_path p "/big")))
-      /. 1000.0
-    in
-    (* (b) readdir-then-stat of every entry, from a dropped dcache *)
-    W.Env.drop_caches env;
-    let entries = ok "list" (S.readdir_path p "/big") in
-    let stat_us =
-      let v0 = Dcache_util.Vclock.elapsed_ns env.W.Env.vclock in
-      let t0 = Dcache_util.Clock.now_ns () in
-      List.iter
-        (fun (e : Dcache_fs.Fs_intf.dirent) ->
-          ignore (ok "stat" (S.stat p ("/big/" ^ e.Dcache_fs.Fs_intf.name))))
-        entries;
-      let t1 = Dcache_util.Clock.now_ns () in
-      let v1 = Dcache_util.Vclock.elapsed_ns env.W.Env.vclock in
-      Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub v1 v0))
-      /. float_of_int (List.length entries) /. 1000.0
-    in
-    (* (c) secure temp file creation *)
-    let prng = Prng.create 3 in
-    let mkstemp_us =
-      env_latency_ns env ~iters:100 (fun () ->
-          let fd, path = ok "mkstemp" (S.mkstemp ~prng p "/big") in
-          ok "close" (S.close p fd);
-          ok "unlink" (S.unlink p path))
-      /. 1000.0
-    in
-    row "%-36s readdir %9.1f us   stat-after %6.2f us   mkstemp %7.2f us\n" label
-      readdir_us stat_us mkstemp_us
+  let integ =
+    [
+      ("no completeness (baseline)", Config.baseline);
+      ( "separate cache (Solaris DNLC style)",
+        { Config.optimized with Config.dir_completeness = false; dnlc_style_completeness = true } );
+      ("integrated (this paper)", Config.optimized);
+    ]
   in
-  completeness_trial "no completeness (baseline)" Config.baseline;
-  completeness_trial "separate cache (Solaris DNLC style)"
-    { Config.optimized with Config.dir_completeness = false; dnlc_style_completeness = true };
-  completeness_trial "integrated (this paper)" Config.optimized;
+  let envs = List.map (fun (_, config) -> big config) integ in
+  (* (b) readdir-then-stat of every entry, from a dropped dcache *)
+  let stat_after (env : W.Env.t) () =
+    let p = env.W.Env.proc in
+    W.Env.drop_caches env;
+    let entries = Array.of_list (ok "list" (S.readdir_path p "/big")) in
+    let i = ref 0 in
+    per_op ~vclock:env.W.Env.vclock ~iters:(Array.length entries) (fun () ->
+        ignore (ok "stat" (S.stat p ("/big/" ^ entries.(!i).Dcache_fs.Fs_intf.name)));
+        incr i)
+  in
+  grid ~k:1e-3
+    (table "completeness_integration"
+       [ col ~left:true 36 "design" "design"; col 10 "readdir us" "readdir_us";
+         col ~dec:2 10 "stat-after" "stat_after_us"; col ~dec:2 10 "mkstemp us" "mkstemp_us" ])
+    (List.map fst integ)
+    [ List.map (fun env -> readdir_arm env ~iters:20 "/big") envs; List.map stat_after envs;
+      List.map (fun env -> mkstemp_arm env ~seed:3 "/big") envs ];
 
   subheader "signature width vs 8-component stat latency (paper 3.3)";
-  List.iter
-    (fun bits ->
-      let ns =
-        median_of_runs (fun () ->
-            stat_8comp_latency { Config.optimized with Config.sig_bits = bits })
-      in
-      row "sig_bits = %-22d %10.1f ns\n" bits ns)
-    [ 64; 128; 236 ];
+  arm_rows
+    (table "sig_bits" [ col ~left:true 34 "sig_bits" "sig_bits"; col 10 "stat ns" "stat_ns" ])
+    (List.map
+       (fun bits ->
+         (string_of_int bits, stat_8comp_latency { Config.optimized with Config.sig_bits = bits }))
+       [ 64; 128; 236 ]);
 
   subheader "*at() family: single-component lookups from a dirfd (paper 6.1)";
-  let at_latency config =
+  let at_env config =
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
     W.Lmbench.setup p;
-    let dirfd =
-      ok "open dir" (S.openf p "/XXX/YYY/ZZZ" [ Proc.O_RDONLY; Proc.O_DIRECTORY ])
-    in
+    let dirfd = ok "open dir" (S.openf p "/XXX/YYY/ZZZ" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
     ignore (ok "warm" (S.fstatat p dirfd "FFF" ()));
-    let fstatat_ns =
-      latency_ns ~iters:(if !quick then 3000 else 15000) (fun () ->
-          ignore (ok "fstatat" (S.fstatat p dirfd "FFF" ())))
-    in
-    let openat_ns =
-      latency_ns ~iters:(if !quick then 3000 else 15000) (fun () ->
-          let fd = ok "openat" (S.openat p dirfd "FFF" [ Proc.O_RDONLY ]) in
-          ok "close" (S.close p fd))
-    in
-    (fstatat_ns, openat_ns)
+    (p, dirfd)
   in
-  let fb, ob = at_latency Config.baseline in
-  let fo, oo = at_latency Config.optimized in
-  row "%-34s fstatat %8.1f ns   openat %8.1f ns\n" "baseline" fb ob;
-  row "%-34s fstatat %8.1f ns   openat %8.1f ns\n" "optimized" fo oo;
-  row "%-34s fstatat %+7.1f%%    openat %+7.1f%%\n" "gain" (pct_gain ~base:fb fo)
-    (pct_gain ~base:ob oo);
+  let at_iters = if !quick then 3000 else 15000 in
+  let fstatat (p, dirfd) () =
+    per_op ~iters:at_iters (fun () -> ignore (ok "fstatat" (S.fstatat p dirfd "FFF" ())))
+  in
+  let openat (p, dirfd) () =
+    per_op ~iters:at_iters (fun () ->
+        ok "close" (S.close p (ok "openat" (S.openat p dirfd "FFF" [ Proc.O_RDONLY ]))))
+  in
+  let at_envs = [ at_env Config.baseline; at_env Config.optimized ] in
+  grid
+    (table "at_family" [ config_col; col 10 "fstatat ns" "fstatat_ns"; col 10 "openat ns" "openat_ns" ])
+    [ "baseline"; "optimized" ]
+    [ List.map fstatat at_envs; List.map openat at_envs ];
 
   subheader
     "network file systems (paper 4.3): stateless revalidation nullifies the\n\
      fastpath; a stateful callback protocol keeps it (per-lookup latency\n\
      including 120us-RTT RPC time)";
-  let netfs_latency protocol config =
-    let clock = Dcache_util.Vclock.create () in
-    let backing = Dcache_fs.Ramfs.create () in
-    let server = Dcache_fs.Netfs.server ~clock backing in
-    let kernel =
-      Kernel.create ~config ~root_fs:(Dcache_fs.Netfs.client ~protocol server) ()
-    in
+  let netfs_arm protocol config =
+    let clock = Vclock.create () in
+    let server = Dcache_fs.Netfs.server ~clock (Dcache_fs.Ramfs.create ()) in
+    let kernel = Kernel.create ~config ~root_fs:(Dcache_fs.Netfs.client ~protocol server) () in
     let p = Proc.spawn kernel in
     ok "tree" (S.mkdir_p p "/export/a/b");
     ok "file" (S.write_file p "/export/a/b/file" "remote");
     ignore (ok "warm" (S.stat p "/export/a/b/file"));
-    median_of_runs (fun () ->
-        let v0 = Dcache_util.Vclock.elapsed_ns clock in
-        let t0 = Dcache_util.Clock.now_ns () in
-        let iters = 500 in
-        for _ = 1 to iters do
-          ignore (ok "stat" (S.stat p "/export/a/b/file"))
-        done;
-        let t1 = Dcache_util.Clock.now_ns () in
-        let v1 = Dcache_util.Vclock.elapsed_ns clock in
-        Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub v1 v0)) /. float_of_int iters)
+    fun () ->
+      per_op ~vclock:clock ~iters:500 (fun () -> ignore (ok "stat" (S.stat p "/export/a/b/file")))
+  in
+  let t =
+    table "netfs"
+      [ col ~left:true 34 "protocol" "protocol"; col 10 "unmod ns" "unmod_ns"; col 10 "opt ns" "opt_ns";
+        gain_col ]
   in
   List.iter
     (fun (label, protocol) ->
-      let base = netfs_latency protocol Config.baseline in
-      let opt = netfs_latency protocol Config.optimized in
-      row "%-34s unmod %10.1f ns   opt %10.1f ns   gain %+6.1f%%\n" label base opt
-        (pct_gain ~base opt))
+      let b, o = vs (netfs_arm protocol Config.baseline) (netfs_arm protocol Config.optimized) in
+      row t [ L label; M b; M o; R (pct_gain ~base:b.median o.median) ])
     [
       ("stateless (NFS v2/3 model)", Dcache_fs.Netfs.Stateless);
       ("stateful callbacks (AFS model)", Dcache_fs.Netfs.Stateful);
@@ -847,25 +896,19 @@ let ablation () =
      with N descendants costs O(N) disk rewrites on a DLFS-style store, vs\n\
      O(N) memory work here and O(1) on the baseline (us, incl. virtual disk)";
   let dlfs_rename descendants =
-    let clock = Dcache_util.Vclock.create () in
+    let clock = Vclock.create () in
     let cache =
-      Dcache_storage.Pagecache.create ~capacity_pages:16384
-        (Dcache_storage.Blockdev.create clock)
+      Dcache_storage.Pagecache.create ~capacity_pages:16384 (Dcache_storage.Blockdev.create clock)
     in
     let t = Dcache_fs.Dlfs.mkfs_and_mount cache in
     ok "top" (Dcache_fs.Dlfs.create t "/tree" Dcache_types.File_kind.Directory);
     for i = 0 to descendants - 1 do
-      ok "rec" (Dcache_fs.Dlfs.create t (Printf.sprintf "/tree/f%d" i)
-                  Dcache_types.File_kind.Regular)
+      ok "rec"
+        (Dcache_fs.Dlfs.create t (Printf.sprintf "/tree/f%d" i) Dcache_types.File_kind.Regular)
     done;
-    median_of_runs (fun () ->
-        let v0 = Dcache_util.Vclock.elapsed_ns clock in
-        let t0 = Dcache_util.Clock.now_ns () in
-        ignore (ok "mv" (Dcache_fs.Dlfs.rename_dir t "/tree" "/moved"));
-        ignore (ok "mv back" (Dcache_fs.Dlfs.rename_dir t "/moved" "/tree"));
-        let t1 = Dcache_util.Clock.now_ns () in
-        let v1 = Dcache_util.Vclock.elapsed_ns clock in
-        Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub v1 v0)) /. 2.0 /. 1000.0)
+    let rename src dst = ignore (ok "mv" (Dcache_fs.Dlfs.rename_dir t src dst)) in
+    let mv = ping_pong rename "/tree" "/moved" in
+    fun () -> per_op ~vclock:clock ~iters:2 mv
   in
   let dcache_rename config descendants =
     let env = W.Env.ram config in
@@ -874,47 +917,42 @@ let ablation () =
     for i = 0 to descendants - 1 do
       ok "f" (S.write_file p (Printf.sprintf "/tree/f%d" i) "x")
     done;
-    ignore (W.Apps.du p ~root:"/tree");
     (* cache all descendants *)
-    median_of_runs (fun () ->
-        let t0 = Dcache_util.Clock.now_ns () in
-        ok "mv" (S.rename p "/tree" "/moved");
-        ok "mv back" (S.rename p "/moved" "/tree");
-        let t1 = Dcache_util.Clock.now_ns () in
-        Int64.to_float (Int64.sub t1 t0) /. 2.0 /. 1000.0)
+    ignore (W.Apps.du p ~root:"/tree");
+    let mv = ping_pong (fun src dst -> ok "mv" (S.rename p src dst)) "/tree" "/moved" in
+    fun () -> per_op ~iters:2 mv
+  in
+  let t =
+    table "rename_hashing"
+      [ col ~left:true 12 "descendants" "descendants"; col 12 "baseline us" "baseline_us";
+        col 12 "in-mem us" "optimized_us"; col 14 "DLFS disk us" "dlfs_us" ]
   in
   List.iter
     (fun n ->
-      row "%6d descendants:  baseline %8.1f us   optimized (in-mem) %8.1f us   DLFS (on-disk) %10.1f us\n"
-        n
-        (dcache_rename Config.baseline n)
-        (dcache_rename Config.optimized n)
-        (dlfs_rename n))
+      let arms = [ dcache_rename Config.baseline n; dcache_rename Config.optimized n; dlfs_rename n ] in
+      row t (C n :: List.map (fun s -> M (us s)) (trials arms)))
     [ 10; 100; 1000 ];
 
   subheader "iBench-like trace replay (15% path lookups, 85% other syscalls)";
-  let trace_time config =
+  let replay config =
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
     let m = W.Tree_gen.build p ~root:"/src" (W.Tree_gen.source_tree ~scale:(scale ()) ()) in
-    (* read-only mix so the trace replays identically every repetition *)
-    let mix =
-      { W.Trace.ibench_like with W.Trace.open_write_w = 0; mutate_w = 0; other_w = 87 }
-    in
+    (* read-only mix so the trace replays identically every trial *)
+    let mix = { W.Trace.ibench_like with W.Trace.open_write_w = 0; mutate_w = 0; other_w = 87 } in
     let trace =
-      W.Trace.generate ~manifest:m ~mix ~events:(if !quick then 30000 else 150000)
-        ~locality:0.6 ~seed:17
+      W.Trace.generate ~manifest:m ~mix ~events:(if !quick then 30000 else 150000) ~locality:0.6
+        ~seed:17
     in
-    ignore (W.Trace.replay p trace);
-    (* warm *)
-    median_of_runs (fun () ->
-        let _, ns = Dcache_util.Clock.time_ns (fun () -> ignore (W.Trace.replay p trace)) in
-        Int64.to_float ns /. 1e6)
+    fun () -> float_of_int (elapsed_ns (fun () -> ignore (W.Trace.replay p trace))) /. 1e6
   in
-  let base = trace_time Config.baseline in
-  let opt = trace_time Config.optimized in
-  row "%-34s unmod %8.2f ms   opt %8.2f ms   gain %+6.1f%%\n" "trace replay" base opt
-    (pct_gain ~base opt);
+  let b, o = vs (replay Config.baseline) (replay Config.optimized) in
+  let t =
+    table "trace_replay"
+      [ col ~left:true 34 "workload" "workload"; col ~dec:2 9 "unmod ms" "unmod_ms";
+        col ~dec:2 9 "opt ms" "opt_ms"; gain_col ]
+  in
+  row t [ L "trace replay"; M b; M o; R (pct_gain ~base:b.median o.median) ];
 
   subheader "primary hash table occupancy (paper 6.5)";
   (* the paper reports 58% empty / 34% single-entry buckets on its testbed *)
@@ -924,28 +962,27 @@ let ablation () =
   ignore (W.Apps.du p ~root:"/src");
   let hist = Dcache_vfs.Dcache.bucket_occupancy (Kernel.dcache env.W.Env.kernel) in
   let total = Array.fold_left ( + ) 0 hist in
+  let t =
+    table "occupancy"
+      [ col ~left:true 14 "bucket entries" "entries"; col 9 "buckets" "buckets";
+        col ~suffix:"%" 7 "share" "share_pct" ]
+  in
   Array.iteri
     (fun len count ->
       if count > 0 then
-        row "buckets with %s%d entries: %7d (%.1f%%)\n"
-          (if len = Array.length hist - 1 then ">=" else "")
-          len count
-          (float_of_int count /. float_of_int total *. 100.0))
+        row t
+          [ L (Printf.sprintf "%s%d" (if len = Array.length hist - 1 then ">=" else "") len);
+            C count; R (float_of_int count /. float_of_int total *. 100.0) ])
     hist;
 
   subheader "dot-dot semantics (Linux vs Plan 9 lexical, paper 4.2)";
-  let dd1 = List.find (fun q -> q.W.Lmbench.label = "1-dotdot") W.Lmbench.patterns in
-  let dd4 = List.find (fun q -> q.W.Lmbench.label = "4-dotdot") W.Lmbench.patterns in
-  List.iter
-    (fun (label, config) ->
-      row "%-34s 1-dotdot %8.1f ns   4-dotdot %8.1f ns\n" label (stat_pattern config dd1)
-        (stat_pattern config dd4))
+  pattern_table "dotdot"
     [
       ("baseline", Config.baseline);
       ("optimized, Linux dot-dot", Config.optimized);
-      ( "optimized, lexical dot-dot",
-        { Config.optimized with Config.dotdot = Config.Dotdot_lexical } );
+      ("optimized, lexical dot-dot", { Config.optimized with Config.dotdot = Config.Dotdot_lexical });
     ]
+    [ lmbench_pattern "1-dotdot"; lmbench_pattern "4-dotdot" ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
@@ -953,7 +990,6 @@ let ablation () =
 
 let bechamel () =
   header "Bechamel microbenchmarks (OLS ns/run estimates, monotonic clock)";
-  let open Bechamel in
   let make_env config =
     let env = W.Env.ram config in
     W.Lmbench.setup env.W.Env.proc;
@@ -961,6 +997,7 @@ let bechamel () =
   in
   let env_base = make_env Config.baseline in
   let env_opt = make_env Config.optimized in
+  let open Bechamel in
   let stat_test name (env : W.Env.t) path =
     (* [open Bechamel] shadows our [S] alias with Bechamel.S *)
     let stat = Dcache_syscalls.Syscalls.stat in
@@ -984,13 +1021,13 @@ let bechamel () =
     Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
       instance raw
   in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) ols [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> row "%-28s %12.1f ns/run\n" name est
-      | Some _ | None -> row "%-28s %12s\n" name "n/a")
-    (List.sort compare rows)
+  let t = table "estimates" [ col ~left:true 28 "test" "test"; col 12 "ns/run" "ns_per_run" ] in
+  Hashtbl.fold (fun name result acc -> (name, result) :: acc) ols []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (name, result) ->
+         match Analyze.OLS.estimates result with
+         | Some [ est ] -> row t [ L name; R est ]
+         | Some _ | None -> row t [ L name; Nil ])
 
 (* ------------------------------------------------------------------ *)
 (* GC-aware allocation measurement                                     *)
@@ -999,9 +1036,11 @@ let bechamel () =
 (* Top-level so the probe loop passes a statically-allocated closure. *)
 let alloc_within _mnt _dentry = Ok ()
 
+let words_iters () = if !quick then 20_000 else 100_000
+
 let alloc () =
   header "Allocation per lookup (Gc.minor_words delta over warm loops)";
-  let iters = if !quick then 20_000 else 100_000 in
+  let iters = words_iters () in
   let make_env config =
     let env = W.Env.ram config in
     W.Lmbench.setup env.W.Env.proc;
@@ -1009,36 +1048,27 @@ let alloc () =
   in
   let env_base = make_env Config.baseline in
   let env_opt = make_env Config.optimized in
-  let line label words ns = row "%-44s %9.2f words/op %9.1f ns/op\n" label words ns in
   (* The probe and in-place hasher rows gate CI: they must print 0.00. *)
-  let zero_line label words ns =
-    line label words ns;
-    if Printf.sprintf "%.2f" words <> "0.00" then begin
-      row "  FAIL: %s allocates\n" label;
-      exit_code := 1
-    end
+  let zero t label f =
+    let words = words_row t label ~iters f in
+    exact (Printf.sprintf "%.2f" words = "0.00") "%s allocates" label
   in
   (* An optimized warm stat() builds the walk context (6 words) and the
      [Ok] around its attributes (2); more gates CI. *)
   let stat_words_max = 8.0 in
-  let syscall_line label (env : W.Env.t) path =
-    let p = env.W.Env.proc in
-    let f () = ignore (S.stat p path) in
-    f ();
-    (* warm the caches before either measurement *)
-    let words = Stats.minor_words_per_op ~iters f in
-    line label words (latency_ns f);
-    if (Kernel.config env.W.Env.kernel).Config.fastpath && words > stat_words_max then begin
-      row "  FAIL: %s allocates more than %.0f words/op\n" label stat_words_max;
-      exit_code := 1
-    end
-  in
   subheader "stat() - syscall layer, warm caches";
+  let t = words_table "stat" in
   List.iter
-    (fun (label, env) ->
-      syscall_line (label ^ " 1comp") env "FFF";
-      syscall_line (label ^ " 8comp") env "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF";
-      syscall_line (label ^ " negative") env "XXX/YYY/ZZZ/NNN")
+    (fun (kernel, (env : W.Env.t)) ->
+      List.iter
+        (fun (case, path) ->
+          let label = kernel ^ " " ^ case in
+          let words = words_row t label ~iters (fun () -> ignore (S.stat env.W.Env.proc path)) in
+          exact
+            ((not (Kernel.config env.W.Env.kernel).Config.fastpath) || words <= stat_words_max)
+            "%s allocates more than %.0f words/op" label stat_words_max)
+        [ ("1comp", "FFF"); ("8comp", "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF");
+          ("negative", "XXX/YYY/ZZZ/NNN") ])
     [ ("baseline", env_base); ("optimized", env_opt) ];
 
   subheader "fastpath probe - Fastpath.lookup_into, warm DLHT hit (expect 0 words)";
@@ -1046,13 +1076,10 @@ let alloc () =
   (* The ctx is built once: per-call construction is the caller's cost, not
      the probe's (Proc.walk_ctx allocates a record). *)
   let ctx = Proc.walk_ctx env_opt.W.Env.proc in
+  let t = words_table "probe" in
   List.iter
     (fun (label, path) ->
-      let f () =
-        ignore (Dcache_core.Fastpath.lookup_into fp ctx path ~within:alloc_within)
-      in
-      f ();
-      zero_line label (Stats.minor_words_per_op ~iters f) (latency_ns f))
+      zero t label (fun () -> ignore (Fastpath.lookup_into fp ctx path ~within:alloc_within)))
     [
       ("probe 1comp", "FFF");
       ("probe 8comp", "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF");
@@ -1062,12 +1089,14 @@ let alloc () =
   subheader "path hashing - in-place scanner vs Path.split + feed_string";
   let key = Signature.create_key ~seed:Config.optimized.Config.hash_seed () in
   let ms = Signature.mstate () in
+  let sn = Signature.snaps ~slots:64 in
   let buf = Signature.buf () in
   let path = "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF" in
   let inplace () =
     Signature.mstate_reset ms;
+    Signature.snaps_reset sn;
     ignore
-      (Signature.hash_path_into key ms ~max_name:Dcache_vfs.Path.max_name path ~pos:0);
+      (Signature.hash_path_into_rec key ms sn ~max_name:Dcache_vfs.Path.max_name path ~pos:0);
     Signature.finalize_into key ms buf
   in
   let listed () =
@@ -1085,99 +1114,75 @@ let alloc () =
       in
       ignore (Signature.finalize key state)
   in
-  inplace ();
-  listed ();
-  zero_line "in-place hash_path_into (8 comps)" (Stats.minor_words_per_op ~iters inplace)
-    (latency_ns inplace);
-  line "Path.split + feed_string (8 comps)" (Stats.minor_words_per_op ~iters listed)
-    (latency_ns listed)
+  let t = words_table "hashing" in
+  zero t "in-place hash_path_into_rec (8 comps)" inplace;
+  ignore (words_row t "Path.split + feed_string (8 comps)" ~iters listed)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: hook overhead and degraded-mode behaviour          *)
 (* ------------------------------------------------------------------ *)
 
-module Fault = Dcache_util.Fault
-
 let faults () =
   header "Fault injection: disabled hooks are free, armed faults degrade honestly";
-  let line label words ns = row "%-44s %9.2f words/op %9.1f ns/op\n" label words ns in
-
   subheader
     "disabled-hook overhead - warm fastpath probe over the simulated disk\n\
      (attaching an injector with every site Off must not change ns/op and\n\
      must keep the probe at 0 words/op)";
-  let words_iters = if !quick then 20_000 else 100_000 in
-  let probe_line label (env : W.Env.t) =
+  let iters = words_iters () in
+  let t = words_table "disabled_hooks" in
+  let probe_row label (env : W.Env.t) =
+    W.Lmbench.setup env.W.Env.proc;
     let fp = Kernel.fastpath env.W.Env.kernel in
     let ctx = Proc.walk_ctx env.W.Env.proc in
-    let f () =
-      ignore
-        (Dcache_core.Fastpath.lookup_into fp ctx "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF"
-           ~within:alloc_within)
-    in
-    f ();
-    line label (Stats.minor_words_per_op ~iters:words_iters f) (latency_ns f)
+    ignore
+      (words_row t label ~iters (fun () ->
+           ignore
+             (Fastpath.lookup_into fp ctx "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF" ~within:alloc_within)))
   in
-  let env_plain = W.Env.disk Config.optimized in
-  W.Lmbench.setup env_plain.W.Env.proc;
-  probe_line "fastpath probe, no injector" env_plain;
+  probe_row "fastpath probe, no injector" (W.Env.disk Config.optimized);
   let inj = Fault.create ~seed:42 () in
-  let env_hooked = W.Env.disk ~faults:inj Config.optimized in
-  W.Lmbench.setup env_hooked.W.Env.proc;
-  probe_line "fastpath probe, injector attached (Off)" env_hooked;
+  probe_row "fastpath probe, injector attached (Off)" (W.Env.disk ~faults:inj Config.optimized);
   let idle_site = Fault.site inj "blockdev.read_eio" in
-  let fire () = ignore (Fault.fire idle_site) in
-  fire ();
-  line "raw disarmed Fault.fire"
-    (Stats.minor_words_per_op ~iters:words_iters fire)
-    (latency_ns fire);
+  ignore (words_row t "raw disarmed Fault.fire" ~iters (fun () -> ignore (Fault.fire idle_site)));
 
   subheader
     "warm lookup latency vs RPC loss rate (stat of /export/a/b/file, real +\n\
      virtual ns/op; each drop costs the 1ms client timeout plus exponential\n\
      backoff, and a give-up surfaces EIO instead of a stale answer)";
-  let net_latency protocol rate =
-    let clock = Dcache_util.Vclock.create () in
-    let backing = Dcache_fs.Ramfs.create () in
-    let inj = Fault.create ~seed:7 () in
-    let server = Dcache_fs.Netfs.server ~faults:inj ~clock backing in
-    let kernel =
-      Kernel.create ~config:Config.optimized
-        ~root_fs:(Dcache_fs.Netfs.client ~protocol server) ()
-    in
-    let p = Proc.spawn kernel in
-    ok "tree" (S.mkdir_p p "/export/a/b");
-    ok "file" (S.write_file p "/export/a/b/file" "remote");
-    ignore (S.stat p "/export/a/b/file");
-    let drop = Fault.site inj "netfs.drop" in
-    if rate > 0.0 then Fault.arm drop (Fault.Probability rate);
-    Dcache_fs.Netfs.reset_rpc_stats server;
-    let iters = if !quick then 400 else 2000 in
-    let eio = ref 0 in
-    let v0 = Dcache_util.Vclock.elapsed_ns clock in
-    let t0 = Dcache_util.Clock.now_ns () in
-    for _ = 1 to iters do
-      match S.stat p "/export/a/b/file" with Ok _ -> () | Error _ -> incr eio
-    done;
-    let t1 = Dcache_util.Clock.now_ns () in
-    let v1 = Dcache_util.Vclock.elapsed_ns clock in
-    let ns =
-      Int64.to_float (Int64.add (Int64.sub t1 t0) (Int64.sub v1 v0))
-      /. float_of_int iters
-    in
-    (ns, !eio, Dcache_fs.Netfs.rpc_stats server)
+  let t =
+    table "rpc_loss"
+      [ col ~suffix:"%" 6 "loss" "loss_pct"; col ~left:true 26 "protocol" "protocol";
+        col 12 "ns/op" "ns_per_op"; col 8 "lookups" "lookups"; col 6 "drops" "drops";
+        col 7 "retries" "retries"; col 7 "giveups" "giveups"; col 5 "EIO" "eio" ]
   in
   List.iter
     (fun rate ->
       List.iter
         (fun (label, protocol) ->
-          let ns, eio, st = net_latency protocol rate in
-          let drops = st.Dcache_fs.Netfs.rs_drops in
-          let retries = st.Dcache_fs.Netfs.rs_retries in
-          let giveups = st.Dcache_fs.Netfs.rs_giveups in
-          row
-            "loss %4.1f%%  %-26s %12.1f ns/op   drops %5d  retries %5d  giveups %3d (EIO stats %d)\n"
-            (rate *. 100.0) label ns drops retries giveups eio)
+          let clock = Vclock.create () in
+          let inj = Fault.create ~seed:7 () in
+          let server = Dcache_fs.Netfs.server ~faults:inj ~clock (Dcache_fs.Ramfs.create ()) in
+          let kernel =
+            Kernel.create ~config:Config.optimized
+              ~root_fs:(Dcache_fs.Netfs.client ~protocol server) ()
+          in
+          let p = Proc.spawn kernel in
+          ok "tree" (S.mkdir_p p "/export/a/b");
+          ok "file" (S.write_file p "/export/a/b/file" "remote");
+          ignore (S.stat p "/export/a/b/file");
+          if rate > 0.0 then Fault.arm (Fault.site inj "netfs.drop") (Fault.Probability rate);
+          Dcache_fs.Netfs.reset_rpc_stats server;
+          let iters = if !quick then 400 else 2000 in
+          let lookups = ref 0 and eio = ref 0 in
+          let ns =
+            latency ~vclock:clock ~iters (fun () ->
+                incr lookups;
+                match S.stat p "/export/a/b/file" with Ok _ -> () | Error _ -> incr eio)
+          in
+          let st = Dcache_fs.Netfs.rpc_stats server in
+          row t
+            [ R (rate *. 100.0); L label; M ns; C !lookups; C st.Dcache_fs.Netfs.rs_drops;
+              C st.Dcache_fs.Netfs.rs_retries; C st.Dcache_fs.Netfs.rs_giveups; C !eio ])
         [
           ("stateless (NFS v2/3)", Dcache_fs.Netfs.Stateless);
           ("stateful (AFS model)", Dcache_fs.Netfs.Stateful);
@@ -1186,7 +1191,8 @@ let faults () =
 
   subheader
     "transient disk EIO - degraded mode: a 5% read-EIO campaign over\n\
-     cold-cache lookups must propagate errors without polluting the cache";
+     cold-cache lookups must propagate errors without polluting the cache\n\
+     (negatives: none may be created, the paths exist; quarantined: expect 0)";
   let inj = Fault.create ~seed:9 () in
   let env = W.Env.disk ~faults:inj Config.optimized in
   W.Lmbench.setup env.W.Env.proc;
@@ -1204,43 +1210,38 @@ let faults () =
   done;
   Fault.disarm site;
   let rep = Kernel.scrub env.W.Env.kernel in
-  row "%-44s %d ok, %d EIO over %d cold lookups\n" "lookup outcomes" !okc !eio rounds;
-  row "%-44s %d injected / %d arrivals\n" "blockdev.read_eio site"
-    (Fault.injected site) (Fault.arrivals site);
-  row "%-44s %d (paths exist; EIO must not cache absence)\n" "negative dentries created"
-    (counter env "negative_created");
-  row "%-44s %d fallbacks declined to populate\n" "fastpath_eio_no_populate"
-    (counter env "fastpath_eio_no_populate");
-  row "%-44s dcache %d, dlht %d quarantined (expect 0)\n" "post-campaign scrub"
-    rep.Kernel.dcache_quarantined rep.Kernel.dlht_quarantined
+  let k = env.W.Env.kernel in
+  let t =
+    table "eio_campaign"
+      [ col 7 "lookups" "lookups"; col 5 "ok" "ok"; col 5 "EIO" "eio"; col 8 "injected" "injected";
+        col 8 "arrivals" "arrivals"; col 9 "negatives" "negative_created";
+        col 11 "no-populate" "fastpath_eio_no_populate"; col 11 "quar dcache" "dcache_quarantined";
+        col 9 "quar dlht" "dlht_quarantined" ]
+  in
+  row t
+    [ C rounds; C !okc; C !eio; C (Fault.injected site); C (Fault.arrivals site);
+      C (count k Counters.negative_created); C (count k Counters.fastpath_eio_no_populate);
+      C rep.Kernel.dcache_quarantined; C rep.Kernel.dlht_quarantined ]
 
 (* ------------------------------------------------------------------ *)
 (* Tracing & metrics: probe-site overhead and the observability surface *)
 (* ------------------------------------------------------------------ *)
 
-module Utrace = Dcache_util.Trace
-
 let trace () =
   header "Tracing & metrics (compiled in always; disarmed must cost ~a branch)";
-  let words_iters = if !quick then 20_000 else 100_000 in
-  let line label words ns = row "%-46s %9.2f words/op %9.1f ns/op\n" label words ns in
-
+  let iters = words_iters () in
   subheader "warm 8-component fastpath probe under each tracing mode";
   let env = W.Env.ram Config.optimized in
   W.Lmbench.setup env.W.Env.proc;
   let fp = Kernel.fastpath env.W.Env.kernel in
   let ctx = Proc.walk_ctx env.W.Env.proc in
   let f () =
-    ignore
-      (Dcache_core.Fastpath.lookup_into fp ctx "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF"
-         ~within:alloc_within)
+    ignore (Fastpath.lookup_into fp ctx "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF" ~within:alloc_within)
   in
-  f ();
+  let t = words_table "probe_modes" in
   Utrace.reset ();
   Utrace.armed := false;
-  let measure label =
-    line label (Stats.minor_words_per_op ~iters:words_iters f) (latency_ns f)
-  in
+  let measure label = ignore (words_row t label ~iters f) in
   measure "probe, tracing disarmed (the default)";
   Utrace.armed := true;
   measure "probe, event ring armed (seq timestamps)";
@@ -1248,11 +1249,7 @@ let trace () =
   Timers.arm tm Timers.Lookups true;
   measure "probe, ring + lookup timers (12 clock reads)";
   Timers.arm tm Timers.Lookups false;
-  let stamp () = Utrace.stamp Utrace.ev_fast_hit 7 in
-  stamp ();
-  line "raw armed Trace.stamp"
-    (Stats.minor_words_per_op ~iters:words_iters stamp)
-    (latency_ns stamp);
+  ignore (words_row t "raw armed Trace.stamp" ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7));
   Utrace.armed := false;
 
   subheader
@@ -1285,10 +1282,14 @@ let trace () =
   Timers.arm tm Timers.Lookups false;
   print_string (Timers.histograms_to_string tm);
   print_string (Dcache_syscalls.Kernel_procfs.causes_to_string env.W.Env.kernel);
-  row "ring: recorded %d, dropped %d (capacity %d)\n" (Utrace.recorded ())
-    (Utrace.dropped ()) (Utrace.capacity ());
-  row "dump_chrome: %d bytes of trace_event JSON\n"
-    (String.length (Utrace.dump_chrome ()));
+  let t =
+    table "ring"
+      [ col 8 "recorded" "recorded"; col 7 "dropped" "dropped"; col 8 "capacity" "capacity";
+        col 12 "chrome bytes" "dump_chrome_bytes" ]
+  in
+  row t
+    [ C (Utrace.recorded ()); C (Utrace.dropped ()); C (Utrace.capacity ());
+      C (String.length (Utrace.dump_chrome ())) ];
   Utrace.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -1305,8 +1306,18 @@ let scale_bench () =
      (the pause a one-shot rehash costs).  The run exits 1 unless every\n\
      size ends with a clean self-check, occupancy = population and at most\n\
      two entries per bucket.";
-  let exps = if !quick then [ 14; 16 ] else [ 14; 16; 18; 20 ] in
+  let module D = Dcache_core.Dlht in
   let samples = 256 in
+  put "initial_buckets" (Json.Num 256.);
+  put "grow_load" (Json.Num (float_of_int D.grow_load));
+  put "samples_per_size" (Json.Num (float_of_int samples));
+  let t =
+    table "sizes"
+      [ col ~left:true 10 "dentries" "dentries"; col 10 "ns/op" "ns_per_op";
+        col ~dec:2 10 "words/op" "words_per_op"; col 9 "buckets" "buckets";
+        col 7 "maxchn" "longest_chain"; col ~dec:2 7 "meanchn" "mean_chain"; col 8 "resizes" "resizes";
+        col 11 "population" "population"; col ~dec:2 10 "rehash_ms" "longest_rehash_ms" ]
+  in
   let run_size exp =
     let n = 1 lsl exp in
     let config =
@@ -1323,34 +1334,29 @@ let scale_bench () =
     (* The longest op that doubled the table: every setup op is timed, and
        an op counts as a rehash when the resize count moved under it. *)
     let resizes () =
-      match Dcache_core.Dlht.of_namespace_opt p.Proc.ns with
-      | Some t -> Dcache_core.Dlht.resizes t
-      | None -> 0
+      match D.of_namespace_opt p.Proc.ns with Some t -> D.resizes t | None -> 0
     in
     let rehash_ns = ref 0 in
     let timed f =
       let r0 = resizes () in
-      let t0 = Dcache_util.Clock.monotonic_ns () in
-      let v = f () in
-      let dt = Dcache_util.Clock.monotonic_ns () - t0 in
-      if resizes () <> r0 && dt > !rehash_ns then rehash_ns := dt;
-      v
+      let dt = elapsed_ns f in
+      if resizes () <> r0 && dt > !rehash_ns then rehash_ns := dt
     in
     (* Fixed-width components: the probed path is the same byte length at
        every size, so ns/op differences are table effects, not hashing
        cost. *)
     let path i = Printf.sprintf "/scale/d%04x/f%05x" (i lsr 8) i in
-    ok "root" (timed (fun () -> S.mkdir_p p "/scale"));
+    timed (fun () -> ok "root" (S.mkdir_p p "/scale"));
     for d = 0 to (n - 1) lsr 8 do
-      ok "dir" (timed (fun () -> S.mkdir_p p (Printf.sprintf "/scale/d%04x" d)))
+      timed (fun () -> ok "dir" (S.mkdir_p p (Printf.sprintf "/scale/d%04x" d)))
     done;
     for i = 0 to n - 1 do
-      ok "file" (timed (fun () -> S.write_file p (path i) "x"))
+      timed (fun () -> ok "file" (S.write_file p (path i) "x"))
     done;
     (* Creation walks don't publish to the DLHT; a stat of every file does,
        so the table really holds [n] entries, not just the probed sample. *)
     for i = 0 to n - 1 do
-      ignore (ok "warm" (timed (fun () -> S.stat p (path i))))
+      timed (fun () -> ignore (ok "warm" (S.stat p (path i))))
     done;
     let fp = Kernel.fastpath env.W.Env.kernel in
     let ctx = Proc.walk_ctx p in
@@ -1360,82 +1366,34 @@ let scale_bench () =
     let f () =
       let i = !idx in
       idx := (i + 1) land (samples - 1);
-      ignore (Dcache_core.Fastpath.lookup_into fp ctx paths.(i) ~within:alloc_within)
+      ignore (Fastpath.lookup_into fp ctx paths.(i) ~within:alloc_within)
     in
     f ();
-    let words =
-      Stats.minor_words_per_op ~iters:(if !quick then 20_000 else 100_000) f
-    in
-    let ns = latency_ns ~iters:(if !quick then 5_000 else 20_000) f in
+    let words = Stats.minor_words_per_op ~iters:(words_iters ()) f in
+    let ns = latency ~iters:(if !quick then 5_000 else 20_000) f in
     let dlht =
-      match Dcache_core.Dlht.of_namespace_opt p.Proc.ns with
+      match D.of_namespace_opt p.Proc.ns with
       | Some t -> t
       | None -> failwith "scale: no DLHT attached"
     in
-    let occ = Dcache_core.Dlht.occupancy dlht in
-    let module D = Dcache_core.Dlht in
+    let occ = D.occupancy dlht in
     let population = D.population dlht in
     (* Exact invariants of the one-table DLHT, gated at every size. *)
-    let problems =
-      D.self_check dlht
-      @ (if occ.D.occ_entries <> population then
-           [ Printf.sprintf "occupancy counts %d entries, population %d" occ.D.occ_entries
-               population ]
-         else [])
-      @
-      if population > D.grow_load * occ.D.occ_buckets then
-        [ Printf.sprintf "population %d over %d x %d buckets" population D.grow_load
-            occ.D.occ_buckets ]
-      else []
-    in
-    List.iter
-      (fun msg ->
-        row "  FAIL at %d dentries: %s\n" n msg;
-        exit_code := 1)
-      problems;
-    let mean_chain =
-      float_of_int occ.D.occ_entries /. float_of_int (max 1 occ.D.occ_used)
-    in
-    (n, ns, words, occ.D.occ_buckets, occ.D.occ_longest, mean_chain, D.resizes dlht,
-     population, float_of_int !rehash_ns /. 1e6)
+    List.iter (fun msg -> exact false "at %d dentries: %s" n msg) (D.self_check dlht);
+    exact (occ.D.occ_entries = population) "at %d dentries: occupancy counts %d entries, population %d"
+      n occ.D.occ_entries population;
+    exact (population <= D.grow_load * occ.D.occ_buckets)
+      "at %d dentries: population %d over %d x %d buckets" n population D.grow_load occ.D.occ_buckets;
+    row t
+      [ C n; M ns; R words; C occ.D.occ_buckets; C occ.D.occ_longest;
+        R (float_of_int occ.D.occ_entries /. float_of_int (max 1 occ.D.occ_used)); C (D.resizes dlht);
+        C population; R (float_of_int !rehash_ns /. 1e6) ];
+    (n, ns.median)
   in
-  let results = List.map run_size exps in
-  row "%-10s %10s %10s %9s %7s %7s %8s %11s %10s\n" "dentries" "ns/op" "words/op" "buckets"
-    "maxchn" "meanchn" "resizes" "population" "rehash_ms";
-  List.iter
-    (fun (n, ns, words, buckets, longest, mean, resizes, population, rehash_ms) ->
-      row "%-10d %10.1f %10.2f %9d %7d %7.2f %8d %11d %10.2f\n" n ns words buckets longest
-        mean resizes population rehash_ms)
-    results;
-  (match (results, List.rev results) with
-  | (n0, ns0, _, _, _, _, _, _, _) :: _, (n1, ns1, _, _, _, _, _, _, _) :: _ when n0 <> n1 ->
-    row "ns/op at %d is %.2fx ns/op at %d (acceptance bound: 1.5x)\n" n1 (ns1 /. ns0) n0
-  | _ -> ());
-  (* Machine-readable evidence for CI / the paper repo. *)
-  let entries =
-    List.map
-      (fun (n, ns, words, buckets, longest, mean, resizes, population, rehash_ms) ->
-        Printf.sprintf
-          "    {\"dentries\": %d, \"ns_per_op\": %.2f, \"words_per_op\": %.3f, \
-           \"buckets\": %d, \"longest_chain\": %d, \"mean_chain\": %.3f, \
-           \"resizes\": %d, \"population\": %d, \"longest_rehash_ms\": %.2f}"
-          n ns words buckets longest mean resizes population rehash_ms)
-      results
-  in
-  let ratio =
-    match (results, List.rev results) with
-    | (_, ns0, _, _, _, _, _, _, _) :: _, (_, ns1, _, _, _, _, _, _, _) :: _ when ns0 > 0.0 ->
-      ns1 /. ns0
-    | _ -> 1.0
-  in
-  Bench_report.write ~experiment:"scale"
-    [
-      ("initial_buckets", "256");
-      ("grow_load", string_of_int Dcache_core.Dlht.grow_load);
-      ("samples_per_size", string_of_int samples);
-      ("sizes", "[\n" ^ String.concat ",\n" entries ^ "\n  ]");
-      ("ns_ratio_largest_over_smallest", Printf.sprintf "%.3f" ratio);
-    ]
+  let results = List.map run_size (if !quick then [ 14; 16 ] else [ 14; 16; 18; 20 ]) in
+  let (n0, ns0), (n1, ns1) = (List.hd results, List.hd (List.rev results)) in
+  Printf.printf "ns/op at %d is %.2fx ns/op at %d (acceptance bound: 1.5x)\n" n1 (ns1 /. ns0) n0;
+  put "ns_ratio_largest_over_smallest" (Json.Num (ns1 /. ns0))
 
 (* ------------------------------------------------------------------ *)
 (* Deepmiss: cold misses on deep paths — prefix-resumed slowpath (§3.5) *)
@@ -1456,147 +1414,121 @@ let deepmiss () =
      slowpath restarts from the longest cached ancestor and walks only\n\
      the uncached suffix; the ablation (prefix_resume=false) re-walks\n\
      every component from the root.";
-  let depths = [ 4; 8; 16; 24; 32 ] in
   let leaves = if !quick then 256 else 1024 in
   let rounds = if !quick then 3 else 5 in
   let cold_iters = if !quick then 24 else 64 in
-  let chain_path depth =
-    "/" ^ String.concat "/" (List.init depth (Printf.sprintf "c%02d"))
+  put "leaves" (Json.Num (float_of_int leaves));
+  let t =
+    table "depths"
+      [ col ~left:true 6 "depth" "depth"; col 12 "miss ns/op" "miss_ns";
+        col ~dec:2 12 "comps/op" "components_per_op"; col 9 "resumes" "resumes";
+        col 12 "cold ns/op" "cold_tree_ns"; col 12 "negfail ns" "negfail_ns";
+        col 10 "warm ns" "warm_hit_ns";
+        col ~dec:2 9 "warm wds" "warm_hit_words"; col ~left:true 9 "walk" "walk" ]
   in
-  let run_config ~resume depth =
-    let config = { Config.optimized with Config.prefix_resume = resume } in
-    let env = W.Env.ram config in
-    let p = env.W.Env.proc in
-    let deep = chain_path depth in
-    ok "chain" (S.mkdir_p p deep);
+  let chain ~resume depth =
+    let env = W.Env.ram { Config.optimized with Config.prefix_resume = resume } in
+    let deep = "/" ^ String.concat "/" (List.init depth (Printf.sprintf "c%02d")) in
+    ok "chain" (S.mkdir_p env.W.Env.proc deep);
     let leaf i = Printf.sprintf "%s/f%04d" deep i in
     for i = 0 to leaves - 1 do
-      ok "leaf" (S.write_file p (leaf i) "x")
+      ok "leaf" (S.write_file env.W.Env.proc (leaf i) "x")
     done;
-    (* Warm-ancestor pass: purge, re-warm only the directory chain, then
-       stat every leaf exactly once — each is a cold DLHT miss whose every
-       ancestor is cached.  [walk_components] counts the slowpath work. *)
-    let pass () =
-      W.Env.drop_caches env;
-      ignore (ok "warm chain" (S.stat p deep));
-      let comp0 = counter env "walk_components" in
-      let t0 = Dcache_util.Clock.now_ns () in
-      for i = 0 to leaves - 1 do
-        ignore (ok "miss" (S.stat p (leaf i)))
-      done;
-      let t1 = Dcache_util.Clock.now_ns () in
-      ( Int64.to_float (Int64.sub t1 t0) /. float_of_int leaves,
-        float_of_int (counter env "walk_components" - comp0) /. float_of_int leaves )
+    (env, deep, leaf)
+  in
+  (* Warm-ancestor pass: purge, re-warm only the directory chain, then stat
+     every leaf exactly once — each is a cold DLHT miss whose every
+     ancestor is cached.  [walk_components] counts the slowpath work. *)
+  let pass ((env : W.Env.t), deep, leaf) () =
+    let p = env.W.Env.proc and k = env.W.Env.kernel in
+    W.Env.drop_caches env;
+    ignore (ok "warm chain" (S.stat p deep));
+    let comp0 = count k Counters.walk_components in
+    let i = ref 0 in
+    let ns =
+      per_op ~iters:leaves (fun () ->
+          ignore (ok "miss" (S.stat p (leaf !i)));
+          incr i)
     in
-    ignore (pass ());
-    let samples = Array.init rounds (fun _ -> pass ()) in
-    let miss_ns = Stats.median (Array.map fst samples) in
-    let comps = Stats.median (Array.map snd samples) in
-    let resumes = counter env "fastpath_prefix_resume" in
+    [ ns; float_of_int (count k Counters.walk_components - comp0) /. float_of_int leaves ]
+  in
+  let controls ((env : W.Env.t), deep, leaf) =
+    let p = env.W.Env.proc and k = env.W.Env.kernel in
+    let resumes = count k Counters.fastpath_prefix_resume in
     (* Cold-tree control: nothing cached at all, so there is no ancestor to
        resume from and both kernels pay the same from-root walk. *)
-    let cold_acc = ref 0L in
-    for i = 0 to cold_iters - 1 do
-      W.Env.drop_caches env;
-      let t0 = Dcache_util.Clock.now_ns () in
-      ignore (ok "cold" (S.stat p (leaf (i land (leaves - 1)))));
-      let t1 = Dcache_util.Clock.now_ns () in
-      cold_acc := Int64.add !cold_acc (Int64.sub t1 t0)
-    done;
-    let cold_ns = Int64.to_float !cold_acc /. float_of_int cold_iters in
+    let cold =
+      trial (fun () ->
+          let total = ref 0 in
+          for i = 0 to cold_iters - 1 do
+            W.Env.drop_caches env;
+            let cold () = ignore (ok "cold" (S.stat p (leaf (i land (leaves - 1))))) in
+            total := !total + elapsed_ns cold
+          done;
+          float_of_int !total /. float_of_int cold_iters)
+    in
     (* Negative fast-fail: the deep dir becomes DIR_COMPLETE via readdir;
        probing fresh absent names then fails from the cached prefix alone
-       (no walk, no write lock) where the ablation walks from the root. *)
+       (no walk, no write lock) where the ablation walks from the root.
+       Every trial probes names no earlier trial touched. *)
     W.Env.drop_caches env;
     ignore (ok "warm chain" (S.stat p deep));
     ignore (ok "readdir" (S.readdir_path p deep));
-    let neg0 = counter env "fastpath_prefix_negfail" in
-    let t0 = Dcache_util.Clock.now_ns () in
-    for i = 0 to leaves - 1 do
-      match S.stat p (Printf.sprintf "%s/none%04d" deep i) with
-      | Error Dcache_types.Errno.ENOENT -> ()
-      | Ok _ -> failwith "deepmiss: absent name resolved"
-      | Error e -> failwith ("deepmiss: " ^ Dcache_types.Errno.to_string e)
-    done;
-    let t1 = Dcache_util.Clock.now_ns () in
-    let neg_ns = Int64.to_float (Int64.sub t1 t0) /. float_of_int leaves in
-    let negfails = counter env "fastpath_prefix_negfail" - neg0 in
+    let neg0 = count k Counters.fastpath_prefix_negfail in
+    let round = ref 0 in
+    let neg =
+      trial (fun () ->
+          incr round;
+          let i = ref 0 in
+          per_op ~iters:leaves (fun () ->
+              (match S.stat p (Printf.sprintf "%s/none%d_%04d" deep !round !i) with
+              | Error Errno.ENOENT -> ()
+              | Ok _ -> failwith "deepmiss: absent name resolved"
+              | Error e -> failwith ("deepmiss: " ^ Errno.to_string e));
+              incr i))
+    in
+    let negfails = count k Counters.fastpath_prefix_negfail - neg0 in
     (* Warm-hit figures on a leaf of this chain: the snapshot recording
        rides on every probe, so this guards the scale bench's warm-hit
        ns/op and words/op (BENCH_scale.json) against regression. *)
     for i = 0 to leaves - 1 do
       ignore (ok "rewarm" (S.stat p (leaf i)))
     done;
-    let fp = Kernel.fastpath env.W.Env.kernel in
-    let ctx = Proc.walk_ctx p in
-    let warm_path = leaf 0 in
-    let f () = ignore (Dcache_core.Fastpath.lookup_into fp ctx warm_path ~within:alloc_within) in
+    let fp = Kernel.fastpath k and ctx = Proc.walk_ctx p and warm_path = leaf 0 in
+    let f () = ignore (Fastpath.lookup_into fp ctx warm_path ~within:alloc_within) in
     f ();
-    let warm_words = Stats.minor_words_per_op ~iters:(if !quick then 20_000 else 100_000) f in
-    let warm_ns = latency_ns ~iters:(if !quick then 5_000 else 20_000) f in
-    (miss_ns, comps, resumes, cold_ns, neg_ns, negfails, warm_ns, warm_words)
+    let words = Stats.minor_words_per_op ~iters:(words_iters ()) f in
+    (resumes, cold, neg, negfails, latency ~iters:(if !quick then 5_000 else 20_000) f, words)
   in
-  row "%-6s %12s %12s %9s %12s %12s %10s %9s\n" "depth" "miss ns/op" "comps/op"
-    "resumes" "cold ns/op" "negfail ns" "warm ns" "warm wds";
-  let results =
-    List.map
-      (fun depth ->
-        let (r_ns, r_comps, r_resumes, r_cold, r_neg, r_negfails, r_wns, r_wwords) =
-          run_config ~resume:true depth
-        in
-        let (f_ns, f_comps, _, f_cold, f_neg, _, f_wns, f_wwords) =
-          run_config ~resume:false depth
-        in
-        row "%-6d %12.1f %12.2f %9d %12.1f %12.1f %10.1f %9.2f  resumed\n" depth r_ns
-          r_comps r_resumes r_cold r_neg r_wns r_wwords;
-        row "%-6s %12.1f %12.2f %9s %12.1f %12.1f %10.1f %9.2f  from-root\n" "" f_ns
-          f_comps "-" f_cold f_neg f_wns f_wwords;
-        (depth, (r_ns, r_comps, r_resumes, r_cold, r_neg, r_negfails, r_wns, r_wwords),
-         (f_ns, f_comps, f_cold, f_neg, f_wns, f_wwords)))
-      depths
-  in
-  (* Acceptance: at depth >= 16 the resumed miss executes slowpath work
-     proportional to the uncached suffix (~1 component, against depth+1
-     from the root) and resolves in at most half the from-root time. *)
   List.iter
-    (fun (depth, (r_ns, r_comps, r_resumes, _, _, r_negfails, _, _), (f_ns, f_comps, _, _, _, _)) ->
+    (fun depth ->
+      let resumed = chain ~resume:true depth and from_root = chain ~resume:false depth in
+      let misses = List.map spreads (runs ~n:rounds [ pass resumed; pass from_root ]) in
+      let line walk miss (resumes, cold, neg, _, warm, words) =
+        match miss with
+        | [ ns; comps ] ->
+          row t
+            [ C depth; M ns; R comps.median; (if walk = "resumed" then C resumes else Nil); M cold;
+              M neg; M warm; R words; L walk ];
+          (ns.median, comps.median)
+        | _ -> assert false
+      in
+      let ((r_resumes, _, _, r_negfails, _, _) as r) = controls resumed in
+      let r_ns, r_comps = line "resumed" (List.hd misses) r in
+      let f_ns, f_comps = line "from-root" (List.nth misses 1) (controls from_root) in
+      (* Acceptance: at depth >= 16 the resumed miss executes slowpath work
+         proportional to the uncached suffix (~1 component, against depth+1
+         from the root) and resolves in at most half the from-root time. *)
       if depth >= 16 then begin
-        row
-          "depth %d: resumed/from-root time %.2fx (bound 0.50), components %.2f vs %.2f\n"
-          depth (r_ns /. f_ns) r_comps f_comps;
-        if r_ns > 0.5 *. f_ns then
-          row "  WARNING: resumed miss exceeded 50%% of the from-root time\n";
-        if r_comps > 2.0 then
-          row "  WARNING: resumed miss walked %.2f components (expected ~1)\n" r_comps;
-        if r_resumes = 0 then row "  WARNING: no prefix resumes recorded\n";
-        if r_negfails = 0 then row "  WARNING: no negative fast-fails recorded\n"
+        Printf.printf
+          "depth %d: resumed/from-root time %.2fx (bound 0.50), components %.2f vs %.2f\n" depth
+          (r_ns /. f_ns) r_comps f_comps;
+        loose (r_ns <= 0.5 *. f_ns) "resumed miss exceeded 50%% of the from-root time";
+        loose (r_comps <= 2.0) "resumed miss walked %.2f components (expected ~1)" r_comps;
+        loose (r_resumes > 0) "no prefix resumes recorded";
+        loose (r_negfails > 0) "no negative fast-fails recorded"
       end)
-    results;
-  let figures =
-    let entries =
-      List.map
-        (fun (depth, (r_ns, r_comps, r_resumes, r_cold, r_neg, r_negfails, r_wns, r_wwords),
-              (f_ns, f_comps, f_cold, f_neg, f_wns, f_wwords)) ->
-          Printf.sprintf
-            "    {\"depth\": %d,\n\
-            \     \"resumed\": {\"miss_ns\": %.2f, \"components_per_op\": %.3f, \
-             \"resumes\": %d, \"cold_tree_ns\": %.2f, \"negfail_ns\": %.2f, \
-             \"negfails\": %d, \"warm_hit_ns\": %.2f, \"warm_hit_words\": %.3f},\n\
-            \     \"from_root\": {\"miss_ns\": %.2f, \"components_per_op\": %.3f, \
-             \"cold_tree_ns\": %.2f, \"negfail_ns\": %.2f, \"warm_hit_ns\": %.2f, \
-             \"warm_hit_words\": %.3f},\n\
-            \     \"miss_time_ratio\": %.3f}"
-            depth r_ns r_comps r_resumes r_cold r_neg r_negfails r_wns r_wwords f_ns
-            f_comps f_cold f_neg f_wns f_wwords
-            (if f_ns > 0.0 then r_ns /. f_ns else 1.0))
-        results
-    in
-    [
-      ("leaves", string_of_int leaves);
-      ("depths", "[\n" ^ String.concat ",\n" entries ^ "\n  ]");
-    ]
-  in
-  Bench_report.write ~experiment:"deepmiss" figures
+    [ 4; 8; 16; 24; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* Churn: multi-writer mutation throughput — sharded path (§3.6)       *)
@@ -1610,7 +1542,7 @@ let deepmiss () =
    lock — to measure what sharding buys: per-op, a sharded section is a
    lockless parent probe plus a stripe bracket instead of a write-locked
    walk, and across writers the stripe table removes the global-lock
-   convoy. *)
+   convoy.  Each writer count alternates the two modes trial by trial. *)
 
 let churn () =
   header
@@ -1622,12 +1554,16 @@ let churn () =
   let ops_per_writer = if !quick then 10_000 else 30_000 in
   let reader_iters = if !quick then 10_000 else 50_000 in
   let cores = Domain.recommended_domain_count () in
-  row "host cores: %d%s\n" cores
+  Printf.printf "host cores: %d%s\n" cores
     (if cores < 8 then
        "  (writer domains timeshare: the ratio below measures lock\n\
        \   discipline and reader interference, not parallel scaling)"
      else "");
-  let run ~stripes ~writers =
+  let stripes = Config.optimized.Config.dcache_stripes in
+  put "stripes" (Json.Num (float_of_int stripes));
+  put "ops_per_writer" (Json.Num (float_of_int ops_per_writer));
+  (* One run: [churn ops/s; reader ns; reader words; sharded ops]. *)
+  let run ~stripes ~writers () =
     let config = { Config.optimized with Config.dcache_stripes = stripes } in
     let env = W.Env.ram config in
     let p = env.W.Env.proc in
@@ -1665,111 +1601,85 @@ let churn () =
               let ctx = Proc.walk_ctx rp in
               let i = ref 0 in
               let f () =
-                ignore
-                  (Dcache_core.Fastpath.lookup_into fp ctx stable.(!i land 7)
-                     ~within:alloc_within);
+                ignore (Fastpath.lookup_into fp ctx stable.(!i land 7) ~within:alloc_within);
                 incr i
               in
               for _ = 1 to 64 do
                 f ()
               done;
               let words = Stats.minor_words_per_op ~iters:reader_iters f in
-              let t0 = Dcache_util.Clock.now_ns () in
-              for _ = 1 to reader_iters do
-                f ()
-              done;
-              let t1 = Dcache_util.Clock.now_ns () in
-              reader_results.(r) <-
-                (Int64.to_float (Int64.sub t1 t0) /. float_of_int reader_iters, words);
+              reader_results.(r) <- (per_op ~iters:reader_iters f, words);
               while not (Atomic.get stop) do
                 f ()
               done))
     in
     (* The clock brackets spawn-to-join of the writers (readers are already
        live), so ops/s is honest even when domains timeshare few cores. *)
-    let t0 = Dcache_util.Clock.now_ns () in
-    let writer_domains =
-      List.init writers (fun w ->
-          Domain.spawn (fun () ->
-              let wp = Proc.fork p in
-              let phase = Array.make names_per_writer 0 in
-              for i = 0 to ops_per_writer - 1 do
-                let k = i land (names_per_writer - 1) in
-                (match phase.(k) with
-                | 0 -> (
-                  (* touch: the create is the measured mutation *)
-                  match S.openf wp (name w k 0) [ Proc.O_CREAT; Proc.O_WRONLY ] with
-                  | Ok fd -> ignore (S.close wp fd)
-                  | Error _ -> ())
-                | 1 -> ignore (S.rename wp (name w k 1) (name w k 2))
-                | _ -> ignore (S.unlink wp (name w k 2)));
-                phase.(k) <- (phase.(k) + 1) mod 3
-              done))
+    let writer w () =
+      let wp = Proc.fork p in
+      let phase = Array.make names_per_writer 0 in
+      for i = 0 to ops_per_writer - 1 do
+        let k = i land (names_per_writer - 1) in
+        (match phase.(k) with
+        | 0 -> (
+          (* touch: the create is the measured mutation *)
+          match S.openf wp (name w k 0) [ Proc.O_CREAT; Proc.O_WRONLY ] with
+          | Ok fd -> ignore (S.close wp fd)
+          | Error _ -> ())
+        | 1 -> ignore (S.rename wp (name w k 1) (name w k 2))
+        | _ -> ignore (S.unlink wp (name w k 2)));
+        phase.(k) <- (phase.(k) + 1) mod 3
+      done
     in
-    List.iter Domain.join writer_domains;
-    let t1 = Dcache_util.Clock.now_ns () in
+    let ns =
+      elapsed_ns (fun () ->
+          List.iter Domain.join (List.init writers (fun w -> Domain.spawn (writer w))))
+    in
     Atomic.set stop true;
     List.iter Domain.join readers;
-    let secs = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
-    let ops_s = float_of_int (writers * ops_per_writer) /. secs in
-    let reader_ns = (fst reader_results.(0) +. fst reader_results.(1)) /. 2.0 in
-    let reader_words = (snd reader_results.(0) +. snd reader_results.(1)) /. 2.0 in
-    let sharded_ops =
-      counter env "sharded_create" + counter env "sharded_rename"
-      + counter env "sharded_unlink"
-    in
-    (ops_s, reader_ns, reader_words, sharded_ops)
+    let k = env.W.Env.kernel in
+    [ float_of_int (writers * ops_per_writer) /. (float_of_int ns /. 1e9);
+      (fst reader_results.(0) +. fst reader_results.(1)) /. 2.0;
+      (snd reader_results.(0) +. snd reader_results.(1)) /. 2.0;
+      float_of_int
+        (count k Counters.sharded_create + count k Counters.sharded_rename
+       + count k Counters.sharded_unlink) ]
   in
   let writer_counts = [ 1; 2; 4; 8 ] in
-  row "%-8s %8s %14s %12s %12s %13s\n" "mode" "writers" "churn ops/s" "reader ns"
-    "reader wds" "sharded ops";
-  let measure ~stripes label =
+  let results =
     List.map
       (fun writers ->
-        let ops_s, rd_ns, rd_words, sharded = run ~stripes ~writers in
-        row "%-8s %8d %14.0f %12.1f %12.2f %13d\n" label writers ops_s rd_ns rd_words
-          sharded;
-        (writers, ops_s, rd_ns, rd_words, sharded))
+        List.map spreads (runs [ run ~stripes ~writers; run ~stripes:0 ~writers ]))
       writer_counts
   in
-  let sharded = measure ~stripes:Config.optimized.Config.dcache_stripes "sharded" in
-  let global = measure ~stripes:0 "global" in
-  let find n l = List.find (fun (w, _, _, _, _) -> w = n) l in
-  let (_, s8, _, _, _) = find 8 sharded and (_, g8, _, _, _) = find 8 global in
-  let ratio8 = if g8 > 0.0 then s8 /. g8 else 0.0 in
-  row "8 writers: sharded/global throughput %.2fx (acceptance bound: 2.5x)\n" ratio8;
-  if ratio8 < 2.5 then row "  WARNING: sharded churn below the 2.5x bound\n";
-  let figures =
-    let entries label l =
-      List.map
-        (fun (w, ops_s, rd_ns, rd_words, sharded_ops) ->
-          Printf.sprintf
-            "    {\"mode\": \"%s\", \"writers\": %d, \"churn_ops_per_s\": %.0f, \
-             \"reader_warm_ns\": %.2f, \"reader_warm_words\": %.3f, \
-             \"sharded_ops\": %d}"
-            label w ops_s rd_ns rd_words sharded_ops)
-        l
-    in
-    [
-      ("stripes", string_of_int Config.optimized.Config.dcache_stripes);
-      ("ops_per_writer", string_of_int ops_per_writer);
-      ( "runs",
-        "[\n"
-        ^ String.concat ",\n" (entries "sharded" sharded @ entries "global" global)
-        ^ "\n  ]" );
-      ("throughput_ratio_8_writers", Printf.sprintf "%.3f" ratio8);
-    ]
-    @
-    if cores = 1 then
-      [
-        ( "host_caveat",
-          "\"single-core host: writer domains timeshare, so the 8-writer \
-           ratio measures lock discipline (convoy avoidance), not parallel \
-           scaling; the >= 2.5x bound presumes a multicore host\"" );
-      ]
-    else []
+  let t =
+    table "runs"
+      [ col ~left:true 8 "mode" "mode"; col 8 "writers" "writers";
+        col ~dec:0 14 "churn ops/s" "churn_ops_per_s";
+        col 12 "reader ns" "reader_warm_ns"; col ~dec:2 12 "reader wds" "reader_warm_words";
+        col ~dec:0 13 "sharded ops" "sharded_ops" ]
   in
-  Bench_report.write ~experiment:"churn" figures
+  List.iteri
+    (fun mode label ->
+      List.iter2
+        (fun writers arms ->
+          match List.nth arms mode with
+          | [ ops; rd_ns; rd_words; sharded ] ->
+            row t [ L label; C writers; M ops; M rd_ns; R rd_words.median; R sharded.median ]
+          | _ -> assert false)
+        writer_counts results)
+    [ "sharded"; "global" ];
+  let ops8 mode = (List.hd (List.nth (List.nth results 3) mode)).median in
+  let ratio8 = if ops8 1 > 0.0 then ops8 0 /. ops8 1 else 0.0 in
+  Printf.printf "8 writers: sharded/global throughput %.2fx (acceptance bound: 2.5x)\n" ratio8;
+  loose (ratio8 >= 2.5) "sharded churn below the 2.5x bound";
+  put "throughput_ratio_8_writers" (Json.Num ratio8);
+  if cores = 1 then
+    put "host_caveat"
+      (Json.Str
+         "single-core host: writer domains timeshare, so the 8-writer ratio measures lock \
+          discipline (convoy avoidance), not parallel scaling; the >= 2.5x bound presumes a \
+          multicore host")
 
 (* ------------------------------------------------------------------ *)
 (* Coherence: N stateful clients under a churn writer — leases (§3.7)  *)
@@ -1791,19 +1701,14 @@ let coherence () =
      Live-lease warm hits must stay lockless/allocation-free; the\n\
      staleness audit must find zero positives older than ttl + skew.";
   let module Netfs = Dcache_fs.Netfs in
-  let module Fault = Dcache_util.Fault in
-  let module Vclock = Dcache_util.Vclock in
   let module Attr = Dcache_types.Attr in
-  let kcounter kernel key =
-    List.assoc key (Kernel.stats_snapshot kernel)
-  in
   let cores = Domain.recommended_domain_count () in
   let n_clients = 4 in
   let churn_files = 32 in
-  let warm_iters = if !quick then 20_000 else 100_000 in
+  let warm_iters = words_iters () in
   let warm_samples_n = if !quick then 20_000 else 50_000 in
   let churn_rounds = if !quick then 300 else 1_500 in
-  row "host cores: %d, clients: %d\n" cores n_clients;
+  Printf.printf "host cores: %d, clients: %d\n" cores n_clients;
 
   (* --- fault-free server with the canonical lease figures --- *)
   let clock = Vclock.create () in
@@ -1824,6 +1729,11 @@ let coherence () =
   for i = 0 to churn_files - 1 do
     ok "churn file" (S.write_file wp (churn_path i) "v0")
   done;
+  put "clients" (Json.Num (float_of_int n_clients));
+  put "rpc_latency_ns" (Json.Num 120000.);
+  put "lease_ttl_ns" (Json.Num (float_of_int (Netfs.lease_ttl_ns server)));
+  put "lease_skew_ns" (Json.Num (float_of_int (Netfs.lease_skew_ns server)));
+  put "grace_ns" (Json.Num (float_of_int (Netfs.grace_ns server)));
   (* ino -> path map for precise per-client break deliveries, refreshed
      from the backing store after each writer op. *)
   let ino_path = Hashtbl.create 64 in
@@ -1856,60 +1766,47 @@ let coherence () =
     readers;
 
   (* --- phase 1: warm live-lease hits --- *)
-  let _, k0, p0 = readers.(0) in
-  let fp = Kernel.fastpath k0 in
-  let ctx = Proc.walk_ctx p0 in
-  let i = ref 0 in
-  let probe () =
-    ignore
-      (Dcache_core.Fastpath.lookup_into fp ctx hot.(!i land 7) ~within:alloc_within);
-    incr i
+  let hot_probe kernel p =
+    let fp = Kernel.fastpath kernel and ctx = Proc.walk_ctx p and i = ref 0 in
+    fun () ->
+      ignore (Fastpath.lookup_into fp ctx hot.(!i land 7) ~within:alloc_within);
+      incr i
   in
+  let _, k0, p0 = readers.(0) in
+  let probe = hot_probe k0 p0 in
   probe ();
   Netfs.reset_rpc_count server;
   let warm_words = Stats.minor_words_per_op ~iters:warm_iters probe in
-  let warm_mean = latency_ns ~iters:warm_iters probe in
-  let samples = Array.make warm_samples_n 0.0 in
-  for s = 0 to warm_samples_n - 1 do
-    let t0 = Dcache_util.Clock.now_ns () in
-    probe ();
-    let t1 = Dcache_util.Clock.now_ns () in
-    samples.(s) <- Int64.to_float (Int64.sub t1 t0)
-  done;
-  let warm_p50 = Stats.percentile samples 50.0 in
-  let warm_p99 = Stats.percentile samples 99.0 in
+  let warm = latency ~iters:warm_iters probe in
+  let samples = Array.init warm_samples_n (fun _ -> float_of_int (elapsed_ns probe)) in
   let warm_rpcs = Netfs.rpc_count server in
   (* Same-run control: the identical probe over a local ramfs (no lease
      gate).  The gate's cost is the ratio against this, free of cross-run
      machine noise. *)
-  let control_mean =
+  let control =
     let kernel = Kernel.create ~config:Config.optimized ~root_fs:(Dcache_fs.Ramfs.create ()) () in
     let p = Proc.spawn kernel in
     ok "control tree" (S.mkdir_p p "/export/hot");
     Array.iter (fun f -> ok "control file" (S.write_file p f "S")) hot;
     Array.iter (fun f -> ignore (ok "control warm" (S.stat p f))) hot;
-    let fp = Kernel.fastpath kernel in
-    let ctx = Proc.walk_ctx p in
-    let j = ref 0 in
-    latency_ns ~iters:warm_iters (fun () ->
-        ignore
-          (Dcache_core.Fastpath.lookup_into fp ctx hot.(!j land 7) ~within:alloc_within);
-        incr j)
+    latency ~iters:warm_iters (hot_probe kernel p)
   in
-  row
-    "warm live-lease hit: mean %.1f ns (local control %.1f ns), p50 %.0f ns, p99 %.0f \
-     ns, %.2f words/op, %d RPCs\n"
-    warm_mean control_mean warm_p50 warm_p99 warm_words warm_rpcs;
-  if warm_words > 0.0 then row "  WARNING: live-lease warm hit allocated\n";
-  if warm_rpcs > 0 then row "  WARNING: live-lease warm hit generated RPCs\n";
+  let t =
+    table "warm_live_lease"
+      [ col 10 "mean ns" "ns_mean"; col 11 "control ns" "local_control_ns_mean";
+        col ~dec:0 8 "p50 ns" "ns_p50";
+        col ~dec:0 8 "p99 ns" "ns_p99"; col ~dec:2 9 "words/op" "words_per_op"; col 5 "RPCs" "rpcs" ]
+  in
+  row t
+    [ M warm; M control; R (Stats.percentile samples 50.0); R (Stats.percentile samples 99.0);
+      R warm_words; C warm_rpcs ];
+  loose (warm_words <= 0.0) "live-lease warm hit allocated";
+  loose (warm_rpcs = 0) "live-lease warm hit generated RPCs";
 
   (* --- phase 2: churn mix --- *)
-  let fallbacks0 =
-    Array.fold_left (fun acc (_, k, _) -> acc + kcounter k "fastpath_lease_fallback") 0 readers
-  in
-  let cb0 =
-    Array.fold_left (fun acc (_, k, _) -> acc + kcounter k "sharded_cb_invalidate") 0 readers
-  in
+  let total id = Array.fold_left (fun acc (_, k, _) -> acc + count k id) 0 readers in
+  let fallbacks0 = total Counters.fastpath_lease_fallback in
+  let cb0 = total Counters.sharded_cb_invalidate in
   let mix = Array.make (churn_rounds * n_clients * 2) 0.0 in
   let mi = ref 0 in
   let wseed = ref 12345 in
@@ -1930,35 +1827,29 @@ let coherence () =
     Array.iter
       (fun (_, _, p) ->
         let time_stat path =
-          let t0 = Dcache_util.Clock.now_ns () in
-          ignore (S.stat p path);
-          let t1 = Dcache_util.Clock.now_ns () in
-          mix.(!mi) <- Int64.to_float (Int64.sub t1 t0);
+          mix.(!mi) <- float_of_int (elapsed_ns (fun () -> ignore (S.stat p path)));
           incr mi
         in
         time_stat hot.(round land 7);
         time_stat (churn_path (round + wnext churn_files)))
       readers
   done;
-  let mix_p50 = Stats.percentile mix 50.0 in
-  let mix_p99 = Stats.percentile mix 99.0 in
-  let fallbacks =
-    Array.fold_left (fun acc (_, k, _) -> acc + kcounter k "fastpath_lease_fallback") 0 readers
-    - fallbacks0
-  in
-  let cb_invalidates =
-    Array.fold_left (fun acc (_, k, _) -> acc + kcounter k "sharded_cb_invalidate") 0 readers
-    - cb0
-  in
   let breaks =
     List.fold_left
       (fun acc c -> acc + (Netfs.lease_stats server c).Netfs.ls_breaks)
       0 (Netfs.clients server)
   in
-  row "churn mix (%d rounds x %d clients): p50 %.0f ns, p99 %.0f ns\n" churn_rounds
-    n_clients mix_p50 mix_p99;
-  row "  lease fallbacks %d, breaks delivered %d, sharded cb evictions %d\n" fallbacks
-    breaks cb_invalidates;
+  Printf.printf "churn mix (%d rounds x %d clients):\n" churn_rounds n_clients;
+  let t =
+    table "churn_mix"
+      [ col 6 "rounds" "rounds"; col ~dec:0 8 "p50 ns" "ns_p50"; col ~dec:0 8 "p99 ns" "ns_p99";
+        col 9 "fallbacks" "lease_fallbacks"; col 6 "breaks" "breaks_delivered";
+        col 12 "cb evictions" "sharded_cb_invalidates" ]
+  in
+  row t
+    [ C churn_rounds; R (Stats.percentile mix 50.0); R (Stats.percentile mix 99.0);
+      C (total Counters.fastpath_lease_fallback - fallbacks0); C breaks;
+      C (total Counters.sharded_cb_invalidate - cb0) ];
 
   (* --- chrome-trace capture (§3.8): one traced break window ---
 
@@ -1979,9 +1870,9 @@ let coherence () =
   let oc = open_out "BENCH_coherence_trace.json" in
   output_string oc dump;
   close_out oc;
-  row "wrote BENCH_coherence_trace.json (%d bytes, %d events, %d cross-client flows)\n"
+  Printf.printf "wrote BENCH_coherence_trace.json (%d bytes, %d events, %d cross-client flows)\n"
     (String.length dump) (min (Utrace.recorded ()) (Utrace.capacity ())) !links;
-  if !links = 0 then row "  WARNING: no cross-client span links captured\n";
+  loose (!links > 0) "no cross-client span links captured";
   Utrace.reset ();
 
   (* --- phase 3: fault-storm staleness audit (short ttl) --- *)
@@ -1991,15 +1882,13 @@ let coherence () =
   let abacking = Dcache_fs.Ramfs.create () in
   let inj = Fault.create ~seed:1 () in
   let aserver =
-    Netfs.server ~rpc_latency_ns:1000 ~faults:inj ~lease_ttl_ns:ttl
-      ~grace_ns:(ttl + skew) ~skew_ns:skew ~clock:aclock abacking
+    Netfs.server ~rpc_latency_ns:1000 ~faults:inj ~lease_ttl_ns:ttl ~grace_ns:(ttl + skew)
+      ~skew_ns:skew ~clock:aclock abacking
   in
   let _, rfs = Netfs.connect_fs aserver in
-  let rk = Kernel.create ~config:Config.optimized ~root_fs:rfs () in
-  let rp = Proc.spawn rk in
+  let rp = Proc.spawn (Kernel.create ~config:Config.optimized ~root_fs:rfs ()) in
   let _, wfs = Netfs.connect_fs aserver in
-  let wk = Kernel.create ~config:Config.optimized ~root_fs:wfs () in
-  let awp = Proc.spawn wk in
+  let awp = Proc.spawn (Kernel.create ~config:Config.optimized ~root_fs:wfs ()) in
   ok "audit tree" (S.mkdir_p awp "/export");
   let apaths = Array.init 6 (fun i -> Printf.sprintf "/export/f%d" i) in
   let adir =
@@ -2053,40 +1942,17 @@ let coherence () =
     | Error _ -> ()
   done;
   let ast = Netfs.rpc_stats aserver in
-  row
-    "staleness audit: %d steps, %d positives audited, %d violations (bound %Ld ns)\n"
-    audit_steps !audited !violations bound;
-  row "  storm: %d crashes, %d partitions, %d drops, %d giveups\n" ast.Netfs.rs_crashes
-    ast.Netfs.rs_partitions ast.Netfs.rs_drops ast.Netfs.rs_giveups;
-  if !violations > 0 then row "  WARNING: staleness bound violated\n";
-
-  let figures =
-    [
-      ("clients", string_of_int n_clients);
-      ("rpc_latency_ns", "120000");
-      ("lease_ttl_ns", string_of_int (Netfs.lease_ttl_ns server));
-      ("lease_skew_ns", string_of_int (Netfs.lease_skew_ns server));
-      ("grace_ns", string_of_int (Netfs.grace_ns server));
-      ( "warm_live_lease",
-        Printf.sprintf
-          "{\"ns_mean\": %.2f, \"local_control_ns_mean\": %.2f, \"ns_p50\": %.1f, \
-           \"ns_p99\": %.1f, \"words_per_op\": %.3f, \"rpcs\": %d}"
-          warm_mean control_mean warm_p50 warm_p99 warm_words warm_rpcs );
-      ( "churn_mix",
-        Printf.sprintf
-          "{\"rounds\": %d, \"ns_p50\": %.1f, \"ns_p99\": %.1f, \"lease_fallbacks\": %d, \
-           \"breaks_delivered\": %d, \"sharded_cb_invalidates\": %d}"
-          churn_rounds mix_p50 mix_p99 fallbacks breaks cb_invalidates );
-      ( "staleness_audit",
-        Printf.sprintf
-          "{\"seed\": 1, \"steps\": %d, \"audited_positives\": %d, \"violations\": %d, \
-           \"bound_ns\": %Ld, \"crashes\": %d, \"partitions\": %d, \"drops\": %d, \
-           \"giveups\": %d}"
-          audit_steps !audited !violations bound ast.Netfs.rs_crashes
-          ast.Netfs.rs_partitions ast.Netfs.rs_drops ast.Netfs.rs_giveups );
-    ]
+  Printf.printf "staleness audit (seed 1):\n";
+  let t =
+    table "staleness_audit"
+      [ col 6 "steps" "steps"; col 8 "audited" "audited_positives"; col 10 "violations" "violations";
+        col 9 "bound ns" "bound_ns"; col 7 "crashes" "crashes"; col 10 "partitions" "partitions";
+        col 6 "drops" "drops"; col 7 "giveups" "giveups" ]
   in
-  Bench_report.write ~experiment:"coherence" figures
+  row t
+    [ C audit_steps; C !audited; C !violations; C (Int64.to_int bound); C ast.Netfs.rs_crashes;
+      C ast.Netfs.rs_partitions; C ast.Netfs.rs_drops; C ast.Netfs.rs_giveups ];
+  loose (!violations = 0) "staleness bound violated"
 
 (* ------------------------------------------------------------------ *)
 (* Profile: §3.8 profiler overhead — armed vs disarmed warm hits       *)
@@ -2109,7 +1975,6 @@ let profile () =
      must stay allocation-free and within 10% of the disarmed cost.";
   let module Uprof = Dcache_util.Profiler in
   let iters = if !quick then 50_000 else 200_000 in
-  let words_iters = if !quick then 20_000 else 100_000 in
   let env = W.Env.ram Config.optimized in
   let p = env.W.Env.proc in
   let n_dirs = 8 in
@@ -2118,9 +1983,7 @@ let profile () =
      a few operations, the skew every real lookup trace shows (and what the
      sketch's last-slot memo is built for). *)
   let paths =
-    Array.init
-      (n_dirs * 4)
-      (fun i -> Printf.sprintf "/prof/a/b/c/d/e/d%d/f%d" (i / 4) (i mod 4))
+    Array.init (n_dirs * 4) (fun i -> Printf.sprintf "/prof/a/b/c/d/e/d%d/f%d" (i / 4) (i mod 4))
   in
   for d = 0 to n_dirs - 1 do
     ok "dir" (S.mkdir_p p (Printf.sprintf "/prof/a/b/c/d/e/d%d" d))
@@ -2131,8 +1994,7 @@ let profile () =
   let ctx = Proc.walk_ctx env.W.Env.proc in
   let i = ref 0 in
   let probe () =
-    ignore
-      (Dcache_core.Fastpath.lookup_into fp ctx paths.(!i land 31) ~within:alloc_within);
+    ignore (Fastpath.lookup_into fp ctx paths.(!i land 31) ~within:alloc_within);
     incr i
   in
   let j = ref 0 in
@@ -2144,101 +2006,69 @@ let profile () =
   Utrace.reset ();
   Uprof.reset hot;
   Utrace.armed := false;
-  probe ();
-  syscall ();
   (* The host is noisy enough that a disarmed block followed by an armed
      block measures clock drift, not overhead.  Instead: many back-to-back
-     disarmed/armed pairs, median of the per-pair ratios — drift hits both
-     halves of a pair equally and cancels. *)
-  let rounds = 5 * repeats () in
-  let time f n =
-    f ();
-    let t0 = Dcache_util.Clock.now_ns () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let t1 = Dcache_util.Clock.now_ns () in
-    Int64.to_float (Int64.sub t1 t0) /. float_of_int n
-  in
+     disarmed/armed pairs (the driver alternates which half runs first),
+     median of the per-pair ratios — drift hits both halves of a pair
+     equally and cancels. *)
   let paired f =
-    let dis = Array.make rounds 0.0 and arm = Array.make rounds 0.0 in
-    let ratio = Array.make rounds 0.0 in
-    let half armed_half =
-      Utrace.armed := armed_half;
-      time f iters
+    let half armed () =
+      Utrace.armed := armed;
+      per_op ~iters f
     in
-    for r = 0 to rounds - 1 do
-      (* Alternate which half runs first: clock-frequency ramps within a
-         pair would otherwise always tax the same side. *)
-      if r land 1 = 0 then begin
-        dis.(r) <- half false;
-        arm.(r) <- half true
-      end
-      else begin
-        arm.(r) <- half true;
-        dis.(r) <- half false
-      end;
-      ratio.(r) <- (if dis.(r) > 0.0 then arm.(r) /. dis.(r) else 1.0)
-    done;
-    Utrace.armed := false;
-    (Stats.median dis, Stats.median arm, (Stats.median ratio -. 1.0) *. 100.0)
+    match runs ~n:(5 * repeats ()) [ half false; half true ] with
+    | [ dis; arm ] ->
+      Utrace.armed := false;
+      let ratio = List.map2 (fun a d -> if d > 0.0 then a /. d else 1.0) arm dis in
+      (spread dis, spread arm, ((spread ratio).median -. 1.0) *. 100.0)
+    | _ -> assert false
   in
-  let probe_dis_ns, probe_arm_ns, probe_pct = paired probe in
-  let stat_dis_ns, stat_arm_ns, stat_pct = paired syscall in
+  let probe_dis, probe_arm, probe_pct = paired probe in
+  let stat_dis, stat_arm, stat_pct = paired syscall in
   (* Raw per-hook costs, armed: what one stamp / one sketch update / one
      span mint actually spend. *)
   Utrace.armed := true;
-  let raw_stamp = latency_ns ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7) in
   let scratch = Uprof.create () in
-  let raw_record = latency_ns ~iters (fun () -> Uprof.record scratch 5 "d" Uprof.m_hit) in
-  let raw_mint = latency_ns ~iters (fun () -> ignore (Utrace.span_enter ())) in
+  arm_rows
+    (table "raw_armed" [ col ~left:true 34 "hook" "hook"; col 9 "ns" "ns" ])
+    [
+      ("Trace.stamp", fun () -> per_op ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7));
+      ("Profiler.record", fun () -> per_op ~iters (fun () -> Uprof.record scratch 5 "d" Uprof.m_hit));
+      ("Trace.span_enter", fun () -> per_op ~iters (fun () -> ignore (Utrace.span_enter ())));
+    ];
   Utrace.armed := false;
-  row "raw armed costs: stamp %.1f ns, record %.1f ns, span_enter %.1f ns\n"
-    raw_stamp raw_record raw_mint;
+  let words_iters = words_iters () in
   let probe_dis_words = Stats.minor_words_per_op ~iters:words_iters probe in
   Utrace.armed := true;
   let probe_arm_words = Stats.minor_words_per_op ~iters:words_iters probe in
   Utrace.armed := false;
-  row "%-34s %9.1f ns disarmed %9.1f ns armed %+7.1f%%\n" "warm fastpath probe" probe_dis_ns
-    probe_arm_ns probe_pct;
-  row "%-34s %9.2f w  disarmed %9.2f w  armed\n" "  words/op" probe_dis_words
-    probe_arm_words;
-  row "%-34s %9.1f ns disarmed %9.1f ns armed %+7.1f%%\n" "stat syscall (span minted)"
-    stat_dis_ns stat_arm_ns stat_pct;
-  if probe_arm_words > 0.0 then row "  WARNING: armed warm probe allocated\n";
-  if probe_pct > 10.0 || stat_pct > 10.0 then
-    row "  WARNING: armed overhead above the 10%% bound\n";
-  let slots = Uprof.hot hot in
+  put "iters" (Json.Num (float_of_int iters));
+  put "overhead_bound_pct" (Json.Num 10.0);
+  let t =
+    table "overhead"
+      [ col ~left:true 34 "operation" "operation"; col 9 "disarmed" "disarmed_ns";
+        col 9 "armed" "armed_ns"; col ~sign:true ~suffix:"%" 8 "overhead" "overhead_pct";
+        col ~dec:2 9 "dis wds" "disarmed_words"; col ~dec:2 9 "arm wds" "armed_words" ]
+  in
+  row t
+    [ L "warm fastpath probe"; M probe_dis; M probe_arm; R probe_pct; R probe_dis_words;
+      R probe_arm_words ];
+  row t [ L "stat syscall (span minted)"; M stat_dis; M stat_arm; R stat_pct; Nil; Nil ];
+  loose (probe_arm_words <= 0.0) "armed warm probe allocated";
+  loose (probe_pct <= 10.0 && stat_pct <= 10.0) "armed overhead above the 10%% bound";
   subheader "per-directory sketch after the armed window";
   print_string (Uprof.to_string hot);
-  let top_json =
-    slots
-    |> List.filteri (fun k _ -> k < n_dirs)
-    |> List.map (fun s ->
-           Printf.sprintf
-             "    {\"dir\": %d, \"label\": %S, \"total\": %d, \"err\": %d, \"hit\": %d}"
-             s.Uprof.h_key s.Uprof.h_label s.Uprof.h_total s.Uprof.h_err
-             s.Uprof.h_metrics.(Uprof.m_hit))
-    |> String.concat ",\n"
-  in
-  let figures =
-    [
-      ("iters", string_of_int iters);
-      ("overhead_bound_pct", "10.0");
-      ( "warm_probe",
-        Printf.sprintf
-          "{\"disarmed_ns\": %.2f, \"armed_ns\": %.2f, \"overhead_pct\": %.2f, \
-           \"disarmed_words\": %.3f, \"armed_words\": %.3f}"
-          probe_dis_ns probe_arm_ns probe_pct probe_dis_words probe_arm_words );
-      ( "stat_syscall",
-        Printf.sprintf "{\"disarmed_ns\": %.2f, \"armed_ns\": %.2f, \"overhead_pct\": %.2f}"
-          stat_dis_ns stat_arm_ns stat_pct );
-      ("ring_recorded", string_of_int (Utrace.recorded ()));
-      ("sketch_top", "[\n" ^ top_json ^ "\n  ]");
-    ]
-  in
-  Utrace.reset ();
-  Bench_report.write ~experiment:"profile" figures
+  put "ring_recorded" (Json.Num (float_of_int (Utrace.recorded ())));
+  put "sketch_top"
+    (Json.Arr
+       (List.filteri (fun k _ -> k < n_dirs) (Uprof.hot hot)
+       |> List.map (fun s ->
+              Json.Obj
+                [ ("dir", Json.Num (float_of_int s.Uprof.h_key)); ("label", Json.Str s.Uprof.h_label);
+                  ("total", Json.Num (float_of_int s.Uprof.h_total));
+                  ("err", Json.Num (float_of_int s.Uprof.h_err));
+                  ("hit", Json.Num (float_of_int s.Uprof.h_metrics.(Uprof.m_hit))) ])));
+  Utrace.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Batch: vectored submission/completion front-end (§3.9)              *)
@@ -2259,77 +2089,74 @@ let batch_bench () =
   let sizes = [ 1; 8; 32; 128 ] in
   let files = 128 in
   let env = W.Env.ram Config.optimized in
-  let p = env.W.Env.proc in
+  let p = env.W.Env.proc and k = env.W.Env.kernel in
   let dir = "/www" in
   W.Webserver.setup p ~dir ~files;
-  let paths =
-    Array.init files (fun i -> Printf.sprintf "%s/doc%05d.html" dir (i + 1))
-  in
+  let paths = Array.init files (fun i -> Printf.sprintf "%s/doc%05d.html" dir (i + 1)) in
   Array.iter (fun path -> ignore (ok "warm" (S.stat p path))) paths;
+  put "files" (Json.Num (float_of_int files));
 
   subheader "warm all-hit throughput - sequential stat vs batched submit";
-  let iters = if !quick then 20_000 else 100_000 in
-  row "%-8s %12s %12s %9s %11s %13s\n" "batch" "seq ns/op" "batch ns/op" "speedup"
-    "words/op" "windows/subm";
-  let throughput =
-    List.map
-      (fun size ->
-        (* both sides loop over the same [size]-path working set *)
-        let idx = ref 0 in
-        let seq_op () =
-          ignore (S.stat p paths.(!idx));
-          idx := (!idx + 1) mod size
-        in
-        seq_op ();
-        let seq_ns = latency_ns ~iters:(max 1000 (iters / 4)) seq_op in
-        let ring = Batch.create ~cap:size p in
-        for k = 0 to size - 1 do
-          ignore (Batch.push_stat ring paths.(k))
-        done;
-        let submit () = Batch.submit ring in
-        submit ();
-        let submits = max 64 (iters / size) in
-        let batch_ns = latency_ns ~iters:submits submit /. float_of_int size in
-        let words =
-          Stats.minor_words_per_op ~iters:submits submit /. float_of_int size
-        in
-        let s0 = counter env "batch_submit" and w0 = counter env "batch_windows" in
-        for _ = 1 to 100 do
-          submit ()
-        done;
-        let s1 = counter env "batch_submit" and w1 = counter env "batch_windows" in
-        let windows_per_submit =
-          float_of_int (w1 - w0) /. float_of_int (max 1 (s1 - s0))
-        in
-        let speedup = seq_ns /. batch_ns in
-        row "%-8d %12.1f %12.1f %8.2fx %11.3f %13.2f\n" size seq_ns batch_ns speedup
-          words windows_per_submit;
-        (size, seq_ns, batch_ns, speedup, words, windows_per_submit))
-      sizes
+  let iters = words_iters () in
+  let t =
+    table "throughput"
+      [ col ~left:true 8 "batch" "batch"; col 12 "seq ns/op" "seq_ns_per_op";
+        col 12 "batch ns/op" "batch_ns_per_op"; col ~dec:2 ~suffix:"x" 9 "speedup" "speedup";
+        col ~dec:3 11 "words/op" "words_per_op"; col ~dec:2 13 "windows/subm" "windows_per_submit" ]
   in
   List.iter
-    (fun (size, _, _, speedup, words, _) ->
-      if size >= 32 && speedup < 1.3 then
-        row "  WARNING: batch %d speedup %.2fx below the 1.30x bound\n" size speedup;
-      if size >= 32 && words > 0.005 then
-        row "  WARNING: batch %d warm path allocates %.3f words/op\n" size words)
-    throughput;
+    (fun size ->
+      (* both sides loop over the same [size]-path working set *)
+      let idx = ref 0 in
+      let seq_op () =
+        ignore (S.stat p paths.(!idx));
+        idx := (!idx + 1) mod size
+      in
+      let ring = Batch.create ~cap:size p in
+      for k = 0 to size - 1 do
+        ignore (Batch.push_stat ring paths.(k))
+      done;
+      let submit () = Batch.submit ring in
+      let submits = max 64 (iters / size) in
+      let seq, bat =
+        vs
+          (fun () -> per_op ~iters:(max 1000 (iters / 4)) seq_op)
+          (fun () -> per_op ~iters:submits submit /. float_of_int size)
+      in
+      let words = Stats.minor_words_per_op ~iters:submits submit /. float_of_int size in
+      let s0 = count k Counters.batch_submit and w0 = count k Counters.batch_windows in
+      for _ = 1 to 100 do
+        submit ()
+      done;
+      let windows_per_submit =
+        float_of_int (count k Counters.batch_windows - w0)
+        /. float_of_int (max 1 (count k Counters.batch_submit - s0))
+      in
+      let speedup = seq.median /. bat.median in
+      row t [ C size; M seq; M bat; R speedup; R words; R windows_per_submit ];
+      if size >= 32 then begin
+        loose (speedup >= 1.3) "batch %d speedup %.2fx below the 1.30x bound" size speedup;
+        loose (words <= 0.005) "batch %d warm path allocates %.3f words/op" size words
+      end)
+    sizes;
 
   subheader "deep-miss group - one write-locked phase vs N sequential misses";
   let depth = 8 in
   let misses = if !quick then 32 else 64 in
+  put "deep_miss_depth" (Json.Num (float_of_int depth));
+  put "deep_misses" (Json.Num (float_of_int misses));
   let deep = "/" ^ String.concat "/" (List.init depth (Printf.sprintf "m%02d")) in
   ok "chain" (S.mkdir_p p deep);
   let leaves = Array.init misses (fun i -> Printf.sprintf "%s/leaf%03d" deep i) in
   Array.iter (fun leaf -> ok "leaf" (S.write_file p leaf "x")) leaves;
   let stripe_acquired () =
     let dc =
-      match Dcache_vfs.Dcache.stripes (Kernel.dcache env.W.Env.kernel) with
+      match Dcache_vfs.Dcache.stripes (Kernel.dcache k) with
       | Some tab -> fst (Dcache_util.Locktab.totals tab)
       | None -> 0
     in
     let dl =
-      match Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns env.W.Env.kernel) with
+      match Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns k) with
       | Some t -> (
         match Dcache_core.Dlht.locktab t with
         | Some tab -> fst (Dcache_util.Locktab.totals tab)
@@ -2342,24 +2169,32 @@ let batch_bench () =
     let r, w = Dcache_util.Rwlock.acquisition_counts () in
     r + w
   in
-  let miss_pass run =
+  let t =
+    table "deep_miss"
+      [ col ~left:true 12 "" "submission"; col ~dec:3 12 "stripes/op" "stripes_per_op";
+        col ~dec:3 14 "components/op" "components_per_op"; col ~dec:3 12 "rwlocks/op" "rwlocks_per_op" ]
+  in
+  let miss_pass label run =
     W.Env.drop_caches env;
     ignore (ok "warm chain" (S.stat p deep));
     let a0 = stripe_acquired () in
-    let c0 = counter env "walk_components" in
+    let c0 = count k Counters.walk_components in
     let l0 = rwlocks () in
     run ();
     let per x = float_of_int x /. float_of_int misses in
-    (per (stripe_acquired () - a0), per (counter env "walk_components" - c0),
-     per (rwlocks () - l0))
+    let stripes = per (stripe_acquired () - a0) in
+    let comps = per (count k Counters.walk_components - c0) in
+    let locks = per (rwlocks () - l0) in
+    row t [ L label; R stripes; R comps; R locks ];
+    (stripes, comps, locks)
   in
   let seq_stripes, seq_comps, seq_locks =
-    miss_pass (fun () ->
+    miss_pass "sequential" (fun () ->
         Array.iter (fun leaf -> ignore (ok "miss" (S.stat p leaf))) leaves)
   in
   let miss_ring = Batch.create ~cap:misses p in
   let bat_stripes, bat_comps, bat_locks =
-    miss_pass (fun () ->
+    miss_pass "batched" (fun () ->
         Batch.reset miss_ring;
         Array.iter (fun leaf -> ignore (Batch.push_stat miss_ring leaf)) leaves;
         Batch.submit miss_ring;
@@ -2367,97 +2202,49 @@ let batch_bench () =
           if not (Batch.ok miss_ring k) then failwith "batch: deep miss failed"
         done)
   in
-  row "%-12s %12s %14s %12s\n" "" "stripes/op" "components/op" "rwlocks/op";
-  row "%-12s %12.3f %14.3f %12.3f\n" "sequential" seq_stripes seq_comps seq_locks;
-  row "%-12s %12.3f %14.3f %12.3f\n" "batched" bat_stripes bat_comps bat_locks;
   (* Both resolve each miss with the same write-locked body, so stripes and
      components per op are equal by construction; what the batch saves is
      write-lock acquisitions — one per group instead of one per miss. *)
-  if bat_stripes <> seq_stripes then
-    row "  WARNING: batched misses took %.3f stripes/op (sequential %.3f)\n"
-      bat_stripes seq_stripes;
-  if bat_comps <> seq_comps then
-    row "  WARNING: batched misses walked %.3f components/op (sequential %.3f)\n"
-      bat_comps seq_comps;
-  if bat_locks >= seq_locks then
-    row "  WARNING: batched misses took %.3f rwlocks/op (sequential %.3f)\n"
-      bat_locks seq_locks;
+  loose (bat_stripes = seq_stripes) "batched misses took %.3f stripes/op (sequential %.3f)"
+    bat_stripes seq_stripes;
+  loose (bat_comps = seq_comps) "batched misses walked %.3f components/op (sequential %.3f)"
+    bat_comps seq_comps;
+  loose (bat_locks < seq_locks) "batched misses took %.3f rwlocks/op (sequential %.3f)" bat_locks
+    seq_locks;
 
   subheader "open-loop Poisson arrivals - per-op sojourn p50/p99 (virtual ns)";
-  let mbox =
-    W.Maildir.setup p ~root:"/mail" ~messages:(if !quick then 64 else 128) ~seed:7
-  in
+  let mbox = W.Maildir.setup p ~root:"/mail" ~messages:(if !quick then 64 else 128) ~seed:7 in
   ignore (W.Maildir.run_ops p mbox ~ops:5 ~seed:1);
   let mail_paths =
     ok "mail readdir" (S.readdir_path p "/mail/cur")
-    |> List.map (fun (e : Dcache_fs.Fs_intf.dirent) ->
-           "/mail/cur/" ^ e.Dcache_fs.Fs_intf.name)
+    |> List.map (fun (e : Dcache_fs.Fs_intf.dirent) -> "/mail/cur/" ^ e.Dcache_fs.Fs_intf.name)
     |> Array.of_list
   in
   Array.iter (fun path -> ignore (ok "warm mail" (S.stat p path))) mail_paths;
   let batches = if !quick then 200 else 800 in
   let rate = 500_000.0 in
-  row "%-12s %6s %8s %12s %12s %12s\n" "workload" "batch" "ops" "p50 ns" "p99 ns"
-    "mean ns";
-  let open_loop =
-    List.concat_map
-      (fun (wl, wl_paths) ->
-        List.map
-          (fun size ->
-            let n = Array.length wl_paths in
-            let fill ring i = ignore (Batch.push_stat ring wl_paths.(i mod n)) in
-            let ol =
-              W.Runner.run_open_loop
-                ~label:(Printf.sprintf "%s b=%d" wl size)
-                ~seed:(size + 17) env ~rate_per_s:rate ~batch:size ~batches ~fill ()
-            in
-            row "%-12s %6d %8d %12d %12d %12.0f\n" wl size ol.W.Runner.ol_ops
-              ol.W.Runner.ol_p50_ns ol.W.Runner.ol_p99_ns ol.W.Runner.ol_mean_ns;
-            (wl, ol))
-          sizes)
-      [ ("webserver", paths); ("maildir", mail_paths) ]
+  put "open_loop_rate_per_s" (Json.Num rate);
+  let t =
+    table "open_loop"
+      [ col ~left:true 12 "workload" "workload"; col 6 "batch" "batch"; col 8 "ops" "ops";
+        col 12 "p50 ns" "p50_ns"; col 12 "p99 ns" "p99_ns"; col ~dec:0 12 "mean ns" "mean_ns" ]
   in
-  let figures =
-    [
-      ("files", string_of_int files);
-      ( "throughput",
-        "[\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (size, seq_ns, batch_ns, speedup, words, wps) ->
-                 Printf.sprintf
-                   "    {\"batch\": %d, \"seq_ns_per_op\": %.2f, \
-                    \"batch_ns_per_op\": %.2f, \"speedup\": %.3f, \
-                    \"words_per_op\": %.3f, \"windows_per_submit\": %.3f}"
-                   size seq_ns batch_ns speedup words wps)
-               throughput)
-        ^ "\n  ]" );
-      ( "deep_miss",
-        Printf.sprintf
-          "{\"depth\": %d, \"misses\": %d,\n\
-          \    \"sequential\": {\"stripes_per_op\": %.3f, \"components_per_op\": \
-           %.3f, \"rwlocks_per_op\": %.3f},\n\
-          \    \"batched\": {\"stripes_per_op\": %.3f, \"components_per_op\": \
-           %.3f, \"rwlocks_per_op\": %.3f}}"
-          depth misses seq_stripes seq_comps seq_locks bat_stripes bat_comps
-          bat_locks );
-      ( "open_loop",
-        "[\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (wl, (ol : W.Runner.open_loop)) ->
-                 Printf.sprintf
-                   "    {\"workload\": %S, \"batch\": %d, \"rate_per_s\": %.0f, \
-                    \"ops\": %d, \"p50_ns\": %d, \"p99_ns\": %d, \"mean_ns\": \
-                    %.1f}"
-                   wl ol.W.Runner.ol_batch ol.W.Runner.ol_rate_per_s
-                   ol.W.Runner.ol_ops ol.W.Runner.ol_p50_ns ol.W.Runner.ol_p99_ns
-                   ol.W.Runner.ol_mean_ns)
-               open_loop)
-        ^ "\n  ]" );
-    ]
-  in
-  Bench_report.write ~experiment:"batch" figures
+  List.iter
+    (fun (wl, wl_paths) ->
+      List.iter
+        (fun size ->
+          let n = Array.length wl_paths in
+          let fill ring i = ignore (Batch.push_stat ring wl_paths.(i mod n)) in
+          let ol =
+            W.Runner.run_open_loop
+              ~label:(Printf.sprintf "%s b=%d" wl size)
+              ~seed:(size + 17) env ~rate_per_s:rate ~batch:size ~batches ~fill ()
+          in
+          row t
+            [ L wl; C size; C ol.W.Runner.ol_ops; C ol.W.Runner.ol_p50_ns; C ol.W.Runner.ol_p99_ns;
+              R ol.W.Runner.ol_mean_ns ])
+        sizes)
+    [ ("webserver", paths); ("maildir", mail_paths) ]
 
 (* ------------------------------------------------------------------ *)
 (* Listing: cache-fed readdir — promotion + dirent scratch (§5.1)      *)
@@ -2473,7 +2260,7 @@ let listing_churn () =
   subheader "warm listing under churn (400-entry complete directory)";
   let entries = 400 in
   let env = W.Env.ram Config.optimized in
-  let p = env.W.Env.proc in
+  let p = env.W.Env.proc and k = env.W.Env.kernel in
   ok "mkdir" (S.mkdir p "/churn");
   let names = Array.init entries (Printf.sprintf "/churn/e%06d") in
   Array.iter (fun path -> ok "seed" (S.write_file p path "x")) names;
@@ -2496,32 +2283,31 @@ let listing_churn () =
         ok "create" (S.write_file p names.(slot) "x")
       | _ -> (
         match S.stat p (next_name ()) with
-        | Error Dcache_types.Errno.ENOENT -> ()
+        | Error Errno.ENOENT -> ()
         | Ok _ | Error _ -> failwith "listing churn: expected ENOENT")
     done
   in
   let fd = ok "open" (S.openf p "/churn" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
   let dir = (ok "fd" (Proc.find_fd p fd)).Proc.fd_ref.Dcache_vfs.Types.dentry in
-  row "%-8s %9s %9s %11s %10s\n" "churn" "entries" "nodes" "warm ns" "words/op";
+  let t =
+    table "churn"
+      [ col ~left:true 8 "churn" "churn"; col 9 "entries" "entries"; col 9 "nodes" "visited_nodes";
+        col 11 "warm ns" "warm_fill_ns"; col ~dec:2 10 "words/op" "warm_words_per_op" ]
+  in
   let done_ops = ref 0 in
   List.map
     (fun factor ->
       churn ((factor * entries) - !done_ops);
       done_ops := factor * entries;
       let listed = S.readdir_fill p fd in
-      let warm0 = counter env "readdir_scratch_warm" in
-      let ns =
-        env_latency_ns env ~iters:(if !quick then 500 else 2000) (fun () ->
-            ignore (S.readdir_fill p fd))
-      in
-      let words =
-        Stats.minor_words_per_op ~iters:2000 (fun () -> ignore (S.readdir_fill p fd))
-      in
-      if counter env "readdir_scratch_warm" = warm0 then
-        row "  WARNING: churned fill missed the warm path\n";
+      let warm0 = count k Counters.readdir_scratch_warm in
+      let fill () = ignore (S.readdir_fill p fd) in
+      let ns = latency ~vclock:env.W.Env.vclock ~iters:(if !quick then 500 else 2000) fill in
+      let words = Stats.minor_words_per_op ~iters:2000 fill in
+      loose (count k Counters.readdir_scratch_warm <> warm0) "churned fill missed the warm path";
       let nodes = Dcache_util.Dlist.length dir.Dcache_vfs.Types.d_children in
-      row "%-8s %9d %9d %11.1f %10.2f\n" (Printf.sprintf "%dx" factor) listed nodes ns words;
-      (factor, listed, nodes, ns, words))
+      row t [ L (Printf.sprintf "%dx" factor); C listed; C nodes; M ns; R words ];
+      (nodes, words))
     [ 0; 1; 4; 16 ]
 
 (* A DIR_COMPLETE directory answers getdents from its cached children,
@@ -2537,107 +2323,71 @@ let listing_bench () =
      from the per-process dirent scratch (seqcount-validated, 0 words/op)\n\
      vs the baseline's backend-fed listings on the simulated disk; cold\n\
      listings promote into the cache so the second call is already warm.";
-  let sizes = [ 16; 64; 256 ] @ if !quick then [] else [ 1024 ] in
-  let measure_backend size =
+  let backend size =
     let env = W.Env.disk Config.baseline in
-    let p = env.W.Env.proc in
     let dir = Printf.sprintf "/b%d" size in
-    W.Webserver.setup p ~dir ~files:size;
-    ignore (ok "warm" (S.readdir_path p dir));
-    env_latency_ns env ~iters:(max 50 (4000 / size)) (fun () ->
-        ignore (ok "backend" (S.readdir_path p dir)))
+    W.Webserver.setup env.W.Env.proc ~dir ~files:size;
+    ignore (ok "warm" (S.readdir_path env.W.Env.proc dir));
+    readdir_arm env ~iters:(max 50 (4000 / size)) dir
   in
-  let measure_warm size =
-    let env = W.Env.disk Config.optimized in
-    let p = env.W.Env.proc in
-    let dir = Printf.sprintf "/o%d" size in
-    W.Webserver.setup p ~dir ~files:size;
-    (* mkdir-born directories are complete from birth; drop everything so
-       the first listing takes the fs-fed fill and promotes (§5.1). *)
-    W.Env.drop_caches env;
-    let promoted0 = counter env "readdir_promoted" in
-    ignore (ok "promote" (S.readdir_path p dir));
-    let promoted = counter env "readdir_promoted" - promoted0 in
-    let fd = ok "open" (S.openf p dir [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
-    let entries = S.readdir_fill p fd in
-    let warm_ns =
-      env_latency_ns env ~iters:(max 200 (20_000 / size)) (fun () ->
-          ignore (S.readdir_fill p fd))
-    in
-    let words =
-      Stats.minor_words_per_op ~iters:2000 (fun () -> ignore (S.readdir_fill p fd))
-    in
-    let warm0 = counter env "readdir_scratch_warm" in
-    ignore (S.readdir_fill p fd);
-    let warm_hits = counter env "readdir_scratch_warm" - warm0 in
-    ok "close" (S.close p fd);
-    (warm_ns, words, promoted, warm_hits, entries)
+  let t =
+    table "runs"
+      [ col ~left:true 8 "files" "files"; col 13 "backend ns" "backend_ns";
+        col 13 "warm ns" "warm_fill_ns";
+        col ~suffix:"x" 9 "speedup" "speedup"; col ~dec:2 10 "words/op" "warm_words_per_op";
+        col 9 "promoted" "promotions" ]
   in
-  row "%-8s %13s %13s %9s %10s %9s\n" "files" "backend ns" "warm ns" "speedup"
-    "words/op" "promoted";
-  let runs =
+  let results =
     List.map
       (fun size ->
-        let backend_ns = measure_backend size in
-        let warm_ns, words, promoted, warm_hits, entries = measure_warm size in
-        if warm_hits < 1 then row "  WARNING: steady-state fill missed the warm path\n";
-        if entries < size then
-          row "  WARNING: fill returned %d entries for %d files\n" entries size;
-        let speedup = if warm_ns > 0.0 then backend_ns /. warm_ns else 0.0 in
-        row "%-8d %13.1f %13.1f %8.1fx %10.2f %9d\n" size backend_ns warm_ns speedup
-          words promoted;
-        (size, backend_ns, warm_ns, speedup, words, promoted))
-      sizes
+        let env = W.Env.disk Config.optimized in
+        let p = env.W.Env.proc and k = env.W.Env.kernel in
+        let dir = Printf.sprintf "/o%d" size in
+        W.Webserver.setup p ~dir ~files:size;
+        (* mkdir-born directories are complete from birth; drop everything
+           so the first listing takes the fs-fed fill and promotes (§5.1). *)
+        W.Env.drop_caches env;
+        let promoted0 = count k Counters.readdir_promoted in
+        ignore (ok "promote" (S.readdir_path p dir));
+        let promoted = count k Counters.readdir_promoted - promoted0 in
+        let fd = ok "open" (S.openf p dir [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+        let entries = S.readdir_fill p fd in
+        let fill () = ignore (S.readdir_fill p fd) in
+        let backend_ns, warm_ns =
+          vs (backend size) (fun () ->
+              per_op ~vclock:env.W.Env.vclock ~iters:(max 200 (20_000 / size)) fill)
+        in
+        let words = Stats.minor_words_per_op ~iters:2000 fill in
+        let warm0 = count k Counters.readdir_scratch_warm in
+        fill ();
+        ok "close" (S.close p fd);
+        loose
+          (count k Counters.readdir_scratch_warm - warm0 >= 1)
+          "steady-state fill missed the warm path";
+        loose (entries >= size) "fill returned %d entries for %d files" entries size;
+        let speedup = if warm_ns.median > 0.0 then backend_ns.median /. warm_ns.median else 0.0 in
+        row t [ C size; M backend_ns; M warm_ns; R speedup; R words; C promoted ];
+        (speedup, words))
+      ([ 16; 64; 256 ] @ if !quick then [] else [ 1024 ])
   in
-  let min_speedup =
-    List.fold_left (fun acc (_, _, _, s, _, _) -> min acc s) infinity runs
-  in
-  let max_words = List.fold_left (fun acc (_, _, _, _, w, _) -> max acc w) 0.0 runs in
-  row "min speedup %.1fx (acceptance bound: 5x), max words/op %.2f (bound: 0.00)\n"
+  let min_speedup = List.fold_left (fun acc (s, _) -> Float.min acc s) infinity results in
+  let max_words = List.fold_left (fun acc (_, w) -> Float.max acc w) 0.0 results in
+  Printf.printf "min speedup %.1fx (acceptance bound: 5x), max words/op %.2f (bound: 0.00)\n"
     min_speedup max_words;
-  if min_speedup < 5.0 then row "  WARNING: warm listing below the 5x bound\n";
-  if max_words > 0.0 then row "  WARNING: warm fill allocated\n";
-  let churn = listing_churn () in
-  let figures =
-    [
-      ( "runs",
-        "[\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (size, backend_ns, warm_ns, speedup, words, promoted) ->
-                 Printf.sprintf
-                   "    {\"files\": %d, \"backend_ns\": %.1f, \"warm_fill_ns\": \
-                    %.1f, \"speedup\": %.2f, \"warm_words_per_op\": %.3f, \
-                    \"promotions\": %d}"
-                   size backend_ns warm_ns speedup words promoted)
-               runs)
-        ^ "\n  ]" );
-      ("min_speedup", Printf.sprintf "%.2f" min_speedup);
-      ("max_warm_words_per_op", Printf.sprintf "%.3f" max_words);
-      ( "churn",
-        "[\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (factor, entries, nodes, ns, words) ->
-                 Printf.sprintf
-                   "    {\"churn_x\": %d, \"entries\": %d, \"visited_nodes\": %d, \
-                    \"warm_fill_ns\": %.1f, \"warm_words_per_op\": %.3f}"
-                   factor entries nodes ns words)
-               churn)
-        ^ "\n  ]" );
-    ]
-  in
-  Bench_report.write ~experiment:"listing" figures;
+  loose (min_speedup >= 5.0) "warm listing below the 5x bound";
+  loose (max_words <= 0.0) "warm fill allocated";
+  put "min_speedup" (Json.Num min_speedup);
+  put "max_warm_words_per_op" (Json.Num max_words);
   (* The churn column's exact counts gate the run: churn may not make a
      warm listing of the same entries walk more nodes or allocate. *)
-  match (churn, List.rev churn) with
-  | (_, _, nodes0, _, words0) :: _, (_, _, nodes16, _, words16) :: _ ->
-    if nodes16 <> nodes0 || words16 <> words0 then begin
-      row "  FAIL: after churn the listing walks %d nodes (%.3f words/op), fresh %d (%.3f)\n"
-        nodes16 words16 nodes0 words0;
-      exit_code := 1
-    end
-  | _ -> ()
+  match listing_churn () with
+  | (nodes0, words0) :: _ as churn ->
+    let nodes16, words16 = List.hd (List.rev churn) in
+    exact
+      (nodes16 = nodes0 && words16 = words0)
+      "after churn the listing walks %d nodes (%.3f words/op), fresh %d (%.3f)" nodes16 words16
+      nodes0 words0
+  | [] -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Createstorm: probe-free creates + bounded negative lists (§5.2/§6.3)*)
@@ -2647,9 +2397,11 @@ let listing_bench () =
    parent's absence verdict is authoritative, so the optimized kernel
    skips the baseline's backend existence probe — on extfs that probe is
    a linear dirent-block scan that grows with the directory, so the gap
-   widens as the storm runs.  Phase 2 (§6.3): sweep [neg_list_cap] under
-   a skewed absent-name stat storm and report hit rate, evictions and the
-   occupancy bound the per-stripe LRU lists enforce. *)
+   widens as the storm runs.  Every trial storms a fresh kernel.  Phase 2
+   (§6.3): sweep [neg_list_cap] under a skewed absent-name stat storm and
+   report hit rate, evictions and the occupancy bound the per-stripe LRU
+   lists enforce; every trial replays the same seeded storm on a fresh
+   kernel, so the counts are the same in every trial. *)
 let createstorm () =
   header
     "Createstorm - probe-free unique creates over a DIR_COMPLETE parent\n\
@@ -2659,43 +2411,62 @@ let createstorm () =
   (* extfs directories top out at 12 direct blocks of dirents, so the
      full-scale storm spreads untar-style over several directories. *)
   let ndirs = (creates + 2_999) / 3_000 in
-  let run_storm config =
+  let storm config () =
     let env = W.Env.disk config in
-    let p = env.W.Env.proc in
+    let p = env.W.Env.proc and k = env.W.Env.kernel in
     for d = 0 to ndirs - 1 do
       ok "dir" (S.mkdir_p p (Printf.sprintf "/storm%d" d));
       ignore (ok "complete" (S.readdir_path p (Printf.sprintf "/storm%d" d)))
     done;
-    let short0 = counter env "create_neg_shortcut" in
+    let short0 = count k Counters.create_neg_shortcut in
     let result =
       W.Runner.run env (fun () ->
           for i = 0 to creates - 1 do
             let path = Printf.sprintf "/storm%d/u%06d" (i mod ndirs) i in
             match S.openf p path [ Proc.O_CREAT; Proc.O_WRONLY ] with
             | Ok fd -> ignore (S.close p fd)
-            | Error e -> failwith ("storm create: " ^ Dcache_types.Errno.to_string e)
+            | Error e -> failwith ("storm create: " ^ Errno.to_string e)
           done)
     in
-    (float_of_int creates /. seconds result, counter env "create_neg_shortcut" - short0)
+    [ float_of_int creates /. seconds result;
+      float_of_int (count k Counters.create_neg_shortcut - short0) ]
   in
   subheader "unique-create throughput (complete parent)";
-  let base_ops, base_short = run_storm Config.baseline in
-  let opt_ops, opt_short = run_storm Config.optimized in
+  put "creates" (Json.Num (float_of_int creates));
+  let t =
+    table "storm"
+      [ col ~left:true 10 "kernel" "kernel"; col ~dec:0 14 "creates/s" "creates_per_s";
+        col ~dec:0 14 "shortcuts" "create_neg_shortcuts" ]
+  in
+  let results = List.map spreads (runs [ storm Config.baseline; storm Config.optimized ]) in
+  let medians =
+    List.map2
+      (fun label r ->
+        match r with
+        | [ ops; short ] ->
+          row t [ L label; M ops; R short.median ];
+          (ops.median, short.median)
+        | _ -> assert false)
+      [ "baseline"; "optimized" ] results
+  in
+  let (base_ops, _), (opt_ops, opt_short) = (List.hd medians, List.nth medians 1) in
   let ratio = if base_ops > 0.0 then opt_ops /. base_ops else 0.0 in
-  row "%-10s %14s %14s %14s\n" "kernel" "creates/s" "shortcuts" "";
-  row "%-10s %14.0f %14d\n" "baseline" base_ops base_short;
-  row "%-10s %14.0f %14d\n" "optimized" opt_ops opt_short;
-  row "throughput ratio %.2fx (acceptance bound: 1.5x)\n" ratio;
-  if ratio < 1.5 then row "  WARNING: create storm below the 1.5x bound\n";
-  if opt_short < creates then
-    row "  WARNING: only %d/%d creates took the probe-free shortcut\n" opt_short creates;
+  Printf.printf "throughput ratio %.2fx (acceptance bound: 1.5x)\n" ratio;
+  loose (ratio >= 1.5) "create storm below the 1.5x bound";
+  loose (opt_short >= float_of_int creates) "only %.0f/%d creates took the probe-free shortcut"
+    opt_short creates;
+  put "throughput_ratio" (Json.Num ratio);
 
   subheader "negative-list decay (§6.3): absent-name storm vs neg_list_cap";
   let working_set = 512 in
   let probes = if !quick then 8_192 else 32_768 in
-  let caps = [ 16; 64; 256; 1024; 0 ] in
-  let sweep =
-    List.map
+  let t =
+    table "neg_sweep"
+      [ col ~left:true 10 "cap" "cap"; col 10 "ns/op" "ns_per_op"; col ~suffix:"%" 8 "hit%" "hit_pct";
+        col 10 "evicted" "evicted"; col 10 "resident" "resident"; col 9 "max list" "max_list" ]
+  in
+  let bounded =
+    List.for_all
       (fun cap ->
         (* Completeness off: absent names must be answered by cached
            negatives (or a backend probe), not by the parent's verdict. *)
@@ -2707,78 +2478,45 @@ let createstorm () =
             neg_list_cap = cap;
           }
         in
-        let env = W.Env.disk config in
-        let p = env.W.Env.proc in
-        ok "dir" (S.mkdir_p p "/pop");
-        for i = 0 to 63 do
-          ok "pop" (S.write_file p (Printf.sprintf "/pop/real%02d" i) "x")
-        done;
-        let rng = Prng.create (0x6e65 + cap) in
-        let hit0 =
-          counter env "walk_negative_hit" + counter env "fastpath_negative_hit"
+        let counts = ref (0, 0, 0, 0) in
+        let absent_storm () =
+          let env = W.Env.disk config in
+          let p = env.W.Env.proc and k = env.W.Env.kernel in
+          ok "dir" (S.mkdir_p p "/pop");
+          for i = 0 to 63 do
+            ok "pop" (S.write_file p (Printf.sprintf "/pop/real%02d" i) "x")
+          done;
+          let rng = Prng.create (0x6e65 + cap) in
+          let hits () = count k Counters.walk_negative_hit + count k Counters.fastpath_negative_hit in
+          let hit0 = hits () in
+          let result =
+            W.Runner.run env (fun () ->
+                for _ = 1 to probes do
+                  (* cubed uniform: a skewed re-reference pattern the LRU
+                     can exploit once the cap covers the hot set *)
+                  let u = Prng.float rng 1.0 in
+                  let idx = int_of_float (float_of_int working_set *. (u *. u *. u)) in
+                  match S.stat p (Printf.sprintf "/pop/ghost%04d" idx) with
+                  | Error Errno.ENOENT -> ()
+                  | Ok _ | Error _ -> failwith "storm stat: expected ENOENT"
+                done)
+          in
+          let occ = Dcache_vfs.Dcache.neg_occupancy (Kernel.dcache k) in
+          counts :=
+            ( hits () - hit0, count k Counters.neg_evicted, Array.fold_left ( + ) 0 occ,
+              Array.fold_left max 0 occ );
+          Int64.to_float result.W.Runner.total_ns /. float_of_int probes
         in
-        let result =
-          W.Runner.run env (fun () ->
-              for _ = 1 to probes do
-                (* cubed uniform: a skewed re-reference pattern the LRU can
-                   exploit once the cap covers the hot set *)
-                let u = Prng.float rng 1.0 in
-                let idx = int_of_float (float_of_int working_set *. (u *. u *. u)) in
-                match S.stat p (Printf.sprintf "/pop/ghost%04d" idx) with
-                | Error Dcache_types.Errno.ENOENT -> ()
-                | Ok _ | Error _ -> failwith "storm stat: expected ENOENT"
-              done)
-        in
-        let hits =
-          counter env "walk_negative_hit" + counter env "fastpath_negative_hit" - hit0
-        in
-        let occ = Dcache_vfs.Dcache.neg_occupancy (Kernel.dcache env.W.Env.kernel) in
-        let max_occ = Array.fold_left max 0 occ in
-        let resident = Array.fold_left ( + ) 0 occ in
-        let evicted = counter env "neg_evicted" in
-        if cap > 0 && max_occ > cap then
-          row "  WARNING: list occupancy %d exceeds the cap %d\n" max_occ cap;
-        let ns_op = Int64.to_float result.W.Runner.total_ns /. float_of_int probes in
-        (cap, ns_op, hits, evicted, resident, max_occ))
-      caps
+        let ns = trial absent_storm in
+        let hits, evicted, resident, max_occ = !counts in
+        loose (cap = 0 || max_occ <= cap) "list occupancy %d exceeds the cap %d" max_occ cap;
+        row t
+          [ L (if cap = 0 then "unbounded" else string_of_int cap); M ns;
+            R (100.0 *. float_of_int hits /. float_of_int probes); C evicted; C resident; C max_occ ];
+        cap = 0 || max_occ <= cap)
+      [ 16; 64; 256; 1024; 0 ]
   in
-  row "%-10s %10s %8s %10s %10s %9s\n" "cap" "ns/op" "hit%" "evicted" "resident"
-    "max list";
-  List.iter
-    (fun (cap, ns_op, hits, evicted, resident, max_occ) ->
-      row "%-10s %10.1f %7.1f%% %10d %10d %9d\n"
-        (if cap = 0 then "unbounded" else string_of_int cap)
-        ns_op
-        (100.0 *. float_of_int hits /. float_of_int probes)
-        evicted resident max_occ)
-    sweep;
-  let bounded =
-    List.for_all (fun (cap, _, _, _, _, max_occ) -> cap = 0 || max_occ <= cap) sweep
-  in
-  let figures =
-    [
-      ("creates", string_of_int creates);
-      ("baseline_creates_per_s", Printf.sprintf "%.0f" base_ops);
-      ("optimized_creates_per_s", Printf.sprintf "%.0f" opt_ops);
-      ("throughput_ratio", Printf.sprintf "%.3f" ratio);
-      ("create_neg_shortcuts", string_of_int opt_short);
-      ("occupancy_bounded", if bounded then "true" else "false");
-      ( "neg_sweep",
-        "[\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (cap, ns_op, hits, evicted, resident, max_occ) ->
-                 Printf.sprintf
-                   "    {\"cap\": %d, \"ns_per_op\": %.1f, \"hit_rate\": %.4f, \
-                    \"evicted\": %d, \"resident\": %d, \"max_list\": %d}"
-                   cap ns_op
-                   (float_of_int hits /. float_of_int probes)
-                   evicted resident max_occ)
-               sweep)
-        ^ "\n  ]" );
-    ]
-  in
-  Bench_report.write ~experiment:"createstorm" figures
+  put "occupancy_bounded" (Json.Bool bounded)
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -2821,5 +2559,5 @@ let () =
   in
   Printf.printf "dcache reproduction benchmarks - %s scale\n"
     (if !quick then "quick (use --full for paper-scale parameters)" else "full");
-  List.iter (fun (_, f) -> f ()) to_run;
+  List.iter (fun (id, f) -> Figure.run id f) to_run;
   exit !exit_code

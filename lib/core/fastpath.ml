@@ -49,7 +49,6 @@ let create dcache =
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
   t
 
-let dcache t = t.dcache
 let key t = t.key
 let set_simulate_pcc_miss t v = t.simulate_pcc_miss <- v
 let config t = Dcache.config t.dcache

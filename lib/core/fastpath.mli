@@ -28,7 +28,6 @@ val create : Dcache_vfs.Dcache.t -> t
     invalidations.  The signature key is derived from the configuration's
     [hash_seed] (a boot-time random value in a real kernel). *)
 
-val dcache : t -> Dcache_vfs.Dcache.t
 val key : t -> Dcache_sig.Signature.key
 
 val set_simulate_pcc_miss : t -> bool -> unit
@@ -129,7 +128,3 @@ val populate :
     directory-reference gating rule for relative walks.  Callers: the
     fastpath's write-locked miss body and the global-scope namespace
     mutations. *)
-
-val ensure_hstate : t -> path_ref -> Dcache_sig.Signature.state
-(** Resumable hash state of a location's canonical path, computing and
-    caching it (and its ancestors') on first use. *)

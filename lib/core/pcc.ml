@@ -190,10 +190,6 @@ let insert t d ~seq =
     maybe_grow t
   end
 
-let invalidate_all t = Array.fill t.table.slots 0 (Array.length t.table.slots) 0
-let hits t = t.hit_count
-let misses t = t.miss_count
-
 (* --- per-credential storage (§4.1) --- *)
 
 type Cred.slot += Pcc_slot of t Inttbl.t

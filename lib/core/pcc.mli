@@ -52,8 +52,6 @@ val insert : t -> dentry -> seq:int -> unit
     Allocation-free unless it makes a growth due, which a PCC-local mutex
     serializes against every other growth. *)
 
-val invalidate_all : t -> unit
-
 val of_cred :
   Dcache_cred.Cred.t -> namespace -> counters:Dcache_util.Stats.Counter.t -> entries:int -> t
 (** The PCC shared by all processes holding this credential {e in this
@@ -66,5 +64,3 @@ val of_cred_exn : Dcache_cred.Cred.t -> namespace -> t
     The lockless fastpath uses it because creation is a mutation that
     belongs under the lock. *)
 
-val hits : t -> int
-val misses : t -> int

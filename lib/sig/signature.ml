@@ -159,8 +159,6 @@ let feed_char key state ch =
     l3 = state.l3 + (key.t3.(pos) * byte);
   }
 
-let state_pos state = state.pos
-
 let finalize key state =
   (* The per-length key term guarantees avalanche in the bucket bits even
      for empty or one-byte paths. *)
@@ -217,8 +215,6 @@ let mstate_resume ms (s : state) =
   ms.m2 <- s.l2;
   ms.m3 <- s.l3
 
-let mstate_snapshot ms = { pos = ms.mpos; l0 = ms.m0; l1 = ms.m1; l2 = ms.m2; l3 = ms.m3 }
-let mstate_pos ms = ms.mpos
 
 let[@inline] feed_char_into key ms ch =
   if ms.mpos >= key.capacity then grow key ms.mpos;
@@ -250,10 +246,11 @@ let feed_bytes_into key ms s ~pos ~len =
     ms.mpos <- base + len
   end
 
-(* In-place scanner over a raw path string: feeds ['/' ^ name] for every
-   real component, skipping empty ones (leading, doubled and trailing
-   slashes) and ["."] — exactly the canonicalization the slowpath walk
-   applies to [Path.split] output, without materializing the list.
+(* [hash_path_into_rec], the in-place scanner over a raw path string,
+   feeds ['/' ^ name] for every real component, skipping empty ones
+   (leading, doubled and trailing slashes) and ["."] — exactly the
+   canonicalization the slowpath walk applies to [Path.split] output,
+   without materializing the list.
 
    Returns [scan_done] when the path is exhausted, [scan_toolong] when a
    component exceeds [max_name], or the cursor just past a [".."] component
@@ -268,23 +265,6 @@ let rec skip_slashes s len i =
 
 let rec component_end s len j =
   if j < len && String.unsafe_get s j <> '/' then component_end s len (j + 1) else j
-
-let rec hash_path_into key ms ~max_name s ~pos =
-  let len = String.length s in
-  let i = skip_slashes s len pos in
-  if i >= len then scan_done
-  else begin
-    let j = component_end s len i in
-    let clen = j - i in
-    if clen = 1 && String.unsafe_get s i = '.' then hash_path_into key ms ~max_name s ~pos:j
-    else if clen = 2 && String.unsafe_get s i = '.' && String.unsafe_get s (i + 1) = '.' then j
-    else if clen > max_name then scan_toolong
-    else begin
-      feed_char_into key ms '/';
-      feed_bytes_into key ms s ~pos:i ~len:clen;
-      hash_path_into key ms ~max_name s ~pos:j
-    end
-  end
 
 (* --- component-boundary snapshots (prefix-resumed slowpath) -------------
 
@@ -342,7 +322,8 @@ let[@inline] record_snap sn ms cursor =
     sn.snap_n <- sn.snap_n + 1
   end
 
-(* [hash_path_into] with a boundary snapshot after every fed component. *)
+(* The scanner described above: a boundary snapshot after every fed
+   component. *)
 let rec hash_path_into_rec key ms sn ~max_name s ~pos =
   let len = String.length s in
   let i = skip_slashes s len pos in

@@ -41,9 +41,6 @@ val empty_state : state
 val feed_string : key -> state -> string -> state
 val feed_char : key -> state -> char -> state
 
-val state_pos : state -> int
-(** Number of bytes fed so far (the resume offset). *)
-
 val finalize : key -> state -> t
 (** Mix the lanes into the final digest; non-destructive. *)
 
@@ -87,26 +84,11 @@ val mstate_reset : mstate -> unit
 val mstate_resume : mstate -> state -> unit
 (** Load a cached pure state (e.g. a cwd dentry's resume point). *)
 
-val mstate_snapshot : mstate -> state
-(** Allocating escape hatch: capture the current running state as a pure
-    [state] (used when a probe must hand off to slowpath machinery). *)
-
-val mstate_pos : mstate -> int
 val feed_char_into : key -> mstate -> char -> unit
 val feed_bytes_into : key -> mstate -> string -> pos:int -> len:int -> unit
 
 val scan_done : int
 val scan_toolong : int
-
-val hash_path_into : key -> mstate -> max_name:int -> string -> pos:int -> int
-(** [hash_path_into key ms ~max_name s ~pos] scans the raw path string [s]
-    from byte offset [pos], feeding ["/" ^ name] into [ms] for every real
-    component while skipping empty components (leading / doubled / trailing
-    slashes) and ["."] — the same canonicalization the list-based walk
-    applies to [Path.split] output, with no intermediate list.  Returns
-    {!scan_done} when the string is exhausted, {!scan_toolong} if a
-    component exceeds [max_name], or the cursor just past a [".."]
-    component so the caller can apply its dot-dot semantics and resume. *)
 
 (** {1 Component-boundary snapshots (prefix-resumed slowpath)}
 
@@ -140,8 +122,16 @@ val snaps_overflowed : snaps -> bool
     valid, deeper ones were dropped. *)
 
 val hash_path_into_rec : key -> mstate -> snaps -> max_name:int -> string -> pos:int -> int
-(** Exactly {!hash_path_into}, additionally recording a boundary snapshot
-    into [snaps] after every fed component.  Allocation-free. *)
+(** [hash_path_into_rec key ms snaps ~max_name s ~pos] scans the raw path
+    string [s] from byte offset [pos], feeding ["/" ^ name] into [ms] for
+    every real component and recording a boundary snapshot into [snaps]
+    after each.  It skips empty components (leading / doubled / trailing
+    slashes) and ["."] — the same canonicalization the list-based walk
+    applies to [Path.split] output, with no intermediate list.  Returns
+    {!scan_done} when the string is exhausted, {!scan_toolong} if a
+    component exceeds [max_name], or the cursor just past a [".."]
+    component so the caller can apply its dot-dot semantics and resume.
+    Allocation-free. *)
 
 val snaps_pop : snaps -> mstate -> bool
 (** Plan 9 lexical [".."]: drop the deepest recorded boundary (there must

@@ -49,9 +49,6 @@ let render_pcc kernel =
   in
   Printf.sprintf "pcc_capacity %d\npcc_grows %d\n" capacity grows
 
-(* The gauges go first: the counter tail may be truncated by a byte or two
-   when the reading syscalls themselves grow a counter between the size
-   (getattr) and content (read) generations of the pseudo-file. *)
 let render_stats kernel () =
   Kernel.stats_snapshot kernel
   |> List.map (fun (name, value) -> Printf.sprintf "%s %d" name value)

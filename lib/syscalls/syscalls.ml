@@ -1249,10 +1249,19 @@ let invalidate_path proc path =
 
 (* --- convenience wrappers --- *)
 
+(* The cached size only bounds a pseudo-file from below: its rendering may
+   have grown since the first lookup.  Ask for one byte more than the size,
+   and while a read comes back full, ask again from offset 0 for twice as
+   much, so the result is one whole rendering.  A regular file's read comes
+   back short at once: one backend read. *)
 let read_file proc path =
   let* fd = openf proc path [ Proc.O_RDONLY ] in
   let* attr = fstat proc fd in
-  let* data = pread proc fd ~off:0 ~len:attr.Attr.size in
+  let rec whole len =
+    let* data = pread proc fd ~off:0 ~len in
+    if String.length data < len then Ok data else whole (2 * len)
+  in
+  let* data = whole (attr.Attr.size + 1) in
   let* () = close proc fd in
   Ok data
 

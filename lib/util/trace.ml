@@ -3,13 +3,14 @@
    Two always-compiled-in, disarmed-by-default facilities behind one
    switch, [armed]:
 
-   - an event ring: one preallocated int array, four interleaved words per
-     entry (sequence number, event id, argument, span) behind a
-     power-of-two mask.  An armed [stamp] is four adjacent int stores and
-     an increment — no allocation, so the ring can stay armed across a
-     zero-allocation fastpath run.  Disarmed it is a single
-     load-and-branch.  The timestamp is the stamp's own sequence number: a
-     total order is what trace analysis needs.
+   - an event ring: one preallocated int array, three interleaved words
+     per entry (event id, argument, span) behind a power-of-two mask.  An
+     armed [stamp] is three adjacent int stores and an increment — no
+     allocation, so the ring can stay armed across a zero-allocation
+     fastpath run.  Disarmed it is a single load-and-branch.  The
+     timestamp is the stamp's own sequence number, which the slot's
+     position under the cursor already gives: a total order is what trace
+     analysis needs.
 
    - request-scoped span ids (§3.8).  Every syscall entry mints a span id
      from a per-domain block (blocks are carved off one global atomic, so
@@ -108,12 +109,13 @@ let event_name ev = if ev >= 0 && ev < n_events then event_names.(ev) else "unkn
 
 let default_capacity = 8192
 
-(* One flat array, four words per entry (ts, ev, arg, span interleaved):
-   an armed stamp's four stores land on one or two adjacent cache lines
-   instead of four distinct lines in four parallel arrays — on a ring this
-   size the lanes never stay resident, so the layout is most of the armed
-   stamp's cost. *)
-let ring_stride = 4
+(* One flat array, three words per entry (ev, arg, span interleaved): an
+   armed stamp's stores land on one or two adjacent cache lines instead of
+   three distinct lines in parallel arrays — on a ring this size the lanes
+   never stay resident, so the layout is most of the armed stamp's cost.
+   An entry's sequence number is not stored: [iter_events] derives it from
+   the cursor. *)
+let ring_stride = 3
 let armed = ref false
 let ring_buf = ref (Array.make (default_capacity * ring_stride) 0)
 let mask = ref (default_capacity - 1)
@@ -180,25 +182,25 @@ let with_span id f =
   s.sp_cur <- id;
   Fun.protect ~finally:(fun () -> s.sp_cur <- saved) f
 
-(* The entry base is masked by the array's own length (capacity and stride
-   are both powers of two, so entry count = length lsr 2): no bounds-check
-   branch, yet memory-safe even if a racing [configure] swaps the buffer
-   mid-stamp. *)
+(* The entry base is masked by the array's own length (the capacity is a
+   power of two, so entry count = length / 3 and the mask is one less): no
+   bounds-check branch, yet memory-safe even if a racing [configure] swaps
+   the buffer mid-stamp. *)
 let[@inline] stamp ev arg =
   if !armed then begin
     let s = Atomic.fetch_and_add seq 1 in
     let a = !ring_buf in
-    let base = (s land ((Array.length a lsr 2) - 1)) * ring_stride in
-    Array.unsafe_set a base s;
-    Array.unsafe_set a (base + 1) ev;
-    Array.unsafe_set a (base + 2) arg;
-    Array.unsafe_set a (base + 3) (current_span ())
+    let base = (s land ((Array.length a / ring_stride) - 1)) * ring_stride in
+    Array.unsafe_set a base ev;
+    Array.unsafe_set a (base + 1) arg;
+    Array.unsafe_set a (base + 2) (current_span ())
   end
 
 let recorded () = Atomic.get seq
 let dropped () = Stdlib.max 0 (Atomic.get seq - capacity ())
 
-(* Oldest-first over whatever the ring still holds; [f seq ts ev arg span]. *)
+(* Oldest-first over whatever the ring still holds; [f seq ts ev arg span].
+   An entry's timestamp is its sequence number. *)
 let iter_events f =
   let cap = capacity () in
   let total = Atomic.get seq in
@@ -207,7 +209,7 @@ let iter_events f =
   let a = !ring_buf in
   for k = 0 to count - 1 do
     let base = ((start + k) land !mask) * ring_stride in
-    f (start + k) a.(base) a.(base + 1) a.(base + 2) a.(base + 3)
+    f (start + k) (start + k) a.(base) a.(base + 1) a.(base + 2)
   done
 
 let reset () =

@@ -8,8 +8,8 @@
     - disarmed, every probe-site hook is one load-and-branch and allocates
       nothing — the warm fastpath keeps its zero-allocation guarantee;
     - an armed {!stamp} is still allocation-free: the ring is one flat int
-      array with four words per entry, and the timestamp is the stamp's
-      own sequence number.
+      array with three words per entry, and the timestamp is the stamp's
+      own sequence number, derived from the ring cursor.
 
     The ring and the spans are program-wide because a netfs server and its
     clients' kernels share one timeline: a lease break renders as one flow

@@ -532,10 +532,14 @@ let reference_signature key comps =
   in
   Signature.finalize key state
 
+(* The probe's scanner; these cases ignore the boundary snapshots. *)
+let scan key ms ~max_name path ~pos =
+  Signature.hash_path_into_rec key ms (Signature.snaps ~slots:64) ~max_name path ~pos
+
 let inplace_signature key ~max_name path =
   let ms = Signature.mstate () in
   let b = Signature.buf () in
-  let rc = Signature.hash_path_into key ms ~max_name path ~pos:0 in
+  let rc = scan key ms ~max_name path ~pos:0 in
   Alcotest.(check int) (Printf.sprintf "scan of %S completes" path) Signature.scan_done rc;
   Signature.finalize_into key ms b;
   Signature.of_buf b
@@ -588,7 +592,7 @@ let test_inplace_hasher_resume_mid_path () =
   let ms = Signature.mstate () in
   let b = Signature.buf () in
   Signature.mstate_resume ms prefix_state;
-  let rc = Signature.hash_path_into key ms ~max_name:Path.max_name "project/file" ~pos:0 in
+  let rc = scan key ms ~max_name:Path.max_name "project/file" ~pos:0 in
   Alcotest.(check int) "resumed scan completes" Signature.scan_done rc;
   Signature.finalize_into key ms b;
   Alcotest.(check int) "resumed hash agrees" 0
@@ -599,7 +603,7 @@ let test_inplace_hasher_dotdot_cursor () =
   let ms = Signature.mstate () in
   let b = Signature.buf () in
   let path = "a/../b" in
-  let rc = Signature.hash_path_into key ms ~max_name:Path.max_name path ~pos:0 in
+  let rc = scan key ms ~max_name:Path.max_name path ~pos:0 in
   Alcotest.(check int) "stops just past the dot-dot" 4 rc;
   Signature.finalize_into key ms b;
   Alcotest.(check int) "prefix state covers only \"a\"" 0
@@ -609,7 +613,7 @@ let test_inplace_hasher_dotdot_cursor () =
   (* The caller re-seeds the state (here: from scratch, as if the walk
      stepped up to the root) and resumes at the returned cursor. *)
   Signature.mstate_reset ms;
-  let rc2 = Signature.hash_path_into key ms ~max_name:Path.max_name path ~pos:rc in
+  let rc2 = scan key ms ~max_name:Path.max_name path ~pos:rc in
   Alcotest.(check int) "rest of the path completes" Signature.scan_done rc2;
   Signature.finalize_into key ms b;
   Alcotest.(check int) "suffix hash is \"/b\"" 0
@@ -635,7 +639,7 @@ let test_inplace_hasher_toolong () =
   let key = Signature.create_key ~seed:11 () in
   let ms = Signature.mstate () in
   let path = "/ok/" ^ String.make (Path.max_name + 1) 'z' in
-  let rc = Signature.hash_path_into key ms ~max_name:Path.max_name path ~pos:0 in
+  let rc = scan key ms ~max_name:Path.max_name path ~pos:0 in
   Alcotest.(check int) "component over max_name is rejected" Signature.scan_toolong rc;
   (* parity with the list-based validation *)
   (match Path.split path with

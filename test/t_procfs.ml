@@ -794,6 +794,45 @@ let test_hot_two_kernels () =
       Alcotest.(check int) "A's /proc/dcache/hot lists its own" 1 (List.length (rendered pa));
       Alcotest.(check int) "B's /proc/dcache/hot lists its own" 1 (List.length (rendered pb)))
 
+(* A pseudo-file's size is cached at its first lookup, but its rendering
+   grows: a later read must still return the whole current rendering.
+   Read /proc/dcache/hot while the sketch is empty, drive a profiled
+   workload, read it again and find every directory's line. *)
+let test_hot_reread_in_full () =
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.armed := false;
+      Trace.reset ())
+    (fun () ->
+      let kernel, p = ram_kernel ~config:Config.optimized () in
+      get "mkdir /proc" (S.mkdir_p p "/proc");
+      get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+      let dir_lines body =
+        List.filter (fun l -> String.length l > 4 && String.sub l 0 4 = "dir ") (lines body)
+      in
+      Alcotest.(check int) "empty sketch: no dir line" 0
+        (List.length (dir_lines (read p "/proc/dcache/hot")));
+      let ndirs = 6 in
+      let file i = Printf.sprintf "/reread%d/f" i in
+      for i = 0 to ndirs - 1 do
+        get "mkdir" (S.mkdir_p p (Printf.sprintf "/reread%d" i));
+        get "seed" (S.write_file p (file i) "x");
+        ignore (get "warm" (S.stat p (file i)))
+      done;
+      Trace.armed := true;
+      for i = 0 to ndirs - 1 do
+        for _ = 0 to i do
+          ignore (get "hit" (S.stat p (file i)))
+        done
+      done;
+      Trace.armed := false;
+      let body = read p "/proc/dcache/hot" in
+      Alcotest.(check string) "the whole current rendering"
+        (Profiler.to_string (Kernel.hot kernel)) body;
+      Alcotest.(check int) "one dir line per driven directory" ndirs
+        (List.length (dir_lines body)))
+
 (* Two kernels in one program, different workloads: A only hits warm
    files, B only resumes cold misses and answers absent names.  Each
    kernel's /proc/dcache/histograms, /proc/dcache/hot and summary
@@ -1052,6 +1091,8 @@ let suite =
       test_hot_surface;
     Alcotest.test_case "/proc/dcache/hot keeps two kernels' equal ids apart" `Quick
       test_hot_two_kernels;
+    Alcotest.test_case "/proc/dcache/hot re-read returns the whole rendering" `Quick
+      test_hot_reread_in_full;
     Alcotest.test_case "two kernels' histograms, hot and resume depths stay apart" `Quick
       test_two_kernels_read_their_own;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
