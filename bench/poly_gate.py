@@ -8,8 +8,13 @@ more than the work around it (`Signature.equal_buf` took 54.6 ns through
 `Stdlib.min`/`max`).  The modules below make up the warm paths, so none of
 them may use one, cold code included.
 
-For each module the gate fails when either holds:
+For each module the gate fails when any of these holds:
 
+- its `.cmx` was compiled with `-opaque` (dune's `dev` profile passes it):
+  `ocamlobjinfo` then shows the empty `Clambda approximation: _`, so no
+  caller inlines any of the module's `[@inline]` helpers and each becomes
+  a `caml_applyN` call.  The root `dune-workspace` selects the release
+  profile to keep it off;
 - its native object file references `camlStdlib.(min|max|compare)` or
   `caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)`
   (read from `objdump -dr`);
@@ -62,6 +67,15 @@ def object_file(lib, mod):
     return found[0] if len(found) == 1 else None
 
 
+def opaque(obj):
+    """True when the module's .cmx exports no approximation (-opaque)."""
+    out = subprocess.run(
+        ["ocamlobjinfo", obj[: -len(".o")] + ".cmx"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return re.search(r"^Clambda approximation:\n\s+_\s*$", out, re.M) is not None
+
+
 def poly_symbols(obj):
     out = subprocess.run(
         ["objdump", "-dr", obj], check=True, capture_output=True, text=True
@@ -90,14 +104,17 @@ def main():
             print(f"FAIL {src}: no native object under _build (run `dune build` first)")
             failures += 1
             continue
+        is_opaque = opaque(obj)
+        if is_opaque:
+            print(f"FAIL {obj}: compiled with -opaque (no cross-module inlining)")
         symbols = poly_symbols(obj)
         for sym in symbols:
             print(f"FAIL {obj}: references {sym}")
         calls = hashtbl_calls(src)
         for n, line in calls:
             print(f"FAIL {src}:{n}: generic Hashtbl call: {line}")
-        failures += len(symbols) + len(calls)
-        if not symbols and not calls:
+        failures += is_opaque + len(symbols) + len(calls)
+        if not (is_opaque or symbols or calls):
             print(f"ok   {mod}")
     if failures:
         print(f"poly_gate: {failures} failure(s)")

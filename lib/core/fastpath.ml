@@ -257,6 +257,9 @@ type scratch = {
   mutable snap_path : string;
   mutable snap_inval : int;
   mutable resume_slot : int;
+  (* Table 1's component count of [snap_path], taken from the scan once
+     it reached the end of the path; -1 until then. *)
+  mutable comps : int;
   (* Errno carried by a [Neg_fail] verdict — stashed here so the exception
      itself can stay constant (raising allocates nothing: the fast-fail may
      fire on every probe of a repeatedly missed name). *)
@@ -277,6 +280,8 @@ type scratch = {
      whose chain the raced writer touched.  -1: no candidate. *)
   mutable hh_id : int;
   mutable hh_name : string;
+  (* This domain's trace span state: stamps here skip the DLS read. *)
+  spans : Trace.spans;
 }
 
 (* Per-domain because fig8-style benchmarks probe concurrently from several
@@ -293,12 +298,14 @@ let scratch_key =
         snap_path = "";
         snap_inval = -1;
         resume_slot = -1;
+        comps = -1;
         neg_errno = Errno.ENOENT;
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
         stripe_snaps = Array.make stripe_cap 0;
         hh_id = -1;
         hh_name = "";
+        spans = Trace.domain_spans ();
       })
 
 (* --- stripe recording (sharded mode) ---
@@ -502,26 +509,10 @@ let rec fast_dotdot ctx (cur : path_ref) =
    DLHT hit on a plain path performs zero minor-heap allocation (asserted
    by test and measured by the [alloc] benchmark). *)
 
-(* Raw-string mirror of [Path.split]'s validation, so the scanner never
-   discovers a limit violation halfway through a probe: 0 ok, 1 empty path
-   (ENOENT), 2 length limit (ENAMETOOLONG).  Tail recursion over ints — no
-   refs, no closures (no flambda to unbox them). *)
-let rec component_end s len j =
-  if j < len && String.unsafe_get s j <> '/' then component_end s len (j + 1) else j
-
-let rec skip_slashes s len i =
-  if i < len && String.unsafe_get s i = '/' then skip_slashes s len (i + 1) else i
-
-let rec validate_components path len i =
-  if i >= len then 0
-  else begin
-    let j = component_end path len i in
-    if j - i > Path.max_name then 2 else validate_components path len (j + 1)
-  end
-
-let validate_raw path =
-  let len = String.length path in
-  if len = 0 then 1 else if len > Path.max_path then 2 else validate_components path len 0
+(* A component longer than [Path.max_name], found by the scan itself:
+   ENAMETOOLONG, whatever the rest of the path would have answered — the
+   walk's [Path.split] checks every component before it looks any up. *)
+exception Name_too_long
 
 (* Dot-dot sub-probe against the running in-place state (Linux semantics,
    and a leading ".." under lexical semantics).  Allocates a [path_ref] for
@@ -563,10 +554,10 @@ exception Neg_fail
    walk must handle itself. *)
 let rec next_component_span path pos =
   let len = String.length path in
-  let i = skip_slashes path len pos in
+  let i = Signature.skip_slashes path len pos in
   if i >= len then -1
   else begin
-    let j = component_end path len i in
+    let j = Signature.component_end path len i in
     if j - i = 1 && String.unsafe_get path i = '.' then next_component_span path j
     else if j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.'
     then -1
@@ -577,10 +568,10 @@ let rec next_component_span path pos =
    may cancel the component a DIR_COMPLETE verdict would judge. *)
 let rec dotdot_after path pos =
   let len = String.length path in
-  let i = skip_slashes path len pos in
+  let i = Signature.skip_slashes path len pos in
   if i >= len then false
   else begin
-    let j = component_end path len i in
+    let j = Signature.component_end path len i in
     (j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.')
     || dotdot_after path j
   end
@@ -639,7 +630,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
         | Negative errno ->
           commit_check t sc vsnap;
           Counter.bump t.counters Counters.fastpath_prefix_negfail;
-          Trace.stamp Trace.ev_prefix_negfail (k + 1);
+          Trace.stamp_on sc.spans Trace.ev_prefix_negfail (k + 1);
           note_dir t Profiler.m_neg literal;
           sc.neg_errno <- errno;
           raise_notrace Neg_fail
@@ -668,7 +659,7 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                  if not (Dcache.contains_child t.dcache real path ~pos ~len) then begin
                    commit_check t sc vsnap;
                    Counter.bump t.counters Counters.fastpath_prefix_negfail;
-                   Trace.stamp Trace.ev_prefix_negfail (k + 1);
+                   Trace.stamp_on sc.spans Trace.ev_prefix_negfail (k + 1);
                    Profiler.record t.hot real.d_id real.d_name Profiler.m_neg;
                    sc.neg_errno <- Errno.ENOENT;
                    raise_notrace Neg_fail
@@ -708,7 +699,7 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
     Signature.hash_path_into_rec t.key sc.ms sc.snaps ~max_name:Path.max_name path ~pos
   in
   if rc = Signature.scan_done then ()
-  else if rc = Signature.scan_toolong then raise Fall_back (* pre-validated; defensive *)
+  else if rc = Signature.scan_toolong then raise_notrace Name_too_long
   else if
     (config t).Config.dotdot = Config.Dotdot_lexical && Signature.snaps_count sc.snaps > 0
   then begin
@@ -743,6 +734,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   sc.snap_path <- path;
   sc.snap_inval <- Dcache.invalidation_counter t.dcache;
   sc.resume_slot <- -1;
+  sc.comps <- -1;
   sc.stripe_n <- 0;
   sc.hh_id <- -1;
   Signature.snaps_reset sc.snaps;
@@ -758,6 +750,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   phase_stop t timed Timers.init t0;
   let t0 = phase_start timed in
   scan_and_hash t ctx dlht pcc sc path 0 vsnap base;
+  sc.comps <- Signature.snaps_components sc.snaps;
   Signature.finalize_into t.key sc.ms sc.sbuf;
   phase_stop t timed Timers.scan_hash t0;
   let t0 = phase_start timed in
@@ -781,13 +774,10 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
      a seqcount retry aborts the probe before any per-directory metric is
      charged, so the retry handler needs the candidate remembered here. *)
   if !Trace.armed then begin
-    match literal.d_parent with
-    | Some p ->
-      sc.hh_id <- p.d_id;
-      sc.hh_name <- p.d_name
-    | None ->
-      sc.hh_id <- literal.d_id;
-      sc.hh_name <- literal.d_name
+    let dir = match literal.d_parent with Some p -> p | None -> literal in
+    sc.hh_id <- dir.d_id;
+    (* Skips the write barrier while probes stay in one directory. *)
+    if not (sc.hh_name == dir.d_name) then sc.hh_name <- dir.d_name
   end;
   validate t ctx pcc sc ~vsnap literal shallow_real;
   phase_stop t timed Timers.permission t0;
@@ -800,7 +790,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       if not (Dcache.negative_current shallow_real) then raise Fall_back;
       commit_check t sc vsnap;
       Counter.bump t.counters Counters.fastpath_negative_hit;
-      Trace.stamp Trace.ev_fast_neg 0;
+      Trace.stamp_on sc.spans Trace.ev_fast_neg 0;
       note_dir t Profiler.m_neg literal;
       Errno.to_error errno
     | Positive _ | Partial _ -> (
@@ -814,7 +804,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
         if not (Dcache.negative_current final) then raise Fall_back;
         commit_check t sc vsnap;
         Counter.bump t.counters Counters.fastpath_negative_hit;
-        Trace.stamp Trace.ev_fast_neg 0;
+        Trace.stamp_on sc.spans Trace.ev_fast_neg 0;
         note_dir t Profiler.m_neg final;
         Errno.to_error errno
       | Partial _ -> raise Fall_back
@@ -1018,14 +1008,14 @@ let resume_plan t ctx sc path =
    lock; [ctx.cwd] is the walk origin for relative paths. *)
 let fallback t ctx ~flags sc path ~within =
   Counter.bump t.counters Counters.fastpath_fallback;
-  Trace.stamp Trace.ev_fallback 0;
+  Trace.stamp_on sc.spans Trace.ev_fallback 0;
   let flags = { flags with Walk.collect = true } in
   let invalidation_before = Dcache.invalidation_counter t.dcache in
   let result, pop_start =
     match resume_plan t ctx sc path with
     | Some (ancestor, depth, suffix) ->
       Counter.bump t.counters Counters.fastpath_prefix_resume;
-      Trace.stamp Trace.ev_prefix_resume depth;
+      Trace.stamp_on sc.spans Trace.ev_prefix_resume depth;
       Timers.record t.timers Timers.resume_depth depth;
       (* The resumed walk still collects, so the suffix prefixes are
          published and the next miss lands one component deeper. *)
@@ -1050,7 +1040,7 @@ let fallback t ctx ~flags sc path ~within =
    deciding directory when the probe got far enough to stash one. *)
 let note_lockless_retry t sc =
   Counter.bump t.counters Counters.fastpath_lockless_retry;
-  Trace.stamp Trace.ev_lockless_retry 0;
+  Trace.stamp_on sc.spans Trace.ev_lockless_retry 0;
   Counter.bump t.counters Counters.seqcount_retry;
   if sc.hh_id >= 0 then Profiler.record t.hot sc.hh_id sc.hh_name Profiler.m_retry
 
@@ -1064,21 +1054,23 @@ let note_lockless_retry t sc =
    exceptions so the warm path allocates nothing: [Fall_back] is a miss
    whose reads passed validation (a believed miss: resolve it under the
    write lock), [Seq_retry] a probe that raced a writer (already noted;
-   the caller retries). *)
+   the caller retries).  Path validation costs two compares here; the
+   scan finds a too-long component on its own pass. *)
 let attempt t ctx ~start ~flags sc path ~within ~vsnap =
-  match validate_raw path with
-  | 1 -> Errno.to_error Errno.ENOENT
-  | 2 -> Errno.to_error Errno.ENAMETOOLONG
-  | _ -> (
+  let len = String.length path in
+  if len = 0 then Errno.to_error Errno.ENOENT
+  else if len > Path.max_path then Errno.to_error Errno.ENAMETOOLONG
+  else begin
     match probe_into t ctx ~start ~flags sc path ~within ~vsnap with
     | result ->
       Counter.bump t.counters Counters.fastpath_hit;
-      Trace.stamp Trace.ev_fast_hit 0;
+      Trace.stamp_on sc.spans Trace.ev_fast_hit 0;
       result
     | exception Neg_fail ->
       (* Prefix fast-fail (§3.5): the verdict passed its validation inside
          the probe, so it is as good as a hit — no walk, no lock. *)
       Errno.to_error sc.neg_errno
+    | exception Name_too_long -> Errno.to_error Errno.ENAMETOOLONG
     | exception Seq_retry ->
       (* Under the write lock no stripe section can be live: this is
          stripe-recording overflow on an absurdly deep path — walk it. *)
@@ -1093,7 +1085,8 @@ let attempt t ctx ~start ~flags sc path ~within ~vsnap =
       else begin
         note_lockless_retry t sc;
         raise_notrace Seq_retry
-      end)
+      end
+  end
 
 (* One op resolved under the write lock its caller holds: the raced
    sequential lookup whose optimistic attempts ran out, and each deferred op
@@ -1214,6 +1207,17 @@ let lookup_into t ctx ?start ?flags path ~within =
     result
   end
 
+(* Non-empty components from [i] — the scan's own count — for a path no
+   probe on this domain scanned to its end. *)
+let rec count_components path i n =
+  let len = String.length path in
+  let i = Signature.skip_slashes path len i in
+  if i >= len then n else count_components path (Signature.component_end path len i) (n + 1)
+
+let path_components path =
+  let sc = Domain.DLS.get scratch_key in
+  if sc.snap_path == path && sc.comps >= 0 then sc.comps else count_components path 0 0
+
 let lookup_with t ctx ?start ?flags path ~within =
   lookup_into t ctx ?start ?flags path ~within:(fun mnt dentry -> within { mnt; dentry })
 
@@ -1325,7 +1329,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
             false
           | exception Seq_retry ->
             Counter.bump t.counters Counters.fastpath_batch_split;
-            Trace.stamp Trace.ev_batch_split op;
+            Trace.stamp_on sc.spans Trace.ev_batch_split op;
             snap := -1;
             true
         end

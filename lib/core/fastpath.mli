@@ -84,6 +84,14 @@ val lookup_into :
     before any concurrent mutation — the same contract an open racing an
     unlink already has. *)
 
+val path_components : string -> int
+(** Table 1's component count of [path]: its non-empty components, ["."]
+    and [".."] included.  Ask after the lookup: when this domain's last
+    probe scanned [path] — the same string, by physical identity — to its
+    end, the count is the one that scan took, so a warm lookup reads the
+    path once.  Otherwise (the baseline, a locked walk, a probe that fell
+    back mid-scan) the path is counted here. *)
+
 val probe_batch :
   t ->
   Walk.ctx ->

@@ -31,9 +31,6 @@ val label : t -> string option
 val in_group : t -> int -> bool
 (** True iff [gid] matches the primary or a supplementary group. *)
 
-val equal_contents : t -> t -> bool
-(** Content equality, ignoring [id] and slots. *)
-
 (** Mutable builder for the COW update protocol. *)
 module Builder : sig
   type cred := t

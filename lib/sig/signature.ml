@@ -259,7 +259,8 @@ let feed_bytes_into key ms s ~pos ~len =
 let scan_done = -1
 let scan_toolong = -2
 
-(* Cursor movement is tail recursion over int arguments. *)
+(* Cursor movement is tail recursion over int arguments: no refs, no
+   closures (no flambda to unbox them). *)
 let rec skip_slashes s len i =
   if i < len && String.unsafe_get s i = '/' then skip_slashes s len (i + 1) else i
 
@@ -283,6 +284,8 @@ type snaps = {
   snap_states : int array;  (* [snap_words] ints per boundary: pos, l0..l3 *)
   mutable snap_n : int;
   mutable snap_overflowed : bool;
+  (* non-empty components scanned since the reset, "." and ".." included *)
+  mutable snap_comps : int;
 }
 
 let snap_words = 5
@@ -295,14 +298,17 @@ let snaps ~slots =
     snap_states = Array.make (cap * snap_words) 0;
     snap_n = 0;
     snap_overflowed = false;
+    snap_comps = 0;
   }
 
 let snaps_reset sn =
   sn.snap_n <- 0;
-  sn.snap_overflowed <- false
+  sn.snap_overflowed <- false;
+  sn.snap_comps <- 0
 
 let snaps_count sn = sn.snap_n
 let snaps_overflowed sn = sn.snap_overflowed
+let snaps_components sn = sn.snap_comps
 let snaps_cursor sn i = sn.snap_cursors.(i)
 
 (* Overflow (more components than slots) simply stops recording: every slot
@@ -323,7 +329,7 @@ let[@inline] record_snap sn ms cursor =
   end
 
 (* The scanner described above: a boundary snapshot after every fed
-   component. *)
+   component, and a count of every non-empty component it passes. *)
 let rec hash_path_into_rec key ms sn ~max_name s ~pos =
   let len = String.length s in
   let i = skip_slashes s len pos in
@@ -331,6 +337,7 @@ let rec hash_path_into_rec key ms sn ~max_name s ~pos =
   else begin
     let j = component_end s len i in
     let clen = j - i in
+    sn.snap_comps <- sn.snap_comps + 1;
     if clen = 1 && String.unsafe_get s i = '.' then hash_path_into_rec key ms sn ~max_name s ~pos:j
     else if clen = 2 && String.unsafe_get s i = '.' && String.unsafe_get s (i + 1) = '.' then j
     else if clen > max_name then scan_toolong

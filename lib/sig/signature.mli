@@ -84,11 +84,17 @@ val mstate_reset : mstate -> unit
 val mstate_resume : mstate -> state -> unit
 (** Load a cached pure state (e.g. a cwd dentry's resume point). *)
 
-val feed_char_into : key -> mstate -> char -> unit
 val feed_bytes_into : key -> mstate -> string -> pos:int -> len:int -> unit
 
 val scan_done : int
 val scan_toolong : int
+
+val skip_slashes : string -> int -> int -> int
+(** [skip_slashes s len i]: the first offset at or after [i] that is not a
+    ['/'], or [len]. *)
+
+val component_end : string -> int -> int -> int
+(** [component_end s len j]: the first ['/'] at or after [j], or [len]. *)
 
 (** {1 Component-boundary snapshots (prefix-resumed slowpath)}
 
@@ -121,13 +127,19 @@ val snaps_overflowed : snaps -> bool
 (** True when more boundaries were fed than [slots]; recorded slots remain
     valid, deeper ones were dropped. *)
 
+val snaps_components : snaps -> int
+(** Non-empty components {!hash_path_into_rec} passed since the last
+    reset, ["."] and [".."] included, and the one it rejected as too long:
+    once the scans reach {!scan_done}, the path's component count. *)
+
 val hash_path_into_rec : key -> mstate -> snaps -> max_name:int -> string -> pos:int -> int
 (** [hash_path_into_rec key ms snaps ~max_name s ~pos] scans the raw path
     string [s] from byte offset [pos], feeding ["/" ^ name] into [ms] for
     every real component and recording a boundary snapshot into [snaps]
     after each.  It skips empty components (leading / doubled / trailing
     slashes) and ["."] — the same canonicalization the list-based walk
-    applies to [Path.split] output, with no intermediate list.  Returns
+    applies to [Path.split] output, with no intermediate list — and counts
+    every non-empty component it passes ({!snaps_components}).  Returns
     {!scan_done} when the string is exhausted, {!scan_toolong} if a
     component exceeds [max_name], or the cursor just past a [".."]
     component so the caller can apply its dot-dot semantics and resume.

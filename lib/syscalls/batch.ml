@@ -48,6 +48,10 @@ type state = {
   cq_dir_off : int array;
   cq_dir_len : int array;
   mutable dir_cursor : int;
+  (* Table 1's byte and component tallies of the ops completed so far in
+     this submission, added to the counters once per submit *)
+  mutable path_bytes : int;
+  mutable path_comps : int;
   (* phase-2 scratch for {!Fastpath.probe_batch} *)
   deferred : int array;
   (* cached walk context, revalidated by physical equality each submit *)
@@ -150,6 +154,8 @@ let create ?(cap = 128) proc =
       cq_dir_off = Array.make cap 0;
       cq_dir_len = Array.make cap 0;
       dir_cursor = 0;
+      path_bytes = 0;
+      path_comps = 0;
       deferred = Array.make cap 0;
       ctx = Proc.walk_ctx proc;
     }
@@ -168,6 +174,11 @@ let create ?(cap = 128) proc =
         else stat_within s mnt dentry);
     complete =
       (fun i r ->
+        (* Table 1's statistics, as the sequential front-end counts
+           them: the op's own probe scan supplies the components. *)
+        let path = s.sq_path.(i) in
+        s.path_bytes <- s.path_bytes + String.length path;
+        s.path_comps <- s.path_comps + Fastpath.path_components path;
         match r with
         | Ok () -> s.cq_ok.(i) <- true
         | Error e ->
@@ -214,14 +225,13 @@ let submit t =
     let cs = Kernel.counters s.proc.Proc.kernel in
     Counter.bump cs Counters.batch_submit;
     Counter.add cs Counters.batch_ops n;
-    (* One lookup count per op keeps the Table-1 style per-lookup stats
-       comparable with the sequential front-end; the per-path byte and
-       component tallies are skipped — they would cost a string scan per
-       op on the zero-allocation path. *)
     Counter.add cs Counters.path_lookup n;
+    s.path_bytes <- 0;
+    s.path_comps <- 0;
     (* One span mint for the whole submission (§3.8): every op's stamps
        ride the same request-scoped span. *)
-    if Trace.span_enter () <> 0 then Trace.stamp Trace.ev_batch_submit n;
+    let span = Trace.span_enter () in
+    if span <> 0 then Trace.stamp_span span Trace.ev_batch_submit n;
     (* Listings from the previous submission die here: the scratch is one
        append arena per submission. *)
     s.dir_cursor <- 0;
@@ -230,7 +240,9 @@ let submit t =
       (Fastpath.probe_batch
          (Kernel.fastpath s.proc.Proc.kernel)
          s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within
-         ~complete:t.complete ~deferred:s.deferred)
+         ~complete:t.complete ~deferred:s.deferred);
+    Counter.add cs Counters.path_bytes s.path_bytes;
+    Counter.add cs Counters.path_comps s.path_comps
   end
 
 let submitted t i =

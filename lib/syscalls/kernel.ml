@@ -89,7 +89,6 @@ let timers t = t.timers
 let hot t = Dcache.hot t.dcache
 let crash_sites t = t.crash_sites
 let set_crash_sites t sites = t.crash_sites <- sites
-let register_lsm t hooks = Lsm.register t.registry hooks
 
 let dnlc_find t id gen =
   Mutex.protect t.dnlc_lock (fun () ->

@@ -30,8 +30,6 @@ val counters : t -> Dcache_util.Stats.Counter.t
 val timers : t -> Dcache_util.Timers.t
 val hot : t -> Dcache_util.Profiler.t
 
-val register_lsm : t -> Dcache_cred.Lsm.hooks -> unit
-
 val make_superblock : t -> Dcache_fs.Fs_intf.t -> (superblock, Dcache_types.Errno.t) result
 (** Superblocks are cached per fs instance, so mounting the same pseudo fs
     twice aliases the same dentries (§4.3). *)

@@ -33,21 +33,16 @@ let kconfig proc = Kernel.config proc.Proc.kernel
    [span_enter] is a load-and-branch returning 0 and nothing is stamped. *)
 let sys proc id =
   Counter.bump (counters proc) id;
-  if Trace.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
+  let span = Trace.span_enter () in
+  if span <> 0 then Trace.stamp_span span Trace.ev_syscall 0
 
-(* Non-empty runs of non-slash bytes from [i]; [in_comp] when [i] is
-   inside one already counted. *)
-let rec count_components path i in_comp n =
-  if i >= String.length path then n
-  else if String.unsafe_get path i = '/' then count_components path (i + 1) false n
-  else count_components path (i + 1) true (if in_comp then n else n + 1)
-
-(* Per-lookup path statistics (reported in the paper's Table 1). *)
+(* Per-lookup path statistics (reported in the paper's Table 1), counted
+   after the lookup so a probe's scan supplies the component count. *)
 let note_lookup proc path =
   let c = counters proc in
   Counter.bump c Counters.path_lookup;
   Counter.add c Counters.path_bytes (String.length path);
-  Counter.add c Counters.path_comps (count_components path 0 false 0)
+  Counter.add c Counters.path_comps (Fastpath.path_components path)
 
 let permission proc inode mask =
   if Lsm.permission (Kernel.registry proc.Proc.kernel) proc.Proc.cred (Inode.attr inode) mask
@@ -69,16 +64,18 @@ let lookup_flags ?(follow = true) ?(must_dir = false) () =
     with fallback, or the baseline two-phase slowpath).  Takes locks
     internally; must not be called with the dcache lock held. *)
 let resolve ?start ?flags proc path =
-  note_lookup proc path;
   let flags = match flags with Some f -> f | None -> lookup_flags () in
   let ctx = Proc.walk_ctx proc in
-  (Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path).Walk.outcome
+  let r = Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path in
+  note_lookup proc path;
+  r.Walk.outcome
 
 let resolve_with ?start ?flags proc path ~within =
-  note_lookup proc path;
   let flags = match flags with Some f -> f | None -> lookup_flags () in
   let ctx = Proc.walk_ctx proc in
-  Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path ~within
+  let r = Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path ~within in
+  note_lookup proc path;
+  r
 
 (* What a namespace mutation works on, whichever lock scope resolved it:
    the containing directory, the final name, and the dcache's child for
@@ -186,9 +183,12 @@ let stat_attr _mnt d =
 let positive_within _mnt d = positive_inode d
 
 let lookup_into ?start proc path flags ~within =
+  let r =
+    Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
+      path ~within
+  in
   note_lookup proc path;
-  Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
-    path ~within
+  r
 
 let stat_as proc path flags id =
   let t0 = sys_clock proc in

@@ -62,7 +62,6 @@ let pop_back t =
     remove t n;
     Some n
 
-let peek_back t = t.last
 let peek_front t = t.first
 
 (* Returns the stored option field, not a fresh [Some]: node-by-node

@@ -28,7 +28,6 @@ val remove : 'a t -> 'a node -> unit
 
 val pop_front : 'a t -> 'a node option
 val pop_back : 'a t -> 'a node option
-val peek_back : 'a t -> 'a node option
 val peek_front : 'a t -> 'a node option
 
 val next : 'a node -> 'a node option

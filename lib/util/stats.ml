@@ -35,7 +35,6 @@ let summarize samples =
   let ci95 = if n < 2 then 0.0 else 1.96 *. stddev /. sqrt (float_of_int n) in
   { n; mean = m; stddev; min; max; ci95 }
 
-let summarize_ns samples = summarize (Array.map Int64.to_float samples)
 
 let sorted_copy samples =
   let copy = Array.copy samples in
@@ -72,22 +71,6 @@ let summary_to_string s =
   Printf.sprintf "n=%d mean=%.1f stddev=%.1f min=%.1f max=%.1f ci95=%.1f" s.n
     s.mean s.stddev s.min s.max s.ci95
 
-type histogram = { lo : float; hi : float; counts : int array }
-
-let histogram ?(buckets = 10) samples =
-  assert (Array.length samples > 0 && buckets > 0);
-  let lo = Array.fold_left Float.min samples.(0) samples in
-  let hi = Array.fold_left Float.max samples.(0) samples in
-  let counts = Array.make buckets 0 in
-  let width = if hi > lo then (hi -. lo) /. float_of_int buckets else 1.0 in
-  Array.iter
-    (fun x ->
-      let idx =
-        Stdlib.min (buckets - 1) (int_of_float ((x -. lo) /. width))
-      in
-      counts.(idx) <- counts.(idx) + 1)
-    samples;
-  { lo; hi; counts }
 
 (* --- GC-aware measurement (words of minor-heap allocation per op) ---
 
@@ -106,19 +89,6 @@ let minor_words_per_op ~iters f =
   done;
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int iters
-
-let hist_to_string h =
-  let buf = Buffer.create 256 in
-  let buckets = Array.length h.counts in
-  let width = (h.hi -. h.lo) /. float_of_int buckets in
-  let peak = Array.fold_left Stdlib.max 1 h.counts in
-  Array.iteri
-    (fun i count ->
-      let lo = h.lo +. (float_of_int i *. width) in
-      let bar = String.make (count * 40 / peak) '#' in
-      Buffer.add_string buf (Printf.sprintf "%12.1f | %-40s %d\n" lo bar count))
-    h.counts;
-  Buffer.contents buf
 
 (* --- log2-bucketed integer histograms (HDR-style) ---
 

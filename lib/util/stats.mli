@@ -12,9 +12,6 @@ type summary = {
 val summarize : float array -> summary
 (** [summarize samples] computes a summary; requires a non-empty array. *)
 
-val summarize_ns : int64 array -> summary
-(** Like {!summarize} on nanosecond samples. *)
-
 val mean : float array -> float
 val median : float array -> float
 
@@ -25,11 +22,6 @@ val percentile : float array -> float -> float
 
 val summary_to_string : summary -> string
 (** One-line [n=… mean=… stddev=… min=… max=… ci95=…] rendering. *)
-
-type histogram
-
-val histogram : ?buckets:int -> float array -> histogram
-val hist_to_string : histogram -> string
 
 val minor_words_per_op : iters:int -> (unit -> unit) -> float
 (** [minor_words_per_op ~iters f] runs [f] once to warm, then measures the

@@ -186,15 +186,20 @@ let with_span id f =
    power of two, so entry count = length / 3 and the mask is one less): no
    bounds-check branch, yet memory-safe even if a racing [configure] swaps
    the buffer mid-stamp. *)
-let[@inline] stamp ev arg =
-  if !armed then begin
-    let s = Atomic.fetch_and_add seq 1 in
-    let a = !ring_buf in
-    let base = (s land ((Array.length a / ring_stride) - 1)) * ring_stride in
-    Array.unsafe_set a base ev;
-    Array.unsafe_set a (base + 1) arg;
-    Array.unsafe_set a (base + 2) (current_span ())
-  end
+let[@inline] stamp_span span ev arg =
+  let s = Atomic.fetch_and_add seq 1 in
+  let a = !ring_buf in
+  let base = (s land ((Array.length a / ring_stride) - 1)) * ring_stride in
+  Array.unsafe_set a base ev;
+  Array.unsafe_set a (base + 1) arg;
+  Array.unsafe_set a (base + 2) span
+
+let[@inline] stamp ev arg = if !armed then stamp_span (current_span ()) ev arg
+
+type spans = span_scratch
+
+let domain_spans () = Domain.DLS.get span_key
+let[@inline] stamp_on sp ev arg = if !armed then stamp_span sp.sp_cur ev arg
 
 let recorded () = Atomic.get seq
 let dropped () = Stdlib.max 0 (Atomic.get seq - capacity ())

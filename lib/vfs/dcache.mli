@@ -119,9 +119,6 @@ val unhash : ?reclaim:bool -> t -> dentry -> unit
     mutation — e.g. forced eviction by a network callback — which must also
     break the parent's DIR_COMPLETE invariant (§5.1). *)
 
-val make_negative : t -> dentry -> Dcache_types.Errno.t -> unit
-(** Convert a (childless, unpinned) dentry in place to a negative dentry. *)
-
 val note_unlinked : t -> dentry -> unit
 (** Baseline-Linux behaviour after unlink: unused dentries become negative,
     in-use dentries are unhashed.  With aggressive negative caching the name
@@ -202,10 +199,6 @@ val invalidate_structure : t -> dentry -> int
 val purge : t -> unit
 (** Evict every unpinned dentry regardless of recency (the cold-cache
     setup, Table 2). *)
-
-val evict_some : t -> int -> int
-(** [evict_some t n] tries to reclaim up to [n] dentries; returns the number
-    evicted.  Also invoked automatically when over capacity. *)
 
 val reclaim_overflow : t -> unit
 (** Deferred capacity enforcement for the sharded mutation path: sharded

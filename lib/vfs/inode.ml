@@ -50,5 +50,3 @@ let symlink_target t =
       t.link_cache <- Some target;
       Ok target
     | Error _ as e -> e)
-
-let invalidate_symlink_cache t = t.link_cache <- None

@@ -43,5 +43,3 @@ val cached_symlink_target : t -> string option
 val symlink_target : t -> (string, Dcache_types.Errno.t) result
 (** Target of a symlink inode, cached after the first read (like Linux's
     [i_link]). *)
-
-val invalidate_symlink_cache : t -> unit

@@ -35,9 +35,6 @@ val attach :
 val detach : namespace -> mount -> (unit, Dcache_types.Errno.t) result
 (** Unmount; [Error EBUSY] if other mounts are stacked on top of it. *)
 
-val mount_lookup : namespace -> mount -> dentry -> mount option
-(** The mount attached at (mount, dentry) in this namespace, if any. *)
-
 val traverse_mounts : path_ref -> path_ref
 (** Follow mounts downward repeatedly (a mountpoint may itself have a mount
     on the mounted root). *)

@@ -452,6 +452,55 @@ let scripted_traces_test =
           ];
         ])
 
+(* Path-validation errno precedence.  An empty path is ENOENT; a path over
+   4096 bytes, or one with a component over 255 bytes anywhere in it, is
+   ENAMETOOLONG — before a missing directory, after one, after "..", or
+   after a symlink, cold or warm.  The optimized kernel finds a too-long
+   component during its one scan of the path; every kernel must still
+   answer what the baseline answers, and what these lookups always
+   answered. *)
+let errno_precedence_test =
+  Alcotest.test_case "path validation errno precedence" `Quick (fun () ->
+      let long = String.make 256 'x' in
+      let cases =
+        [ ("", Errno.ENOENT);
+          ("/" ^ String.concat "/" (List.init 1100 (fun _ -> "abc")), Errno.ENAMETOOLONG);
+          ("/" ^ long ^ "/missing/f", Errno.ENAMETOOLONG);
+          ("/missing/" ^ long, Errno.ENAMETOOLONG);
+          ("/d/missing/" ^ long ^ "/f", Errno.ENAMETOOLONG);
+          ("/d/../" ^ long, Errno.ENAMETOOLONG);
+          ("/missing/../" ^ long, Errno.ENAMETOOLONG);
+          ("/lnk/" ^ long, Errno.ENAMETOOLONG);
+          ("/lnk/e/" ^ long ^ "/f", Errno.ENAMETOOLONG);
+          ("/d/e/" ^ String.make 255 'y', Errno.ENOENT) ]
+      in
+      let answers config =
+        let _, p = Kit.ram_kernel ~config () in
+        Kit.get "tree" (S.mkdir_p p "/d/e");
+        Kit.get "link" (S.symlink p ~target:"/d" "/lnk");
+        ignore (Kit.get "warm" (S.stat p "/lnk/e"));
+        List.concat_map
+          (fun (path, _) ->
+            let errno = function Ok _ -> "ok" | Error e -> Errno.to_string e in
+            (* Twice each: cold, then after the first lookup populated. *)
+            List.concat_map
+              (fun () ->
+                [ errno (S.stat p path); errno (S.lstat p path);
+                  errno (S.access p path Access.may_read);
+                  errno (S.openf p path [ Proc.O_RDONLY ]) ])
+              [ (); () ])
+          cases
+      in
+      let expected =
+        List.concat_map (fun (_, e) -> List.init 8 (fun _ -> Errno.to_string e)) cases
+      in
+      List.iter
+        (fun (label, config) ->
+          Alcotest.(check (list string)) label expected (answers config))
+        [ ("baseline", Config.baseline); ("optimized", Config.optimized);
+          ("optimized, lexical ..", { Config.optimized with Config.dotdot = Config.Dotdot_lexical })
+        ])
+
 (* Absent-name probes (§5.1, §5.2).  With completeness off the absent name
    is cached as a negative dentry, so repeated probes are plain fastpath
    negative hits.  With it on, a complete directory is its own negative
@@ -959,4 +1008,5 @@ let suite =
     refill_churn_test 9001;
     QCheck_alcotest.to_alcotest (equivalence_test "optimized(16-entry PCC)" tiny_pcc);
     QCheck_alcotest.to_alcotest (invariants_test "dcache invariants [16-entry PCC]" tiny_pcc);
+    errno_precedence_test;
   ]

@@ -278,3 +278,142 @@ let procfs_suite =
       let summary = get "summary" (S.read_file p "/proc/dcache/summary") in
       Alcotest.(check bool) "has dentry count" true
         (Kit.contains_substring summary "dentries "))
+
+(* --- Table 1's path statistics ---
+
+   Every public lookup adds one to "path_lookup", its length to
+   "path_bytes" and its non-empty components — "." and ".." included — to
+   "path_comps", whichever machinery resolved it: a warm probe, a dot-dot
+   sub-lookup (Linux) or in-place cancel (lexical), a followed symlink, a
+   miss that falls back, a probe that falls back before its scan reaches
+   the end, or a lockless probe that raced a writer and retried. *)
+
+let components path = List.length (List.filter (( <> ) "") (String.split_on_char '/' path))
+
+let path_stats kernel =
+  (counter kernel "path_lookup", counter kernel "path_bytes", counter kernel "path_comps")
+
+let check_one_lookup kernel what path f =
+  let l0, b0, c0 = path_stats kernel in
+  f path;
+  let l1, b1, c1 = path_stats kernel in
+  Alcotest.(check (list int))
+    (what ^ " " ^ path)
+    [ 1; String.length path; components path ]
+    [ l1 - l0; b1 - b0; c1 - c0 ]
+
+let path_stats_suite =
+  let lexical config = { config with Config.dotdot = Config.Dotdot_lexical } in
+  List.concat_map
+    (fun (label, config) ->
+      [
+        Alcotest.test_case ("Table 1 path statistics [" ^ label ^ "]") `Quick (fun () ->
+            (* A permission hook that, armed, runs one empty write section:
+               the lockless probe whose climb it interrupts must retry. *)
+            let race = ref None in
+            let hook =
+              {
+                Dcache_cred.Lsm.name = "race";
+                inode_permission =
+                  (fun _ _ _ ->
+                    (match !race with
+                    | Some d ->
+                      race := None;
+                      Dcache_vfs.Dcache.with_write d ignore
+                    | None -> ());
+                    true);
+              }
+            in
+            let kernel, p = ram_kernel ~config ~lsms:[ hook ] () in
+            get "tree" (S.mkdir_p p "/a/b/c");
+            get "file" (S.write_file p "/a/b/c/f" "x");
+            get "link" (S.symlink p ~target:"/a/b/c/f" "/lnk");
+            get "dir link" (S.symlink p ~target:"/a/b" "/dl");
+            let dirfd = get "dirfd" (S.openf p "/a" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+            let fresh = ref 0 in
+            let paths () =
+              incr fresh;
+              [ "/a/b/c/f"; "/a/./b/c/f"; "/a/b/../b/c/f"; "/a/../a/b/../../a/b/c/./f";
+                "//a//b///c/f"; "/a/b/c/"; "/a/b/c/f/"; "/lnk"; "/dl/c/f"; "/"; "."; "..";
+                "a/b/c/f"; "/a/b/c/missing"; "/a/b/c/missing/deeper";
+                Printf.sprintf "/a/b/fresh%d" !fresh; "/a/b/zz/../c/f"; "";
+                "/a/" ^ String.make 256 'x' ^ "/f" ]
+            in
+            let ops =
+              [ ("stat", fun path -> ignore (S.stat p path));
+                ("lstat", fun path -> ignore (S.lstat p path));
+                ("access", fun path -> ignore (S.access p path Access.may_read));
+                ("open", fun path ->
+                    match S.openf p path [ Proc.O_RDONLY ] with
+                    | Ok fd -> get "close" (S.close p fd)
+                    | Error _ -> ());
+                ("fstatat", fun path -> ignore (S.fstatat p dirfd path ())) ]
+            in
+            (* Twice: cold, then with the cache warm. *)
+            for _ = 1 to 2 do
+              List.iter
+                (fun (what, f) -> List.iter (fun path -> check_one_lookup kernel what path f) (paths ()))
+                ops
+            done;
+            if config.Config.fastpath then begin
+              Alcotest.(check bool) "some lookup fell back" true (counter kernel "fastpath_fallback" > 0);
+              (* Alice's PCC knows the directory only: her stat refills
+                 with a climb, which the armed hook races once. *)
+              let alice_p = Proc.spawn ~cred:(alice ()) kernel in
+              ignore (get "alice warms the dir" (S.stat alice_p "/a/b/c"));
+              let retries = counter kernel "fastpath_lockless_retry" in
+              race := Some (Kernel.dcache kernel);
+              check_one_lookup kernel "raced stat" "/a/b/c/f" (fun path ->
+                  ignore (get "alice stats" (S.stat alice_p path)));
+              Alcotest.(check int) "one lockless retry" 1
+                (counter kernel "fastpath_lockless_retry" - retries)
+            end);
+      ])
+    [ ("baseline", Config.baseline); ("baseline, lexical ..", lexical Config.baseline);
+      ("optimized", Config.optimized); ("optimized, lexical ..", lexical Config.optimized) ]
+  (* A batched submission counts each op as the sequential syscall does:
+     the same ops, issued either way on twin kernels, leave equal
+     counters — cold, then warm. *)
+  @ tc_both "Table 1 path statistics: batched == sequential" (fun config ->
+        let twin () =
+          let kernel, p = ram_kernel ~config () in
+          get "tree" (S.mkdir_p p "/a/b/c");
+          get "file" (S.write_file p "/a/b/c/f" "x");
+          get "link" (S.symlink p ~target:"/a/b/c/f" "/lnk");
+          (kernel, p)
+        in
+        let seq_kernel, seq_p = twin () in
+        let batch_kernel, batch_p = twin () in
+        let ring = Dcache_syscalls.Batch.create ~cap:64 batch_p in
+        let paths =
+          [ "/a/b/c/f"; "/a/./b/c/f"; "/a/b/../b/c/f"; "//a//b///c/f"; "/a/b/c/"; "/lnk";
+            "/a/b/c/missing"; "/a/b/zz/../c/f"; "a/b/c"; ".."; ""; "/a/b/" ^ String.make 256 'x' ]
+        in
+        for _ = 1 to 2 do
+          let before = path_stats seq_kernel in
+          List.iter
+            (fun path ->
+              ignore (S.stat seq_p path);
+              ignore (S.lstat seq_p path);
+              ignore (S.access seq_p path Access.may_read))
+            paths;
+          let after = path_stats seq_kernel in
+          let b_before = path_stats batch_kernel in
+          Dcache_syscalls.Batch.reset ring;
+          List.iter
+            (fun path ->
+              ignore (Dcache_syscalls.Batch.push_stat ring path);
+              ignore (Dcache_syscalls.Batch.push_lstat ring path);
+              ignore (Dcache_syscalls.Batch.push_access ring path Access.may_read))
+            paths;
+          Dcache_syscalls.Batch.submit ring;
+          let b_after = path_stats batch_kernel in
+          let delta (l0, b0, c0) (l1, b1, c1) = [ l1 - l0; b1 - b0; c1 - c0 ] in
+          let sum f = 3 * List.fold_left (fun acc path -> acc + f path) 0 paths in
+          Alcotest.(check (list int))
+            "sequential counts"
+            [ sum (fun _ -> 1); sum String.length; sum components ]
+            (delta before after);
+          Alcotest.(check (list int)) "batched == sequential" (delta before after)
+            (delta b_before b_after)
+        done)
