@@ -94,9 +94,11 @@ let build_apps (env : W.Env.t) =
   let menv = W.Apps.make_setup p ~root:"/src" ~headers:40 ~seed:11 in
   W.Apps.git_setup p ~manifest;
   let uniq = ref 0 in
+  (* Fixed-width names: a trial tree's path bytes (Table 1's [l]) must not
+     grow when the counter gains a digit. *)
   let fresh prefix =
     incr uniq;
-    Printf.sprintf "/%s%d" prefix !uniq
+    Printf.sprintf "/%s%06d" prefix !uniq
   in
   let rm_target = ref "" in
   let nop = ignore in
@@ -1958,30 +1960,28 @@ let coherence () =
 (* Profile: §3.8 profiler overhead — armed vs disarmed warm hits       *)
 (* ------------------------------------------------------------------ *)
 
-(* Two measurements, each disarmed then armed ([Trace.armed]: ring, spans
-   and sketch; the kernel's timers stay off — clock reads are armed
+(* Two measurements, each disarmed then armed ([Trace.armed]: ring and
+   spans; the kernel's timers stay off — clock reads are armed
    separately):
 
-   - the raw warm fastpath probe, which pays the sketch update and the
-     ring stamp when armed, and must keep its zero-allocation discipline;
+   - the raw warm fastpath probe, which pays the ring stamp when armed,
+     and must keep its zero-allocation discipline;
    - the full stat syscall, which additionally mints a span per entry.
 
    The acceptance bound: armed costs within 10% of disarmed. *)
 
 let profile () =
   header
-    "Profile - request-scoped spans + per-directory sketch (§3.8).\n\
-     Armed (ring + spans + sketch, no timers) vs disarmed; the armed warm hit\n\
+    "Profile - request-scoped spans (§3.8).\n\
+     Armed (ring + spans, no timers) vs disarmed; the armed warm hit\n\
      must stay allocation-free and within 10% of the disarmed cost.";
-  let module Uprof = Dcache_util.Profiler in
   let iters = if !quick then 50_000 else 200_000 in
   let env = W.Env.ram Config.optimized in
   let p = env.W.Env.proc in
   let n_dirs = 8 in
   (* Representative depth (8 components, like the lmbench-style warm probe)
      and grouped by directory: consecutive probes stay in one directory for
-     a few operations, the skew every real lookup trace shows (and what the
-     sketch's last-slot memo is built for). *)
+     a few operations, the skew every real lookup trace shows. *)
   let paths =
     Array.init (n_dirs * 4) (fun i -> Printf.sprintf "/prof/a/b/c/d/e/d%d/f%d" (i / 4) (i mod 4))
   in
@@ -2002,9 +2002,7 @@ let profile () =
     ignore (S.stat p paths.(!j land 31));
     incr j
   in
-  let hot = Kernel.hot env.W.Env.kernel in
   Utrace.reset ();
-  Uprof.reset hot;
   Utrace.armed := false;
   (* The host is noisy enough that a disarmed block followed by an armed
      block measures clock drift, not overhead.  Instead: many back-to-back
@@ -2025,15 +2023,13 @@ let profile () =
   in
   let probe_dis, probe_arm, probe_pct = paired probe in
   let stat_dis, stat_arm, stat_pct = paired syscall in
-  (* Raw per-hook costs, armed: what one stamp / one sketch update / one
-     span mint actually spend. *)
+  (* Raw per-hook costs, armed: what one stamp / one span mint actually
+     spend. *)
   Utrace.armed := true;
-  let scratch = Uprof.create () in
   arm_rows
     (table "raw_armed" [ col ~left:true 34 "hook" "hook"; col 9 "ns" "ns" ])
     [
       ("Trace.stamp", fun () -> per_op ~iters (fun () -> Utrace.stamp Utrace.ev_fast_hit 7));
-      ("Profiler.record", fun () -> per_op ~iters (fun () -> Uprof.record scratch 5 "d" Uprof.m_hit));
       ("Trace.span_enter", fun () -> per_op ~iters (fun () -> ignore (Utrace.span_enter ())));
     ];
   Utrace.armed := false;
@@ -2056,18 +2052,7 @@ let profile () =
   row t [ L "stat syscall (span minted)"; M stat_dis; M stat_arm; R stat_pct; Nil; Nil ];
   loose (probe_arm_words <= 0.0) "armed warm probe allocated";
   loose (probe_pct <= 10.0 && stat_pct <= 10.0) "armed overhead above the 10%% bound";
-  subheader "per-directory sketch after the armed window";
-  print_string (Uprof.to_string hot);
   put "ring_recorded" (Json.Num (float_of_int (Utrace.recorded ())));
-  put "sketch_top"
-    (Json.Arr
-       (List.filteri (fun k _ -> k < n_dirs) (Uprof.hot hot)
-       |> List.map (fun s ->
-              Json.Obj
-                [ ("dir", Json.Num (float_of_int s.Uprof.h_key)); ("label", Json.Str s.Uprof.h_label);
-                  ("total", Json.Num (float_of_int s.Uprof.h_total));
-                  ("err", Json.Num (float_of_int s.Uprof.h_err));
-                  ("hit", Json.Num (float_of_int s.Uprof.h_metrics.(Uprof.m_hit))) ])));
   Utrace.reset ()
 
 (* ------------------------------------------------------------------ *)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Program-wide state gate over lib/.
 
-A kernel owns its state: counters, timers, the per-directory sketch,
-version numbers and fault sites live in its dcache or its Kernel.t, so two
+A kernel owns its state: counters, timers, locks, version numbers and
+fault sites live in its dcache, its superblocks or its Kernel.t, so two
 kernels in one program never read each other's figures.  This gate lists
 every top-level mutable binding in lib/ -- a module-level `let` (or one in
 a `module X = struct` body) whose value is built by `ref`, `Atomic.make`,
-`Array.make`/`init`, `Hashtbl.create`, `Inttbl.create`,
+`Array.make`/`init`, `Hashtbl.create`, `Inttbl.create`, `Mutex.create`,
 `Domain.DLS.new_key` or `Lhist.create` -- and fails on any binding that
 is not in the allowlist below.
 
@@ -55,7 +55,7 @@ ALLOWED = {
 
 MUTABLE = re.compile(
     r"^[(\s]*(?:ref\b|Atomic\.make\b|Array\.(?:make|init)\b|Hashtbl\.create\b"
-    r"|(?:\w+\.)*Inttbl\.create\b|Domain\.DLS\.new_key\b|(?:\w+\.)*Lhist\.create\b)"
+    r"|(?:\w+\.)*Inttbl\.create\b|Mutex\.create\b|Domain\.DLS\.new_key\b|(?:\w+\.)*Lhist\.create\b)"
 )
 LET = re.compile(r"^(\s*)let(?:\[@[^\]]*\])?\s+(?:rec\s+)?([a-z_][\w']*)\s*(.*)$", re.S)
 MODULE = re.compile(r"^module\s+([A-Z]\w*)\s*(?::[^=]*)?=\s*struct\b")

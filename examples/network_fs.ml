@@ -27,7 +27,8 @@ let demo protocol label =
   let clock = Vclock.create () in
   let backing = Dcache_fs.Ramfs.create () in
   let server = Netfs.server ~rpc_latency_ns:120_000 ~clock backing in
-  let kernel = Kernel.create ~config:Config.optimized ~root_fs:(Netfs.client ~protocol server) () in
+  let client, fs = Netfs.connect_fs ~protocol server in
+  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
   let p = Proc.spawn kernel in
   ok "tree" (S.mkdir_p p "/export/project/src");
   ok "file" (S.write_file p "/export/project/src/main.ml" "let () = ()");
@@ -44,17 +45,16 @@ let demo protocol label =
     label n (Netfs.rpc_count server)
     (Int64.to_float (Vclock.elapsed_ns clock) /. float_of_int n /. 1000.0)
     (get "fastpath_hit");
-  (kernel, p, server, backing)
+  (p, server, client, backing)
 
 let () =
   print_endline "Stateless protocol (NFS v2/3 model): every cached component revalidates.";
   ignore (demo Netfs.Stateless "stateless");
   print_endline "\nStateful protocol (AFS/NFSv4.1 model): cached dentries are trusted.";
-  let _, p, server, backing = demo Netfs.Stateful "stateful ";
-  in
-  (* An external writer changes the server; the callback keeps us coherent. *)
-  (Netfs.callbacks server).Netfs.on_break <-
-    (fun _ -> ok "cb" (S.invalidate_path p "/export/project/src"));
+  let p, server, client, backing = demo Netfs.Stateful "stateful " in
+  (* An external writer changes the server; breaking this client's lease on
+     the directory keeps us coherent. *)
+  Netfs.set_invalidate client (fun _ -> ok "cb" (S.invalidate_path p "/export/project/src"));
   let root = backing.Fs.root_ino in
   let export = ok "lookup" (backing.Fs.lookup root "export") in
   let project = ok "lookup" (backing.Fs.lookup export.Dcache_types.Attr.ino "project") in
@@ -66,4 +66,6 @@ let () =
   Netfs.break_callback server src.Dcache_types.Attr.ino;
   (match S.stat p "/export/project/src/hotfix.ml" with
   | Ok _ -> print_endline "\nafter the callback, the external hotfix.ml is visible (good)"
-  | Error e -> Printf.printf "\nBUG: %s\n" (Dcache_types.Errno.to_string e))
+  | Error e ->
+    Printf.printf "\nBUG: %s\n" (Dcache_types.Errno.to_string e);
+    exit 1)

@@ -21,6 +21,11 @@ let ok what = function
   | Ok v -> v
   | Error e -> failwith (Printf.sprintf "%s: %s" what (Errno.to_string e))
 
+(* A violated isolation property fails the run. *)
+let bug msg =
+  print_endline msg;
+  exit 1
+
 let show proc label path =
   match S.read_file proc path with
   | Ok contents -> Printf.printf "  [%s] %-28s -> %S\n" label path contents
@@ -80,8 +85,8 @@ let () =
   print_endline "write attempts from the service:";
   (match S.write_file service "/shared/defaced" "oops" with
   | Error Errno.EROFS -> print_endline "  read-only bind mount: EROFS (good)"
-  | Error e -> Printf.printf "  unexpected: %s\n" (Errno.to_string e)
-  | Ok () -> print_endline "  BUG: write succeeded");
+  | Error e -> bug ("  BUG: unexpected " ^ Errno.to_string e)
+  | Ok () -> bug "  BUG: write succeeded");
 
   (* The MAC module vetoes access to unlabeled-for-service files even when
      DAC would allow them. *)
@@ -90,13 +95,13 @@ let () =
   ok "label" (S.set_label host "/srv/jail/data/host-note" (Some "host_private"));
   (match S.read_file service "/data/host-note" with
   | Error Errno.EACCES -> print_endline "  MAC label veto: EACCES (good)"
-  | Error e -> Printf.printf "  unexpected: %s\n" (Errno.to_string e)
-  | Ok _ -> print_endline "  BUG: MAC bypassed");
+  | Error e -> bug ("  BUG: unexpected " ^ Errno.to_string e)
+  | Ok _ -> bug "  BUG: MAC bypassed");
 
   (* Meanwhile the host namespace never saw the service's mounts. *)
   (match S.stat host "/srv/jail/shared/motd" with
   | Error Errno.ENOENT -> print_endline "host cannot see the service's private bind mount (good)"
-  | _ -> print_endline "BUG: mount leaked across namespaces");
+  | _ -> bug "BUG: mount leaked across namespaces");
 
   (* All of this ran with the fastpath on; show it was actually used. *)
   let stats = Kernel.stats_snapshot kernel in

@@ -11,7 +11,6 @@ module Counters = Dcache_util.Counters
 module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 module Timers = Dcache_util.Timers
 module Clock = Dcache_util.Clock
 
@@ -27,7 +26,6 @@ type t = {
   dtab : Locktab.t option;
   counters : Counter.t;
   timers : Timers.t;
-  hot : Profiler.t;
 }
 
 let create dcache =
@@ -43,7 +41,6 @@ let create dcache =
       dtab = Dcache.stripes dcache;
       counters = Dcache.counters dcache;
       timers = Dcache.timers dcache;
-      hot = Dcache.hot dcache;
     }
   in
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
@@ -132,17 +129,6 @@ let[@inline] dentry_leased live d =
   | Partial { p_ino; _ } -> live p_ino
   | Negative _ -> false
 
-(* §3.8 cache-efficacy attribution: charge [metric] to the directory that
-   decided the verdict on [d] — its parent, or [d] itself at an fs root.
-   Armed-only (the armed check skips even the parent match disarmed);
-   [Profiler.record] is int/pointer stores into preallocated sketch slots,
-   so the zero-allocation warm hit can stay profiled. *)
-let[@inline] note_dir t metric d =
-  if !Trace.armed then
-    match d.d_parent with
-    | Some p -> Profiler.record t.hot p.d_id p.d_name metric
-    | None -> Profiler.record t.hot d.d_id d.d_name metric
-
 (* A positive verdict for [final]: its own lease and (when it has a cached
    parent) the containing directory's lease must both be live — the parent
    lease is what makes the name binding trustworthy, AFS-callback style. *)
@@ -157,7 +143,6 @@ let gate_positive t final =
          | Some parent -> not (dentry_leased live parent))
     then begin
       Counter.bump t.counters Counters.fastpath_lease_fallback;
-      note_dir t Profiler.m_lease final;
       raise Fall_back
     end
 
@@ -172,10 +157,7 @@ let lease_blocks_negative t d =
     let blocked =
       match d.d_parent with None -> true | Some parent -> not (dentry_leased live parent)
     in
-    if blocked then begin
-      Counter.bump t.counters Counters.fastpath_lease_fallback;
-      note_dir t Profiler.m_lease d
-    end;
+    if blocked then Counter.bump t.counters Counters.fastpath_lease_fallback;
     blocked
 
 (* A DIR_COMPLETE absence verdict is decided by directory [dir] itself. *)
@@ -184,10 +166,7 @@ let lease_blocks_dir t dir =
   | None -> false
   | Some live ->
     let blocked = not (dentry_leased live dir) in
-    if blocked then begin
-      Counter.bump t.counters Counters.fastpath_lease_fallback;
-      Profiler.record t.hot dir.d_id dir.d_name Profiler.m_lease
-    end;
+    if blocked then Counter.bump t.counters Counters.fastpath_lease_fallback;
     blocked
 
 let dlht_of t ctx =
@@ -274,12 +253,6 @@ type scratch = {
   mutable stripe_n : int;
   stripe_seqs : Seqcount.t array;
   stripe_snaps : int array;
-  (* §3.8 retry attribution: the deciding directory of the most recent
-     probe's verdict (set armed-only when the literal is found), so
-     [note_lockless_retry] can charge the seqcount retry to the directory
-     whose chain the raced writer touched.  -1: no candidate. *)
-  mutable hh_id : int;
-  mutable hh_name : string;
   (* This domain's trace span state: stamps here skip the DLS read. *)
   spans : Trace.spans;
 }
@@ -303,8 +276,6 @@ let scratch_key =
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
         stripe_snaps = Array.make stripe_cap 0;
-        hh_id = -1;
-        hh_name = "";
         spans = Trace.domain_spans ();
       })
 
@@ -631,7 +602,6 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
           commit_check t sc vsnap;
           Counter.bump t.counters Counters.fastpath_prefix_negfail;
           Trace.stamp_on sc.spans Trace.ev_prefix_negfail (k + 1);
-          note_dir t Profiler.m_neg literal;
           sc.neg_errno <- errno;
           raise_notrace Neg_fail
         | Positive _ | Partial _ ->
@@ -660,7 +630,6 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                    commit_check t sc vsnap;
                    Counter.bump t.counters Counters.fastpath_prefix_negfail;
                    Trace.stamp_on sc.spans Trace.ev_prefix_negfail (k + 1);
-                   Profiler.record t.hot real.d_id real.d_name Profiler.m_neg;
                    sc.neg_errno <- Errno.ENOENT;
                    raise_notrace Neg_fail
                  end
@@ -736,7 +705,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   sc.resume_slot <- -1;
   sc.comps <- -1;
   sc.stripe_n <- 0;
-  sc.hh_id <- -1;
   Signature.snaps_reset sc.snaps;
   let dlht = dlht_for t ctx vsnap in
   let pcc = pcc_for t ctx vsnap in
@@ -770,15 +738,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   let shallow_real = real_of literal in
   record_dentry t sc literal;
   if not (shallow_real == literal) then record_dentry t sc shallow_real;
-  (* Stash the verdict's deciding directory for retry attribution (§3.8):
-     a seqcount retry aborts the probe before any per-directory metric is
-     charged, so the retry handler needs the candidate remembered here. *)
-  if !Trace.armed then begin
-    let dir = match literal.d_parent with Some p -> p | None -> literal in
-    sc.hh_id <- dir.d_id;
-    (* Skips the write barrier while probes stay in one directory. *)
-    if not (sc.hh_name == dir.d_name) then sc.hh_name <- dir.d_name
-  end;
   validate t ctx pcc sc ~vsnap literal shallow_real;
   phase_stop t timed Timers.permission t0;
   let t0 = phase_start timed in
@@ -791,7 +750,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
       commit_check t sc vsnap;
       Counter.bump t.counters Counters.fastpath_negative_hit;
       Trace.stamp_on sc.spans Trace.ev_fast_neg 0;
-      note_dir t Profiler.m_neg literal;
       Errno.to_error errno
     | Positive _ | Partial _ -> (
       let final =
@@ -805,7 +763,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
         commit_check t sc vsnap;
         Counter.bump t.counters Counters.fastpath_negative_hit;
         Trace.stamp_on sc.spans Trace.ev_fast_neg 0;
-        note_dir t Profiler.m_neg final;
         Errno.to_error errno
       | Partial _ -> raise Fall_back
       | Positive _ ->
@@ -821,7 +778,6 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
             gate_positive t final;
             commit_check t sc vsnap;
             final.d_last_used <- Dcache.new_tick t.dcache;
-            note_dir t Profiler.m_hit final;
             within mnt final
         end)
   in
@@ -1036,13 +992,10 @@ let fallback t ctx ~flags sc path ~within =
   | Ok r -> within r.mnt r.dentry
   | Error e -> Error e
 
-(* Count a lockless retry.  §3.8: also charge it to the raced probe's
-   deciding directory when the probe got far enough to stash one. *)
 let note_lockless_retry t sc =
   Counter.bump t.counters Counters.fastpath_lockless_retry;
   Trace.stamp_on sc.spans Trace.ev_lockless_retry 0;
-  Counter.bump t.counters Counters.seqcount_retry;
-  if sc.hh_id >= 0 then Profiler.record t.hot sc.hh_id sc.hh_name Profiler.m_retry
+  Counter.bump t.counters Counters.seqcount_retry
 
 (* --- the per-op attempt (§3.2, §3.9) ---
 

@@ -8,8 +8,6 @@ module Lhist = Dcache_util.Stats.Lhist
 
 type protocol = Stateless | Stateful
 
-type callback = { mutable on_break : int -> unit }
-
 (* Per-server fault sites.
    - "netfs.drop": one exchange is lost in the classic lossy-link way — an
      idempotent request vanishes before execution, a mutating one executes
@@ -71,7 +69,6 @@ type server = {
   rpc_latency : int64;
   generations : int Inttbl.t;  (* per-inode change generation *)
   mutable rpcs : int;
-  cb : callback;
   faults : faults option;
   stats : rpc_stats;
   (* --- lease protocol state (§3.7) --- *)
@@ -114,7 +111,6 @@ let server ?(rpc_latency_ns = 120_000) ?faults ?(delay_ns = 2_000_000)
     rpc_latency = Int64.of_int rpc_latency_ns;
     generations = Inttbl.create 256;
     rpcs = 0;
-    cb = { on_break = (fun _ -> ()) };
     faults;
     stats =
       {
@@ -153,7 +149,6 @@ let reset_rpc_stats t =
   s.rs_crashes <- 0;
   s.rs_fenced <- 0
 
-let callbacks t = t.cb
 let epoch t = t.epoch
 let lease_ttl_ns t = t.lease_ttl
 let lease_skew_ns t = t.lease_skew
@@ -257,8 +252,7 @@ let restart t =
 
 let break_callback t ino =
   bump_generation t ino;
-  break_leases t ~except:(-1) ino;
-  t.cb.on_break ino
+  break_leases t ~except:(-1) ino
 
 type retry_policy = {
   timeout_ns : int;  (** how long the client waits before retransmitting *)

@@ -174,15 +174,7 @@ val bump_generation : server -> int -> unit
     breaking leases: a client's next revalidation of it fails.  Prefer
     {!break_callback} for lease-coherent external mutations. *)
 
-type callback = { mutable on_break : int -> unit }
-
-val callbacks : server -> callback
-(** The legacy server-wide callback channel, fired after the per-client
-    lease breaks; integrations predating per-client handles point
-    [on_break] at their cache invalidation. *)
-
 val break_callback : server -> int -> unit
 (** An external (server-side) mutation of inode [ino]: bumps its
     generation, breaks every client's lease on it (deliveries may be lost
-    across a live partition — the ttl bounds that window), then fires the
-    legacy [on_break] channel. *)
+    across a live partition — the ttl bounds that window). *)

@@ -25,7 +25,6 @@ module Trace = Dcache_util.Trace
 let op_stat = 0
 let op_lstat = 1
 let op_access = 2
-let op_readdir = 3
 
 type state = {
   proc : Proc.t;
@@ -42,12 +41,6 @@ type state = {
   cq_ok : bool array;
   cq_err : Errno.t array;
   cq_attr : Attr.t array;
-  (* readdir completions land in the process's dirent scratch; each slot
-     records its [off, off+len) window.  The append cursor resets at
-     submit, so one submission's listings share the scratch (§5.1). *)
-  cq_dir_off : int array;
-  cq_dir_len : int array;
-  mutable dir_cursor : int;
   (* Table 1's byte and component tallies of the ops completed so far in
      this submission, added to the counters once per submit *)
   mutable path_bytes : int;
@@ -106,32 +99,6 @@ let access_within s mnt dentry =
     | Error e -> Errno.to_error e)
   | Negative e -> Errno.to_error e
 
-(* Readdir into the process's dirent scratch at the append cursor.  The
-   shared probe window validates the {e path}; the listing itself rides
-   {!Readdir.fill}'s own discipline — warm DIR_COMPLETE listings are the
-   lockless seqcount-validated walk (word-free), cold ones take the
-   directory's stripe and promote.  Both are safe from this hook: in
-   phase 1 it runs with no lock held, and in phase 2 (under the batch's
-   single write lock) [Readdir] detects the held write side and runs its
-   locked body inline.  Scratch writes are idempotent, so an op re-probed
-   after a batch split just overwrites its own window. *)
-let readdir_within s mnt dentry =
-  ignore (mnt : mount);
-  match dentry.d_state with
-  | Positive inode ->
-    if not (Inode.is_dir inode) then Errno.to_error Errno.ENOTDIR
-    else begin
-      let base = s.dir_cursor in
-      match Readdir.fill s.proc inode dentry ~base with
-      | n ->
-        s.cq_dir_off.(s.cur) <- base;
-        s.cq_dir_len.(s.cur) <- n - base;
-        s.dir_cursor <- n;
-        ok_unit
-      | exception Readdir.Readdir_errno e -> Errno.to_error e
-    end
-  | Partial _ | Negative _ -> Errno.to_error Errno.ENOENT
-
 let create ?(cap = 128) proc =
   if cap <= 0 then invalid_arg "Batch.create: cap must be positive";
   let filler_attr =
@@ -151,9 +118,6 @@ let create ?(cap = 128) proc =
       cq_ok = Array.make cap false;
       cq_err = Array.make cap Errno.ENOENT;
       cq_attr = Array.make cap filler_attr;
-      cq_dir_off = Array.make cap 0;
-      cq_dir_len = Array.make cap 0;
-      dir_cursor = 0;
       path_bytes = 0;
       path_comps = 0;
       deferred = Array.make cap 0;
@@ -169,9 +133,7 @@ let create ?(cap = 128) proc =
     within =
       (fun mnt dentry ->
         let op = s.sq_op.(s.cur) in
-        if op = op_access then access_within s mnt dentry
-        else if op = op_readdir then readdir_within s mnt dentry
-        else stat_within s mnt dentry);
+        if op = op_access then access_within s mnt dentry else stat_within s mnt dentry);
     complete =
       (fun i r ->
         (* Table 1's statistics, as the sequential front-end counts
@@ -205,7 +167,6 @@ let push t op path mask =
 let push_stat t path = push t op_stat path Access.may_read
 let push_lstat t path = push t op_lstat path Access.may_read
 let push_access t path mask = push t op_access path mask
-let push_readdir t path = push t op_readdir path Access.may_read
 
 (* The cached context goes stale when the process changes credentials,
    chroots, chdirs or switches namespace — all rare next to submits, all
@@ -232,9 +193,6 @@ let submit t =
        ride the same request-scoped span. *)
     let span = Trace.span_enter () in
     if span <> 0 then Trace.stamp_span span Trace.ev_batch_submit n;
-    (* Listings from the previous submission die here: the scratch is one
-       append arena per submission. *)
-    s.dir_cursor <- 0;
     if not (ctx_fresh s) then s.ctx <- Proc.walk_ctx s.proc;
     Counter.add cs Counters.batch_windows
       (Fastpath.probe_batch
@@ -263,17 +221,3 @@ let attr t i =
 let result t i =
   submitted t i;
   if t.s.cq_ok.(i) then Ok t.s.cq_attr.(i) else Error t.s.cq_err.(i)
-
-let dir_len t i =
-  submitted t i;
-  t.s.cq_dir_len.(i)
-
-let in_dir t i j =
-  submitted t i;
-  if j < 0 || j >= t.s.cq_dir_len.(i) then
-    invalid_arg "Batch: dirent out of range";
-  t.s.cq_dir_off.(i) + j
-
-let dir_name t i j = t.s.proc.Proc.dirents.Proc.ds_names.(in_dir t i j)
-let dir_ino t i j = t.s.proc.Proc.dirents.Proc.ds_inos.(in_dir t i j)
-let dir_kind t i j = t.s.proc.Proc.dirents.Proc.ds_kinds.(in_dir t i j)

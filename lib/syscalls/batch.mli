@@ -18,7 +18,7 @@
     against the LSM stack.  Differences are confined to accounting: batch
     submissions count under ["batch_submit"]/["batch_ops"] (and the
     validation windows they opened under ["batch_windows"]) rather than the
-    per-syscall counters, skip the per-path byte/component tallies, and
+    per-syscall counters, add Table 1's path tallies once per submit, and
     run outside the Fig. 1 syscall timers (the open-loop runner
     charges batch service time to the virtual clock itself). *)
 
@@ -48,18 +48,6 @@ val push_lstat : t -> string -> int
 val push_access : t -> string -> Access.t -> int
 (** Enqueue an access probe for the given permission mask. *)
 
-val push_readdir : t -> string -> int
-(** Enqueue a whole-directory listing (§5.1).  The entries land in the
-    process's dirent scratch at an append cursor shared by the whole
-    submission — batched listings ride one validation window and one
-    scratch arena.  Read them back with {!dir_len} / {!dir_name} /
-    {!dir_ino} / {!dir_kind}; they stay valid until the next submit or
-    the next scratch-filling call ([Syscalls.readdir_fill],
-    [Syscalls.getdents], [Syscalls.readdir_path]) on the same process.
-    Warm DIR_COMPLETE listings are served by the lockless
-    seqcount-validated walk and allocate nothing; cold ones fill and
-    promote under the directory's own-id stripe. *)
-
 val submit : t -> unit
 (** Resolve every enqueued op and fill the CQ.  All fastpath hits complete
     before any slowpath walk runs; misses resolve in one write-locked
@@ -81,13 +69,3 @@ val attr : t -> int -> Attr.t
 
 val result : t -> int -> (Attr.t, Errno.t) result
 (** Boxed convenience view of slot [i]; allocates. *)
-
-val dir_len : t -> int -> int
-(** Entry count of readdir slot [i]; meaningful only when [ok t i]. *)
-
-val dir_name : t -> int -> int -> string
-(** [dir_name t i j] is entry [j]'s name in readdir slot [i]'s listing.
-    @raise Invalid_argument when [j] is outside [0..dir_len t i - 1]. *)
-
-val dir_ino : t -> int -> int -> int
-val dir_kind : t -> int -> int -> Dcache_types.File_kind.t

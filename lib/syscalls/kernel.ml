@@ -86,7 +86,6 @@ let root_cred t = t.root_cred
 let root t = Mount.root t.init_ns
 let counters t = Dcache.counters t.dcache
 let timers t = t.timers
-let hot t = Dcache.hot t.dcache
 let crash_sites t = t.crash_sites
 let set_crash_sites t sites = t.crash_sites <- sites
 
@@ -132,5 +131,4 @@ let scrub t =
 let stats_snapshot t = Dcache_util.Stats.Counter.to_assoc (counters t)
 let reset_stats t =
   Dcache_util.Stats.Counter.reset (counters t);
-  Dcache_util.Timers.reset t.timers;
-  Dcache_util.Profiler.reset (hot t)
+  Dcache_util.Timers.reset t.timers

@@ -28,7 +28,6 @@ val root_cred : t -> Dcache_cred.Cred.t
 val root : t -> path_ref
 val counters : t -> Dcache_util.Stats.Counter.t
 val timers : t -> Dcache_util.Timers.t
-val hot : t -> Dcache_util.Profiler.t
 
 val make_superblock : t -> Dcache_fs.Fs_intf.t -> (superblock, Dcache_types.Errno.t) result
 (** Superblocks are cached per fs instance, so mounting the same pseudo fs
@@ -80,5 +79,4 @@ val stats_snapshot : t -> (string * int) list
     sorted by name. *)
 
 val reset_stats : t -> unit
-(** Zeroes every counter (the causes included), the timer table and the
-    per-directory sketch. *)
+(** Zeroes every counter (the causes included) and the timer table. *)

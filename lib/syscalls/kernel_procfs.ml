@@ -4,7 +4,6 @@ module Config = Dcache_vfs.Config
 module Dcache = Dcache_vfs.Dcache
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 module Timers = Dcache_util.Timers
 module Lhist = Dcache_util.Stats.Lhist
 module Counter = Dcache_util.Stats.Counter
@@ -254,11 +253,6 @@ let make ?faults ?netfs kernel =
          Timers.histograms_to_string (Kernel.timers kernel)));
   ok (Pseudofs.add_file p "/dcache/causes" ~content:(fun () -> causes_to_string kernel));
   ok (Pseudofs.add_file p "/dcache/trace" ~content:(fun () -> Trace.ring_to_string ()));
-  (* The per-directory cache-efficacy sketch (§3.8): top-K heavy hitters
-     with their exact-count error bounds. *)
-  ok
-    (Pseudofs.add_file p "/dcache/hot" ~content:(fun () ->
-         Profiler.to_string (Kernel.hot kernel)));
   ok (Pseudofs.add_file p "/dcache/batch" ~content:(render_batch kernel));
   ok (Pseudofs.add_file p "/faults" ~content:(render_faults faults));
   ok (Pseudofs.add_dir p "/netfs");

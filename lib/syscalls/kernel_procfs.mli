@@ -13,7 +13,6 @@
     - [dcache/causes]     — this kernel's cause-attributed miss/invalidation
                             counters
     - [dcache/trace]      — event-ring status plus the newest events
-    - [dcache/hot]        — the per-directory cache-efficacy sketch
     - [faults]            — fault-injector sites: schedule/arrivals/injected
     - [netfs/rpc]         — netfs RPC totals (drops/retries/giveups/DRC/
                             partitions/crashes/fenced) plus exact per-site
@@ -27,7 +26,7 @@
 
     [faults]/[netfs] attach the corresponding subsystems; without them the
     files report that nothing is attached.  Every [dcache/] file but
-    [trace] reads only this kernel: its counters, timer table and sketch.
+    [trace] reads only this kernel: its counters and timer table.
     The event ring is program-wide (a netfs server and its clients share
     one timeline), so [dcache/trace] reads the same ring from any
     kernel's procfs. *)

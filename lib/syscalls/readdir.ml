@@ -25,10 +25,9 @@
     backend) and promotes nothing.
 
     {!fill} is the only code that lists a directory.  [Syscalls.readdir_fill]
-    and the vectored ring ([Batch.push_readdir]) read the scratch in
-    place; [Syscalls.getdents] copies it into its stream on a stream's
-    first call, and [Syscalls.readdir_path] into a list.  It lives outside
-    [Syscalls] because [Batch] is linked before [Syscalls]. *)
+    reads the scratch in place; [Syscalls.getdents] copies it into its
+    stream on a stream's first call, and [Syscalls.readdir_path] into a
+    list. *)
 
 open Dcache_types
 open Dcache_vfs.Types
@@ -67,25 +66,16 @@ let crash_point proc =
 
 (* Run [f] under whatever guards this directory's children, completeness
    bit and generation: the directory's own-id stripe (plus the rwlock read
-   side) when sharded, the write lock otherwise.  A caller whose own
-   domain already holds the write lock — the batch slowpath phase runs its
-   hooks under one [Dcache.with_write] — gets [f] inline: the write lock
-   excludes every stripe section wholesale.  Another domain's write
-   section does not count ([Rwlock.write_held] answers for the caller):
-   this domain then waits for it like any other. *)
+   side) when sharded, the write lock otherwise. *)
 let with_dir_stripe proc dir f =
   let d = dcache proc in
-  let lock = Dcache.lock d in
-  if Rwlock.write_held lock then f ()
-  else begin
-    match Dcache.stripes d with
-    | Some tab ->
-      Dcache.with_read d (fun () ->
-          Locktab.with_lock tab (Locktab.index tab dir.d_id) (fun () ->
-              crash_point proc;
-              f ()))
-    | None -> Dcache.with_write d f
-  end
+  match Dcache.stripes d with
+  | Some tab ->
+    Dcache.with_read d (fun () ->
+        Locktab.with_lock tab (Locktab.index tab dir.d_id) (fun () ->
+            crash_point proc;
+            f ()))
+  | None -> Dcache.with_write d f
 
 (* One intrusive pass over [dir]'s cached children into [ds] starting at
    slot [i]; returns the end slot.  A complete directory has no negative
@@ -118,7 +108,7 @@ let rec scratch_walk ds cap node i =
 (* One optimistic fill attempt.  Returns the end slot on success, [-1] on
    validation failure (retryable), [-2] on scratch overflow (the locked
    path must grow first). *)
-let scratch_attempt d tab dir ds ~base =
+let scratch_attempt d tab dir ds =
   let ws = Dcache.write_seq d in
   let si = Locktab.index tab dir.d_id in
   let sq = Locktab.seq tab si in
@@ -130,8 +120,7 @@ let scratch_attempt d tab dir ds ~base =
     if not dir.d_complete then -1
     else begin
       match
-        scratch_walk ds (Proc.scratch_cap ds) (Dlist.peek_front dir.d_children)
-          base
+        scratch_walk ds (Proc.scratch_cap ds) (Dlist.peek_front dir.d_children) 0
       with
       | exception Scratch_overflow -> -2
       | n ->
@@ -150,11 +139,11 @@ let scratch_attempt d tab dir ds ~base =
 
 let scratch_retries = 4
 
-let rec scratch_tries d tab dir ds ~base tries =
+let rec scratch_tries d tab dir ds tries =
   if tries = 0 then -1
   else begin
-    match scratch_attempt d tab dir ds ~base with
-    | -1 -> scratch_tries d tab dir ds ~base (tries - 1)
+    match scratch_attempt d tab dir ds with
+    | -1 -> scratch_tries d tab dir ds (tries - 1)
     | n -> n (* end slot, or -2: retrying an overflow cannot help *)
   end
 
@@ -162,19 +151,19 @@ let rec scratch_tries d tab dir ds ~base tries =
    Under the lock nothing splices the child list, so the walk cannot
    overflow the grown scratch. *)
 
-let scratch_fill_children proc dir ~base =
+let scratch_fill_children proc dir =
   let ds = proc.Proc.dirents in
-  Proc.scratch_grow ds (base + Dlist.length dir.d_children);
-  scratch_walk ds (Proc.scratch_cap ds) (Dlist.peek_front dir.d_children) base
+  Proc.scratch_grow ds (Dlist.length dir.d_children);
+  scratch_walk ds (Proc.scratch_cap ds) (Dlist.peek_front dir.d_children) 0
 
-let scratch_fill_listing proc (listing : Fs.dirent list) ~base =
+let scratch_fill_listing proc (listing : Fs.dirent list) =
   let ds = proc.Proc.dirents in
-  Proc.scratch_grow ds (base + List.length listing);
+  Proc.scratch_grow ds (List.length listing);
   List.fold_left
     (fun i (e : Fs.dirent) ->
       Proc.scratch_set ds i e.Fs.name e.Fs.ino e.Fs.kind;
       i + 1)
-    base listing
+    0 listing
 
 (* Promote a backend listing into the dcache (§5.1): cache unlisted names
    as [Partial] children, and mark the directory DIR_COMPLETE unless a
@@ -242,7 +231,7 @@ let heads_deep_negatives dir =
     (fun c -> dentry_is_negative c && not (Dlist.is_empty c.d_children))
     dir.d_children
 
-let fill_locked proc inode dir ~base =
+let fill_locked proc inode dir =
   let d = dcache proc in
   let completes = (kconfig proc).Config.dir_completeness in
   let section () =
@@ -250,7 +239,7 @@ let fill_locked proc inode dir ~base =
     else if Dcache.is_complete d dir then begin
       Counter.bump (counters proc) Counters.readdir_scratch_fill;
       Counter.bump (counters proc) Counters.readdir_from_cache;
-      Ok (scratch_fill_children proc dir ~base)
+      Ok (scratch_fill_children proc dir)
     end
     else begin
       if completes && heads_deep_negatives dir && not (Rwlock.write_held (Dcache.lock d))
@@ -260,8 +249,8 @@ let fill_locked proc inode dir ~base =
       | Ok listing ->
         let complete = completes && promote_listing_locked proc dir listing in
         Counter.bump (counters proc) Counters.readdir_scratch_fill;
-        if complete then Ok (scratch_fill_children proc dir ~base)
-        else Ok (scratch_fill_listing proc listing ~base)
+        if complete then Ok (scratch_fill_children proc dir)
+        else Ok (scratch_fill_listing proc listing)
     end
   in
   let r =
@@ -272,19 +261,19 @@ let fill_locked proc inode dir ~base =
   r
 
 (** Fill [proc]'s dirent scratch with the listing of the open directory
-    [dir] (inode [inode]) starting at slot [base]; returns the end slot
-    and sets [ds_n] to it.  Entries are readable through
+    [dir] (inode [inode]); returns the entry count and sets [ds_n] to
+    it.  Entries are readable through
     [proc.Proc.dirents] until the next scratch-filling call on the same
     process.  Raises {!Readdir_errno} on backend failure.  The warm path
     (sharded config, completeness on, DIR_COMPLETE directory) is lockless
     and allocation-free. *)
-let fill proc inode dir ~base =
+let fill proc inode dir =
   let d = dcache proc in
   let ds = proc.Proc.dirents in
   let n =
     match Dcache.stripes d with
     | Some tab when (kconfig proc).Config.dir_completeness ->
-      scratch_tries d tab dir ds ~base scratch_retries
+      scratch_tries d tab dir ds scratch_retries
     | _ -> -1
   in
   if n >= 0 then begin
@@ -293,7 +282,7 @@ let fill proc inode dir ~base =
     n
   end
   else begin
-    match fill_locked proc inode dir ~base with
+    match fill_locked proc inode dir with
     | Ok n ->
       ds.Proc.ds_n <- n;
       n

@@ -615,7 +615,7 @@ let readdir_fill proc fdnum =
     with Not_found -> raise (Readdir_errno Errno.EBADF)
   in
   if not (Inode.is_dir fd.Proc.fd_inode) then raise (Readdir_errno Errno.ENOTDIR);
-  Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry ~base:0
+  Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry
 
 (* A stream lists once, on its first call (or first after a rewind), and
    serves every chunk from its own copy of the scratch, at [fd_pos]. *)
@@ -628,7 +628,7 @@ let getdents proc fdnum want =
       match fd.Proc.fd_dir with
       | Some entries -> Ok entries
       | None -> (
-        match Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry ~base:0 with
+        match Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry with
         | exception Readdir_errno e -> Error e
         | n ->
           let entries = Array.init n (scratch_dirent proc.Proc.dirents) in

@@ -65,7 +65,7 @@ val readdir_fill : Proc.t -> int -> int
     directory's stripe and promotes the backend listing so the next call
     is warm (in the Solaris-DNLC comparison mode it serves the kernel's
     side table instead and promotes nothing).  Every listing — {!getdents},
-    {!readdir_path}, [Batch.push_readdir] — goes through this fill.
+    {!readdir_path} — goes through this fill.
     @raise Readdir_errno on failure. *)
 
 val truncate : Proc.t -> string -> int -> unit r
@@ -132,8 +132,7 @@ val getcwd : Proc.t -> string r
 val invalidate_path : Proc.t -> string -> unit r
 (** Evict a path's cached dentry subtree (without touching the file
     system).  This is the client half of a stateful network file system's
-    staleness callback (paper §4.3, §3.7): wire it to
-    {!Dcache_fs.Netfs.callbacks} or a per-client
+    staleness callback (paper §4.3, §3.7): wire it to a per-client
     {!Dcache_fs.Netfs.set_invalidate} hook.  With [dcache_stripes > 0] a
     shallow target is evicted under the parent + target stripe locks
     (counted as [sharded_cb_invalidate]) instead of the global write

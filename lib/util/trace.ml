@@ -22,7 +22,7 @@
 
    Both are program-wide on purpose: a netfs server and its clients'
    kernels share one timeline.  Everything a kernel measures about itself
-   (counters, timers, the per-directory sketch) lives in its dcache.
+   (counters, timers) lives in its dcache.
    [reset ()] between experiments. *)
 
 (* --- event taxonomy --- *)

@@ -1,8 +1,7 @@
 (** Program-wide tracing: the event ring and request-scoped span ids.
 
     Both are compiled in unconditionally and disarmed by default, behind
-    one switch, {!armed}, which also arms each kernel's per-directory
-    sketch ({!Profiler}).  The overhead discipline, proven by
+    one switch, {!armed}.  The overhead discipline, proven by
     [test/t_alloc.ml] and the [trace] and [profile] benchmarks:
 
     - disarmed, every probe-site hook is one load-and-branch and allocates
@@ -15,11 +14,11 @@
     clients' kernels share one timeline: a lease break renders as one flow
     from the mutating client's span to the victim's fallback.  What a
     kernel measures about itself — counters ({!Stats.Counter}), timers
-    ({!Timers}) and the sketch — its dcache owns.  Call {!reset} between
+    ({!Timers}) — its dcache owns.  Call {!reset} between
     experiments. *)
 
 val armed : bool ref
-(** Arms the ring, span minting and every kernel's sketch together. *)
+(** Arms the ring and span minting together. *)
 
 val reset : unit -> unit
 (** Empty the ring and clear the calling domain's current span.  Leaves

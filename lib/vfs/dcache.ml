@@ -8,7 +8,6 @@ module Locktab = Dcache_util.Locktab
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 module Timers = Dcache_util.Timers
 module Fs_intf = Dcache_fs.Fs_intf
 
@@ -66,7 +65,6 @@ type t = {
   hooks : hooks;
   counters : Counter.t;
   timers : Timers.t;
-  hot : Profiler.t;
 }
 
 let create config =
@@ -96,14 +94,12 @@ let create config =
     hooks = { on_shootdown = (fun _ -> ()) };
     counters = Counter.create ();
     timers = Timers.create ();
-    hot = Profiler.create ();
   }
 
 let config t = t.config
 let hooks t = t.hooks
 let counters t = t.counters
 let timers t = t.timers
-let hot t = t.hot
 let lock t = t.lock
 let rename_lock t = t.rename_lock
 let write_seq t = t.write_seq
@@ -164,13 +160,11 @@ let bucket_index t parent_id name = name_hash parent_id name land (Array.length 
 
    The icache table is touched from sharded mutation sections (a created
    file's iget, an unlinked file's iforget) on different stripes at once, so
-   a leaf mutex serializes it.  Module-level because superblocks don't carry
-   one; the critical section is a single table operation. *)
-
-let icache_mu = Mutex.create ()
+   the superblock's leaf mutex serializes it; the critical section is a
+   single table operation. *)
 
 let iget sb (attr : Attr.t) =
-  Mutex.lock icache_mu;
+  Mutex.lock sb.sb_icache_mu;
   let inode =
     match Inttbl.find_opt sb.sb_icache attr.ino with
     | Some inode ->
@@ -183,15 +177,15 @@ let iget sb (attr : Attr.t) =
       Inttbl.add sb.sb_icache attr.ino inode;
       inode
   in
-  Mutex.unlock icache_mu;
+  Mutex.unlock sb.sb_icache_mu;
   inode
 
 (* Forget a dead inode so a recycled inode number cannot resurrect stale
    attributes (the iput-side eviction of Linux's inode cache). *)
 let iforget sb ino =
-  Mutex.lock icache_mu;
+  Mutex.lock sb.sb_icache_mu;
   Inttbl.remove sb.sb_icache ino;
-  Mutex.unlock icache_mu
+  Mutex.unlock sb.sb_icache_mu
 
 let make_superblock t fs =
   match fs.Fs_intf.getattr fs.Fs_intf.root_ino with
@@ -201,6 +195,7 @@ let make_superblock t fs =
       {
         sb_fs = fs;
         sb_icache = Inttbl.create 256;
+        sb_icache_mu = Mutex.create ();
         sb_root = None;
         sb_neg_gen = 0;
       }
@@ -587,10 +582,6 @@ let should_cache_negatives t sb =
 
 let fill t parent name =
   Counter.bump t.counters Counters.dcache_miss;
-  (* §3.8: misses are attributed here, directory-precise and config-
-     agnostic (every kernel flavor funnels cold lookups through fill),
-     rather than in the fastpath fallback, which would double count. *)
-  Profiler.record t.hot parent.d_id parent.d_name Profiler.m_miss;
   let sb = parent.d_sb in
   match dentry_inode parent with
   | None -> Error Errno.ENOENT
@@ -637,7 +628,6 @@ let invalidate_permissions t dir =
             bump_seq t d));
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_chmod !visited;
-    Profiler.record t.hot dir.d_id dir.d_name Profiler.m_inval;
     Counter.add t.counters Counters.invalidate_permission_dentries !visited;
     Counter.add t.counters Counters.invalidated_by_chmod !visited;
     !visited
@@ -659,11 +649,6 @@ let invalidate_structure t dentry =
         shootdown t d);
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_rename !visited;
-    (* Attributed to the containing directory (the shot-down subtree's
-       parent), matching how hits and misses are charged; a rootless
-       dentry charges itself. *)
-    (let dir = match dentry.d_parent with Some p -> p | None -> dentry in
-     Profiler.record t.hot dir.d_id dir.d_name Profiler.m_inval);
     Counter.add t.counters Counters.invalidate_structure_dentries !visited;
     Counter.add t.counters Counters.invalidated_by_rename !visited;
     !visited

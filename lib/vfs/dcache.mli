@@ -31,9 +31,6 @@ val counters : t -> Dcache_util.Stats.Counter.t
 val timers : t -> Dcache_util.Timers.t
 (** This kernel's timer table (Figs. 1 and 3, the outcome histograms). *)
 
-val hot : t -> Dcache_util.Profiler.t
-(** This kernel's per-directory sketch (§3.8). *)
-
 val lock : t -> Dcache_util.Rwlock.t
 val rename_lock : t -> Dcache_util.Seqcount.t
 

@@ -72,6 +72,9 @@ type dentry = {
 and superblock = {
   sb_fs : Dcache_fs.Fs_intf.t;
   sb_icache : Inode.t Dcache_util.Inttbl.t;
+  sb_icache_mu : Mutex.t;
+      (** serializes [sb_icache]: sharded mutation sections on different
+          stripes iget and iforget at once *)
   mutable sb_root : dentry option;
   mutable sb_neg_gen : int;
       (** per-mount negative-dentry generation (one superblock = one mount

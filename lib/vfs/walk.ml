@@ -4,7 +4,6 @@ module Lsm = Dcache_cred.Lsm
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 module Timers = Dcache_util.Timers
 
 type ctx = {
@@ -169,7 +168,6 @@ let step mode t (cur : path_ref) name =
          cached for the absent name. *)
       Counter.bump (Dcache.counters t) Counters.complete_dir_negative;
       Trace.stamp Trace.ev_complete_neg 0;
-      Profiler.record (Dcache.hot t) cur.dentry.d_id cur.dentry.d_name Profiler.m_neg;
       None
     end
     else begin

@@ -272,87 +272,38 @@ let test_warm_hit_armed_ring_zero_alloc () =
       Trace.reset ())
     (fun () ->
       let iters = 10_000 in
-      let words =
-        measure_minor_words iters (fun () -> probe_ok fp ctx "/a/b/c/target")
-      in
-      Alcotest.(check bool) "hits were stamped" true (Trace.recorded () >= iters);
-      Alcotest.(check (float 0.0)) "warm hit with armed ring allocates zero words" 0.0
-        words)
-
-(* --- §3.8 profiler allocation discipline ---
-
-   The profiler hooks ride the same probe sites as the ring stamps and
-   owe the same debt: disarmed, one load-and-branch; armed, int/pointer
-   stores into preallocated arrays.  Span minting is an increment off a
-   per-domain block (the block refill is one Atomic.fetch_and_add, still
-   no allocation), and a sketch update never leaves its parallel int
-   arrays. *)
-
-module Profiler = Dcache_util.Profiler
-
-let test_profiler_hooks_zero_alloc () =
-  let hot = Profiler.create () in
-  Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.armed := false;
-      Trace.reset ())
-    (fun () ->
-      let iters = 10_000 in
-      let hooks () =
-        ignore (Trace.span_enter ());
-        Profiler.record hot 7 "dir" Profiler.m_hit
-      in
-      let words = measure_minor_words iters hooks in
-      Alcotest.(check (float 0.0)) "disarmed hooks allocate zero words" 0.0 words;
-      Alcotest.(check int) "disarmed hooks record nothing" 0
-        (List.length (Profiler.hot hot));
-      Trace.armed := true;
-      let words = measure_minor_words iters hooks in
-      Alcotest.(check bool) "spans were minted" true (Trace.current_span () <> 0);
-      (match Profiler.hot hot with
-      | [ s ] ->
-        Alcotest.(check bool) "sketch counted every armed call" true
-          (s.Profiler.h_metrics.(Profiler.m_hit) >= iters)
-      | slots -> Alcotest.failf "expected one resident slot, got %d" (List.length slots));
-      Alcotest.(check (float 0.0)) "armed hooks allocate zero words" 0.0 words)
-
-let test_warm_hit_armed_profiler_zero_alloc () =
-  (* The acceptance bar for §3.8: a warm fastpath hit with the profiler
-     (and the ring) armed keeps the full zero-words, zero-locks
-     discipline while the sketch attributes every hit to the parent
-     directory. *)
-  let kernel, p = ram_kernel ~config:Config.optimized () in
-  get "tree" (S.mkdir_p p "/a/b/c");
-  get "file" (S.write_file p "/a/b/c/target" "payload");
-  let fp = Kernel.fastpath kernel in
-  let ctx = Proc.walk_ctx p in
-  probe_ok fp ctx "/a/b/c/target";
-  Trace.reset ();
-  Trace.armed := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.armed := false;
-      Trace.reset ())
-    (fun () ->
-      let iters = 10_000 in
       Rwlock.reset_acquisition_counts ();
       let words =
         measure_minor_words iters (fun () -> probe_ok fp ctx "/a/b/c/target")
       in
       let locks = Rwlock.acquisition_counts () in
-      let hits =
-        List.fold_left
-          (fun acc s ->
-            if s.Profiler.h_label = "c" then acc + s.Profiler.h_metrics.(Profiler.m_hit)
-            else acc)
-          0 (Profiler.hot (Kernel.hot kernel))
-      in
-      Alcotest.(check bool) "sketch charged the parent directory" true (hits >= iters);
-      Alcotest.(check (float 0.0)) "warm hit with armed profiler allocates zero words"
-        0.0 words;
-      Alcotest.(check (pair int int))
-        "zero rwlock acquisitions with armed profiler" (0, 0) locks)
+      Alcotest.(check bool) "hits were stamped" true (Trace.recorded () >= iters);
+      Alcotest.(check (float 0.0)) "warm hit with armed ring allocates zero words" 0.0
+        words;
+      Alcotest.(check (pair int int)) "zero rwlock acquisitions with armed ring" (0, 0)
+        locks)
+
+(* --- §3.8 span allocation discipline ---
+
+   Span minting is an increment off a per-domain block (the block refill
+   is one Atomic.fetch_and_add, still no allocation): disarmed it is one
+   load-and-branch, armed it stays off the minor heap. *)
+
+let test_span_minting_zero_alloc () =
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.armed := false;
+      Trace.reset ())
+    (fun () ->
+      let iters = 10_000 in
+      let mint () = ignore (Trace.span_enter ()) in
+      let words = measure_minor_words iters mint in
+      Alcotest.(check (float 0.0)) "disarmed span minting allocates zero words" 0.0 words;
+      Trace.armed := true;
+      let words = measure_minor_words iters mint in
+      Alcotest.(check bool) "spans were minted" true (Trace.current_span () <> 0);
+      Alcotest.(check (float 0.0)) "armed span minting allocates zero words" 0.0 words)
 
 (* --- prefix-resume snapshot discipline (§3.5) --- *)
 
@@ -1028,10 +979,8 @@ let suite =
       test_armed_ring_stamp_zero_alloc;
     Alcotest.test_case "warm hit with armed ring allocates zero minor words" `Quick
       test_warm_hit_armed_ring_zero_alloc;
-    Alcotest.test_case "profiler hooks allocate zero minor words (armed and disarmed)"
-      `Quick test_profiler_hooks_zero_alloc;
-    Alcotest.test_case "warm hit with armed profiler stays zero-alloc, zero-lock" `Quick
-      test_warm_hit_armed_profiler_zero_alloc;
+    Alcotest.test_case "span minting allocates zero minor words (armed and disarmed)"
+      `Quick test_span_minting_zero_alloc;
     Alcotest.test_case "snapshot recording allocates zero minor words" `Quick
       test_snapshot_recording_zero_alloc;
     Alcotest.test_case "prefix-resumed miss reuses snapshot scratch" `Quick

@@ -75,14 +75,21 @@ let test_stateless_sees_external_changes () =
   Alcotest.(check int) "sees the replacement (new size)" 0 fresh.Attr.size
 
 let test_stateful_callback_invalidates () =
-  let _, p, server, backing, _ = make ~protocol:Netfs.Stateful Config.optimized in
+  let clock = Vclock.create () in
+  let backing = Dcache_fs.Ramfs.create () in
+  let server = Netfs.server ~rpc_latency_ns:1000 ~clock backing in
+  let c, fs = Netfs.connect_fs ~protocol:Netfs.Stateful server in
+  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+  let p = Proc.spawn kernel in
   populate p;
   ignore (get "warm" (S.stat p "/export/data/file"));
-  (* Wire the callback channel to the kernel's invalidation.  A directory
-     callback must drop the directory's cached subtree (including its
-     completeness): its contents changed on the server. *)
-  (Netfs.callbacks server).Netfs.on_break <-
-    (fun _ino -> get "cb" (S.invalidate_path p "/export/data"));
+  (* Wire the client's lease-break hook to the kernel's invalidation.  A
+     directory callback must drop the directory's cached subtree
+     (including its completeness): its contents changed on the server. *)
+  let broken = ref [] in
+  Netfs.set_invalidate c (fun ino ->
+      broken := ino :: !broken;
+      get "cb" (S.invalidate_path p "/export/data"));
   (* External replacement + callback. *)
   let dir =
     get "lookup export" (backing.Dcache_fs.Fs_intf.lookup backing.Dcache_fs.Fs_intf.root_ino "export")
@@ -92,6 +99,8 @@ let test_stateful_callback_invalidates () =
   ignore (get "server create"
       (backing.Dcache_fs.Fs_intf.create data.Attr.ino "bigger" File_kind.Regular 0o644 ~uid:0 ~gid:0));
   Netfs.break_callback server data.Attr.ino;
+  Alcotest.(check (list int)) "the hook saw the directory's lease break" [ data.Attr.ino ]
+    !broken;
   (* The stale path is gone; the new name is visible. *)
   expect_err Errno.ENOENT "old invalidated" (S.stat p "/export/data/file");
   ignore (get "new visible" (S.stat p "/export/data/bigger"))
@@ -171,6 +180,49 @@ let test_lease_break_reaches_other_client () =
     (counter kA "sharded_cb_invalidate" > 0);
   Alcotest.(check string) "A sees B's write" "version two"
     (get "read A again" (S.read_file pA "/export/data/file"))
+
+(* The per-client hook is the only invalidation channel, so a break must
+   reach exactly the clients holding a live lease on the inode: not one
+   that never looked the directory up, not one whose lease expired, and
+   nobody twice for one grant. *)
+let test_lease_break_reaches_live_holders () =
+  let clock = Vclock.create () in
+  let backing = Dcache_fs.Ramfs.create () in
+  let server =
+    Netfs.server ~rpc_latency_ns:1000 ~lease_ttl_ns:lease_ttl
+      ~grace_ns:(lease_ttl + lease_skew) ~skew_ns:lease_skew ~clock backing
+  in
+  let mount () =
+    let c, fs = Netfs.connect_fs server in
+    let broken = ref [] in
+    Netfs.set_invalidate c (fun ino -> broken := ino :: !broken);
+    (Proc.spawn (Kernel.create ~config:Config.optimized ~root_fs:fs ()), broken)
+  in
+  let p_live, live = mount () in
+  let p_expired, expired = mount () in
+  let _, idle = mount () in
+  populate p_live;
+  ignore (get "expired warms" (S.stat p_expired "/export/data"));
+  Vclock.charge clock (Int64.of_int (lease_ttl + lease_skew + 1));
+  ignore (get "live re-earns its lease" (S.stat p_live "/export/data"));
+  let dir =
+    get "lookup export" (backing.Dcache_fs.Fs_intf.lookup backing.Dcache_fs.Fs_intf.root_ino "export")
+  in
+  let data = get "lookup data" (backing.Dcache_fs.Fs_intf.lookup dir.Attr.ino "data") in
+  (* Setup already broke leases (populate's mkdir breaks the others' root
+     leases); count deliveries from here. *)
+  List.iter (fun r -> r := []) [ live; expired; idle ];
+  Netfs.break_callback server data.Attr.ino;
+  Alcotest.(check (list int)) "the live holder saw the break" [ data.Attr.ino ] !live;
+  Alcotest.(check (list int)) "the expired holder saw nothing" [] !expired;
+  Alcotest.(check (list int)) "the idle client saw nothing" [] !idle;
+  Netfs.break_callback server data.Attr.ino;
+  Alcotest.(check (list int)) "a broken grant is not broken twice" [ data.Attr.ino ] !live;
+  ignore (get "live re-earns the directory" (S.stat p_live "/export/data"));
+  Netfs.break_callback server data.Attr.ino;
+  Alcotest.(check (list int)) "the re-earned lease breaks again"
+    [ data.Attr.ino; data.Attr.ino ] !live;
+  Alcotest.(check (list int)) "still nothing for the others" [] (!expired @ !idle)
 
 let test_crash_epoch_fencing () =
   let inj = Fault.create ~seed:1 () in
@@ -371,6 +423,8 @@ let suite =
       test_lease_expiry_forces_revalidation;
     Alcotest.test_case "lease break reaches the other client" `Quick
       test_lease_break_reaches_other_client;
+    Alcotest.test_case "lease break reaches only live holders" `Quick
+      test_lease_break_reaches_live_holders;
     Alcotest.test_case "crash recovery fences the old epoch" `Quick test_crash_epoch_fencing;
     Alcotest.test_case "partition degradation ladder" `Quick
       test_partition_degradation_ladder;

@@ -15,7 +15,6 @@ module Netfs = Dcache_fs.Netfs
 module Fault = Dcache_util.Fault
 module Trace = Dcache_util.Trace
 module Timers = Dcache_util.Timers
-module Profiler = Dcache_util.Profiler
 module Vclock = Dcache_util.Vclock
 
 (* --- tiny line-format parsers --- *)
@@ -637,168 +636,11 @@ let test_neglists_surface () =
   Alcotest.(check bool) "unsharded: negative tracked" true
     (assoc_or_fail "neglists" "neg_cached" kv0 >= 1)
 
-(* --- per-directory cache efficacy via /proc/dcache/hot (§3.8) ---
-
-   Drive a directed, fully warmed workload with the profiler armed while
-   the test brute-force counts every hit and negative hit per directory,
-   then read the sketch back and require exact agreement.  Exactness is
-   the §3.8 bound at work: far fewer than K distinct directories are
-   touched, so no slot is ever evicted and every error bound is 0.  The
-   procfs reads themselves record hits too — against /proc directories,
-   whose labels are disjoint from the driven ones, so the assertion set
-   is restricted to the labels the test drove. *)
-
-let test_hot_surface () =
-  Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.armed := false;
-      Trace.reset ())
-    (fun () ->
-      let kernel, p = ram_kernel ~config:Config.optimized () in
-      get "mkdir /proc" (S.mkdir_p p "/proc");
-      get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
-      let ndirs = 4 in
-      let dir i = Printf.sprintf "/hotdir%d" i in
-      let file i j = Printf.sprintf "/hotdir%d/f%d" i j in
-      for i = 0 to ndirs - 1 do
-        get "mkdir" (S.mkdir_p p (dir i));
-        for j = 0 to 2 do
-          get "seed" (S.write_file p (file i j) "x")
-        done
-      done;
-      (* Warm everything — positives and one cached absence per directory —
-         so the armed phase below is all warm verdicts, making the
-         brute-force count exact by construction. *)
-      for i = 0 to ndirs - 1 do
-        for j = 0 to 2 do
-          ignore (get "warm" (S.stat p (file i j)))
-        done;
-        expect_err Errno.ENOENT "warm negative" (S.stat p (dir i ^ "/missing"));
-        expect_err Errno.ENOENT "warm negative" (S.stat p (dir i ^ "/missing"))
-      done;
-      Trace.armed := true;
-      let expected_hit = Array.make ndirs 0 in
-      let expected_neg = Array.make ndirs 0 in
-      for i = 0 to ndirs - 1 do
-        (* Skewed per-directory traffic so the sort order is nontrivial. *)
-        for _ = 1 to 4 + (3 * i) do
-          let j = i mod 3 in
-          ignore (get "hit" (S.stat p (file i j)));
-          expected_hit.(i) <- expected_hit.(i) + 1
-        done;
-        for _ = 1 to 2 + i do
-          expect_err Errno.ENOENT "neg hit" (S.stat p (dir i ^ "/missing"));
-          expected_neg.(i) <- expected_neg.(i) + 1
-        done
-      done;
-      Trace.armed := false;
-      let body = read p "/proc/dcache/hot" in
-      Alcotest.(check int) "no evictions: under K distinct directories" 0
-        (assoc_or_fail "hot" "evictions" (kv_lines body));
-      let slots =
-        List.filter_map
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | "dir" :: _key :: label :: "total" :: t :: "err" :: e :: "hit" :: h
-              :: "miss" :: m :: "neg" :: ng :: "retry" :: _ :: "lease" :: _
-              :: "inval" :: iv :: [] ->
-              Some
-                ( label,
-                  ( int_of_string t,
-                    int_of_string e,
-                    int_of_string h,
-                    int_of_string m,
-                    int_of_string ng,
-                    int_of_string iv ) )
-            | _ -> None)
-          (lines body)
-      in
-      Alcotest.(check bool) "sketch rendered some slots" true (slots <> []);
-      for i = 0 to ndirs - 1 do
-        let label = Printf.sprintf "hotdir%d" i in
-        match List.assoc_opt label slots with
-        | None -> Alcotest.failf "driven directory %s missing from /dcache/hot" label
-        | Some (total, err, hit, miss, neg, inval) ->
-          Alcotest.(check int) (label ^ " exact: err 0") 0 err;
-          Alcotest.(check int) (label ^ " hits") expected_hit.(i) hit;
-          Alcotest.(check int) (label ^ " negative hits") expected_neg.(i) neg;
-          Alcotest.(check int) (label ^ " no misses while warm") 0 miss;
-          Alcotest.(check int) (label ^ " no invalidations") 0 inval;
-          Alcotest.(check int)
-            (label ^ " total = sum of metrics")
-            (expected_hit.(i) + expected_neg.(i))
-            total
-      done;
-      (* Descending order among the driven labels (strictly increasing
-         traffic by construction). *)
-      let driven =
-        List.filter (fun (l, _) -> String.length l >= 6 && String.sub l 0 6 = "hotdir") slots
-      in
-      let totals = List.map (fun (_, (t, _, _, _, _, _)) -> t) driven in
-      let rec descending = function
-        | a :: (b :: _ as rest) -> a >= b && descending rest
-        | _ -> true
-      in
-      Alcotest.(check bool) "slots sorted by total descending" true (descending totals))
-
-(* Dentry ids are numbered per dcache, so the same tree built in two
-   kernels gives its directories equal ids.  Each kernel's sketch holds
-   only its own directory, with its own count. *)
-let test_hot_two_kernels () =
-  Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.armed := false;
-      Trace.reset ())
-    (fun () ->
-      let setup () =
-        let kernel, p = ram_kernel ~config:Config.optimized () in
-        get "mkdir /proc" (S.mkdir_p p "/proc");
-        get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
-        get "mkdir" (S.mkdir_p p "/twindir");
-        get "seed" (S.write_file p "/twindir/f" "x");
-        ignore (get "warm" (S.stat p "/twindir/f"));
-        (kernel, p)
-      in
-      let ka, pa = setup () in
-      let kb, pb = setup () in
-      Trace.armed := true;
-      for _ = 1 to 3 do
-        ignore (get "hit a" (S.stat pa "/twindir/f"))
-      done;
-      for _ = 1 to 5 do
-        ignore (get "hit b" (S.stat pb "/twindir/f"))
-      done;
-      Trace.armed := false;
-      let twins kernel =
-        List.filter (fun s -> s.Profiler.h_label = "twindir") (Profiler.hot (Kernel.hot kernel))
-      in
-      (match (twins ka, twins kb) with
-      | [ x ], [ y ] ->
-        Alcotest.(check int) "the two directories share a dentry id" x.Profiler.h_key
-          y.Profiler.h_key;
-        Alcotest.(check (pair int int)) "each kernel's hits counted apart" (3, 5)
-          (x.Profiler.h_metrics.(Profiler.m_hit), y.Profiler.h_metrics.(Profiler.m_hit))
-      | a, b ->
-        Alcotest.failf "expected one twindir slot per kernel, got %d and %d" (List.length a)
-          (List.length b));
-      let rendered p =
-        List.filter
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | "dir" :: _ :: "twindir" :: _ -> true
-            | _ -> false)
-          (lines (read p "/proc/dcache/hot"))
-      in
-      Alcotest.(check int) "A's /proc/dcache/hot lists its own" 1 (List.length (rendered pa));
-      Alcotest.(check int) "B's /proc/dcache/hot lists its own" 1 (List.length (rendered pb)))
-
 (* A pseudo-file's size is cached at its first lookup, but its rendering
    grows: a later read must still return the whole current rendering.
-   Read /proc/dcache/hot while the sketch is empty, drive a profiled
-   workload, read it again and find every directory's line. *)
-let test_hot_reread_in_full () =
+   Read /proc/dcache/trace while the ring is empty, drive a traced
+   workload, read it again and find every retained event's line. *)
+let test_trace_reread_in_full () =
   Trace.reset ();
   Fun.protect
     ~finally:(fun () ->
@@ -808,11 +650,11 @@ let test_hot_reread_in_full () =
       let kernel, p = ram_kernel ~config:Config.optimized () in
       get "mkdir /proc" (S.mkdir_p p "/proc");
       get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
-      let dir_lines body =
-        List.filter (fun l -> String.length l > 4 && String.sub l 0 4 = "dir ") (lines body)
+      let event_lines body =
+        List.filter (fun l -> l <> "" && l.[0] >= '0' && l.[0] <= '9') (lines body)
       in
-      Alcotest.(check int) "empty sketch: no dir line" 0
-        (List.length (dir_lines (read p "/proc/dcache/hot")));
+      Alcotest.(check int) "empty ring: no event line" 0
+        (List.length (event_lines (read p "/proc/dcache/trace")));
       let ndirs = 6 in
       let file i = Printf.sprintf "/reread%d/f" i in
       for i = 0 to ndirs - 1 do
@@ -827,16 +669,16 @@ let test_hot_reread_in_full () =
         done
       done;
       Trace.armed := false;
-      let body = read p "/proc/dcache/hot" in
-      Alcotest.(check string) "the whole current rendering"
-        (Profiler.to_string (Kernel.hot kernel)) body;
-      Alcotest.(check int) "one dir line per driven directory" ndirs
-        (List.length (dir_lines body)))
+      let body = read p "/proc/dcache/trace" in
+      Alcotest.(check string) "the whole current rendering" (Trace.ring_to_string ()) body;
+      Alcotest.(check int) "one line per retained event"
+        (Int.min (Trace.recorded ()) 64)
+        (List.length (event_lines body)))
 
 (* Two kernels in one program, different workloads: A only hits warm
    files, B only resumes cold misses and answers absent names.  Each
-   kernel's /proc/dcache/histograms, /proc/dcache/hot and summary
-   resume_depth lines must show its own figures and none of the other's. *)
+   kernel's /proc/dcache/histograms and summary resume_depth lines must
+   show its own figures and none of the other's. *)
 let test_two_kernels_read_their_own () =
   Trace.reset ();
   Fun.protect
@@ -894,22 +736,7 @@ let test_two_kernels_read_their_own () =
       Alcotest.(check bool) "A's summary: only its own resumes" true
         (a_summary <= counter ka "fastpath_prefix_resume");
       Alcotest.(check bool) "B's summary: its resumes" true
-        (assoc_or_fail "summary" "resume_depth_n" (summary pb) >= 10);
-      let hot_labels p =
-        List.filter_map
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | "dir" :: _ :: label :: _ -> Some label
-            | _ -> None)
-          (lines (read p "/proc/dcache/hot"))
-      in
-      Alcotest.(check bool) "A's sketch holds /adir" true (List.mem "adir" (hot_labels pa));
-      Alcotest.(check bool) "A's sketch holds none of B's directories" false
-        (List.exists (fun l -> String.length l = 2 && l.[0] = 'b') (hot_labels pa));
-      Alcotest.(check bool) "B's sketch holds its deep directory" true
-        (List.mem "b5" (hot_labels pb));
-      Alcotest.(check bool) "B's sketch does not hold /adir" false
-        (List.mem "adir" (hot_labels pb)))
+        (assoc_or_fail "summary" "resume_depth_n" (summary pb) >= 10))
 
 let test_procfs_without_attachments () =
   (* The optional subsystems default off; the files still exist and say so
@@ -929,6 +756,43 @@ let test_procfs_without_attachments () =
     (hist_line hist "slowpath" <> "");
   Alcotest.(check bool) "trace header renders disarmed" true
     (contains_substring (read p "/proc/dcache/trace") "armed false")
+
+(* The /proc tree is a fixed set of files: listing each directory names
+   exactly these, each file renders something, and a name outside the set
+   (the retired per-directory sketch's hot file among them) is ENOENT. *)
+let test_procfs_file_set () =
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  get "mkdir /proc" (S.mkdir_p p "/proc");
+  get "mount proc" (S.mount_fs p (Kernel_procfs.make kernel) "/proc");
+  let names dir =
+    List.sort String.compare
+      (List.map
+         (fun e -> e.Dcache_fs.Fs_intf.name)
+         (get ("list " ^ dir) (S.readdir_path p dir)))
+  in
+  Alcotest.(check (list string)) "/proc" [ "dcache"; "faults"; "netfs"; "version" ]
+    (names "/proc");
+  let dcache_files =
+    [
+      "batch";
+      "causes";
+      "config";
+      "histograms";
+      "neglists";
+      "stats";
+      "stripes";
+      "summary";
+      "trace";
+    ]
+  in
+  Alcotest.(check (list string)) "/proc/dcache" dcache_files (names "/proc/dcache");
+  Alcotest.(check (list string)) "/proc/netfs" [ "leases"; "rpc" ] (names "/proc/netfs");
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " renders") true (read p path <> ""))
+    ("/proc/version" :: "/proc/faults" :: "/proc/netfs/rpc" :: "/proc/netfs/leases"
+    :: List.map (fun f -> "/proc/dcache/" ^ f) dcache_files);
+  expect_err Errno.ENOENT "no hot file" (S.stat p "/proc/dcache/hot")
 
 let test_procfs_zero_traffic_netfs () =
   (* A server that exists but has served nothing renders all-zero figures —
@@ -1082,18 +946,15 @@ let suite =
       test_chrome_dump_is_valid_json;
     Alcotest.test_case "procfs without faults/netfs attachments" `Quick
       test_procfs_without_attachments;
+    Alcotest.test_case "/proc lists exactly its pseudo-files" `Quick test_procfs_file_set;
     Alcotest.test_case "attached idle netfs renders zero figures" `Quick
       test_procfs_zero_traffic_netfs;
     Alcotest.test_case "stripe lock table via /proc" `Quick test_stripes_surface;
     Alcotest.test_case "per-stripe negative lists via /proc/dcache/neglists" `Quick
       test_neglists_surface;
-    Alcotest.test_case "per-directory sketch via /proc/dcache/hot is exact" `Quick
-      test_hot_surface;
-    Alcotest.test_case "/proc/dcache/hot keeps two kernels' equal ids apart" `Quick
-      test_hot_two_kernels;
-    Alcotest.test_case "/proc/dcache/hot re-read returns the whole rendering" `Quick
-      test_hot_reread_in_full;
-    Alcotest.test_case "two kernels' histograms, hot and resume depths stay apart" `Quick
+    Alcotest.test_case "/proc/dcache/trace re-read returns the whole rendering" `Quick
+      test_trace_reread_in_full;
+    Alcotest.test_case "two kernels' histograms and resume depths stay apart" `Quick
       test_two_kernels_read_their_own;
     Alcotest.test_case "vectored-submission figures via /proc/dcache/batch" `Quick
       test_batch_surface;

@@ -1,12 +1,11 @@
-(* The §3.8 profiler: span-threaded trace ring, chrome dump flow linkage
-   and the space-saving sketch's error bounds.
+(* The §3.8 profiler: span-threaded trace ring and chrome dump flow
+   linkage.
 
    Every test resets Trace on the way out — the ring and the spans are
    program-wide, and the suites share one binary. *)
 
 open Kit
 module Trace = Dcache_util.Trace
-module Profiler = Dcache_util.Profiler
 module Lhist = Dcache_util.Stats.Lhist
 module Netfs = Dcache_fs.Netfs
 module Vclock = Dcache_util.Vclock
@@ -154,78 +153,6 @@ let test_cross_client_flow () =
             && find_sub js (Printf.sprintf "\"cat\":\"span\",\"ph\":\"e\",\"id\":%d," span) 0 >= 0))
         [ breaker; victim ])
 
-(* --- space-saving sketch: the classic bounds hold under eviction --- *)
-
-let test_sketch_error_bounds () =
-  let sk = Profiler.create () in
-  Fun.protect
-    ~finally:(fun () -> Trace.armed := false)
-    (fun () ->
-      Trace.armed := true;
-      let nkeys = Profiler.hh_k * 3 in
-      let truth = Array.make nkeys 0 in
-      let labels = Array.init nkeys (fun i -> Printf.sprintf "d%d" i) in
-      (* Zipf-ish directed stream: low keys hot, high keys a long tail that
-         forces evictions. *)
-      for round = 1 to 40 do
-        for key = 0 to nkeys - 1 do
-          if key < 8 || round mod (1 + (key / 8)) = 0 then begin
-            Profiler.record sk key labels.(key) Profiler.m_hit;
-            truth.(key) <- truth.(key) + 1
-          end
-        done
-      done;
-      Trace.armed := false;
-      let slots = Profiler.hot sk in
-      Alcotest.(check bool) "sketch is full" true (List.length slots = Profiler.hh_k);
-      let min_total =
-        List.fold_left (fun m s -> min m s.Profiler.h_total) max_int slots
-      in
-      List.iter
-        (fun s ->
-          let t = truth.(s.Profiler.h_key) in
-          (* Estimate never undercounts, and overcounts by at most err. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "key %d: true %d <= est %d" s.Profiler.h_key t s.Profiler.h_total)
-            true
-            (t <= s.Profiler.h_total);
-          Alcotest.(check bool)
-            (Printf.sprintf "key %d: est - err <= true" s.Profiler.h_key)
-            true
-            (s.Profiler.h_total - s.Profiler.h_err <= t);
-          Alcotest.(check bool) "err bounded by the minimum total" true
-            (s.Profiler.h_err <= min_total))
-        slots;
-      (* Any key NOT resident has true count <= the minimum resident total. *)
-      let resident = List.map (fun s -> s.Profiler.h_key) slots in
-      Array.iteri
-        (fun key t ->
-          if not (List.mem key resident) then
-            Alcotest.(check bool)
-              (Printf.sprintf "evicted key %d bounded by min slot" key)
-              true (t <= min_total))
-        truth;
-      (* The heaviest keys (hot head, no eviction pressure above them) are
-         all resident: the sketch's top-K promise on this stream. *)
-      for key = 0 to 7 do
-        Alcotest.(check bool)
-          (Printf.sprintf "hot key %d resident" key)
-          true (List.mem key resident)
-      done;
-      (* Exactness below K distinct keys. *)
-      Profiler.reset sk;
-      Trace.armed := true;
-      for key = 0 to Profiler.hh_k - 1 do
-        for _ = 1 to key + 1 do
-          Profiler.record sk key "x" Profiler.m_miss
-        done
-      done;
-      List.iter
-        (fun s ->
-          Alcotest.(check int) "exact while under K" 0 s.Profiler.h_err;
-          Alcotest.(check int) "exact count" (s.Profiler.h_key + 1) s.Profiler.h_total)
-        (Profiler.hot sk))
-
 (* --- span plumbing unit checks --- *)
 
 let test_span_plumbing () =
@@ -256,7 +183,5 @@ let suite =
       `Quick test_ring_wraparound_chrome;
     Alcotest.test_case "cross-client lease break renders as one connected flow" `Quick
       test_cross_client_flow;
-    Alcotest.test_case "space-saving sketch honors its error bounds" `Quick
-      test_sketch_error_bounds;
     Alcotest.test_case "span minting, carry and restore" `Quick test_span_plumbing;
   ]
