@@ -1094,7 +1094,7 @@ let alloc () =
   let sn = Signature.snaps ~slots:64 in
   let buf = Signature.buf () in
   let path = "XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF" in
-  let inplace () =
+  let inplace path () =
     Signature.mstate_reset ms;
     Signature.snaps_reset sn;
     ignore
@@ -1117,7 +1117,9 @@ let alloc () =
       ignore (Signature.finalize key state)
   in
   let t = words_table "hashing" in
-  zero t "in-place hash_path_into_rec (8 comps)" inplace;
+  zero t "in-place hash_path_into_rec (8 comps)" (inplace path);
+  zero t "in-place hash_path_into_rec (webserver)" (inplace "/www/d1024/doc00001.html");
+  zero t "in-place hash_path_into_rec (1 x 200 B)" (inplace ("/" ^ String.make 200 'n'));
   ignore (words_row t "Path.split + feed_string (8 comps)" ~iters listed)
 
 (* ------------------------------------------------------------------ *)

@@ -123,12 +123,6 @@ let may_search ctx d =
    a live-lease warm hit keeps the 0-words/0-locks guarantee.  Local file
    systems carry no [lease_check] and skip all of this on one load. *)
 
-let[@inline] dentry_leased live d =
-  match d.d_state with
-  | Positive inode -> live (Vfs.Inode.ino inode)
-  | Partial { p_ino; _ } -> live p_ino
-  | Negative _ -> false
-
 (* A positive verdict for [final]: its own lease and (when it has a cached
    parent) the containing directory's lease must both be live — the parent
    lease is what makes the name binding trustworthy, AFS-callback style. *)
@@ -137,10 +131,10 @@ let gate_positive t final =
   | None -> ()
   | Some live ->
     if
-      (not (dentry_leased live final))
+      (not (Walk.dentry_leased live final))
       || (match final.d_parent with
          | None -> false (* the fs root: no containing directory to lease *)
-         | Some parent -> not (dentry_leased live parent))
+         | Some parent -> not (Walk.dentry_leased live parent))
     then begin
       Counter.bump t.counters Counters.fastpath_lease_fallback;
       raise Fall_back
@@ -155,7 +149,7 @@ let lease_blocks_negative t d =
   | None -> false
   | Some live ->
     let blocked =
-      match d.d_parent with None -> true | Some parent -> not (dentry_leased live parent)
+      match d.d_parent with None -> true | Some parent -> not (Walk.dentry_leased live parent)
     in
     if blocked then Counter.bump t.counters Counters.fastpath_lease_fallback;
     blocked
@@ -165,7 +159,7 @@ let lease_blocks_dir t dir =
   match dir.d_sb.sb_fs.Dcache_fs.Fs_intf.lease_check with
   | None -> false
   | Some live ->
-    let blocked = not (dentry_leased live dir) in
+    let blocked = not (Walk.dentry_leased live dir) in
     if blocked then Counter.bump t.counters Counters.fastpath_lease_fallback;
     blocked
 
@@ -609,8 +603,10 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
           then begin
             (* A DIR_COMPLETE absence verdict needs the directory's own
                lease live (§3.7); a dead lease only forfeits the fast-fail
-               — the directory still serves as a resume candidate, since
-               the resumed walk revalidates at the server. *)
+               — the directory still serves as a resume candidate: the
+               resumed walk does not revalidate the directory it starts
+               in, but [Walk.step] trusts its completeness only under a
+               live lease and otherwise asks the server for the name. *)
             (if
                Dcache.is_complete t.dcache real
                && (not (lease_blocks_dir t real))
@@ -1100,37 +1096,63 @@ and retry_optimistic t ctx ~start ~flags sc path ~within ~tries =
     probe_optimistic t ctx ~start ~flags sc path ~within ~tries:(tries + 1)
   end
 
+(* Non-empty components from [i] — the scan's own count — for a path no
+   probe on this domain scanned to its end. *)
+let rec count_components path i n =
+  let len = String.length path in
+  let i = Signature.skip_slashes path len i in
+  if i >= len then n else count_components path (Signature.component_end path len i) (n + 1)
+
+(* The count [sc]'s last probe took, when it scanned this very string
+   (physical identity) to its end. *)
+let scanned_components sc path =
+  if sc.snap_path == path && sc.comps >= 0 then sc.comps else count_components path 0 0
+
+(* Table 1's statistics for one lookup of [path] with [comps] components. *)
+let count_path t path comps =
+  Counter.bump t.counters Counters.path_lookup;
+  Counter.add t.counters Counters.path_bytes (String.length path);
+  Counter.add t.counters Counters.path_comps comps
+
 (* [within] runs on the resolved (mount, dentry) while the lookup is still
    protected (validated on a fastpath hit, write side on fallback), so
    callers can pin dentries or check permissions without a race against
    eviction.  This is the allocation-free entry point: a warm DLHT hit
    builds no [path_ref], no closure and no option — the only allocation is
    whatever [within] itself does. *)
-let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
+let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) ~note_path path ~within =
   let start = match start with Some s -> s | None -> ctx.Walk.cwd in
   if not (config t).Config.fastpath then begin
     (* Baseline kernel: component-at-a-time only.  *at()-style lookups
        resolve relative to [start]; the slowpath reads the origin from the
        context's cwd. *)
     let ctx = { ctx with Walk.cwd = start } in
-    match
-      Dcache.with_read t.dcache (fun () ->
-          match (Walk.resolve_in_mode Walk.Rcu t.dcache ctx ~flags path).Walk.outcome with
-          | Ok r -> within r.mnt r.dentry
-          | Error e -> Error e)
-    with
-    | result -> result
-    | exception Walk.Need_refwalk ->
-      Counter.bump t.counters Counters.walk_refwalk_fallback;
-      Counter.bump t.counters Counters.seqcount_retry;
-      Trace.stamp Trace.ev_refwalk 0;
-      Dcache.with_write t.dcache (fun () ->
-          match (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path).Walk.outcome with
-          | Ok r -> within r.mnt r.dentry
-          | Error e -> Error e)
+    let result =
+      match
+        Dcache.with_read t.dcache (fun () ->
+            match (Walk.resolve_in_mode Walk.Rcu t.dcache ctx ~flags path).Walk.outcome with
+            | Ok r -> within r.mnt r.dentry
+            | Error e -> Error e)
+      with
+      | result -> result
+      | exception Walk.Need_refwalk ->
+        Counter.bump t.counters Counters.walk_refwalk_fallback;
+        Counter.bump t.counters Counters.seqcount_retry;
+        Trace.stamp Trace.ev_refwalk 0;
+        Dcache.with_write t.dcache (fun () ->
+            match (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path).Walk.outcome with
+            | Ok r -> within r.mnt r.dentry
+            | Error e -> Error e)
+    in
+    if note_path then count_path t path (count_components path 0 0);
+    result
   end
-  else
-    probe_optimistic t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within ~tries:0
+  else begin
+    let sc = Domain.DLS.get scratch_key in
+    let result = probe_optimistic t ctx ~start ~flags sc path ~within ~tries:0 in
+    if note_path then count_path t path (scanned_components sc path);
+    result
+  end
 
 (* Latency attribution (the timer table's lookups group): every public
    lookup is timed and recorded into the histogram of its outcome class.
@@ -1140,12 +1162,12 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
    a success that bumped the fallback counter went probe-miss-then-slowpath;
    the rest are fastpath hits.  Disarmed, the wrapper is one
    load-and-branch — the warm path stays allocation-free. *)
-let lookup_into t ctx ?start ?flags path ~within =
-  if not t.timers.Timers.lookups then lookup_into_raw t ctx ?start ?flags path ~within
+let lookup_into t ctx ?start ?flags ?(note_path = false) path ~within =
+  if not t.timers.Timers.lookups then lookup_into_raw t ctx ?start ?flags ~note_path path ~within
   else begin
     let fallbacks_before = Counter.get t.counters Counters.fastpath_fallback in
     let t0 = Clock.monotonic_ns () in
-    let result = lookup_into_raw t ctx ?start ?flags path ~within in
+    let result = lookup_into_raw t ctx ?start ?flags ~note_path path ~within in
     let cls =
       match result with
       | Error Errno.EIO -> Timers.eio
@@ -1160,23 +1182,17 @@ let lookup_into t ctx ?start ?flags path ~within =
     result
   end
 
-(* Non-empty components from [i] — the scan's own count — for a path no
-   probe on this domain scanned to its end. *)
-let rec count_components path i n =
-  let len = String.length path in
-  let i = Signature.skip_slashes path len i in
-  if i >= len then n else count_components path (Signature.component_end path len i) (n + 1)
+let path_components path = scanned_components (Domain.DLS.get scratch_key) path
+let note_path t path = count_path t path (path_components path)
 
-let path_components path =
-  let sc = Domain.DLS.get scratch_key in
-  if sc.snap_path == path && sc.comps >= 0 then sc.comps else count_components path 0 0
+let lookup_with t ctx ?start ?flags ?note_path path ~within =
+  lookup_into t ctx ?start ?flags ?note_path path ~within:(fun mnt dentry -> within { mnt; dentry })
 
-let lookup_with t ctx ?start ?flags path ~within =
-  lookup_into t ctx ?start ?flags path ~within:(fun mnt dentry -> within { mnt; dentry })
-
-let lookup t ctx ?start ?flags path =
+let lookup t ctx ?start ?flags ?note_path path =
   let absolute = Path.is_absolute path in
-  match lookup_into t ctx ?start ?flags path ~within:(fun mnt dentry -> Ok { mnt; dentry }) with
+  match
+    lookup_into t ctx ?start ?flags ?note_path path ~within:(fun mnt dentry -> Ok { mnt; dentry })
+  with
   | Ok r -> { Walk.outcome = Ok r; visited = []; absolute }
   | Error e -> { Walk.outcome = Error e; visited = []; absolute }
 
@@ -1238,7 +1254,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
   if not (config t).Config.fastpath then begin
     for i = 0 to n - 1 do
       prepare i;
-      complete i (lookup_into_raw t ctx ~flags:(flags i) (path i) ~within)
+      complete i (lookup_into_raw t ctx ~flags:(flags i) ~note_path:false (path i) ~within)
     done;
     n
   end

@@ -34,10 +34,14 @@ val set_simulate_pcc_miss : t -> bool -> unit
 (** Force every probe to miss in the PCC (and skip PCC repopulation and
     refill): the paper's "fastpath miss + slowpath" worst case (Fig. 6). *)
 
-val lookup : t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> string -> Walk.result_
+val lookup :
+  t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> ?note_path:bool -> string -> Walk.result_
 (** Resolve a path: fastpath probe, then slowpath-with-population fallback.
     [start] overrides the walk origin for relative paths (the *at() family);
-    default is the context's cwd.  The warm probe is {e lockless}: it runs
+    default is the context's cwd.  With [~note_path:true] (default
+    [false]) the lookup also counts Table 1's path statistics
+    ([path_lookup], [path_bytes], [path_comps]) once it returns, taking
+    the component count from its own probe's scan.  The warm probe is {e lockless}: it runs
     without the dcache lock, validated against the dcache-wide write
     sequence and the stripes it read, and is retried a bounded number of
     times when a concurrent write section invalidated it; a probe that
@@ -54,6 +58,7 @@ val lookup_with :
   Walk.ctx ->
   ?start:path_ref ->
   ?flags:Walk.flags ->
+  ?note_path:bool ->
   string ->
   within:(path_ref -> ('a, Dcache_types.Errno.t) result) ->
   ('a, Dcache_types.Errno.t) result
@@ -67,6 +72,7 @@ val lookup_into :
   Walk.ctx ->
   ?start:path_ref ->
   ?flags:Walk.flags ->
+  ?note_path:bool ->
   string ->
   within:(mount -> dentry -> ('a, Dcache_types.Errno.t) result) ->
   ('a, Dcache_types.Errno.t) result
@@ -91,6 +97,11 @@ val path_components : string -> int
     end, the count is the one that scan took, so a warm lookup reads the
     path once.  Otherwise (the baseline, a locked walk, a probe that fell
     back mid-scan) the path is counted here. *)
+
+val note_path : t -> string -> unit
+(** Count Table 1's path statistics for a lookup of [path] made some other
+    way than [~note_path:true] (a locked resolve, a stripe-scope commit),
+    with {!path_components}' count. *)
 
 val probe_batch :
   t ->

@@ -13,19 +13,16 @@ type key = {
   mask_b : int;
   mask_c : int;
   mask_d : int;
-  (* Per-lane per-position key material, grown on demand; entry
-     [lane].(pos) is a pure function of (seed, lane, pos), so growth never
-     changes existing values. *)
-  mutable t0 : int array;
-  mutable t1 : int array;
-  mutable t2 : int array;
-  mutable t3 : int array;
-  (* Finalization (per-length) keys, one per lane, precomputed alongside. *)
-  mutable f0 : int array;
-  mutable f1 : int array;
-  mutable f2 : int array;
-  mutable f3 : int array;
-  mutable capacity : int;
+  (* Per-position key material, lanes interleaved: lane [l] of position
+     [p] is entry [lanes * p + l], so one position's four keys share a
+     cache line and one base register.  [fins] holds the finalization
+     (per-length) keys the same way.  Each entry is a pure function of
+     (seed, lane, pos); growth publishes a fully built bigger array, so a
+     domain still holding the old one reads the same values — which is
+     why readers bound their unchecked loads by the length of the array
+     they hold, never by a separately stored capacity. *)
+  mutable keys : int array;
+  mutable fins : int array;
 }
 
 type state = { pos : int; l0 : int; l1 : int; l2 : int; l3 : int }
@@ -51,22 +48,27 @@ let fmix z =
 let key_material seed lane pos =
   fmix (seed + (lane * 0x224BAED4963EE407) + ((pos + 1) * 0x1E3779B97F4A7C15))
 
-let table key lane =
-  match lane with 0 -> key.t0 | 1 -> key.t1 | 2 -> key.t2 | _ -> key.t3
+(* Keys for positions [0, cap), lanes interleaved; [first_lane] is 0 for
+   the feed keys and [lanes] for the finalization keys. *)
+let build_table seed ~first_lane cap =
+  Array.init (lanes * cap) (fun k -> key_material seed (first_lane + (k mod lanes)) (k / lanes))
 
-let fin_table key lane =
-  match lane with 0 -> key.f0 | 1 -> key.f1 | 2 -> key.f2 | _ -> key.f3
+let rec capacity_for cap pos = if cap > pos then cap else capacity_for (cap * 2) pos
 
-let fill_tables key from_pos =
-  for lane = 0 to lanes - 1 do
-    let t = table key lane in
-    let f = fin_table key lane in
-    for pos = from_pos to key.capacity - 1 do
-      t.(pos) <- key_material key.seed lane pos;
-      (* The finalization term for a string of length [pos]. *)
-      f.(pos) <- key_material key.seed (lane + lanes) pos
-    done
-  done
+let grow key ~first_lane table pos =
+  let bigger = build_table key.seed ~first_lane (capacity_for (Array.length table / lanes) pos) in
+  if first_lane = 0 then key.keys <- bigger else key.fins <- bigger;
+  bigger
+
+(* A feed-key table that covers position [pos]: the one [key] holds, or a
+   bigger one built and published.  The caller reads that array only. *)
+let[@inline] feed_keys key pos =
+  let kt = key.keys in
+  if lanes * pos < Array.length kt then kt else grow key ~first_lane:0 kt pos
+
+let[@inline] fin_keys key pos =
+  let kf = key.fins in
+  if lanes * pos < Array.length kf then kf else grow key ~first_lane:lanes kf pos
 
 (* The signature is laid out as: lane [a] bits 16..62 (47 bits), then lanes
    [b], [c], [d] (63 bits each).  [equal] compares the first [sig_bits] of
@@ -80,95 +82,60 @@ let lane_mask sig_bits ~consumed ~width =
 let create_key ?(sig_bits = max_sig_bits) ~seed () =
   let sig_bits = Int.max 1 (Int.min max_sig_bits sig_bits) in
   let seed = fmix seed in
-  let key =
-    {
-      seed;
-      sig_bits;
-      mask_a = lane_mask sig_bits ~consumed:0 ~width:47 lsl bucket_bits;
-      mask_b = lane_mask sig_bits ~consumed:47 ~width:63;
-      mask_c = lane_mask sig_bits ~consumed:110 ~width:63;
-      mask_d = lane_mask sig_bits ~consumed:173 ~width:63;
-      t0 = Array.make initial_capacity 0;
-      t1 = Array.make initial_capacity 0;
-      t2 = Array.make initial_capacity 0;
-      t3 = Array.make initial_capacity 0;
-      f0 = Array.make initial_capacity 0;
-      f1 = Array.make initial_capacity 0;
-      f2 = Array.make initial_capacity 0;
-      f3 = Array.make initial_capacity 0;
-      capacity = initial_capacity;
-    }
-  in
-  fill_tables key 0;
-  key
+  {
+    seed;
+    sig_bits;
+    mask_a = lane_mask sig_bits ~consumed:0 ~width:47 lsl bucket_bits;
+    mask_b = lane_mask sig_bits ~consumed:47 ~width:63;
+    mask_c = lane_mask sig_bits ~consumed:110 ~width:63;
+    mask_d = lane_mask sig_bits ~consumed:173 ~width:63;
+    keys = build_table seed ~first_lane:0 initial_capacity;
+    fins = build_table seed ~first_lane:lanes initial_capacity;
+  }
 
 let sig_bits key = key.sig_bits
-
-let grow key needed =
-  let capacity = ref key.capacity in
-  while !capacity <= needed do
-    capacity := !capacity * 2
-  done;
-  let extend t =
-    let bigger = Array.make !capacity 0 in
-    Array.blit t 0 bigger 0 key.capacity;
-    bigger
-  in
-  key.t0 <- extend key.t0;
-  key.t1 <- extend key.t1;
-  key.t2 <- extend key.t2;
-  key.t3 <- extend key.t3;
-  key.f0 <- extend key.f0;
-  key.f1 <- extend key.f1;
-  key.f2 <- extend key.f2;
-  key.f3 <- extend key.f3;
-  let old = key.capacity in
-  key.capacity <- !capacity;
-  fill_tables key old
-
 let empty_state = { pos = 0; l0 = 0; l1 = 0; l2 = 0; l3 = 0 }
 
 let feed_string key state s =
   let len = String.length s in
   if len = 0 then state
   else begin
-    if state.pos + len > key.capacity then grow key (state.pos + len);
-    let t0 = key.t0 and t1 = key.t1 and t2 = key.t2 and t3 = key.t3 in
-    let l0 = ref state.l0 and l1 = ref state.l1 and l2 = ref state.l2 and l3 = ref state.l3 in
     let base = state.pos in
+    let kt = feed_keys key (base + len - 1) in
+    let l0 = ref state.l0 and l1 = ref state.l1 and l2 = ref state.l2 and l3 = ref state.l3 in
     for i = 0 to len - 1 do
       let byte = Char.code (String.unsafe_get s i) + 1 in
-      let pos = base + i in
-      l0 := !l0 + (Array.unsafe_get t0 pos * byte);
-      l1 := !l1 + (Array.unsafe_get t1 pos * byte);
-      l2 := !l2 + (Array.unsafe_get t2 pos * byte);
-      l3 := !l3 + (Array.unsafe_get t3 pos * byte)
+      let k = lanes * (base + i) in
+      l0 := !l0 + (Array.unsafe_get kt k * byte);
+      l1 := !l1 + (Array.unsafe_get kt (k + 1) * byte);
+      l2 := !l2 + (Array.unsafe_get kt (k + 2) * byte);
+      l3 := !l3 + (Array.unsafe_get kt (k + 3) * byte)
     done;
     { pos = base + len; l0 = !l0; l1 = !l1; l2 = !l2; l3 = !l3 }
   end
 
 let feed_char key state ch =
-  if state.pos >= key.capacity then grow key state.pos;
-  let byte = Char.code ch + 1 in
   let pos = state.pos in
+  let kt = feed_keys key pos in
+  let byte = Char.code ch + 1 and k = lanes * pos in
   {
     pos = pos + 1;
-    l0 = state.l0 + (key.t0.(pos) * byte);
-    l1 = state.l1 + (key.t1.(pos) * byte);
-    l2 = state.l2 + (key.t2.(pos) * byte);
-    l3 = state.l3 + (key.t3.(pos) * byte);
+    l0 = state.l0 + (Array.unsafe_get kt k * byte);
+    l1 = state.l1 + (Array.unsafe_get kt (k + 1) * byte);
+    l2 = state.l2 + (Array.unsafe_get kt (k + 2) * byte);
+    l3 = state.l3 + (Array.unsafe_get kt (k + 3) * byte);
   }
 
 let finalize key state =
   (* The per-length key term guarantees avalanche in the bucket bits even
      for empty or one-byte paths. *)
-  if state.pos >= key.capacity then grow key state.pos;
   let pos = state.pos in
+  let kf = fin_keys key pos and k = lanes * pos in
   {
-    a = fmix (state.l0 + Array.unsafe_get key.f0 pos);
-    b = fmix (state.l1 + Array.unsafe_get key.f1 pos);
-    c = fmix (state.l2 + Array.unsafe_get key.f2 pos);
-    d = fmix (state.l3 + Array.unsafe_get key.f3 pos);
+    a = fmix (state.l0 + Array.unsafe_get kf k);
+    b = fmix (state.l1 + Array.unsafe_get kf (k + 1));
+    c = fmix (state.l2 + Array.unsafe_get kf (k + 2));
+    d = fmix (state.l3 + Array.unsafe_get kf (k + 3));
   }
 
 let hash_string key s = finalize key (feed_string key empty_state s)
@@ -214,37 +181,6 @@ let mstate_resume ms (s : state) =
   ms.m1 <- s.l1;
   ms.m2 <- s.l2;
   ms.m3 <- s.l3
-
-
-let[@inline] feed_char_into key ms ch =
-  if ms.mpos >= key.capacity then grow key ms.mpos;
-  let byte = Char.code ch + 1 in
-  let pos = ms.mpos in
-  ms.m0 <- ms.m0 + (Array.unsafe_get key.t0 pos * byte);
-  ms.m1 <- ms.m1 + (Array.unsafe_get key.t1 pos * byte);
-  ms.m2 <- ms.m2 + (Array.unsafe_get key.t2 pos * byte);
-  ms.m3 <- ms.m3 + (Array.unsafe_get key.t3 pos * byte);
-  ms.mpos <- pos + 1
-
-(* Lane sums accumulate through the mutable fields.  A local [ref] that does
-   not escape the loop would do as well: the compiler turns it into a
-   mutable variable even without flambda (0 words/op measured), so the
-   choice is not an allocation one.  Components are short (≤ 255 bytes),
-   so the field traffic is noise. *)
-let feed_bytes_into key ms s ~pos ~len =
-  if len > 0 then begin
-    if ms.mpos + len > key.capacity then grow key (ms.mpos + len);
-    let base = ms.mpos in
-    for i = 0 to len - 1 do
-      let byte = Char.code (String.unsafe_get s (pos + i)) + 1 in
-      let p = base + i in
-      ms.m0 <- ms.m0 + (Array.unsafe_get key.t0 p * byte);
-      ms.m1 <- ms.m1 + (Array.unsafe_get key.t1 p * byte);
-      ms.m2 <- ms.m2 + (Array.unsafe_get key.t2 p * byte);
-      ms.m3 <- ms.m3 + (Array.unsafe_get key.t3 p * byte)
-    done;
-    ms.mpos <- base + len
-  end
 
 (* [hash_path_into_rec], the in-place scanner over a raw path string,
    feeds ['/' ^ name] for every real component, skipping empty ones
@@ -328,24 +264,71 @@ let[@inline] record_snap sn ms cursor =
     sn.snap_n <- sn.snap_n + 1
   end
 
+(* The fused byte loop: feed the component's bytes from [j] up to the
+   next ['/'] or the end, with the four lane sums and the key index [k] held
+   in arguments (registers: ten fit on amd64), so each byte is read once
+   and costs four loads from [kt] and four multiply-adds — no field traffic.
+   The lanes go back to [ms] once, at the component's end, which is the
+   return value.  [kt] must cover every position the loop can reach. *)
+let rec feed_name kt s len j k l0 l1 l2 l3 ms =
+  let ch = if j < len then String.unsafe_get s j else '/' in
+  if ch <> '/' then begin
+    let byte = Char.code ch + 1 in
+    feed_name kt s len (j + 1) (k + lanes)
+      (l0 + (Array.unsafe_get kt k * byte))
+      (l1 + (Array.unsafe_get kt (k + 1) * byte))
+      (l2 + (Array.unsafe_get kt (k + 2) * byte))
+      (l3 + (Array.unsafe_get kt (k + 3) * byte))
+      ms
+  end
+  else begin
+    ms.mpos <- k / lanes;
+    ms.m0 <- l0;
+    ms.m1 <- l1;
+    ms.m2 <- l2;
+    ms.m3 <- l3;
+    j
+  end
+
+let slash_byte = Char.code '/' + 1
+
 (* The scanner described above: a boundary snapshot after every fed
-   component, and a count of every non-empty component it passes. *)
+   component, and a count of every non-empty component it passes.  A
+   component is scanned once, by the loop that feeds it; ["."] and [".."]
+   are told apart on their first bytes before any feeding. *)
 let rec hash_path_into_rec key ms sn ~max_name s ~pos =
   let len = String.length s in
   let i = skip_slashes s len pos in
   if i >= len then scan_done
   else begin
-    let j = component_end s len i in
-    let clen = j - i in
     sn.snap_comps <- sn.snap_comps + 1;
-    if clen = 1 && String.unsafe_get s i = '.' then hash_path_into_rec key ms sn ~max_name s ~pos:j
-    else if clen = 2 && String.unsafe_get s i = '.' && String.unsafe_get s (i + 1) = '.' then j
-    else if clen > max_name then scan_toolong
+    let dot = String.unsafe_get s i = '.' in
+    if dot && (i + 1 = len || String.unsafe_get s (i + 1) = '/') then
+      hash_path_into_rec key ms sn ~max_name s ~pos:(i + 1)
+    else if
+      dot
+      && String.unsafe_get s (i + 1) = '.'
+      && (i + 2 = len || String.unsafe_get s (i + 2) = '/')
+    then i + 2
     else begin
-      feed_char_into key ms '/';
-      feed_bytes_into key ms s ~pos:i ~len:clen;
-      record_snap sn ms j;
-      hash_path_into_rec key ms sn ~max_name s ~pos:j
+      (* The ['/'] term sits at position [p]; the name, at most the rest of
+         the path, ends by position [p + len - i]. *)
+      let p = ms.mpos in
+      let kt = feed_keys key (p + len - i) in
+      let k = lanes * p in
+      let j =
+        feed_name kt s len i (k + lanes)
+          (ms.m0 + (Array.unsafe_get kt k * slash_byte))
+          (ms.m1 + (Array.unsafe_get kt (k + 1) * slash_byte))
+          (ms.m2 + (Array.unsafe_get kt (k + 2) * slash_byte))
+          (ms.m3 + (Array.unsafe_get kt (k + 3) * slash_byte))
+          ms
+      in
+      if j - i > max_name then scan_toolong
+      else begin
+        record_snap sn ms j;
+        hash_path_into_rec key ms sn ~max_name s ~pos:j
+      end
     end
   end
 
@@ -373,12 +356,12 @@ type buf = { mutable ba : int; mutable bb : int; mutable bc : int; mutable bd : 
 let buf () = { ba = 0; bb = 0; bc = 0; bd = 0 }
 
 let finalize_into key ms b =
-  if ms.mpos >= key.capacity then grow key ms.mpos;
   let pos = ms.mpos in
-  b.ba <- fmix (ms.m0 + Array.unsafe_get key.f0 pos);
-  b.bb <- fmix (ms.m1 + Array.unsafe_get key.f1 pos);
-  b.bc <- fmix (ms.m2 + Array.unsafe_get key.f2 pos);
-  b.bd <- fmix (ms.m3 + Array.unsafe_get key.f3 pos)
+  let kf = fin_keys key pos and k = lanes * pos in
+  b.ba <- fmix (ms.m0 + Array.unsafe_get kf k);
+  b.bb <- fmix (ms.m1 + Array.unsafe_get kf (k + 1));
+  b.bc <- fmix (ms.m2 + Array.unsafe_get kf (k + 2));
+  b.bd <- fmix (ms.m3 + Array.unsafe_get kf (k + 3))
 
 (* Finalize the recorded boundary state in slot [i] into [b] — the
    non-allocating counterpart of [finalize] for snapshot lanes, used by the
@@ -387,11 +370,11 @@ let finalize_snap_into key sn i b =
   let base = i * snap_words in
   let st = sn.snap_states in
   let pos = st.(base) in
-  if pos >= key.capacity then grow key pos;
-  b.ba <- fmix (st.(base + 1) + Array.unsafe_get key.f0 pos);
-  b.bb <- fmix (st.(base + 2) + Array.unsafe_get key.f1 pos);
-  b.bc <- fmix (st.(base + 3) + Array.unsafe_get key.f2 pos);
-  b.bd <- fmix (st.(base + 4) + Array.unsafe_get key.f3 pos)
+  let kf = fin_keys key pos and k = lanes * pos in
+  b.ba <- fmix (st.(base + 1) + Array.unsafe_get kf k);
+  b.bb <- fmix (st.(base + 2) + Array.unsafe_get kf (k + 1));
+  b.bc <- fmix (st.(base + 3) + Array.unsafe_get kf (k + 2));
+  b.bd <- fmix (st.(base + 4) + Array.unsafe_get kf (k + 3))
 
 let buf_bucket b = b.ba land bucket_index_mask
 let equal_buf key b y = equal_lanes key b.ba b.bb b.bc b.bd y

@@ -84,8 +84,6 @@ val mstate_reset : mstate -> unit
 val mstate_resume : mstate -> state -> unit
 (** Load a cached pure state (e.g. a cwd dentry's resume point). *)
 
-val feed_bytes_into : key -> mstate -> string -> pos:int -> len:int -> unit
-
 val scan_done : int
 val scan_toolong : int
 

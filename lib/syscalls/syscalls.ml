@@ -36,13 +36,10 @@ let sys proc id =
   let span = Trace.span_enter () in
   if span <> 0 then Trace.stamp_span span Trace.ev_syscall 0
 
-(* Per-lookup path statistics (reported in the paper's Table 1), counted
-   after the lookup so a probe's scan supplies the component count. *)
-let note_lookup proc path =
-  let c = counters proc in
-  Counter.bump c Counters.path_lookup;
-  Counter.add c Counters.path_bytes (String.length path);
-  Counter.add c Counters.path_comps (Fastpath.path_components path)
+(* Per-lookup path statistics (reported in the paper's Table 1) for a
+   lookup that did not go through [Fastpath.lookup_into ~note_path:true],
+   which counts its own. *)
+let note_lookup proc path = Fastpath.note_path (Kernel.fastpath proc.Proc.kernel) path
 
 let permission proc inode mask =
   if Lsm.permission (Kernel.registry proc.Proc.kernel) proc.Proc.cred (Inode.attr inode) mask
@@ -66,16 +63,14 @@ let lookup_flags ?(follow = true) ?(must_dir = false) () =
 let resolve ?start ?flags proc path =
   let flags = match flags with Some f -> f | None -> lookup_flags () in
   let ctx = Proc.walk_ctx proc in
-  let r = Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path in
-  note_lookup proc path;
-  r.Walk.outcome
+  (Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags ~note_path:true path)
+    .Walk.outcome
 
 let resolve_with ?start ?flags proc path ~within =
   let flags = match flags with Some f -> f | None -> lookup_flags () in
   let ctx = Proc.walk_ctx proc in
-  let r = Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path ~within in
-  note_lookup proc path;
-  r
+  Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags ~note_path:true path
+    ~within
 
 (* What a namespace mutation works on, whichever lock scope resolved it:
    the containing directory, the final name, and the dcache's child for
@@ -183,12 +178,8 @@ let stat_attr _mnt d =
 let positive_within _mnt d = positive_inode d
 
 let lookup_into ?start proc path flags ~within =
-  let r =
-    Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
-      path ~within
-  in
-  note_lookup proc path;
-  r
+  Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start ?flags
+    ~note_path:true path ~within
 
 let stat_as proc path flags id =
   let t0 = sys_clock proc in

@@ -136,6 +136,27 @@ let revalidate_hit mode t child =
         Dcache.unhash t child;
         false))
 
+let[@inline] dentry_leased live d =
+  match d.d_state with
+  | Positive inode -> live (Inode.ino inode)
+  | Partial { p_ino; _ } -> live p_ino
+  | Negative _ -> false
+
+(* On a leased file system a directory's completeness is only as fresh as
+   its lease (§3.7): a walk may have entered the directory without
+   revalidating it (a prefix resume starts there).  With the lease dead,
+   an Rcu walk hands over to Ref, which drops the claim and asks the fs. *)
+let complete_is_live mode dir =
+  match dir.d_sb.sb_fs.Dcache_fs.Fs_intf.lease_check with
+  | None -> true
+  | Some live ->
+    if dentry_leased live dir then true
+    else if mode = Rcu then raise Need_refwalk
+    else begin
+      Dcache.clear_complete dir;
+      false
+    end
+
 (* The dcache probe + miss fill for one component. *)
 let step mode t (cur : path_ref) name =
   let tm = Dcache.timers t in
@@ -162,7 +183,7 @@ let step mode t (cur : path_ref) name =
     Some child
   | Some _ (* stale and dropped: fall through to a fresh fill *)
   | None ->
-    if Dcache.is_complete t cur.dentry then begin
+    if Dcache.is_complete t cur.dentry && complete_is_live mode cur.dentry then begin
       (* A complete directory answers misses definitively without consulting
          the file system (§5.1), and is its own negative cache: nothing is
          cached for the absent name. *)

@@ -90,5 +90,9 @@ val resolve_parent :
     yield [EINVAL].  The child, if present, is returned as-is: no symlink
     following, no mount crossing. *)
 
+val dentry_leased : (int -> bool) -> dentry -> bool
+(** [dentry_leased live d]: whether the leasing fs's [live] check holds
+    for [d]'s inode; a negative dentry holds no lease. *)
+
 val check_exec : ctx -> Inode.t -> bool
 (** Search-permission check on a directory inode via DAC + LSM stack. *)

@@ -598,6 +598,104 @@ let test_inplace_hasher_toolong () =
   | Error e -> Alcotest.failf "split: unexpected %s" (Errno.to_string e)
   | Ok _ -> Alcotest.fail "split accepted an over-long component")
 
+(* The scanner against the reference on generated paths: random bytes
+   (['/'] and ['.'] among them), ["."], [".."], ["..."], empty components
+   (doubled, leading and trailing slashes), names of 100-255 bytes that
+   push a fresh key past its 512 initial positions mid-scan, and 256-byte
+   names it must reject.  Driven like a caller that ignores [".."]: resume
+   at the returned cursor and keep the state, so every snapshot is the
+   reference hash of the path prefix its cursor ends. *)
+let gen_scan_path =
+  let open QCheck.Gen in
+  let byte = map Char.chr (int_range 1 255) in
+  let letter = map Char.chr (int_range 97 122) in
+  let comp =
+    frequency
+      [
+        (8, string_size ~gen:byte (int_range 1 12));
+        (2, return ".");
+        (2, return "..");
+        (2, return "");
+        (1, oneofl [ "..."; ".a"; "a." ]);
+        (3, map2 String.make (int_range 100 255) letter);
+        (1, map2 String.make (return 256) letter);
+      ]
+  in
+  map3
+    (fun lead comps trail ->
+      let path = (if lead then "/" else "") ^ String.concat "/" comps ^ if trail then "/" else "" in
+      if String.length path > Path.max_path then String.sub path 0 Path.max_path else path)
+    bool (list_size (int_range 1 24) comp) bool
+
+let reference_comps path =
+  if path = "" then []
+  else
+  match Path.split path with
+  | Ok comps -> comps
+  | Error e -> QCheck.Test.fail_reportf "split of a prefix failed: %s" (Errno.to_string e)
+
+let fused_scanner_property =
+  QCheck.Test.make ~name:"fused scanner == Path.split + feed_char + feed_string" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_scan_path)
+    (fun path ->
+      let key = Signature.create_key ~seed:17 () in
+      let ms = Signature.mstate () and b = Signature.buf () in
+      let sn = Signature.snaps ~slots:((Path.max_path / 2) + 2) in
+      let len = String.length path in
+      let rec drive pos dotdots =
+        let rc = Signature.hash_path_into_rec key ms sn ~max_name:Path.max_name path ~pos in
+        if rc >= 0 then drive rc (rc :: dotdots) else (rc, List.rev dotdots)
+      in
+      let rc, dotdots = drive 0 [] in
+      (* The non-empty components up to the first over-long one, which
+         ends the scan. *)
+      let rec scanned acc = function
+        | [] -> List.rev acc
+        | c :: rest ->
+          if String.length c > Path.max_name then List.rev (c :: acc) else scanned (c :: acc) rest
+      in
+      let parts = scanned [] (List.filter (fun c -> c <> "") (String.split_on_char '/' path)) in
+      let toolong = List.exists (fun c -> String.length c > Path.max_name) parts in
+      let ends_at c name =
+        c >= String.length name
+        && String.sub path (c - String.length name) (String.length name) = name
+        && (c = len || path.[c] = '/')
+        && (c = String.length name || path.[c - String.length name - 1] = '/')
+      in
+      if rc <> if toolong then Signature.scan_toolong else Signature.scan_done then
+        QCheck.Test.fail_reportf "scan returned %d" rc;
+      if Signature.snaps_components sn <> List.length parts then
+        QCheck.Test.fail_reportf "%d components counted, %d expected"
+          (Signature.snaps_components sn) (List.length parts);
+      if
+        List.length dotdots <> List.length (List.filter (fun c -> c = "..") parts)
+        || not (List.for_all (fun c -> ends_at c "..") dotdots)
+      then QCheck.Test.fail_reportf "dot-dot cursors %s" (String.concat "," (List.map string_of_int dotdots));
+      let names = List.filter (fun c -> c <> "." && c <> ".." && String.length c <= Path.max_name) parts in
+      if Signature.snaps_count sn <> List.length names then
+        QCheck.Test.fail_reportf "%d snapshots, %d names" (Signature.snaps_count sn) (List.length names);
+      List.iteri
+        (fun i name ->
+          let c = Signature.snaps_cursor sn i in
+          if not (ends_at c name) then QCheck.Test.fail_reportf "snapshot %d cursor %d" i c;
+          Signature.finalize_snap_into key sn i b;
+          let expect = reference_signature key (reference_comps (String.sub path 0 c)) in
+          if Signature.compare_full expect (Signature.of_buf b) <> 0 then
+            QCheck.Test.fail_reportf "snapshot %d differs from the reference" i)
+        names;
+      (if toolong then begin
+         match Path.split path with
+         | Error Errno.ENAMETOOLONG -> ()
+         | _ -> QCheck.Test.fail_reportf "split accepted an over-long component"
+       end
+       else begin
+         Signature.finalize_into key ms b;
+         let expect = reference_signature key (reference_comps path) in
+         if Signature.compare_full expect (Signature.of_buf b) <> 0 then
+           QCheck.Test.fail_reportf "full-path hash differs from the reference"
+       end);
+      true)
+
 (* --- intrusive DLHT churn --- *)
 
 let dlht_of kernel (p : Proc.t) =
@@ -1000,6 +1098,7 @@ let suite =
     Alcotest.test_case "in-place hasher dot-dot cursor protocol" `Quick
       test_inplace_hasher_dotdot_cursor;
     Alcotest.test_case "in-place hasher grows key material" `Quick test_inplace_hasher_grow;
+    QCheck_alcotest.to_alcotest fused_scanner_property;
     Alcotest.test_case "in-place hasher rejects over-long components" `Quick
       test_inplace_hasher_toolong;
     Alcotest.test_case "DLHT churn keeps chains exact" `Quick test_dlht_churn;

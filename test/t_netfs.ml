@@ -224,6 +224,36 @@ let test_lease_break_reaches_live_holders () =
     [ data.Attr.ino; data.Attr.ino ] !live;
   Alcotest.(check (list int)) "still nothing for the others" [] (!expired @ !idle)
 
+(* A directory's DIR_COMPLETE bit is only as fresh as its lease.  Here
+   nothing invalidates the client's cache (no hook; the break never
+   reaches an expired holder anyway), so the dead lease is all that says
+   the listing may be stale.  A miss that resumes inside the directory
+   must ask the server, not answer the new name ENOENT from the bit. *)
+let test_dead_lease_complete_dir_asks_server () =
+  let clock = Vclock.create () in
+  let backing = Dcache_fs.Ramfs.create () in
+  let server =
+    Netfs.server ~rpc_latency_ns:1000 ~lease_ttl_ns:lease_ttl
+      ~grace_ns:(lease_ttl + lease_skew) ~skew_ns:lease_skew ~clock backing
+  in
+  let mount () =
+    let _, fs = Netfs.connect_fs server in
+    let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+    (kernel, Proc.spawn kernel)
+  in
+  let kernel, p = mount () in
+  let _, writer = mount () in
+  populate p;
+  ignore (get "warm" (S.stat p "/export/data/file"));
+  expect_err Errno.ENOENT "absent before the server has it" (S.stat p "/export/data/fresh");
+  Vclock.charge clock (Int64.of_int (lease_ttl + lease_skew + 1));
+  get "the other client creates" (S.write_file writer "/export/data/fresh" "new");
+  Kernel.reset_stats kernel;
+  ignore (get "the server's name is visible" (S.stat p "/export/data/fresh"));
+  Alcotest.(check bool) "the miss resumed inside the directory" true
+    (counter kernel "fastpath_prefix_resume" > 0);
+  ignore (get "and stays visible" (S.stat p "/export/data/fresh"))
+
 let test_crash_epoch_fencing () =
   let inj = Fault.create ~seed:1 () in
   let _, p, server, c, clock = make_leased ~faults:inj () in
@@ -425,6 +455,8 @@ let suite =
       test_lease_break_reaches_other_client;
     Alcotest.test_case "lease break reaches only live holders" `Quick
       test_lease_break_reaches_live_holders;
+    Alcotest.test_case "dead lease: a complete directory asks the server" `Quick
+      test_dead_lease_complete_dir_asks_server;
     Alcotest.test_case "crash recovery fences the old epoch" `Quick test_crash_epoch_fencing;
     Alcotest.test_case "partition degradation ladder" `Quick
       test_partition_degradation_ladder;

@@ -141,7 +141,7 @@ let masked_compare_property =
       List.iter (fun p -> ly.(p / 63) <- ly.(p / 63) lxor (1 lsl (p mod 63))) flips;
       let y = Signature.of_lanes ~a:ly.(0) ~b:ly.(1) ~c:ly.(2) ~d:ly.(3) in
       let ms = Signature.mstate () and b = Signature.buf () in
-      Signature.feed_bytes_into keys.(1) ms s ~pos:0 ~len:(String.length s);
+      Signature.mstate_resume ms (Signature.feed_string keys.(1) Signature.empty_state s);
       Signature.finalize_into keys.(1) ms b;
       let ok = ref true in
       for bits = 1 to Signature.max_sig_bits do
