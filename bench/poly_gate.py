@@ -41,6 +41,7 @@ MODULES = [
     ("core", "fastpath"),
     ("vfs", "dcache"),
     ("vfs", "walk"),
+    ("vfs", "path"),
     ("vfs", "mount"),
     ("syscalls", "proc"),
     ("syscalls", "syscalls"),

@@ -455,28 +455,17 @@ let at_ns_root ctx =
   ctx.Walk.root.mnt.mnt_mountpoint = None
   && ctx.Walk.root.dentry == ctx.Walk.root.mnt.mnt_root
 
-let rec fast_dotdot ctx (cur : path_ref) =
-  if cur.dentry == ctx.Walk.root.dentry && cur.mnt == ctx.Walk.root.mnt then cur
-  else begin
-    match Vfs.Mount.follow_up cur with
-    | Some up -> fast_dotdot ctx up
-    | None -> (
-      match cur.dentry.d_parent with
-      | Some parent -> { cur with dentry = parent }
-      | None -> cur)
-  end
-
 (* --- in-place probe (allocation-free warm path) ---
 
    The probe scans the raw path string component by component, feeding
    bytes straight into a preallocated per-domain hash state — no
-   [Path.split] list, no intermediate state records, no closures.  A warm
+   component list, no intermediate state records, no closures.  A warm
    DLHT hit on a plain path performs zero minor-heap allocation (asserted
    by test and measured by the [alloc] benchmark). *)
 
 (* A component longer than [Path.max_name], found by the scan itself:
    ENAMETOOLONG, whatever the rest of the path would have answered — the
-   walk's [Path.split] checks every component before it looks any up. *)
+   walk's [Path.check] checks every component before it looks any up. *)
 exception Name_too_long
 
 (* Dot-dot sub-probe against the running in-place state (Linux semantics,
@@ -512,34 +501,20 @@ let probe_prefix_buf t ctx dlht pcc sc ~vsnap =
    verdict. *)
 exception Neg_fail
 
-(* First real component of [path] at or after [pos], skipping slashes and
-   ["."], as a packed [(start lsl 13) lor end] span ([max_path] = 4096 fits
-   in 13 bits) — no [String.sub], no option: the fast-fail scan addresses
-   the name in place.  [-1] at end of string or on a [".."] — those the
-   walk must handle itself. *)
+(* First real component of [path] at or after [pos], skipping ["."], as a
+   {!Path} span — the fast-fail scan addresses the name in place.  [-1] at
+   end of string or on a [".."]: those the walk must handle itself. *)
 let rec next_component_span path pos =
-  let len = String.length path in
-  let i = Signature.skip_slashes path len pos in
-  if i >= len then -1
-  else begin
-    let j = Signature.component_end path len i in
-    if j - i = 1 && String.unsafe_get path i = '.' then next_component_span path j
-    else if j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.'
-    then -1
-    else (i lsl 13) lor j
-  end
+  let sp = Path.next ~lexical:false path pos in
+  if sp < 0 || Path.is_dotdot path sp then -1
+  else if Path.is_dot path sp then next_component_span path (Path.span_stop sp)
+  else sp
 
 (* Whether a [".."] component follows [pos].  Under lexical semantics it
    may cancel the component a DIR_COMPLETE verdict would judge. *)
 let rec dotdot_after path pos =
-  let len = String.length path in
-  let i = Signature.skip_slashes path len pos in
-  if i >= len then false
-  else begin
-    let j = Signature.component_end path len i in
-    (j - i = 2 && String.unsafe_get path i = '.' && String.unsafe_get path (i + 1) = '.')
-    || dotdot_after path j
-  end
+  let sp = Path.next ~lexical:false path pos in
+  sp >= 0 && (Path.is_dotdot path sp || dotdot_after path (Path.span_stop sp))
 
 (* Deepest-first scan over the recorded boundary snapshots, run at the
    probe's final-miss site (lockless or write-locked).  The first cached
@@ -618,10 +593,9 @@ let rec prefix_scan t ctx dlht pcc sc path ~vsnap k =
                (* Completeness and child-presence are guarded by the
                   directory's own-id stripe, not its parent's. *)
                record_dir t sc real;
-               let span = next_component_span path (Signature.snaps_cursor sn k) in
-               if span >= 0 then begin
-                 let pos = span lsr 13 in
-                 let len = (span land 0x1fff) - pos in
+               let sp = next_component_span path (Signature.snaps_cursor sn k) in
+               if sp >= 0 then begin
+                 let pos = Path.span_start sp and len = Path.span_len sp in
                  if not (Dcache.contains_child t.dcache real path ~pos ~len) then begin
                    commit_check t sc vsnap;
                    Counter.bump t.counters Counters.fastpath_prefix_negfail;
@@ -652,7 +626,7 @@ let prefix_miss t ctx dlht pcc sc path ~vsnap =
    cancels the last fed component instead — its boundary snapshot is
    dropped and hashing rewinds to the one below, or to [floor] (the state
    hashing started from) when none is left; a leading ".." with nothing to
-   cancel hops like Linux, as [Path.lexical_normalize] keeps it.  Top-level
+   cancel hops like Linux, as the lexical [Path.next] yields it.  Top-level
    recursion, not a loop over refs, for the usual no-flambda reason.
    Every fed component leaves a boundary snapshot in [sc.snaps] for the
    miss handler — including across ".." hops: post-resume states are still
@@ -674,7 +648,7 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap floor =
   else begin
     Counter.bump t.counters Counters.fastpath_dotdot_sublookup;
     let prefix = probe_prefix_buf t ctx dlht pcc sc ~vsnap in
-    let up = hstate_of t vsnap (fast_dotdot ctx prefix) in
+    let up = hstate_of t vsnap (Walk.follow_dotdot ctx prefix) in
     Signature.mstate_resume sc.ms up;
     scan_and_hash t ctx dlht pcc sc path rc vsnap up
   end
@@ -785,39 +759,35 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
 (* Canonical signature of a symlink's target path: absolute targets resolve
    from the namespace root, relative targets from the link's own directory.
    Targets containing "." or ".." are left to the slowpath. *)
+let rec plain_names target pos =
+  let sp = Path.next ~lexical:false target pos in
+  sp < 0
+  || ((not (Path.is_dot target sp || Path.is_dotdot target sp))
+     && plain_names target (Path.span_stop sp))
+
+let rec feed_names key target pos st =
+  let sp = Path.next ~lexical:false target pos in
+  if sp < 0 then st
+  else
+    feed_names key target (Path.span_stop sp)
+      (Signature.feed_string key (Signature.feed_char key st '/') (Path.name target sp))
+
 let target_signature t (r : path_ref) d inode =
   (* Only links whose body a previous (followed) resolution already read:
      population must never trigger file system calls of its own. *)
   match Vfs.Inode.cached_symlink_target inode with
-  | None -> None
-  | Some target -> (
-    match Path.split target with
-    | Error _ -> None
-    | Ok comps ->
-      let plain =
-        List.for_all (function Path.Name _ -> true | Path.Cur | Path.Up -> false) comps
-      in
-      if not plain then None
+  | Some target
+    when match Path.check target ~pos:0 with Ok () -> plain_names target 0 | Error _ -> false ->
+    let base =
+      if Path.is_absolute target then ensure_hstate t (Vfs.Mount.root r.mnt.mnt_ns)
       else begin
-        let base =
-          if Path.is_absolute target then ensure_hstate t (Vfs.Mount.root r.mnt.mnt_ns)
-          else begin
-            match d.d_parent with
-            | Some parent -> ensure_hstate t { r with dentry = parent }
-            | None -> Signature.empty_state
-          end
-        in
-        let state =
-          List.fold_left
-            (fun st comp ->
-              match comp with
-              | Path.Name name ->
-                Signature.feed_string t.key (Signature.feed_char t.key st '/') name
-              | Path.Cur | Path.Up -> st)
-            base comps
-        in
-        Some (Signature.finalize t.key state)
-      end)
+        match d.d_parent with
+        | Some parent -> ensure_hstate t { r with dentry = parent }
+        | None -> Signature.empty_state
+      end
+    in
+    Some (Signature.finalize t.key (feed_names t.key target 0 base))
+  | Some _ | None -> None
 
 let populate t ctx ~visited ~absolute ~start =
   match visited with
@@ -942,9 +912,7 @@ let resume_plan t ctx sc path =
           None
         | Some mnt ->
           let ancestor = Vfs.Mount.traverse_mounts { mnt; dentry = real } in
-          let cursor = Signature.snaps_cursor sc.snaps k in
-          let suffix = String.sub path cursor (String.length path - cursor) in
-          Some (ancestor, k + 1, suffix)
+          Some (ancestor, k + 1, Signature.snaps_cursor sc.snaps k)
       end)
   end
 
@@ -953,7 +921,7 @@ let resume_plan t ctx sc path =
    lookup, and each deferred op of a batch (§3.9).  Resolve with
    collection and repopulate the DLHT/PCC.  When the probe left a
    validated resume candidate, only the uncached suffix is walked, from
-   the longest cached ancestor ({!Walk.resolve_resumed}), so a deep miss
+   the longest cached ancestor ([Walk.resolve_in_mode ~start_at]), so a deep miss
    costs O(suffix), not O(depth).  §3.2: results may only repopulate if
    no shootdown ran concurrently; under the write lock the counter check
    never fires, but it documents (and preserves) the protocol.  Caller holds the write
@@ -965,13 +933,13 @@ let fallback t ctx ~flags sc path ~within =
   let invalidation_before = Dcache.invalidation_counter t.dcache in
   let result, pop_start =
     match resume_plan t ctx sc path with
-    | Some (ancestor, depth, suffix) ->
+    | Some (ancestor, depth, pos) ->
       Counter.bump t.counters Counters.fastpath_prefix_resume;
       Trace.stamp_on sc.spans Trace.ev_prefix_resume depth;
       Timers.record t.timers Timers.resume_depth depth;
       (* The resumed walk still collects, so the suffix prefixes are
          published and the next miss lands one component deeper. *)
-      (Walk.resolve_resumed t.dcache ctx ~flags ~start_at:ancestor suffix, ancestor)
+      (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags ~start_at:ancestor ~pos path, ancestor)
     | None -> (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path, ctx.Walk.cwd)
   in
   (* §3.2 extended to I/O failures: a walk that died on a transient EIO
@@ -1099,9 +1067,8 @@ and retry_optimistic t ctx ~start ~flags sc path ~within ~tries =
 (* Non-empty components from [i] — the scan's own count — for a path no
    probe on this domain scanned to its end. *)
 let rec count_components path i n =
-  let len = String.length path in
-  let i = Signature.skip_slashes path len i in
-  if i >= len then n else count_components path (Signature.component_end path len i) (n + 1)
+  let sp = Path.next ~lexical:false path i in
+  if sp < 0 then n else count_components path (Path.span_stop sp) (n + 1)
 
 (* The count [sc]'s last probe took, when it scanned this very string
    (physical identity) to its end. *)
@@ -1113,6 +1080,11 @@ let count_path t path comps =
   Counter.bump t.counters Counters.path_lookup;
   Counter.add t.counters Counters.path_bytes (String.length path);
   Counter.add t.counters Counters.path_comps comps
+
+let baseline_resolve mode t ctx ~flags path ~within =
+  match (Walk.resolve_in_mode mode t.dcache ctx ~flags path).Walk.outcome with
+  | Ok r -> within r.mnt r.dentry
+  | Error e -> Error e
 
 (* [within] runs on the resolved (mount, dentry) while the lookup is still
    protected (validated on a fastpath hit, write side on fallback), so
@@ -1126,23 +1098,26 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) ~note_path path ~
     (* Baseline kernel: component-at-a-time only.  *at()-style lookups
        resolve relative to [start]; the slowpath reads the origin from the
        context's cwd. *)
-    let ctx = { ctx with Walk.cwd = start } in
+    let ctx = if start == ctx.Walk.cwd then ctx else { ctx with Walk.cwd = start } in
+    (* The read side by hand, as on the probe: a [with_read] closure
+       would cost 8 words per lookup. *)
+    let lock = Dcache.lock t.dcache in
+    Rwlock.read_lock lock;
     let result =
-      match
-        Dcache.with_read t.dcache (fun () ->
-            match (Walk.resolve_in_mode Walk.Rcu t.dcache ctx ~flags path).Walk.outcome with
-            | Ok r -> within r.mnt r.dentry
-            | Error e -> Error e)
-      with
-      | result -> result
-      | exception Walk.Need_refwalk ->
-        Counter.bump t.counters Counters.walk_refwalk_fallback;
-        Counter.bump t.counters Counters.seqcount_retry;
-        Trace.stamp Trace.ev_refwalk 0;
-        Dcache.with_write t.dcache (fun () ->
-            match (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path).Walk.outcome with
-            | Ok r -> within r.mnt r.dentry
-            | Error e -> Error e)
+      match baseline_resolve Walk.Rcu t ctx ~flags path ~within with
+      | result ->
+        Rwlock.read_unlock lock;
+        result
+      | exception e -> (
+        Rwlock.read_unlock lock;
+        match e with
+        | Walk.Need_refwalk ->
+          Counter.bump t.counters Counters.walk_refwalk_fallback;
+          Counter.bump t.counters Counters.seqcount_retry;
+          Trace.stamp Trace.ev_refwalk 0;
+          Dcache.with_write t.dcache (fun () ->
+              baseline_resolve Walk.Ref t ctx ~flags path ~within)
+        | e -> raise e)
     in
     if note_path then count_path t path (count_components path 0 0);
     result

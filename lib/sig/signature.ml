@@ -185,8 +185,8 @@ let mstate_resume ms (s : state) =
 (* [hash_path_into_rec], the in-place scanner over a raw path string,
    feeds ['/' ^ name] for every real component, skipping empty ones
    (leading, doubled and trailing slashes) and ["."] — exactly the
-   canonicalization the slowpath walk applies to [Path.split] output,
-   without materializing the list.
+   canonicalization the slowpath walk's cursor applies, in the same one
+   pass over the string.
 
    Returns [scan_done] when the path is exhausted, [scan_toolong] when a
    component exceeds [max_name], or the cursor just past a [".."] component

@@ -135,8 +135,8 @@ val hash_path_into_rec : key -> mstate -> snaps -> max_name:int -> string -> pos
     string [s] from byte offset [pos], feeding ["/" ^ name] into [ms] for
     every real component and recording a boundary snapshot into [snaps]
     after each.  It skips empty components (leading / doubled / trailing
-    slashes) and ["."] — the same canonicalization the list-based walk
-    applies to [Path.split] output, with no intermediate list — and counts
+    slashes) and ["."] — the same canonicalization the slowpath walk's
+    cursor applies — and counts
     every non-empty component it passes ({!snaps_components}).  Returns
     {!scan_done} when the string is exhausted, {!scan_toolong} if a
     component exceeds [max_name], or the cursor just past a [".."]

@@ -339,16 +339,18 @@ let[@inline] crash_point proc pick =
 (* Split [path] into (dirname, basename) when the final component is a
    plain name.  [None] dirname means the walk start itself (cwd / dirfd).
    Trailing slashes, ".", ".." and empty basenames go to the global scope. *)
+let rec last_component path pos sp =
+  let next = Vfs.Path.next ~lexical:false path pos in
+  if next < 0 then sp else last_component path (Vfs.Path.span_stop next) next
+
 let split_basename path =
-  let n = String.length path in
-  if n = 0 || path.[n - 1] = '/' then None
+  let sp = last_component path 0 (-1) in
+  if sp < 0 || Vfs.Path.span_stop sp < String.length path || Vfs.Path.is_dot path sp
+     || Vfs.Path.is_dotdot path sp
+  then None
   else begin
-    match String.rindex_opt path '/' with
-    | None -> if path = "." || path = ".." then None else Some (None, path)
-    | Some i ->
-      let base = String.sub path (i + 1) (n - i - 1) in
-      if base = "." || base = ".." then None
-      else Some (Some (String.sub path 0 (if i = 0 then 1 else i)), base)
+    let i = Vfs.Path.span_start sp - 1 in
+    Some ((if i < 0 then None else Some (String.sub path 0 (Int.max i 1))), Vfs.Path.name path sp)
   end
 
 (* Resolve the containing directory with no lock held — warm parents
@@ -1271,15 +1273,15 @@ let readdir_path proc path =
   let* () = close proc fd in
   result
 
+(* mkdir of every prefix of [path] that ends a component. *)
 let mkdir_p proc path =
-  let components = String.split_on_char '/' path |> List.filter (fun c -> c <> "") in
-  let prefix = if Vfs.Path.is_absolute path then "/" else "" in
-  let rec go base = function
-    | [] -> Ok ()
-    | comp :: rest -> (
-      let current = if base = "" || base = "/" then base ^ comp else base ^ "/" ^ comp in
-      match mkdir proc current with
-      | Ok () | Error Errno.EEXIST -> go current rest
-      | Error _ as e -> e)
+  let rec go pos =
+    let sp = Vfs.Path.next ~lexical:false path pos in
+    if sp < 0 then Ok ()
+    else begin
+      match mkdir proc (String.sub path 0 (Vfs.Path.span_stop sp)) with
+      | Ok () | Error Errno.EEXIST -> go (Vfs.Path.span_stop sp)
+      | Error _ as e -> e
+    end
   in
-  go prefix components
+  go 0

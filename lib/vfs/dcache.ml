@@ -145,17 +145,6 @@ let bucket_occupancy t =
 
 let new_tick t = Atomic.fetch_and_add t.tick 1 + 1
 
-(* FNV-1a over the name, mixed with the parent identity — the same shape as
-   Linux's (parent pointer, name) hash (§2.2, Fig. 4). *)
-let name_hash parent_id name =
-  let h = ref 0xbf29ce484222325 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) name;
-  let h = !h lxor (parent_id * 0x1e3779b97f4a7c15) in
-  let h = h lxor (h lsr 29) in
-  h land max_int
-
-let bucket_index t parent_id name = name_hash parent_id name land (Array.length t.buckets - 1)
-
 (* --- inode cache ---
 
    The icache table is touched from sharded mutation sections (a created
@@ -234,60 +223,55 @@ let make_superblock t fs =
 
 let sb_root sb = match sb.sb_root with Some d -> d | None -> assert false
 
-(* --- primary hash table --- *)
+(* --- primary hash table ---
 
-let lookup t parent name =
-  let idx = bucket_index t parent.d_id name in
-  let rec scan = function
-    | [] -> None
-    | d :: rest ->
-      if
-        (match d.d_parent with Some p -> p == parent | None -> false)
-        && String.equal d.d_name name
-      then Some d
-      else scan rest
-  in
-  match scan (Atomic.get t.buckets.(idx)) with
-  | Some d ->
-    d.d_last_used <- Atomic.get t.tick;
-    Counter.bump t.counters Counters.dcache_hit;
-    Some d
-  | None -> None
-
-(* Substring variant of [lookup] for the lockless prefix fast-fail scan
-   (§3.5): purely read-only — no LRU tick, no hit accounting — and
-   allocation-free (the name is addressed in place in the caller's path
-   string; top-level recursions instead of refs/closures), so the verdict
-   stays at zero words even when it fires on every probe of a repeatedly
-   missed name. *)
-let rec fnv_sub path pos stop h =
+   One name hash and one chain scan serve every child lookup, with the
+   name [path.[pos, pos+len)] read in place: top-level recursions, no
+   closure, nothing allocated.  The hash is FNV-1a over the name, mixed
+   with the parent identity — the shape of Linux's (parent pointer, name)
+   hash (§2.2, Fig. 4). *)
+let rec fnv path pos stop h =
   if pos >= stop then h
-  else fnv_sub path (pos + 1) stop ((h lxor Char.code (String.unsafe_get path pos)) * 0x100000001b3)
+  else fnv path (pos + 1) stop ((h lxor Char.code (String.unsafe_get path pos)) * 0x100000001b3)
 
-let name_hash_sub parent_id path ~pos ~len =
-  let h = fnv_sub path pos (pos + len) 0xbf29ce484222325 in
+let bucket t parent_id path ~pos ~len =
+  let h = fnv path pos (pos + len) 0xbf29ce484222325 in
   let h = h lxor (parent_id * 0x1e3779b97f4a7c15) in
   let h = h lxor (h lsr 29) in
-  h land max_int
+  t.buckets.(h land (Array.length t.buckets - 1))
 
-let rec name_eq_sub name path pos i len =
+let rec name_eq name path pos i len =
   i >= len
-  || (String.unsafe_get name i = String.unsafe_get path (pos + i)
-      && name_eq_sub name path pos (i + 1) len)
+  || (String.unsafe_get name i = String.unsafe_get path (pos + i) && name_eq name path pos (i + 1) len)
 
-let rec child_scan parent path pos len = function
-  | [] -> false
+let rec chain_find parent path pos len = function
+  | [] -> raise_notrace Not_found
   | d :: rest ->
     if
       (match d.d_parent with Some p -> p == parent | None -> false)
       && String.length d.d_name = len
-      && name_eq_sub d.d_name path pos 0 len
-    then true
-    else child_scan parent path pos len rest
+      && name_eq d.d_name path pos 0 len
+    then d
+    else chain_find parent path pos len rest
 
+let find_child t parent path ~pos ~len =
+  chain_find parent path pos len (Atomic.get (bucket t parent.d_id path ~pos ~len))
+
+let find t parent path ~pos ~len =
+  let d = find_child t parent path ~pos ~len in
+  d.d_last_used <- Atomic.get t.tick;
+  Counter.bump t.counters Counters.dcache_hit;
+  d
+
+let lookup t parent name =
+  match find t parent name ~pos:0 ~len:(String.length name) with
+  | d -> Some d
+  | exception Not_found -> None
+
+(* Read-only (no LRU tick, no hit accounting), for the lockless prefix
+   fast-fail scan (§3.5). *)
 let contains_child t parent path ~pos ~len =
-  let idx = name_hash_sub parent.d_id path ~pos ~len land (Array.length t.buckets - 1) in
-  child_scan parent path pos len (Atomic.get t.buckets.(idx))
+  match find_child t parent path ~pos ~len with _ -> true | exception Not_found -> false
 
 (* Bucket splices are CAS loops over the immutable chain: two sharded
    writers whose (distinct, separately-striped) parents collide on a
@@ -303,16 +287,16 @@ let rec bucket_excise slot d =
   let next = List.filter (fun other -> not (other == d)) cur in
   if not (Atomic.compare_and_set slot cur next) then bucket_excise slot d
 
-let hash_insert t d =
+let name_bucket t d =
   let parent_id = match d.d_parent with Some p -> p.d_id | None -> 0 in
-  let idx = bucket_index t parent_id d.d_name in
-  bucket_cons t.buckets.(idx) d;
+  bucket t parent_id d.d_name ~pos:0 ~len:(String.length d.d_name)
+
+let hash_insert t d =
+  bucket_cons (name_bucket t d) d;
   d.d_hashed <- true
 
 let hash_remove t d =
-  let parent_id = match d.d_parent with Some p -> p.d_id | None -> 0 in
-  let idx = bucket_index t parent_id d.d_name in
-  bucket_excise t.buckets.(idx) d;
+  bucket_excise (name_bucket t d) d;
   d.d_hashed <- false
 
 let iter_children d f = List.iter f (Dlist.to_list d.d_children)

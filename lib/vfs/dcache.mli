@@ -80,13 +80,18 @@ val iforget : superblock -> int -> unit
 
 (** {1 Lookup and fill} *)
 
+val find : t -> dentry -> string -> pos:int -> len:int -> dentry
+(** The hashed child of [parent] named [path\[pos, pos+len)], read in
+    place, or [Not_found]; a hit ticks its LRU and counts "dcache_hit".
+    The per-component step of every walk; allocates nothing. *)
+
 val lookup : t -> dentry -> string -> dentry option
-(** Primary hash table probe; the per-component step of every walk. *)
+(** {!find} of a whole name. *)
 
 val contains_child : t -> dentry -> string -> pos:int -> len:int -> bool
-(** Does [parent] have a hashed child named [path\[pos, pos+len)]?
-    Read-only substring probe for the §3.5 prefix fast-fail: no LRU tick,
-    no hit accounting, no allocation — safe on the lockless tier. *)
+(** Does [parent] have a hashed child named [path\[pos, pos+len)]?  The
+    same probe as {!find} without the LRU tick or the hit count, for the
+    §3.5 prefix fast-fail: no allocation, safe on the lockless tier. *)
 
 val fill : t -> dentry -> string -> (dentry, Dcache_types.Errno.t) result
 (** Cache miss: ask the low-level fs.  Returns the (hashed) child dentry —

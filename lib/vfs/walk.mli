@@ -4,8 +4,10 @@
     component, check search permission on the directory (through the LSM
     stack), probe the primary hash table, fill from the low-level file
     system on a miss, resolve symlinks with a depth limit, and cross mount
-    points.  Cost is linear in the number of components — exactly what the
-    optimized fastpath (in [dcache_core]) avoids.
+    points.  Like Linux, it reads each name in place ({!Path.next}) and
+    allocates nothing per component.  Cost is linear in the number of
+    components — exactly what the optimized fastpath (in [dcache_core])
+    avoids.
 
     Like Linux's RCU-walk/ref-walk split, resolution first runs in {!Rcu}
     mode under the read lock (no cache mutation allowed; raises internally
@@ -46,26 +48,22 @@ type result_ = {
   absolute : bool;  (** the walk started at the process root *)
 }
 
-val resolve_in_mode : mode -> Dcache.t -> ctx -> ?flags:flags -> string -> result_
+val resolve_in_mode :
+  mode -> Dcache.t -> ctx -> ?flags:flags -> ?start_at:path_ref -> ?pos:int -> string -> result_
 (** Caller already holds the matching lock side.  In [Rcu] mode, a needed
     mutation aborts the walk with outcome [Error EAGAIN]-like retry: the
-    exception is mapped to [Need_refwalk]. *)
+    exception is mapped to [Need_refwalk].
 
-val resolve_resumed :
-  Dcache.t -> ctx -> ?flags:flags -> start_at:path_ref -> string -> result_
-(** Prefix-resumed slowpath entry (§3.5): resolve the remaining [suffix]
-    of a missed path starting at [start_at], the longest cached ancestor,
-    instead of the root/cwd.  Runs in {!Ref} mode — the caller must hold
-    the write lock and must already have re-validated [start_at] under it
+    With [start_at], a prefix-resumed walk (§3.5): the suffix of a missed
+    path from byte [pos] on, read in place, is resolved from [start_at],
+    the longest cached ancestor, instead of the root/cwd.  Its one caller
+    is the fastpath's write-locked miss body, sequential or batched
+    (§3.9), in {!Ref} mode, after re-validating [start_at] under the lock
     (cached, PCC-covered, positive directory, mount-traversed).  The
-    result's [visited] covers only the suffix components walked, and
-    [absolute] is [false] regardless of the suffix text, so population
-    applies the directory-reference rule against [start_at].
-
-    Its one caller is the fastpath's write-locked miss body, for every
-    resumed miss, sequential or batched (§3.9).  It counts
-    "walk_resumed" on top of the walk's own "walk_slowpath" and
-    "walk_components", so a one-name suffix costs one component. *)
+    result's [visited] covers only the suffix and [absolute] is [false],
+    so population applies the directory-reference rule against
+    [start_at].  It counts "walk_resumed" on top of the walk's own
+    "walk_slowpath" and "walk_components". *)
 
 exception Need_refwalk
 (** Raised (only) from [resolve_in_mode Rcu] when the walk cannot proceed
@@ -89,6 +87,10 @@ val resolve_parent :
     operations).  The final component must be a plain name — [.] and [..]
     yield [EINVAL].  The child, if present, is returned as-is: no symlink
     following, no mount crossing. *)
+
+val follow_dotdot : ctx -> path_ref -> path_ref
+(** One [".."]: climb, exiting mounts at their roots, never above the
+    process root (the chroot barrier). *)
 
 val dentry_leased : (int -> bool) -> dentry -> bool
 (** [dentry_leased live d]: whether the leasing fs's [live] check holds

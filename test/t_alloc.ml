@@ -110,6 +110,21 @@ let test_refill_zero_alloc () =
   Alcotest.(check (float 0.0)) "zero minor-heap words over 10k refills" 0.0 words;
   Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k refills" (0, 0) locks
 
+(* The baseline walk reads each component in place (§2.2's
+   link_path_walk): a warm stat of eight components allocates exactly what
+   a warm stat of one does, whatever that fixed cost is. *)
+let test_baseline_walk_per_component () =
+  let _, p = ram_kernel ~config:Config.baseline () in
+  get "tree" (S.mkdir_p p "/a/b/c/d/e/f/g");
+  get "deep file" (S.write_file p "/a/b/c/d/e/f/g/h" "x");
+  get "shallow file" (S.write_file p "/h" "x");
+  let words path =
+    measure_minor_words 10_000 (fun () -> ignore (get "stat" (S.stat p path)))
+  in
+  let one = words "/h" in
+  let eight = words "/a/b/c/d/e/f/g/h" in
+  Alcotest.(check (float 0.0)) "minor words over 10k stats: 8 components = 1" one eight
+
 (* A process spawned without a credential gets its kernel's root credential,
    so the PCC it fills dies with the kernel: a credential shared across
    kernels would keep every dead kernel's table alive (32 KB or more each). *)
@@ -1059,6 +1074,8 @@ let suite =
   [
     Alcotest.test_case "warm fastpath hit allocates zero minor words" `Quick
       test_warm_hit_zero_alloc;
+    Alcotest.test_case "warm baseline stat allocates no words per component" `Quick
+      test_baseline_walk_per_component;
     Alcotest.test_case "warm DIR_COMPLETE readdir fill allocates zero minor words" `Quick
       test_warm_readdir_fill_zero_alloc;
     Alcotest.test_case "negative lists stay bounded under a stat storm" `Quick

@@ -275,6 +275,88 @@ let suite =
 
 module Path = Dcache_vfs.Path
 
+(* The walks' in-place cursor against the list-building reference: the
+   same components under Linux and lexical dot-dot semantics, the same
+   is-last answer at each, the same ENOENT/ENAMETOOLONG verdict. *)
+let gen_cursor_path =
+  let open QCheck.Gen in
+  let comp =
+    frequency
+      [
+        (6, string_size ~gen:(char_range 'a' 'c') (int_range 1 3));
+        (3, return ".");
+        (4, return "..");
+        (1, return "...");
+        (2, return "");
+        (1, return (String.make 255 'n'));
+        (1, return (String.make 256 'n'));
+      ]
+  in
+  frequency
+    [
+      (1, return "");
+      (* 3,839, 4,095 and 4,351 bytes: around [max_path] *)
+      (2, map (fun k -> String.concat "/" (List.init k (fun _ -> String.make 255 'n'))) (int_range 15 17));
+      ( 30,
+        map4
+          (fun lead up comps trail ->
+            (if lead then "/" else "")
+            ^ (if up then "../" else "")
+            ^ String.concat "/" comps
+            ^ if trail then "/" else "")
+          bool bool (list_size (int_range 0 24) comp) bool );
+    ]
+
+let cursor_components ~lexical path =
+  let rec go pos acc =
+    let sp = Path.next ~lexical path pos in
+    if sp < 0 then List.rev acc
+    else begin
+      let c =
+        if Path.is_dot path sp then Path.Cur
+        else if Path.is_dotdot path sp then Path.Up
+        else Path.Name (Path.name path sp)
+      in
+      let last = Path.next ~lexical path (Path.span_stop sp) < 0 in
+      go (Path.span_stop sp) ((c, last) :: acc)
+    end
+  in
+  go 0 []
+
+let cursor_property =
+  QCheck.Test.make ~name:"in-place cursor == Path.split (+ lexical_normalize)" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_cursor_path)
+    (fun path ->
+      let show comps =
+        String.concat "/"
+          (List.map (function Path.Cur -> "." | Path.Up -> ".." | Path.Name n -> n) comps)
+      in
+      let same ~lexical expect =
+        let what = if lexical then "lexical" else "linux" in
+        let got = cursor_components ~lexical path in
+        let lasts = List.mapi (fun i _ -> i = List.length expect - 1) expect in
+        if List.map fst got <> expect then
+          QCheck.Test.fail_reportf "%s: cursor %S, reference %S" what (show (List.map fst got))
+            (show expect);
+        if List.map snd got <> lasts then QCheck.Test.fail_reportf "%s: is-last answers differ" what
+      in
+      match (Path.split path, Path.check path ~pos:0) with
+      | Error e, Error e' -> e = e' || QCheck.Test.fail_reportf "verdict %s, reference %s"
+                                        (Errno.to_string e') (Errno.to_string e)
+      | Ok comps, Ok () ->
+        same ~lexical:false comps;
+        same ~lexical:true (Path.lexical_normalize comps);
+        (* A resumed walk checks the suffix after a component boundary. *)
+        String.iteri
+          (fun pos c ->
+            let suffix = String.sub path pos (String.length path - pos) in
+            if c = '/' && Result.is_ok (Path.split suffix) <> Result.is_ok (Path.check path ~pos)
+            then QCheck.Test.fail_reportf "verdicts differ from byte %d" pos)
+          path;
+        true
+      | Ok _, Error e -> QCheck.Test.fail_reportf "cursor rejects with %s" (Errno.to_string e)
+      | Error e, Ok () -> QCheck.Test.fail_reportf "cursor accepts, reference %s" (Errno.to_string e))
+
 let path_suite =
   [
     Alcotest.test_case "path split basics" `Quick (fun () ->
@@ -336,4 +418,26 @@ let path_suite =
         ignore (fs.Dcache_fs.Fs_intf.readdir fs.Dcache_fs.Fs_intf.root_ino);
         (* 100 + 200 + 200 + 50 + 2*5 *)
         Alcotest.(check int64) "accumulated" 560L (Dcache_util.Vclock.elapsed_ns clock));
+    QCheck_alcotest.to_alcotest cursor_property;
+    Alcotest.test_case "lexical dot-dot: deep negatives follow the cancelled path" `Quick
+      (fun () ->
+        let config =
+          { Config.optimized with Config.dotdot = Config.Dotdot_lexical; dir_completeness = false }
+        in
+        let kernel, p = ram_kernel ~config () in
+        get "mkdir" (S.mkdir_p p "/d");
+        expect_err Errno.ENOENT "stat" (S.stat p "/d/missing/x/../y");
+        let dcache = Kernel.dcache kernel in
+        let child parent name = Dcache_vfs.Dcache.lookup dcache parent name in
+        let negative = function
+          | Some d -> Dcache_vfs.Types.dentry_is_negative d
+          | None -> false
+        in
+        let root = (Dcache_syscalls.Proc.walk_ctx p).Dcache_vfs.Walk.root.Dcache_vfs.Types.dentry in
+        match Option.bind (child root "d") (fun d -> child d "missing") with
+        | None -> Alcotest.fail "no dentry for /d/missing"
+        | Some missing ->
+          Alcotest.(check bool) "missing is negative" true (negative (Some missing));
+          Alcotest.(check bool) "deep negative for missing/y" true (negative (child missing "y"));
+          Alcotest.(check bool) "nothing for missing/x" true (child missing "x" = None));
   ]
