@@ -14,7 +14,8 @@ module Timers = Dcache_util.Timers
 module Stats = Dcache_util.Stats
 module Counters = Dcache_util.Counters
 module Signature = Dcache_sig.Signature
-module Siphash = Dcache_sig.Siphash
+module Siphash = Dcache_comparators.Siphash
+module Dlfs = Dcache_comparators.Dlfs
 module Prng = Dcache_util.Prng
 module Vclock = Dcache_util.Vclock
 module Fault = Dcache_util.Fault
@@ -804,13 +805,12 @@ let ablation () =
        ]);
 
   subheader
-    "completeness integration (paper 2.3/5.1): ours (in the dcache) vs a\n\
-     Solaris-DNLC-style separate listing cache (1000-entry directory, disk)";
+    "completeness integration (paper 2.3/5.1): listings, lookups and absent\n\
+     names from the dcache's own completeness (1000-entry directory, disk)";
   let integ =
     [
       ("no completeness (baseline)", Config.baseline);
-      ( "separate cache (Solaris DNLC style)",
-        { Config.optimized with Config.dir_completeness = false; dnlc_style_completeness = true } );
+      ("optimized w/o completeness", { Config.optimized with Config.dir_completeness = false });
       ("integrated (this paper)", Config.optimized);
     ]
   in
@@ -902,13 +902,13 @@ let ablation () =
     let cache =
       Dcache_storage.Pagecache.create ~capacity_pages:16384 (Dcache_storage.Blockdev.create clock)
     in
-    let t = Dcache_fs.Dlfs.mkfs_and_mount cache in
-    ok "top" (Dcache_fs.Dlfs.create t "/tree" Dcache_types.File_kind.Directory);
+    let t = Dlfs.mkfs_and_mount cache in
+    ok "top" (Dlfs.create t "/tree" Dcache_types.File_kind.Directory);
     for i = 0 to descendants - 1 do
       ok "rec"
-        (Dcache_fs.Dlfs.create t (Printf.sprintf "/tree/f%d" i) Dcache_types.File_kind.Regular)
+        (Dlfs.create t (Printf.sprintf "/tree/f%d" i) Dcache_types.File_kind.Regular)
     done;
-    let rename src dst = ignore (ok "mv" (Dcache_fs.Dlfs.rename_dir t src dst)) in
+    let rename src dst = ignore (ok "mv" (Dlfs.rename_dir t src dst)) in
     let mv = ping_pong rename "/tree" "/moved" in
     fun () -> per_op ~vclock:clock ~iters:2 mv
   in
@@ -1100,7 +1100,7 @@ let alloc () =
     ];
 
   subheader "path hashing - in-place scanner vs Path.split + feed_string";
-  let key = Signature.create_key ~seed:Config.optimized.Config.hash_seed () in
+  let key = Fastpath.key fp in
   let ms = Signature.mstate () in
   let sn = Signature.snaps ~slots:64 in
   let buf = Signature.buf () in
@@ -1445,10 +1445,10 @@ let deepmiss () =
     let env = W.Env.ram { Config.optimized with Config.prefix_resume = resume } in
     let deep = "/" ^ String.concat "/" (List.init depth (Printf.sprintf "c%02d")) in
     ok "chain" (S.mkdir_p env.W.Env.proc deep);
-    let leaf i = Printf.sprintf "%s/f%04d" deep i in
-    for i = 0 to leaves - 1 do
-      ok "leaf" (S.write_file env.W.Env.proc (leaf i) "x")
-    done;
+    (* Built here, outside every timed loop: formatting a path per op
+       would time the formatting and its garbage with the miss. *)
+    let leaf = Array.init leaves (Printf.sprintf "%s/f%04d" deep) in
+    Array.iter (fun path -> ok "leaf" (S.write_file env.W.Env.proc path "x")) leaf;
     (env, deep, leaf)
   in
   (* Warm-ancestor pass: purge, re-warm only the directory chain, then stat
@@ -1462,7 +1462,7 @@ let deepmiss () =
     let i = ref 0 in
     let ns =
       per_op ~iters:leaves (fun () ->
-          ignore (ok "miss" (S.stat p (leaf !i)));
+          ignore (ok "miss" (S.stat p leaf.(!i)));
           incr i)
     in
     [ ns; float_of_int (count k Counters.walk_components - comp0) /. float_of_int leaves ]
@@ -1477,7 +1477,8 @@ let deepmiss () =
           let total = ref 0 in
           for i = 0 to cold_iters - 1 do
             W.Env.drop_caches env;
-            let cold () = ignore (ok "cold" (S.stat p (leaf (i land (leaves - 1))))) in
+            let path = leaf.(i land (leaves - 1)) in
+            let cold () = ignore (ok "cold" (S.stat p path)) in
             total := !total + elapsed_ns cold
           done;
           float_of_int !total /. float_of_int cold_iters)
@@ -1494,9 +1495,10 @@ let deepmiss () =
     let neg =
       trial (fun () ->
           incr round;
+          let absent = Array.init leaves (Printf.sprintf "%s/none%d_%04d" deep !round) in
           let i = ref 0 in
           per_op ~iters:leaves (fun () ->
-              (match S.stat p (Printf.sprintf "%s/none%d_%04d" deep !round !i) with
+              (match S.stat p absent.(!i) with
               | Error Errno.ENOENT -> ()
               | Ok _ -> failwith "deepmiss: absent name resolved"
               | Error e -> failwith ("deepmiss: " ^ Errno.to_string e));
@@ -1506,10 +1508,8 @@ let deepmiss () =
     (* Warm-hit figures on a leaf of this chain: the snapshot recording
        rides on every probe, so this guards the scale bench's warm-hit
        ns/op and words/op (BENCH_scale.json) against regression. *)
-    for i = 0 to leaves - 1 do
-      ignore (ok "rewarm" (S.stat p (leaf i)))
-    done;
-    let fp = Kernel.fastpath k and ctx = Proc.walk_ctx p and warm_path = leaf 0 in
+    Array.iter (fun path -> ignore (ok "rewarm" (S.stat p path))) leaf;
+    let fp = Kernel.fastpath k and ctx = Proc.walk_ctx p and warm_path = leaf.(0) in
     let f () = ignore (Fastpath.lookup_into fp ctx warm_path ~within:alloc_within) in
     f ();
     let words = Stats.minor_words_per_op ~iters:(words_iters ()) f in
@@ -2469,12 +2469,7 @@ let createstorm () =
         (* Completeness off: absent names must be answered by cached
            negatives (or a backend probe), not by the parent's verdict. *)
         let config =
-          {
-            Config.optimized with
-            Config.dir_completeness = false;
-            dnlc_style_completeness = false;
-            neg_list_cap = cap;
-          }
+          { Config.optimized with Config.dir_completeness = false; neg_list_cap = cap }
         in
         let counts = ref (0, 0, 0, 0) in
         let absent_storm () =

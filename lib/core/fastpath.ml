@@ -28,11 +28,13 @@ type t = {
   timers : Timers.t;
 }
 
+(* The signature key's seed: a boot-time random value in a real kernel,
+   fixed here so runs are repeatable. *)
+let hash_seed = 0x5eed
+
 let create dcache =
   let config = Dcache.config dcache in
-  let key =
-    Signature.create_key ~sig_bits:config.Config.sig_bits ~seed:config.Config.hash_seed ()
-  in
+  let key = Signature.create_key ~sig_bits:config.Config.sig_bits ~seed:hash_seed () in
   let t =
     {
       dcache;
@@ -1198,16 +1200,17 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
         prepare i;
         (* A hit here means an earlier miss in the group already populated
            this path. *)
-        complete i (resolve_locked t ctx ~flags:(flags i) sc (path i) ~within)
+        complete i (resolve_locked t ctx ~flags sc (path i) ~within)
       done)
 
-(* The public batched entry.  [path]/[flags]/[prepare]/[complete] are
-   indexed accessors the caller allocates once per ring — not per submit —
-   and [deferred] is caller-owned scratch of length >= [n]; ops resolve
-   relative to the context's cwd, like the sequential default.  The
-   baseline (fastpath off) degrades to per-op sequential lookups so the
-   API is uniformly available.  Returns the number of validation windows
-   opened, the caller's measure of the amortization.
+(* The public batched entry.  [path]/[prepare]/[complete] are indexed
+   accessors the caller allocates once per ring — not per submit — and
+   [deferred] is caller-owned scratch of length >= [n]; every op walks
+   with [flags] and resolves relative to the context's cwd, like the
+   sequential default.  The baseline (fastpath off) degrades to per-op
+   sequential lookups so the API is uniformly available.  Returns the
+   number of validation windows opened, the caller's measure of the
+   amortization.
 
    Phase 1 runs every queued op through {!attempt} under ONE shared
    validation window: a single [Seqcount.read_begin] snapshot serves the
@@ -1229,7 +1232,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
   if not (config t).Config.fastpath then begin
     for i = 0 to n - 1 do
       prepare i;
-      complete i (lookup_into_raw t ctx ~flags:(flags i) ~note_path:false (path i) ~within)
+      complete i (lookup_into_raw t ctx ~flags ~note_path:false (path i) ~within)
     done;
     n
   end
@@ -1256,8 +1259,7 @@ let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
           let op = !i in
           prepare op;
           match
-            attempt t ctx ~start:ctx.Walk.cwd ~flags:(flags op) sc (path op) ~within
-              ~vsnap:!snap
+            attempt t ctx ~start:ctx.Walk.cwd ~flags sc (path op) ~within ~vsnap:!snap
           with
           | result ->
             complete op result;

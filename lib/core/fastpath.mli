@@ -25,8 +25,9 @@ type t
 val create : Dcache_vfs.Dcache.t -> t
 (** Builds the fastpath state over a directory cache and installs the
     shootdown hook that keeps the DLHT coherent with evictions and
-    invalidations.  The signature key is derived from the configuration's
-    [hash_seed] (a boot-time random value in a real kernel). *)
+    invalidations.  The signature key is derived from a fixed seed (a
+    boot-time random value in a real kernel), so every kernel with the same
+    [sig_bits] computes the same signatures. *)
 
 val key : t -> Dcache_sig.Signature.key
 
@@ -108,17 +109,18 @@ val probe_batch :
   Walk.ctx ->
   n:int ->
   path:(int -> string) ->
-  flags:(int -> Walk.flags) ->
+  flags:Walk.flags ->
   prepare:(int -> unit) ->
   within:(mount -> dentry -> ('a, Dcache_types.Errno.t) result) ->
   complete:(int -> ('a, Dcache_types.Errno.t) result -> unit) ->
   deferred:int array ->
   int
 (** Vectored probe (§3.9): resolve ops [0..n-1] with amortized
-    validation.  The accessors ([path i], [flags i]) and the sinks
-    ([prepare i] before op [i] touches shared scratch, [complete i r]
-    with its result) must be allocated once per ring by the caller — the
-    warm all-hit batch performs zero minor-heap allocation end to end.
+    validation, every op walking with [flags].  The accessor ([path i])
+    and the sinks ([prepare i] before op [i] touches shared scratch,
+    [complete i r] with its result) must be allocated once per ring by
+    the caller — the warm all-hit batch performs zero minor-heap
+    allocation end to end.
     [deferred] is caller-owned scratch of length >= [n].
 
     Each op runs the same per-op attempt as a sequential lookup, under

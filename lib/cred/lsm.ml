@@ -31,7 +31,7 @@ let dac_permission cred (attr : Attr.t) mask =
 
 (* Top-level recursion instead of [List.for_all (fun h -> ...)]: the closure
    capturing cred/attr/mask costs 6 minor words per call, and this sits on
-   zero-allocation paths (batched access probes, walk exec checks). *)
+   zero-allocation paths (the walk's exec checks). *)
 let rec all_permit modules cred attr mask =
   match modules with
   | [] -> true

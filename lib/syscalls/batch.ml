@@ -1,8 +1,8 @@
 (** Vectored submission/completion front-end (§3.9).
 
     A preallocated SQ/CQ ring pair over a process: callers enqueue up to
-    [cap] metadata probes (stat / lstat / access), call {!submit}, and read
-    completions back out of the CQ arrays.  Everything on the warm path —
+    [cap] stat probes, call {!submit}, and read completions back out of
+    the CQ arrays.  Everything on the warm path —
     the per-op closures, the walk context, the result slots — is allocated
     once at {!create}; a warm all-hit submit performs {e zero} minor-heap
     allocation and zero rwlock acquisitions, and shares one seqcount
@@ -14,25 +14,16 @@ open Dcache_vfs.Types
 module Walk = Dcache_vfs.Walk
 module Dcache = Dcache_vfs.Dcache
 module Inode = Dcache_vfs.Inode
-module Lsm = Dcache_cred.Lsm
 module Fastpath = Dcache_core.Fastpath
 module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Trace = Dcache_util.Trace
 
-(* SQ op codes (int, not a variant: the SQ is a struct-of-arrays and an
-   immediate opcode keeps pushes store-only). *)
-let op_stat = 0
-let op_lstat = 1
-let op_access = 2
-
 type state = {
   proc : Proc.t;
   cap : int;
-  (* submission ring: struct of arrays, filled by the push_* calls *)
-  sq_op : int array;
+  (* submission ring, filled by [push_stat] *)
   sq_path : string array;
-  sq_mask : Access.t array;
   mutable sq_n : int;
   (* cursor: index of the op the fastpath is currently probing; [prepare]
      advances it so the shared [within] closure knows which op it serves *)
@@ -53,17 +44,15 @@ type state = {
 
 type t = {
   s : state;
-  (* the five hooks handed to [probe_batch], allocated once here so a warm
+  (* the four hooks handed to [probe_batch], allocated once here so a warm
      submit closes over nothing *)
   path_of : int -> string;
-  flags_of : int -> Walk.flags;
   prepare : int -> unit;
   within : mount -> dentry -> (unit, Errno.t) result;
   complete : int -> (unit, Errno.t) result -> unit;
 }
 
 let ok_unit : (unit, Errno.t) result = Ok ()
-let nofollow_flags = { Walk.follow_last = false; must_dir = false; collect = false }
 
 (* Mirror of [Syscalls.stat_attr]: positive → attr, anything
    still cached short of positive → ENOENT.  No promotion — exactly what
@@ -76,29 +65,6 @@ let stat_within s mnt dentry =
     ok_unit
   | Partial _ | Negative _ -> Errno.to_error Errno.ENOENT
 
-(* Mirror of [Syscalls.access]: positive_inode (promoting a partial, as
-   the sequential path does) then the LSM permission stack, which the
-   sequential path runs just after its lookup.
-   The promotion branch allocates, but is unreachable on a warm all-hit
-   batch — warm dentries are positive. *)
-let access_within s mnt dentry =
-  ignore (mnt : mount);
-  let check inode =
-    let reg = Kernel.registry s.proc.Proc.kernel in
-    if Lsm.permission reg s.proc.Proc.cred (Inode.attr inode) s.sq_mask.(s.cur) then begin
-      s.cq_attr.(s.cur) <- Inode.attr inode;
-      ok_unit
-    end
-    else Errno.to_error Errno.EACCES
-  in
-  match dentry.d_state with
-  | Positive inode -> check inode
-  | Partial _ -> (
-    match Dcache.promote dentry with
-    | Ok inode -> check inode
-    | Error e -> Errno.to_error e)
-  | Negative e -> Errno.to_error e
-
 let create ?(cap = 128) proc =
   if cap <= 0 then invalid_arg "Batch.create: cap must be positive";
   let filler_attr =
@@ -110,9 +76,7 @@ let create ?(cap = 128) proc =
     {
       proc;
       cap;
-      sq_op = Array.make cap op_stat;
       sq_path = Array.make cap "";
-      sq_mask = Array.make cap Access.may_read;
       sq_n = 0;
       cur = 0;
       cq_ok = Array.make cap false;
@@ -127,13 +91,8 @@ let create ?(cap = 128) proc =
   {
     s;
     path_of = (fun i -> s.sq_path.(i));
-    flags_of =
-      (fun i -> if s.sq_op.(i) = op_lstat then nofollow_flags else Walk.default_flags);
     prepare = (fun i -> s.cur <- i);
-    within =
-      (fun mnt dentry ->
-        let op = s.sq_op.(s.cur) in
-        if op = op_access then access_within s mnt dentry else stat_within s mnt dentry);
+    within = (fun mnt dentry -> stat_within s mnt dentry);
     complete =
       (fun i r ->
         (* Table 1's statistics, as the sequential front-end counts
@@ -148,25 +107,17 @@ let create ?(cap = 128) proc =
           s.cq_err.(i) <- e);
   }
 
-let capacity t = t.s.cap
-let length t = t.s.sq_n
 let reset t = t.s.sq_n <- 0
 
-let push t op path mask =
+let push_stat t path =
   let s = t.s in
   if s.sq_n >= s.cap then -1
   else begin
     let slot = s.sq_n in
-    s.sq_op.(slot) <- op;
     s.sq_path.(slot) <- path;
-    s.sq_mask.(slot) <- mask;
     s.sq_n <- slot + 1;
     slot
   end
-
-let push_stat t path = push t op_stat path Access.may_read
-let push_lstat t path = push t op_lstat path Access.may_read
-let push_access t path mask = push t op_access path mask
 
 (* The cached context goes stale when the process changes credentials,
    chroots, chdirs or switches namespace — all rare next to submits, all
@@ -197,7 +148,7 @@ let submit t =
     Counter.add cs Counters.batch_windows
       (Fastpath.probe_batch
          (Kernel.fastpath s.proc.Proc.kernel)
-         s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within
+         s.ctx ~n ~path:t.path_of ~flags:Walk.default_flags ~prepare:t.prepare ~within:t.within
          ~complete:t.complete ~deferred:s.deferred);
     Counter.add cs Counters.path_bytes s.path_bytes;
     Counter.add cs Counters.path_comps s.path_comps
@@ -217,7 +168,3 @@ let errno t i =
 let attr t i =
   submitted t i;
   t.s.cq_attr.(i)
-
-let result t i =
-  submitted t i;
-  if t.s.cq_ok.(i) then Ok t.s.cq_attr.(i) else Error t.s.cq_err.(i)

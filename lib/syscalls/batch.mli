@@ -1,8 +1,8 @@
 (** Vectored submission/completion front-end (§3.9).
 
     An io_uring-style SQ/CQ ring pair bound to one process.  Callers
-    enqueue up to [cap] metadata probes with the [push_*] calls, fire them
-    with {!submit}, and read completions back from the CQ with {!ok} /
+    enqueue up to [cap] stat probes with {!push_stat}, fire them with
+    {!submit}, and read completions back from the CQ with {!ok} /
     {!errno} / {!attr}.  The ring, the per-op hook closures and the walk
     context are all allocated at {!create}; a warm all-hit submit allocates
     {e zero} minor-heap words and takes zero rwlock acquisitions, paying
@@ -13,14 +13,12 @@
 
     Semantics match the sequential syscalls exactly: a slot pushed with
     {!push_stat} completes with what [Syscalls.stat] would have returned
-    for the same path at the same point, {!push_lstat} mirrors [lstat]
-    (no trailing-symlink follow), and {!push_access} mirrors [access]
-    against the LSM stack.  Differences are confined to accounting: batch
-    submissions count under ["batch_submit"]/["batch_ops"] (and the
-    validation windows they opened under ["batch_windows"]) rather than the
-    per-syscall counters, add Table 1's path tallies once per submit, and
-    run outside the Fig. 1 syscall timers (the open-loop runner
-    charges batch service time to the virtual clock itself). *)
+    for the same path at the same point.  Differences are confined to
+    accounting: batch submissions count under ["batch_submit"]/["batch_ops"]
+    (and the validation windows they opened under ["batch_windows"])
+    rather than the per-syscall counters, add Table 1's path tallies once
+    per submit, and run outside the Fig. 1 syscall timers (the open-loop
+    runner charges batch service time to the virtual clock itself). *)
 
 open Dcache_types
 
@@ -30,10 +28,6 @@ val create : ?cap:int -> Proc.t -> t
 (** A ring pair of capacity [cap] (default 128) over [proc].
     @raise Invalid_argument when [cap <= 0]. *)
 
-val capacity : t -> int
-val length : t -> int
-(** Ops currently enqueued (and, after {!submit}, completed). *)
-
 val reset : t -> unit
 (** Empty the SQ for reuse.  CQ slots for previously submitted ops become
     stale; store-only, never shrinks. *)
@@ -41,12 +35,6 @@ val reset : t -> unit
 val push_stat : t -> string -> int
 (** Enqueue a stat probe (follow trailing symlink).  Returns the slot
     index, or [-1] when the ring is full. *)
-
-val push_lstat : t -> string -> int
-(** Enqueue an lstat probe (no trailing-symlink follow). *)
-
-val push_access : t -> string -> Access.t -> int
-(** Enqueue an access probe for the given permission mask. *)
 
 val submit : t -> unit
 (** Resolve every enqueued op and fill the CQ.  All fastpath hits complete
@@ -62,10 +50,6 @@ val errno : t -> int -> Errno.t
 (** Slot [i]'s errno; meaningful only when [ok t i = false]. *)
 
 val attr : t -> int -> Attr.t
-(** Slot [i]'s resolved attributes; meaningful only when [ok t i = true]
-    (for access ops: the checked inode's attributes).  The record is the
-    inode's live attribute block, exactly what sequential [stat]
-    returns — not a snapshot. *)
-
-val result : t -> int -> (Attr.t, Errno.t) result
-(** Boxed convenience view of slot [i]; allocates. *)
+(** Slot [i]'s resolved attributes; meaningful only when [ok t i = true].
+    The record is the inode's live attribute block, exactly what
+    sequential [stat] returns — not a snapshot. *)

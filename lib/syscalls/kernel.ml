@@ -29,12 +29,6 @@ type t = {
   (* fs instance -> superblock (by physical identity), so mounting the same
      fs twice aliases the same dentries *)
   mutable sb_keys : (Dcache_fs.Fs_intf.t * superblock) list;
-  (* Solaris-DNLC-style side cache of complete listings, keyed by dentry id
-     and guarded by the directory's mutation generation (comparison mode).
-     Listings of different directories hold different stripes, so the table
-     takes its own mutex. *)
-  dnlc : (int, int * Dcache_fs.Fs_intf.dirent list) Hashtbl.t;
-  dnlc_lock : Mutex.t;
   mutable crash_sites : crash_sites option;
 }
 
@@ -67,8 +61,6 @@ let create ?(config = Vfs.Config.baseline) ?(lsms = []) ~root_fs () =
       init_ns;
       root_cred = Dcache_cred.Cred.root ();
       sb_keys = [];
-      dnlc = Hashtbl.create 64;
-      dnlc_lock = Mutex.create ();
       crash_sites = None;
     }
   in
@@ -89,17 +81,7 @@ let timers t = t.timers
 let crash_sites t = t.crash_sites
 let set_crash_sites t sites = t.crash_sites <- sites
 
-let dnlc_find t id gen =
-  Mutex.protect t.dnlc_lock (fun () ->
-      match Hashtbl.find_opt t.dnlc id with
-      | Some (g, listing) when g = gen -> Some listing
-      | _ -> None)
-
-let dnlc_store t id gen listing =
-  Mutex.protect t.dnlc_lock (fun () -> Hashtbl.replace t.dnlc id (gen, listing))
-
 let drop_caches t =
-  Mutex.protect t.dnlc_lock (fun () -> Hashtbl.reset t.dnlc);
   Dcache.with_write t.dcache (fun () -> Dcache.purge t.dcache)
 
 type scrub_report = {

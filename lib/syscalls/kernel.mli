@@ -33,15 +33,6 @@ val make_superblock : t -> Dcache_fs.Fs_intf.t -> (superblock, Dcache_types.Errn
 (** Superblocks are cached per fs instance, so mounting the same pseudo fs
     twice aliases the same dentries (§4.3). *)
 
-val dnlc_find : t -> int -> int -> Dcache_fs.Fs_intf.dirent list option
-(** [dnlc_find t id gen] is the Solaris-comparison side cache's listing of
-    dentry [id] if it was stored at generation [gen]; only consulted when
-    [dnlc_style_completeness] is set.  Safe from any domain. *)
-
-val dnlc_store : t -> int -> int -> Dcache_fs.Fs_intf.dirent list -> unit
-(** [dnlc_store t id gen listing] records a whole backend listing of
-    dentry [id] read at generation [gen]. *)
-
 val drop_caches : t -> unit
 (** Evict every unpinned dentry — the cold-cache experiment setup (Table 2).
     The caller drops its page caches separately. *)

@@ -124,7 +124,6 @@ let render_config kernel () =
         | Config.Dotdot_lexical -> "lexical");
       Printf.sprintf "prefix_resume %b" c.Config.prefix_resume;
       Printf.sprintf "dir_completeness %b" c.Config.dir_completeness;
-      Printf.sprintf "dnlc_style_completeness %b" c.Config.dnlc_style_completeness;
       Printf.sprintf "aggressive_negative %b" c.Config.aggressive_negative;
       Printf.sprintf "deep_negative %b" c.Config.deep_negative;
       Printf.sprintf "dcache_buckets %d" c.Config.dcache_buckets;

@@ -20,9 +20,9 @@
     warm.  Promotion under the parent stripe rather than the global write
     lock is the point: concurrent listings of different directories
     proceed in parallel with each other and with sharded creates.  The
-    Solaris-DNLC comparison mode is one branch of the same section: it
-    picks the listing source (a side table of whole listings, or the
-    backend) and promotes nothing.
+    backend is the one source of an incomplete directory's listing; with
+    completeness off the section lists it every time and promotes
+    nothing.
 
     {!fill} is the only code that lists a directory.  [Syscalls.readdir_fill]
     reads the scratch in place; [Syscalls.getdents] copies it into its
@@ -198,27 +198,6 @@ let promote_listing_locked proc dir (listing : Fs.dirent list) =
    no parent and are never hashed). *)
 let dir_live dir = dir.d_parent = None || dir.d_hashed
 
-(* Where an incomplete directory's listing comes from: the backend, or —
-   in the Solaris-DNLC comparison mode — first the kernel's side table of
-   whole listings, keyed by dentry id and valid while the directory's
-   generation is unchanged.  Caller holds the directory's stripe (or the
-   write lock), so the generation stored with a fresh listing is the one
-   it was read under. *)
-let listing_source proc inode dir =
-  let kernel = proc.Proc.kernel in
-  let dnlc = (kconfig proc).Config.dnlc_style_completeness in
-  match if dnlc then Kernel.dnlc_find kernel dir.d_id dir.d_dir_gen else None with
-  | Some listing ->
-    Counter.bump (counters proc) Counters.readdir_from_dnlc;
-    Ok listing
-  | None ->
-    Counter.bump (counters proc) Counters.readdir_from_fs;
-    let r = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
-    (match r with
-    | Ok listing when dnlc -> Kernel.dnlc_store kernel dir.d_id dir.d_dir_gen listing
-    | _ -> ());
-    r
-
 (* A negative child with cached children of its own heads a deep-negative
    chain (§5.2).  The deeper negatives sit on their own parents' stripe
    lists, so only the write lock may drop the chain when the listing
@@ -244,7 +223,8 @@ let fill_locked proc inode dir =
     else begin
       if completes && heads_deep_negatives dir && not (Rwlock.write_held (Dcache.lock d))
       then raise Deep_negatives;
-      match listing_source proc inode dir with
+      Counter.bump (counters proc) Counters.readdir_from_fs;
+      match (Inode.fs inode).Fs.readdir (Inode.ino inode) with
       | Error e -> Error e
       | Ok listing ->
         let complete = completes && promote_listing_locked proc dir listing in

@@ -12,9 +12,9 @@
 type 'a r = ('a, Dcache_types.Errno.t) result
 
 module Batch = Batch
-(** Vectored submission/completion rings (§3.9): enqueue stat / lstat /
-    access probes, {!Batch.submit} them in one amortized-validation run,
-    read completions from the CQ. *)
+(** Vectored submission/completion rings (§3.9): enqueue stat probes,
+    {!Batch.submit} them in one amortized-validation run, read completions
+    from the CQ. *)
 
 (** {1 Metadata} *)
 
@@ -63,8 +63,8 @@ val readdir_fill : Proc.t -> int -> int
     seqcount and [d_dir_gen], and performs zero minor-heap allocation
     after the scratch's first growth.  A cold call fills under the
     directory's stripe and promotes the backend listing so the next call
-    is warm (in the Solaris-DNLC comparison mode it serves the kernel's
-    side table instead and promotes nothing).  Every listing — {!getdents},
+    is warm (with completeness off it lists the backend every time and
+    promotes nothing).  Every listing — {!getdents},
     {!readdir_path} — goes through this fill.
     @raise Readdir_errno on failure. *)
 

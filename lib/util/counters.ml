@@ -111,7 +111,6 @@ let sharded_cb_invalidate = declare "sharded_cb_invalidate"
 
 (* Listings (readdir). *)
 let readdir_from_cache = declare "readdir_from_cache"
-let readdir_from_dnlc = declare "readdir_from_dnlc"
 let readdir_from_fs = declare "readdir_from_fs"
 let readdir_promoted = declare "readdir_promoted"
 let readdir_scratch_fill = declare "readdir_scratch_fill"

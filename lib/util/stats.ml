@@ -1,41 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  ci95 : float;
-}
-
-let mean samples =
-  let n = Array.length samples in
-  assert (n > 0);
-  Array.fold_left ( +. ) 0.0 samples /. float_of_int n
-
-let summarize samples =
-  let n = Array.length samples in
-  assert (n > 0);
-  let m = mean samples in
-  let var =
-    if n < 2 then 0.0
-    else begin
-      let acc = ref 0.0 in
-      Array.iter
-        (fun x ->
-          let d = x -. m in
-          acc := !acc +. (d *. d))
-        samples;
-      !acc /. float_of_int (n - 1)
-    end
-  in
-  let stddev = sqrt var in
-  let min = Array.fold_left Float.min samples.(0) samples in
-  let max = Array.fold_left Float.max samples.(0) samples in
-  (* 1.96 is the asymptotic z for 95%; fine for our sample counts. *)
-  let ci95 = if n < 2 then 0.0 else 1.96 *. stddev /. sqrt (float_of_int n) in
-  { n; mean = m; stddev; min; max; ci95 }
-
-
 let sorted_copy samples =
   let copy = Array.copy samples in
   (* [Float.compare], not polymorphic [compare]: every percentile/median in
@@ -66,11 +28,6 @@ let percentile samples p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     s.(Stdlib.min (n - 1) (rank - 1))
   end
-
-let summary_to_string s =
-  Printf.sprintf "n=%d mean=%.1f stddev=%.1f min=%.1f max=%.1f ci95=%.1f" s.n
-    s.mean s.stddev s.min s.max s.ci95
-
 
 (* --- GC-aware measurement (words of minor-heap allocation per op) ---
 

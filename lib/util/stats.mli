@@ -1,27 +1,11 @@
 (** Sample statistics and histograms for the benchmark harness. *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  ci95 : float;  (** half-width of the 95% confidence interval of the mean *)
-}
-
-val summarize : float array -> summary
-(** [summarize samples] computes a summary; requires a non-empty array. *)
-
-val mean : float array -> float
 val median : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile samples p] for [p] in [\[0,100\]] (nearest-rank, on a sorted
     copy).  [p = 0] is the minimum, [p = 100] the maximum.
     @raise Invalid_argument when [p] is outside [\[0, 100\]]. *)
-
-val summary_to_string : summary -> string
-(** One-line [n=… mean=… stddev=… min=… max=… ci95=…] rendering. *)
 
 val minor_words_per_op : iters:int -> (unit -> unit) -> float
 (** [minor_words_per_op ~iters f] runs [f] once to warm, then measures the

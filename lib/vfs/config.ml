@@ -30,11 +30,6 @@ type t = {
   dotdot : dotdot_semantics;
   (* §5: hit rate *)
   dir_completeness : bool;  (** DIR_COMPLETE tracking + readdir from cache (§5.1) *)
-  dnlc_style_completeness : bool;
-      (** comparison mode (§2.3/§5.1): cache complete listings in a {e
-          separate} side table, as Solaris's DNLC does — repeated readdirs
-          are served, but lookups, stat-after-readdir and negative elision
-          see no benefit.  Mutually exclusive with [dir_completeness]. *)
   aggressive_negative : bool;
       (** negatives on rename/unlink + pseudo-fs (§5.2).  Applies only
           under incomplete directories: a DIR_COMPLETE directory is its own
@@ -54,7 +49,6 @@ type t = {
   (* substrate sizing *)
   dcache_buckets : int;  (** primary hash table buckets (Linux default 262144) *)
   max_dentries : int;  (** dcache capacity before LRU eviction *)
-  hash_seed : int;  (** boot-time signature key seed *)
   dcache_stripes : int;
       (** stripes in the sharded mutation path's lock table (power of two);
           0 funnels every mutation through the single global write lock
@@ -71,13 +65,11 @@ let baseline =
     symlink_aliases = false;
     dotdot = Dotdot_linux;
     dir_completeness = false;
-    dnlc_style_completeness = false;
     aggressive_negative = false;
     deep_negative = false;
     neg_list_cap = 4096;
     dcache_buckets = 1 lsl 18;
     max_dentries = 1 lsl 20;
-    hash_seed = 0x5eed;
     dcache_stripes = 0;
   }
 

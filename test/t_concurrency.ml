@@ -404,26 +404,29 @@ let test_listing_waits_for_foreign_writer () =
   Alcotest.(check int) "same listing" entries listed;
   Alcotest.(check bool) "listing finished after the writer released" true after_release
 
-(* DNLC comparison mode: listings of different directories hold different
-   stripes, so two domains reach the kernel's side table at once.  Each
-   domain churns and lists its own directory; every listing must equal the
-   backend's. *)
-let test_dnlc_parallel_listings () =
+(* Listings of different directories hold different stripes, so two
+   domains promote at once: the caches are dropped after setup, so each
+   directory's first listing comes from the backend.  Each domain churns
+   and lists its own directory; every listing must equal the backend's. *)
+let test_parallel_listings () =
   let fs = Dcache_fs.Ramfs.create () in
-  let config =
-    { Config.optimized with Config.dir_completeness = false; dnlc_style_completeness = true }
-  in
-  let kernel = Kernel.create ~config ~root_fs:fs () in
+  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
   let p = Proc.spawn kernel in
   let names l = List.sort compare (List.map (fun e -> e.Dcache_fs.Fs_intf.name) l) in
   let errors = Atomic.make 0 in
-  let workers =
+  let dirs =
     List.init 2 (fun w ->
-        let dir = Printf.sprintf "/dnlc%d" w in
+        let dir = Printf.sprintf "/list%d" w in
         get "dir" (S.mkdir p dir);
         for i = 0 to 15 do
           get "f" (S.write_file p (Printf.sprintf "%s/f%d" dir i) "x")
         done;
+        dir)
+  in
+  Kernel.drop_caches kernel;
+  let workers =
+    List.map
+      (fun dir ->
         Domain.spawn (fun () ->
             let wp = Proc.fork p in
             let ino = (get "stat" (S.stat wp dir)).Dcache_types.Attr.ino in
@@ -434,11 +437,14 @@ let test_dnlc_parallel_listings () =
               | Ok listed, Ok truth when names listed = names truth -> ()
               | _ -> Atomic.incr errors
             done))
+      dirs
   in
   List.iter Domain.join workers;
   Alcotest.(check int) "every listing is the backend's" 0 (Atomic.get errors);
-  Alcotest.(check bool) "the side table served repeats" true
-    (counter kernel "readdir_from_dnlc" > 0)
+  Alcotest.(check bool) "each directory was promoted" true
+    (counter kernel "readdir_promoted" >= 2);
+  Alcotest.(check bool) "promotion served repeats from the cache" true
+    (counter kernel "readdir_from_cache" + counter kernel "readdir_scratch_warm" > 0)
 
 let suite =
   [
@@ -460,8 +466,7 @@ let suite =
     Alcotest.test_case "cross-rename lock ordering" `Slow test_cross_rename_no_deadlock;
     Alcotest.test_case "listing waits for another domain's write section" `Slow
       test_listing_waits_for_foreign_writer;
-    Alcotest.test_case "DNLC mode: parallel listings of two directories" `Slow
-      test_dnlc_parallel_listings;
+    Alcotest.test_case "parallel listings of two directories" `Slow test_parallel_listings;
     Alcotest.test_case "churn across resize [seed 1]" `Slow (test_churn_across_resize 1);
     Alcotest.test_case "churn across resize [seed 1337]" `Slow
       (test_churn_across_resize 1337);

@@ -819,44 +819,48 @@ let test_chroot_symlink_resolution () =
 let chroot_suite =
   [ Alcotest.test_case "chroot-safe symlink fastpath" `Quick test_chroot_symlink_resolution ]
 
-let test_dnlc_style_comparison () =
-  (* The Solaris-comparison mode: a separate listing cache serves repeated
-     readdirs but feeds nothing back into the dcache — stat-after-readdir
-     still pays per-name directory scans (§2.3/§5.1). *)
+let test_completeness_integration () =
+  (* Completeness lives in the dcache (§2.3/§5.1): one backend listing
+     serves repeated readdirs, and the names it promotes answer
+     stat-after-readdir and absent names with no backend lookup.  With
+     completeness off, every readdir lists the backend and every listed or
+     absent name is looked up.  Both arms run on one counting fs. *)
   let fs, fs_calls = counting_fs (Dcache_fs.Ramfs.create ()) in
-  let config =
-    { Config.optimized with Config.dir_completeness = false; dnlc_style_completeness = true }
+  let setup = Proc.spawn (Kernel.create ~config:Config.optimized ~root_fs:fs ()) in
+  get "dir" (S.mkdir_p setup "/dir");
+  for i = 1 to 12 do
+    get "f" (S.write_file setup (Printf.sprintf "/dir/e%d" i) "x")
+  done;
+  let arm completes =
+    let config = { Config.optimized with Config.dir_completeness = completes } in
+    let p = Proc.spawn (Kernel.create ~config ~root_fs:fs ()) in
+    ignore (get "readdir1" (S.readdir_path p "/dir"));
+    let readdirs = fs_calls "readdir" in
+    let names = get "readdir2" (S.readdir_path p "/dir") in
+    let repeat_readdirs = fs_calls "readdir" - readdirs in
+    let lookups = fs_calls "lookup" in
+    List.iter
+      (fun e -> ignore (get "stat" (S.stat p ("/dir/" ^ e.Dcache_fs.Fs_intf.name))))
+      names;
+    let stat_lookups = fs_calls "lookup" - lookups in
+    let lookups = fs_calls "lookup" in
+    expect_err Errno.ENOENT "absent" (S.stat p "/dir/absent0");
+    (List.length names, repeat_readdirs, stat_lookups, fs_calls "lookup" - lookups)
   in
-  let kernel = Kernel.create ~config ~root_fs:fs () in
-  let p = Proc.spawn kernel in
-  get "dir" (S.mkdir_p p "/dir");
-  for i = 1 to 12 do
-    get "f" (S.write_file p (Printf.sprintf "/dir/e%d" i) "x")
-  done;
-  Kernel.drop_caches kernel;
-  ignore (get "readdir1" (S.readdir_path p "/dir"));
-  let fs_readdirs = fs_calls "readdir" in
-  ignore (get "readdir2" (S.readdir_path p "/dir"));
-  Alcotest.(check int) "repeat served from the side cache" fs_readdirs (fs_calls "readdir");
-  Alcotest.(check bool) "dnlc counter" true (counter kernel "readdir_from_dnlc" > 0);
-  (* ...but lookups get no benefit: stats of listed names still scan. *)
-  let lookups_before = fs_calls "lookup" in
-  for i = 1 to 12 do
-    ignore (get "stat" (S.stat p (Printf.sprintf "/dir/e%d" i)))
-  done;
-  Alcotest.(check bool) "stat-after-readdir still scans the directory" true
-    (fs_calls "lookup" > lookups_before);
-  (* ...and misses still consult the fs (no negative elision). *)
-  let lookups_mid = fs_calls "lookup" in
-  expect_err Errno.ENOENT "miss" (S.stat p "/dir/absent0");
-  Alcotest.(check bool) "miss consults the fs" true (fs_calls "lookup" > lookups_mid);
-  (* a mutation invalidates the side listing *)
-  get "new entry" (S.write_file p "/dir/e99" "x");
-  let names = get "readdir3" (S.readdir_path p "/dir") in
-  Alcotest.(check int) "fresh listing after mutation" 13 (List.length names)
+  let check label (n, readdirs, lookups, miss) (n', readdirs', lookups', miss') =
+    Alcotest.(check int) (label ^ ": entries") n n';
+    Alcotest.(check int) (label ^ ": fs readdirs of a repeated readdir") readdirs readdirs';
+    Alcotest.(check int) (label ^ ": fs lookups of stat-after-readdir") lookups lookups';
+    Alcotest.(check int) (label ^ ": fs lookups of an absent name") miss miss'
+  in
+  check "completeness off" (12, 1, 12, 1) (arm false);
+  check "completeness on" (12, 0, 0, 0) (arm true)
 
-let dnlc_suite =
-  [ Alcotest.test_case "Solaris DNLC-style comparison mode" `Quick test_dnlc_style_comparison ]
+let completeness_integration_suite =
+  [
+    Alcotest.test_case "completeness integration: fs calls with and without" `Quick
+      test_completeness_integration;
+  ]
 
 let test_dlht_membership_unit () =
   (* Module-level check of the one-DLHT-at-a-time policy (§4.3). *)

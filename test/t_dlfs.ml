@@ -1,7 +1,7 @@
 (* The DLFS-style on-disk path-hash comparator (paper §7). *)
 
 open Dcache_types
-module Dlfs = Dcache_fs.Dlfs
+module Dlfs = Dcache_comparators.Dlfs
 module Pagecache = Dcache_storage.Pagecache
 module Blockdev = Dcache_storage.Blockdev
 module Vclock = Dcache_util.Vclock

@@ -596,39 +596,22 @@ let profiling_transparency_property =
 
 (* --- batched submission equivalence (§3.9) ---
 
-   A batch of N mixed probes (stat / lstat / access) drained through the
-   vectored SQ/CQ front-end must return exactly the results of the same
-   ops issued sequentially at the same point — under rename / chmod /
+   A batch of N stat probes drained through the vectored SQ/CQ front-end
+   must return exactly the results of the same ops issued sequentially at
+   the same point — under rename / chmod /
    unlink / create churn between rounds, in both orders (batch first, so
    its grouped phase-2 populates are observed by the sequential pass, and
    sequential first, so the batch runs all-warm). *)
 
 module Batch = Dcache_syscalls.Batch
 
-type probe = PStat of string | PLstat of string | PAccess of string
+let pp_probe path = "bstat " ^ path
+let probe_sequential p path = obs "stat" (Result.map obs_of_attr (S.stat p path))
+let probe_push ring path = ignore (Batch.push_stat ring path)
 
-let pp_probe = function
-  | PStat p -> "bstat " ^ p
-  | PLstat p -> "blstat " ^ p
-  | PAccess p -> "baccess " ^ p
-
-let probe_sequential p = function
-  | PStat path -> obs "stat" (Result.map obs_of_attr (S.stat p path))
-  | PLstat path -> obs "lstat" (Result.map obs_of_attr (S.lstat p path))
-  | PAccess path ->
-    obs "access" (Result.map (fun () -> "") (S.access p path Access.may_read))
-
-let probe_push ring = function
-  | PStat path -> ignore (Batch.push_stat ring path)
-  | PLstat path -> ignore (Batch.push_lstat ring path)
-  | PAccess path -> ignore (Batch.push_access ring path Access.may_read)
-
-let probe_obs ring k pr =
-  let name = match pr with PStat _ -> "stat" | PLstat _ -> "lstat" | PAccess _ -> "access" in
-  if Batch.ok ring k then
-    let body = match pr with PAccess _ -> "" | _ -> obs_of_attr (Batch.attr ring k) in
-    name ^ ":ok:" ^ body
-  else name ^ ":" ^ Errno.to_string (Batch.errno ring k)
+let probe_obs ring k =
+  if Batch.ok ring k then "stat:ok:" ^ obs_of_attr (Batch.attr ring k)
+  else "stat:" ^ Errno.to_string (Batch.errno ring k)
 
 let batch_equiv_churn_test seed =
   Alcotest.test_case
@@ -661,13 +644,6 @@ let batch_equiv_churn_test seed =
         | 3 -> Printf.sprintf "%s/nope%d" d (Random.State.int rng 4)
         | _ -> "/ba/ln"
       in
-      let random_probe () =
-        let path = random_path () in
-        match Random.State.int rng 3 with
-        | 0 -> PStat path
-        | 1 -> PLstat path
-        | _ -> PAccess path
-      in
       for round = 0 to 19 do
         (match Random.State.int rng 4 with
         | 0 ->
@@ -690,20 +666,20 @@ let batch_equiv_churn_test seed =
                (Printf.sprintf "%s/f%d" dirs.(Random.State.int rng 3)
                   (Random.State.int rng 14))
                "y"));
-        let probes = Array.init n (fun _ -> random_probe ()) in
+        let probes = Array.init n (fun _ -> random_path ()) in
         Batch.reset ring;
         Array.iter (probe_push ring) probes;
         let batch_first = round land 1 = 0 in
         let batched, sequential =
           if batch_first then begin
             Batch.submit ring;
-            let b = Array.mapi (fun k pr -> probe_obs ring k pr) probes in
+            let b = Array.mapi (fun k _ -> probe_obs ring k) probes in
             (b, Array.map (probe_sequential p) probes)
           end
           else begin
             let s = Array.map (probe_sequential p) probes in
             Batch.submit ring;
-            (Array.mapi (fun k pr -> probe_obs ring k pr) probes, s)
+            (Array.mapi (fun k _ -> probe_obs ring k) probes, s)
           end
         in
         Array.iteri
@@ -720,12 +696,6 @@ let batch_equiv_churn_test seed =
       Alcotest.(check bool) "misses deferred to phase 2" true
         (counter kernel "fastpath_batch_deferred" > 0))
 
-let probe_gen =
-  QCheck.Gen.(
-    let* path = path_gen in
-    let* k = int_range 0 2 in
-    return (match k with 0 -> PStat path | 1 -> PLstat path | _ -> PAccess path))
-
 let batch_property =
   QCheck.Test.make ~name:"batched probes match sequential probes after any trace"
     ~count:100
@@ -735,7 +705,7 @@ let batch_property =
          ^ " | "
          ^ String.concat "; " (List.map pp_probe probes))
        QCheck.Gen.(
-         pair (list_size (int_range 1 40) op_gen) (list_size (int_range 1 40) probe_gen)))
+         pair (list_size (int_range 1 40) op_gen) (list_size (int_range 1 40) path_gen)))
     (fun (ops, probes) ->
       let fs = Dcache_fs.Ramfs.create () in
       let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
@@ -746,7 +716,7 @@ let batch_property =
       let ring = Batch.create ~cap:(Array.length probes) root_p in
       Array.iter (probe_push ring) probes;
       Batch.submit ring;
-      let batched = Array.mapi (fun k pr -> probe_obs ring k pr) probes in
+      let batched = Array.mapi (fun k _ -> probe_obs ring k) probes in
       let sequential = Array.map (probe_sequential root_p) probes in
       if batched <> sequential then begin
         let k = ref 0 in
@@ -799,7 +769,7 @@ let listing_stat_ring_test seed =
             Batch.submit ring;
             for k = lo to hi - 1 do
               if not (Batch.ok ring (k - lo)) then incr stale;
-              out.(k) <- probe_obs ring (k - lo) probes.(k)
+              out.(k) <- probe_obs ring (k - lo)
             done;
             window hi
           end
@@ -832,7 +802,7 @@ let listing_stat_ring_test seed =
             if Array.length names > cap then incr wide;
             if Array.length names > 0 && Random.State.bool rng then
               ignore (S.unlink p (dir ^ "/" ^ names.(Random.State.int rng (Array.length names))));
-            let probes = Array.map (fun n -> PStat (dir ^ "/" ^ n)) names in
+            let probes = Array.map (fun n -> dir ^ "/" ^ n) names in
             let batch_first = round land 1 = 0 in
             let b, s =
               if batch_first then

@@ -1,7 +1,7 @@
 (* Tests for path signatures (multilinear hashing) and SipHash. *)
 
 module Signature = Dcache_sig.Signature
-module Siphash = Dcache_sig.Siphash
+module Siphash = Dcache_comparators.Siphash
 
 let key = Signature.create_key ~seed:1234 ()
 

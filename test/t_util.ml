@@ -107,14 +107,6 @@ let dlist_model_test =
         ops;
       Dlist.to_list l = !model && Dlist.length l = List.length !model)
 
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  Alcotest.(check (float 1e-9)) "mean" 3.0 s.Stats.mean;
-  Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 5.0 s.Stats.max;
-  Alcotest.(check int) "n" 5 s.Stats.n;
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) s.Stats.stddev
-
 let test_stats_median_percentile () =
   Alcotest.(check (float 1e-9)) "odd median" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |]);
   Alcotest.(check (float 1e-9)) "even median" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
@@ -136,13 +128,6 @@ let test_stats_percentile_edges () =
       ignore (Stats.percentile samples (-1.0)));
   Alcotest.check_raises "p > 100 rejected" out_of_range (fun () ->
       ignore (Stats.percentile samples 100.1))
-
-let test_stats_summary_to_string () =
-  let s = Stats.summary_to_string (Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |]) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " present") true (Kit.contains_substring s needle))
-    [ "n=5"; "mean=3.0"; "stddev="; "min=1.0"; "max=5.0"; "ci95=" ]
 
 let test_lhist_basic () =
   let h = Stats.Lhist.create () in
@@ -347,10 +332,8 @@ let suite =
     Alcotest.test_case "dlist move_to_front" `Quick test_dlist_move_to_front;
     Alcotest.test_case "dlist iter removing" `Quick test_dlist_iter_remove_current;
     QCheck_alcotest.to_alcotest dlist_model_test;
-    Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "stats median/percentile" `Quick test_stats_median_percentile;
     Alcotest.test_case "stats percentile p0/p100 edges" `Quick test_stats_percentile_edges;
-    Alcotest.test_case "stats summary_to_string" `Quick test_stats_summary_to_string;
     Alcotest.test_case "lhist basic percentiles" `Quick test_lhist_basic;
     Alcotest.test_case "lhist buckets and reset" `Quick test_lhist_buckets_and_reset;
     Alcotest.test_case "lhist record allocates nothing" `Quick test_lhist_record_no_alloc;
