@@ -887,8 +887,38 @@ let test_dlht_membership_unit () =
   Alcotest.(check bool) "tables stay disjoint per dentry" true
     (find_in p.Proc.ns > 0)
 
+let test_signature_key_fixed_seed () =
+  (* The signature key comes from one fixed seed (0x5eed), whatever the
+     configuration: kernels with the same [sig_bits] compute the same
+     signatures, and narrowing [sig_bits] changes only what [equal]
+     compares. *)
+  let module Signature = Dcache_sig.Signature in
+  let paths = [ ""; "/"; "/a/b/c/target"; "rel/x"; String.make 300 'q' ] in
+  let sig_of config path =
+    let kernel, _ = opt_kernel ~config () in
+    let key = Fastpath.key (Kernel.fastpath kernel) in
+    Alcotest.(check int) "sig_bits from the config (clamped)"
+      (Int.min Signature.max_sig_bits config.Config.sig_bits)
+      (Signature.sig_bits key);
+    Signature.to_hex (Signature.hash_string key path)
+  in
+  List.iter
+    (fun path ->
+      let reference =
+        Signature.to_hex
+          (Signature.hash_string (Signature.create_key ~seed:0x5eed ()) path)
+      in
+      List.iter
+        (fun (label, config) ->
+          Alcotest.(check string) (label ^ ": " ^ path) reference (sig_of config path))
+        [ ("baseline", Config.baseline); ("optimized", Config.optimized);
+          ("optimized, 16 sig bits", { Config.optimized with Config.sig_bits = 16 }) ])
+    paths
+
 let dlht_suite =
-  [ Alcotest.test_case "DLHT membership across namespaces" `Quick test_dlht_membership_unit ]
+  [ Alcotest.test_case "DLHT membership across namespaces" `Quick test_dlht_membership_unit;
+    Alcotest.test_case "signature key: one fixed seed for every config" `Quick
+      test_signature_key_fixed_seed ]
 
 let test_mutation_between_chunks_keeps_snapshot () =
   (* The stream lists once, on its first call: an unlink between chunks

@@ -371,6 +371,42 @@ let path_stats_suite =
       ])
     [ ("baseline", Config.baseline); ("baseline, lexical ..", lexical Config.baseline);
       ("optimized", Config.optimized); ("optimized, lexical ..", lexical Config.optimized) ]
+  (* The ring's bounds: a full SQ refuses a push, a slot outside the
+     current submission is rejected, an empty submit does nothing, and
+     reset makes slot indices start again at 0. *)
+  @ tc_both "batch ring bounds: full ring, unknown slot, empty submit" (fun config ->
+        let kernel, p = ram_kernel ~config () in
+        get "tree" (S.mkdir_p p "/a");
+        get "file" (S.write_file p "/a/f" "xyz");
+        Alcotest.check_raises "cap 0 rejected"
+          (Invalid_argument "Batch.create: cap must be positive") (fun () ->
+            ignore (Dcache_syscalls.Batch.create ~cap:0 p));
+        let module B = Dcache_syscalls.Batch in
+        let ring = B.create ~cap:2 p in
+        let out_of_range = Invalid_argument "Batch: slot out of range" in
+        Alcotest.check_raises "nothing enqueued" out_of_range (fun () -> ignore (B.ok ring 0));
+        Alcotest.(check int) "slot 0" 0 (B.push_stat ring "/a/f");
+        Alcotest.(check int) "slot 1" 1 (B.push_stat ring "/a/missing");
+        Alcotest.(check int) "full ring refuses" (-1) (B.push_stat ring "/a");
+        B.submit ring;
+        Alcotest.(check bool) "hit ok" true (B.ok ring 0);
+        Alcotest.(check int) "hit attr == stat" (get "stat" (S.stat p "/a/f")).Attr.ino
+          (B.attr ring 0).Attr.ino;
+        Alcotest.(check bool) "miss fails" false (B.ok ring 1);
+        Alcotest.check errno "miss errno" Errno.ENOENT (B.errno ring 1);
+        Alcotest.check_raises "slot past the submission" out_of_range (fun () ->
+            ignore (B.errno ring 2));
+        Alcotest.check_raises "negative slot" out_of_range (fun () -> ignore (B.attr ring (-1)));
+        B.reset ring;
+        Alcotest.check_raises "reset forgets completions" out_of_range (fun () ->
+            ignore (B.ok ring 0));
+        let submits = counter kernel "batch_submit" in
+        B.submit ring;
+        Alcotest.(check int) "empty submit counts nothing" submits (counter kernel "batch_submit");
+        Alcotest.(check int) "slots restart at 0" 0 (B.push_stat ring "/a");
+        B.submit ring;
+        Alcotest.(check bool) "reused slot ok" true (B.ok ring 0);
+        Alcotest.(check int) "one more submit" (submits + 1) (counter kernel "batch_submit"))
   (* A batched submission counts each op as the sequential syscall does:
      the same ops, issued either way on twin kernels, leave equal
      counters — cold, then warm. *)
