@@ -506,7 +506,35 @@ let fig8 () =
           measure Config.baseline true n; measure Config.optimized true n ]
       in
       row t (C n :: List.map (fun s -> M s) (trials arms)))
-    [ 1; 2; 4; 8; 12 ]
+    [ 1; 2; 4; 8; 12 ];
+  (* Warm probes over 8 cached 4-component paths, one forked proc per domain.  A domain reports
+     its fastest of 8 chunks: a host neighbour slows some chunks, a shared write every one. *)
+  let probes = if !quick then 200_000 else 2_000_000 in
+  let probe config domains =
+    let env = W.Env.ram config in
+    let p = env.W.Env.proc and fp = Kernel.fastpath env.W.Env.kernel in
+    let paths = Array.init 8 (Printf.sprintf "/w/d%d/e/f") in
+    Array.iter (fun f -> ok "mk" (S.mkdir_p p (Filename.dirname f)); ok "f" (S.write_file p f "")) paths;
+    let run ctx () =
+      let i = ref 0 in
+      let f () =
+        ignore (Fastpath.lookup_into fp ctx paths.(!i land 7) ~within:(fun _ _ -> Ok ()));
+        incr i
+      in
+      List.fold_left Float.min infinity (List.init 8 (fun _ -> per_op ~iters:(probes / 8) f))
+    in
+    let ctxs = List.init domains (fun _ -> Proc.walk_ctx (Proc.fork p)) in
+    fun () ->
+      let ns = List.map Domain.join (List.map (fun c -> Domain.spawn (run c)) ctxs) in
+      List.fold_left ( +. ) 0.0 ns /. float_of_int domains
+  in
+  let cols = [ col 12 "probe-base" "probe_base_ns"; col 12 "probe-opt" "probe_opt_ns" ] in
+  let t = table "warm_probe" (col ~left:true 8 "domains" "domains" :: cols) in
+  let arms d = [ probe Config.baseline d; probe Config.optimized d ] in
+  let s = Array.of_list (trials (arms 1 @ arms 2)) in
+  List.iteri (fun i d -> row t [ C d; M s.(2 * i); M s.((2 * i) + 1) ]) [ 1; 2 ];
+  loose (s.(3).median <= 1.15 *. s.(1).median) "warm probe: 2 domains %.0f ns/op > 1.15x 1's %.0f"
+    s.(3).median s.(1).median
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: readdir and mkstemp latency vs directory size               *)
@@ -1341,7 +1369,7 @@ let scale_bench () =
         Config.dlht_buckets = 256;
         (* tiny on purpose: every size crosses resize boundaries *)
         max_dentries = 1 lsl 22;
-        (* no LRU eviction even at 2^20 files *)
+        (* no dcache eviction even at 2^20 files *)
       }
     in
     let env = W.Env.ram config in

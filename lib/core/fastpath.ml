@@ -103,8 +103,7 @@ let pcc_valid t pcc d =
   (not t.simulate_pcc_miss) && Pcc.check pcc d
 
 (* PCC validation for prefix candidates: [Pcc.probe] is the read-only
-   variant — no hit/miss accounting, no stale-entry drop — safe on the
-   lockless tier and statistics-neutral for a scan that expects misses. *)
+   variant — no stale-entry drop — safe on the lockless tier. *)
 let pcc_probe t pcc d = (not t.simulate_pcc_miss) && Pcc.probe pcc d
 
 let may_search ctx d =
@@ -749,7 +748,7 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
           | Some mnt ->
             gate_positive t final;
             commit_check t sc vsnap;
-            final.d_last_used <- Dcache.new_tick t.dcache;
+            if not final.d_referenced then final.d_referenced <- true;
             within mnt final
         end)
   in

@@ -25,13 +25,11 @@ type table = {
 type t = {
   mutable table : table;
   max_entries : int;  (* growth ceiling *)
-  mutable hit_count : int;
-  mutable miss_count : int;
   mutable displaced : int;  (* replacement-victim evictions in this window *)
-  mutable window_start : int;  (* hits + misses when the window opened *)
+  mutable window_start : int;  (* [lookups] when the window opened *)
   mutable grow_count : int;
   grow_lock : Mutex.t;  (* serializes growth: locked inserts and refills *)
-  counters : Counter.t;  (* the owning dcache's, for the stale-drop cause *)
+  counters : Counter.t;  (* the owning dcache's: stale drops, and [lookups] *)
 }
 
 let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
@@ -45,9 +43,8 @@ let initial_entries = 4096
 
 let create ~counters ~entries () =
   let max_entries = next_pow2 (Int.max 16 entries) 16 in
-  { table = make_table (Int.min max_entries initial_entries); max_entries; hit_count = 0;
-    miss_count = 0; displaced = 0; window_start = 0; grow_count = 0;
-    grow_lock = Mutex.create (); counters }
+  { table = make_table (Int.min max_entries initial_entries); max_entries; displaced = 0;
+    window_start = 0; grow_count = 0; grow_lock = Mutex.create (); counters }
 
 let capacity t = Array.length t.table.slots
 let grows t = t.grow_count
@@ -58,25 +55,19 @@ let set_of table id =
 
 (* The set scan is a top-level recursion: [check] runs (twice, for literal
    and real dentries) on every fastpath probe, and a capturing local [rec]
-   would allocate a closure per call. *)
+   would allocate a closure per call.  A hit only reads: the record every
+   probe reads is written by inserts and stale drops alone. *)
 let rec check_scan t table id seq base i =
-  if i >= ways then begin
-    t.miss_count <- t.miss_count + 1;
-    false
-  end
+  if i >= ways then false
   else begin
     let e = table.slots.(base + i) in
     if e <> 0 && packed_id e = id then begin
-      if packed_seq e = seq then begin
-        t.hit_count <- t.hit_count + 1;
-        true
-      end
-      else begin
+      packed_seq e = seq
+      || begin
         (* Stale version: the ancestor chain changed.  Drop the entry so
            the paper's directory-reference rule can rely on "most recent
            entry" semantics (§3.2). *)
         table.slots.(base + i) <- 0;
-        t.miss_count <- t.miss_count + 1;
         Counter.bump t.counters Counters.seqcount_retry;
         Trace.stamp Trace.ev_pcc_stale id;
         false
@@ -91,12 +82,10 @@ let check t d =
   let base = set_of table d.d_id * ways in
   check_scan t table id (d.d_seq land seq_mask) base 0
 
-(* Read-only prefix validation (§3.5): like [check], but perturbs nothing —
-   no hit/miss accounting and no stale-entry drop.  The prefix-resume scan
-   probes several ancestors per miss, most of which are expected to be
-   absent, so counting them would skew the hit-rate figures; and it may run
-   on the lockless tier, where dropping an entry is a mutation that belongs
-   under the lock.  Top-level recursion for the usual no-closure reason. *)
+(* Read-only prefix validation (§3.5): like [check], but without the
+   stale-entry drop.  The prefix-resume scan may run on the lockless tier,
+   where dropping an entry is a mutation that belongs under the lock.
+   Top-level recursion for the usual no-closure reason. *)
 let rec probe_scan table id seq base i =
   if i >= ways then false
   else begin
@@ -131,14 +120,15 @@ let rec place table set base id entry i =
 
 (* Growth (the paper leaves resizing as future work, §6.3): when capacity
    replacement evicts live entries faster than one per [churn_rate]
-   checks, double the table, up to the ceiling — the working set has
+   lookups, double the table, up to the ceiling — the working set has
    outgrown it.  The rate is counted over windows of one table's worth of
-   checks (hits + misses).  A working set that fits still leaves a few
-   sets over-full, and their evictions trickle on for as long as it runs:
-   a count without a window would grow the table at whatever moment it
-   crossed its line.  A working set that overflows the table evicts at
-   several times the rate and grows it within a window or two.  Inserts
-   with no checks between them (cold walks) stay in one window.
+   the dcache's lookups, read from its per-domain counters only when an
+   insert displaces: a hit keeps no tally.  A working set that fits still
+   leaves a few sets over-full, and their evictions trickle on for as
+   long as it runs: a count without a window would grow the table at
+   whatever moment it crossed its line.  A working set that overflows the
+   table evicts at several times the rate and grows it within a window or
+   two.  A reset of the counters restarts the window.
 
    Locked inserts and lockless refills both displace, and both may find
    growth due: [grow_lock] serializes the growths, and an inserter that
@@ -147,6 +137,9 @@ let rec place table set base id entry i =
    meanwhile is lost, a miss and never a false hit.  Each new set draws
    from one old set, so rehashing never displaces. *)
 let churn_rate = 32
+
+let lookups t =
+  Counter.get t.counters Counters.fastpath_hit + Counter.get t.counters Counters.fastpath_fallback
 
 let grow_due t =
   let cap = Array.length t.table.slots in
@@ -166,7 +159,7 @@ let maybe_grow t =
         old.slots;
       t.table <- bigger;
       t.displaced <- 0;
-      t.window_start <- t.hit_count + t.miss_count;
+      t.window_start <- lookups t;
       t.grow_count <- t.grow_count + 1
     end;
     Mutex.unlock t.grow_lock
@@ -181,9 +174,9 @@ let insert t d ~seq =
   let id = d.d_id land ((1 lsl id_bits) - 1) in
   let set = set_of table d.d_id in
   if place table set (set * ways) id (pack id seq) 0 then begin
-    let checks = t.hit_count + t.miss_count in
-    if checks - t.window_start >= Array.length table.slots then begin
-      t.window_start <- checks;
+    let now = lookups t in
+    if now < t.window_start || now - t.window_start >= Array.length table.slots then begin
+      t.window_start <- now;
       t.displaced <- 0
     end;
     t.displaced <- t.displaced + 1;

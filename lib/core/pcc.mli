@@ -25,23 +25,25 @@ val create : counters:Dcache_util.Stats.Counter.t -> entries:int -> unit -> t
     ceiling, rounded up to a power of two, minimum 16.
     The table starts at [min entries 4096] — the paper's 64 KB PCC — and
     doubles up to the ceiling whenever capacity replacement evicts more
-    than one live entry per 32 checks, counted over windows of one table's
-    worth of checks (the paper leaves resizing as future work, §6.3).  A
-    ceiling at or below 4096 is the paper's static table. *)
+    than one live entry per 32 lookups, counted over windows of one
+    table's worth of lookups (the paper leaves resizing as future work,
+    §6.3).  Lookups are [counters]' fastpath hits plus fallbacks, read
+    only when an insert displaces an entry; a window restarts when the
+    counters are reset.  A ceiling at or below 4096 is the paper's static
+    table. *)
 
 val capacity : t -> int
 val grows : t -> int
 (** Number of dynamic growth steps performed. *)
 
 val check : t -> dentry -> bool
-(** True iff a valid (current-version) entry for [dentry] is present;
-    refreshes its recency. *)
+(** True iff a valid (current-version) entry for [dentry] is present.  A
+    hit writes nothing; an entry found at a stale version is dropped. *)
 
 val probe : t -> dentry -> bool
 (** Read-only variant of {!check} for prefix validation (§3.5): same
-    answer, but no hit/miss accounting and no stale-entry eviction, so it
-    is safe on the lockless tier and does not skew statistics when a miss
-    scan probes many absent ancestors.  Allocation-free. *)
+    answer, but no stale-entry drop, so it is safe on the lockless tier.
+    Allocation-free. *)
 
 val insert : t -> dentry -> seq:int -> unit
 (** Record a passed prefix check at version [seq]: the dentry's version

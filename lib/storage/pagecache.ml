@@ -2,13 +2,14 @@ module Dlist = Dcache_util.Dlist
 module Fault = Dcache_util.Fault
 module Inttbl = Dcache_util.Inttbl
 
-type page = { block : int; data : bytes; mutable dirty : bool; lru : page Dlist.node Lazy.t }
+(* [referenced]: hit since the clock hand last passed the page. *)
+type page = { block : int; data : bytes; mutable dirty : bool; mutable referenced : bool }
 
 type t = {
   device : Blockdev.t;
   capacity : int;
   pages : page Inttbl.t;
-  lru : page Dlist.t;  (* front = most recently used *)
+  clock : page Dlist.t;  (* new pages go in at the front; the hand takes the back *)
   mutable hit_count : int;
   mutable miss_count : int;
   mutable writeback_count : int;
@@ -20,7 +21,7 @@ let create ?(capacity_pages = 4096) device =
     device;
     capacity = capacity_pages;
     pages = Inttbl.create 1024;
-    lru = Dlist.create ();
+    clock = Dlist.create ();
     hit_count = 0;
     miss_count = 0;
     writeback_count = 0;
@@ -35,27 +36,39 @@ let writeback t page =
     t.writeback_count <- t.writeback_count + 1
   end
 
-let evict_one t =
-  match Dlist.pop_back t.lru with
+(* CLOCK: the hand takes the back of the list; a marked page loses its
+   mark and rotates to the front, an unmarked one is evicted.  One lap
+   clears every mark, so the hand stops within two. *)
+let rec evict_one t =
+  match Dlist.pop_back t.clock with
   | None -> ()
   | Some node ->
     let page = Dlist.value node in
-    writeback t page;
-    Inttbl.remove t.pages page.block
+    if page.referenced then begin
+      page.referenced <- false;
+      Dlist.push_front t.clock node;
+      evict_one t
+    end
+    else begin
+      writeback t page;
+      Inttbl.remove t.pages page.block
+    end
 
+(* A hit sets the page's mark and moves nothing: no list splice, no
+   allocation. *)
 let lookup t n =
-  match Inttbl.find_opt t.pages n with
-  | Some page ->
+  match Inttbl.find t.pages n with
+  | page ->
     t.hit_count <- t.hit_count + 1;
-    Dlist.move_to_front t.lru (Lazy.force page.lru);
+    if not page.referenced then page.referenced <- true;
     page
-  | None ->
+  | exception Not_found ->
     t.miss_count <- t.miss_count + 1;
     if Inttbl.length t.pages >= t.capacity then evict_one t;
     let data = Blockdev.read_block t.device n in
-    let rec page = { block = n; data; dirty = false; lru = lazy (Dlist.node page) } in
+    let page = { block = n; data; dirty = false; referenced = false } in
     Inttbl.add t.pages n page;
-    Dlist.push_front t.lru (Lazy.force page.lru);
+    Dlist.push_front t.clock (Dlist.node page);
     page
 
 (* FNV-1a over the page, for the debug-mode mutation check.  Cheap enough
@@ -94,12 +107,12 @@ let write_page t n data =
   Bytes.blit data 0 page.data 0 (Bytes.length data);
   page.dirty <- true
 
-let flush t = Dlist.iter (fun page -> writeback t page) t.lru
+let flush t = Dlist.iter (fun page -> writeback t page) t.clock
 
 let drop_caches t =
   flush t;
   Inttbl.reset t.pages;
-  while Dlist.pop_front t.lru <> None do
+  while Dlist.pop_front t.clock <> None do
     ()
   done
 
@@ -108,9 +121,9 @@ let drop_caches t =
    the crash — the state Extfs_fsck judges recovery from. *)
 let crash t =
   let lost = ref 0 in
-  Dlist.iter (fun page -> if page.dirty then incr lost) t.lru;
+  Dlist.iter (fun page -> if page.dirty then incr lost) t.clock;
   Inttbl.reset t.pages;
-  while Dlist.pop_front t.lru <> None do
+  while Dlist.pop_front t.clock <> None do
     ()
   done;
   !lost

@@ -2,7 +2,11 @@
 
     Models the kernel buffer/page cache: block reads hit memory when cached,
     dirty pages are written back on eviction or [flush], and [drop_caches]
-    reproduces the paper's cold-cache experiments (Table 2). *)
+    reproduces the paper's cold-cache experiments (Table 2).
+
+    Eviction is CLOCK: a page arrives unmarked, a hit marks it (and moves
+    nothing), and the hand spares a marked page once, clearing its mark.
+    So a page hit since the hand last passed outlives one that was not. *)
 
 type t
 

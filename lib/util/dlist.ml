@@ -69,10 +69,6 @@ let peek_front t = t.first
    cache-fed readdir path depends on. *)
 let next n = n.next
 
-let move_to_front t n =
-  (match n.owner with None -> () | Some _ -> remove t n);
-  push_front t n
-
 let iter f t =
   let rec go = function
     | None -> ()

@@ -1,7 +1,7 @@
 (** Intrusive doubly-linked lists with O(1) insert and remove.
 
     The kernel dcache chains dentries on several lists at once (sibling list,
-    LRU list, hash chains); each chain needs O(1) unlink given only the node.
+    reclaim list, hash chains); each chain needs O(1) unlink given only the node.
     A ['a node] belongs to at most one [t] at a time. *)
 
 type 'a t
@@ -35,9 +35,6 @@ val next : 'a node -> 'a node option
     successor field (no fresh [Some]), so a [peek_front]/[next] walk is
     allocation-free — the lockless readdir path iterates children this
     way. *)
-
-val move_to_front : 'a t -> 'a node -> unit
-(** [move_to_front t n] relinks [n] at the head (inserting if detached). *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front-to-back iteration.  The visited node may be removed by [f]; other

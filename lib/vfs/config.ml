@@ -48,7 +48,7 @@ type t = {
           absent names fill the lists *)
   (* substrate sizing *)
   dcache_buckets : int;  (** primary hash table buckets (Linux default 262144) *)
-  max_dentries : int;  (** dcache capacity before LRU eviction *)
+  max_dentries : int;  (** dcache capacity before CLOCK eviction *)
   dcache_stripes : int;
       (** stripes in the sharded mutation path's lock table (power of two);
           0 funnels every mutation through the single global write lock

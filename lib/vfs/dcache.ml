@@ -28,14 +28,13 @@ type t = {
   next_seq : int Atomic.t;
       (** version generator: a dentry slot "reallocated" for a new path
           starts with a version no stale PCC entry can match (§3.1) *)
-  clock : dentry Dlist.t;  (** reclaim list; front = recently inserted *)
+  clock : dentry Dlist.t;  (** reclaim list: entries go in at the front, the hand takes the back *)
   lru_mu : Mutex.t;
       (** serializes reclaim-list splices reachable from sharded mutation
           sections ([alloc_child]/[detach]); the clock is one global
           intrusive list, so stripe locks cannot protect it.  Bulk clock
           work (eviction, purge, scrub) runs only under the exclusive
           write lock and needs no extra serialization. *)
-  tick : int Atomic.t;
   lock : Rwlock.t;
   rename_lock : Seqcount.t;
   write_seq : Seqcount.t;
@@ -77,7 +76,6 @@ let create config =
     next_seq = Atomic.make 1;
     clock = Dlist.create ();
     lru_mu = Mutex.create ();
-    tick = Atomic.make 0;
     lock = Rwlock.create ();
     rename_lock = Seqcount.create ();
     write_seq = Seqcount.create ();
@@ -143,8 +141,6 @@ let bucket_occupancy t =
     t.buckets;
   hist
 
-let new_tick t = Atomic.fetch_and_add t.tick 1 + 1
-
 (* --- inode cache ---
 
    The icache table is touched from sharded mutation sections (a created
@@ -204,7 +200,7 @@ let make_superblock t fs =
         d_neg_gen = 0;
         d_refcount = Atomic.make 1;
         d_hashed = false;
-        d_last_used = 0;
+        d_referenced = true;
         d_complete = false;
         d_dir_gen = 0;
         d_seq = Atomic.fetch_and_add t.next_seq 1;
@@ -257,9 +253,11 @@ let rec chain_find parent path pos len = function
 let find_child t parent path ~pos ~len =
   chain_find parent path pos len (Atomic.get (bucket t parent.d_id path ~pos ~len))
 
+(* The mark is stored only when clear, so a warm hit writes no line that
+   another domain's hit reads. *)
 let find t parent path ~pos ~len =
   let d = find_child t parent path ~pos ~len in
-  d.d_last_used <- Atomic.get t.tick;
+  if not d.d_referenced then d.d_referenced <- true;
   Counter.bump t.counters Counters.dcache_hit;
   d
 
@@ -268,7 +266,7 @@ let lookup t parent name =
   | d -> Some d
   | exception Not_found -> None
 
-(* Read-only (no LRU tick, no hit accounting), for the lockless prefix
+(* Read-only (no referenced mark, no hit accounting), for the lockless prefix
    fast-fail scan (§3.5). *)
 let contains_child t parent path ~pos ~len =
   match find_child t parent path ~pos ~len with _ -> true | exception Not_found -> false
@@ -434,7 +432,12 @@ let neg_occupancy t = Array.map Dlist.length t.neg_lists
 
 (* Eviction and purge run only under the exclusive write lock (never from
    a sharded section), so their clock traversal needs no [lru_mu] — the
-   [detach] they call still takes it, uncontended. *)
+   [detach] they call still takes it, uncontended.
+
+   [evict_some] is CLOCK: the hand takes the back of the reclaim list; an
+   entry in use or with children rotates to the front untouched, a marked
+   entry (hit, or new, since the hand last passed) loses its mark and
+   rotates, and an unmarked evictable entry is evicted. *)
 let evict_some t want =
   let evicted = ref 0 in
   (* Enough attempts that every entry can consume its second chance and
@@ -451,10 +454,8 @@ let evict_some t want =
         Dlist.push_front t.clock node;
         d.d_lru <- Some node
       end
-      else if d.d_last_used > Atomic.get t.tick - (t.config.Config.max_dentries / 4)
-      then begin
-        (* Second chance for recently used entries. *)
-        d.d_last_used <- d.d_last_used - (t.config.Config.max_dentries / 2);
+      else if d.d_referenced then begin
+        d.d_referenced <- false;
         Dlist.push_front t.clock node;
         d.d_lru <- Some node
       end
@@ -522,7 +523,7 @@ let alloc_child t parent name state =
       d_neg_gen = 0;
       d_refcount = Atomic.make 0;
       d_hashed = false;
-      d_last_used = Atomic.get t.tick;
+      d_referenced = true;
       d_complete = false;
       d_dir_gen = 0;
       d_seq = Atomic.fetch_and_add t.next_seq 1;

@@ -7,6 +7,20 @@
     (c) the reclaim list; the invariant that a cached dentry's ancestors are
     all cached is maintained by only evicting childless dentries bottom-up.
 
+    Eviction is CLOCK over the reclaim list.  Every dentry carries a
+    referenced mark: it starts set, and a hit ({!find}, or the fastpath's
+    warm hit) sets it again when it is clear.  The hand takes the list's
+    back: an entry in use or with cached children rotates to the front
+    untouched, a marked entry loses its mark and rotates, and an unmarked
+    one is evicted.  So a dentry hit since the hand last passed outlives an
+    unmarked sibling.
+
+    A warm hit stores nothing another domain's hit reads, except the mark
+    when it was clear (once per pass of the hand) and the counter bump,
+    which lands in the calling domain's own row.  The PCC's stale-entry
+    drop also writes, but only on a version mismatch, i.e. after a
+    mutation.
+
     Locking: callers bracket read-mostly work (walks, fastpath probes) with
     {!with_read} and anything that can mutate the cache with {!with_write},
     mirroring RCU-walk vs ref-walk in Linux. *)
@@ -82,7 +96,8 @@ val iforget : superblock -> int -> unit
 
 val find : t -> dentry -> string -> pos:int -> len:int -> dentry
 (** The hashed child of [parent] named [path\[pos, pos+len)], read in
-    place, or [Not_found]; a hit ticks its LRU and counts "dcache_hit".
+    place, or [Not_found]; a hit sets its referenced mark (when clear) and
+    counts "dcache_hit".
     The per-component step of every walk; allocates nothing. *)
 
 val lookup : t -> dentry -> string -> dentry option
@@ -90,7 +105,7 @@ val lookup : t -> dentry -> string -> dentry option
 
 val contains_child : t -> dentry -> string -> pos:int -> len:int -> bool
 (** Does [parent] have a hashed child named [path\[pos, pos+len)]?  The
-    same probe as {!find} without the LRU tick or the hit count, for the
+    same probe as {!find} without the referenced mark or the hit count, for the
     §3.5 prefix fast-fail: no allocation, safe on the lockless tier. *)
 
 val fill : t -> dentry -> string -> (dentry, Dcache_types.Errno.t) result
@@ -235,5 +250,3 @@ val scrub : t -> scrub_report
     children included, firing the shootdown hook so stale direct-lookup
     state dies too) instead of left to answer lookups.  The next walk
     re-resolves them from the file system.  Caller holds the write side. *)
-
-val new_tick : t -> int

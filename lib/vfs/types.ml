@@ -44,7 +44,7 @@ type dentry = {
           invalidation) *)
   d_refcount : int Atomic.t;  (** pins: open files, cwd/root, mountpoints *)
   mutable d_hashed : bool;  (** present in the primary hash table *)
-  mutable d_last_used : int;  (** lazy-LRU tick; racy update is benign *)
+  mutable d_referenced : bool;  (** hit since the clock hand last passed; racy set is benign *)
   mutable d_complete : bool;  (** DIR_COMPLETE (§5.1) *)
   mutable d_dir_gen : int;
       (** bumped on every create/unlink/rename in this directory; readdir

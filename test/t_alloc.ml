@@ -16,6 +16,7 @@ module Counter = Dcache_util.Stats.Counter
 module Counters = Dcache_util.Counters
 module Rwlock = Dcache_util.Rwlock
 module Dcache = Dcache_vfs.Dcache
+module Pagecache = Dcache_storage.Pagecache
 
 (* Top-level so the measured loop doesn't even pay for a closure. *)
 let within_unit _mnt _dentry = Ok ()
@@ -271,6 +272,21 @@ let test_counter_bump_zero_alloc () =
     (Counter.get counters Counters.fastpath_hit);
   Alcotest.(check int) "every add counted" (3 * (iters + 2))
     (Counter.get counters Counters.path_bytes)
+
+let page_noop _ = ()
+
+(* A page-cache hit probes the table without an option and sets the page's
+   mark; nothing moves, nothing is allocated. *)
+let test_pagecache_hit_zero_alloc () =
+  Alcotest.(check bool) "page checksums off" false !Dcache_util.Fault.checks_enabled;
+  let dev = Dcache_storage.Blockdev.create (Dcache_util.Vclock.create ()) in
+  let cache = Pagecache.create ~capacity_pages:4 dev in
+  List.iter (fun n -> Pagecache.with_page cache n page_noop) [ 0; 1; 2 ];
+  let iters = 10_000 in
+  let hit () = Pagecache.with_page cache 1 page_noop in
+  Alcotest.(check (float 0.0)) "page-cache hit allocates zero words" 0.0
+    (measure_minor_words iters hit);
+  Alcotest.(check int) "every probe a hit" (iters + 2) (Pagecache.hits cache)
 
 let test_warm_hit_armed_ring_zero_alloc () =
   let kernel, p = ram_kernel ~config:Config.optimized () in
@@ -1081,6 +1097,8 @@ let suite =
       test_warm_negative_hit_zero_alloc;
     Alcotest.test_case "counter bump and add by id allocate zero minor words" `Quick
       test_counter_bump_zero_alloc;
+    Alcotest.test_case "page-cache hit allocates zero minor words" `Quick
+      test_pagecache_hit_zero_alloc;
     Alcotest.test_case "armed trace ring stamp allocates zero minor words" `Quick
       test_armed_ring_stamp_zero_alloc;
     Alcotest.test_case "warm hit with armed ring allocates zero minor words" `Quick

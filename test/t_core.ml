@@ -418,6 +418,49 @@ let test_eviction_coherence () =
   Alcotest.(check bool) "cache stayed bounded" true
     (Dcache_vfs.Dcache.dentry_count (Kernel.dcache kernel) <= 24 * 2)
 
+(* The dcache's eviction order is CLOCK: a dentry hit since the hand last
+   passed outlives an unmarked evictable sibling, however they compare in
+   age.  The sweep that makes room for x0 clears every mark (every entry is
+   new, so marked); then f1, the oldest survivor, is hit or not, and the
+   sweep for x1 evicts whichever of f1 and f2 is unmarked first. *)
+type clock_hit = No_hit | Walk_hit | Fastpath_hit
+
+let clock_survivors config via =
+  let config = { config with Config.max_dentries = 8 } in
+  let kernel, p = ram_kernel ~config () in
+  let dcache = Kernel.dcache kernel in
+  get "mkdir" (S.mkdir_p p "/d");
+  let n = ref 0 in
+  while Dcache.dentry_count dcache < 8 do
+    get "fill" (S.write_file p (Printf.sprintf "/d/f%d" !n) "x");
+    incr n
+  done;
+  (* Publish f1 now, so that after the sweep its stat is a fastpath hit. *)
+  if via = Fastpath_hit then ignore (get "publish" (S.stat p "/d/f1"));
+  get "x0" (S.write_file p "/d/x0" "x");
+  Alcotest.(check int) "one eviction" 1 (counter kernel "dcache_evicted");
+  let root = (Proc.walk_ctx p).Dcache_vfs.Walk.root.Dcache_vfs.Types.dentry in
+  let d = Option.get (Dcache.lookup dcache root "d") in
+  let cached name = Dcache.contains_child dcache d name ~pos:0 ~len:(String.length name) in
+  Alcotest.(check bool) "f1 and f2 survive the first sweep" true (cached "f1" && cached "f2");
+  if via <> No_hit then begin
+    let fast = counter kernel "fastpath_hit" in
+    ignore (get "hit" (S.stat p "/d/f1"));
+    Alcotest.(check int) "the hit's path" (if via = Fastpath_hit then 1 else 0)
+      (counter kernel "fastpath_hit" - fast)
+  end;
+  get "x1" (S.write_file p "/d/x1" "x");
+  Alcotest.(check int) "two evictions" 2 (counter kernel "dcache_evicted");
+  (cached "f1", cached "f2")
+
+let test_clock_spares_hit_dentry config =
+  let check label via expect =
+    Alcotest.(check (pair bool bool)) label expect (clock_survivors config via)
+  in
+  check "no hit: the older f1 goes" No_hit (false, true);
+  check "walk hit: f1 stays, f2 goes" Walk_hit (true, false);
+  if config.Config.fastpath then check "fastpath hit: f1 stays, f2 goes" Fastpath_hit (true, false)
+
 let test_simulate_pcc_miss_mode () =
   let kernel, p = setup () in
   Fastpath.set_simulate_pcc_miss (Kernel.fastpath kernel) true;
@@ -705,6 +748,7 @@ let suite =
     Alcotest.test_case "dynamic PCC grows" `Quick test_dynamic_pcc_grows;
     Alcotest.test_case "a fitting PCC keeps its size" `Quick test_pcc_fitting_set_keeps_size;
   ]
+  @ tc_both "CLOCK: a hit dentry outlives an unmarked sibling" test_clock_spares_hit_dentry
 
 let test_ro_rw_alias_flipflop () =
   (* The same subtree bind-mounted read-only and read-write: the per-dentry

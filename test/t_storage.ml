@@ -60,12 +60,42 @@ let test_pagecache_writeback_on_evict () =
   Pagecache.write_page cache 0 (block_of_string dev "zero");
   Pagecache.write_page cache 1 (block_of_string dev "one");
   Alcotest.(check int) "nothing written yet" 0 (Blockdev.writes dev);
-  (* Touch a third page: the LRU dirty page must be written back. *)
+  (* Touch a third page: the evicted dirty page must be written back. *)
   ignore (Pagecache.read_page cache 2);
   Alcotest.(check bool) "writeback happened" true (Blockdev.writes dev >= 1);
   Pagecache.flush cache;
   let direct = Blockdev.read_block dev 1 in
   Alcotest.(check string) "contents on device" "one" (Bytes.sub_string direct 0 3)
+
+(* CLOCK: pages arrive unmarked, a hit marks its page, and the hand spares
+   a marked page once, clearing its mark.  So a page hit since the hand
+   last passed outlives a page that was not, whatever their ages. *)
+let test_pagecache_clock_spares_hit_page () =
+  (* A full three-page cache whose oldest page, 0, was hit; [cached n] is
+     a read that tells whether it hit. *)
+  let filled () =
+    let dev, _ = make_dev () in
+    let cache = Pagecache.create ~capacity_pages:3 dev in
+    let read n = ignore (Pagecache.read_page cache n) in
+    let cached n =
+      let misses = Pagecache.misses cache in
+      read n;
+      Pagecache.misses cache = misses
+    in
+    List.iter read [ 0; 1; 2; 0 ];
+    (read, cached)
+  in
+  let read, cached = filled () in
+  read 3;
+  Alcotest.(check bool) "the hit page outlives pages read in after it" true (cached 0);
+  Alcotest.(check bool) "the unhit page is evicted" false (cached 1);
+  (* The sweep for page 3 cleared page 0's mark; page 2 is hit after it. *)
+  let read, cached = filled () in
+  read 3;
+  read 2;
+  read 4;
+  Alcotest.(check bool) "page hit since the sweep kept" true (cached 2);
+  Alcotest.(check bool) "page hit only before the sweep evicted" false (cached 0)
 
 let test_pagecache_drop_caches () =
   let dev, clock = make_dev () in
@@ -129,6 +159,8 @@ let suite =
     Alcotest.test_case "blockdev latency model" `Quick test_blockdev_latency_model;
     Alcotest.test_case "pagecache hit/miss" `Quick test_pagecache_hit_miss;
     Alcotest.test_case "pagecache writeback on evict" `Quick test_pagecache_writeback_on_evict;
+    Alcotest.test_case "pagecache CLOCK spares a hit page" `Quick
+      test_pagecache_clock_spares_hit_page;
     Alcotest.test_case "pagecache drop_caches" `Quick test_pagecache_drop_caches;
     Alcotest.test_case "pagecache with_page_mut" `Quick test_pagecache_with_page_mut;
     QCheck_alcotest.to_alcotest pagecache_model;

@@ -69,16 +69,6 @@ let test_dlist_remove_middle () =
   Dlist.remove l (List.nth nodes 2);
   Alcotest.(check int) "len" 4 (Dlist.length l)
 
-let test_dlist_move_to_front () =
-  let l = Dlist.create () in
-  let nodes = List.init 4 Dlist.node in
-  List.iter (Dlist.push_back l) nodes;
-  Dlist.move_to_front l (List.nth nodes 3);
-  Alcotest.(check (list int)) "moved" [ 3; 0; 1; 2 ] (Dlist.to_list l);
-  let fresh = Dlist.node 9 in
-  Dlist.move_to_front l fresh;
-  Alcotest.(check (list int)) "inserted" [ 9; 3; 0; 1; 2 ] (Dlist.to_list l)
-
 let test_dlist_iter_remove_current () =
   let l = Dlist.create () in
   let nodes = List.init 6 Dlist.node in
@@ -329,7 +319,6 @@ let suite =
     Alcotest.test_case "prng shuffle permutation" `Quick test_prng_shuffle_permutation;
     Alcotest.test_case "dlist push/pop" `Quick test_dlist_push_pop;
     Alcotest.test_case "dlist remove middle" `Quick test_dlist_remove_middle;
-    Alcotest.test_case "dlist move_to_front" `Quick test_dlist_move_to_front;
     Alcotest.test_case "dlist iter removing" `Quick test_dlist_iter_remove_current;
     QCheck_alcotest.to_alcotest dlist_model_test;
     Alcotest.test_case "stats median/percentile" `Quick test_stats_median_percentile;
