@@ -10,7 +10,16 @@
 
     Directory entries are packed records [ino:4 | kind:1 | namelen:1 | name];
     unlinked entries become tombstones ([ino = 0]).  Names are limited to 255
-    bytes, files to [12 + block_size/4] blocks. *)
+    bytes, files to [12 + block_size/4] blocks.
+
+    Each operation reads each directory it touches once, in block order.  A
+    rename's pass over a directory finds the source record, the target
+    record and the slot for the new record; a create's finds the existing
+    name (EEXIST) and the slot.  The slot is the first exact-size tombstone
+    (a record the operation removes counts as one) or zeroed tail space,
+    else a new block.  That is the slot the older find-then-insert passes
+    chose, so the on-disk layout and the images a given sequence of calls
+    leaves are unchanged. *)
 
 val mkfs : Dcache_storage.Pagecache.t -> unit
 (** Format the device.  Destroys existing contents. *)

@@ -288,6 +288,56 @@ let test_pagecache_hit_zero_alloc () =
     (measure_minor_words iters hit);
   Alcotest.(check int) "every probe a hit" (iters + 2) (Pagecache.hits cache)
 
+(* --- Extfs per-call words ---
+
+   A getattr decodes the attribute fields only; a rename and a create read
+   their directory once.  The bounds are the words each call took before
+   that (decoding the whole dinode, four dirent scans per rename, two per
+   create): 52, 678 and 377. *)
+let test_extfs_call_words () =
+  let module Fs = Dcache_fs.Fs_intf in
+  let dev = Dcache_storage.Blockdev.create (Dcache_util.Vclock.create ()) in
+  let fs = Dcache_fs.Extfs.mkfs_and_mount (Pagecache.create ~capacity_pages:16384 dev) in
+  let mkdir name =
+    (get "mkdir" (fs.Fs.create fs.Fs.root_ino name File_kind.Directory 0o755 ~uid:0 ~gid:0))
+      .Attr.ino
+  in
+  let create dir name =
+    ignore (get "create" (fs.Fs.create dir name File_kind.Regular 0o644 ~uid:0 ~gid:0))
+  in
+  (* A 400-message maildir cur/, then one of its messages' flag toggled. *)
+  let cur = mkdir "cur" in
+  let mail i = Printf.sprintf "%d.%06d.host:2," (1_000_000 + i) (i * 7919 mod 1_000_000) in
+  for i = 0 to 399 do
+    create cur (mail i)
+  done;
+  let plain = mail 200 and seen = mail 200 ^ "S" in
+  let flagged = ref false in
+  let toggle () =
+    let a, b = if !flagged then (seen, plain) else (plain, seen) in
+    get "rename" (fs.Fs.rename cur a cur b);
+    flagged := not !flagged
+  in
+  let rename_words = measure_minor_words 1000 toggle in
+  let getattr_words =
+    measure_minor_words 1000 (fun () -> ignore (get "getattr" (fs.Fs.getattr cur)))
+  in
+  (* 400 creates into a growing directory, averaged. *)
+  let inbox = mkdir "inbox" in
+  let names = Array.init 400 mail in
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  Array.iter (create inbox) names;
+  let create_words = (Gc.minor_words () -. b -. (b -. a)) /. 400.0 in
+  Printf.printf "extfs words/call: getattr %.1f, rename %.1f, create %.1f\n"
+    (getattr_words /. 1000.0) (rename_words /. 1000.0) create_words;
+  let below what bound words =
+    if words >= bound then Alcotest.failf "%s takes %.1f words, bound %.0f" what words bound
+  in
+  below "getattr" 52.0 (getattr_words /. 1000.0);
+  below "rename in a 400-entry directory" 678.0 (rename_words /. 1000.0);
+  below "create into a growing directory" 377.0 create_words
+
 let test_warm_hit_armed_ring_zero_alloc () =
   let kernel, p = ram_kernel ~config:Config.optimized () in
   get "tree" (S.mkdir_p p "/a/b/c");
@@ -1099,6 +1149,8 @@ let suite =
       test_counter_bump_zero_alloc;
     Alcotest.test_case "page-cache hit allocates zero minor words" `Quick
       test_pagecache_hit_zero_alloc;
+    Alcotest.test_case "extfs getattr, rename and create stay under their word bounds"
+      `Quick test_extfs_call_words;
     Alcotest.test_case "armed trace ring stamp allocates zero minor words" `Quick
       test_armed_ring_stamp_zero_alloc;
     Alcotest.test_case "warm hit with armed ring allocates zero minor words" `Quick

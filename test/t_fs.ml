@@ -262,6 +262,50 @@ let test_extfs_find_entry_in_place () =
   let again = mkfile fs root "mailX" in
   Alcotest.(check int) "recreated" again.Attr.ino (ino "mailX")
 
+(* A new record goes to the first exact-size tombstone in block order, and
+   the record a rename removes (its source, or the target it replaces)
+   counts as one; a name of another length appends.  [readdir] lists in
+   block order, so it shows where each record went. *)
+let test_extfs_slot_reuse () =
+  let fs = make_extfs () in
+  let root = fs.Fs.root_ino in
+  let listing dir = List.map (fun e -> e.Fs.name) (get "readdir" (fs.Fs.readdir dir)) in
+  let check what expected dir = Alcotest.(check (list string)) what expected (listing dir) in
+  List.iter (fun n -> ignore (mkfile fs root n)) [ "aa1"; "bb1"; "cc1"; "dd1" ];
+  get "unlink" (fs.Fs.unlink root "bb1");
+  get "unlink" (fs.Fs.unlink root "dd1");
+  ignore (mkfile fs root "ee1");
+  check "create takes the first tombstone" [ "aa1"; "ee1"; "cc1" ] root;
+  get "rename" (fs.Fs.rename root "cc1" root "ff1");
+  check "rename takes its own record before a later tombstone" [ "aa1"; "ee1"; "ff1" ] root;
+  get "unlink" (fs.Fs.unlink root "aa1");
+  get "rename" (fs.Fs.rename root "ff1" root "gg1");
+  check "an earlier tombstone beats its own record" [ "gg1"; "ee1" ] root;
+  ignore (mkfile fs root "zz1");
+  get "rename" (fs.Fs.rename root "zz1" root "gg1");
+  check "the replaced target's record counts" [ "gg1"; "ee1" ] root;
+  ignore (mkfile fs root "hhhh");
+  check "another length appends" [ "gg1"; "ee1"; "hhhh" ] root;
+  get "unlink" (fs.Fs.unlink root "gg1");
+  get "rename" (fs.Fs.rename root "ee1" root "ee1");
+  check "onto itself, too, takes an earlier tombstone" [ "ee1"; "hhhh" ] root;
+  (* Block order: 250 records of 46 bytes span three 4 KiB blocks; a
+     tombstone in the first beats one in the third. *)
+  let d = (mkdir fs root "big").Attr.ino in
+  let name i = Printf.sprintf "%040d" i in
+  for i = 0 to 249 do
+    ignore (mkfile fs d (name i))
+  done;
+  get "unlink late" (fs.Fs.unlink d (name 240));
+  get "unlink early" (fs.Fs.unlink d (name 10));
+  ignore (mkfile fs d (String.make 40 'n'));
+  Alcotest.(check string) "the first block's tombstone" (String.make 40 'n')
+    (List.nth (listing d) 10);
+  get "rename" (fs.Fs.rename d (name 245) d (String.make 40 'm'));
+  Alcotest.(check string) "then the third block's, before the source's own" (String.make 40 'm')
+    (List.nth (listing d) 240);
+  Alcotest.(check int) "every other record stays" 249 (List.length (listing d))
+
 let test_extfs_inode_reuse () =
   let fs = make_extfs () in
   let a = mkfile fs fs.Fs.root_ino "first" in
@@ -313,6 +357,8 @@ let suite =
       Alcotest.test_case "extfs inode reuse" `Quick test_extfs_inode_reuse;
       Alcotest.test_case "extfs dirent search compares names in place" `Quick
         test_extfs_find_entry_in_place;
+      Alcotest.test_case "extfs reuses the first exact-size slot in block order" `Quick
+        test_extfs_slot_reuse;
       Alcotest.test_case "pseudofs dynamic content" `Quick test_pseudofs_dynamic_content;
       Alcotest.test_case "pseudofs immutable via fs" `Quick test_pseudofs_immutable_via_fs;
       Alcotest.test_case "pseudofs remove" `Quick test_pseudofs_remove;
@@ -501,6 +547,123 @@ let fs_equivalence =
         QCheck.Test.fail_reportf "diverged:\nramfs: %s\nextfs: %s" ram_log ext_log;
       true)
 
+(* The same agreement with names that reach the word compare and
+   directories that span blocks: names of 1-40 bytes that share their first
+   eight and differ in the last byte or elsewhere in the last word, two
+   directories of 300 or more entries, renames within and across them onto
+   absent names, files, empty directories and themselves.  Extfs must also
+   stay fsck-clean. *)
+let long_names =
+  let base = "Maildir:0123456789abcdefghijklmnopqrstu" in
+  List.concat_map
+    (fun len ->
+      let stem = String.sub base 0 (len - 1) in
+      let word_byte =
+        (* a byte of the last word other than the last, when there is one *)
+        String.mapi (fun i c -> if i = len - 3 then '~' else c) (stem ^ "x")
+      in
+      (stem ^ "x") :: (stem ^ "y") :: (if len >= 3 then [ word_byte ] else []))
+    [ 1; 2; 7; 8; 9; 15; 16; 17; 23; 24; 25; 32; 33; 39; 40 ]
+  |> Array.of_list
+
+let fs_equivalence_long_names =
+  QCheck.Test.make ~name:"ramfs and extfs agree on long names across two big directories"
+    ~count:20
+    QCheck.(pair small_int (list_of_size (QCheck.Gen.int_range 20 120) (int_bound 7)))
+    (fun (seed, script) ->
+      let run fs =
+        let prng = Prng.create (seed + 11) in
+        let log = Buffer.create 1024 in
+        let note tag result =
+          Buffer.add_string log tag;
+          Buffer.add_string log
+            (match result with Ok () -> ":ok;" | Error e -> ":" ^ Errno.to_string e ^ ";")
+        in
+        let unit r = Result.map (fun _ -> ()) r in
+        let dir name =
+          (get "mkdir" (fs.Fs.create fs.Fs.root_ino name File_kind.Directory 0o755 ~uid:0 ~gid:0))
+            .Attr.ino
+        in
+        let dirs = [| dir "a"; dir "b" |] in
+        (* 320 fillers in each, every third unlinked: four blocks with
+           tombstones of the fillers' size between the live records. *)
+        Array.iter
+          (fun d ->
+            for i = 0 to 319 do
+              ignore (mkfile fs d (Printf.sprintf "filler-%04d-%s" i (String.make (i mod 29) 'f')))
+            done;
+            for i = 0 to 319 do
+              if i mod 3 = 0 then
+                get "unlink filler"
+                  (fs.Fs.unlink d (Printf.sprintf "filler-%04d-%s" i (String.make (i mod 29) 'f')))
+            done)
+          dirs;
+        let pick_dir () = dirs.(Prng.int prng 2) in
+        let pick () = long_names.(Prng.int prng (Array.length long_names)) in
+        (* A name [d] holds, so that most renames have a source. *)
+        let pick_live d =
+          match fs.Fs.readdir d with
+          | Ok entries -> (
+            match
+              entries
+              |> List.map (fun e -> e.Fs.name)
+              |> List.filter (fun n -> not (String.starts_with ~prefix:"filler-" n))
+              |> List.sort compare
+            with
+            | [] -> pick ()
+            | live -> List.nth live (Prng.int prng (List.length live)))
+          | Error _ -> pick ()
+        in
+        let listing d =
+          match fs.Fs.readdir d with
+          | Ok entries ->
+            entries |> List.map (fun e -> e.Fs.name) |> List.sort compare |> String.concat ","
+          | Error e -> Errno.to_string e
+        in
+        List.iter
+          (fun op ->
+            match op with
+            | 0 | 1 ->
+              note "create"
+                (unit (fs.Fs.create (pick_dir ()) (pick ()) File_kind.Regular 0o644 ~uid:0 ~gid:0))
+            | 2 ->
+              note "mkdir"
+                (unit (fs.Fs.create (pick_dir ()) (pick ()) File_kind.Directory 0o755 ~uid:0 ~gid:0))
+            | 3 -> note "unlink" (fs.Fs.unlink (pick_dir ()) (pick ()))
+            | 4 -> note "rmdir" (fs.Fs.rmdir (pick_dir ()) (pick ()))
+            | 5 ->
+              let d = pick_dir () in
+              let name = pick_live d in
+              note "rename-self" (fs.Fs.rename d name d name)
+            | 6 ->
+              let d = pick_dir () in
+              let name = pick_live d in
+              note "rename" (fs.Fs.rename d name (pick_dir ()) (pick ()))
+            | _ -> (
+              match fs.Fs.lookup (pick_dir ()) (pick ()) with
+              | Ok attr ->
+                Buffer.add_string log
+                  (Printf.sprintf "lookup:ok(%c,%d);" (File_kind.to_char attr.Attr.kind)
+                     attr.Attr.nlink)
+              | Error e -> note "lookup" (Error e)))
+          script;
+        Array.iter
+          (fun d ->
+            Buffer.add_string log
+              (Printf.sprintf "[%d:%s]" (get "getattr" (fs.Fs.getattr d)).Attr.nlink (listing d)))
+          dirs;
+        Buffer.contents log
+      in
+      let ram_log = run (Ramfs.create ()) in
+      let cache = fresh_extfs_cache () in
+      let fs = Extfs.mkfs_and_mount cache in
+      let ext_log = run fs in
+      fs.Fs.sync ();
+      ignore (fsck_clean "after the script" cache);
+      if ram_log <> ext_log then
+        QCheck.Test.fail_reportf "diverged:\nramfs: %s\nextfs: %s" ram_log ext_log;
+      true)
+
 let fsck_suite =
   [
     Alcotest.test_case "fsck: fresh volume" `Quick test_fsck_clean_fresh;
@@ -508,4 +671,5 @@ let fsck_suite =
     Alcotest.test_case "fsck: detects bitmap corruption" `Quick test_fsck_detects_corruption;
     QCheck_alcotest.to_alcotest fsck_random_ops;
     QCheck_alcotest.to_alcotest fs_equivalence;
+    QCheck_alcotest.to_alcotest fs_equivalence_long_names;
   ]
